@@ -14,7 +14,9 @@ two simulators task record by task record:
 * identical trace lengths and memory-pressure counts.
 
 Covered variants per SoC: closed loop, staggered arrivals, contention
-off, trace on, and fault injection (first processor offline mid-run).
+off, trace on, fault injection (first processor offline mid-run), and
+the planner's objective probe (memory gate and causality tracking off,
+an engine-only switch).
 Any divergence fails the build (the ``executor-equivalence`` CI job).
 
 Run directly (exit code 0/1)::
@@ -34,16 +36,19 @@ TOLERANCE_MS = 1e-9
 
 
 def _variants(plan):
-    """(label, kwargs) simulation variants to diff for one plan."""
+    """(label, shared kwargs, engine-only kwargs) simulation variants to
+    diff for one plan."""
     n = len(plan.assignments)
     staggered = [12.5 * i for i in range(n)]
     first_proc = plan.processors[0].name
     return [
-        ("closed-loop", {}),
-        ("staggered-arrivals", {"arrivals": staggered}),
-        ("no-contention", {"with_contention": False}),
-        ("traced", {"trace": True}),
-        ("fault-injected", {"processor_offline_ms": {first_proc: 15.0}}),
+        ("closed-loop", {}, {}),
+        ("staggered-arrivals", {"arrivals": staggered}, {}),
+        ("no-contention", {"with_contention": False}, {}),
+        ("traced", {"trace": True}, {}),
+        ("fault-injected", {"processor_offline_ms": {first_proc: 15.0}}, {}),
+        # The planner's objective probe: no memory gate, no causality.
+        ("objective-probe", {"enforce_memory": False}, {"track_causality": False}),
     ]
 
 
@@ -79,9 +84,9 @@ def main():
     for soc_name in SOC_NAMES:
         soc = get_soc(soc_name)
         plan = Hetero2PipePlanner(soc).plan(models).plan
-        for label, kwargs in _variants(plan):
+        for label, kwargs, engine_only in _variants(plan):
             engine = simulate_chains(
-                soc, plan_to_chains(plan), record=False, **kwargs
+                soc, plan_to_chains(plan), record=False, **kwargs, **engine_only
             )
             legacy = legacy_simulate_chains(
                 soc, plan_to_chains(plan), **kwargs

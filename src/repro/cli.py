@@ -1088,9 +1088,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print()
         print(comparison_text)
         print(
-            "FAIL: scenario(s) regressed beyond the tolerance band"
+            "FAIL: scenario(s) regressed beyond the time band or "
+            "changed a counter"
             if exit_code
-            else "OK: no scenario regressed beyond its tolerance band"
+            else "OK: no scenario regressed beyond its time band or "
+            "changed a counter"
             if not args.update_baseline
             else "",
         )
@@ -1512,7 +1514,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="FRAC",
-        help="override every row's tolerance fraction for this comparison",
+        help="override every row's time tolerance (allowed growth of "
+        "min_ms over the reference loop) for this comparison; counters "
+        "are always compared exactly",
     )
     bench_parser.add_argument(
         "--json",

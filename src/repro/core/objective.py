@@ -149,6 +149,12 @@ class ObjectiveCache:
     planner/profiler pair: profiles are keyed by model name, so a cache
     must never outlive the profiler whose costs it memoized.
 
+    A miss is cheaper than a full execution: the default objective runs
+    the engine with causality tracking off and builds its chains from
+    the profiles' memoized slice tasks, whose workloads carry their
+    contention inputs precomputed (see
+    :func:`~repro.runtime.schedule.async_makespan_ms`).
+
     Args:
         objective: The underlying plan-level objective.
         maxsize: LRU bound on memoized fingerprints.

@@ -279,10 +279,15 @@ class StreamingPlanner:
 
             if self.track_accuracy:
                 # The prediction is the planner's own clean simulation of
-                # the committed plan — exactly what the objective scored —
-                # so on an unperturbed run the residuals are identically
-                # zero and any deviation is real environment drift.
-                predicted = execute_plan(report.plan, record=False)
+                # the committed plan with memory enforced, as the executed
+                # run is (the objective scores plans without the memory
+                # gate, so it is not this number).  On an unperturbed run
+                # the residuals are therefore identically zero and any
+                # deviation is real environment drift.  The join reads
+                # only task records, so causality tracking is off.
+                predicted = execute_plan(
+                    report.plan, record=False, track_causality=False
+                )
                 # TaskRecord.request is the execution position, so the
                 # name list is permuted by the committed order.
                 residual = obs.join_execution(

@@ -164,9 +164,11 @@ class Hetero2PipePlanner:
         embed predictions the drift just falsified, so the streaming
         layer clears them before planning the next window.  Profiles on
         the shared profiler are *measurements*, not predictions, and are
-        kept.
+        kept; their slice-task memos are dropped, which bounds the memos
+        to one plan's probes.
         """
         self._partition_cache.clear()
+        self.profiler.clear_slice_tasks()
         if isinstance(self.objective, ObjectiveCache):
             self.objective.clear()
         if self._plan_cache is not None:

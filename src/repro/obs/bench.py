@@ -28,12 +28,24 @@ Scenarios (see :data:`SCENARIOS`):
 * ``executor_sim`` — one event-driven execution of a planned pipeline:
   the simulation substrate every objective probe pays for.
 
-Gating rule: a scenario regresses when its current ``min_ms`` exceeds
-``baseline_min_ms * (1 + tolerance_frac) + abs_slack_ms``.  The bands
-are deliberately wide (defaults below): this gate exists to catch
-algorithmic regressions — an accidentally quadratic loop, a cache that
-stopped hitting — across heterogeneous CI machines, not 20% timer
-noise; the overhead/cache guards enforce the tight same-machine ratios.
+Gating rules, per ``(scenario, soc)`` row:
+
+* **Counters, exactly.**  Every row's ``counters`` (objective
+  evaluations, cache hits and misses, engine steps, slowdown
+  evaluations, slice-task memo hits and misses) are deterministic
+  counts of one instrumented pass, identical on any machine.  Any
+  difference from the baseline row — a changed value, a counter that
+  appeared or vanished — is a regression.
+* **Time, as a ratio to a reference loop.**  Next to every row the
+  harness times :func:`reference_loop`, a fixed pure-Python loop that
+  runs no code of the program, and records its fastest run as
+  ``reference_ms``.  A row regresses when its ``min_ms / reference_ms``
+  exceeds the baseline row's ratio by more than ``tolerance_frac``
+  (default 0.3, i.e. 1.3x), plus ``abs_slack_ms`` (default 0).  Dividing
+  by the loop cancels the machine's speed, so one baseline serves
+  machines of different speeds and the band can be tight enough to
+  catch a 1.5x regression.  Rows without a reference on both sides
+  compare raw minima.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import prof
 from .recorder import InMemoryRecorder, use_recorder
@@ -62,9 +74,19 @@ BENCH_SCHEMA = "hetero2pipe.bench.v1"
 #: The committed baseline the CI bench job gates against.
 DEFAULT_BASELINE_PATH = "BENCH_planner.json"
 
-#: Default tolerance band: fail only beyond 2.5x the baseline + slack.
-DEFAULT_TOLERANCE_FRAC = 1.5
-DEFAULT_ABS_SLACK_MS = 250.0
+#: Default time gate: fail beyond 1.3x the baseline's reference ratio.
+DEFAULT_TOLERANCE_FRAC = 0.3
+DEFAULT_ABS_SLACK_MS = 0.0
+
+#: Iterations and timed runs of the reference loop (~3 ms a run).
+REFERENCE_LOOP_ITERATIONS = 20_000
+REFERENCE_ROUNDS = 5
+
+#: Calls per timed round of the sub-millisecond scenarios, so each round
+#: spans ~10-20 ms (see :func:`collect_samples_ms`).
+WARM_REPLAN_REPEAT = 1000
+STREAMING_WINDOW_REPEAT = 40
+EXECUTOR_SIM_REPEAT = 100
 
 #: The Fig. 7-style mix every scenario plans.
 MODEL_MIX = ("yolov4", "bert", "squeezenet", "resnet50", "vit")
@@ -80,6 +102,10 @@ COUNTER_NAMES = (
     "partition_cache_misses",
     "profile_cache_hits",
     "profile_cache_misses",
+    "engine_steps",
+    "slowdown_evaluations",
+    "chain_task_memo_hits",
+    "chain_task_memo_misses",
 )
 
 
@@ -105,10 +131,23 @@ def collect_samples_ms(
     rounds: int,
     warmup: int = 0,
     setup: Optional[Callable[[], object]] = None,
+    repeat: int = 1,
 ) -> List[float]:
-    """Per-round wall times (ms) with optional warmup and untimed setup."""
+    """Per-round wall times (ms) with optional warmup and untimed setup.
+
+    A round times ``repeat`` back-to-back calls and records their mean,
+    so a sub-millisecond call is measured over a span long enough for
+    one timer tick or cache hiccup not to dominate it.
+    """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
+
+    def batch() -> None:
+        for _ in range(repeat):
+            fn()
+
     for _ in range(warmup):
         if setup is not None:
             setup()
@@ -117,8 +156,30 @@ def collect_samples_ms(
     for _ in range(rounds):
         if setup is not None:
             setup()
-        samples.append(time_call_s(fn) * 1e3)
+        samples.append(time_call_s(batch) * 1e3 / repeat)
     return samples
+
+
+def reference_loop() -> int:
+    """A fixed pure-Python workload: the machine-speed yardstick.
+
+    Dict stores, integer and float arithmetic in an interpreted loop —
+    the operations planning is made of — and no code of the program, so
+    a change to the program cannot move it.
+    """
+    table: Dict[int, float] = {}
+    total = 0
+    acc = 0.0
+    for i in range(REFERENCE_LOOP_ITERATIONS):
+        total += i * i
+        acc = acc * 0.5 + i
+        table[i & 255] = acc
+    return total + len(table)
+
+
+def reference_loop_ms() -> float:
+    """Fastest of :data:`REFERENCE_ROUNDS` timed reference-loop runs."""
+    return min(collect_samples_ms(reference_loop, REFERENCE_ROUNDS))
 
 
 def percentile_ms(samples_ms: Sequence[float], q: float) -> float:
@@ -160,8 +221,13 @@ def bench_row(
     attributed_frac: Optional[float] = None,
     tolerance_frac: float = DEFAULT_TOLERANCE_FRAC,
     abs_slack_ms: float = DEFAULT_ABS_SLACK_MS,
+    reference_ms: Optional[float] = None,
 ) -> Dict[str, object]:
-    """One ``hetero2pipe.bench.v1`` result row."""
+    """One ``hetero2pipe.bench.v1`` result row.
+
+    ``reference_ms`` is the :func:`reference_loop` time taken next to
+    the samples; the baseline gate divides ``min_ms`` by it.
+    """
     if not samples_ms:
         raise ValueError(f"scenario {scenario!r}: need at least one sample")
     row: Dict[str, object] = {
@@ -175,6 +241,8 @@ def bench_row(
         "tolerance_frac": tolerance_frac,
         "abs_slack_ms": abs_slack_ms,
     }
+    if reference_ms is not None:
+        row["reference_ms"] = reference_ms
     if phases is not None:
         row["phases_exclusive_ms"] = {
             k: round(v, 4) for k, v in sorted(phases.items())
@@ -231,6 +299,7 @@ class ScenarioResult:
     counters: Dict[str, float] = field(default_factory=dict)
     attributed_frac: Optional[float] = None
     simulation: Optional[Dict[str, object]] = None
+    reference_ms: Optional[float] = None
 
     def to_row(self) -> Dict[str, object]:
         row = bench_row(
@@ -240,6 +309,7 @@ class ScenarioResult:
             phases=self.phases_exclusive_ms or None,
             counters=self.counters or None,
             attributed_frac=self.attributed_frac,
+            reference_ms=self.reference_ms,
         )
         if self.simulation is not None:
             row["simulation"] = self.simulation
@@ -317,7 +387,9 @@ def _run_warm_replan(soc_name: str, rounds: int) -> ScenarioResult:
     models = _models()
     planner = Hetero2PipePlanner(soc)
     planner.plan(models)  # warm every cache
-    samples = collect_samples_ms(lambda: planner.plan(models), rounds)
+    samples = collect_samples_ms(
+        lambda: planner.plan(models), rounds, repeat=WARM_REPLAN_REPEAT
+    )
     with use_recorder(InMemoryRecorder()) as rec:
         planner.plan(models)
     phases, frac = _phase_snapshot(rec)
@@ -333,7 +405,9 @@ def _run_streaming_window(soc_name: str, rounds: int) -> ScenarioResult:
     planner = StreamingPlanner(soc, window_size=4)
     planner.run(stream, arrivals)  # warm the shared plan caches
     samples = collect_samples_ms(
-        lambda: planner.run(stream, arrivals), rounds
+        lambda: planner.run(stream, arrivals),
+        rounds,
+        repeat=STREAMING_WINDOW_REPEAT,
     )
     with use_recorder(InMemoryRecorder()) as rec:
         planner.run(stream, arrivals)
@@ -379,7 +453,7 @@ def _run_executor_sim(soc_name: str, rounds: int) -> ScenarioResult:
     planner = Hetero2PipePlanner(soc)
     report = planner.plan(_models())
     samples = collect_samples_ms(
-        lambda: execute_plan(report.plan), rounds
+        lambda: execute_plan(report.plan), rounds, repeat=EXECUTOR_SIM_REPEAT
     )
     with use_recorder(InMemoryRecorder()) as rec:
         result = execute_plan(report.plan)
@@ -439,7 +513,12 @@ def run_bench(
         for soc_name in targets:
             if progress is not None:
                 progress(f"{scenario} on {soc_name}")
-            rows.append(SCENARIOS[scenario](soc_name, rounds).to_row())
+            # The reference is timed on both sides of the cell, so a
+            # speed change of the machine during the cell is seen.
+            before_ms = reference_loop_ms()
+            result = SCENARIOS[scenario](soc_name, rounds)
+            result.reference_ms = min(before_ms, reference_loop_ms())
+            rows.append(result.to_row())
     return bench_doc(rows)
 
 
@@ -448,20 +527,56 @@ def run_bench(
 
 @dataclass(frozen=True)
 class Comparison:
-    """One (scenario, soc) cell compared against the baseline."""
+    """One (scenario, soc) cell compared against the baseline.
+
+    ``limit_ms`` is the baseline's time gate expressed on this run's
+    machine: the baseline minimum rescaled by the two rows' reference
+    loops, times ``1 + tolerance_frac``, plus ``abs_slack_ms``.
+    ``counter_diffs`` names every counter whose value differs (``None``
+    for a counter one side lacks).
+    """
 
     scenario: str
     soc: str
     current_min_ms: float
     baseline_min_ms: Optional[float]
     limit_ms: Optional[float]
-    regressed: bool
+    speed_scale: float = 1.0
+    counter_diffs: Tuple[Tuple[str, Optional[float], Optional[float]], ...] = ()
 
     @property
     def ratio_x(self) -> float:
+        """Current time over the baseline's, at the baseline's speed."""
         if not self.baseline_min_ms:
             return 1.0
-        return self.current_min_ms / self.baseline_min_ms
+        return self.current_min_ms / (self.baseline_min_ms * self.speed_scale)
+
+    @property
+    def time_regressed(self) -> bool:
+        return self.limit_ms is not None and self.current_min_ms > self.limit_ms
+
+    @property
+    def regressed(self) -> bool:
+        return self.time_regressed or bool(self.counter_diffs)
+
+
+def _counter_diffs(
+    current: Dict[str, float], baseline: Dict[str, float]
+) -> Tuple[Tuple[str, Optional[float], Optional[float]], ...]:
+    return tuple(
+        (name, baseline.get(name), current.get(name))
+        for name in sorted(set(current) | set(baseline))
+        if current.get(name) != baseline.get(name)
+    )
+
+
+def _speed_scale(row: Dict[str, object], base: Dict[str, object]) -> float:
+    """How much slower this run's machine is than the baseline's."""
+    current_ref = row.get("reference_ms")
+    base_ref = base.get("reference_ms")
+    if not current_ref or not base_ref:
+        return 1.0
+    return float(current_ref) / float(base_ref)  # type: ignore[arg-type]
 
 
 def compare_to_baseline(
@@ -472,11 +587,14 @@ def compare_to_baseline(
     """Gate current results against a baseline document.
 
     Each current row is matched to the baseline row with the same
-    ``(scenario, soc)`` key; the tolerance band comes from the baseline
-    row (``tolerance_frac`` / ``abs_slack_ms``) unless overridden.
-    Rows with no baseline counterpart are reported un-gated (they are
-    *new* — commit them with ``--update-baseline``); baseline rows not
-    re-run are ignored, so ``--scenarios`` subsets stay usable.
+    ``(scenario, soc)`` key.  The row regresses when any counter differs
+    from the baseline's, or when its reference-scaled minimum exceeds
+    the baseline's by more than the band (``tolerance_frac`` /
+    ``abs_slack_ms`` of the baseline row unless ``tolerance_frac`` is
+    overridden).  Rows with no baseline counterpart are reported
+    un-gated (they are *new* — commit them with ``--update-baseline``);
+    baseline rows not re-run are ignored, so ``--scenarios`` subsets
+    stay usable.
     """
     by_key: Dict[tuple, Dict[str, object]] = {}
     for row in baseline.get("results", []):  # type: ignore[union-attr]
@@ -494,7 +612,6 @@ def compare_to_baseline(
                     current_min_ms=current_min,
                     baseline_min_ms=None,
                     limit_ms=None,
-                    regressed=False,
                 )
             )
             continue
@@ -505,7 +622,12 @@ def compare_to_baseline(
             else float(base.get("tolerance_frac", DEFAULT_TOLERANCE_FRAC))  # type: ignore[arg-type]
         )
         slack = float(base.get("abs_slack_ms", DEFAULT_ABS_SLACK_MS))  # type: ignore[arg-type]
-        limit = base_min * (1.0 + tol) + slack
+        scale = _speed_scale(row, base)
+        limit = base_min * scale * (1.0 + tol) + slack
+        diffs = _counter_diffs(
+            row.get("counters", {}),  # type: ignore[arg-type]
+            base.get("counters", {}),  # type: ignore[arg-type]
+        )
         comparisons.append(
             Comparison(
                 scenario=str(row["scenario"]),
@@ -513,7 +635,8 @@ def compare_to_baseline(
                 current_min_ms=current_min,
                 baseline_min_ms=base_min,
                 limit_ms=limit,
-                regressed=current_min > limit,
+                speed_scale=scale,
+                counter_diffs=diffs,
             )
         )
     return comparisons
@@ -523,8 +646,19 @@ def regressions(comparisons: Sequence[Comparison]) -> List[Comparison]:
     return [c for c in comparisons if c.regressed]
 
 
+def _render_counter_diffs(comparison: Comparison) -> str:
+    return ", ".join(
+        f"{name} {'-' if old is None else f'{old:g}'}"
+        f"->{'-' if new is None else f'{new:g}'}"
+        for name, old, new in comparison.counter_diffs
+    )
+
+
 def render_comparison(comparisons: Sequence[Comparison]) -> str:
-    """Terminal table of the baseline gate, worst offenders flagged."""
+    """Terminal table of the baseline gate, worst offenders flagged.
+
+    ``baseline`` and ``limit`` are shown at this run's machine speed.
+    """
     lines = [
         f"{'scenario':<18s} {'soc':<15s} {'current':>10s} {'baseline':>10s} "
         f"{'limit':>10s}  verdict"
@@ -535,10 +669,12 @@ def render_comparison(comparisons: Sequence[Comparison]) -> str:
             base = limit = "-"
         else:
             verdict = (
-                f"REGRESSED ({c.ratio_x:.2f}x)" if c.regressed
+                f"REGRESSED ({c.ratio_x:.2f}x)" if c.time_regressed
                 else f"ok ({c.ratio_x:.2f}x)"
             )
-            base = f"{c.baseline_min_ms:.2f}"
+            if c.counter_diffs:
+                verdict += f"; COUNTERS CHANGED: {_render_counter_diffs(c)}"
+            base = f"{c.baseline_min_ms * c.speed_scale:.2f}"
             limit = f"{c.limit_ms:.2f}" if c.limit_ms is not None else "-"
         lines.append(
             f"{c.scenario:<18s} {c.soc:<15s} {c.current_min_ms:>10.2f} "

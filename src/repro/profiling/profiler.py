@@ -16,7 +16,7 @@ scaling and temperature have reached a steady state").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
@@ -25,8 +25,18 @@ from ..hardware.thermal import sustained_frequency_scale
 from ..models.ir import Layer, ModelGraph
 from .latency import copy_latency_ms, layer_compute_memory_ms, layer_latency_ms, layer_traffic_bytes
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
+    from .slowdown import SliceWorkload
+
 #: A value standing in for "this slice cannot execute here" in DP tables.
 INFEASIBLE = float("inf")
+
+#: Slice-task memo key: ``(processor name, next processor name or None,
+#: first layer, last layer)`` — everything a stage's cost depends on.
+SliceTaskKey = Tuple[str, Optional[str], int, int]
+
+#: Slice-task memo value: ``(solo_ms, workload, working_set bytes)``.
+SliceTask = Tuple[float, "SliceWorkload", float]
 
 
 class ModelProfile:
@@ -67,6 +77,11 @@ class ModelProfile:
         self._peak_activation: Tuple[float, ...] = tuple(
             layer.activation_bytes for layer in model.layers
         )
+        #: Memo of the immutable parts of executor slice tasks, filled
+        #: by :func:`repro.runtime.executor.plan_to_chains` and dropped
+        #: by :meth:`SocProfiler.clear_slice_tasks`.  Processors are
+        #: identified by name, like every table of this profile.
+        self.slice_tasks: Dict[SliceTaskKey, SliceTask] = {}
 
         for proc in soc.processors:
             if self.thermal_scales is not None and proc.name in self.thermal_scales:
@@ -263,3 +278,13 @@ class SocProfiler:
 
     def __call__(self, model: ModelGraph) -> ModelProfile:
         return self.profile(model)
+
+    def clear_slice_tasks(self) -> None:
+        """Drop every profile's slice-task memo.
+
+        The memo is exact for the profile's lifetime, but it holds one
+        workload per probed slice; the planner drops it with its other
+        caches so it stays bounded by one plan's probes.
+        """
+        for profile in self._cache.values():
+            profile.slice_tasks.clear()

@@ -28,7 +28,7 @@ sharing it saturates near :data:`MAX_SLOWDOWN` (the 70 % of Fig. 10).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 from ..hardware.processor import ProcessorSpec
@@ -55,12 +55,32 @@ DEDICATED_PATH_SENSITIVITY = 0.20
 
 @dataclass(frozen=True)
 class SliceWorkload:
-    """One co-running slice: which layers of which model on which unit."""
+    """One co-running slice: which layers of which model on which unit.
+
+    :meth:`intensity` and :meth:`sensitivity` are pure functions of the
+    (immutable) profile and slice, so both are computed once, at
+    construction: the engine asks for them on every step, and objective
+    probes share workload objects through the profile's slice-task memo
+    (:attr:`~repro.profiling.profiler.ModelProfile.slice_tasks`).
+    """
 
     profile: ModelProfile
     proc: ProcessorSpec
     start: int
     end: int
+    _intensity: float = field(init=False, repr=False, compare=False)
+    _sensitivity: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rate = self.profile.traffic_rate_gbps(self.proc, self.start, self.end)
+        if self.proc.dedicated_memory_path:
+            rate *= DEDICATED_PATH_LEAK
+        object.__setattr__(self, "_intensity", rate / REFERENCE_BANDWIDTH_GBPS)
+        mem_frac = self.profile.memory_fraction(self.proc, self.start, self.end)
+        sens = SENSITIVITY_BASE + SENSITIVITY_GAIN * mem_frac
+        if self.proc.dedicated_memory_path:
+            sens *= DEDICATED_PATH_SENSITIVITY
+        object.__setattr__(self, "_sensitivity", sens)
 
     def solo_ms(self) -> float:
         return self.profile.exec_ms(self.proc, self.start, self.end)
@@ -71,18 +91,11 @@ class SliceWorkload:
         A dedicated-path unit (NPU) leaks only
         :data:`DEDICATED_PATH_LEAK` of its traffic onto the shared bus.
         """
-        rate = self.profile.traffic_rate_gbps(self.proc, self.start, self.end)
-        if self.proc.dedicated_memory_path:
-            rate *= DEDICATED_PATH_LEAK
-        return rate / REFERENCE_BANDWIDTH_GBPS
+        return self._intensity
 
     def sensitivity(self) -> float:
         """How strongly this workload suffers from bus pressure."""
-        mem_frac = self.profile.memory_fraction(self.proc, self.start, self.end)
-        sens = SENSITIVITY_BASE + SENSITIVITY_GAIN * mem_frac
-        if self.proc.dedicated_memory_path:
-            sens *= DEDICATED_PATH_SENSITIVITY
-        return sens
+        return self._sensitivity
 
 
 def slowdown_fraction(

@@ -560,6 +560,8 @@ class DiscreteEventEngine:
         self._removed: Set[int] = set()
         self._events: List[Event] = []
         self._events_processed = 0
+        self._steps = 0
+        self._slowdown_evaluations = 0
         self._finished_run = False
 
         # --- causality bookkeeping (never perturbs the step arithmetic)
@@ -693,6 +695,11 @@ class DiscreteEventEngine:
                 memory_pressure=self._memory_pressure_events,
             )
         self._finished_run = True
+        if obs.enabled():
+            # Simulation work of every run, probes included: the
+            # objective phase's deterministic layer breakdown.
+            obs.add("engine_steps", self._steps)
+            obs.add("slowdown_evaluations", self._slowdown_evaluations)
         if self._record and obs.enabled():
             obs.add("tasks_executed", self._completed)
             obs.add("engine_events_processed", self._events_processed)
@@ -1164,6 +1171,7 @@ class DiscreteEventEngine:
     # ------------------------------------------------------ the main step
 
     def _step(self) -> None:
+        self._steps += 1
         self._pop_due_events()
         if self._outstanding <= 0:
             return  # a cancellation drained the remaining work
@@ -1196,6 +1204,7 @@ class DiscreteEventEngine:
                     if t is not task and t.workload is not None
                 ]
                 slowdown = slowdown_fraction(self._soc, task.workload, others)
+                self._slowdown_evaluations += 1
             rates[id(task)] = 1.0 + slowdown
 
         dt = min(task.remaining_ms * rates[id(task)] for task in running)

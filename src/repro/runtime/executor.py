@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from .. import obs
 from ..profiling.slowdown import SliceWorkload
 from .arrivals import ArrivalsLike
 from .engine import (  # noqa: F401  (re-exported: the historical home)
@@ -148,30 +149,57 @@ def simulate_chains(
 
 
 def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
-    """Adapt a pipeline plan to the chain representation."""
+    """Adapt a pipeline plan to the chain representation.
+
+    A stage's solo time, workload and working set depend only on its
+    profile, processor, successor processor and slice, so they come from
+    the profile's slice-task memo
+    (:attr:`~repro.profiling.profiler.ModelProfile.slice_tasks`): the
+    planner's objective adapts hundreds of near-identical plans, and a
+    re-probed stage costs one dict lookup.  Every call still builds fresh
+    :class:`ChainTask` objects — engine tasks are mutable.
+    """
+    processors = plan.processors
+    names: List[Optional[str]] = [p.name for p in processors]
+    names.append(None)  # the last stage hands off to nobody
+    hits = misses = 0
     chains: List[List[ChainTask]] = []
     for i, assignment in enumerate(plan.assignments):
+        profile = assignment.profile
+        memo = profile.slice_tasks
         chain: List[ChainTask] = []
         for k, slc in enumerate(assignment.slices):
             if slc is None:
                 continue
+            start, end = slc
+            key = (names[k], names[k + 1], start, end)
+            entry = memo.get(key)
+            if entry is None:
+                misses += 1
+                entry = (
+                    assignment.stage_time_ms(k, processors),
+                    SliceWorkload(
+                        profile=profile, proc=processors[k], start=start, end=end
+                    ),
+                    ARENA_OVERHEAD_FACTOR * profile.working_set_bytes(start, end),
+                )
+                memo[key] = entry
+            else:
+                hits += 1
             chain.append(
                 ChainTask(
                     request=i,
-                    proc=plan.processors[k],
-                    solo_ms=assignment.stage_time_ms(k, plan.processors),
-                    workload=SliceWorkload(
-                        profile=assignment.profile,
-                        proc=plan.processors[k],
-                        start=slc[0],
-                        end=slc[1],
-                    ),
-                    working_set=ARENA_OVERHEAD_FACTOR
-                    * assignment.profile.working_set_bytes(slc[0], slc[1]),
+                    proc=processors[k],
+                    solo_ms=entry[0],
+                    workload=entry[1],
+                    working_set=entry[2],
                     stage=k,
                 )
             )
         chains.append(chain)
+    if obs.enabled():
+        obs.add("chain_task_memo_hits", hits)
+        obs.add("chain_task_memo_misses", misses)
     return chains
 
 
@@ -280,6 +308,7 @@ class PipelineExecutor:
         trace: bool = False,
         record: bool = True,
         deadline_ms: Optional[object] = None,
+        track_causality: bool = True,
     ):
         self.plan = plan
         self.with_contention = with_contention
@@ -287,6 +316,7 @@ class PipelineExecutor:
         self.trace_enabled = trace
         self.record = record
         self.deadline_ms = deadline_ms
+        self.track_causality = track_causality
 
     def run(self, arrivals: ArrivalsLike = None) -> ExecutionResult:
         """Simulate the plan (see :func:`simulate_chains`)."""
@@ -299,6 +329,7 @@ class PipelineExecutor:
             trace=self.trace_enabled,
             record=self.record,
             deadline_ms=self.deadline_ms,
+            track_causality=self.track_causality,
         )
 
 
@@ -310,8 +341,14 @@ def execute_plan(
     trace: bool = False,
     record: bool = True,
     deadline_ms: Optional[object] = None,
+    track_causality: bool = True,
 ) -> ExecutionResult:
-    """Convenience wrapper: build an executor and run it."""
+    """Convenience wrapper: build an executor and run it.
+
+    Pass ``track_causality=False`` when nothing reads the result's
+    causality rows (see :func:`simulate_chains`); every simulated time
+    is identical either way.
+    """
     return PipelineExecutor(
         plan,
         with_contention=with_contention,
@@ -319,4 +356,5 @@ def execute_plan(
         trace=trace,
         record=record,
         deadline_ms=deadline_ms,
+        track_causality=track_causality,
     ).run(arrivals)

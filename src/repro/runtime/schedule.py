@@ -163,8 +163,13 @@ def async_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> flo
     re-validated with enforcement on).
 
     Each call is a full silent re-simulation (``objective_evaluations``
-    counts them).  This function is a deterministic pure function of the
-    plan configuration, which is what makes
+    counts them) that pays only for the makespan it returns: the engine
+    runs with causality tracking off (nothing reads the blame rows of a
+    probe), and ``plan_to_chains`` takes each stage's solo time,
+    workload and working set from the profile's slice-task memo, so
+    probes of near-identical plans share workload objects and their
+    cached contention inputs.  This function is a deterministic pure
+    function of the plan configuration, which is what makes
     :class:`repro.core.objective.ObjectiveCache` — the planner's
     memoization layer in front of it — exact rather than approximate.
     """
@@ -176,6 +181,7 @@ def async_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> flo
         with_contention=with_contention,
         enforce_memory=False,
         record=False,
+        track_causality=False,
     ).makespan_ms
 
 

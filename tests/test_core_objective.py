@@ -15,7 +15,9 @@ from repro.core.planner import Hetero2PipePlanner, PlannerConfig
 from repro.core.partition import partition_model
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
+from repro.obs.blame import blame_requests
 from repro.profiling.profiler import SocProfiler
+from repro.runtime import executor
 from repro.runtime.schedule import async_makespan_ms
 
 
@@ -268,3 +270,57 @@ class TestPlannerCacheCorrectness:
             counters = rec.metrics.snapshot()["counters"]
         assert result.num_requests == 6
         assert counters["plan_cache_hits"] == 2  # windows 2 and 3
+
+
+class TestProbeCost:
+    """Objective probes pay only for the makespan they return."""
+
+    def test_probe_runs_without_causality(self, monkeypatch):
+        seen = []
+        engine = executor.DiscreteEventEngine
+
+        class Spy(engine):
+            def __init__(self, *args, **kwargs):
+                seen.append(kwargs["track_causality"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "DiscreteEventEngine", Spy)
+        plan = build_plan(get_soc("kirin990"), ["resnet50", "vit", "bert"])
+        probe = async_makespan_ms(plan)
+        assert seen == [False]
+        # The default execution still tracks causality, and the blame
+        # layer reads it; the simulated times do not depend on it.
+        full = executor.execute_plan(plan, enforce_memory=False)
+        assert seen == [False, True]
+        assert full.makespan_ms == probe
+        assert full.causality
+        blames = blame_requests(full)
+        assert len(blames) == plan.num_requests
+        assert all(abs(b.residue_ms) <= 1e-9 for b in blames)
+
+    def test_invalidate_caches_drops_the_slice_task_memo(self):
+        planner = Hetero2PipePlanner(get_soc("kirin990"))
+        models = [get_model(n) for n in ("resnet50", "vit")]
+        planner.plan(models)
+        profiles = [planner.profiler.profile(m) for m in models]
+        assert all(p.slice_tasks for p in profiles)
+        planner.invalidate_caches()
+        assert not any(p.slice_tasks for p in profiles)
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    def test_warm_memo_plans_match_a_fresh_profiler(self, soc_name):
+        """Zoo x SoC grid: a planner whose memos hold another plan's
+        probes emits the plan, and simulates the makespans, of a planner
+        built from a fresh profiler."""
+        soc = get_soc(soc_name)
+        models = [get_model(n) for n in MODEL_NAMES]
+        warm = Hetero2PipePlanner(soc)
+        warm.plan(models[::-1])
+        report = warm.plan(models)
+        fresh = Hetero2PipePlanner(soc).plan(models)
+        assert plan_fingerprint(report.plan) == plan_fingerprint(fresh.plan)
+        assert async_makespan_ms(report.plan) == async_makespan_ms(fresh.plan)
+        assert (
+            executor.execute_plan(report.plan).makespan_ms
+            == executor.execute_plan(fresh.plan).makespan_ms
+        )

@@ -40,6 +40,20 @@ class TestTimers:
         assert calls["timed"] == 5
         assert calls["setup"] == 5
 
+    def test_collect_samples_ms_repeat_reports_per_call_mean(self):
+        calls = []
+        samples = bench.collect_samples_ms(
+            lambda: calls.append(1), rounds=2, repeat=5
+        )
+        assert len(samples) == 2
+        assert len(calls) == 10
+        with pytest.raises(ValueError):
+            bench.collect_samples_ms(lambda: None, rounds=1, repeat=0)
+
+    def test_reference_loop_is_deterministic(self):
+        assert bench.reference_loop() == bench.reference_loop()
+        assert bench.reference_loop_ms() > 0.0
+
     def test_percentile_nearest_rank(self):
         samples = [10.0, 20.0, 30.0, 40.0]
         assert bench.percentile_ms(samples, 0) == 10.0
@@ -69,6 +83,9 @@ class TestSchema:
         assert row["phases_exclusive_ms"] == {"objective": 8.0}
         assert row["attributed_frac"] == 0.97
         assert row["counters"] == {"plan_cache_hits": 1.0}
+        assert "reference_ms" not in row
+        timed = bench.bench_row("cold_plan", "kirin990", [1.0], reference_ms=2.5)
+        assert timed["reference_ms"] == 2.5
 
     def test_bench_row_needs_samples(self):
         with pytest.raises(ValueError):
@@ -135,6 +152,80 @@ class TestBaselineGate:
         )
         assert comp.regressed
 
+    def _ratio_docs(self, current_min, current_ref):
+        current = bench.bench_doc(
+            [bench.bench_row("cold_plan", "kirin990", [current_min],
+                             reference_ms=current_ref)]
+        )
+        baseline = bench.bench_doc(
+            [bench.bench_row("cold_plan", "kirin990", [100.0],
+                             reference_ms=2.0)]
+        )
+        return current, baseline
+
+    def test_ratio_gate_flags_a_1_5x_slower_row(self):
+        # Same machine speed (same reference), 1.5x the time.
+        (comp,) = bench.compare_to_baseline(*self._ratio_docs(150.0, 2.0))
+        assert comp.regressed
+        assert comp.ratio_x == pytest.approx(1.5)
+        assert comp.limit_ms == pytest.approx(130.0)
+
+    def test_ratio_gate_passes_a_row_at_the_same_ratio(self):
+        # Twice the time on a machine whose reference loop is twice as
+        # slow: the same ratio, so no regression.
+        (comp,) = bench.compare_to_baseline(*self._ratio_docs(200.0, 4.0))
+        assert not comp.regressed
+        assert comp.ratio_x == pytest.approx(1.0)
+        assert comp.limit_ms == pytest.approx(260.0)
+
+    def _counter_docs(self, current_counters, baseline_counters):
+        current = bench.bench_doc(
+            [bench.bench_row("cold_plan", "kirin990", [10.0],
+                             counters=current_counters)]
+        )
+        baseline = bench.bench_doc(
+            [bench.bench_row("cold_plan", "kirin990", [10.0],
+                             counters=baseline_counters)]
+        )
+        return current, baseline
+
+    def test_equal_counters_pass(self):
+        counters = {"objective_evaluations": 438.0, "engine_steps": 6164.0}
+        (comp,) = bench.compare_to_baseline(
+            *self._counter_docs(counters, dict(counters))
+        )
+        assert not comp.regressed
+        assert comp.counter_diffs == ()
+
+    @pytest.mark.parametrize(
+        "current",
+        [
+            {"objective_evaluations": 439.0, "engine_steps": 6164.0},
+            {"objective_evaluations": 437.0, "engine_steps": 6164.0},
+            {"objective_evaluations": 438.0},
+            {"objective_evaluations": 438.0, "engine_steps": 6164.0,
+             "brand_new": 1.0},
+        ],
+    )
+    def test_any_counter_difference_regresses(self, current):
+        baseline = {"objective_evaluations": 438.0, "engine_steps": 6164.0}
+        (comp,) = bench.compare_to_baseline(
+            *self._counter_docs(current, baseline)
+        )
+        assert comp.regressed
+        assert not comp.time_regressed
+        assert len(comp.counter_diffs) == 1
+        assert "COUNTERS CHANGED" in bench.render_comparison([comp])
+
+    def test_tolerance_override_leaves_counters_exact(self):
+        current, baseline = self._counter_docs(
+            {"engine_steps": 1.0}, {"engine_steps": 2.0}
+        )
+        (comp,) = bench.compare_to_baseline(
+            current, baseline, tolerance_frac=100.0
+        )
+        assert comp.regressed
+
     def test_new_row_is_ungated(self):
         current = bench.bench_doc([bench.bench_row("brand_new", "s", [9.9])])
         baseline = bench.bench_doc([])
@@ -181,6 +272,19 @@ class TestScenarios:
         assert row["min_ms"] > 0.0
         assert "phases_exclusive_ms" in row
         json.dumps(doc)
+
+    def test_rows_carry_reference_and_engine_counters(self):
+        doc = bench.run_bench(
+            scenarios=["cold_plan"], socs=["kirin990"], rounds=1
+        )
+        (row,) = doc["results"]
+        assert row["reference_ms"] > 0.0
+        counters = row["counters"]
+        for name in ("engine_steps", "slowdown_evaluations",
+                     "chain_task_memo_hits", "chain_task_memo_misses"):
+            assert counters[name] > 0
+        # Every probe's simulation takes at least one step.
+        assert counters["engine_steps"] >= counters["objective_evaluations"]
 
     def test_warm_replan_hits_the_plan_cache(self):
         doc = bench.run_bench(
@@ -236,7 +340,10 @@ class TestCliVerbs:
         assert main(args + ["--update-baseline"]) == 0
         assert bench.read_bench_json(baseline)["schema"] == bench.BENCH_SCHEMA
         capsys.readouterr()
-        assert main(args) == 0
+        # The plumbing under test is the round trip and the exact
+        # counter gate; a wide time band keeps host noise out of it
+        # (the time gate itself is pinned by TestBaselineGate).
+        assert main(args + ["--tolerance", "1.5"]) == 0
         assert "ok (" in capsys.readouterr().out
 
     def test_bench_missing_baseline_errors(self, tmp_path, capsys):

@@ -6,15 +6,24 @@ from repro.core.planner import Hetero2PipePlanner
 from repro.core.partition import partition_model
 from repro.core.plan import PipelinePlan, StageAssignment
 from repro.baselines.mnn_serial import plan_mnn_serial
-from repro.hardware.soc import get_soc
-from repro.models.zoo import get_model
+from repro import obs
+from repro.hardware.soc import SOC_NAMES, get_soc
+from repro.models.zoo import MODEL_NAMES, get_model
 from repro.profiling.profiler import SocProfiler
-from repro.profiling.slowdown import SliceWorkload
+from repro.profiling.slowdown import (
+    DEDICATED_PATH_LEAK,
+    DEDICATED_PATH_SENSITIVITY,
+    REFERENCE_BANDWIDTH_GBPS,
+    SENSITIVITY_BASE,
+    SENSITIVITY_GAIN,
+    SliceWorkload,
+)
 from repro.runtime.executor import (
     ARENA_OVERHEAD_FACTOR,
     ChainTask,
     execute_plan,
     plan_to_chains,
+    scale_chain_tasks,
     simulate_chains,
 )
 
@@ -300,3 +309,126 @@ class TestMetricsAndTrace:
         chain = [ChainTask(0, foreign, 1.0, None, 0.0)]
         with pytest.raises(ValueError):
             simulate_chains(kirin, [chain])
+
+
+def _task_state(chains):
+    return [(t.solo_ms, t.remaining_ms) for chain in chains for t in chain]
+
+
+class TestSliceTaskMemo:
+    """``plan_to_chains`` shares each stage's immutable parts through the
+    profile's slice-task memo and still hands out fresh mutable tasks."""
+
+    def test_calls_return_distinct_tasks_sharing_workloads(self, kirin):
+        plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "resnet50"])
+        first = [t for chain in plan_to_chains(plan) for t in chain]
+        second = [t for chain in plan_to_chains(plan) for t in chain]
+        assert len(first) == len(second) > 0
+        for a, b in zip(first, second):
+            assert a is not b
+            assert a.workload is b.workload
+
+    def test_mutated_tasks_leave_the_next_call_unchanged(self, kirin):
+        plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "resnet50"])
+        reference = _task_state(plan_to_chains(plan))
+        scaled = plan_to_chains(plan)
+        factors = {p.name: 2.0 for p in kirin.processors}
+        assert scale_chain_tasks(scaled, factors) == len(reference)
+        assert _task_state(plan_to_chains(plan)) == reference
+        ran = plan_to_chains(plan)
+        simulate_chains(kirin, ran)
+        assert all(t.remaining_ms < t.solo_ms for chain in ran for t in chain)
+        assert _task_state(plan_to_chains(plan)) == reference
+
+    def test_memoized_parts_equal_direct_construction(self, kirin):
+        plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "yolov4"])
+        plan_to_chains(plan)  # fill the memo; the next call reads it
+        for i, (chain, assignment) in enumerate(
+            zip(plan_to_chains(plan), plan.assignments)
+        ):
+            occupied = [
+                (k, slc) for k, slc in enumerate(assignment.slices) if slc
+            ]
+            assert len(chain) == len(occupied)
+            for task, (k, (start, end)) in zip(chain, occupied):
+                proc = plan.processors[k]
+                assert (task.request, task.stage, task.proc) == (i, k, proc)
+                assert task.solo_ms == assignment.stage_time_ms(
+                    k, plan.processors
+                )
+                assert task.remaining_ms == task.solo_ms
+                assert task.working_set == (
+                    ARENA_OVERHEAD_FACTOR
+                    * assignment.profile.working_set_bytes(start, end)
+                )
+                assert task.workload == SliceWorkload(
+                    assignment.profile, proc, start, end
+                )
+
+    def test_memo_counters_once_per_call(self, kirin):
+        plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit"])
+        tasks = sum(1 for a in plan.assignments for s in a.slices if s)
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            plan_to_chains(plan)
+            plan_to_chains(plan)
+            counters = rec.metrics.snapshot()["counters"]
+        assert counters["chain_task_memo_misses"] == tasks
+        assert counters["chain_task_memo_hits"] == tasks
+
+    def test_contention_inputs_equal_the_uncached_formula(self):
+        """Over the zoo x SoC grid, every processor, the whole model and
+        every single layer: the values computed once per workload are
+        the formula's, bit for bit."""
+        for soc_name in SOC_NAMES:
+            soc = get_soc(soc_name)
+            profiler = SocProfiler(soc)
+            for name in MODEL_NAMES:
+                profile = profiler.profile(get_model(name))
+                n = profile.model.num_layers
+                ranges = [(0, n - 1)] + [(i, i) for i in range(n)]
+                for proc in soc.processors:
+                    for start, end in ranges:
+                        w = SliceWorkload(profile, proc, start, end)
+                        rate = profile.traffic_rate_gbps(proc, start, end)
+                        sens = SENSITIVITY_BASE + SENSITIVITY_GAIN * (
+                            profile.memory_fraction(proc, start, end)
+                        )
+                        if proc.dedicated_memory_path:
+                            rate *= DEDICATED_PATH_LEAK
+                            sens *= DEDICATED_PATH_SENSITIVITY
+                        assert w.intensity() == rate / REFERENCE_BANDWIDTH_GBPS
+                        assert w.sensitivity() == sens
+
+
+class TestEngineCounters:
+    def test_steps_and_slowdown_evaluations_counted_once_per_run(
+        self, profiler, kirin, monkeypatch
+    ):
+        from repro.runtime import engine
+
+        calls, steps = [], []
+        real_slowdown = engine.slowdown_fraction
+        real_step = engine.DiscreteEventEngine._step
+
+        def counting_slowdown(*args):
+            calls.append(1)
+            return real_slowdown(*args)
+
+        def counting_step(self):
+            steps.append(1)
+            real_step(self)
+
+        monkeypatch.setattr(engine, "slowdown_fraction", counting_slowdown)
+        monkeypatch.setattr(engine.DiscreteEventEngine, "_step", counting_step)
+        plan = make_plan(profiler, kirin, ["bert", "vit", "resnet50"])
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            # A silent probe-style run counts as simulation work too.
+            sim = engine.DiscreteEventEngine(
+                kirin, plan_to_chains(plan), record=False,
+                track_causality=False,
+            )
+            result = sim.run()
+            counters = rec.metrics.snapshot()["counters"]
+        assert counters["slowdown_evaluations"] == len(calls) > 0
+        assert counters["engine_steps"] == len(steps) >= len(result.records)
+        assert "tasks_executed" not in counters

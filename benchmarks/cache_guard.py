@@ -28,8 +28,7 @@ Timers come from :mod:`repro.obs.bench` (the unified harness), and
 rows so the guard's numbers land in the same trend files as
 ``hetero2pipe bench``.
 
-Run directly (exit code 0/1, used by the ``planner-cache-guard`` CI
-job)::
+Run directly (exit code 0/1, a step of the ``bench`` CI job)::
 
     PYTHONPATH=src python benchmarks/cache_guard.py [--json PATH]
 """

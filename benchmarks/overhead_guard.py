@@ -22,7 +22,7 @@ Timers come from :mod:`repro.obs.bench` (the unified harness), and
 ``--json PATH`` writes the two measurements as
 ``hetero2pipe.bench.v1`` rows.
 
-Run directly (exit code 0/1, used by the ``obs-overhead`` CI job)::
+Run directly (exit code 0/1, a step of the ``bench`` CI job)::
 
     PYTHONPATH=src python benchmarks/overhead_guard.py [--json PATH]
 """

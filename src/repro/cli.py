@@ -90,6 +90,87 @@ from .runtime.executor import execute_plan
 from .workloads.generator import arrival_times_ms
 
 
+def _resolve_inputs(args: argparse.Namespace) -> None:
+    """Validate the raw flags and turn them into objects, in place.
+
+    ``main`` calls this once before dispatch, so every handler sees
+    resolved inputs: ``args.soc`` is a ``SocSpec``, ``args.models`` a
+    non-empty list of models, and the arrival process, SLO classes and
+    burn windows, what-ifs and perturbation factors are parsed.  Only
+    flags the verb declares are touched.
+
+    Raises:
+        ValueError / KeyError: with a one-line message on malformed input.
+    """
+    if hasattr(args, "experiment") and args.experiment not in ALL_EXPERIMENTS:
+        raise KeyError(
+            f"unknown experiment {args.experiment!r}; "
+            f"options: {sorted(ALL_EXPERIMENTS)}"
+        )
+    if hasattr(args, "model"):
+        args.model = get_model(args.model)
+    if hasattr(args, "soc"):
+        args.soc = get_soc(args.soc)
+    if hasattr(args, "models"):
+        args.models = [
+            get_model(n.strip()) for n in args.models.split(",") if n.strip()
+        ]
+        if not args.models:
+            raise ValueError("no models given")
+    for flag in ("repeat", "window"):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if getattr(args, "deadline_ms", None) is not None and args.deadline_ms < 0:
+        raise ValueError(f"--deadline-ms must be >= 0, got {args.deadline_ms}")
+    if hasattr(args, "interval"):
+        args.arrival_times = arrival_times_ms(len(args.models), args.interval)
+    if hasattr(args, "arrivals"):
+        args.arrival_process = make_arrival_process(
+            args.arrivals, interval_ms=args.interval_ms, seed=args.arrival_seed
+        )
+    if hasattr(args, "classes"):
+        from .obs.slo import (
+            check_burn_config,
+            parse_class_specs,
+            resolve_request_specs,
+        )
+
+        args.class_specs = parse_class_specs(args.classes)
+        resolve_request_specs([m.name for m in args.models], args.class_specs)
+        fast_text, _, slow_text = args.burn_windows.partition(",")
+        try:
+            args.burn = (int(fast_text), int(slow_text))
+        except ValueError:
+            raise ValueError(
+                f"bad --burn-windows {args.burn_windows!r}: expected FAST,SLOW"
+            ) from None
+        check_burn_config(args.window_ms, *args.burn, args.burn_threshold)
+    if hasattr(args, "whatif"):
+        from .obs.whatif import parse_whatifs
+
+        args.whatifs = parse_whatifs(args.whatif) if args.whatif else []
+        requests = len(args.models) * args.repeat
+        for whatif in args.whatifs:
+            if whatif.processor is not None:
+                args.soc.processor(whatif.processor)
+            if whatif.request is not None and whatif.request >= requests:
+                raise ValueError(
+                    f"what-if {whatif.label} out of range: "
+                    f"{requests} request(s)"
+                )
+    if hasattr(args, "perturb"):
+        from .runtime.executor import scale_chain_tasks
+
+        args.perturbation = (
+            {} if args.perturb is None else {args.perturb_processor: args.perturb}
+        )
+        for name in args.perturbation:
+            args.soc.processor(name)
+        scale_chain_tasks((), args.perturbation)  # validates the factors
+    if getattr(args, "stream", False) is True and args.trace:
+        raise ValueError("--trace requires a plan run (omit --stream)")
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("experiments:", ", ".join(sorted(ALL_EXPERIMENTS)))
     print("models:     ", ", ".join(MODEL_NAMES))
@@ -98,24 +179,12 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    name = args.experiment
-    if name not in ALL_EXPERIMENTS:
-        print(
-            f"unknown experiment {name!r}; options: {sorted(ALL_EXPERIMENTS)}",
-            file=sys.stderr,
-        )
-        return 2
-    module = ALL_EXPERIMENTS[name]
-    print(module.main())
+    print(ALL_EXPERIMENTS[args.experiment].main())
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    soc = get_soc(args.soc)
-    models = [get_model(n.strip()) for n in args.models.split(",") if n.strip()]
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
+    soc, models = args.soc, args.models
     config = PlannerConfig()
     if args.no_ct:
         config = PlannerConfig.no_contention_or_tail()
@@ -163,19 +232,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    soc = get_soc(args.soc)
-    names = [n.strip() for n in args.models.split(",") if n.strip()]
-    if not names:
-        print("no models given", file=sys.stderr)
-        return 2
-    stream = [get_model(n) for n in names]
-    arrivals = arrival_times_ms(len(stream), args.interval)
+    soc, stream = args.soc, args.models
     planner = StreamingPlanner(
         soc,
         window_size=args.window,
         coalesce_batches=args.coalesce,
     )
-    result = planner.run(stream, arrivals)
+    result = planner.run(stream, args.arrival_times)
     print(
         f"streamed {len(stream)} requests in {len(result.windows)} windows "
         f"on {soc.name}"
@@ -194,20 +257,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_export_model(args: argparse.Namespace) -> int:
     from .models.serialization import save_model
 
-    try:
-        model = get_model(args.model)
-    except KeyError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    save_model(model, args.path)
-    print(f"wrote {model.name} ({model.num_layers} layers) to {args.path}")
+    save_model(args.model, args.path)
+    print(f"wrote {args.model.name} ({args.model.num_layers} layers) to {args.path}")
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .profiling.calibration import CalibrationTarget, calibrate
 
-    soc = get_soc(args.soc)
+    soc = args.soc
     with open(args.targets, "r", encoding="utf-8") as handle:
         entries = json.load(handle)
     targets = [
@@ -229,18 +287,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_models(spec: str) -> List:
-    return [get_model(n.strip()) for n in spec.split(",") if n.strip()]
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .runtime.tracing import write_chrome_trace
 
-    soc = get_soc(args.soc)
-    models = _parse_models(args.models)
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
+    soc, models = args.soc, args.models
     config = (
         PlannerConfig.no_contention_or_tail() if args.no_ct else PlannerConfig()
     )
@@ -284,24 +334,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    soc = get_soc(args.soc)
-    models = _parse_models(args.models)
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
-    repeat = max(1, args.repeat)
-    arrival_process = make_arrival_process(
-        args.arrivals,
-        interval_ms=args.interval_ms,
-        seed=args.arrival_seed,
-    )
+    soc, models = args.soc, args.models
     with obs.use_recorder(obs.InMemoryRecorder()) as rec:
         planner = Hetero2PipePlanner(soc)
-        for _ in range(repeat):
+        for _ in range(args.repeat):
             report = planner.plan(models)
         result = execute_plan(
             report.plan,
-            arrivals=arrival_process,
+            arrivals=args.arrival_process,
             deadline_ms=args.deadline_ms,
         )
     if result.num_completed > 0:
@@ -327,7 +367,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "schema": "hetero2pipe.stats.v1",
             "soc": soc.name,
             "models": [m.name for m in models],
-            "repeat": repeat,
+            "repeat": args.repeat,
             "makespan_ms": result.makespan_ms,
             "throughput_per_s": result.throughput_per_s,
             "latency": latency,
@@ -393,37 +433,14 @@ def _follow_line(window, reports) -> str:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    from .obs.slo import parse_class_specs, resolve_request_specs
+    from .obs.slo import resolve_request_specs
     from .obs.timeline import TimelineAggregator
     from .runtime.engine import DiscreteEventEngine
     from .runtime.executor import plan_to_chains, replicate_chains
     from .runtime.tracing import write_chrome_trace
 
-    soc = get_soc(args.soc)
-    models = _parse_models(args.models)
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
-    try:
-        class_specs = parse_class_specs(args.classes)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        fast_text, _, slow_text = args.burn_windows.partition(",")
-        fast_windows, slow_windows = int(fast_text), int(slow_text)
-    except ValueError:
-        print(
-            f"bad --burn-windows {args.burn_windows!r}: expected FAST,SLOW",
-            file=sys.stderr,
-        )
-        return 2
-    repeat = max(1, args.repeat)
-    arrival_process = make_arrival_process(
-        args.arrivals,
-        interval_ms=args.interval_ms,
-        seed=args.arrival_seed,
-    )
+    soc, models, repeat = args.soc, args.models, args.repeat
+    fast_windows, slow_windows = args.burn
     # --follow shares stdout with the human summary but must not
     # corrupt a --json document; route the live rows to stderr there.
     follow_out = sys.stderr if args.json else sys.stdout
@@ -436,16 +453,12 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         base_names = [a.model_name for a in report.plan.assignments]
         names = base_names * repeat
         stages = [len(chain) for chain in chains]
-        try:
-            request_specs = resolve_request_specs(names, class_specs)
-        except KeyError as exc:
-            print(str(exc.args[0]), file=sys.stderr)
-            return 2
+        request_specs = resolve_request_specs(names, args.class_specs)
 
         engine = DiscreteEventEngine(
             soc,
             chains,
-            arrivals=arrival_process,
+            arrivals=args.arrival_process,
             deadline_ms=args.deadline_ms,
             keep_events=True,
             record=False,
@@ -606,27 +619,12 @@ def _cmd_blame(args: argparse.Namespace) -> int:
         extract_critical_path,
     )
     from .obs.export import write_blame_jsonl
-    from .obs.whatif import parse_whatifs, run_whatifs
+    from .obs.whatif import run_whatifs
     from .runtime.arrivals import resolve_arrivals
     from .runtime.executor import plan_to_chains, replicate_chains
     from .runtime.tracing import write_chrome_trace
 
-    soc = get_soc(args.soc)
-    models = _parse_models(args.models)
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
-    try:
-        whatifs = parse_whatifs(args.whatif) if args.whatif else []
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    repeat = max(1, args.repeat)
-    arrival_process = make_arrival_process(
-        args.arrivals,
-        interval_ms=args.interval_ms,
-        seed=args.arrival_seed,
-    )
+    soc, models, repeat = args.soc, args.models, args.repeat
     planner = Hetero2PipePlanner(soc)
     report = planner.plan(models)
     chains = replicate_chains(plan_to_chains(report.plan), repeat)
@@ -634,12 +632,12 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     names = base_names * repeat
     # Materialize arrival times so the counterfactuals (fresh engine
     # runs) see the exact same floats as the baseline.
-    arrivals = resolve_arrivals(len(chains), arrival_process)
+    arrivals = resolve_arrivals(len(chains), args.arrival_process)
 
     baseline, whatif_reports = run_whatifs(
         soc,
         chains,
-        whatifs,
+        args.whatifs,
         arrivals=arrivals,
         deadline_ms=args.deadline_ms,
     )
@@ -736,12 +734,6 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perturbation_factors(args: argparse.Namespace) -> dict:
-    if args.perturb is None:
-        return {}
-    return {args.perturb_processor: args.perturb}
-
-
 def _fingerprint_digest(fingerprint: object) -> str:
     import hashlib
 
@@ -751,12 +743,7 @@ def _fingerprint_digest(fingerprint: object) -> str:
 def _cmd_accuracy(args: argparse.Namespace) -> int:
     from .runtime.executor import execute_plan_perturbed
 
-    soc = get_soc(args.soc)
-    models = _parse_models(args.models)
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
-    factors = _perturbation_factors(args)
+    soc, models, factors = args.soc, args.models, args.perturbation
     with obs.use_recorder(obs.InMemoryRecorder()):
         planner = Hetero2PipePlanner(soc)
         report = planner.plan(models)
@@ -838,13 +825,8 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 
     from .runtime.executor import execute_plan_perturbed
 
-    soc = get_soc(args.soc)
-    models = _parse_models(args.models)
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
-    stream = models * max(1, args.repeat)
-    factors = _perturbation_factors(args)
+    soc, models, factors = args.soc, args.models, args.perturbation
+    stream = models * args.repeat
     execute = (
         partial(execute_plan_perturbed, factors=factors) if factors else None
     )
@@ -866,7 +848,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             "schema": "hetero2pipe.drift.v1",
             "soc": soc.name,
             "models": [m.name for m in models],
-            "repeat": max(1, args.repeat),
+            "repeat": args.repeat,
             "window_size": args.window,
             "perturbation": factors,
             "windows": len(result.windows),
@@ -923,15 +905,10 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs import prof
 
-    soc = get_soc(args.soc)
-    models = _parse_models(args.models)
-    if not models:
-        print("no models given", file=sys.stderr)
-        return 2
+    soc, models, repeat = args.soc, args.models, args.repeat
     config = (
         PlannerConfig.uncached() if args.uncached else PlannerConfig()
     )
-    repeat = max(1, args.repeat)
     cprofile_span = "plan" if args.cprofile else None
     with prof.profiling_session(
         cprofile_span=cprofile_span,
@@ -958,12 +935,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.trace:
         from .runtime.tracing import write_chrome_trace
 
-        if args.stream:
-            print(
-                "--trace requires a plan run (omit --stream)",
-                file=sys.stderr,
-            )
-            return 2
         names = [models[i].name for i in report.plan.order]
         write_chrome_trace(result, args.trace, names, recorder=rec)
     cprofile_rows = rec.cprofile_rows(args.top) if args.cprofile else []
@@ -1107,6 +1078,99 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint_command(args)
 
 
+def _add_workload_args(p: argparse.ArgumentParser, models: bool = True) -> None:
+    p.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
+    if models:
+        p.add_argument(
+            "--models",
+            required=True,
+            help="comma-separated model names (see `list`)",
+        )
+
+
+def _add_repeat_arg(p: argparse.ArgumentParser, text: str) -> None:
+    p.add_argument(
+        "--repeat",
+        type=int,
+        default=1,
+        metavar="N",
+        help=text + " (default: %(default)s)",
+    )
+
+
+def _add_arrival_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--arrivals",
+        default="closed",
+        choices=("closed", "periodic", "poisson"),
+        help="arrival process driving the run: closed (everything at "
+        "t=0), periodic, or seeded Poisson open-loop (default: "
+        "%(default)s)",
+    )
+    p.add_argument(
+        "--interval-ms",
+        type=float,
+        default=30.0,
+        metavar="MS",
+        help="(mean) inter-arrival time for periodic/poisson arrivals",
+    )
+    p.add_argument(
+        "--arrival-seed",
+        type=int,
+        default=0,
+        metavar="SEED",
+        help="RNG seed of the poisson arrival process",
+    )
+    p.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="engine admission deadline: drop a request whose first "
+        "slice has not started this long after its arrival",
+    )
+
+
+def _add_output_args(
+    p: argparse.ArgumentParser,
+    schema: str,
+    jsonl: Optional[str] = None,
+    trace: Optional[str] = None,
+) -> None:
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help=f"emit a machine-readable document ({schema})",
+    )
+    if jsonl:
+        p.add_argument("--jsonl", metavar="PATH", help=f"write {jsonl} as JSONL")
+    if trace:
+        p.add_argument(
+            "--trace", metavar="PATH", help=f"write a Chrome trace {trace}"
+        )
+
+
+def _add_window_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--window", type=int, default=4, help="planning window size")
+
+
+def _add_perturbation_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--perturb",
+        type=float,
+        default=None,
+        metavar="FACTOR",
+        help="inject a synthetic slowdown: scale solo times on the "
+        "perturbed processor by FACTOR (e.g. 1.3 = +30%%)",
+    )
+    p.add_argument(
+        "--perturb-processor",
+        default="gpu",
+        metavar="NAME",
+        help="processor the perturbation applies to (default: gpu)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetero2pipe",
@@ -1120,12 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("experiment", help="experiment id (see `list`)")
 
     plan_parser = sub.add_parser("plan", help="plan a request sequence")
-    plan_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
-    plan_parser.add_argument(
-        "--models",
-        required=True,
-        help="comma-separated model names (see `list`)",
-    )
+    _add_workload_args(plan_parser)
     plan_parser.add_argument(
         "--no-ct",
         action="store_true",
@@ -1144,14 +1203,11 @@ def build_parser() -> argparse.ArgumentParser:
     stream_parser = sub.add_parser(
         "stream", help="windowed streaming planning over an arrival schedule"
     )
-    stream_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
-    stream_parser.add_argument("--models", required=True)
+    _add_workload_args(stream_parser)
     stream_parser.add_argument(
         "--interval", type=float, default=30.0, help="inter-arrival ms"
     )
-    stream_parser.add_argument(
-        "--window", type=int, default=4, help="planning window size"
-    )
+    _add_window_arg(stream_parser)
     stream_parser.add_argument(
         "--coalesce",
         action="store_true",
@@ -1167,7 +1223,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate_parser = sub.add_parser(
         "calibrate", help="fit processor throughput scales to measurements"
     )
-    calibrate_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
+    _add_workload_args(calibrate_parser, models=False)
     calibrate_parser.add_argument(
         "--targets",
         required=True,
@@ -1179,8 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan + execute with the recorder on; write a merged "
         "Perfetto trace",
     )
-    trace_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
-    trace_parser.add_argument("--models", required=True)
+    _add_workload_args(trace_parser)
     trace_parser.add_argument(
         "--out", required=True, metavar="PATH", help="trace JSON output path"
     )
@@ -1189,105 +1244,32 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable contention mitigation and tail optimization",
     )
-    trace_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable summary (hetero2pipe.trace.v1)",
-    )
+    _add_output_args(trace_parser, "hetero2pipe.trace.v1")
 
     stats_parser = sub.add_parser(
         "stats",
         help="plan with the recorder on; print metrics + decision provenance",
     )
-    stats_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
-    stats_parser.add_argument("--models", required=True)
-    stats_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable document (hetero2pipe.stats.v1)",
-    )
-    stats_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="plan the mix N times (N>1 shows the plan/objective cache "
+    _add_workload_args(stats_parser)
+    _add_output_args(stats_parser, "hetero2pipe.stats.v1")
+    _add_repeat_arg(
+        stats_parser,
+        "plan the mix N times (N>1 shows the plan/objective cache "
         "counters warming up; see docs/PERFORMANCE.md)",
     )
-    stats_parser.add_argument(
-        "--arrivals",
-        default="closed",
-        choices=("closed", "periodic", "poisson"),
-        help="arrival process driving the run: closed (everything at "
-        "t=0, the default), periodic, or seeded Poisson open-loop",
-    )
-    stats_parser.add_argument(
-        "--interval-ms",
-        type=float,
-        default=30.0,
-        metavar="MS",
-        help="(mean) inter-arrival time for periodic/poisson arrivals",
-    )
-    stats_parser.add_argument(
-        "--arrival-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="RNG seed of the poisson arrival process",
-    )
-    stats_parser.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="drop a request whose first slice has not started this "
-        "long after its arrival (reported as deadline_drops)",
-    )
+    _add_arrival_args(stats_parser)
 
     slo_parser = sub.add_parser(
         "slo",
         help="stream an open-loop run through the timeline + SLO taps; "
         "report windowed telemetry and burn-rate alerts",
     )
-    slo_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
-    slo_parser.add_argument("--models", required=True)
-    slo_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=8,
-        metavar="N",
-        help="repeat the model mix N times to form the request stream "
-        "(default: 8)",
+    _add_workload_args(slo_parser)
+    _add_repeat_arg(
+        slo_parser, "repeat the model mix N times to form the request stream"
     )
-    slo_parser.add_argument(
-        "--arrivals",
-        default="poisson",
-        choices=("closed", "periodic", "poisson"),
-        help="arrival process driving the run (default: poisson)",
-    )
-    slo_parser.add_argument(
-        "--interval-ms",
-        type=float,
-        default=30.0,
-        metavar="MS",
-        help="(mean) inter-arrival time for periodic/poisson arrivals",
-    )
-    slo_parser.add_argument(
-        "--arrival-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="RNG seed of the poisson arrival process",
-    )
-    slo_parser.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="engine admission deadline: drop a request whose first "
-        "slice has not started this long after arrival (drops count "
-        "as SLO-bad)",
-    )
+    _add_arrival_args(slo_parser)
+    slo_parser.set_defaults(repeat=8, arrivals="poisson")
     slo_parser.add_argument(
         "--classes",
         default="*=100",
@@ -1324,62 +1306,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a live ASCII dashboard row per closed window "
         "(to stderr when combined with --json)",
     )
-    slo_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable document (hetero2pipe.slo.v1)",
+    _add_output_args(
+        slo_parser,
+        "hetero2pipe.slo.v1",
+        jsonl="window/SLO/alert telemetry rows",
+        trace="with utilization / queue-depth / burn-rate counter tracks",
     )
-    slo_parser.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        help="write window/SLO/alert telemetry rows as JSONL",
-    )
-    slo_parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome trace with utilization / queue-depth / "
-        "burn-rate counter tracks",
-    )
-
-    def _add_perturbation_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--perturb",
-            type=float,
-            default=None,
-            metavar="FACTOR",
-            help="inject a synthetic slowdown: scale solo times on the "
-            "perturbed processor by FACTOR (e.g. 1.3 = +30%%)",
-        )
-        p.add_argument(
-            "--perturb-processor",
-            default="gpu",
-            metavar="NAME",
-            help="processor the perturbation applies to (default: gpu)",
-        )
-        p.add_argument(
-            "--json",
-            action="store_true",
-            help="emit a machine-readable document",
-        )
-        p.add_argument(
-            "--jsonl",
-            metavar="PATH",
-            help="write the residual/drift telemetry rows as JSONL",
-        )
 
     accuracy_parser = sub.add_parser(
         "accuracy",
         help="join predicted vs executed run; report prediction residuals",
     )
-    accuracy_parser.add_argument(
-        "--soc", default="kirin990", choices=SOC_NAMES
-    )
-    accuracy_parser.add_argument("--models", required=True)
+    _add_workload_args(accuracy_parser)
     _add_perturbation_args(accuracy_parser)
-    accuracy_parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome trace with the prediction-residual track",
+    _add_output_args(
+        accuracy_parser,
+        "hetero2pipe.accuracy.v1",
+        jsonl="the residual/drift telemetry rows",
+        trace="with the prediction-residual track",
     )
 
     drift_parser = sub.add_parser(
@@ -1387,20 +1331,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="streamed accuracy tracking with drift detectors and the "
         "replan trigger live",
     )
-    drift_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
-    drift_parser.add_argument("--models", required=True)
-    drift_parser.add_argument(
-        "--window", type=int, default=4, help="planning window size"
-    )
-    drift_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        metavar="N",
-        help="repeat the model list N times to form the stream (detectors "
+    _add_workload_args(drift_parser)
+    _add_window_arg(drift_parser)
+    _add_repeat_arg(
+        drift_parser,
+        "repeat the model list N times to form the stream (detectors "
         "need several windows of samples)",
     )
+    drift_parser.set_defaults(repeat=3)
     _add_perturbation_args(drift_parser)
+    _add_output_args(
+        drift_parser,
+        "hetero2pipe.drift.v1",
+        jsonl="the residual/drift telemetry rows",
+    )
 
     profile_parser = sub.add_parser(
         "profile",
@@ -1408,24 +1352,15 @@ def build_parser() -> argparse.ArgumentParser:
         "export flamegraphs (this is software self-profiling — "
         "`repro.profiling` is the hardware latency profiler)",
     )
-    profile_parser.add_argument(
-        "--soc", default="kirin990", choices=SOC_NAMES
-    )
-    profile_parser.add_argument("--models", required=True)
+    _add_workload_args(profile_parser)
     profile_parser.add_argument(
         "--stream",
         action="store_true",
         help="profile the windowed streaming planner instead of one plan",
     )
-    profile_parser.add_argument(
-        "--window", type=int, default=4, help="planning window size (--stream)"
-    )
-    profile_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="plan the mix N times (or repeat the stream N times)",
+    _add_window_arg(profile_parser)
+    _add_repeat_arg(
+        profile_parser, "plan the mix N times (or repeat the stream N times)"
     )
     profile_parser.add_argument(
         "--uncached",
@@ -1459,15 +1394,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write collapsed stacks (flamegraph.pl format)",
     )
-    profile_parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome trace with the phase self-profile track",
-    )
-    profile_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable document (hetero2pipe.profile.v1)",
+    _add_output_args(
+        profile_parser,
+        "hetero2pipe.profile.v1",
+        trace="with the phase self-profile track",
     )
 
     bench_parser = sub.add_parser(
@@ -1518,54 +1448,18 @@ def build_parser() -> argparse.ArgumentParser:
         "min_ms over the reference loop) for this comparison; counters "
         "are always compared exactly",
     )
-    bench_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the hetero2pipe.bench.v1 document to stdout",
-    )
+    _add_output_args(bench_parser, "hetero2pipe.bench.v1")
 
     blame_parser = sub.add_parser(
         "blame",
         help="causal latency attribution: exact wait-state blame, "
         "critical path and what-if counterfactuals",
     )
-    blame_parser.add_argument("--soc", default="kirin990", choices=SOC_NAMES)
-    blame_parser.add_argument("--models", required=True)
-    blame_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="repeat the model mix N times to form the request stream",
+    _add_workload_args(blame_parser)
+    _add_repeat_arg(
+        blame_parser, "repeat the model mix N times to form the request stream"
     )
-    blame_parser.add_argument(
-        "--arrivals",
-        default="closed",
-        choices=("closed", "periodic", "poisson"),
-        help="arrival process driving the run (default: closed)",
-    )
-    blame_parser.add_argument(
-        "--interval-ms",
-        type=float,
-        default=30.0,
-        metavar="MS",
-        help="(mean) inter-arrival time for periodic/poisson arrivals",
-    )
-    blame_parser.add_argument(
-        "--arrival-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="RNG seed of the poisson arrival process",
-    )
-    blame_parser.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="engine admission deadline (dropped requests are blamed "
-        "up to their drop time)",
-    )
+    _add_arrival_args(blame_parser)
     blame_parser.add_argument(
         "--whatif",
         metavar="SPECS",
@@ -1573,22 +1467,12 @@ def build_parser() -> argparse.ArgumentParser:
         "scale:<proc>:<factor>, no-contention, unlimited-memory, "
         "drop:<request> (e.g. 'scale:gpu:2,no-contention')",
     )
-    blame_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable document (hetero2pipe.blame.v1)",
-    )
-    blame_parser.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        help="write request-blame / critical-path / what-if telemetry "
-        "rows as JSONL",
-    )
-    blame_parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a Chrome trace with the critical path highlighted "
-        "and wait-state-colored slices",
+    _add_output_args(
+        blame_parser,
+        "hetero2pipe.blame.v1",
+        jsonl="request-blame / critical-path / what-if telemetry rows",
+        trace="with the critical path highlighted and wait-state-colored "
+        "slices",
     )
 
     lint_parser = sub.add_parser(
@@ -1601,26 +1485,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_HANDLERS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "plan": _cmd_plan,
+    "stream": _cmd_stream,
+    "export-model": _cmd_export_model,
+    "calibrate": _cmd_calibrate,
+    "trace": _cmd_trace,
+    "stats": _cmd_stats,
+    "slo": _cmd_slo,
+    "accuracy": _cmd_accuracy,
+    "drift": _cmd_drift,
+    "profile": _cmd_profile,
+    "bench": _cmd_bench,
+    "blame": _cmd_blame,
+    "lint": _cmd_lint,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "plan": _cmd_plan,
-        "stream": _cmd_stream,
-        "export-model": _cmd_export_model,
-        "calibrate": _cmd_calibrate,
-        "trace": _cmd_trace,
-        "stats": _cmd_stats,
-        "slo": _cmd_slo,
-        "accuracy": _cmd_accuracy,
-        "drift": _cmd_drift,
-        "profile": _cmd_profile,
-        "bench": _cmd_bench,
-        "blame": _cmd_blame,
-        "lint": _cmd_lint,
-    }
-    return handlers[args.command](args)
+    try:
+        _resolve_inputs(args)
+    except (ValueError, KeyError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"hetero2pipe {args.command}: error: {message}", file=sys.stderr)
+        return 2
+    return _HANDLERS[args.command](args)
 
 
 if __name__ == "__main__":

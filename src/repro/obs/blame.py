@@ -10,13 +10,11 @@ streaming SLO layer (PR 9) cannot:
   into processor-busy wait, residency wait, scheduler residual,
   preemption time, solo compute and contention inflation.  The
   components sum to the latency with zero residue by construction
-  (``benchmarks/blame_guard.py`` enforces ≤ 1e-9 across the SoCs).
+  (``tests/test_obs_blame.py`` enforces ≤ 1e-9 on all three SoCs).
 * :func:`extract_critical_path` — walk the recorded ``enabled_by``
-  dependency edges backward from the makespan-defining slice.  Unlike
-  the deprecated timestamp-coincidence heuristic
-  (:func:`repro.runtime.replay.critical_chain`), the walk follows the
-  *actual* enablement chain, so gaps and durations tile ``[0,
-  makespan]`` exactly.
+  dependency edges backward from the makespan-defining slice.  The
+  walk follows the *actual* enablement chain rather than coincident
+  timestamps, so gaps and durations tile ``[0, makespan]`` exactly.
 * :func:`compute_slack` — CPM-style schedule slack per slice over the
   recorded DAG (chain precedence + same-processor occupancy order +
   enablement edges); critical slices have zero slack.
@@ -262,7 +260,7 @@ class CriticalPath:
     Segments are time-ordered; gaps and durations tile ``[0,
     makespan_ms]``, so ``total_gap_ms + total_duration_ms ==
     makespan_ms`` within float tolerance (:attr:`residue_ms`) — the
-    identity the blame guard enforces.
+    identity ``tests/test_obs_blame.py`` enforces.
     """
 
     segments: Tuple[PathSegment, ...]

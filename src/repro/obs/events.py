@@ -174,8 +174,8 @@ class DriftDetected(ProvenanceEvent):
     *accuracy* side of observability (:mod:`repro.obs.drift`): the
     planner's predictions for one processor or model have been drifting
     away from executed reality for long enough that a detector tripped.
-    Consumers (``StreamingPlanner``, the ``drift-guard`` CI job) treat
-    it as a replan/re-profile trigger.
+    Consumers (``StreamingPlanner``) treat it as a replan/re-profile
+    trigger.
 
     Attributes:
         scope: What drifted — ``"processor"`` or ``"model"``.

@@ -119,6 +119,29 @@ class SloWindowReport:
         }
 
 
+def check_burn_config(
+    window_ms: float,
+    fast_windows: int,
+    slow_windows: int,
+    burn_threshold: float,
+) -> None:
+    """Validate an evaluator's window and burn-rate settings.
+
+    Raises:
+        ValueError: on a non-positive window or threshold, or unless
+            ``1 <= fast_windows <= slow_windows``.
+    """
+    if window_ms <= 0:
+        raise ValueError(f"window must be > 0 ms, got {window_ms}")
+    if not 1 <= fast_windows <= slow_windows:
+        raise ValueError(
+            "need 1 <= fast_windows <= slow_windows, got "
+            f"fast={fast_windows} slow={slow_windows}"
+        )
+    if burn_threshold <= 0:
+        raise ValueError(f"burn threshold must be > 0, got {burn_threshold}")
+
+
 class SloEvaluator:
     """Fold terminal request events into per-class burn-rate windows.
 
@@ -160,17 +183,7 @@ class SloEvaluator:
                 f"{len(request_specs)} specs for "
                 f"{len(stages_per_request)} requests"
             )
-        if window_ms <= 0:
-            raise ValueError(f"window must be > 0 ms, got {window_ms}")
-        if not 1 <= fast_windows <= slow_windows:
-            raise ValueError(
-                "need 1 <= fast_windows <= slow_windows, got "
-                f"fast={fast_windows} slow={slow_windows}"
-            )
-        if burn_threshold <= 0:
-            raise ValueError(
-                f"burn threshold must be > 0, got {burn_threshold}"
-            )
+        check_burn_config(window_ms, fast_windows, slow_windows, burn_threshold)
         self._request_specs = tuple(request_specs)
         self._stages = list(stages_per_request)
         self._window_ms = float(window_ms)

@@ -10,7 +10,7 @@ intervention and reporting the makespan / latency-percentile deltas:
   chain set (engine tasks are mutable), the baseline counterfactual
   reproduces the reference run *float-exactly* —
   :func:`results_identical` checks bit-equality of every task record,
-  finish time and causality row, and ``benchmarks/blame_guard.py``
+  finish time and causality row, and ``tests/test_obs_blame.py``
   enforces the identity across the three SoCs.
 * ``scale:<proc>:<factor>`` — scale a processor's throughput (every
   slice bound to it runs ``factor``× faster; memory traffic and the

@@ -31,7 +31,6 @@ from .replay import (
     Timeline,
     build_timeline,
     concurrency_profile,
-    critical_chain,
     utilization_summary,
 )
 from .tracing import ascii_gantt, to_chrome_trace, write_chrome_trace
@@ -71,7 +70,6 @@ __all__ = [
     "Timeline",
     "build_timeline",
     "concurrency_profile",
-    "critical_chain",
     "utilization_summary",
     "Scheme",
     "compare_schemes",

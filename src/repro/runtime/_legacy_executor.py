@@ -3,8 +3,8 @@
 This is the bespoke closed-loop simulator that ``simulate_chains`` was
 before the discrete-event engine (:mod:`repro.runtime.engine`) replaced
 it, preserved verbatim minus observability so the golden-equivalence
-tests and ``benchmarks/equivalence_guard.py`` can diff the engine
-against the exact historical arithmetic.  **Do not fix bugs here** —
+tests (``tests/test_runtime_engine.py``) can diff the engine against
+the exact historical arithmetic.  **Do not fix bugs here** —
 the point of the module is to stay byte-identical to the old behaviour,
 including the known off-by-epsilon arrival scan (an arrival within
 ``_EPS`` of ``now`` is treated as already arrived, so a slice could

@@ -51,8 +51,8 @@ delay).  The engine instead advances ``now`` to the popped event's
 timestamp, so a slice never starts before its request arrives and the
 idle-advance can never select a zero-length step.  On schedules whose
 arrivals do not fall within 1e-9 of an unrelated event edge the two
-simulators agree exactly; ``benchmarks/equivalence_guard.py`` enforces
-this over the full zoo x SoC grid in CI.
+simulators agree exactly; ``tests/test_runtime_engine.py``
+(``TestGoldenEquivalence``) enforces this over the full zoo x SoC grid.
 
 **Queueing outputs.**  Per-request first-start times, queueing delays
 (first start minus arrival) and deadline drops are first-class fields
@@ -78,8 +78,8 @@ residency wait, a residual scheduler bucket that absorbs sub-epsilon
 event-pop slivers, and off-processor preemption time).  Because ready
 instants tile each request's ``[arrival, finish]`` interval exactly,
 the components sum to the end-to-end latency with zero residue by
-construction — the invariant :mod:`repro.obs.blame` and
-``benchmarks/blame_guard.py`` enforce.  The bookkeeping never touches
+construction — the invariant :mod:`repro.obs.blame` reports and
+``tests/test_obs_blame.py`` enforces on all three SoCs.  The bookkeeping never touches
 the step arithmetic, so the equivalence guarantee above is unaffected.
 """
 

@@ -209,7 +209,7 @@ def replicate_chains(
 ) -> List[List[ChainTask]]:
     """Tile a chain set into ``copies`` back-to-back request rounds.
 
-    Open-loop streaming runs (the ``slo`` verb, the SLO guard) need far
+    Open-loop streaming runs (the ``slo`` verb, the SLO tests) need far
     more requests than a plan has models; this builds fresh
     :class:`ChainTask` instances (engine tasks are mutable — sharing
     them across requests would corrupt ``remaining_ms``) with request

@@ -2,10 +2,10 @@
 
 Given an :class:`~repro.runtime.executor.ExecutionResult`, reconstructs
 the per-processor timeline: busy intervals, the idle gaps between them
-(the concrete bubbles of Definition 3, with start/end timestamps), a
-sampled concurrency profile, and the critical chain of records that
-determined the makespan.  The examples and experiments use this to
-explain *where* a schedule lost its time.
+(the concrete bubbles of Definition 3, with start/end timestamps) and
+a sampled concurrency profile.  The examples and experiments use this
+to explain *where* a schedule lost its time; the exact critical path is
+:func:`repro.obs.blame.extract_critical_path`.
 
 :func:`save_run` / :func:`load_run` round-trip a full run to JSON
 (``hetero2pipe.run.v2``) — execution records, trace samples, causality
@@ -120,73 +120,6 @@ def concurrency_profile(
         active = bisect_right(starts, t) - bisect_right(finishes, t)
         points.append((t, active))
     return points
-
-
-def critical_chain(
-    result: "ExecutionResult", prefer_exact: bool = True
-) -> List["TaskRecord"]:
-    """The chain of records ending at the makespan, walked backwards.
-
-    .. deprecated::
-        The backward timestamp-coincidence walk below (``finish ≈
-        start`` within 1e-6) is a *heuristic* that predates the
-        engine's causality tracking: coincidental timestamp matches can
-        send it down the wrong branch.  When the result carries
-        :class:`~repro.runtime.engine.TaskCausality` rows this function
-        now delegates to the exact enablement walk
-        (:func:`repro.obs.blame.extract_critical_path`) and merely
-        re-expresses the path as task records; prefer calling the blame
-        API directly — it also reports the gap causes and the
-        makespan-tiling identity.  ``prefer_exact=False`` forces the
-        legacy heuristic (the blame guard uses it for its
-        heuristic-vs-exact comparison artifact).
-
-    From the record that finishes last, repeatedly steps to the record
-    that *enabled* its start: the exact recorded enabler when causality
-    is available, otherwise the same request's previous stage if it
-    finished approximately at the start, or the record occupying the
-    same processor immediately before.
-    """
-    if not result.records:
-        return []
-    if prefer_exact and getattr(result, "causality", None):
-        from ..obs.blame import extract_critical_path
-
-        by_key = {(r.request, r.start_ms, r.finish_ms): r for r in result.records}
-        chain = []
-        for seg in extract_critical_path(result).segments:
-            if seg.start_ms is None:
-                continue  # truncated wait: no completed record exists
-            record = by_key.get((seg.request, seg.start_ms, seg.finish_ms))
-            if record is not None:
-                chain.append(record)
-        if chain:
-            return chain
-    records = sorted(result.records, key=lambda r: r.finish_ms)
-    chain: List["TaskRecord"] = [records[-1]]
-    tolerance = 1e-6
-    while True:
-        current = chain[-1]
-        predecessor = None
-        for record in records:
-            if record is current:
-                continue
-            enables_by_chain = (
-                record.request == current.request
-                and abs(record.finish_ms - current.start_ms) <= tolerance
-            )
-            enables_by_proc = (
-                record.processor == current.processor
-                and abs(record.finish_ms - current.start_ms) <= tolerance
-            )
-            if enables_by_chain or enables_by_proc:
-                predecessor = record
-                break
-        if predecessor is None or current.start_ms <= tolerance:
-            break
-        chain.append(predecessor)
-    chain.reverse()
-    return chain
 
 
 #: Schema identifier stamped into every serialized run document.

@@ -20,7 +20,7 @@ from repro import obs
 from repro.cli import main as cli_main
 from repro.core.online import StreamingPlanner
 from repro.core.planner import Hetero2PipePlanner
-from repro.hardware.soc import get_soc
+from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import get_model
 from repro.obs import (
     CusumDetector,
@@ -40,9 +40,11 @@ from repro.obs.export import (
     telemetry_rows,
     write_telemetry_jsonl,
 )
+from repro.runtime.engine import DiscreteEventEngine
 from repro.runtime.executor import (
     execute_plan,
     execute_plan_perturbed,
+    plan_to_chains,
     scale_chain_tasks,
 )
 from repro.runtime.replay import (
@@ -365,23 +367,40 @@ class TestDriftMonitor:
 # ------------------------------------------------------- streaming replan
 
 
+def _engine_execute(plan, arrivals=None, record=True, **kwargs):
+    """Execute a plan through a directly constructed event engine rather
+    than the ``execute_plan`` adapter over it."""
+    return DiscreteEventEngine(
+        plan.soc, plan_to_chains(plan), arrivals=arrivals, record=record, **kwargs
+    ).run()
+
+
 class TestStreamingDrift:
     def _stream(self):
         return _models(STREAM_MODELS) * 3
 
     def test_clean_stream_never_fires(self):
-        planner = StreamingPlanner(
-            get_soc("kirin990"), window_size=4, track_accuracy=True
-        )
-        result = planner.run(self._stream())
-        assert result.drift_events == []
-        assert result.replans == 0
-        assert len(result.residuals) == 3
-        assert len(result.plan_fingerprints) == 3
-        # Identical windows hit the plan cache: one fingerprint.
-        assert len(set(result.plan_fingerprints)) == 1
-        for report in result.residuals:
-            assert report.overall().mean_abs_residual_ms < 1e-6
+        # On every SoC, through the executor adapter and through the
+        # engine API proper: residuals are identically zero, so no
+        # detector may fire and nothing replans.
+        for soc_name in SOC_NAMES:
+            for execute in (None, _engine_execute):
+                label = (soc_name, execute)
+                planner = StreamingPlanner(
+                    get_soc(soc_name),
+                    window_size=4,
+                    track_accuracy=True,
+                    execute=execute,
+                )
+                result = planner.run(self._stream())
+                assert result.drift_events == [], label
+                assert result.replans == 0, label
+                assert len(result.residuals) == 3, label
+                assert len(result.plan_fingerprints) == 3, label
+                # Identical windows hit the plan cache: one fingerprint.
+                assert len(set(result.plan_fingerprints)) == 1, label
+                for report in result.residuals:
+                    assert report.overall().mean_abs_residual_ms < 1e-6, label
 
     def test_perturbed_stream_fires_and_replans(self):
         planner = StreamingPlanner(

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.planner import Hetero2PipePlanner
-from repro.hardware.soc import get_soc
+from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import get_model
 from repro.obs.blame import (
     BLAME_COMPONENTS,
@@ -48,7 +48,6 @@ from repro.runtime.replay import (
     RUN_SCHEMA,
     RUN_SCHEMA_V1,
     concurrency_profile,
-    critical_chain,
     load_run,
     run_from_dict,
     run_to_dict,
@@ -57,6 +56,15 @@ from repro.runtime.replay import (
 from repro.runtime.tracing import to_chrome_trace
 
 RESIDUE = 1e-9
+MIX = ("squeezenet", "mobilenetv2", "resnet50")
+#: The per-SoC identity runs: the mix closed-loop, and REPEAT rounds of
+#: it under seeded Poisson arrivals whose mean gap and admission
+#: deadline scale with the closed-loop makespan, so requests queue and
+#: some are dropped on every SoC.
+REPEAT = 4
+ARRIVAL_SEED = 11
+ARRIVAL_FRACTION = 0.15
+DEADLINE_FACTOR = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +74,37 @@ def kirin():
 
 @pytest.fixture(scope="module")
 def small_plan(kirin):
-    models = [get_model(n) for n in ("squeezenet", "mobilenetv2", "resnet50")]
+    models = [get_model(n) for n in MIX]
     return Hetero2PipePlanner(kirin).plan(models).plan
+
+
+@pytest.fixture(scope="module")
+def soc_plans():
+    models = [get_model(n) for n in MIX]
+    return {
+        name: Hetero2PipePlanner(get_soc(name)).plan(models).plan
+        for name in SOC_NAMES
+    }
+
+
+@pytest.fixture(scope="module")
+def soc_runs(soc_plans):
+    """Per SoC: the closed-loop run and the queued, dropping open run."""
+    runs = {}
+    for name, plan in soc_plans.items():
+        closed = simulate_chains(plan.soc, plan_to_chains(plan), record=False)
+        queued = simulate_chains(
+            plan.soc,
+            replicate_chains(plan_to_chains(plan), REPEAT),
+            arrivals=PoissonArrivals(
+                interval_ms=closed.makespan_ms * ARRIVAL_FRACTION,
+                seed=ARRIVAL_SEED,
+            ),
+            deadline_ms=closed.makespan_ms * DEADLINE_FACTOR,
+            record=False,
+        )
+        runs[name] = (closed, queued)
+    return runs
 
 
 def _task(soc, request, solo_ms, proc_idx=0, working_set=0.0):
@@ -80,48 +117,39 @@ def _task(soc, request, solo_ms, proc_idx=0, working_set=0.0):
     )
 
 
-def _assert_identities(result):
+def _assert_identities(result, label=""):
     """Every request residue-free; critical path tiles [0, makespan]."""
     requests = blame_requests(result)
     for r in requests:
-        assert abs(r.residue_ms) <= RESIDUE, (r.request, r.residue_ms)
+        assert abs(r.residue_ms) <= RESIDUE, (label, r.request, r.residue_ms)
     path = extract_critical_path(result)
-    assert abs(path.residue_ms) <= RESIDUE
+    assert abs(path.residue_ms) <= RESIDUE, label
     if result.records:
-        assert path.segments
+        assert path.segments, label
     return requests, path
 
 
 class TestWaitAccountingIdentity:
-    def test_closed_loop_plan(self, kirin, small_plan):
-        result = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
-        )
-        requests, _ = _assert_identities(result)
-        assert {r.status for r in requests} == {"completed"}
-        # Closed loop: a never-queued request has zero first-stage wait.
-        assert any(r.first_stage_wait_ms == 0.0 for r in requests)
+    def test_closed_loop_plan(self, soc_runs):
+        for soc_name, (closed, _) in soc_runs.items():
+            requests, _ = _assert_identities(closed, soc_name)
+            assert {r.status for r in requests} == {"completed"}, soc_name
+            # Closed loop: a never-queued request has zero first-stage wait.
+            assert any(r.first_stage_wait_ms == 0.0 for r in requests), soc_name
 
-    def test_open_loop_poisson_with_drops(self, kirin, small_plan):
-        chains = replicate_chains(plan_to_chains(small_plan), 4)
-        result = simulate_chains(
-            kirin,
-            chains,
-            arrivals=PoissonArrivals(interval_ms=3.0, seed=3),
-            deadline_ms=25.0,
-            record=False,
-        )
-        requests, _ = _assert_identities(result)
-        dropped = [r for r in requests if r.status == "dropped"]
-        assert dropped, "deadline was not tight enough to exercise drops"
-        # A dropped request is blamed up to its drop time: pure wait.
-        for r in dropped:
-            assert r.solo_ms == 0.0
-            assert r.latency_ms == pytest.approx(
-                r.processor_busy_wait_ms
-                + r.residency_wait_ms
-                + r.scheduler_wait_ms
-            )
+    def test_open_loop_poisson_with_drops(self, soc_runs):
+        for soc_name, (_, queued) in soc_runs.items():
+            requests, _ = _assert_identities(queued, soc_name)
+            dropped = [r for r in requests if r.status == "dropped"]
+            assert dropped, f"{soc_name}: deadline too loose to exercise drops"
+            # A dropped request is blamed up to its drop time: pure wait.
+            for r in dropped:
+                assert r.solo_ms == 0.0
+                assert r.latency_ms == pytest.approx(
+                    r.processor_busy_wait_ms
+                    + r.residency_wait_ms
+                    + r.scheduler_wait_ms
+                )
 
     def test_queued_request_blames_processor(self, kirin):
         chains = [[_task(kirin, 0, 10.0)], [_task(kirin, 1, 5.0)]]
@@ -242,20 +270,25 @@ class TestWaitAccountingIdentity:
 
 
 class TestCriticalPathAndSlack:
-    def test_path_tiles_makespan(self, kirin, small_plan):
-        result = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
-        )
-        path = extract_critical_path(result)
-        assert path.makespan_ms == result.makespan_ms
-        total = path.total_gap_ms + path.total_duration_ms
-        assert total == pytest.approx(result.makespan_ms, abs=RESIDUE)
-        # Segments are contiguous: each starts where the previous ended.
-        cursor = 0.0
-        for seg in path.segments:
-            start = seg.start_ms if seg.start_ms is not None else seg.finish_ms
-            assert start == pytest.approx(cursor + seg.gap_ms, abs=RESIDUE)
-            cursor = seg.finish_ms
+    def test_path_tiles_makespan(self, soc_runs):
+        for soc_name, runs in soc_runs.items():
+            for result in runs:
+                path = extract_critical_path(result)
+                assert path.makespan_ms == result.makespan_ms, soc_name
+                assert abs(path.residue_ms) <= RESIDUE, soc_name
+                total = path.total_gap_ms + path.total_duration_ms
+                assert total == pytest.approx(result.makespan_ms, abs=RESIDUE)
+                # Segments are contiguous: each starts where the previous
+                # ended.
+                cursor = 0.0
+                for seg in path.segments:
+                    start = (
+                        seg.start_ms if seg.start_ms is not None else seg.finish_ms
+                    )
+                    assert start == pytest.approx(
+                        cursor + seg.gap_ms, abs=RESIDUE
+                    ), soc_name
+                    cursor = seg.finish_ms
 
     def test_path_tasks_have_zero_slack(self, kirin, small_plan):
         chains = replicate_chains(plan_to_chains(small_plan), 2)
@@ -273,23 +306,6 @@ class TestCriticalPathAndSlack:
             )
         # Slack is never negative and some off-path task has room.
         assert all(s >= -1e-9 for s in slack.values())
-
-    def test_critical_chain_shim_prefers_exact(self, kirin, small_plan):
-        result = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
-        )
-        exact_records = critical_chain(result)
-        path = extract_critical_path(result)
-        assert [(r.request, r.stage) for r in exact_records] == [
-            (s.request, s.stage)
-            for s in path.segments
-            if s.start_ms is not None
-        ]
-        # The forced heuristic still walks a non-empty chain ending at
-        # the makespan.
-        heuristic = critical_chain(result, prefer_exact=False)
-        assert heuristic
-        assert heuristic[-1].finish_ms == pytest.approx(result.makespan_ms)
 
 
 class TestAggregateAndTimelineAgreement:
@@ -375,20 +391,22 @@ class TestWhatIf:
         with pytest.raises(ValueError):
             parse_whatif(bad)
 
-    def test_baseline_is_bit_exact(self, kirin, small_plan):
-        chains = replicate_chains(plan_to_chains(small_plan), 2)
-        arrivals = resolve_arrivals(
-            len(chains), PoissonArrivals(interval_ms=8.0, seed=5)
-        )
-        original = simulate_chains(
-            kirin, chains, arrivals=arrivals, record=False
-        )
-        # chains are now mutated (consumed); clones must still match.
-        replayed, request_map = run_counterfactual(
-            kirin, chains, WhatIf(kind="baseline"), arrivals=arrivals
-        )
-        assert request_map == {i: i for i in range(len(chains))}
-        assert results_identical(original, replayed)
+    def test_baseline_is_bit_exact(self, soc_plans):
+        for soc_name, plan in soc_plans.items():
+            chains = replicate_chains(plan_to_chains(plan), REPEAT)
+            arrivals = resolve_arrivals(
+                len(chains),
+                PoissonArrivals(interval_ms=12.0, seed=ARRIVAL_SEED),
+            )
+            original = simulate_chains(
+                plan.soc, chains, arrivals=arrivals, record=False
+            )
+            # chains are now mutated (consumed); clones must still match.
+            replayed, request_map = run_counterfactual(
+                plan.soc, chains, WhatIf(kind="baseline"), arrivals=arrivals
+            )
+            assert request_map == {i: i for i in range(len(chains))}, soc_name
+            assert results_identical(original, replayed), soc_name
 
     def test_scale_processor_speeds_up(self, kirin):
         chains = [[_task(kirin, 0, 10.0)], [_task(kirin, 1, 10.0)]]

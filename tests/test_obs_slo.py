@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core.planner import Hetero2PipePlanner
-from repro.hardware.soc import get_soc
+from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import get_model
 from repro.obs.accuracy import join_execution
 from repro.obs.bench import simulation_latency_block
@@ -32,6 +32,8 @@ from repro.runtime.engine import Event
 from repro.runtime.executor import execute_plan
 
 KIRIN = get_soc("kirin990")
+#: An overload must fire its first alert within this many windows.
+MAX_DETECTION_WINDOWS = 8
 
 
 def ev(time_ms, kind, request=None, processor=None, detail=""):
@@ -309,10 +311,42 @@ class TestSloCli:
             extra=["--interval-ms", "0.5", "--classes", "*=3:0.9"],
         )
         assert doc["alerts"], "overload must burn the 3 ms budget"
+        first = min(raw["window"] for raw in doc["alerts"])
+        assert first <= MAX_DETECTION_WINDOWS
         for raw in doc["alerts"]:
             alert = event_from_dict(raw)
             assert isinstance(alert, SloBurnAlert)
             assert alert.to_dict() == raw
+
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    def test_calibrated_clean_run_is_silent(self, capsys, soc_name):
+        # Healthy load calibrated from a closed-loop run of the same
+        # plan: arrivals 3x slower than back-to-back service, an SLO
+        # deadline of 4 closed-loop makespans, one makespan per window.
+        mix = ("squeezenet", "mobilenetv2", "resnet50")
+        plan = Hetero2PipePlanner(get_soc(soc_name)).plan(
+            [get_model(n) for n in mix]
+        ).plan
+        closed = execute_plan(plan, record=False)
+        interval_ms = closed.makespan_ms / closed.num_requests * 3.0
+        args = [
+            "slo",
+            "--soc", soc_name,
+            "--models", ",".join(mix),
+            "--repeat", "8",
+            "--interval-ms", repr(interval_ms),
+            "--arrival-seed", "7",
+            "--window-ms", repr(closed.makespan_ms),
+            "--classes", f"*={closed.makespan_ms * 4.0!r}:0.9",
+            "--burn-windows", "1,6",
+            "--json",
+        ]
+        assert main(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["alerts"] == []
+        assert doc["littles_law"]["ok"] is True
+        assert doc["queueing"]["completed_requests"] == doc["requests"] == 24
 
 
 class TestAllDroppedRegression:

@@ -169,6 +169,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "verb,flags",
+        [
+            ("stats", ["--deadline-ms", "-1"]),
+            ("slo", ["--interval-ms", "-3"]),
+            ("stats", ["--models", "nosuch"]),
+            ("slo", ["--window-ms", "0"]),
+            ("drift", ["--window", "0"]),
+            ("slo", ["--burn-windows", "0,0"]),
+            ("accuracy", ["--perturb", "0"]),
+            ("stats", ["--repeat", "0"]),
+            ("accuracy", ["--perturb-processor", "nope", "--perturb", "1.3"]),
+            ("slo", ["--classes", "vit"]),
+            ("blame", ["--whatif", "scale:gpu:nope"]),
+        ],
+    )
+    def test_malformed_input_is_a_usage_error(self, capsys, verb, flags):
+        # argparse keeps the last --models, so the "nosuch" case wins.
+        assert main([verb, "--models", "resnet50,vit", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.strip()
+        assert "Traceback" not in err
+
 
 class TestCliExtensions:
     def test_plan_with_gantt_and_energy(self, capsys):

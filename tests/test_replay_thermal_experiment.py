@@ -10,11 +10,10 @@ from repro.experiments.appendix_thermal import (
 from repro.hardware.processor import ProcessorKind
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
-from repro.runtime.executor import ChainTask, execute_plan, simulate_chains
+from repro.runtime.executor import execute_plan
 from repro.runtime.replay import (
     build_timeline,
     concurrency_profile,
-    critical_chain,
     utilization_summary,
 )
 
@@ -77,29 +76,6 @@ class TestConcurrencyAndChain:
     def test_concurrency_validation(self, result):
         with pytest.raises(ValueError):
             concurrency_profile(result, samples=0)
-
-    def test_critical_chain_ends_at_makespan(self, result):
-        chain = critical_chain(result)
-        assert chain
-        assert chain[-1].finish_ms == pytest.approx(result.makespan_ms)
-
-    def test_critical_chain_is_time_ordered(self, result):
-        chain = critical_chain(result)
-        for earlier, later in zip(chain, chain[1:]):
-            assert later.start_ms >= earlier.finish_ms - 1e-6
-
-    def test_critical_chain_starts_near_zero(self, kirin):
-        # On a simple serial run the chain covers the whole schedule.
-        proc = kirin.cpu_big
-        chain_tasks = [
-            [ChainTask(request=i, proc=proc, solo_ms=10.0, workload=None,
-                       working_set=0.0)]
-            for i in range(3)
-        ]
-        result = simulate_chains(kirin, chain_tasks)
-        chain = critical_chain(result)
-        assert chain[0].start_ms == pytest.approx(0.0, abs=1e-6)
-        assert len(chain) == 3
 
     def test_utilization_summary(self, result):
         summary = utilization_summary(result)

@@ -4,8 +4,8 @@ legacy-executor equivalence guarantee."""
 import pytest
 
 from repro.core.planner import Hetero2PipePlanner
-from repro.hardware.soc import get_soc
-from repro.models.zoo import get_model
+from repro.hardware.soc import SOC_NAMES, get_soc
+from repro.models.zoo import MODEL_NAMES, get_model
 from repro.runtime._legacy_executor import legacy_simulate_chains
 from repro.runtime.arrivals import (
     ArrivalProcess,
@@ -35,9 +35,13 @@ def kirin():
 
 
 @pytest.fixture(scope="module")
-def small_plan(kirin):
-    models = [get_model(n) for n in ("squeezenet", "mobilenetv2", "resnet50")]
-    return Hetero2PipePlanner(kirin).plan(models).plan
+def zoo_plans():
+    """The full model zoo planned on every SoC: the equivalence grid."""
+    models = [get_model(name) for name in MODEL_NAMES]
+    return {
+        name: Hetero2PipePlanner(get_soc(name)).plan(models).plan
+        for name in SOC_NAMES
+    }
 
 
 def _task(soc, request, solo_ms, proc_idx=0, working_set=0.0):
@@ -50,67 +54,90 @@ def _task(soc, request, solo_ms, proc_idx=0, working_set=0.0):
     )
 
 
-def _assert_results_equal(engine, legacy, tol=1e-9):
+def _assert_results_equal(engine, legacy, tol=1e-9, label=""):
     assert [
         (r.request, r.stage, r.processor) for r in engine.records
-    ] == [(r.request, r.stage, r.processor) for r in legacy.records]
+    ] == [(r.request, r.stage, r.processor) for r in legacy.records], label
     for rec_e, rec_l in zip(engine.records, legacy.records):
-        assert abs(rec_e.start_ms - rec_l.start_ms) <= tol
-        assert abs(rec_e.finish_ms - rec_l.finish_ms) <= tol
+        assert abs(rec_e.start_ms - rec_l.start_ms) <= tol, label
+        assert abs(rec_e.finish_ms - rec_l.finish_ms) <= tol, label
     assert engine.request_finish_ms == pytest.approx(
         legacy.request_finish_ms, abs=tol
-    )
-    assert abs(engine.makespan_ms - legacy.makespan_ms) <= tol
-    assert engine.memory_pressure_events == legacy.memory_pressure_events
-    assert len(engine.trace) == len(legacy.trace)
+    ), label
+    assert abs(engine.makespan_ms - legacy.makespan_ms) <= tol, label
+    assert engine.memory_pressure_events == legacy.memory_pressure_events, label
+    assert len(engine.trace) == len(legacy.trace), label
+
+
+def _assert_grid_matches_legacy(zoo_plans, shared=None, engine_only=None):
+    """Diff the engine against the legacy loop on every SoC's zoo plan.
+
+    ``shared(plan)`` gives the kwargs both simulators take; the
+    ``engine_only`` kwargs are switches the legacy loop never had.
+    Returns the engine results by SoC.
+    """
+    results = {}
+    for soc_name, plan in zoo_plans.items():
+        kwargs = shared(plan) if shared else {}
+        engine = simulate_chains(
+            plan.soc,
+            plan_to_chains(plan),
+            record=False,
+            **kwargs,
+            **(engine_only or {}),
+        )
+        legacy = legacy_simulate_chains(plan.soc, plan_to_chains(plan), **kwargs)
+        _assert_results_equal(engine, legacy, label=soc_name)
+        results[soc_name] = engine
+    return results
 
 
 class TestGoldenEquivalence:
     """The engine must reproduce the frozen legacy loop exactly.
 
-    The full zoo x SoC grid runs in ``benchmarks/equivalence_guard.py``
-    (CI); these are the fast in-tree representatives.
+    Every simulation variant runs on the full model zoo planned on all
+    three SoCs; record streams, finish times and makespans must agree
+    within 1e-9 ms (in practice the divergence is exactly 0.0).
     """
 
-    def test_closed_loop(self, kirin, small_plan):
-        engine = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
-        )
-        legacy = legacy_simulate_chains(kirin, plan_to_chains(small_plan))
-        _assert_results_equal(engine, legacy)
+    def test_closed_loop(self, zoo_plans):
+        _assert_grid_matches_legacy(zoo_plans)
 
-    def test_staggered_arrivals(self, kirin, small_plan):
-        arrivals = [0.0, 17.5, 42.0]
-        engine = simulate_chains(
-            kirin, plan_to_chains(small_plan), arrivals=arrivals, record=False
+    def test_staggered_arrivals(self, zoo_plans):
+        _assert_grid_matches_legacy(
+            zoo_plans,
+            lambda plan: {
+                "arrivals": [12.5 * i for i in range(len(plan.assignments))]
+            },
         )
-        legacy = legacy_simulate_chains(
-            kirin, plan_to_chains(small_plan), arrivals=arrivals
-        )
-        _assert_results_equal(engine, legacy)
 
-    def test_traced_run(self, kirin, small_plan):
-        engine = simulate_chains(
-            kirin, plan_to_chains(small_plan), trace=True, record=False
+    def test_no_contention(self, zoo_plans):
+        _assert_grid_matches_legacy(
+            zoo_plans, lambda plan: {"with_contention": False}
         )
-        legacy = legacy_simulate_chains(
-            kirin, plan_to_chains(small_plan), trace=True
-        )
-        _assert_results_equal(engine, legacy)
-        assert engine.trace  # both sampled the same number of edges
 
-    def test_fault_injection(self, kirin, small_plan):
-        offline = {small_plan.processors[0].name: 15.0}
-        engine = simulate_chains(
-            kirin,
-            plan_to_chains(small_plan),
-            processor_offline_ms=offline,
-            record=False,
+    def test_traced_run(self, zoo_plans):
+        results = _assert_grid_matches_legacy(
+            zoo_plans, lambda plan: {"trace": True}
         )
-        legacy = legacy_simulate_chains(
-            kirin, plan_to_chains(small_plan), processor_offline_ms=offline
+        # Both sampled the same, non-zero number of edges.
+        assert all(result.trace for result in results.values())
+
+    def test_fault_injection(self, zoo_plans):
+        _assert_grid_matches_legacy(
+            zoo_plans,
+            lambda plan: {
+                "processor_offline_ms": {plan.processors[0].name: 15.0}
+            },
         )
-        _assert_results_equal(engine, legacy)
+
+    def test_objective_probe(self, zoo_plans):
+        # The planner's probe: no memory gate, no causality tracking.
+        _assert_grid_matches_legacy(
+            zoo_plans,
+            lambda plan: {"enforce_memory": False},
+            engine_only={"track_causality": False},
+        )
 
     def test_validation_errors_match_legacy(self, kirin):
         with pytest.raises(ValueError, match="arrival times"):

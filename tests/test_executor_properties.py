@@ -3,7 +3,10 @@
 Random task chains are generated with hypothesis and the executed
 schedule is checked for the properties any correct pipeline execution
 must have: per-processor mutual exclusion, chain precedence (Eq. 8),
-work conservation, arrival respect, and determinism.
+work conservation, arrival respect, and determinism.  Open-loop runs
+with deadlines, cancellations, preemptions and processor faults check
+the engine's per-processor ready sets against a brute-force
+recomputation after every step.
 """
 
 import pytest
@@ -11,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.soc import get_soc
+from repro.obs.blame import blame_requests
+from repro.runtime.engine import DiscreteEventEngine
 from repro.runtime.executor import ChainTask, simulate_chains
 
 KIRIN = get_soc("kirin990")
@@ -18,7 +23,7 @@ PROCS = list(KIRIN.processors)
 
 
 @st.composite
-def chains_strategy(draw):
+def chains_strategy(draw, max_working_set=1e8):
     """Random request chains without workloads (pure timing tasks)."""
     num_requests = draw(st.integers(1, 5))
     chains = []
@@ -36,7 +41,7 @@ def chains_strategy(draw):
                     proc=proc,
                     solo_ms=solo,
                     workload=None,
-                    working_set=draw(st.floats(0, 1e8)),
+                    working_set=draw(st.floats(0, max_working_set)),
                 )
             )
         chains.append(chain)
@@ -152,3 +157,94 @@ class TestExecutorInvariants:
                 if r.request == request
             )
             assert result.request_finish_ms[request] == pytest.approx(last)
+
+
+# ------------------------------------------- ready-set invariant (engine)
+
+
+@st.composite
+def open_loop_runs(draw):
+    """Chains plus everything that moves a chain head: arrivals,
+    deadlines, cancellations, preemptions, processor faults and a
+    memory gate tight enough to block and force starts."""
+    chains = draw(chains_strategy(max_working_set=0.6 * KIRIN.memory_capacity_bytes))
+    n = len(chains)
+    times = st.floats(0, 300, allow_nan=False)
+    return {
+        "chains": chains,
+        "arrivals": draw(arrivals_for(n)),
+        "deadline_ms": draw(
+            st.one_of(
+                st.none(),
+                st.lists(
+                    st.one_of(st.none(), st.floats(0, 100, allow_nan=False)),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        ),
+        "cancellations": draw(
+            st.lists(st.tuples(st.integers(0, n - 1), times), max_size=4)
+        ),
+        "preemptions": draw(
+            st.lists(st.tuples(st.integers(0, n - 1), times), max_size=6)
+        ),
+        # At most all but one processor fails, so every slice has a
+        # fallback (tasks without workloads run anywhere).
+        "offline": draw(
+            st.dictionaries(
+                st.sampled_from([p.name for p in PROCS]),
+                times,
+                max_size=len(PROCS) - 1,
+            )
+        ),
+        "enforce_memory": draw(st.booleans()),
+    }
+
+
+def _brute_force_ready(engine):
+    """Per-processor ready heads recomputed from the engine's raw state."""
+    ready = {p.name: set() for p in PROCS}
+    for i, chain in enumerate(engine._chains):
+        idx = engine._next_idx[i]
+        if (
+            idx < len(chain)
+            and engine._prev_done[i]
+            and engine._arrived[i]
+            and i not in engine._removed
+        ):
+            ready[chain[idx].proc.name].add(i)
+    return ready
+
+
+def _drive(run):
+    engine = DiscreteEventEngine(
+        KIRIN,
+        run["chains"],
+        arrivals=run["arrivals"],
+        deadline_ms=run["deadline_ms"],
+        processor_offline_ms=run["offline"],
+        enforce_memory=run["enforce_memory"],
+        record=False,
+    )
+    for request, at_ms in run["cancellations"]:
+        engine.schedule_cancellation(request, at_ms)
+    for request, at_ms in run["preemptions"]:
+        engine.schedule_preemption(request, at_ms)
+    while True:
+        more = engine.step()
+        assert engine._ready == _brute_force_ready(engine)
+        if not more:
+            break
+    return engine.result()
+
+
+class TestReadySetInvariant:
+    @given(open_loop_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_ready_sets_match_brute_force_every_step(self, run):
+        # Every processor a fault leaves online runs every slice, so no
+        # generated run may wedge: a RuntimeError fails the test.
+        result = _drive(run)
+        for blamed in blame_requests(result):
+            assert abs(blamed.residue_ms) <= 1e-9, blamed

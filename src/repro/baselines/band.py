@@ -18,7 +18,7 @@ contention-aware simulator as every other scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
@@ -156,16 +156,15 @@ def execute_band(
     models: Sequence[ModelGraph],
     profiler: Optional[SocProfiler] = None,
     arrivals: Optional[Sequence[float]] = None,
-    with_contention: bool = True,
+    **options: Any,
 ) -> ExecutionResult:
-    """Plan with Band's greedy policy and run on the shared simulator."""
+    """Plan with Band's greedy policy and run on the shared simulator.
+
+    ``options`` are forwarded to the engine (see
+    :func:`~repro.runtime.executor.simulate_chains`).
+    """
     mapping = plan_band(soc, models, profiler)
-    return simulate_chains(
-        soc,
-        mapping.chains,
-        arrivals=arrivals,
-        with_contention=with_contention,
-    )
+    return simulate_chains(soc, mapping.chains, arrivals, **options)
 
 
 def plan_band_contention_aware(

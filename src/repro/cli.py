@@ -117,7 +117,13 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
         ]
         if not args.models:
             raise ValueError("no models given")
-    for flag in ("repeat", "window"):
+    if hasattr(args, "scenarios"):
+        from .obs.bench import check_cells
+
+        args.scenarios = _name_list(args.scenarios)
+        args.socs = _name_list(args.socs)
+        check_cells(args.scenarios, args.socs)
+    for flag in ("repeat", "window", "rounds"):
         if getattr(args, flag, 1) < 1:
             raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if getattr(args, "deadline_ms", None) is not None and args.deadline_ms < 0:
@@ -169,6 +175,12 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
         scale_chain_tasks((), args.perturbation)  # validates the factors
     if getattr(args, "stream", False) is True and args.trace:
         raise ValueError("--trace requires a plan run (omit --stream)")
+
+
+def _name_list(text: Optional[str]) -> Optional[List[str]]:
+    """A comma-separated flag as a list of names; None when it names none."""
+    names = [n.strip() for n in (text or "").split(",") if n.strip()]
+    return names or None
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -1001,29 +1013,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .obs import bench
 
-    scenarios = (
-        [s.strip() for s in args.scenarios.split(",") if s.strip()]
-        if args.scenarios
-        else None
-    )
-    socs = (
-        [s.strip() for s in args.socs.split(",") if s.strip()]
-        if args.socs
-        else None
-    )
     progress = None
     if not args.json:
         progress = lambda msg: print(f"  running {msg} ...")  # noqa: E731
-    try:
-        doc = bench.run_bench(
-            scenarios=scenarios,
-            socs=socs,
-            rounds=max(1, args.rounds),
-            progress=progress,
-        )
-    except KeyError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    doc = bench.run_bench(
+        scenarios=args.scenarios,
+        socs=args.socs,
+        rounds=args.rounds,
+        progress=progress,
+    )
 
     exit_code = 0
     comparison_text: Optional[str] = None

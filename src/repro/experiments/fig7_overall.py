@@ -11,36 +11,16 @@ rightmost subplots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-from ..baselines.band import execute_band
-from ..baselines.mnn_serial import plan_mnn_serial
-from ..baselines.pipe_it import plan_pipe_it
-from ..core.planner import Hetero2PipePlanner, PlannerConfig
-from ..hardware.soc import SOC_NAMES, SocSpec, get_soc
-from ..profiling.profiler import SocProfiler
-from ..runtime.executor import execute_plan
-from ..workloads.generator import WorkloadSpec, sample_combinations
-from .common import format_table, geomean
+from ..hardware.soc import SOC_NAMES, get_soc
+from ..runtime.metrics import ComparisonMatrix, compare_schemes, standard_schemes
+from ..workloads.generator import sample_combinations
+from .common import format_table
 
+#: The scheme line-up of :func:`~repro.runtime.metrics.standard_schemes`.
 SCHEMES = ("mnn", "pipe_it", "band", "h2p_no_ct", "h2p")
-
-
-@dataclass(frozen=True)
-class SchemeResult:
-    """One scheme's measurement on one workload."""
-
-    latency_ms: float
-    throughput_per_s: float
-
-
-@dataclass
-class WorkloadResult:
-    """All schemes on one workload."""
-
-    spec: WorkloadSpec
-    by_scheme: Dict[str, SchemeResult]
 
 
 @dataclass
@@ -48,60 +28,23 @@ class SocSummary:
     """Aggregates for one platform (one column group of Fig. 7)."""
 
     soc_name: str
-    results: List[WorkloadResult]
+    matrix: ComparisonMatrix
 
     def mean_latency_ms(self, scheme: str) -> float:
-        values = [r.by_scheme[scheme].latency_ms for r in self.results]
-        return sum(values) / len(values)
+        return self.matrix.mean_latency_ms(scheme)
 
     def mean_throughput(self, scheme: str) -> float:
-        values = [r.by_scheme[scheme].throughput_per_s for r in self.results]
-        return sum(values) / len(values)
+        return self.matrix.mean_throughput(scheme)
 
     def speedup_over(self, scheme: str) -> Tuple[float, float, float]:
         """(geomean, max, min) speedup of full H2P over one scheme."""
-        ratios = [
-            r.by_scheme[scheme].latency_ms / r.by_scheme["h2p"].latency_ms
-            for r in self.results
-        ]
-        return geomean(ratios), max(ratios), min(ratios)
+        return self.matrix.speedup_summary(scheme, "h2p")
 
     def band_scatter(self, fraction: float = 0.3) -> List[Tuple[float, float]]:
         """(band, h2p) latency pairs for a deterministic subset."""
         step = max(1, int(round(1.0 / fraction)))
-        return [
-            (
-                r.by_scheme["band"].latency_ms,
-                r.by_scheme["h2p"].latency_ms,
-            )
-            for r in self.results[::step]
-        ]
-
-
-def run_workload(
-    soc: SocSpec,
-    spec: WorkloadSpec,
-    profiler: SocProfiler,
-    planner: Hetero2PipePlanner,
-    planner_no_ct: Hetero2PipePlanner,
-) -> WorkloadResult:
-    """Evaluate every scheme on one workload."""
-    models = spec.models()
-
-    def wrap(result) -> SchemeResult:
-        return SchemeResult(
-            latency_ms=result.makespan_ms,
-            throughput_per_s=result.throughput_per_s,
-        )
-
-    by_scheme = {
-        "mnn": wrap(execute_plan(plan_mnn_serial(soc, models, profiler))),
-        "pipe_it": wrap(execute_plan(plan_pipe_it(soc, models, profiler))),
-        "band": wrap(execute_band(soc, models, profiler)),
-        "h2p_no_ct": wrap(execute_plan(planner_no_ct.plan(models).plan)),
-        "h2p": wrap(execute_plan(planner.plan(models).plan)),
-    }
-    return WorkloadResult(spec=spec, by_scheme=by_scheme)
+        latency = self.matrix.latency_ms
+        return list(zip(latency["band"], latency["h2p"]))[::step]
 
 
 def run(
@@ -117,20 +60,14 @@ def run(
         seed: Workload sampling seed.
     """
     specs = sample_combinations(count=num_combinations, seed=seed)
-    summaries: List[SocSummary] = []
-    for soc_name in soc_names:
-        soc = get_soc(soc_name)
-        profiler = SocProfiler(soc)
-        planner = Hetero2PipePlanner(soc)
-        planner_no_ct = Hetero2PipePlanner(
-            soc, PlannerConfig.no_contention_or_tail()
+    workloads = [spec.models() for spec in specs]
+    return [
+        SocSummary(
+            soc_name=soc_name,
+            matrix=compare_schemes(standard_schemes(get_soc(soc_name)), workloads),
         )
-        results = [
-            run_workload(soc, spec, profiler, planner, planner_no_ct)
-            for spec in specs
-        ]
-        summaries.append(SocSummary(soc_name=soc_name, results=results))
-    return summaries
+        for soc_name in soc_names
+    ]
 
 
 def render(summaries: List[SocSummary]) -> str:

@@ -46,6 +46,7 @@ from .blame import (
     compute_slack,
     extract_critical_path,
 )
+from .causality import CAUSE_KINDS, TaskCausality
 from .drift import CusumDetector, DriftMonitor, EwmaDetector
 from .events import (
     EVENT_KINDS,
@@ -163,6 +164,8 @@ __all__ = [
     "write_slo_jsonl",
     # causal latency attribution (the what-if counterfactuals live in
     # repro.obs.whatif, above runtime — import it explicitly)
+    "CAUSE_KINDS",
+    "TaskCausality",
     "BLAME_COMPONENTS",
     "RequestBlame",
     "blame_requests",

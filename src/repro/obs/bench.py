@@ -481,6 +481,23 @@ SCENARIOS: Dict[str, Callable[[str, int], ScenarioResult]] = {
 SCENARIO_NAMES = tuple(SCENARIOS)
 
 
+def check_cells(
+    scenarios: Optional[Sequence[str]], socs: Optional[Sequence[str]]
+) -> None:
+    """Reject an unknown scenario or SoC name before any cell runs.
+
+    Raises:
+        KeyError: on an unknown scenario or SoC name.
+    """
+    for name in scenarios or ():
+        if name not in SCENARIOS:
+            raise KeyError(
+                f"unknown scenario {name!r}; options: {sorted(SCENARIOS)}"
+            )
+    for name in socs or ():
+        get_soc(name)
+
+
 def run_bench(
     scenarios: Optional[Sequence[str]] = None,
     socs: Optional[Sequence[str]] = None,
@@ -501,12 +518,8 @@ def run_bench(
     Raises:
         KeyError: on an unknown scenario or SoC name.
     """
+    check_cells(scenarios, socs)
     chosen = list(scenarios) if scenarios else list(SCENARIO_NAMES)
-    for name in chosen:
-        if name not in SCENARIOS:
-            raise KeyError(
-                f"unknown scenario {name!r}; options: {sorted(SCENARIOS)}"
-            )
     targets = list(socs) if socs else list(SOC_NAMES)
     rows: List[Dict[str, object]] = []
     for scenario in chosen:

@@ -1,8 +1,9 @@
 """Causal latency attribution over the engine's exact blame data.
 
 The discrete-event engine (:mod:`repro.runtime.engine`) records, per
-slice, a ``TaskCausality`` row: when the slice became ready, what
-enabled its start, and an integrated wait breakdown.  This module is
+slice, a :class:`~repro.obs.causality.TaskCausality` row: when the
+slice became ready, what enabled its start, and an integrated wait
+breakdown.  This module is
 the pure-analysis consumer — it answers the operator questions the
 streaming SLO layer (PR 9) cannot:
 
@@ -24,9 +25,9 @@ streaming SLO layer (PR 9) cannot:
   co-runner, so the split is a documented convention).
 
 Like the rest of ``repro.obs`` this module is a data-only leaf: results
-and causality rows are duck-typed (anything shaped like
-``ExecutionResult`` / ``TaskCausality``), so nothing here imports
-``runtime``.  The what-if counterfactuals that *re-run* the engine live
+are duck-typed (anything shaped like ``ExecutionResult``) and the rows'
+type comes from its sibling :mod:`repro.obs.causality`, so nothing here
+imports ``runtime``.  The what-if counterfactuals that *re-run* the engine live
 in :mod:`repro.obs.whatif`, which sits above ``runtime`` and is
 deliberately not re-exported from ``repro.obs``.
 """
@@ -44,18 +45,10 @@ from typing import (
     Tuple,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, keeps obs a leaf
-    from ..runtime.engine import ExecutionResult, TaskCausality
+from .causality import TaskCausality
 
-#: Enabling-cause vocabulary (mirrors ``repro.runtime.engine.CAUSE_*``;
-#: duplicated as literals so the leaf stays import-free, like the event
-#: kinds in :mod:`repro.obs.timeline`).
-CAUSE_ARRIVAL = "arrival"
-CAUSE_PREDECESSOR = "predecessor"
-CAUSE_PROCESSOR_FREED = "processor_freed"
-CAUSE_RESIDENCY_DRAIN = "residency_drain"
-CAUSE_FORCED = "forced"
-CAUSE_UNSTARTED = "unstarted"
+if TYPE_CHECKING:  # pragma: no cover - typing only, keeps obs a leaf
+    from ..runtime.engine import ExecutionResult
 
 #: Request outcome vocabulary (``RequestBlame.status``).
 STATUS_COMPLETED = "completed"
@@ -167,7 +160,7 @@ def blame_requests(
             "result has no causality data: run the engine with "
             "track_causality=True (v1 archives predate causality)"
         )
-    by_request: Dict[int, List["TaskCausality"]] = {}
+    by_request: Dict[int, List[TaskCausality]] = {}
     for row in result.causality:
         by_request.setdefault(row.request, []).append(row)
     out: List[RequestBlame] = []
@@ -288,7 +281,7 @@ class CriticalPath:
         }
 
 
-def _segment_anchor(row: "TaskCausality") -> float:
+def _segment_anchor(row: TaskCausality) -> float:
     """The instant a causality row's on-path interval begins."""
     return row.start_ms if row.start_ms is not None else row.finish_ms
 
@@ -309,7 +302,7 @@ def extract_critical_path(result: "ExecutionResult") -> CriticalPath:
     if not rows:
         return CriticalPath(segments=(), makespan_ms=result.makespan_ms)
     cur = max(result.causality, key=lambda r: r.finish_ms)
-    chain: List["TaskCausality"] = []
+    chain: List[TaskCausality] = []
     visited = set()
     while True:
         key = (cur.request, cur.index)
@@ -375,7 +368,7 @@ def compute_slack(result: "ExecutionResult") -> Dict[Tuple[int, int], float]:
             add_edge(key, (row.request, row.index + 1))
         if row.enabled_by is not None:
             add_edge(row.enabled_by, key)
-    by_proc: Dict[str, List["TaskCausality"]] = {}
+    by_proc: Dict[str, List[TaskCausality]] = {}
     for row in result.causality:
         if row.start_ms is not None:
             by_proc.setdefault(row.processor, []).append(row)
@@ -412,7 +405,7 @@ def _component_row() -> Dict[str, float]:
     }
 
 
-def _accumulate(row: Dict[str, float], c: "TaskCausality") -> None:
+def _accumulate(row: Dict[str, float], c: TaskCausality) -> None:
     row["processor_busy_wait_ms"] += c.processor_busy_wait_ms
     row["residency_wait_ms"] += c.residency_wait_ms
     row["scheduler_wait_ms"] += c.scheduler_wait_ms

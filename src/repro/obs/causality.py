@@ -1,0 +1,323 @@
+"""Exact blame data: per-slice wait and enablement accounting.
+
+The discrete-event engine (:mod:`repro.runtime.engine`) owns one
+:class:`CausalityTracker` when it runs with ``track_causality=True``
+(the default) and calls it at the simulation's edges: a slice becoming
+ready, a slice starting, each advancing step, a slice finishing or
+being truncated by a cancellation, a processor being vacated and an
+arena being released.  From those calls the tracker records, per task,
+a :class:`TaskCausality` row: the instant the slice became ready (its
+request's arrival for the first stage, the predecessor's departure
+otherwise), what *enabled* its start (arrival, predecessor finish, a
+specific processor freeing, a specific residency drain, or the
+engine's forced-start overcommit path), and an integrated wait
+breakdown (processor-busy wait, residency wait, a residual scheduler
+bucket that absorbs sub-epsilon event-pop slivers, and off-processor
+preemption time).  Because ready instants tile each request's
+``[arrival, finish]`` interval exactly, the components sum to the
+end-to-end latency with zero residue by construction — the invariant
+:mod:`repro.obs.blame` reports and ``tests/test_obs_blame.py`` enforces
+on all three SoCs.  The tracker only reads what the engine hands it, so
+the engine's step arithmetic is the same with tracking on or off.
+
+Like the rest of ``repro.obs`` this module is a data-only leaf: tasks
+are duck-typed (anything with ``request``/``stage``/``proc.name``/
+``solo_ms``/``remaining_ms``/``workload``), so nothing here imports
+``runtime``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, keeps obs a leaf
+    from ..runtime.engine import ChainTask
+
+#: What enabled a slice's start (``TaskCausality.cause``).
+CAUSE_ARRIVAL = "arrival"
+CAUSE_PREDECESSOR = "predecessor"
+CAUSE_PROCESSOR_FREED = "processor_freed"
+CAUSE_RESIDENCY_DRAIN = "residency_drain"
+CAUSE_FORCED = "forced"
+#: A slice cancelled before it ever started has no enabling cause.
+CAUSE_UNSTARTED = "unstarted"
+
+#: The full enabling-cause taxonomy, in no particular order.
+CAUSE_KINDS = (
+    CAUSE_ARRIVAL,
+    CAUSE_PREDECESSOR,
+    CAUSE_PROCESSOR_FREED,
+    CAUSE_RESIDENCY_DRAIN,
+    CAUSE_FORCED,
+    CAUSE_UNSTARTED,
+)
+
+#: What keeps a ready head waiting during a step, as the engine reports
+#: it to :meth:`CausalityTracker.advance`: it started and was preempted
+#: off its processor, its processor is occupied, or memory admission
+#: would exceed the capacity.
+BLOCK_PREEMPTED = "preempted"
+BLOCK_PROCESSOR = "processor"
+BLOCK_MEMORY = "memory"
+
+#: ``(request, index)`` of one slice: its request and chain position.
+TaskKey = Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class TaskCausality:
+    """Exact wait/enablement accounting for one slice.
+
+    ``index`` is the slice's position in its request's chain (stages
+    may repeat in hand-built chains; positions never do) —
+    ``enabled_by`` references ``(request, index)`` of the task whose
+    completion triggered this one's start, or ``None`` when the start
+    was triggered by the request's own arrival, a forced overcommit,
+    or a preemption vacating the processor.
+
+    The wait interval ``[ready_ms, start_ms]`` decomposes into
+    ``processor_busy_wait_ms + residency_wait_ms + scheduler_wait_ms``
+    where the scheduler bucket is the float residual (it absorbs the
+    sub-epsilon slivers between event pops and starts, so the sum is
+    exact by construction).  The run interval ``[start_ms, finish_ms]``
+    decomposes into ``executed_solo_ms + preempted_ms +
+    inflation_ms`` — contention inflation is likewise the residual.
+    A slice cancelled mid-run is ``truncated`` with
+    ``executed_solo_ms`` the progress it actually made; a slice
+    cancelled before starting has ``start_ms=None`` and only waits.
+    """
+
+    request: int
+    stage: int
+    index: int
+    processor: str
+    cause: str
+    enabled_by: Optional[TaskKey]
+    ready_ms: float
+    start_ms: Optional[float]
+    finish_ms: float
+    solo_ms: float
+    executed_solo_ms: float
+    processor_busy_wait_ms: float
+    residency_wait_ms: float
+    scheduler_wait_ms: float
+    preempted_ms: float
+    truncated: bool = False
+
+    @property
+    def wait_ms(self) -> float:
+        """Ready-to-start wait (ready-to-cancel for unstarted slices)."""
+        anchor = self.start_ms if self.start_ms is not None else self.finish_ms
+        return anchor - self.ready_ms
+
+    @property
+    def duration_ms(self) -> float:
+        """Wall time on (or preempted from) the processor."""
+        if self.start_ms is None:
+            return 0.0
+        return self.finish_ms - self.start_ms
+
+    @property
+    def inflation_ms(self) -> float:
+        """Contention inflation: wall duration beyond solo + preempted."""
+        return self.duration_ms - self.executed_solo_ms - self.preempted_ms
+
+
+class _HeadState:
+    """Mutable accrual for a request's ready-but-unfinished slice."""
+
+    __slots__ = (
+        "task",
+        "index",
+        "ready_ms",
+        "start_ms",
+        "cause",
+        "enabled_by",
+        "busy_wait_ms",
+        "residency_wait_ms",
+        "preempted_ms",
+        "last_block",
+    )
+
+    def __init__(self, task: "ChainTask", index: int, ready_ms: float) -> None:
+        self.task = task
+        self.index = index
+        self.ready_ms = ready_ms
+        self.start_ms: Optional[float] = None
+        self.cause: Optional[str] = None
+        self.enabled_by: Optional[TaskKey] = None
+        self.busy_wait_ms = 0.0
+        self.residency_wait_ms = 0.0
+        self.preempted_ms = 0.0
+        self.last_block: Optional[str] = None
+
+
+class CausalityTracker:
+    """Accrues :class:`TaskCausality` rows and the co-run inflation matrix.
+
+    A request's chain runs strictly in order, so each request has at
+    most one open slice — from :meth:`ready` to :meth:`finish` — and
+    the open accruals are keyed by request id.
+
+    Attributes:
+        rows: The finished rows, in finalization order.
+        corun_inflation_ms: Contention inflation per directional
+            ``(suffering processor, co-runner processor)`` pair.
+    """
+
+    def __init__(self) -> None:
+        self.rows: List[TaskCausality] = []
+        self.corun_inflation_ms: Dict[Tuple[str, str], float] = {}
+        self._open: Dict[int, _HeadState] = {}
+        # Per processor: the slice whose departure (or cancellation)
+        # most recently vacated it; None after a preemption (the
+        # vacating slice has no finish yet).
+        self._last_freed: Dict[str, Optional[TaskKey]] = {}
+        # The slice of the most recent arena-releasing event.
+        self._last_release: Optional[TaskKey] = None
+
+    def ready(self, task: "ChainTask", index: int, ready_ms: float) -> None:
+        """Open accrual for ``task``, chain position ``index``, at ``ready_ms``."""
+        self._open[task.request] = _HeadState(task, index, ready_ms)
+
+    def start(
+        self, request: int, processor: str, now_ms: float, forced: bool
+    ) -> None:
+        """Record the first start of the request's open slice.
+
+        The enabling cause is the resource that last blocked the slice
+        (the processor's last vacating slice, or the last arena
+        release), else its predecessor's finish, else its request's
+        arrival; a forced overcommit has no enabling slice.
+        """
+        state = self._open[request]
+        state.start_ms = now_ms
+        if forced:
+            state.cause = CAUSE_FORCED
+        elif state.last_block == BLOCK_PROCESSOR:
+            state.cause = CAUSE_PROCESSOR_FREED
+            state.enabled_by = self._last_freed.get(processor)
+        elif state.last_block == BLOCK_MEMORY:
+            state.cause = CAUSE_RESIDENCY_DRAIN
+            state.enabled_by = self._last_release
+        elif state.index > 0:
+            state.cause = CAUSE_PREDECESSOR
+            state.enabled_by = (request, state.index - 1)
+        else:
+            state.cause = CAUSE_ARRIVAL
+
+    def advance(
+        self,
+        dt: float,
+        blocked: Iterable[Tuple[int, str]],
+        running: Sequence["ChainTask"],
+        rates: Mapping[int, float],
+    ) -> None:
+        """Integrate one step of wall time ``dt``.
+
+        ``blocked`` pairs each waiting ready head's request with its
+        ``BLOCK_*`` blocker; each head's buckets are its own, so the
+        order cannot change any sum.  The residual scheduler bucket
+        needs no accrual — :meth:`finish` computes it as
+        ``wait − busy − residency``.
+
+        ``running`` are the slices on a processor and ``rates`` their
+        slowdown factors ``1 + s`` keyed by ``id(task)``.  A slice at
+        rate ``1 + s`` makes ``dt / (1 + s)`` of solo progress, so
+        ``dt − dt / rate`` is pure inflation; it is split equally among
+        the workload-bearing co-runners (Eq. 1's slowdown is not
+        decomposable per co-runner, so the equal split is the
+        documented convention).
+        """
+        for request, blocker in blocked:
+            state = self._open[request]
+            if blocker == BLOCK_PREEMPTED:
+                state.preempted_ms += dt
+            elif blocker == BLOCK_PROCESSOR:
+                state.busy_wait_ms += dt
+                state.last_block = blocker
+            else:
+                state.residency_wait_ms += dt
+                state.last_block = blocker
+        for task in running:
+            rate = rates[id(task)]
+            if rate <= 1.0:
+                continue
+            others = [
+                t for t in running if t is not task and t.workload is not None
+            ]
+            if not others:
+                continue
+            share = (dt - dt / rate) / len(others)
+            a = task.proc.name
+            for other in others:
+                pair = (a, other.proc.name)
+                self.corun_inflation_ms[pair] = (
+                    self.corun_inflation_ms.get(pair, 0.0) + share
+                )
+
+    def finish(
+        self, request: int, now_ms: float, truncated: bool = False
+    ) -> Optional[TaskKey]:
+        """Freeze the request's open slice into a row at ``now_ms``.
+
+        A ``truncated`` slice (its request was cancelled) counts only
+        the solo progress it made, or only its wait if it never
+        started.
+
+        Returns:
+            The finished slice's ``(request, index)``, or None when the
+            request had no open slice.
+        """
+        state = self._open.pop(request, None)
+        if state is None:
+            return None
+        task = state.task
+        if state.start_ms is not None:
+            wait = state.start_ms - state.ready_ms
+            executed = task.solo_ms
+            if truncated:
+                executed = task.solo_ms - max(task.remaining_ms, 0.0)
+        else:
+            wait = now_ms - state.ready_ms
+            executed = 0.0
+        scheduler = wait - state.busy_wait_ms - state.residency_wait_ms
+        self.rows.append(
+            TaskCausality(
+                request=request,
+                stage=task.stage,
+                index=state.index,
+                processor=task.proc.name,
+                cause=state.cause or CAUSE_UNSTARTED,
+                enabled_by=state.enabled_by,
+                ready_ms=state.ready_ms,
+                start_ms=state.start_ms,
+                finish_ms=now_ms,
+                solo_ms=task.solo_ms,
+                executed_solo_ms=executed,
+                processor_busy_wait_ms=state.busy_wait_ms,
+                residency_wait_ms=state.residency_wait_ms,
+                scheduler_wait_ms=scheduler,
+                preempted_ms=state.preempted_ms,
+                truncated=truncated,
+            )
+        )
+        return (request, state.index)
+
+    def freed(self, processor: str, by: Optional[TaskKey]) -> None:
+        """``processor`` was vacated by slice ``by`` (None: a preemption)."""
+        self._last_freed[processor] = by
+
+    def released(self, by: Optional[TaskKey]) -> None:
+        """A request's arenas were released when slice ``by`` ended."""
+        self._last_release = by

@@ -8,17 +8,10 @@ from .arrivals import (
     make_arrival_process,
     resolve_arrivals,
 )
-from .engine import (
-    CAUSE_KINDS,
-    EVENT_KINDS,
-    DiscreteEventEngine,
-    Event,
-    TaskCausality,
-)
+from .engine import EVENT_KINDS, DiscreteEventEngine, Event
 from .executor import (
     ChainTask,
     ExecutionResult,
-    PipelineExecutor,
     TaskRecord,
     TracePoint,
     execute_plan,
@@ -55,11 +48,8 @@ __all__ = [
     "DiscreteEventEngine",
     "Event",
     "EVENT_KINDS",
-    "CAUSE_KINDS",
-    "TaskCausality",
     "ChainTask",
     "ExecutionResult",
-    "PipelineExecutor",
     "TaskRecord",
     "TracePoint",
     "execute_plan",

@@ -77,20 +77,11 @@ waits for residency to drain; when *every* processor is blocked, one
 task is force-started and counted as a memory-pressure event (the
 paging regime of a real device).
 
-**Causality (exact blame data).**  With ``track_causality=True`` (the
-default) the engine records, per task, a :class:`TaskCausality` row:
-the instant the slice became ready (its request's arrival for the
-first stage, the predecessor's departure otherwise), what *enabled*
-its start (arrival, predecessor finish, a specific processor freeing,
-a specific residency drain, or the ``_force_start_blocked`` overcommit
-path), and an integrated wait breakdown (processor-busy wait,
-residency wait, a residual scheduler bucket that absorbs sub-epsilon
-event-pop slivers, and off-processor preemption time).  Because ready
-instants tile each request's ``[arrival, finish]`` interval exactly,
-the components sum to the end-to-end latency with zero residue by
-construction — the invariant :mod:`repro.obs.blame` reports and
-``tests/test_obs_blame.py`` enforces on all three SoCs.  The bookkeeping never touches
-the step arithmetic, so the equivalence guarantee above is unaffected.
+**Causality.**  With ``track_causality=True`` the engine hands its
+ready, start, step, finish, vacate and release edges to one
+:class:`~repro.obs.causality.CausalityTracker`, which owns the exact
+blame bookkeeping (see that module); the tracker never feeds back into
+the step arithmetic.
 """
 
 from __future__ import annotations
@@ -98,9 +89,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
+from ..obs.causality import (
+    BLOCK_MEMORY,
+    BLOCK_PREEMPTED,
+    BLOCK_PROCESSOR,
+    CausalityTracker,
+    TaskCausality,
+)
 from ..hardware.memory import MemoryDemand, MemoryGovernor
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
@@ -189,112 +187,6 @@ class TaskRecord:
         if self.solo_ms <= 0:
             return 0.0
         return self.duration_ms / self.solo_ms - 1.0
-
-
-# ----------------------------------------------------- causality model
-
-#: What enabled a slice's start (``TaskCausality.cause``).
-CAUSE_ARRIVAL = "arrival"
-CAUSE_PREDECESSOR = "predecessor"
-CAUSE_PROCESSOR_FREED = "processor_freed"
-CAUSE_RESIDENCY_DRAIN = "residency_drain"
-CAUSE_FORCED = "forced"
-#: A slice cancelled before it ever started has no enabling cause.
-CAUSE_UNSTARTED = "unstarted"
-
-#: The full enabling-cause taxonomy, in no particular order.
-CAUSE_KINDS = (
-    CAUSE_ARRIVAL,
-    CAUSE_PREDECESSOR,
-    CAUSE_PROCESSOR_FREED,
-    CAUSE_RESIDENCY_DRAIN,
-    CAUSE_FORCED,
-    CAUSE_UNSTARTED,
-)
-
-
-@dataclass(frozen=True)
-class TaskCausality:
-    """Exact wait/enablement accounting for one slice.
-
-    ``index`` is the slice's position in its request's chain (stages
-    may repeat in hand-built chains; positions never do) —
-    ``enabled_by`` references ``(request, index)`` of the task whose
-    completion triggered this one's start, or ``None`` when the start
-    was triggered by the request's own arrival, a forced overcommit,
-    or a preemption vacating the processor.
-
-    The wait interval ``[ready_ms, start_ms]`` decomposes into
-    ``processor_busy_wait_ms + residency_wait_ms + scheduler_wait_ms``
-    where the scheduler bucket is the float residual (it absorbs the
-    sub-epsilon slivers between event pops and starts, so the sum is
-    exact by construction).  The run interval ``[start_ms, finish_ms]``
-    decomposes into ``executed_solo_ms + preempted_ms +
-    inflation_ms`` — contention inflation is likewise the residual.
-    A slice cancelled mid-run is ``truncated`` with
-    ``executed_solo_ms`` the progress it actually made; a slice
-    cancelled before starting has ``start_ms=None`` and only waits.
-    """
-
-    request: int
-    stage: int
-    index: int
-    processor: str
-    cause: str
-    enabled_by: Optional[Tuple[int, int]]
-    ready_ms: float
-    start_ms: Optional[float]
-    finish_ms: float
-    solo_ms: float
-    executed_solo_ms: float
-    processor_busy_wait_ms: float
-    residency_wait_ms: float
-    scheduler_wait_ms: float
-    preempted_ms: float
-    truncated: bool = False
-
-    @property
-    def wait_ms(self) -> float:
-        """Ready-to-start wait (ready-to-cancel for unstarted slices)."""
-        anchor = self.start_ms if self.start_ms is not None else self.finish_ms
-        return anchor - self.ready_ms
-
-    @property
-    def duration_ms(self) -> float:
-        """Wall time on (or preempted from) the processor."""
-        if self.start_ms is None:
-            return 0.0
-        return self.finish_ms - self.start_ms
-
-    @property
-    def inflation_ms(self) -> float:
-        """Contention inflation: wall duration beyond solo + preempted."""
-        return self.duration_ms - self.executed_solo_ms - self.preempted_ms
-
-
-class _BlameState:
-    """Mutable per-head accrual for a ready-but-unfinished slice."""
-
-    __slots__ = (
-        "ready_ms",
-        "start_ms",
-        "cause",
-        "enabled_by",
-        "busy_wait_ms",
-        "residency_wait_ms",
-        "preempted_ms",
-        "last_block",
-    )
-
-    def __init__(self, ready_ms: float) -> None:
-        self.ready_ms = ready_ms
-        self.start_ms: Optional[float] = None
-        self.cause: Optional[str] = None
-        self.enabled_by: Optional[Tuple[int, int]] = None
-        self.busy_wait_ms = 0.0
-        self.residency_wait_ms = 0.0
-        self.preempted_ms = 0.0
-        self.last_block: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -464,7 +356,10 @@ class DiscreteEventEngine:
 
     The engine is single-use: construct, optionally schedule
     cancellations/preemptions, then :meth:`run` (or drive it
-    incrementally with :meth:`step` / :meth:`run_until_ms`).
+    incrementally with :meth:`step` / :meth:`run_until_ms`).  The
+    executor entry points (:func:`~repro.runtime.executor.simulate_chains`,
+    :func:`~repro.runtime.executor.execute_plan`) forward their engine
+    options here, so this is where every option is documented.
 
     Args:
         soc: The platform (contention coupling, memory capacity, DVFS).
@@ -486,20 +381,28 @@ class DiscreteEventEngine:
             arrival is dropped (a ``cancellation`` event with detail
             ``"deadline"``), releasing its pending work.
         record: Feed the observability recorder (span + execution
-            metrics); the planner's objective passes False for its
-            hundreds of internal probe simulations.
+            metrics).  The planner's objective re-simulates candidate
+            plans hundreds of times per plan; those probes pass False so
+            ``tasks_executed`` and the ``execute`` span describe only
+            real executions.
         keep_events: Keep the processed-event log on the result
             (off by default — objective probes run thousands of
             simulations and must not accumulate event objects).
-        track_causality: Record per-task :class:`TaskCausality` rows
-            and the co-run inflation matrix (on by default; pure
-            bookkeeping that never perturbs the step arithmetic).
+        track_causality: Record per-task
+            :class:`~repro.obs.causality.TaskCausality` rows and the
+            co-run inflation matrix, the blame layer's input (on by
+            default).  Pass False when nothing reads them; every
+            simulated time is identical either way.
 
     Raises:
         ValueError: on arrival-length mismatch, a task whose ``request``
             differs from its chain's position, a task whose processor
             is not part of the SoC, or a negative deadline.
         MemoryError: if a single slice alone exceeds the capacity.
+        RuntimeError: from :meth:`run` / :meth:`step` if the simulation
+            wedges — for valid fault-free inputs this cannot happen;
+            with faults it signals that a task has no online processor
+            able to run it.
     """
 
     def __init__(
@@ -588,19 +491,7 @@ class DiscreteEventEngine:
         self._slowdown_evaluations = 0
         self._finished_run = False
 
-        # --- causality bookkeeping (never perturbs the step arithmetic)
-        self._track_causality = track_causality
-        self._blame: Dict[Tuple[int, int], _BlameState] = {}
-        self._causality: List[TaskCausality] = []
-        self._corun_inflation: Dict[Tuple[str, str], float] = {}
-        # Per processor: (request, index) of the task whose departure
-        # (or cancellation) most recently vacated it; None after a
-        # preemption (the vacating slice has no finish yet).
-        self._last_freed: Dict[str, Optional[Tuple[int, int]]] = {
-            p.name: None for p in soc.processors
-        }
-        # (request, index) of the most recent arena-releasing event.
-        self._last_release: Optional[Tuple[int, int]] = None
+        self._tracker = CausalityTracker() if track_causality else None
 
         # --- the exogenous event heap: (time_ms, seq, kind, payload)
         self._heap: List[Tuple[float, int, str, object]] = []
@@ -769,6 +660,7 @@ class DiscreteEventEngine:
 
     def result(self) -> ExecutionResult:
         """Snapshot the (possibly still running) simulation state."""
+        tracker = self._tracker
         return ExecutionResult(
             records=list(self._records),
             makespan_ms=self._now,
@@ -781,8 +673,8 @@ class DiscreteEventEngine:
             dropped_requests=tuple(self._dropped),
             cancelled_requests=tuple(self._cancelled),
             events=list(self._events),
-            causality=list(self._causality),
-            corun_inflation_ms=dict(self._corun_inflation),
+            causality=list(tracker.rows) if tracker else [],
+            corun_inflation_ms=dict(tracker.corun_inflation_ms) if tracker else {},
         )
 
     # ---------------------------------------------------- event handlers
@@ -806,7 +698,9 @@ class DiscreteEventEngine:
                 # The first slice becomes ready at the arrival timestamp
                 # (not the possibly epsilon-later pop).  Cancellations
                 # wait for the arrival, so nothing is removed yet.
-                self._blame_ready(request, self._arrival_ms[request])
+                chain = self._chains[request]
+                if self._tracker is not None and chain:
+                    self._tracker.ready(chain[0], 0, self._arrival_ms[request])
                 self._expose_head(request)
                 self._emit(ARRIVAL, request=request)
             elif kind == RATE_CHANGE:
@@ -836,36 +730,28 @@ class DiscreteEventEngine:
         if reason == "deadline" and self._first_start[request] is not None:
             return  # started in time: the deadline drop does not fire
         running_proc: Optional[str] = None
-        running_task: Optional[ChainTask] = None
         for proc_name, task in self._proc_running.items():
             if task is not None and task.request == request:
-                running_proc, running_task = proc_name, task
+                running_proc = proc_name
                 break
-        # Finalize partial causality before the indices are mutated so
-        # the wait/run components still sum to [arrival, cancel].
-        trunc_key: Optional[Tuple[int, int]] = None
-        if self._track_causality:
-            idx = self._next_idx[request]
-            if running_task is not None:
-                if self._finalize_blame(running_task, idx - 1, truncated=True):
-                    trunc_key = (request, idx - 1)
-            elif self._prev_done[request] and idx < len(chain):
-                if self._finalize_blame(chain[idx], idx, truncated=True):
-                    trunc_key = (request, idx)
+        # The open slice's wait/run components sum to [arrival, cancel].
+        ended = None
+        if self._tracker is not None:
+            ended = self._tracker.finish(request, self._now, truncated=True)
         pending = len(chain) - self._next_idx[request]
         if pending:
             self._ready[chain[self._next_idx[request]].proc.name].discard(request)
         drained = pending + (1 if running_proc is not None else 0)
         if running_proc is not None:
             self._proc_running[running_proc] = None
-            if self._track_causality:
-                self._last_freed[running_proc] = trunc_key
+            if self._tracker is not None:
+                self._tracker.freed(running_proc, ended)
         self._next_idx[request] = len(chain)
         self._prev_done[request] = True
         released = self._request_alloc.pop(request, 0.0)
         self._used_bytes -= released
-        if self._track_causality and released > 0.0:
-            self._last_release = trunc_key
+        if self._tracker is not None and released > 0.0:
+            self._tracker.released(ended)
         self._outstanding -= drained
         self._removed.add(request)
         self._finish[request] = self._now
@@ -890,131 +776,12 @@ class DiscreteEventEngine:
             self._next_idx[request] -= 1
             self._prev_done[request] = True
             self._expose_head(request)
-            if self._track_causality:
+            if self._tracker is not None:
                 # The vacating slice has no finish yet, so a start it
                 # enables cannot reference a completed record.
-                self._last_freed[proc_name] = None
+                self._tracker.freed(proc_name, None)
             self._emit(PREEMPTION, request=request, processor=proc_name)
             return
-
-    # ------------------------------------------------ causality tracking
-
-    def _blame_ready(self, request: int, ready_ms: float) -> None:
-        """Open accrual for the request's current head, if any."""
-        if not self._track_causality:
-            return
-        idx = self._next_idx[request]
-        if idx >= len(self._chains[request]):
-            return
-        key = (request, idx)
-        if key not in self._blame:
-            self._blame[key] = _BlameState(ready_ms)
-
-    def _accrue_waits(self, dt: float) -> None:
-        """Integrate wait buckets for every ready-but-waiting head.
-
-        Called once per advancing step with the step's ``dt``; it
-        visits only the per-processor ready sets, so its cost is the
-        number of waiting heads, not the number of requests.  A head
-        that is off-processor after having started accrues preemption
-        time; otherwise the blocking resource at this instant decides
-        the bucket (its processor occupied, then memory admission).
-        Each head's buckets are its own, so the visiting order cannot
-        change any sum.  The residual scheduler bucket needs no
-        accrual — it is computed at finalization as
-        ``wait − busy − residency``.
-        """
-        for proc_name, ready in self._ready.items():
-            occupied = self._proc_running[proc_name] is not None
-            for i in ready:
-                idx = self._next_idx[i]
-                state = self._blame.get((i, idx))
-                if state is None:
-                    continue
-                head = self._chains[i][idx]
-                if head.start_ms is not None:
-                    state.preempted_ms += dt
-                elif occupied:
-                    state.busy_wait_ms += dt
-                    state.last_block = "processor"
-                elif self._enforce_memory:
-                    admit = (
-                        head.working_set
-                        if id(head) not in self._allocated
-                        else 0.0
-                    )
-                    if self._used_bytes + admit > self._capacity:
-                        state.residency_wait_ms += dt
-                        state.last_block = "memory"
-
-    def _accrue_corun_inflation(
-        self, running: List[ChainTask], rates: Dict[int, float], dt: float
-    ) -> None:
-        """Attribute each slice's contention inflation to its co-runners.
-
-        Over a step of wall time ``dt`` a slice running at rate
-        ``1 + s`` makes ``dt / (1 + s)`` of solo progress, so
-        ``dt − dt / rate`` is pure inflation; it is split equally among
-        the workload-bearing co-runners (Eq. 1's slowdown is not
-        decomposable per co-runner, so the equal split is the
-        documented convention).  Keys are directional:
-        ``(suffering processor, co-runner processor)``.
-        """
-        for task in running:
-            rate = rates[id(task)]
-            if rate <= 1.0:
-                continue
-            others = [
-                t for t in running if t is not task and t.workload is not None
-            ]
-            if not others:
-                continue
-            share = (dt - dt / rate) / len(others)
-            a = task.proc.name
-            for other in others:
-                pair = (a, other.proc.name)
-                self._corun_inflation[pair] = (
-                    self._corun_inflation.get(pair, 0.0) + share
-                )
-
-    def _finalize_blame(
-        self, task: ChainTask, position: int, truncated: bool
-    ) -> bool:
-        """Freeze the head's accrual into a :class:`TaskCausality` row."""
-        state = self._blame.pop((task.request, position), None)
-        if state is None:
-            return False
-        end = self._now
-        if state.start_ms is not None:
-            wait = state.start_ms - state.ready_ms
-            executed = task.solo_ms
-            if truncated:
-                executed = task.solo_ms - max(task.remaining_ms, 0.0)
-        else:
-            wait = end - state.ready_ms
-            executed = 0.0
-        scheduler = wait - state.busy_wait_ms - state.residency_wait_ms
-        self._causality.append(
-            TaskCausality(
-                request=task.request,
-                stage=task.stage,
-                index=position,
-                processor=task.proc.name,
-                cause=state.cause or CAUSE_UNSTARTED,
-                enabled_by=state.enabled_by,
-                ready_ms=state.ready_ms,
-                start_ms=state.start_ms,
-                finish_ms=end,
-                solo_ms=task.solo_ms,
-                executed_solo_ms=executed,
-                processor_busy_wait_ms=state.busy_wait_ms,
-                residency_wait_ms=state.residency_wait_ms,
-                scheduler_wait_ms=scheduler,
-                preempted_ms=state.preempted_ms,
-                truncated=truncated,
-            )
-        )
-        return True
 
     # --------------------------------------------------- scheduling core
 
@@ -1109,29 +876,10 @@ class DiscreteEventEngine:
     def _start_task(
         self, task: ChainTask, proc_name: str, forced: bool = False
     ) -> None:
-        fresh = task.start_ms is None
-        if task.start_ms is None:
-            task.start_ms = self._now  # a resumed slice keeps its start
-        if self._track_causality and fresh:
-            position = self._next_idx[task.request]
-            state = self._blame.get((task.request, position))
-            if state is None:  # defensive: readiness should have opened it
-                state = _BlameState(self._now)
-                self._blame[(task.request, position)] = state
-            state.start_ms = self._now
-            if forced:
-                state.cause = CAUSE_FORCED
-            elif state.last_block == "processor":
-                state.cause = CAUSE_PROCESSOR_FREED
-                state.enabled_by = self._last_freed.get(proc_name)
-            elif state.last_block == "memory":
-                state.cause = CAUSE_RESIDENCY_DRAIN
-                state.enabled_by = self._last_release
-            elif position > 0:
-                state.cause = CAUSE_PREDECESSOR
-                state.enabled_by = (task.request, position - 1)
-            else:
-                state.cause = CAUSE_ARRIVAL
+        if task.start_ms is None:  # a resumed slice keeps its start
+            task.start_ms = self._now
+            if self._tracker is not None:
+                self._tracker.start(task.request, proc_name, self._now, forced)
         self._proc_running[proc_name] = task
         if id(task) not in self._allocated:
             self._allocated.add(id(task))
@@ -1155,12 +903,37 @@ class DiscreteEventEngine:
             task = self._ready_task_for(proc.name)
             if task is None:
                 continue
-            admit = task.working_set if id(task) not in self._allocated else 0.0
-            if self._enforce_memory and self._used_bytes + admit > self._capacity:
+            if self._memory_blocked(task):
                 blocked = True
                 continue  # waits for residency to drain
             self._start_task(task, proc.name)
         return blocked
+
+    def _memory_blocked(self, task: ChainTask) -> bool:
+        """Whether admitting ``task`` now would exceed the capacity."""
+        admit = task.working_set if id(task) not in self._allocated else 0.0
+        return self._enforce_memory and self._used_bytes + admit > self._capacity
+
+    def _blocked_heads(self) -> Iterator[Tuple[int, str]]:
+        """Each waiting ready head's request and what blocks it right now.
+
+        It visits only the per-processor ready sets, so its cost is the
+        number of waiting heads, not the number of requests.  A head
+        that already started is off its processor by preemption;
+        otherwise its processor being occupied, then memory admission,
+        blocks it.  A head blocked by neither (it lost the FIFO pick to
+        a blocked head) is skipped.
+        """
+        for proc_name, ready in self._ready.items():
+            occupied = self._proc_running[proc_name] is not None
+            for i in ready:
+                head = self._chains[i][self._next_idx[i]]
+                if head.start_ms is not None:
+                    yield i, BLOCK_PREEMPTED
+                elif occupied:
+                    yield i, BLOCK_PROCESSOR
+                elif self._memory_blocked(head):
+                    yield i, BLOCK_MEMORY
 
     def _force_start_blocked(self) -> bool:
         """Overcommit one memory-blocked task to break a residency wedge.
@@ -1257,10 +1030,8 @@ class DiscreteEventEngine:
             dt = min(dt, next_ms - self._now)
         dt = max(dt, _EPS)
 
-        if self._track_causality:
-            self._accrue_waits(dt)
-            if self._with_contention:
-                self._accrue_corun_inflation(running, rates, dt)
+        if self._tracker is not None:
+            self._tracker.advance(dt, self._blocked_heads(), running, rates)
 
         for task in running:
             task.remaining_ms -= dt / rates[id(task)]
@@ -1276,21 +1047,22 @@ class DiscreteEventEngine:
                 self._finish[task.request] = self._now
                 self._completed += 1
                 self._outstanding -= 1
-                position = self._next_idx[task.request] - 1
-                if self._track_causality:
-                    self._finalize_blame(task, position, truncated=False)
-                    self._last_freed[proc.name] = (task.request, position)
-                    # The successor head becomes ready at this exact
-                    # departure instant (the tiling invariant).
-                    self._blame_ready(task.request, self._now)
-                if self._next_idx[task.request] >= len(
-                    self._chains[task.request]
-                ):
+                chain = self._chains[task.request]
+                successor = self._next_idx[task.request]
+                finished = None
+                if self._tracker is not None:
+                    finished = self._tracker.finish(task.request, self._now)
+                    self._tracker.freed(proc.name, finished)
+                    if successor < len(chain):
+                        # The successor head becomes ready at this exact
+                        # departure instant (the tiling invariant).
+                        self._tracker.ready(chain[successor], successor, self._now)
+                if successor >= len(chain):
                     # Last stage done: release the request's arenas.
                     released = self._request_alloc.pop(task.request, 0.0)
                     self._used_bytes -= released
-                    if self._track_causality and released > 0.0:
-                        self._last_release = (task.request, position)
+                    if self._tracker is not None and released > 0.0:
+                        self._tracker.released(finished)
                 traffic = 0.0
                 if task.workload is not None:
                     traffic = task.workload.profile.traffic_bytes(

@@ -37,7 +37,7 @@ loop preserved in :mod:`repro.runtime._legacy_executor`):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .. import obs
 from ..profiling.slowdown import SliceWorkload
@@ -62,7 +62,6 @@ __all__ = [
     "ChainTask",
     "Event",
     "ExecutionResult",
-    "PipelineExecutor",
     "TaskRecord",
     "TracePoint",
     "execute_plan",
@@ -78,74 +77,17 @@ def simulate_chains(
     soc: SocSpec,
     chains: Sequence[Sequence[ChainTask]],
     arrivals: ArrivalsLike = None,
-    with_contention: bool = True,
-    enforce_memory: bool = True,
-    trace: bool = False,
-    processor_offline_ms: Optional[Dict[str, float]] = None,
-    record: bool = True,
-    deadline_ms: Optional[object] = None,
-    keep_events: bool = False,
-    track_causality: bool = True,
+    **options: Any,
 ) -> ExecutionResult:
     """Simulate per-request task chains on one SoC.
 
     A thin adapter over :class:`~repro.runtime.engine.DiscreteEventEngine`
-    — one engine instance per call, run to completion.  Argument
-    semantics, return type and raised exceptions are the engine's; the
-    historical signature (a plain ``arrivals`` sequence, no deadlines)
-    behaves exactly as before the refactor.
-
-    Args:
-        soc: The platform (contention coupling, memory capacity, DVFS).
-        chains: One ordered task chain per request; tasks run strictly
-            in chain order, each on its own processor.
-        arrivals: Per-request arrival times in ms, an
-            :class:`~repro.runtime.arrivals.ArrivalProcess`, or None
-            (closed loop: everything arrives at t=0).
-        with_contention: Apply dynamic co-execution slowdown.
-        enforce_memory: Enforce Constraint 6 (tasks wait for residency).
-        trace: Record :class:`TracePoint` samples at event edges.
-        processor_offline_ms: Fault injection — processors stop
-            accepting *new* tasks at the given times (a running task
-            completes); pending tasks bound for an offline unit fall
-            back to the best online processor supporting their slice.
-        record: Feed the observability recorder (span + execution
-            metrics).  The planner's objective function re-simulates
-            candidate plans hundreds of times per plan; those internal
-            evaluations pass False so ``tasks_executed`` and the
-            ``execute`` span describe only real executions.
-        deadline_ms: Scalar or per-request relative deadlines; a request
-            whose first slice has not started this long after its
-            arrival is dropped (see the engine docs).
-        keep_events: Keep the processed-event log on the result.
-        track_causality: Record per-task
-            :class:`~repro.runtime.engine.TaskCausality` rows and the
-            co-run inflation matrix (the blame layer's input).
-
-    Returns:
-        The :class:`ExecutionResult`.
-
-    Raises:
-        ValueError: on arrival-length mismatch, a task whose processor
-            is not part of the SoC, or a negative deadline.
-        MemoryError: if a single slice alone exceeds the capacity.
-        RuntimeError: if the simulation wedges — for valid fault-free
-            inputs this cannot happen; with faults it signals that a
-            task has no online processor able to run it.
+    — one engine instance per call, run to completion.  ``options`` are
+    the engine's keyword options (``with_contention``, ``deadline_ms``,
+    ``track_causality``, ...); their semantics, the return type and the
+    raised exceptions are the engine's, documented there.
     """
-    return DiscreteEventEngine(
-        soc,
-        chains,
-        arrivals=arrivals,
-        with_contention=with_contention,
-        enforce_memory=enforce_memory,
-        trace=trace,
-        processor_offline_ms=processor_offline_ms,
-        deadline_ms=deadline_ms,
-        record=record,
-        keep_events=keep_events,
-        track_causality=track_causality,
-    ).run()
+    return DiscreteEventEngine(soc, chains, arrivals, **options).run()
 
 
 def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
@@ -278,83 +220,24 @@ def execute_plan_perturbed(
     plan: "PipelinePlan",
     factors: Dict[str, float],
     arrivals: ArrivalsLike = None,
-    with_contention: bool = True,
-    enforce_memory: bool = True,
-    trace: bool = False,
-    record: bool = True,
+    **options: Any,
 ) -> ExecutionResult:
-    """Execute a plan with per-processor slowdown factors injected."""
+    """Execute a plan with per-processor slowdown factors injected.
+
+    ``options`` are forwarded to the engine (see :func:`simulate_chains`).
+    """
     chains = plan_to_chains(plan)
     scale_chain_tasks(chains, factors)
-    return simulate_chains(
-        plan.soc,
-        chains,
-        arrivals=arrivals,
-        with_contention=with_contention,
-        enforce_memory=enforce_memory,
-        trace=trace,
-        record=record,
-    )
-
-
-class PipelineExecutor:
-    """Simulates one :class:`~repro.core.plan.PipelinePlan` end to end."""
-
-    def __init__(
-        self,
-        plan: "PipelinePlan",
-        with_contention: bool = True,
-        enforce_memory: bool = True,
-        trace: bool = False,
-        record: bool = True,
-        deadline_ms: Optional[object] = None,
-        track_causality: bool = True,
-    ):
-        self.plan = plan
-        self.with_contention = with_contention
-        self.enforce_memory = enforce_memory
-        self.trace_enabled = trace
-        self.record = record
-        self.deadline_ms = deadline_ms
-        self.track_causality = track_causality
-
-    def run(self, arrivals: ArrivalsLike = None) -> ExecutionResult:
-        """Simulate the plan (see :func:`simulate_chains`)."""
-        return simulate_chains(
-            self.plan.soc,
-            plan_to_chains(self.plan),
-            arrivals=arrivals,
-            with_contention=self.with_contention,
-            enforce_memory=self.enforce_memory,
-            trace=self.trace_enabled,
-            record=self.record,
-            deadline_ms=self.deadline_ms,
-            track_causality=self.track_causality,
-        )
+    return simulate_chains(plan.soc, chains, arrivals, **options)
 
 
 def execute_plan(
     plan: "PipelinePlan",
     arrivals: ArrivalsLike = None,
-    with_contention: bool = True,
-    enforce_memory: bool = True,
-    trace: bool = False,
-    record: bool = True,
-    deadline_ms: Optional[object] = None,
-    track_causality: bool = True,
+    **options: Any,
 ) -> ExecutionResult:
-    """Convenience wrapper: build an executor and run it.
+    """Simulate one :class:`~repro.core.plan.PipelinePlan` end to end.
 
-    Pass ``track_causality=False`` when nothing reads the result's
-    causality rows (see :func:`simulate_chains`); every simulated time
-    is identical either way.
+    ``options`` are forwarded to the engine (see :func:`simulate_chains`).
     """
-    return PipelineExecutor(
-        plan,
-        with_contention=with_contention,
-        enforce_memory=enforce_memory,
-        trace=trace,
-        record=record,
-        deadline_ms=deadline_ms,
-        track_causality=track_causality,
-    ).run(arrivals)
+    return simulate_chains(plan.soc, plan_to_chains(plan), arrivals, **options)

@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from ..obs import (
     DriftDetected,
     RequestBlame,
     ResidualReport,
+    TaskCausality,
     WindowStats,
     event_from_dict,
     report_from_dict,
@@ -237,7 +238,6 @@ def run_from_dict(doc: Dict[str, object]) -> RunArchive:
     Raises:
         ValueError: on an unknown schema identifier.
     """
-    from .engine import TaskCausality
     from .executor import ExecutionResult, TaskRecord, TracePoint
 
     schema = doc.get("schema", RUN_SCHEMA)

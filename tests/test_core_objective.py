@@ -6,6 +6,8 @@ byte-identical plans over the full zoo x SoC grid, and a repeated
 20-request mix stops re-running the event-driven simulation.
 """
 
+import inspect
+
 import pytest
 
 from repro import obs
@@ -281,7 +283,10 @@ class TestProbeCost:
 
         class Spy(engine):
             def __init__(self, *args, **kwargs):
-                seen.append(kwargs["track_causality"])
+                # The executor forwards options, so resolve the defaults.
+                bound = inspect.signature(engine).bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.append(bound.arguments["track_causality"])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(executor, "DiscreteEventEngine", Spy)

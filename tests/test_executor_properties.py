@@ -6,7 +6,8 @@ must have: per-processor mutual exclusion, chain precedence (Eq. 8),
 work conservation, arrival respect, and determinism.  Open-loop runs
 with deadlines, cancellations, preemptions and processor faults check
 the engine's per-processor ready sets against a brute-force
-recomputation after every step.
+recomputation after every step, and that replaying them with causality
+tracking off simulates exactly the same schedule.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from repro.hardware.soc import get_soc
 from repro.obs.blame import blame_requests
 from repro.runtime.engine import DiscreteEventEngine
-from repro.runtime.executor import ChainTask, simulate_chains
+from repro.runtime.executor import ChainTask, replicate_chains, simulate_chains
 
 KIRIN = get_soc("kirin990")
 PROCS = list(KIRIN.processors)
@@ -217,15 +218,16 @@ def _brute_force_ready(engine):
     return ready
 
 
-def _drive(run):
+def _drive(run, track_causality=True):
     engine = DiscreteEventEngine(
         KIRIN,
-        run["chains"],
+        replicate_chains(run["chains"], 1),  # engine tasks are mutable
         arrivals=run["arrivals"],
         deadline_ms=run["deadline_ms"],
         processor_offline_ms=run["offline"],
         enforce_memory=run["enforce_memory"],
         record=False,
+        track_causality=track_causality,
     )
     for request, at_ms in run["cancellations"]:
         engine.schedule_cancellation(request, at_ms)
@@ -248,3 +250,13 @@ class TestReadySetInvariant:
         result = _drive(run)
         for blamed in blame_requests(result):
             assert abs(blamed.residue_ms) <= 1e-9, blamed
+        # Causality bookkeeping never feeds back into the simulation.
+        untracked = _drive(run, track_causality=False)
+        assert untracked.records == result.records
+        assert untracked.request_finish_ms == result.request_finish_ms
+        assert untracked.request_first_start_ms == result.request_first_start_ms
+        assert untracked.dropped_requests == result.dropped_requests
+        assert untracked.cancelled_requests == result.cancelled_requests
+        assert untracked.memory_pressure_events == result.memory_pressure_events
+        assert untracked.causality == []
+        assert untracked.corun_inflation_ms == {}

@@ -56,7 +56,7 @@ class TestFig7Internals:
     def test_band_scatter_fraction(self, summary):
         scatter_all = summary.band_scatter(fraction=1.0)
         scatter_third = summary.band_scatter(fraction=0.34)
-        assert len(scatter_all) == len(summary.results)
+        assert len(scatter_all) == summary.matrix.num_workloads
         assert len(scatter_third) <= len(scatter_all)
 
     def test_render_contains_all_schemes(self, summary):

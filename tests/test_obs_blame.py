@@ -18,6 +18,14 @@ from repro.obs.blame import (
     compute_slack,
     extract_critical_path,
 )
+from repro.obs.causality import (
+    CAUSE_ARRIVAL,
+    CAUSE_FORCED,
+    CAUSE_KINDS,
+    CAUSE_PREDECESSOR,
+    CAUSE_PROCESSOR_FREED,
+    CAUSE_RESIDENCY_DRAIN,
+)
 from repro.obs.export import blame_telemetry_rows, write_blame_jsonl
 from repro.obs.timeline import TimelineAggregator
 from repro.obs.whatif import (
@@ -29,16 +37,7 @@ from repro.obs.whatif import (
     run_whatifs,
 )
 from repro.runtime.arrivals import PoissonArrivals, resolve_arrivals
-from repro.runtime.engine import (
-    CAUSE_ARRIVAL,
-    CAUSE_FORCED,
-    CAUSE_KINDS,
-    CAUSE_PREDECESSOR,
-    CAUSE_PROCESSOR_FREED,
-    CAUSE_RESIDENCY_DRAIN,
-    ChainTask,
-    DiscreteEventEngine,
-)
+from repro.runtime.engine import ChainTask, DiscreteEventEngine
 from repro.runtime.executor import (
     plan_to_chains,
     replicate_chains,

@@ -13,6 +13,8 @@ from repro.runtime.executor import execute_plan
 from repro.runtime.queueing import heterogeneous_queueing, serial_queueing
 from repro.workloads.generator import arrival_times_ms
 
+#: A valid model list for the verbs that plan one.
+MODELS = ["--models", "resnet50,vit"]
 
 @pytest.fixture(scope="module")
 def kirin():
@@ -172,25 +174,27 @@ class TestCli:
     @pytest.mark.parametrize(
         "verb,flags",
         [
-            ("stats", ["--deadline-ms", "-1"]),
-            ("slo", ["--interval-ms", "-3"]),
+            ("stats", [*MODELS, "--deadline-ms", "-1"]),
+            ("slo", [*MODELS, "--interval-ms", "-3"]),
             ("stats", ["--models", "nosuch"]),
-            ("slo", ["--window-ms", "0"]),
-            ("drift", ["--window", "0"]),
-            ("slo", ["--burn-windows", "0,0"]),
-            ("accuracy", ["--perturb", "0"]),
-            ("stats", ["--repeat", "0"]),
-            ("accuracy", ["--perturb-processor", "nope", "--perturb", "1.3"]),
-            ("slo", ["--classes", "vit"]),
-            ("blame", ["--whatif", "scale:gpu:nope"]),
+            ("slo", [*MODELS, "--window-ms", "0"]),
+            ("drift", [*MODELS, "--window", "0"]),
+            ("slo", [*MODELS, "--burn-windows", "0,0"]),
+            ("accuracy", [*MODELS, "--perturb", "0"]),
+            ("stats", [*MODELS, "--repeat", "0"]),
+            ("accuracy", [*MODELS, "--perturb-processor", "nope", "--perturb", "1.3"]),
+            ("slo", [*MODELS, "--classes", "vit"]),
+            ("blame", [*MODELS, "--whatif", "scale:gpu:nope"]),
+            ("bench", ["--scenarios", "executor_sim", "--socs", "kirin990,nope"]),
+            ("bench", ["--scenarios", "executor_sim", "--rounds", "0"]),
         ],
     )
     def test_malformed_input_is_a_usage_error(self, capsys, verb, flags):
-        # argparse keeps the last --models, so the "nosuch" case wins.
-        assert main([verb, "--models", "resnet50,vit", *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.strip()
+        assert main([verb, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"hetero2pipe {verb}: error: ")
         assert "Traceback" not in err
+        assert "running" not in out  # rejected before any work ran
 
 
 class TestCliExtensions:

@@ -28,6 +28,7 @@ engine events by attribute, never by import.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -61,9 +62,9 @@ class SloSpec:
     objective_frac: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.deadline_ms <= 0:
+        if not (math.isfinite(self.deadline_ms) and self.deadline_ms > 0):
             raise ValueError(
-                f"SLO deadline must be > 0 ms, got {self.deadline_ms}"
+                f"SLO deadline must be finite and > 0 ms, got {self.deadline_ms}"
             )
         if not 0.0 < self.objective_frac < 1.0:
             raise ValueError(
@@ -128,18 +129,20 @@ def check_burn_config(
     """Validate an evaluator's window and burn-rate settings.
 
     Raises:
-        ValueError: on a non-positive window or threshold, or unless
-            ``1 <= fast_windows <= slow_windows``.
+        ValueError: on a non-finite or non-positive window or threshold,
+            or unless ``1 <= fast_windows <= slow_windows``.
     """
-    if window_ms <= 0:
-        raise ValueError(f"window must be > 0 ms, got {window_ms}")
+    if not (math.isfinite(window_ms) and window_ms > 0):
+        raise ValueError(f"window must be finite and > 0 ms, got {window_ms}")
     if not 1 <= fast_windows <= slow_windows:
         raise ValueError(
             "need 1 <= fast_windows <= slow_windows, got "
             f"fast={fast_windows} slow={slow_windows}"
         )
-    if burn_threshold <= 0:
-        raise ValueError(f"burn threshold must be > 0, got {burn_threshold}")
+    if not (math.isfinite(burn_threshold) and burn_threshold > 0):
+        raise ValueError(
+            f"burn threshold must be finite and > 0, got {burn_threshold}"
+        )
 
 
 class SloEvaluator:

@@ -181,8 +181,8 @@ class TimelineAggregator:
         window_ms: float,
         relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
     ) -> None:
-        if window_ms <= 0:
-            raise ValueError(f"window must be > 0 ms, got {window_ms}")
+        if not (math.isfinite(window_ms) and window_ms > 0):
+            raise ValueError(f"window must be finite and > 0 ms, got {window_ms}")
         if not processors:
             raise ValueError("need at least one processor name")
         self._processors = tuple(processors)

@@ -19,6 +19,7 @@ deadlines and cancellation are engine concerns
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Sequence, Union
 
@@ -53,10 +54,10 @@ class DeterministicArrivals(ArrivalProcess):
     name = "periodic"
 
     def __init__(self, interval_ms: float, start_ms: float = 0.0) -> None:
-        if interval_ms <= 0:
-            raise ValueError(f"interval must be > 0 ms, got {interval_ms}")
-        if start_ms < 0:
-            raise ValueError(f"start must be >= 0 ms, got {start_ms}")
+        if not (math.isfinite(interval_ms) and interval_ms > 0):
+            raise ValueError(f"interval must be finite and > 0 ms, got {interval_ms}")
+        if not (math.isfinite(start_ms) and start_ms >= 0):
+            raise ValueError(f"start must be finite and >= 0 ms, got {start_ms}")
         self.interval_ms = interval_ms
         self.start_ms = start_ms
 
@@ -79,8 +80,8 @@ class PoissonArrivals(ArrivalProcess):
     name = "poisson"
 
     def __init__(self, interval_ms: float, seed: int = 0) -> None:
-        if interval_ms <= 0:
-            raise ValueError(f"interval must be > 0 ms, got {interval_ms}")
+        if not (math.isfinite(interval_ms) and interval_ms > 0):
+            raise ValueError(f"interval must be finite and > 0 ms, got {interval_ms}")
         self.interval_ms = interval_ms
         self.seed = seed
 

@@ -379,7 +379,8 @@ class DiscreteEventEngine:
             (None entries exempt) of *relative* deadlines: a request
             whose first slice has not started ``deadline_ms`` after its
             arrival is dropped (a ``cancellation`` event with detail
-            ``"deadline"``), releasing its pending work.
+            ``"deadline"``), releasing its pending work.  ``inf`` means
+            no deadline.
         record: Feed the observability recorder (span + execution
             metrics).  The planner's objective re-simulates candidate
             plans hundreds of times per plan; those probes pass False so
@@ -397,7 +398,8 @@ class DiscreteEventEngine:
     Raises:
         ValueError: on arrival-length mismatch, a task whose ``request``
             differs from its chain's position, a task whose processor
-            is not part of the SoC, or a negative deadline.
+            is not part of the SoC, a negative or NaN deadline, or a
+            non-finite arrival time.
         MemoryError: if a single slice alone exceeds the capacity.
         RuntimeError: from :meth:`run` / :meth:`step` if the simulation
             wedges — for valid fault-free inputs this cannot happen;
@@ -424,6 +426,12 @@ class DiscreteEventEngine:
         n = len(self._chains)
         self._n = n
         self._arrival_ms = resolve_arrivals(n, arrivals)
+        if arrivals is not None:  # the closed loop is all zeros
+            for i, t in enumerate(self._arrival_ms):
+                if not math.isfinite(t):
+                    raise ValueError(
+                        f"arrival time of request {i} must be finite, got {t}"
+                    )
         self._with_contention = with_contention
         self._enforce_memory = enforce_memory
         self._trace_enabled = trace
@@ -525,7 +533,8 @@ class DiscreteEventEngine:
                     f"expected {self._n} deadlines, got {len(deadlines)}"
                 )
         for d in deadlines:
-            if d is not None and d < 0:
+            # inf is "no deadline"; NaN would never fire nor compare.
+            if d is not None and (math.isnan(d) or d < 0):
                 raise ValueError(f"deadline must be >= 0 ms, got {d}")
         return deadlines
 

@@ -7,6 +7,7 @@ with explicit seeding so every experiment is bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -84,12 +85,13 @@ def arrival_times_ms(
     ``interval_ms`` with uniform jitter of ``± jitter * interval_ms``.
 
     Raises:
-        ValueError: on non-positive interval or jitter outside [0, 1).
+        ValueError: on a non-finite or non-positive interval, or jitter
+            outside [0, 1).
     """
     if num_requests < 0:
         raise ValueError("num_requests must be >= 0")
-    if interval_ms <= 0:
-        raise ValueError("interval must be positive")
+    if not (math.isfinite(interval_ms) and interval_ms > 0):
+        raise ValueError(f"interval must be finite and positive, got {interval_ms}")
     if not 0.0 <= jitter < 1.0:
         raise ValueError("jitter must be in [0, 1)")
     rng = np.random.default_rng(seed)

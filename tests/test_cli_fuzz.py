@@ -1,0 +1,135 @@
+"""Randomized checking of the analysis verbs' input grammar.
+
+Hypothesis builds ``slo``, ``blame``, ``stats`` and ``accuracy``
+argument lists whose values include ``nan``, ``inf``, ``-0``, ``1e400``
+and garbage tokens, and checks that ``_resolve_inputs`` either rejects
+them the way ``main`` turns into a one-line exit-2 error (argparse's
+``SystemExit(2)``, or ``ValueError`` / ``KeyError``) or leaves only
+finite, in-range values behind.  Nothing is planned or simulated.
+
+A shrunk failure becomes a named case of the usage-error tests in
+``tests/test_queueing_cli.py`` (``TestCli``).
+"""
+
+import contextlib
+import io
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import _resolve_inputs, build_parser
+
+SPECIAL_NUMBERS = (
+    "nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "1e400", "-1e400",
+    "1e-400", "", " ", "x", "1,5", "0x10", "--", "1.5.2", "١",
+)
+
+numbers = st.one_of(
+    st.sampled_from(SPECIAL_NUMBERS),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 400).map(str),
+)
+ints = st.one_of(st.sampled_from(SPECIAL_NUMBERS), st.integers(-3, 30).map(str))
+
+
+def _joined(entry):
+    return st.lists(entry, max_size=4).map(",".join)
+
+
+class_entries = st.one_of(
+    st.builds(
+        lambda name, deadline, objective: f"{name}={deadline}" + objective,
+        st.sampled_from(["*", "resnet50", "vit", "nosuch", ""]),
+        numbers,
+        st.one_of(st.just(""), numbers.map(lambda text: ":" + text)),
+    ),
+    st.sampled_from(SPECIAL_NUMBERS),
+)
+whatif_entries = st.one_of(
+    st.sampled_from(["baseline", "no-contention", "unlimited-memory", "bogus"]),
+    st.builds(
+        lambda proc, factor: f"scale:{proc}:{factor}",
+        st.sampled_from(["gpu", "cpu_big", "npu", "nope"]),
+        numbers,
+    ),
+    ints.map(lambda text: f"drop:{text}"),
+)
+
+ARRIVAL_FLAGS = {
+    "--arrivals": st.sampled_from(["closed", "periodic", "poisson", "bursty"]),
+    "--interval-ms": numbers,
+    "--deadline-ms": numbers,
+}
+VERB_FLAGS = {
+    "stats": {**ARRIVAL_FLAGS, "--repeat": ints},
+    "blame": {**ARRIVAL_FLAGS, "--repeat": ints, "--whatif": _joined(whatif_entries)},
+    "slo": {
+        **ARRIVAL_FLAGS,
+        "--classes": _joined(class_entries),
+        "--burn-windows": st.builds(lambda a, b: f"{a},{b}", ints, ints),
+        "--burn-threshold": numbers,
+        "--window-ms": numbers,
+    },
+    "accuracy": {
+        "--perturb": numbers,
+        "--perturb-processor": st.sampled_from(["gpu", "cpu_big", "nope"]),
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
+    flags = VERB_FLAGS[verb]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    argv = [verb, "--soc", "kirin990", "--models", "resnet50,vit"]
+    argv += [f"{flag}={draw(flags[flag])}" for flag in chosen]
+    return argv
+
+
+def _finite(x, low=0.0, strict=False):
+    ok = math.isfinite(x) and (x > low if strict else x >= low)
+    assert ok, x
+
+
+def assert_resolved_in_range(args):
+    """Every number the handlers will use is finite and in range."""
+    if getattr(args, "deadline_ms", None) is not None:
+        _finite(args.deadline_ms)
+    process = getattr(args, "arrival_process", None)
+    if process is not None:
+        times = process.times_ms(16)
+        for t in times:
+            _finite(t)
+        assert times == sorted(times)
+    if hasattr(args, "class_specs"):
+        _finite(args.window_ms, strict=True)
+        _finite(args.burn_threshold, strict=True)
+        fast, slow = args.burn
+        assert 1 <= fast <= slow
+        for spec in args.class_specs.values():
+            _finite(spec.deadline_ms, strict=True)
+            assert 0.0 < spec.objective_frac < 1.0
+    for whatif in getattr(args, "whatifs", ()):
+        if whatif.factor is not None:
+            _finite(whatif.factor, strict=True)
+    for factor in getattr(args, "perturbation", {}).values():
+        _finite(factor, strict=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argvs())
+def test_grammar_rejects_cleanly_or_resolves_in_range(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    try:
+        _resolve_inputs(args)
+    except (ValueError, KeyError):
+        return
+    assert_resolved_in_range(args)
+

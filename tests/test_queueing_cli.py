@@ -187,14 +187,47 @@ class TestCli:
             ("blame", [*MODELS, "--whatif", "scale:gpu:nope"]),
             ("bench", ["--scenarios", "executor_sim", "--socs", "kirin990,nope"]),
             ("bench", ["--scenarios", "executor_sim", "--rounds", "0"]),
+            # Non-finite numbers: each of these used to hang or run on
+            # with a value no comparison could ever trip.
+            ("stats", [*MODELS, "--deadline-ms", "nan"]),
+            ("stats", [*MODELS, "--arrivals", "poisson", "--interval-ms", "nan"]),
+            ("stats", [*MODELS, "--arrivals", "periodic", "--interval-ms", "inf"]),
+            ("slo", [*MODELS, "--window-ms", "nan"]),
+            ("slo", [*MODELS, "--burn-threshold", "nan"]),
+            ("accuracy", [*MODELS, "--perturb", "nan"]),
+            ("accuracy", [*MODELS, "--perturb", "inf"]),
+            ("stream", [*MODELS, "--interval", "nan"]),
+            ("blame", [*MODELS, "--whatif", "scale:gpu:nan"]),
+            ("blame", [*MODELS, "--whatif", "scale:gpu:inf"]),
+            ("profile", [*MODELS, "--cprofile", "--top", "-3"]),
+            ("bench", ["--scenarios", "executor_sim", "--tolerance", "nan"]),
+            # Shrunk failures of tests/test_cli_fuzz.py.
+            ("stats", [*MODELS, "--deadline-ms", "inf"]),
+            ("slo", [*MODELS, "--classes", "*=1e400"]),
+            ("blame", [*MODELS, "--whatif", "scale:gpu:1e400"]),
         ],
     )
     def test_malformed_input_is_a_usage_error(self, capsys, verb, flags):
         assert main([verb, *flags]) == 2
         out, err = capsys.readouterr()
         assert err.startswith(f"hetero2pipe {verb}: error: ")
+        assert err.count("\n") == 1  # one line
         assert "Traceback" not in err
         assert "running" not in out  # rejected before any work ran
+
+    @pytest.mark.parametrize(
+        "verb,flag", [("stats", "--repeat=--"), ("accuracy", "--perturb=--")]
+    )
+    def test_dashdash_flag_value_is_a_usage_error(self, capsys, verb, flag):
+        # Shrunk failures of tests/test_cli_fuzz.py.  argparse before
+        # CPython 3.13 hands "--flag=--" on as an empty list (this used
+        # to crash with a TypeError); 3.13 rejects it itself.
+        try:
+            code = main([verb, *MODELS, flag])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert f"hetero2pipe {verb}: error: " in capsys.readouterr().err
 
 
 class TestCliExtensions:

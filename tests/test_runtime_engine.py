@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine, arrival processes and the
 legacy-executor equivalence guarantee."""
 
+import math
 import time
 
 import pytest
@@ -50,6 +51,13 @@ def zoo_plans():
         name: Hetero2PipePlanner(get_soc(name)).plan(models).plan
         for name in SOC_NAMES
     }
+
+
+@pytest.fixture(scope="module")
+def vit_resnet_plan(kirin):
+    return Hetero2PipePlanner(kirin).plan(
+        [get_model("vit"), get_model("resnet50")]
+    ).plan
 
 
 def _task(soc, request, solo_ms, proc_idx=0, working_set=0.0):
@@ -269,6 +277,20 @@ class TestArrivalProcesses:
     def test_base_process_is_closed_loop(self):
         assert ArrivalProcess().times_ms(3) == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])
+    def test_processes_reject_bad_intervals(self, interval):
+        with pytest.raises(ValueError, match="interval"):
+            DeterministicArrivals(interval)
+        with pytest.raises(ValueError, match="interval"):
+            PoissonArrivals(interval)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_engine_rejects_non_finite_arrival(self, vit_resnet_plan, bad):
+        # Either used to wedge the engine or report an infinite makespan.
+        chains = plan_to_chains(vit_resnet_plan)
+        with pytest.raises(ValueError, match="arrival time of request 1"):
+            DiscreteEventEngine(vit_resnet_plan.soc, chains, arrivals=[0.0, bad])
+
 
 class TestDeadlines:
     def test_deadline_drop_when_start_is_late(self, kirin):
@@ -319,6 +341,25 @@ class TestDeadlines:
             simulate_chains(kirin, chains, deadline_ms=-1.0)
         with pytest.raises(ValueError, match="expected 1 deadline"):
             simulate_chains(kirin, chains, deadline_ms=[1.0, 2.0])
+
+    def test_nan_deadline_rejected(self, vit_resnet_plan):
+        # A NaN deadline used to wedge the engine.
+        soc = vit_resnet_plan.soc
+        for deadline in (math.nan, [None, math.nan]):
+            with pytest.raises(ValueError, match="deadline"):
+                DiscreteEventEngine(
+                    soc, plan_to_chains(vit_resnet_plan), deadline_ms=deadline
+                )
+
+    def test_infinite_deadline_means_none(self, vit_resnet_plan):
+        soc = vit_resnet_plan.soc
+        arrivals = [0.0, 50.0]
+        free = simulate_chains(soc, plan_to_chains(vit_resnet_plan), arrivals)
+        result = simulate_chains(
+            soc, plan_to_chains(vit_resnet_plan), arrivals, deadline_ms=math.inf
+        )
+        assert result.dropped_requests == ()
+        assert result.makespan_ms == free.makespan_ms
 
     def test_all_dropped_has_no_latency(self, kirin):
         chains = [[_task(kirin, 0, 5.0)]]

@@ -48,6 +48,10 @@ DEFAULT_COUPLING: Dict[Tuple[ProcessorKind, ProcessorKind], float] = {
     (ProcessorKind.NPU, ProcessorKind.NPU): 0.50,
 }
 
+#: One victim's coupling row: co-runner processor name -> (its kind, the
+#: coupling factor it exerts on the victim).
+CouplingRow = Dict[str, Tuple[ProcessorKind, float]]
+
 
 @dataclass(frozen=True)
 class SocSpec:
@@ -64,6 +68,12 @@ class SocSpec:
             ascending (used by the Fig. 9 trace model).
         coupling: Pairwise contention coupling; defaults to
             :data:`DEFAULT_COUPLING`.
+        coupling_rows: Derived at construction (``dataclasses.replace``
+            re-derives it): per victim processor name, the
+            :data:`CouplingRow` of the :meth:`coupling_factor` each
+            processor of the SoC, the victim included, exerts on it.
+            The slowdown model reads a row instead of hashing kind
+            pairs on every engine step.
     """
 
     name: str
@@ -73,6 +83,9 @@ class SocSpec:
     memory_freq_mhz: Tuple[int, ...]
     coupling: Dict[Tuple[ProcessorKind, ProcessorKind], float] = field(
         default_factory=lambda: dict(DEFAULT_COUPLING)
+    )
+    coupling_rows: Dict[str, CouplingRow] = field(
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -85,6 +98,17 @@ class SocSpec:
             raise ValueError(f"SoC {self.name!r}: bus bandwidth must be positive")
         if list(self.memory_freq_mhz) != sorted(self.memory_freq_mhz):
             raise ValueError(f"SoC {self.name!r}: freq table must be ascending")
+        rows = {
+            victim.name: {
+                source.name: (
+                    source.kind,
+                    self.coupling_factor(victim.kind, source.kind),
+                )
+                for source in self.processors
+            }
+            for victim in self.processors
+        }
+        object.__setattr__(self, "coupling_rows", rows)
 
     @property
     def num_processors(self) -> int:

@@ -34,7 +34,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -221,7 +220,7 @@ class CausalityTracker:
         dt: float,
         blocked: Iterable[Tuple[int, str]],
         running: Sequence["ChainTask"],
-        rates: Mapping[int, float],
+        rates: Sequence[float],
     ) -> None:
         """Integrate one step of wall time ``dt``.
 
@@ -232,7 +231,7 @@ class CausalityTracker:
         ``wait − busy − residency``.
 
         ``running`` are the slices on a processor and ``rates`` their
-        slowdown factors ``1 + s`` keyed by ``id(task)``.  A slice at
+        slowdown factors ``1 + s``, position by position.  A slice at
         rate ``1 + s`` makes ``dt / (1 + s)`` of solo progress, so
         ``dt − dt / rate`` is pure inflation; it is split equally among
         the workload-bearing co-runners (Eq. 1's slowdown is not
@@ -249,8 +248,7 @@ class CausalityTracker:
             else:
                 state.residency_wait_ms += dt
                 state.last_block = blocker
-        for task in running:
-            rate = rates[id(task)]
+        for task, rate in zip(running, rates):
             if rate <= 1.0:
                 continue
             others = [

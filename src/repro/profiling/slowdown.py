@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 from ..hardware.processor import ProcessorSpec
-from ..hardware.soc import SocSpec
+from ..hardware.soc import CouplingRow, SocSpec
 from .profiler import ModelProfile
 
 #: Bandwidth used to normalize solo traffic rates into intensities.
@@ -57,10 +57,11 @@ DEDICATED_PATH_SENSITIVITY = 0.20
 class SliceWorkload:
     """One co-running slice: which layers of which model on which unit.
 
-    :meth:`intensity` and :meth:`sensitivity` are pure functions of the
-    (immutable) profile and slice, so both are computed once, at
-    construction: the engine asks for them on every step, and objective
-    probes share workload objects through the profile's slice-task memo
+    :meth:`intensity`, :meth:`sensitivity` and :meth:`traffic_bytes`
+    are pure functions of the (immutable) profile and slice, so all
+    three are computed once, at construction: the engine asks for them
+    on every step or departure, and objective probes share workload
+    objects through the profile's slice-task memo
     (:attr:`~repro.profiling.profiler.ModelProfile.slice_tasks`).
     """
 
@@ -70,6 +71,7 @@ class SliceWorkload:
     end: int
     _intensity: float = field(init=False, repr=False, compare=False)
     _sensitivity: float = field(init=False, repr=False, compare=False)
+    _traffic_bytes: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rate = self.profile.traffic_rate_gbps(self.proc, self.start, self.end)
@@ -81,6 +83,8 @@ class SliceWorkload:
         if self.proc.dedicated_memory_path:
             sens *= DEDICATED_PATH_SENSITIVITY
         object.__setattr__(self, "_sensitivity", sens)
+        traffic = self.profile.traffic_bytes(self.proc, self.start, self.end)
+        object.__setattr__(self, "_traffic_bytes", traffic)
 
     def solo_ms(self) -> float:
         return self.profile.exec_ms(self.proc, self.start, self.end)
@@ -97,6 +101,14 @@ class SliceWorkload:
         """How strongly this workload suffers from bus pressure."""
         return self._sensitivity
 
+    def traffic_bytes(self) -> float:
+        """Effective DRAM traffic of the slice on its unit."""
+        return self._traffic_bytes
+
+
+#: The row of a victim that is not one of the SoC's own processors.
+_NO_ROW: CouplingRow = {}
+
 
 def slowdown_fraction(
     soc: SocSpec, victim: SliceWorkload, co_runners: Iterable[SliceWorkload]
@@ -107,21 +119,36 @@ def slowdown_fraction(
     Co-runners on the same processor as the victim are rejected — the
     simulator never time-shares one unit between two slices.
 
+    The coupling of a pair of the SoC's own processors (name and kind
+    both match) comes from :attr:`SocSpec.coupling_rows`; any other
+    pair falls back to :meth:`SocSpec.coupling_factor`, which holds the
+    same values.
+
     Raises:
         ValueError: if a co-runner shares the victim's processor name.
     """
+    vproc = victim.proc
+    row = soc.coupling_rows.get(vproc.name, _NO_ROW)
+    own = row.get(vproc.name)
+    if own is None or own[0] is not vproc.kind:
+        row = _NO_ROW
     pressure = 0.0
     for co in co_runners:
-        if co.proc.name == victim.proc.name:
+        cproc = co.proc
+        if cproc.name == vproc.name:
             raise ValueError(
-                f"co-runner and victim share processor {victim.proc.name!r}; "
+                f"co-runner and victim share processor {vproc.name!r}; "
                 "the pipeline never time-shares a unit"
             )
-        coupling = soc.coupling_factor(victim.proc.kind, co.proc.kind)
-        pressure += coupling * co.intensity()
+        entry = row.get(cproc.name)
+        if entry is not None and entry[0] is cproc.kind:
+            coupling = entry[1]
+        else:
+            coupling = soc.coupling_factor(vproc.kind, cproc.kind)
+        pressure += coupling * co._intensity
     if pressure <= 0.0:
         return 0.0
-    exponent = pressure * victim.sensitivity()
+    exponent = pressure * victim._sensitivity
     return MAX_SLOWDOWN * (1.0 - math.exp(-exponent))
 
 

@@ -37,15 +37,19 @@ legacy executor's step arithmetic (the golden-equivalence guarantee
 below).  The heap holds the *unbounded* exogenous event population:
 arrivals, fault edges, deadlines, cancellations, preemptions.
 
-**Ready sets.**  Per processor, the engine keeps the ids of requests
-whose chain head is ready for it (arrived, not removed, predecessor
-done, a slice left); each handler that changes one of those facts or
-re-routes a head updates them.  Picking a processor's next task is a
-``min`` over its set (FIFO by request id) and wait accrual visits only
-the ready heads, so a step costs O(ready heads + processors) rather
-than O(requests submitted) — long open-loop runs pay per request the
-same as short ones.  Fault-injected runs add an O(requests) re-routing
-sweep per step, from the first processor's offline edge on.
+**Ready sets.**  Step state is slot-indexed: slot ``k`` is the
+processor at position ``k`` of ``soc.processors``, and the running
+task, busy time, offline time and ready set of a processor are entries
+``k`` of per-slot lists.  A slot's ready set holds the ids of requests
+whose chain head is ready for that processor (arrived, not removed,
+predecessor done, a slice left); each handler that changes one of
+those facts or re-routes a head updates it.  Picking a processor's
+next task is a ``min`` over its slot's set (FIFO by request id) and
+wait accrual visits only the ready heads, so a step costs O(ready
+heads + processors) rather than O(requests submitted) — long open-loop
+runs pay per request the same as short ones.  Fault-injected runs add
+an O(requests) re-routing sweep per step, from the first processor's
+offline edge on.
 
 **Equivalence guarantee.**  For the legacy feature set (closed-loop or
 listed arrivals, contention, memory enforcement, fault injection — no
@@ -89,7 +93,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .. import obs
 from ..obs.causality import (
@@ -165,9 +178,13 @@ class ChainTask:
         self.remaining_ms = self.solo_ms
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """Completed execution of one slice."""
+class TaskRecord(NamedTuple):
+    """Completed execution of one slice.
+
+    A named tuple rather than a frozen dataclass: the engine builds one
+    per departure, objective probes included, and tuple construction is
+    several times cheaper.  It is immutable and hashable either way.
+    """
 
     request: int
     stage: int
@@ -375,6 +392,7 @@ class DiscreteEventEngine:
             accepting *new* tasks at the given times (a running task
             completes); pending tasks bound for an offline unit fall
             back to the best online processor supporting their slice.
+            ``inf`` means never.
         deadline_ms: A scalar (every request) or per-request sequence
             (None entries exempt) of *relative* deadlines: a request
             whose first slice has not started ``deadline_ms`` after its
@@ -398,8 +416,9 @@ class DiscreteEventEngine:
     Raises:
         ValueError: on arrival-length mismatch, a task whose ``request``
             differs from its chain's position, a task whose processor
-            is not part of the SoC, a negative or NaN deadline, or a
-            non-finite arrival time.
+            is not part of the SoC, a negative or NaN deadline, a
+            non-finite arrival time, or a fault injected into a
+            processor not on the SoC or at a NaN time.
         MemoryError: if a single slice alone exceeds the capacity.
         RuntimeError: from :meth:`run` / :meth:`step` if the simulation
             wedges — for valid fault-free inputs this cannot happen;
@@ -437,12 +456,26 @@ class DiscreteEventEngine:
         self._trace_enabled = trace
         self._record = record
         self._keep_events = keep_events
-        self._offline = dict(processor_offline_ms or {})
+        # Slot k is soc.processors[k] (see "Ready sets" above).
+        self._procs = soc.processors
+        self._slot = {p.name: k for k, p in enumerate(self._procs)}
+        offline = processor_offline_ms or {}
+        self._offline_at = [math.inf] * len(self._procs)
+        for proc_name, t_ms in offline.items():
+            if proc_name not in self._slot:
+                raise ValueError(
+                    f"cannot take processor {proc_name!r} offline: not on "
+                    f"SoC {soc.name!r}"
+                )
+            if math.isnan(t_ms):
+                raise ValueError(
+                    f"offline time of processor {proc_name!r} must not be NaN"
+                )
+            self._offline_at[self._slot[proc_name]] = t_ms
         # No head needs rerouting before the earliest fault edge.
-        self._first_offline_ms = min(self._offline.values(), default=math.inf)
+        self._first_offline_ms = min(self._offline_at)
         self._deadline_ms = self._resolve_deadlines(deadline_ms)
 
-        proc_names = {p.name for p in soc.processors}
         capacity = soc.memory_capacity_bytes
         for i, chain in enumerate(self._chains):
             for task in chain:
@@ -451,7 +484,7 @@ class DiscreteEventEngine:
                         f"chain {i} holds a task of request {task.request}: "
                         "task ids must equal their chain's position"
                     )
-                if task.proc.name not in proc_names:
+                if task.proc.name not in self._slot:
                     raise ValueError(
                         f"task processor {task.proc.name!r} not on "
                         f"SoC {soc.name!r}"
@@ -470,16 +503,14 @@ class DiscreteEventEngine:
         self._next_idx = [0] * n
         self._prev_done = [True] * n
         self._arrived = [False] * n
-        self._proc_running: Dict[str, Optional[ChainTask]] = {
-            p.name: None for p in soc.processors
-        }
+        self._proc_running: List[Optional[ChainTask]] = [None] * len(self._procs)
+        # A task holds an arena exactly when it has started.
         self._request_alloc: Dict[int, float] = {}
-        self._allocated: Set[int] = set()  # id(task) with a live arena
         self._used_bytes = 0.0
         self._memory_pressure_events = 0
         self._records: List[TaskRecord] = []
         self._trace_points: List[TracePoint] = []
-        self._busy: Dict[str, float] = {p.name: 0.0 for p in soc.processors}
+        self._busy = [0.0] * len(self._procs)
         self._finish: List[float] = [0.0] * n
         self._first_start: List[Optional[float]] = [None] * n
         self._total_tasks = sum(len(c) for c in self._chains)
@@ -488,11 +519,8 @@ class DiscreteEventEngine:
         self._dropped: List[int] = []
         self._cancelled: List[int] = []
         self._removed: Set[int] = set()
-        # Per processor: the requests whose chain head is ready for it
-        # (see "Ready sets" in the module docstring).
-        self._ready: Dict[str, Set[int]] = {
-            p.name: set() for p in soc.processors
-        }
+        # Per slot: the requests whose chain head is ready for it.
+        self._ready: List[Set[int]] = [set() for _ in self._procs]
         self._events: List[Event] = []
         self._events_processed = 0
         self._steps = 0
@@ -506,7 +534,7 @@ class DiscreteEventEngine:
         self._seq = 0
         for i, arrival in enumerate(self._arrival_ms):
             self._push(arrival, ARRIVAL, i)
-        for proc_name, t_ms in self._offline.items():
+        for proc_name, t_ms in offline.items():
             self._push(t_ms, RATE_CHANGE, proc_name)
         for i, deadline in enumerate(self._deadline_ms):
             if deadline is not None:
@@ -676,7 +704,9 @@ class DiscreteEventEngine:
             request_arrival_ms=list(self._arrival_ms),
             request_finish_ms=list(self._finish),
             trace=list(self._trace_points),
-            processor_busy_ms=dict(self._busy),
+            processor_busy_ms={
+                p.name: busy for p, busy in zip(self._procs, self._busy)
+            },
             memory_pressure_events=self._memory_pressure_events,
             request_first_start_ms=list(self._first_start),
             dropped_requests=tuple(self._dropped),
@@ -738,23 +768,27 @@ class DiscreteEventEngine:
             return  # already finished: nothing to cancel
         if reason == "deadline" and self._first_start[request] is not None:
             return  # started in time: the deadline drop does not fire
-        running_proc: Optional[str] = None
-        for proc_name, task in self._proc_running.items():
+        running_slot: Optional[int] = None
+        for k, task in enumerate(self._proc_running):
             if task is not None and task.request == request:
-                running_proc = proc_name
+                running_slot = k
                 break
+        running_proc = (
+            None if running_slot is None else self._procs[running_slot].name
+        )
         # The open slice's wait/run components sum to [arrival, cancel].
         ended = None
         if self._tracker is not None:
             ended = self._tracker.finish(request, self._now, truncated=True)
         pending = len(chain) - self._next_idx[request]
         if pending:
-            self._ready[chain[self._next_idx[request]].proc.name].discard(request)
-        drained = pending + (1 if running_proc is not None else 0)
-        if running_proc is not None:
-            self._proc_running[running_proc] = None
+            head = chain[self._next_idx[request]]
+            self._ready[self._slot[head.proc.name]].discard(request)
+        drained = pending + (1 if running_slot is not None else 0)
+        if running_slot is not None:
+            self._proc_running[running_slot] = None
             if self._tracker is not None:
-                self._tracker.freed(running_proc, ended)
+                self._tracker.freed(self._procs[running_slot].name, ended)
         self._next_idx[request] = len(chain)
         self._prev_done[request] = True
         released = self._request_alloc.pop(request, 0.0)
@@ -776,10 +810,11 @@ class DiscreteEventEngine:
         )
 
     def _fire_preemption(self, request: int) -> None:
-        for proc_name, task in self._proc_running.items():
+        for k, task in enumerate(self._proc_running):
             if task is None or task.request != request:
                 continue
-            self._proc_running[proc_name] = None
+            self._proc_running[k] = None
+            proc_name = self._procs[k].name
             # Roll the chain head back; progress lives in remaining_ms
             # and the arena stays allocated (the slice will resume).
             self._next_idx[request] -= 1
@@ -794,11 +829,8 @@ class DiscreteEventEngine:
 
     # --------------------------------------------------- scheduling core
 
-    def _is_offline(self, proc_name: str) -> bool:
-        return (
-            proc_name in self._offline
-            and self._now >= self._offline[proc_name] - _EPS
-        )
+    def _is_offline(self, slot: int) -> bool:
+        return self._now >= self._offline_at[slot] - _EPS
 
     def _reassign_offline_heads(self) -> None:
         """Fall back pending tasks whose processor has gone offline.
@@ -808,25 +840,22 @@ class DiscreteEventEngine:
         displaced work spreads over the remaining silicon instead of
         piling onto the single fastest survivor.
         """
-        backlog: Dict[str, float] = {}
-        for proc in self._soc.processors:
-            running = self._proc_running[proc.name]
-            backlog[proc.name] = (
-                running.remaining_ms if running is not None else 0.0
-            )
+        backlog = [
+            running.remaining_ms if running is not None else 0.0
+            for running in self._proc_running
+        ]
         for i in range(self._n):
             idx = self._next_idx[i]
             if idx >= len(self._chains[i]):
                 continue
             task = self._chains[i][idx]
-            if not self._is_offline(task.proc.name):
-                backlog[task.proc.name] = (
-                    backlog.get(task.proc.name, 0.0) + task.remaining_ms
-                )
+            slot = self._slot[task.proc.name]
+            if not self._is_offline(slot):
+                backlog[slot] += task.remaining_ms
                 continue
             candidates = []
-            for proc in self._soc.processors:
-                if self._is_offline(proc.name):
+            for k, proc in enumerate(self._procs):
+                if self._is_offline(k):
                     continue
                 if task.workload is not None:
                     solo = task.workload.profile.exec_ms(
@@ -836,17 +865,18 @@ class DiscreteEventEngine:
                         continue
                 else:
                     solo = task.solo_ms  # no profile: keep the estimate
-                candidates.append((backlog[proc.name] + solo, solo, proc))
+                candidates.append((backlog[k] + solo, solo, k))
             if not candidates:
                 raise RuntimeError(
                     f"request {task.request}: no online processor can run "
                     f"its slice after {task.proc.name!r} went offline"
                 )
-            _, solo, proc = min(candidates, key=lambda c: c[0])
-            backlog[proc.name] += solo
-            if i in self._ready[task.proc.name]:
-                self._ready[task.proc.name].remove(i)
-                self._ready[proc.name].add(i)
+            _, solo, k = min(candidates, key=lambda c: c[0])
+            proc = self._procs[k]
+            backlog[k] += solo
+            if i in self._ready[slot]:
+                self._ready[slot].remove(i)
+                self._ready[k].add(i)
             task.proc = proc
             task.solo_ms = solo
             task.remaining_ms = solo
@@ -868,37 +898,36 @@ class DiscreteEventEngine:
             and self._arrived[request]
             and request not in self._removed
         ):
-            self._ready[chain[idx].proc.name].add(request)
+            self._ready[self._slot[chain[idx].proc.name]].add(request)
 
-    def _ready_task_for(self, proc_name: str) -> Optional[ChainTask]:
-        """The processor's next task: its ready head of the lowest request.
+    def _ready_task_for(self, slot: int) -> Optional[ChainTask]:
+        """The slot's next task: its ready head of the lowest request.
 
-        FIFO by request id over the processor's ready set; None when
-        the set is empty or the processor is offline.
+        FIFO by request id over the slot's ready set; None when the set
+        is empty or the processor is offline.
         """
-        ready = self._ready[proc_name]
-        if not ready or self._is_offline(proc_name):
+        ready = self._ready[slot]
+        if not ready or self._is_offline(slot):
             return None
         request = min(ready)
         return self._chains[request][self._next_idx[request]]
 
-    def _start_task(
-        self, task: ChainTask, proc_name: str, forced: bool = False
-    ) -> None:
-        if task.start_ms is None:  # a resumed slice keeps its start
+    def _start_task(self, task: ChainTask, slot: int, forced: bool = False) -> None:
+        proc_name = self._procs[slot].name
+        if task.start_ms is None:
+            # A first start allocates the slice's arena; a resumed slice
+            # keeps both its start and its arena.
             task.start_ms = self._now
             if self._tracker is not None:
                 self._tracker.start(task.request, proc_name, self._now, forced)
-        self._proc_running[proc_name] = task
-        if id(task) not in self._allocated:
-            self._allocated.add(id(task))
             self._used_bytes += task.working_set
             self._request_alloc[task.request] = (
                 self._request_alloc.get(task.request, 0.0) + task.working_set
             )
+        self._proc_running[slot] = task
         if self._first_start[task.request] is None:
             self._first_start[task.request] = self._now
-        self._ready[proc_name].remove(task.request)
+        self._ready[slot].remove(task.request)
         self._next_idx[task.request] += 1
         self._prev_done[task.request] = False
         self._emit(TASK_READY, request=task.request, processor=proc_name)
@@ -906,21 +935,21 @@ class DiscreteEventEngine:
     def _try_start(self) -> bool:
         """Start whatever fits; True if any ready task is memory-blocked."""
         blocked = False
-        for proc in self._soc.processors:
-            if self._proc_running[proc.name] is not None:
+        for k, running in enumerate(self._proc_running):
+            if running is not None:
                 continue
-            task = self._ready_task_for(proc.name)
+            task = self._ready_task_for(k)
             if task is None:
                 continue
             if self._memory_blocked(task):
                 blocked = True
                 continue  # waits for residency to drain
-            self._start_task(task, proc.name)
+            self._start_task(task, k)
         return blocked
 
     def _memory_blocked(self, task: ChainTask) -> bool:
         """Whether admitting ``task`` now would exceed the capacity."""
-        admit = task.working_set if id(task) not in self._allocated else 0.0
+        admit = task.working_set if task.start_ms is None else 0.0
         return self._enforce_memory and self._used_bytes + admit > self._capacity
 
     def _blocked_heads(self) -> Iterator[Tuple[int, str]]:
@@ -933,8 +962,8 @@ class DiscreteEventEngine:
         blocks it.  A head blocked by neither (it lost the FIFO pick to
         a blocked head) is skipped.
         """
-        for proc_name, ready in self._ready.items():
-            occupied = self._proc_running[proc_name] is not None
+        for ready, running in zip(self._ready, self._proc_running):
+            occupied = running is not None
             for i in ready:
                 head = self._chains[i][self._next_idx[i]]
                 if head.start_ms is not None:
@@ -952,24 +981,22 @@ class DiscreteEventEngine:
         holds).  A real device pages in this regime; we model that as a
         forced start and count it as a memory-pressure event.
         """
-        for proc in self._soc.processors:
-            if self._proc_running[proc.name] is not None:
+        for k, running in enumerate(self._proc_running):
+            if running is not None:
                 continue
-            task = self._ready_task_for(proc.name)
+            task = self._ready_task_for(k)
             if task is None:
                 continue
-            self._start_task(task, proc.name, forced=True)
+            self._start_task(task, k, forced=True)
             self._memory_pressure_events += 1
             return True
         return False
 
     def _record_trace(self) -> None:
-        if not self._trace_enabled:
-            return
+        """Sample the memory subsystem (callers check ``trace`` is on)."""
         demands = []
         names = []
-        for proc in self._soc.processors:
-            task = self._proc_running[proc.name]
+        for proc, task in zip(self._procs, self._proc_running):
             if task is None or task.workload is None:
                 continue
             names.append(proc.name)
@@ -998,19 +1025,21 @@ class DiscreteEventEngine:
 
     def _step(self) -> None:
         self._steps += 1
-        self._pop_due_events()
+        heap = self._heap
+        if heap and heap[0][0] <= self._now + _EPS:
+            self._pop_due_events()
         if self._outstanding <= 0:
             return  # a cancellation drained the remaining work
         if self._now >= self._first_offline_ms - _EPS:
             self._reassign_offline_heads()
         memory_blocked = self._try_start()
-        running = [t for t in self._proc_running.values() if t is not None]
+        proc_running = self._proc_running
+        running = [t for t in proc_running if t is not None]
         if not running and memory_blocked:
             if self._force_start_blocked():
-                running = [
-                    t for t in self._proc_running.values() if t is not None
-                ]
-        self._record_trace()
+                running = [t for t in proc_running if t is not None]
+        if self._trace_enabled:
+            self._record_trace()
         if not running:
             next_ms = self.next_event_time_ms()
             if next_ms is None:
@@ -1020,7 +1049,10 @@ class DiscreteEventEngine:
             self._now = next_ms
             return
 
-        rates: Dict[int, float] = {}
+        # Rate factors 1 + slowdown, aligned with ``running``, and the
+        # step to the earliest departure at those rates.
+        rates: List[float] = []
+        dt = math.inf
         for task in running:
             slowdown = 0.0
             if self._with_contention and task.workload is not None:
@@ -1031,26 +1063,28 @@ class DiscreteEventEngine:
                 ]
                 slowdown = slowdown_fraction(self._soc, task.workload, others)
                 self._slowdown_evaluations += 1
-            rates[id(task)] = 1.0 + slowdown
-
-        dt = min(task.remaining_ms * rates[id(task)] for task in running)
-        next_ms = self.next_event_time_ms()
-        if next_ms is not None and next_ms > self._now + _EPS:
-            dt = min(dt, next_ms - self._now)
+            rate = 1.0 + slowdown
+            rates.append(rate)
+            dt = min(dt, task.remaining_ms * rate)
+        if heap and heap[0][0] > self._now + _EPS:
+            dt = min(dt, heap[0][0] - self._now)
         dt = max(dt, _EPS)
 
         if self._tracker is not None:
             self._tracker.advance(dt, self._blocked_heads(), running, rates)
 
-        for task in running:
-            task.remaining_ms -= dt / rates[id(task)]
-            self._busy[task.proc.name] += dt
+        for task, rate in zip(running, rates):
+            task.remaining_ms -= dt / rate
+        busy = self._busy
+        for k, task in enumerate(proc_running):
+            if task is not None:
+                busy[k] += dt
         self._now += dt
 
-        for proc in self._soc.processors:
-            task = self._proc_running[proc.name]
+        for k, task in enumerate(proc_running):
             if task is not None and task.remaining_ms <= _EPS * 10:
-                self._proc_running[proc.name] = None
+                proc_name = self._procs[k].name
+                proc_running[k] = None
                 self._prev_done[task.request] = True
                 self._expose_head(task.request)
                 self._finish[task.request] = self._now
@@ -1061,7 +1095,7 @@ class DiscreteEventEngine:
                 finished = None
                 if self._tracker is not None:
                     finished = self._tracker.finish(task.request, self._now)
-                    self._tracker.freed(proc.name, finished)
+                    self._tracker.freed(proc_name, finished)
                     if successor < len(chain):
                         # The successor head becomes ready at this exact
                         # departure instant (the tiling invariant).
@@ -1072,25 +1106,18 @@ class DiscreteEventEngine:
                     self._used_bytes -= released
                     if self._tracker is not None and released > 0.0:
                         self._tracker.released(finished)
-                traffic = 0.0
-                if task.workload is not None:
-                    traffic = task.workload.profile.traffic_bytes(
-                        task.workload.proc,
-                        task.workload.start,
-                        task.workload.end,
-                    )
+                workload = task.workload
                 self._records.append(
                     TaskRecord(
-                        request=task.request,
-                        stage=task.stage,
-                        processor=proc.name,
-                        start_ms=task.start_ms or 0.0,
-                        finish_ms=self._now,
-                        solo_ms=task.solo_ms,
-                        traffic_bytes=traffic,
+                        task.request,
+                        task.stage,
+                        proc_name,
+                        task.start_ms or 0.0,
+                        self._now,
+                        task.solo_ms,
+                        workload.traffic_bytes() if workload is not None else 0.0,
                     )
                 )
-                self._emit(
-                    DEPARTURE, request=task.request, processor=proc.name
-                )
-        self._record_trace()
+                self._emit(DEPARTURE, request=task.request, processor=proc_name)
+        if self._trace_enabled:
+            self._record_trace()

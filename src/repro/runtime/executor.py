@@ -197,6 +197,8 @@ def scale_chain_tasks(
     planner never sees the perturbation, so the executed run diverges
     from its prediction — the scenario the drift detectors exist for.
 
+    A task that has started (even one preempted since) keeps its times.
+
     Returns:
         The number of tasks scaled.
 
@@ -212,7 +214,7 @@ def scale_chain_tasks(
     for chain in chains:
         for task in chain:
             factor = factors.get(task.proc.name)
-            if factor is None:
+            if factor is None or task.start_ms is not None:
                 continue
             task.solo_ms = task.solo_ms * factor
             task.remaining_ms = task.remaining_ms * factor

@@ -235,7 +235,9 @@ def _drive(run, track_causality=True):
         engine.schedule_preemption(request, at_ms)
     while True:
         more = engine.step()
-        assert engine._ready == _brute_force_ready(engine)
+        # The engine's ready sets are slot-indexed (soc.processors order).
+        by_name = {p.name: ready for p, ready in zip(PROCS, engine._ready)}
+        assert by_name == _brute_force_ready(engine)
         if not more:
             break
     return engine.result()

@@ -1,11 +1,13 @@
 """Tests for the roofline latency model, profiler tables, PMU and slowdown."""
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.experiments.ext_sensitivity import scaled_soc
 from repro.hardware.processor import make_cpu_big, make_cpu_small, make_gpu, make_npu
-from repro.hardware.soc import get_soc
+from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.ir import Layer, ModelGraph, OpType
 from repro.models.zoo import get_model
 from repro.profiling.latency import (
@@ -19,6 +21,7 @@ from repro.profiling.latency import (
 from repro.profiling.pmu import ground_truth_intensity, measure_counters
 from repro.profiling.profiler import INFEASIBLE, ModelProfile, SocProfiler
 from repro.profiling.slowdown import (
+    MAX_SLOWDOWN,
     SliceWorkload,
     co_execution_ms,
     intra_cluster_slowdown,
@@ -313,3 +316,75 @@ class TestSlowdown:
         partner = self._workload(profiles, "vgg16", kirin.cpu_big)
         with pytest.raises(ValueError):
             intra_cluster_slowdown(kirin, victim, partner, 0, 2)
+
+
+def _slowdown_by_coupling_factor(soc, victim, co_runners):
+    """Eq. 2's slowdown with every coupling from ``soc.coupling_factor``."""
+    pressure = 0.0
+    for co in co_runners:
+        coupling = soc.coupling_factor(victim.proc.kind, co.proc.kind)
+        pressure += coupling * co.intensity()
+    if pressure <= 0.0:
+        return 0.0
+    return MAX_SLOWDOWN * (1.0 - math.exp(-pressure * victim.sensitivity()))
+
+
+class TestCouplingRows:
+    """``SocSpec.coupling_rows`` hold exactly ``coupling_factor``'s values."""
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    @pytest.mark.parametrize("scale", [None, 1.7])
+    def test_rows_equal_coupling_factor(self, soc_name, scale):
+        soc = get_soc(soc_name)
+        if scale is not None:  # a dataclasses.replace copy re-derives them
+            soc = scaled_soc(soc, scale)
+        names = [p.name for p in soc.processors]
+        assert list(soc.coupling_rows) == names
+        for victim in soc.processors:
+            row = soc.coupling_rows[victim.name]
+            assert list(row) == names
+            for source in soc.processors:
+                assert row[source.name] == (
+                    source.kind,
+                    soc.coupling_factor(victim.kind, source.kind),
+                )
+
+    def test_own_processors_match_coupling_factor(self, kirin, profiles):
+        work = [
+            SliceWorkload(profiles[name], proc, 0, 5)
+            for name, proc in zip(
+                ("bert", "vit", "squeezenet", "resnet50"), kirin.processors
+            )
+        ]
+        for victim in work:
+            others = [w for w in work if w is not victim]
+            assert slowdown_fraction(
+                kirin, victim, others
+            ) == _slowdown_by_coupling_factor(kirin, victim, others)
+
+    def test_foreign_processor_falls_back(self, kirin, profiles):
+        # A copy of the SoC whose GPU is renamed and whose small CPU
+        # takes the GPU's name: neither is one of Kirin 990's own.  A
+        # lookup by name alone would couple the impostor as a GPU.
+        renamed = {"gpu": "gpu2", "cpu_small": "gpu"}
+        other = dataclasses.replace(
+            kirin,
+            name="other",
+            processors=tuple(
+                dataclasses.replace(p, name=renamed.get(p.name, p.name))
+                for p in kirin.processors
+            ),
+        )
+        bert = SocProfiler(other).profile(get_model("bert"))
+        renamed_gpu = SliceWorkload(bert, other.processor("gpu2"), 0, 5)
+        impostor = SliceWorkload(bert, other.processor("gpu"), 0, 5)
+        cpu = SliceWorkload(profiles["squeezenet"], kirin.cpu_big, 0, 5)
+        for victim, co in (
+            (renamed_gpu, cpu),
+            (cpu, renamed_gpu),
+            (impostor, cpu),
+            (cpu, impostor),
+        ):
+            expected = _slowdown_by_coupling_factor(kirin, victim, [co])
+            assert expected > 0.0
+            assert slowdown_fraction(kirin, victim, [co]) == expected

@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine, arrival processes and the
 legacy-executor equivalence guarantee."""
 
+import json
 import math
 import time
 
@@ -35,6 +36,7 @@ from repro.runtime.executor import (
     replicate_chains,
     simulate_chains,
 )
+from repro.runtime.replay import run_from_dict, run_to_dict
 from repro.workloads.scenarios import get_scenario
 
 
@@ -452,6 +454,21 @@ class TestCancellationAndPreemption:
         [record] = result.records
         assert record.start_ms == pytest.approx(0.0)  # original start kept
 
+    def test_preempted_slice_charges_its_arena_once(self, kirin):
+        # A slice holds an arena exactly when it has started, so the
+        # resume after a preemption admits and charges nothing more.
+        working_set = 0.3 * kirin.memory_capacity_bytes
+        chains = [[_task(kirin, 0, 50.0, working_set=working_set)]]
+        engine = DiscreteEventEngine(
+            kirin, chains, record=False, trace=True, keep_events=True
+        )
+        engine.schedule_preemption(0, 10.0)
+        result = engine.run()
+        assert PREEMPTION in {e.kind for e in result.events}
+        assert max(p.used_bytes for p in result.trace) == working_set
+        assert result.trace[-1].used_bytes == 0.0  # released at departure
+        assert result.memory_pressure_events == 0
+
     def test_preemption_without_running_task_is_noop(self, kirin):
         chains = [[_task(kirin, 0, 5.0)]]
         engine = DiscreteEventEngine(
@@ -617,6 +634,90 @@ class TestExecutionResultExtensions:
         # Tri-state: None (nothing ever started) is distinguishable
         # from a genuine zero-wait run.
         assert result.mean_queueing_delay_ms is None
+
+
+class TestTaskRecord:
+    """``TaskRecord`` is a named tuple with the dataclass's old contract."""
+
+    def test_positional_fields_and_default(self):
+        rec = TaskRecord(0, 0, "gpu", 3.0, 7.0, 4.0)
+        assert (rec.request, rec.stage, rec.processor) == (0, 0, "gpu")
+        assert (rec.start_ms, rec.finish_ms, rec.solo_ms) == (3.0, 7.0, 4.0)
+        assert rec.traffic_bytes == 0.0
+        assert TaskRecord._fields == (
+            "request",
+            "stage",
+            "processor",
+            "start_ms",
+            "finish_ms",
+            "solo_ms",
+            "traffic_bytes",
+        )
+
+    def test_immutable(self):
+        rec = TaskRecord(0, 0, "gpu", 3.0, 7.0, 4.0)
+        with pytest.raises(AttributeError):
+            rec.finish_ms = 9.0  # type: ignore[misc]
+
+    def test_equality_hash_and_properties(self):
+        rec = TaskRecord(0, 0, "gpu", 3.0, 7.0, 4.0)
+        twin = TaskRecord(
+            request=0, stage=0, processor="gpu", start_ms=3.0,
+            finish_ms=7.0, solo_ms=4.0, traffic_bytes=0.0,
+        )
+        assert rec == twin and hash(rec) == hash(twin)
+        assert len({rec, twin, TaskRecord(1, 0, "gpu", 3.0, 7.0, 4.0)}) == 2
+        assert rec.duration_ms == 4.0
+        assert rec.slowdown == 0.0
+        assert TaskRecord(0, 0, "gpu", 3.0, 9.0, 4.0).slowdown == 0.5
+        assert TaskRecord(0, 0, "gpu", 3.0, 9.0, 0.0).slowdown == 0.0
+
+    def test_replay_round_trip(self, vit_resnet_plan):
+        result = simulate_chains(
+            vit_resnet_plan.soc, plan_to_chains(vit_resnet_plan), record=False
+        )
+        assert all(r.traffic_bytes > 0.0 for r in result.records)
+        doc = json.loads(json.dumps(run_to_dict(result)))
+        rebuilt = run_from_dict(doc).result
+        assert rebuilt.records == result.records
+        assert all(isinstance(r, TaskRecord) for r in rebuilt.records)
+        assert run_to_dict(rebuilt)["records"] == doc["records"]
+
+
+class TestFaultInputs:
+    """``processor_offline_ms`` is checked like every other engine input."""
+
+    def test_unknown_processor_rejected(self, vit_resnet_plan):
+        # A typo used to inject no fault and still enable the
+        # O(requests) re-route sweep from its time on.
+        with pytest.raises(ValueError, match="'foo'.*not on SoC"):
+            DiscreteEventEngine(
+                vit_resnet_plan.soc,
+                plan_to_chains(vit_resnet_plan),
+                processor_offline_ms={"foo": 5.0},
+            )
+
+    def test_nan_time_rejected(self, vit_resnet_plan):
+        with pytest.raises(ValueError, match="NaN"):
+            DiscreteEventEngine(
+                vit_resnet_plan.soc,
+                plan_to_chains(vit_resnet_plan),
+                processor_offline_ms={"npu": float("nan")},
+            )
+
+    def test_infinite_time_means_never(self, vit_resnet_plan):
+        soc = vit_resnet_plan.soc
+        healthy = simulate_chains(
+            soc, plan_to_chains(vit_resnet_plan), record=False
+        )
+        never = simulate_chains(
+            soc,
+            plan_to_chains(vit_resnet_plan),
+            record=False,
+            processor_offline_ms={"npu": math.inf},
+        )
+        assert never.records == healthy.records
+        assert never.makespan_ms == healthy.makespan_ms
 
 
 class TestStepCost:

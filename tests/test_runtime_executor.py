@@ -18,6 +18,7 @@ from repro.profiling.slowdown import (
     SENSITIVITY_GAIN,
     SliceWorkload,
 )
+from repro.runtime.engine import DiscreteEventEngine
 from repro.runtime.executor import (
     ARENA_OVERHEAD_FACTOR,
     ChainTask,
@@ -339,6 +340,24 @@ class TestSliceTaskMemo:
         simulate_chains(kirin, ran)
         assert all(t.remaining_ms < t.solo_ms for chain in ran for t in chain)
         assert _task_state(plan_to_chains(plan)) == reference
+
+    def test_scaling_skips_started_tasks(self, kirin):
+        plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "resnet50"])
+        chains = plan_to_chains(plan)
+        engine = DiscreteEventEngine(kirin, chains, record=False)
+        for _ in range(3):
+            engine.step()
+        tasks = [t for chain in chains for t in chain]
+        started = [t for t in tasks if t.start_ms is not None]
+        assert started and len(started) < len(tasks)
+        before = _task_state([started])
+        unstarted = _task_state([[t for t in tasks if t.start_ms is None]])
+        factors = {p.name: 2.0 for p in kirin.processors}
+        assert scale_chain_tasks(chains, factors) == len(unstarted)
+        assert _task_state([started]) == before
+        assert _task_state(
+            [[t for t in tasks if t.start_ms is None]]
+        ) == [(2.0 * solo, 2.0 * left) for solo, left in unstarted]
 
     def test_memoized_parts_equal_direct_construction(self, kirin):
         plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "yolov4"])

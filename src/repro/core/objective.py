@@ -2,9 +2,9 @@
 
 Every probe the planner's vertical phase makes — a trial boundary move
 in the stealing descent, a candidate placement in the tail search, the
-arrival-vs-mitigated comparison — is answered by a *full* event-driven
-re-simulation (:func:`repro.runtime.schedule.async_makespan_ms`, which
-delegates to ``execute_plan``).  A five-model plan runs ~400 of these
+arrival-vs-mitigated comparison — is answered by an event-driven
+re-simulation (:func:`repro.runtime.schedule.async_makespan_ms`).  A
+five-model plan runs ~400 of these
 silent simulations; a twenty-model plan runs thousands.  The greedy
 descents re-visit identical configurations constantly (every rejected
 neighbour is re-probed on the next iteration, the committed plan is
@@ -28,6 +28,15 @@ This module removes the redundancy without weakening the search:
   planner's front-door plan cache build on, with hit/miss/eviction
   accounting that works even when the observability recorder is off.
 
+Probes are also *incremental*: a caller that keeps only values below a
+threshold passes it as ``stop_at_ms``, and a probe that provably
+reaches it stops early and returns ``inf``; the cache keeps that
+threshold as a proven lower bound.  :meth:`ObjectiveCache.anchor`
+checkpoints one simulation of the current plan so its neighbours'
+probes resume from it rather than replaying the shared prefix (see
+:class:`~repro.runtime.executor.ProbeAnchor`).  Neither changes a value
+or a decision.
+
 Cache-effectiveness counters flow through :mod:`repro.obs`
 (``objective_cache_hits`` / ``objective_cache_misses``; the planner
 adds ``plan_cache_hits`` / ``plan_cache_misses``) and surface in
@@ -37,10 +46,21 @@ scheme and the invalidation rules.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Generic, Optional, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Generic,
+    NamedTuple,
+    Optional,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from .. import obs
+from ..runtime.executor import ProbeAnchor
 from ..runtime.schedule import async_makespan_ms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -132,6 +152,16 @@ def plan_fingerprint(
     )
 
 
+class LowerBound(NamedTuple):
+    """A pruned probe's cache entry: its run provably reached ``cutoff_ms``.
+
+    See :meth:`~repro.runtime.engine.DiscreteEventEngine.run_bounded_ms`;
+    the entry answers any later probe whose own cutoff is no higher.
+    """
+
+    cutoff_ms: float
+
+
 class ObjectiveCache:
     """Memoizes a plan objective under :func:`plan_fingerprint`.
 
@@ -155,8 +185,21 @@ class ObjectiveCache:
     contention inputs precomputed (see
     :func:`~repro.runtime.schedule.async_makespan_ms`).
 
+    **Cutoffs.**  ``stop_at_ms`` is the value a probe must beat: the
+    probe returns ``inf`` once its run provably reaches it, and the
+    cache stores the cutoff as a :class:`LowerBound`.  A later probe of
+    that fingerprint is answered ``inf`` when its own cutoff is no
+    higher, and re-simulated otherwise.  Exact values answer every
+    probe, as before.
+
+    **Anchors.**  :meth:`anchor` runs one checkpointed simulation of a
+    plan; until the next anchor, misses on plans that differ from it
+    only in some requests' slices resume from its checkpoints.  The
+    resumed value is the same float a fresh simulation produces.
+
     Args:
-        objective: The underlying plan-level objective.
+        objective: The underlying plan-level objective; it takes the
+            plan, the contention flag and ``stop_at_ms``.
         maxsize: LRU bound on memoized fingerprints.
     """
 
@@ -166,17 +209,15 @@ class ObjectiveCache:
         maxsize: int = DEFAULT_OBJECTIVE_CACHE_SIZE,
     ) -> None:
         self._objective = objective
-        self._cache: LRUCache[Fingerprint, float] = LRUCache(maxsize)
-
-    @property
-    def hits(self) -> int:
-        """Probes answered from the cache (no simulation ran)."""
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        """Probes that ran the underlying simulation."""
-        return self._cache.misses
+        self._cache: LRUCache[Fingerprint, Union[float, LowerBound]] = LRUCache(
+            maxsize
+        )
+        #: Probes answered from the cache (no simulation ran).
+        self.hits = 0
+        #: Probes that ran a simulation.
+        self.misses = 0
+        self._anchor: Optional[ProbeAnchor] = None
+        self._anchor_key: Optional[Fingerprint] = None
 
     @property
     def evictions(self) -> int:
@@ -186,13 +227,20 @@ class ObjectiveCache:
         return len(self._cache)
 
     def __call__(
-        self, plan: "PipelinePlan", with_contention: bool = True
+        self,
+        plan: "PipelinePlan",
+        with_contention: bool = True,
+        stop_at_ms: float = math.inf,
     ) -> float:
         key = plan_fingerprint(plan, with_contention)
         cached = self._cache.get(key)
-        if cached is not None:
+        if cached is not None and (
+            not isinstance(cached, LowerBound) or stop_at_ms <= cached.cutoff_ms
+        ):
+            self.hits += 1
             obs.add("objective_cache_hits")
-            return cached
+            return math.inf if isinstance(cached, LowerBound) else cached
+        self.misses += 1
         obs.add("objective_cache_misses")
         # The span makes every real re-simulation attributable: the
         # self-profiler (repro.obs.prof) folds these into the
@@ -200,10 +248,36 @@ class ObjectiveCache:
         # stealing/tail search that issues the probes.  Cache hits stay
         # span-free — they are dictionary lookups, not simulations.
         with obs.span("plan.objective", requests=plan.num_requests) as sp:
-            value = self._objective(plan, with_contention)
-            sp.set(makespan_ms=value)
-        self._cache.put(key, value)
+            value = None
+            if self._anchor is not None:
+                value = self._anchor.probe_ms(plan, with_contention, stop_at_ms)
+            if value is None:
+                value = self._objective(
+                    plan, with_contention, stop_at_ms=stop_at_ms
+                )
+            if value == math.inf and stop_at_ms < math.inf:
+                sp.set(pruned=True)
+                self._cache.put(key, LowerBound(stop_at_ms))
+            else:
+                sp.set(makespan_ms=value)
+                self._cache.put(key, value)
         return value
+
+    def anchor(self, plan: "PipelinePlan", with_contention: bool = True) -> None:
+        """Checkpoint one simulation of ``plan`` for its neighbours' probes.
+
+        A no-op when ``plan`` is the current anchor.  A new anchor that
+        neighbours the old one forks from it.  The anchor run counts as
+        an ``objective_evaluations`` simulation but not as a probe.
+        """
+        key = plan_fingerprint(plan, with_contention)
+        if key == self._anchor_key:
+            return
+        self._anchor = ProbeAnchor(plan, with_contention, previous=self._anchor)
+        self._anchor_key = key
+        self._cache.put(key, self._anchor.makespan_ms)
 
     def clear(self) -> None:
         self._cache.clear()
+        self._anchor = None
+        self._anchor_key = None

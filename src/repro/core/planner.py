@@ -19,7 +19,7 @@ baseline disables mitigation and tail optimization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..hardware.soc import SocSpec
@@ -32,7 +32,7 @@ from .mitigation import MitigationResult, mitigate_sequence
 from .objective import LRUCache, ObjectiveCache
 from .partition import PartitionResult, partition_model
 from .plan import PipelinePlan, StageAssignment
-from .stealing import optimize_tail, vertical_alignment
+from .stealing import PlanObjective, optimize_tail, vertical_alignment
 
 #: Default bound on memoized whole-plan reports (requests mixes).
 DEFAULT_PLAN_CACHE_SIZE = 64
@@ -146,7 +146,7 @@ class Hetero2PipePlanner:
             profiler=self.profiler,
         )
         self._partition_cache: Dict[Tuple[str, bool], PartitionResult] = {}
-        self.objective: Callable[[PipelinePlan], float] = (
+        self.objective: PlanObjective = (
             ObjectiveCache() if self.config.enable_objective_cache
             else async_makespan_ms
         )

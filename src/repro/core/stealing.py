@@ -27,18 +27,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
 from ..runtime.schedule import async_makespan_ms, plan_bubbles_ms, plan_makespan_ms
+from .objective import ObjectiveCache
 from .plan import PipelinePlan, StageAssignment
 
-#: A plan-level objective the descents probe: smaller is better.  The
-#: planner passes a memoizing :class:`~repro.core.objective.ObjectiveCache`
-#: here so repeated probes of identical configurations skip the
-#: event-driven re-simulation.
-PlanObjective = Callable[[PipelinePlan], float]
+
+class PlanObjective(Protocol):
+    """A plan-level objective the descents probe: smaller is better.
+
+    Each probe passes the value it must beat as ``stop_at_ms``; the
+    objective may return ``inf`` for a plan that provably reaches it.
+    The planner passes a memoizing
+    :class:`~repro.core.objective.ObjectiveCache` so repeated probes of
+    identical configurations skip the event-driven re-simulation.
+    """
+
+    def __call__(
+        self, plan: PipelinePlan, *, stop_at_ms: float = math.inf
+    ) -> float: ...
 
 #: Stop greedy alignment when the objective improves less than this (ms).
 _EPSILON_MS = 1e-9
@@ -254,6 +264,9 @@ def refine_globally(
     with obs.span("plan.refine_global", requests=plan.num_requests) as sp:
         current = objective(plan)
         while moves < max_moves:
+            if isinstance(objective, ObjectiveCache):
+                # This iteration's neighbours resume from the plan's run.
+                objective.anchor(plan)
             best_gain = _EPSILON_MS
             best: Optional[Tuple[int, int, int]] = None
             for i, assignment in enumerate(plan.assignments):
@@ -264,7 +277,9 @@ def refine_globally(
                             assignment, frm, to, plan.processors
                         ):
                             continue
-                        value = objective(plan)
+                        value = objective(
+                            plan, stop_at_ms=current - best_gain
+                        )
                         assignment.slices = saved
                         gain = current - value
                         if gain > best_gain:
@@ -329,7 +344,7 @@ def refine_placements(
                     if candidate is None or candidate.slices == original.slices:
                         continue
                     plan.assignments[i] = candidate
-                    cost = objective(plan)
+                    cost = objective(plan, stop_at_ms=best_cost - _EPSILON_MS)
                     if cost < best_cost - _EPSILON_MS:
                         best_cost = cost
                         best_assignment = candidate
@@ -394,7 +409,7 @@ def optimize_tail(
         if candidate is None:
             continue
         plan.assignments[last] = candidate
-        cost = objective(plan)
+        cost = objective(plan, stop_at_ms=best_cost - _EPSILON_MS)
         if cost < best_cost - _EPSILON_MS:
             best_cost = cost
             best_assignment = candidate

@@ -31,8 +31,9 @@ Scenarios (see :data:`SCENARIOS`):
 Gating rules, per ``(scenario, soc)`` row:
 
 * **Counters, exactly.**  Every row's ``counters`` (objective
-  evaluations, cache hits and misses, engine steps, slowdown
-  evaluations, slice-task memo hits and misses) are deterministic
+  evaluations, pruned and resumed objective probes, cache hits and
+  misses, engine steps, slowdown evaluations, slice-task memo hits and
+  misses) are deterministic
   counts of one instrumented pass, identical on any machine.  Any
   difference from the baseline row — a changed value, a counter that
   appeared or vanished — is a regression.
@@ -96,6 +97,8 @@ COUNTER_NAMES = (
     "objective_cache_hits",
     "objective_cache_misses",
     "objective_evaluations",
+    "objective_probes_pruned",
+    "objective_probes_resumed",
     "plan_cache_hits",
     "plan_cache_misses",
     "partition_cache_hits",

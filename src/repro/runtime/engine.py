@@ -48,8 +48,39 @@ next task is a ``min`` over its slot's set (FIFO by request id) and
 wait accrual visits only the ready heads, so a step costs O(ready
 heads + processors) rather than O(requests submitted) — long open-loop
 runs pay per request the same as short ones.  Fault-injected runs add
-an O(requests) re-routing sweep per step, from the first processor's
-offline edge on.
+an O(requests) re-routing sweep only on the steps where a chain head
+can sit on an offline slot: after a fault edge, or after a start or a
+preemption leaves a head on a slot that is already offline.
+
+**Probes: bounded runs, checkpoints and forks.**  The planner's
+objective asks only "what is this plan's makespan, and does it beat the
+incumbent?", so probe-style engines (closed loop, contention only: no
+memory enforcement, arrivals, deadlines, faults, scheduled
+cancellations or preemptions, causality, trace or event log) offer
+three cheaper ways to answer it:
+
+* :meth:`DiscreteEventEngine.run_bounded_ms` stops as soon as the run
+  provably ends at or after ``stop_at_ms`` and returns ``inf``.  The
+  bound is ``now + max over slots of (remaining_ms of the running
+  slice + solo_ms of the slot's unstarted slices)``: every rate factor
+  ``1 + slowdown`` is >= 1 and a slot runs one slice at a time.  A
+  departure fires at ``remaining_ms <= 10 * _EPS``, so the bound gives
+  back ``10 * _EPS`` per outstanding task plus ``PRUNE_MARGIN_MS``,
+  which also absorbs the rounding of the caller's threshold.
+* :meth:`DiscreteEventEngine.run_checkpointed` runs to completion and
+  keeps a :class:`Checkpoint` of the run state before every step.
+* :meth:`DiscreteEventEngine.fork` builds an engine in the state of one
+  checkpoint, optionally with some requests' chains replaced from a
+  position on, without re-running ``__init__``: it clones only the
+  running and unstarted tasks.  The fork is exact when nothing read
+  the replaced tasks before that checkpoint.  Ready sets hold request
+  ids and FIFO picks by id, so a chain position is first read when it
+  *starts* (same processor) or, when its processor changes or the
+  stage appears or vanishes, when it is *exposed* (its predecessor
+  departs).  :class:`Checkpoint` progress codes locate both steps.
+
+All three raise ``ValueError`` on an engine built with any of the
+options listed above.
 
 **Equivalence guarantee.**  For the legacy feature set (closed-loop or
 listed arrivals, contention, memory enforcement, fault injection — no
@@ -97,6 +128,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
@@ -120,6 +152,11 @@ from ..util import percentile
 from .arrivals import ArrivalsLike, resolve_arrivals
 
 _EPS = 1e-9
+
+#: Slack a bounded run gives its lower bound on top of ``10 * _EPS`` per
+#: outstanding task: float rounding of the step arithmetic and of the
+#: caller's threshold (see "Probes" above).
+PRUNE_MARGIN_MS = 1e-6
 
 #: MNN-style runtime arenas (weight buffers, pre-allocated tensor pools,
 #: backend scratch space) occupy a multiple of the raw working set.
@@ -176,6 +213,47 @@ class ChainTask:
         if self.solo_ms < 0:
             raise ValueError("solo_ms must be >= 0")
         self.remaining_ms = self.solo_ms
+
+    def fresh(self) -> "ChainTask":
+        """An unstarted copy: the engine mutates the tasks it runs."""
+        return ChainTask(
+            self.request,
+            self.proc,
+            self.solo_ms,
+            self.workload,
+            self.working_set,
+            self.stage,
+        )
+
+
+class Checkpoint(NamedTuple):
+    """The run state of a probe-style engine after some number of steps.
+
+    ``running`` holds, per slot, the running task with its
+    ``remaining_ms`` and ``start_ms`` at that moment (the task object
+    itself runs on).  A request's *progress code*
+    ``2 * next_idx + prev_done`` only grows: chain position ``p`` is
+    exposed when the code reaches ``2p + 1`` and starts when it reaches
+    ``2p + 2``.
+    """
+
+    now_ms: float
+    next_idx: List[int]
+    prev_done: List[bool]
+    running: Tuple[Optional[Tuple["ChainTask", float, Optional[float]]], ...]
+    busy_ms: List[float]
+    finish_ms: List[float]
+    first_start_ms: List[Optional[float]]
+    completed: int
+    ready: List[Set[int]]
+    records: int
+    used_bytes: float
+    request_alloc: Dict[int, float]
+    events_processed: int
+
+    def progress(self, request: int) -> int:
+        """The request's progress code at this checkpoint."""
+        return 2 * self.next_idx[request] + self.prev_done[request]
 
 
 class TaskRecord(NamedTuple):
@@ -373,7 +451,10 @@ class DiscreteEventEngine:
 
     The engine is single-use: construct, optionally schedule
     cancellations/preemptions, then :meth:`run` (or drive it
-    incrementally with :meth:`step` / :meth:`run_until_ms`).  The
+    incrementally with :meth:`step` / :meth:`run_until_ms`).  A
+    probe-style engine can instead :meth:`run_bounded_ms` or
+    :meth:`run_checkpointed`, and a checkpointed one can :meth:`fork`
+    (see "Probes" in the module docstring).  The
     executor entry points (:func:`~repro.runtime.executor.simulate_chains`,
     :func:`~repro.runtime.executor.execute_plan`) forward their engine
     options here, so this is where every option is documented.
@@ -472,9 +553,8 @@ class DiscreteEventEngine:
                     f"offline time of processor {proc_name!r} must not be NaN"
                 )
             self._offline_at[self._slot[proc_name]] = t_ms
-        # No head needs rerouting before the earliest fault edge.
-        self._first_offline_ms = min(self._offline_at)
         self._deadline_ms = self._resolve_deadlines(deadline_ms)
+        self._closed_loop = arrivals is None
 
         capacity = soc.memory_capacity_bytes
         for i, chain in enumerate(self._chains):
@@ -524,8 +604,23 @@ class DiscreteEventEngine:
         self._events: List[Event] = []
         self._events_processed = 0
         self._steps = 0
+        self._steps_base = 0  # a fork's steps taken before its checkpoint
         self._slowdown_evaluations = 0
         self._finished_run = False
+        # A head can sit on an offline slot only from the next fault
+        # edge on, or once a start or preemption leaves one there (then
+        # -inf): the re-routing sweep runs from this time.
+        self._sweep_at_ms = min(self._offline_at)
+        self._any_offline = False
+        # Probe-style runs: options checked, cancellations or
+        # preemptions scheduled, and per slot the solo time of the
+        # unstarted tasks (the bound of run_bounded_ms).
+        self._probe_checked = False
+        self._scheduled = False
+        self._pending_ms: Optional[List[float]] = None
+        self._checkpoints: Optional[List[Checkpoint]] = None
+        # A fork's parent checkpoints and its index in them.
+        self._fork_of: Optional[Tuple[List[Checkpoint], int]] = None
 
         self._tracker = CausalityTracker() if track_causality else None
 
@@ -610,6 +705,8 @@ class DiscreteEventEngine:
         its arrival: the request is withdrawn with zero latency.
         """
         self._check_request(request)
+        self._scheduled = True
+        self._probe_checked = False
         self._push(at_ms, CANCELLATION, (request, "user"))
 
     def schedule_preemption(self, request: int, at_ms: float) -> None:
@@ -620,6 +717,8 @@ class DiscreteEventEngine:
         no-op when the request has nothing running at that time.
         """
         self._check_request(request)
+        self._scheduled = True
+        self._probe_checked = False
         self._push(at_ms, PREEMPTION, request)
 
     def _check_request(self, request: int) -> None:
@@ -627,6 +726,33 @@ class DiscreteEventEngine:
             raise ValueError(
                 f"request {request} out of range [0, {self._n})"
             )
+
+    def _require_probe(self, what: str) -> None:
+        """Raise unless this engine may bound, checkpoint or fork."""
+        if self._finished_run:
+            raise RuntimeError("engine instances are single-use")
+        if self._probe_checked:
+            return
+        breakers = [
+            name
+            for name, used in (
+                ("memory enforcement", self._enforce_memory),
+                ("arrivals", not self._closed_loop),
+                ("deadlines", any(d is not None for d in self._deadline_ms)),
+                ("faults", any(t < math.inf for t in self._offline_at)),
+                ("causality", self._tracker is not None),
+                ("trace", self._trace_enabled),
+                ("keep_events", self._keep_events),
+                ("scheduled cancellations or preemptions", self._scheduled),
+            )
+            if used
+        ]
+        if breakers:
+            raise ValueError(
+                f"{what} needs a probe-style engine; this one has "
+                f"{', '.join(breakers)}"
+            )
+        self._probe_checked = True
 
     def run(self) -> ExecutionResult:
         """Run the simulation to completion and build the result."""
@@ -651,11 +777,7 @@ class DiscreteEventEngine:
                 memory_pressure=self._memory_pressure_events,
             )
         self._finished_run = True
-        if obs.enabled():
-            # Simulation work of every run, probes included: the
-            # objective phase's deterministic layer breakdown.
-            obs.add("engine_steps", self._steps)
-            obs.add("slowdown_evaluations", self._slowdown_evaluations)
+        self._count_work()
         if self._record and obs.enabled():
             obs.add("tasks_executed", self._completed)
             obs.add("engine_events_processed", self._events_processed)
@@ -667,6 +789,211 @@ class DiscreteEventEngine:
                 if rec.solo_ms > 0:
                     obs.observe("slice_slowdown", rec.slowdown)
         return self.result()
+
+    def _count_work(self) -> None:
+        if obs.enabled():
+            # Simulation work of every run, probes included: the
+            # objective phase's deterministic layer breakdown.  A fork
+            # counts only the steps it ran itself.
+            obs.add("engine_steps", self._steps - self._steps_base)
+            obs.add("slowdown_evaluations", self._slowdown_evaluations)
+
+    def run_bounded_ms(self, stop_at_ms: float = math.inf) -> float:
+        """The run's makespan, or ``inf`` once it provably reaches ``stop_at_ms``.
+
+        Runs like :meth:`run` but builds no result.  Before every step
+        it checks the lower bound described under "Probes" in the
+        module docstring; when the bound minus its margin reaches
+        ``stop_at_ms`` the run stops and returns ``inf``, so a caller
+        that keeps only makespans below ``stop_at_ms`` decides exactly
+        as it would on the full run.  ``inf`` never stops.
+
+        Raises:
+            ValueError: on an engine that is not probe-style.
+            RuntimeError: on an engine that already ran.
+        """
+        self._require_probe("a bounded run")
+        if stop_at_ms < math.inf:
+            pending_ms = self._pending_ms
+            if pending_ms is None:
+                pending_ms = [0.0 for _ in self._procs]
+                for chain, head in zip(self._chains, self._next_idx):
+                    for task in chain[head:]:
+                        slot = self._slot[task.proc.name]
+                        pending_ms[slot] += task.solo_ms
+                self._pending_ms = pending_ms
+            running = self._proc_running
+            while self._outstanding > 0:
+                work_ms = 0.0
+                for slot_ms, task in zip(pending_ms, running):
+                    if task is not None:
+                        slot_ms += task.remaining_ms
+                    if slot_ms > work_ms:
+                        work_ms = slot_ms
+                slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * self._outstanding
+                if self._now + work_ms - slack_ms >= stop_at_ms:
+                    self._finished_run = True
+                    self._count_work()
+                    return math.inf
+                self._step()
+        else:
+            while self._outstanding > 0:
+                self._step()
+        self._finished_run = True
+        self._count_work()
+        return self._now
+
+    def run_checkpointed(self) -> float:
+        """Run to completion keeping a :class:`Checkpoint` before every step.
+
+        ``checkpoints[j]`` is the state after ``j`` steps; the last one
+        is the finished run.  A fork that runs checkpointed inherits
+        its parent's checkpoints before the fork point.
+
+        Returns:
+            The makespan.
+
+        Raises:
+            ValueError: on an engine that is not probe-style.
+            RuntimeError: on an engine that already ran.
+        """
+        self._require_probe("checkpointing")
+        checkpoints: List[Checkpoint] = []
+        if self._fork_of is not None:
+            parent, index = self._fork_of
+            checkpoints = parent[:index]
+            self._fork_of = None
+        self._checkpoints = checkpoints
+        while self._outstanding > 0:
+            checkpoints.append(self._checkpoint())
+            self._step()
+        checkpoints.append(self._checkpoint())
+        self._finished_run = True
+        self._count_work()
+        return self._now
+
+    @property
+    def checkpoints(self) -> Sequence[Checkpoint]:
+        """The checkpoints of :meth:`run_checkpointed` (empty before it)."""
+        return self._checkpoints or ()
+
+    def _checkpoint(self) -> Checkpoint:
+        return Checkpoint(
+            self._now,
+            self._next_idx[:],
+            self._prev_done[:],
+            tuple(
+                None if task is None else (task, task.remaining_ms, task.start_ms)
+                for task in self._proc_running
+            ),
+            self._busy[:],
+            self._finish[:],
+            self._first_start[:],
+            self._completed,
+            [set(ready) for ready in self._ready],
+            len(self._records),
+            self._used_bytes,
+            dict(self._request_alloc),
+            self._events_processed,
+        )
+
+    def fork(
+        self,
+        index: int,
+        tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
+    ) -> "DiscreteEventEngine":
+        """A new, unrun engine in the state of ``checkpoints[index]``.
+
+        ``tails`` maps a request to ``(position, tasks)``: its chain
+        from ``position`` on is replaced by ``tasks`` (fresh, unstarted
+        tasks of that request).  The fork simulates exactly what a new
+        engine over the replaced chains would, provided nothing read a
+        replaced position before the checkpoint — see "Probes" in the
+        module docstring for when that holds.  Unreplaced unstarted
+        tasks are cloned; running tasks are cloned with their progress.
+
+        Raises:
+            ValueError: when this engine has no checkpoints, ``index``
+                is not after the first step, or a tail starts at a
+                position that has already started.
+        """
+        checkpoints = self._checkpoints
+        if not checkpoints:
+            raise ValueError("fork needs a run_checkpointed() engine")
+        if not 1 <= index < len(checkpoints):
+            raise ValueError(
+                f"fork index {index} out of range [1, {len(checkpoints)})"
+            )
+        ck = checkpoints[index]
+        slot_of = self._slot
+        pending_ms = [0.0 for _ in self._procs]
+        chains: List[List[ChainTask]] = []
+        total = 0
+        for i, chain in enumerate(self._chains):
+            head = ck.next_idx[i]
+            tail = tails.get(i)
+            if tail is None:
+                unstarted = [task.fresh() for task in chain[head:]]
+            else:
+                position, tasks = tail
+                if position < head:
+                    raise ValueError(
+                        f"request {i}: position {position} started before "
+                        f"checkpoint {index}"
+                    )
+                unstarted = [task.fresh() for task in chain[head:position]]
+                unstarted.extend(tasks)
+            for task in unstarted:
+                slot = slot_of[task.proc.name]
+                pending_ms[slot] += task.solo_ms
+            forked = chain[:head] + unstarted
+            total += len(forked)
+            chains.append(forked)
+        running: List[Optional[ChainTask]] = [None] * len(self._procs)
+        for k, entry in enumerate(ck.running):
+            if entry is not None:
+                task, remaining_ms, start_ms = entry
+                clone = task.fresh()
+                clone.remaining_ms = remaining_ms
+                clone.start_ms = start_ms
+                running[k] = clone
+                chains[task.request][ck.next_idx[task.request] - 1] = clone
+
+        engine = DiscreteEventEngine.__new__(DiscreteEventEngine)
+        # Configuration (SoC, slots, options) is shared and read-only;
+        # every piece of run state is replaced below.
+        engine.__dict__.update(self.__dict__)
+        engine._chains = chains
+        engine._now = ck.now_ms
+        engine._next_idx = ck.next_idx[:]
+        engine._prev_done = ck.prev_done[:]
+        engine._arrived = [True] * self._n  # all arrive in the first step
+        engine._proc_running = running
+        engine._request_alloc = dict(ck.request_alloc)
+        engine._used_bytes = ck.used_bytes
+        engine._records = self._records[: ck.records]
+        engine._trace_points = []
+        engine._busy = ck.busy_ms[:]
+        engine._finish = ck.finish_ms[:]
+        engine._first_start = ck.first_start_ms[:]
+        engine._total_tasks = total
+        engine._outstanding = total - ck.completed
+        engine._completed = ck.completed
+        engine._dropped = []
+        engine._cancelled = []
+        engine._removed = set()
+        engine._ready = [set(ready) for ready in ck.ready]
+        engine._events = []
+        engine._events_processed = ck.events_processed
+        engine._steps = index
+        engine._steps_base = index
+        engine._slowdown_evaluations = 0
+        engine._finished_run = False
+        engine._heap = []
+        engine._pending_ms = pending_ms
+        engine._checkpoints = None
+        engine._fork_of = (checkpoints, index)
+        return engine
 
     def run_until_ms(self, until_ms: float) -> None:
         """Advance the simulation until ``now_ms`` reaches ``until_ms``.
@@ -819,6 +1146,8 @@ class DiscreteEventEngine:
             # and the arena stays allocated (the slice will resume).
             self._next_idx[request] -= 1
             self._prev_done[request] = True
+            if self._any_offline and self._is_offline(k):
+                self._sweep_at_ms = -math.inf  # the resumed head must move
             self._expose_head(request)
             if self._tracker is not None:
                 # The vacating slice has no finish yet, so a start it
@@ -924,12 +1253,22 @@ class DiscreteEventEngine:
             self._request_alloc[task.request] = (
                 self._request_alloc.get(task.request, 0.0) + task.working_set
             )
+            pending_ms = self._pending_ms
+            if pending_ms is not None:
+                pending_ms[slot] -= task.solo_ms
         self._proc_running[slot] = task
         if self._first_start[task.request] is None:
             self._first_start[task.request] = self._now
         self._ready[slot].remove(task.request)
         self._next_idx[task.request] += 1
         self._prev_done[task.request] = False
+        if self._any_offline:
+            chain = self._chains[task.request]
+            head = self._next_idx[task.request]
+            if head < len(chain) and self._is_offline(
+                self._slot[chain[head].proc.name]
+            ):
+                self._sweep_at_ms = -math.inf  # the new head must move
         self._emit(TASK_READY, request=task.request, processor=proc_name)
 
     def _try_start(self) -> bool:
@@ -1030,7 +1369,13 @@ class DiscreteEventEngine:
             self._pop_due_events()
         if self._outstanding <= 0:
             return  # a cancellation drained the remaining work
-        if self._now >= self._first_offline_ms - _EPS:
+        if self._now >= self._sweep_at_ms - _EPS:
+            # A slot went offline, or a head landed on an offline one.
+            self._any_offline = True
+            self._sweep_at_ms = min(
+                (t for t in self._offline_at if self._now < t - _EPS),
+                default=math.inf,
+            )
             self._reassign_offline_heads()
         memory_blocked = self._try_start()
         proc_running = self._proc_running

@@ -38,7 +38,7 @@ loop preserved in :mod:`repro.runtime._legacy_executor`):
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..profiling.slowdown import SliceWorkload
@@ -47,27 +47,31 @@ from .engine import (  # noqa: F401  (re-exported: the historical home)
     _EPS,
     ARENA_OVERHEAD_FACTOR,
     ChainTask,
+    Checkpoint,
     DiscreteEventEngine,
     Event,
     ExecutionResult,
     TaskRecord,
     TracePoint,
 )
+from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ..core.plan import PipelinePlan
+    from ..core.plan import PipelinePlan, StageAssignment
 
 __all__ = [
     "ARENA_OVERHEAD_FACTOR",
     "ChainTask",
     "Event",
     "ExecutionResult",
+    "ProbeAnchor",
     "TaskRecord",
     "TracePoint",
     "execute_plan",
     "execute_plan_perturbed",
     "plan_to_chains",
+    "probe_makespan_ms",
     "replicate_chains",
     "scale_chain_tasks",
     "simulate_chains",
@@ -103,13 +107,11 @@ def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
     :class:`ChainTask` objects — engine tasks are mutable.
     """
     processors = plan.processors
-    names: List[Optional[str]] = [p.name for p in processors]
-    names.append(None)  # the last stage hands off to nobody
+    names = _handoff_names(processors)
     hits = misses = 0
     chains: List[List[ChainTask]] = []
     for i, assignment in enumerate(plan.assignments):
-        profile = assignment.profile
-        memo = profile.slice_tasks
+        memo = assignment.profile.slice_tasks
         chain: List[ChainTask] = []
         for k, slc in enumerate(assignment.slices):
             if slc is None:
@@ -119,14 +121,9 @@ def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
             entry = memo.get(key)
             if entry is None:
                 misses += 1
-                entry = (
-                    assignment.stage_time_ms(k, processors),
-                    SliceWorkload(
-                        profile=profile, proc=processors[k], start=start, end=end
-                    ),
-                    ARENA_OVERHEAD_FACTOR * profile.working_set_bytes(start, end),
+                entry = memo[key] = _slice_entry(
+                    assignment, k, processors, start, end
                 )
-                memo[key] = entry
             else:
                 hits += 1
             chain.append(
@@ -144,6 +141,230 @@ def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
         obs.add("chain_task_memo_hits", hits)
         obs.add("chain_task_memo_misses", misses)
     return chains
+
+
+def _handoff_names(processors: Sequence[ProcessorSpec]) -> List[Optional[str]]:
+    """Stage ``k``'s processor name is entry ``k``, its successor's ``k + 1``."""
+    names: List[Optional[str]] = [p.name for p in processors]
+    names.append(None)  # the last stage hands off to nobody
+    return names
+
+
+SliceEntry = Tuple[float, SliceWorkload, float]
+
+
+def _slice_entry(
+    assignment: "StageAssignment",
+    k: int,
+    processors: Sequence[ProcessorSpec],
+    start: int,
+    end: int,
+) -> SliceEntry:
+    """Stage ``k``'s solo time, workload and working set (a memo entry)."""
+    profile = assignment.profile
+    return (
+        assignment.stage_time_ms(k, processors),
+        SliceWorkload(profile=profile, proc=processors[k], start=start, end=end),
+        ARENA_OVERHEAD_FACTOR * profile.working_set_bytes(start, end),
+    )
+
+
+#: A request's chain positions: ``(stage, first layer, last layer)`` of
+#: each non-empty stage, in order.
+Stages = Tuple[Tuple[int, int, int], ...]
+
+
+def _stages(slices: Sequence[Optional[Tuple[int, int]]]) -> Stages:
+    return tuple(
+        (k, slc[0], slc[1]) for k, slc in enumerate(slices) if slc is not None
+    )
+
+
+def _probe_engine(
+    soc: SocSpec, chains: List[List[ChainTask]], with_contention: bool
+) -> DiscreteEventEngine:
+    """An engine configured the way objective probes run."""
+    return DiscreteEventEngine(
+        soc,
+        chains,
+        with_contention=with_contention,
+        enforce_memory=False,
+        record=False,
+        track_causality=False,
+    )
+
+
+def _bounded(engine: DiscreteEventEngine, stop_at_ms: float) -> float:
+    value = engine.run_bounded_ms(stop_at_ms)
+    if value == math.inf:
+        obs.add("objective_probes_pruned")
+    return value
+
+
+def probe_makespan_ms(
+    plan: "PipelinePlan",
+    with_contention: bool = True,
+    stop_at_ms: float = math.inf,
+) -> float:
+    """A plan's makespan as an objective probe needs it.
+
+    One fresh engine with no memory gate, no causality and no result
+    (:meth:`~repro.runtime.engine.DiscreteEventEngine.run_bounded_ms`):
+    the makespan, or ``inf`` once the run provably reaches
+    ``stop_at_ms``.
+    """
+    engine = _probe_engine(plan.soc, plan_to_chains(plan), with_contention)
+    return _bounded(engine, stop_at_ms)
+
+
+def _first_reaching(
+    checkpoints: Sequence[Checkpoint], request: int, code: int
+) -> int:
+    """The first checkpoint at which ``request``'s progress reaches ``code``.
+
+    Progress codes only grow, so this is a binary search (by hand:
+    ``bisect``'s ``key=`` needs Python 3.10).
+    """
+    lo, hi = 0, len(checkpoints)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if checkpoints[mid].progress(request) < code:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class ProbeAnchor:
+    """One checkpointed probe run of a plan that neighbouring probes resume.
+
+    A probe of a plan with the same SoC, processors, order and model
+    profiles differs from the anchor only in some requests' slices.  For each
+    such request the first differing chain position ``p`` says how far
+    the anchor's run is also the probe's: up to the step in which ``p``
+    starts if its processor is unchanged, else up to the step in which
+    ``p`` is exposed (see "Probes" in :mod:`repro.runtime.engine`).  The
+    probe forks the anchor's engine at the earliest such step, with the
+    changed requests' tails taken from the slice-task memo, and runs
+    bounded from there: no ``plan_to_chains``, no engine construction,
+    and none of the shared prefix's steps.
+
+    Args:
+        plan: The plan to anchor on.
+        with_contention: As for :func:`probe_makespan_ms`.
+        previous: An earlier anchor; when the plan is one of its
+            neighbours the new anchor forks from it too.
+    """
+
+    def __init__(
+        self,
+        plan: "PipelinePlan",
+        with_contention: bool = True,
+        previous: Optional["ProbeAnchor"] = None,
+    ) -> None:
+        self._soc = plan.soc
+        self._processors = plan.processors
+        self._order = plan.order
+        self._with_contention = with_contention
+        self._profiles = [a.profile for a in plan.assignments]
+        self._slices = [list(a.slices) for a in plan.assignments]
+        self._stages = [_stages(a.slices) for a in plan.assignments]
+        self._names = _handoff_names(plan.processors)
+        obs.add("objective_evaluations")
+        engine = None
+        if previous is not None:
+            engine = previous._fork(plan, with_contention)
+        if engine is None:
+            engine = _probe_engine(plan.soc, plan_to_chains(plan), with_contention)
+        self.makespan_ms = engine.run_checkpointed()
+        self._engine = engine
+
+    def probe_ms(
+        self,
+        plan: "PipelinePlan",
+        with_contention: bool = True,
+        stop_at_ms: float = math.inf,
+    ) -> Optional[float]:
+        """The plan's :func:`probe_makespan_ms`, resumed from this anchor.
+
+        Returns:
+            The makespan (bit-identical to a fresh probe), ``inf`` when
+            the run provably reaches ``stop_at_ms``, or None when the
+            plan cannot resume from this anchor (another SoC, order or
+            mix, or a change read in the run's first step).
+        """
+        engine = self._fork(plan, with_contention)
+        if engine is None:
+            return None
+        obs.add("objective_evaluations")
+        obs.add("objective_probes_resumed")
+        return _bounded(engine, stop_at_ms)
+
+    def _fork(
+        self, plan: "PipelinePlan", with_contention: bool
+    ) -> Optional[DiscreteEventEngine]:
+        """The anchor's engine forked where ``plan``'s run leaves it."""
+        if (
+            plan.soc is not self._soc
+            or plan.processors != self._processors
+            or plan.order != self._order
+            or with_contention != self._with_contention
+            or len(plan.assignments) != len(self._profiles)
+        ):
+            return None
+        checkpoints = self._engine.checkpoints
+        index = len(checkpoints) - 1
+        changed: List[Tuple[int, int, Stages]] = []
+        for i, assignment in enumerate(plan.assignments):
+            if assignment.profile is not self._profiles[i]:
+                return None
+            if assignment.slices == self._slices[i]:
+                continue
+            old = self._stages[i]
+            new = _stages(assignment.slices)
+            p = 0
+            while p < len(old) and p < len(new) and old[p] == new[p]:
+                p += 1
+            if p < len(old) and p < len(new) and old[p][0] == new[p][0]:
+                code = 2 * p + 2  # same processor: read when it starts
+            else:
+                code = 2 * p + 1  # read when it is exposed
+            index = min(index, _first_reaching(checkpoints, i, code) - 1)
+            changed.append((i, p, new))
+        if index < 1:
+            return None
+        tails = {
+            i: (p, self._tail(i, plan.assignments[i], new[p:]))
+            for i, p, new in changed
+        }
+        return self._engine.fork(index, tails)
+
+    def _tail(
+        self, request: int, assignment: "StageAssignment", stages: Stages
+    ) -> List[ChainTask]:
+        """Fresh tasks of ``request`` at the given chain positions."""
+        processors = self._processors
+        names = self._names
+        memo = assignment.profile.slice_tasks
+        hits = misses = 0
+        tail: List[ChainTask] = []
+        for k, start, end in stages:
+            key = (names[k], names[k + 1], start, end)
+            entry = memo.get(key)
+            if entry is None:
+                misses += 1
+                entry = memo[key] = _slice_entry(
+                    assignment, k, processors, start, end
+                )
+            else:
+                hits += 1
+            tail.append(
+                ChainTask(request, processors[k], entry[0], entry[1], entry[2], k)
+            )
+        if obs.enabled():
+            obs.add("chain_task_memo_hits", hits)
+            obs.add("chain_task_memo_misses", misses)
+        return tail
 
 
 def replicate_chains(

@@ -19,6 +19,7 @@ faithful optimization proxy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -151,7 +152,11 @@ def plan_bubbles_ms(plan: "PipelinePlan", with_contention: bool = True) -> float
     return build_schedule(plan, with_contention).total_bubble_ms
 
 
-def async_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:
+def async_makespan_ms(
+    plan: "PipelinePlan",
+    with_contention: bool = True,
+    stop_at_ms: float = math.inf,
+) -> float:
     """Asynchronous (event-driven) makespan of a plan.
 
     The synchronized-column model over-serializes: it forces every
@@ -165,24 +170,24 @@ def async_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> flo
     Each call is a full silent re-simulation (``objective_evaluations``
     counts them) that pays only for the makespan it returns: the engine
     runs with causality tracking off (nothing reads the blame rows of a
-    probe), and ``plan_to_chains`` takes each stage's solo time,
+    probe) and builds no result, and ``plan_to_chains`` takes each stage's solo time,
     workload and working set from the profile's slice-task memo, so
     probes of near-identical plans share workload objects and their
     cached contention inputs.  This function is a deterministic pure
     function of the plan configuration, which is what makes
     :class:`repro.core.objective.ObjectiveCache` — the planner's
     memoization layer in front of it — exact rather than approximate.
+
+    A caller that only keeps makespans below a threshold passes it as
+    ``stop_at_ms``: the run stops as soon as it provably reaches the
+    threshold and returns ``inf`` (``objective_probes_pruned`` counts
+    these), so every comparison against the threshold decides as the
+    full run would.
     """
-    from .executor import execute_plan  # local import: avoid cycle
+    from .executor import probe_makespan_ms  # local import: avoid cycle
 
     obs.add("objective_evaluations")
-    return execute_plan(
-        plan,
-        with_contention=with_contention,
-        enforce_memory=False,
-        record=False,
-        track_causality=False,
-    ).makespan_ms
+    return probe_makespan_ms(plan, with_contention, stop_at_ms)
 
 
 def tail_bubble_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:

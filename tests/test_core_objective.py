@@ -7,14 +7,23 @@ byte-identical plans over the full zoo x SoC grid, and a repeated
 """
 
 import inspect
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.objective import LRUCache, ObjectiveCache, plan_fingerprint
+from repro.core.objective import (
+    LowerBound,
+    LRUCache,
+    ObjectiveCache,
+    plan_fingerprint,
+)
 from repro.core.plan import PipelinePlan, StageAssignment
 from repro.core.planner import Hetero2PipePlanner, PlannerConfig
 from repro.core.partition import partition_model
+from repro.core.stealing import move_boundary_layer, single_processor_assignment
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
@@ -329,3 +338,204 @@ class TestProbeCost:
             executor.execute_plan(report.plan).makespan_ms
             == executor.execute_plan(fresh.plan).makespan_ms
         )
+
+
+@pytest.fixture(scope="module")
+def profilers():
+    """One profiler per SoC, shared by this module's plans."""
+    return {name: SocProfiler(get_soc(name)) for name in SOC_NAMES}
+
+
+def shared_plan(profilers, soc_name, names):
+    """Like :func:`build_plan`, with the module's profiler for the SoC."""
+    soc = get_soc(soc_name)
+    profiler = profilers[soc_name]
+    assignments = []
+    for name in names:
+        profile = profiler.profile(get_model(name))
+        part = partition_model(profile, soc.processors)
+        assignments.append(
+            StageAssignment(profile=profile, slices=list(part.slices))
+        )
+    return PipelinePlan(
+        soc=soc, processors=tuple(soc.processors), assignments=assignments
+    )
+
+
+def fresh_makespan(plan):
+    return executor.execute_plan(
+        plan, enforce_memory=False, track_causality=False
+    ).makespan_ms
+
+
+def apply_move(plan, request, stage, rightward):
+    """One boundary move, indices wrapped onto the plan; False if refused."""
+    i = request % plan.num_requests
+    s = stage % (plan.depth - 1)
+    frm, to = (s, s + 1) if rightward else (s + 1, s)
+    return move_boundary_layer(plan.assignments[i], frm, to, plan.processors)
+
+
+def apply_placement(plan, request, stage):
+    i = request % plan.num_requests
+    candidate = single_processor_assignment(
+        plan.assignments[i], stage % plan.depth, plan.processors
+    )
+    if candidate is None:
+        return False
+    plan.assignments[i] = candidate
+    return True
+
+
+def neighbours(plan):
+    """Every single boundary move and placement of ``plan``."""
+    for i in range(plan.num_requests):
+        for s in range(plan.depth - 1):
+            for rightward in (True, False):
+                trial = plan.copy()
+                if apply_move(trial, i, s, rightward):
+                    yield trial
+        for stage in range(plan.depth):
+            trial = plan.copy()
+            if apply_placement(trial, i, stage):
+                yield trial
+
+
+moves = st.tuples(st.integers(0, 5), st.integers(0, 3), st.booleans())
+
+
+class TestIncrementalProbes:
+    """Cutoffs and anchors change what a probe simulates, never its answer."""
+
+    @pytest.fixture(scope="class")
+    def kirin(self):
+        return get_soc("kirin990")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        soc_name=st.sampled_from(SOC_NAMES),
+        names=st.lists(st.sampled_from(MODEL_NAMES), min_size=2, max_size=5),
+        anchor_moves=st.lists(moves, max_size=6),
+        probe=st.one_of(
+            st.tuples(st.just("move"), moves),
+            st.tuples(
+                st.just("place"),
+                st.tuples(st.integers(0, 5), st.integers(0, 4), st.just(False)),
+            ),
+        ),
+        cutoff_scale=st.one_of(st.none(), st.floats(0.8, 1.2)),
+    )
+    def test_probe_is_fresh_value_or_proven_loss(
+        self, profilers, soc_name, names, anchor_moves, probe, cutoff_scale
+    ):
+        plan = shared_plan(profilers, soc_name, names)
+        for move in anchor_moves:
+            apply_move(plan, *move)
+        cache = ObjectiveCache()
+        cache.anchor(plan)
+        neighbour = plan.copy()
+        kind, (request, stage, rightward) = probe
+        if kind == "move":
+            apply_move(neighbour, request, stage, rightward)
+        else:
+            apply_placement(neighbour, request, stage)
+        fresh = fresh_makespan(neighbour)
+        cutoff = math.inf if cutoff_scale is None else fresh * cutoff_scale
+        value = cache(neighbour, stop_at_ms=cutoff)
+        if value == math.inf:
+            assert fresh >= cutoff
+        else:
+            assert value == fresh  # bit for bit
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    def test_neighbourhood_resumes_and_prunes_exactly(self, profilers, soc_name):
+        plan = shared_plan(profilers, soc_name, MIX)
+        cache = ObjectiveCache()
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            cache.anchor(plan)
+            for trial in neighbours(plan):
+                fresh = fresh_makespan(trial)
+                value = cache(trial, stop_at_ms=0.9 * fresh)
+                assert value == math.inf or value == fresh
+                # An exact value or a bound at a higher cutoff answers
+                # a repeat with this cutoff; a higher one is exact.
+                assert cache(trial, stop_at_ms=0.9 * fresh) == value
+                assert cache(trial, stop_at_ms=math.inf) == fresh
+            counters = rec.metrics.snapshot()["counters"]
+        assert counters["objective_probes_resumed"] > 0
+        assert counters["objective_probes_pruned"] > 0
+        assert counters["objective_evaluations"] == cache.misses + 1  # + anchor
+
+    def test_pruned_entry_answers_only_lower_cutoffs(self, kirin):
+        plan = build_plan(kirin, ["resnet50", "vit", "bert"])
+        fresh = fresh_makespan(plan)
+        cache = ObjectiveCache()
+        assert cache(plan, stop_at_ms=fresh * 0.5) == math.inf
+        assert cache.misses == 1
+        assert cache(plan, stop_at_ms=fresh * 0.4) == math.inf
+        assert (cache.hits, cache.misses) == (1, 1)
+        # A higher cutoff is not answered by the bound: it re-simulates.
+        assert cache(plan, stop_at_ms=fresh * 0.6) == math.inf
+        assert cache.misses == 2
+        assert cache(plan) == fresh
+        assert cache.misses == 3
+        assert cache(plan, stop_at_ms=fresh * 0.5) == fresh
+        assert cache.hits == 2
+
+    def test_pruned_spans_carry_no_makespan(self, kirin):
+        plan = build_plan(kirin, ["resnet50", "vit", "bert"])
+        fresh = fresh_makespan(plan)
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            ObjectiveCache()(plan, stop_at_ms=fresh * 0.5)
+            spans = [s for s in rec.all_spans() if s.name == "plan.objective"]
+        assert [s.attrs.get("pruned") for s in spans] == [True]
+        assert "makespan_ms" not in spans[0].attrs
+
+    def test_bare_objective_prunes(self, kirin):
+        plan = build_plan(kirin, ["resnet50", "vit", "bert"])
+        fresh = fresh_makespan(plan)
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            # The solo work alone reaches 1 ms: pruned before a step.
+            assert async_makespan_ms(plan, stop_at_ms=1.0) == math.inf
+            counters = rec.metrics.snapshot()["counters"]
+        assert counters["objective_probes_pruned"] == 1
+        assert counters["engine_steps"] == 0
+        assert async_makespan_ms(plan, stop_at_ms=fresh * 1.01) == fresh
+        assert async_makespan_ms(plan) == fresh
+
+    def test_lower_bound_entry_is_the_cutoff(self, kirin):
+        plan = build_plan(kirin, ["resnet50"])
+        cache = ObjectiveCache()
+        cache(plan, stop_at_ms=1.0)
+        assert cache._cache.get(plan_fingerprint(plan)) == LowerBound(1.0)
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("yolov4", "bert", "squeezenet", "resnet50", "vit"),
+            ("alexnet", "mobilenetv2", "googlenet"),
+            ("vit", "vit", "bert", "resnet50"),
+        ],
+    )
+    def test_cache_on_and_off_plan_identically(self, soc_name, names):
+        """The cached planner anchors, resumes and prunes; the uncached
+        one prunes but never resumes; both emit the same plan."""
+        soc = get_soc(soc_name)
+        models = [get_model(n) for n in names]
+        counters = {}
+        reports = {}
+        for label, config in (
+            ("cached", PlannerConfig()),
+            ("uncached", PlannerConfig.uncached()),
+        ):
+            with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+                reports[label] = Hetero2PipePlanner(soc, config).plan(models)
+                counters[label] = rec.metrics.snapshot()["counters"]
+        cached, uncached = reports["cached"], reports["uncached"]
+        assert plan_fingerprint(cached.plan) == plan_fingerprint(uncached.plan)
+        assert cached.stealing_moves == uncached.stealing_moves
+        assert cached.tail_changed == uncached.tail_changed
+        assert counters["cached"]["objective_probes_resumed"] > 0
+        assert "objective_probes_resumed" not in counters["uncached"]
+        assert counters["uncached"]["objective_probes_pruned"] > 0

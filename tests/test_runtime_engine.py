@@ -1,13 +1,16 @@
 """Tests for the discrete-event engine, arrival processes and the
 legacy-executor equivalence guarantee."""
 
+import itertools
 import json
 import math
 import time
 
 import pytest
 
+from repro import obs
 from repro.core.planner import Hetero2PipePlanner
+from repro.core.stealing import move_boundary_layer
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
@@ -19,6 +22,12 @@ from repro.runtime.arrivals import (
     TraceArrivals,
     make_arrival_process,
     resolve_arrivals,
+)
+from repro.profiling.profiler import SocProfiler
+from repro.profiling.slowdown import (
+    MAX_SLOWDOWN,
+    SliceWorkload,
+    slowdown_fraction,
 )
 from repro.runtime.engine import (
     ARRIVAL,
@@ -748,3 +757,273 @@ class TestStepCost:
         short = cpu_s_per_request(125 // len(base))
         long = cpu_s_per_request(1000 // len(base))
         assert long <= 2.0 * short, (long / short, short, long)
+
+
+def _probe_engine(soc, chains, **options):
+    return DiscreteEventEngine(
+        soc,
+        chains,
+        enforce_memory=False,
+        record=False,
+        track_causality=False,
+        **options,
+    )
+
+
+def _outputs(result):
+    """Every simulated output of a run, for exact comparison."""
+    return (
+        result.records,
+        result.makespan_ms,
+        result.request_finish_ms,
+        result.request_first_start_ms,
+        result.processor_busy_ms,
+    )
+
+
+def _task_key(task):
+    return (task.proc.name, task.workload.start, task.workload.end)
+
+
+def _neighbour_tails(plan):
+    """Chains of every single boundary move of ``plan``, each with the
+    request, first differing chain position and progress code at which
+    the engine first reads that position."""
+    base = plan_to_chains(plan)
+    for i, assignment in enumerate(plan.assignments):
+        for s in range(plan.depth - 1):
+            for frm, to in ((s, s + 1), (s + 1, s)):
+                trial = plan.copy()
+                if not move_boundary_layer(
+                    trial.assignments[i], frm, to, trial.processors
+                ):
+                    continue
+                chains = plan_to_chains(trial)
+                old, new = base[i], chains[i]
+                p = 0
+                while (
+                    p < len(old)
+                    and p < len(new)
+                    and _task_key(old[p]) == _task_key(new[p])
+                ):
+                    p += 1
+                same_proc = (
+                    p < len(old)
+                    and p < len(new)
+                    and old[p].proc.name == new[p].proc.name
+                )
+                yield i, p, 2 * p + 2 if same_proc else 2 * p + 1, chains
+
+
+class TestProbes:
+    """Bounded runs, checkpoints and forks answer exactly what a full run
+    would."""
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    def test_slowdown_lies_in_the_bound_premise_range(self, soc_name):
+        """Every zoo slice against the most intense zoo slice on every
+        subset of the other processors: 0 <= slowdown < MAX_SLOWDOWN.
+        Couplings, intensities and sensitivities are all >= 0, so the
+        slowdown grows with each co-runner and these sets are the worst
+        case."""
+        soc = get_soc(soc_name)
+        profiler = SocProfiler(soc)
+        workloads = {p.name: [] for p in soc.processors}
+        for name in MODEL_NAMES:
+            profile = profiler.profile(get_model(name))
+            n = profile.model.num_layers
+            for proc in soc.processors:
+                for start in range(n):
+                    for end in range(start, n):
+                        if profile.feasible(proc, start, end):
+                            workloads[proc.name].append(
+                                SliceWorkload(profile, proc, start, end)
+                            )
+        for victim in soc.processors:
+            for source in soc.processors:
+                assert soc.coupling_factor(victim.kind, source.kind) >= 0.0
+        for ws in workloads.values():
+            for w in ws:
+                assert 0.0 <= w.intensity() < math.inf
+                assert 0.0 <= w.sensitivity() < math.inf
+        worst = {
+            name: max(ws, key=lambda w: w.intensity())
+            for name, ws in workloads.items()
+            if ws
+        }
+        for proc in soc.processors:
+            others = [worst[p.name] for p in soc.processors if p is not proc]
+            subsets = [
+                combo
+                for r in range(len(others) + 1)
+                for combo in itertools.combinations(others, r)
+            ]
+            for victim in workloads[proc.name]:
+                for combo in subsets:
+                    slowdown = slowdown_fraction(soc, victim, combo)
+                    assert 0.0 <= slowdown < MAX_SLOWDOWN
+
+    def test_bounded_run_is_exact_or_a_proven_loss(self, zoo_plans):
+        for plan in zoo_plans.values():
+            full = _probe_engine(plan.soc, plan_to_chains(plan)).run()
+            unbounded = _probe_engine(plan.soc, plan_to_chains(plan))
+            assert unbounded.run_bounded_ms() == full.makespan_ms
+            for scale in (0.5, 0.9, 0.99, 1.0, 1.01):
+                cutoff = full.makespan_ms * scale
+                value = _probe_engine(
+                    plan.soc, plan_to_chains(plan)
+                ).run_bounded_ms(cutoff)
+                if value == math.inf:
+                    assert full.makespan_ms >= cutoff
+                else:
+                    assert value == full.makespan_ms
+            # Half the makespan is reached well before the run ends.
+            half = _probe_engine(plan.soc, plan_to_chains(plan))
+            assert half.run_bounded_ms(0.5 * full.makespan_ms) == math.inf
+            assert half._steps < len(full.records)
+
+    def test_fork_at_every_checkpoint_replays_the_run(self, zoo_plans):
+        for plan in zoo_plans.values():
+            anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+            makespan = anchor.run_checkpointed()
+            expected = _outputs(anchor.result())
+            assert makespan == expected[1]
+            assert len(anchor.checkpoints) == anchor._steps + 1
+            for index in range(1, len(anchor.checkpoints)):
+                assert _outputs(anchor.fork(index, {}).run()) == expected
+
+    def test_fork_with_replaced_tails_equals_a_fresh_run(self, zoo_plans):
+        forks = 0
+        for plan in zoo_plans.values():
+            anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+            anchor.run_checkpointed()
+            checkpoints = anchor.checkpoints
+            for i, p, code, chains in _neighbour_tails(plan):
+                first = next(
+                    j
+                    for j, ck in enumerate(checkpoints)
+                    if ck.progress(i) >= code
+                )
+                expected = _outputs(_probe_engine(plan.soc, chains).run())
+                # Every checkpoint up to the divergence step serves.
+                for index in range(1, first):
+                    tail = [task.fresh() for task in chains[i][p:]]
+                    forked = anchor.fork(index, {i: (p, tail)})
+                    assert _outputs(forked.run()) == expected
+                    forks += 1
+        assert forks > 0
+
+    def test_fork_counts_only_its_own_work(self, vit_resnet_plan):
+        plan = vit_resnet_plan
+        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            anchor.run_checkpointed()
+            total = rec.metrics.counter("engine_steps").value
+            index = len(anchor.checkpoints) // 2
+            anchor.fork(index, {}).run_bounded_ms()
+            forked = rec.metrics.counter("engine_steps").value - total
+        assert total == len(anchor.checkpoints) - 1
+        assert forked == total - index
+
+    def test_fork_shares_no_run_state(self, vit_resnet_plan):
+        plan = vit_resnet_plan
+        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+        anchor.run_checkpointed()
+        fork = anchor.fork(1, {})
+        shared = {"_arrival_ms", "_offline_at", "_slot", "_deadline_ms"}
+        for name, value in fork.__dict__.items():
+            if isinstance(value, (list, dict, set)) and name not in shared:
+                assert value is not anchor.__dict__[name], name
+        assert fork._fork_of is not None
+        assert not set(map(id, fork._chains[0])) & set(
+            map(id, anchor._chains[0][fork._next_idx[0]:])
+        )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"enforce_memory": True},
+            {"arrivals": [0.0, 5.0]},
+            {"deadline_ms": 100.0},
+            {"processor_offline_ms": {"gpu": 5.0}},
+            {"track_causality": True},
+            {"trace": True},
+            {"keep_events": True},
+        ],
+        ids=lambda o: next(iter(o)),
+    )
+    def test_probe_runs_reject_other_options(self, vit_resnet_plan, options):
+        plan = vit_resnet_plan
+        base = {
+            "enforce_memory": False,
+            "record": False,
+            "track_causality": False,
+        }
+
+        def engine():
+            return DiscreteEventEngine(
+                plan.soc, plan_to_chains(plan), **{**base, **options}
+            )
+
+        with pytest.raises(ValueError, match="probe-style"):
+            engine().run_checkpointed()
+        with pytest.raises(ValueError, match="probe-style"):
+            engine().run_bounded_ms(1.0)
+        with pytest.raises(ValueError, match="run_checkpointed"):
+            engine().fork(1, {})
+
+    @pytest.mark.parametrize("schedule", ["cancellation", "preemption"])
+    def test_probe_runs_reject_scheduled_events(self, vit_resnet_plan, schedule):
+        engine = _probe_engine(vit_resnet_plan.soc, plan_to_chains(vit_resnet_plan))
+        getattr(engine, f"schedule_{schedule}")(0, 5.0)
+        with pytest.raises(ValueError, match=schedule):
+            engine.run_checkpointed()
+
+    def test_fork_rejects_bad_indices_and_started_tails(self, vit_resnet_plan):
+        plan = vit_resnet_plan
+        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+        anchor.run_checkpointed()
+        last = len(anchor.checkpoints) - 1
+        for index in (0, last + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                anchor.fork(index, {})
+        with pytest.raises(ValueError, match="started before"):
+            anchor.fork(last, {0: (0, [])})
+
+
+class TestOfflineSweep:
+    """The re-routing sweep runs only when a head can be on an offline
+    slot, so its count follows fault edges and re-routed heads."""
+
+    def test_sweeps_scale_with_edges_and_reroutes(self, kirin, monkeypatch):
+        plan = Hetero2PipePlanner(kirin).plan(
+            get_scenario("scene_understanding").models()
+        ).plan
+        chains = replicate_chains(plan_to_chains(plan), 400 // plan.num_requests)
+        procs = [[task.proc.name for task in chain] for chain in chains]
+        arrivals = PoissonArrivals(interval_ms=125.0, seed=5).times_ms(len(chains))
+        offline = {"gpu": arrivals[len(chains) // 3], "cpu_big": arrivals[-40]}
+        sweeps = []
+        real = DiscreteEventEngine._reassign_offline_heads
+
+        def spy(self):
+            sweeps.append(self._now)
+            real(self)
+
+        monkeypatch.setattr(DiscreteEventEngine, "_reassign_offline_heads", spy)
+        engine = DiscreteEventEngine(
+            kirin,
+            chains,
+            arrivals=arrivals,
+            processor_offline_ms=offline,
+            record=False,
+        )
+        engine.run()
+        rerouted = sum(
+            task.proc.name != name
+            for chain, names in zip(chains, procs)
+            for task, name in zip(chain, names)
+        )
+        assert len(chains) >= 400 and rerouted > 0
+        assert len(sweeps) <= len(offline) + rerouted
+        assert len(sweeps) < engine._steps / 20

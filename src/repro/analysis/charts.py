@@ -9,8 +9,7 @@ captured benchmark output.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 def bar_chart(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ..core.stealing import move_boundary_layer, single_processor_assignment
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
 from ..profiling.profiler import SocProfiler
-from ..runtime.schedule import async_makespan_ms
+from ..runtime.executor import async_makespan_ms
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ contention-aware simulator as every other scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
 from ..profiling.latency import copy_latency_ms
-from ..profiling.profiler import INFEASIBLE, ModelProfile, SocProfiler
+from ..profiling.profiler import INFEASIBLE, SocProfiler
 from ..profiling.slowdown import SliceWorkload
 from ..runtime.executor import (
     ARENA_OVERHEAD_FACTOR,
@@ -200,7 +200,6 @@ def plan_band_contention_aware(
         chain: List[ChainTask] = []
         picks: List[str] = []
         prev_finish = 0.0
-        prev_proc: Optional[ProcessorSpec] = None
         for seg in segments:
             best_proc: Optional[ProcessorSpec] = None
             best_finish = float("inf")
@@ -233,7 +232,6 @@ def plan_band_contention_aware(
                 1, len(models)
             )
             prev_finish = best_finish
-            prev_proc = best_proc
             picks.append(best_proc.name)
             chain.append(
                 ChainTask(

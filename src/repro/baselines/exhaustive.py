@@ -22,7 +22,7 @@ from ..core.stealing import optimize_tail, refine_globally, single_processor_ass
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
 from ..profiling.profiler import SocProfiler
-from ..runtime.schedule import async_makespan_ms
+from ..runtime.executor import async_makespan_ms
 
 #: Refuse instances whose coarse grid would exceed this many plans.
 MAX_CANDIDATES = 200_000

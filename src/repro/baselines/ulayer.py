@@ -19,7 +19,6 @@ in Table I (multi-DNN: no).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,7 +27,6 @@ from ..hardware.soc import SocSpec
 from ..models.ir import Layer, ModelGraph
 from ..profiling.latency import copy_latency_ms, layer_latency_ms
 from ..profiling.profiler import SocProfiler
-from ..profiling.slowdown import SliceWorkload, slowdown_fraction
 
 
 @dataclass(frozen=True)

@@ -531,8 +531,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
     alerts = evaluator.alerts
     if args.jsonl:
-        obs.write_slo_jsonl(
-            args.jsonl, windows, evaluator.window_reports, alerts
+        obs.write_jsonl(
+            args.jsonl,
+            obs.slo_telemetry_rows(windows, evaluator.window_reports, alerts),
         )
     if args.trace:
         write_chrome_trace(
@@ -639,7 +640,7 @@ def _cmd_blame(args: argparse.Namespace) -> int:
         blame_requests,
         extract_critical_path,
     )
-    from .obs.export import write_blame_jsonl
+    from .obs.export import blame_telemetry_rows
     from .obs.whatif import run_whatifs
     from .runtime.arrivals import resolve_arrivals
     from .runtime.tracing import write_chrome_trace
@@ -665,7 +666,9 @@ def _cmd_blame(args: argparse.Namespace) -> int:
     )
 
     if args.jsonl:
-        rows = write_blame_jsonl(args.jsonl, requests, path, whatif_reports)
+        rows = obs.write_jsonl(
+            args.jsonl, blame_telemetry_rows(requests, path, whatif_reports)
+        )
     if args.trace:
         write_chrome_trace(baseline, args.trace, names, blame=True)
     if args.json:
@@ -771,7 +774,9 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
         monitor = obs.DriftMonitor()
         monitor.observe_report(residual)
     if args.jsonl:
-        rows = obs.write_telemetry_jsonl(args.jsonl, [residual], monitor.events)
+        rows = obs.write_jsonl(
+            args.jsonl, obs.telemetry_rows([residual], monitor.events)
+        )
     if args.trace:
         from .runtime.tracing import write_chrome_trace
 
@@ -852,8 +857,8 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         result = planner.run(stream)
     digests = [_fingerprint_digest(f) for f in result.plan_fingerprints]
     if args.jsonl:
-        rows = obs.write_telemetry_jsonl(
-            args.jsonl, result.residuals, result.drift_events
+        rows = obs.write_jsonl(
+            args.jsonl, obs.telemetry_rows(result.residuals, result.drift_events)
         )
     if args.json:
         doc = {

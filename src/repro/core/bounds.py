@@ -24,7 +24,6 @@ bounds on anything the simulator can produce.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 

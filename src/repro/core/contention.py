@@ -16,13 +16,12 @@ High-contention (the paper's H/L split feeding Algorithm 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..analysis.regression import RidgeModel, fit_ridge
-from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
 from ..profiling.pmu import PerfCounters, ground_truth_intensity, measure_counters

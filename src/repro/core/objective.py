@@ -3,7 +3,7 @@
 Every probe the planner's vertical phase makes — a trial boundary move
 in the stealing descent, a candidate placement in the tail search, the
 arrival-vs-mitigated comparison — is answered by an event-driven
-re-simulation (:func:`repro.runtime.schedule.async_makespan_ms`).  A
+re-simulation (:func:`repro.runtime.executor.async_makespan_ms`).  A
 five-model plan runs ~400 of these
 silent simulations; a twenty-model plan runs thousands.  The greedy
 descents re-visit identical configurations constantly (every rejected
@@ -18,8 +18,8 @@ This module removes the redundancy without weakening the search:
   ``(model, slices)`` assignment.  Two plans with equal fingerprints
   have byte-identical simulated makespans, because the simulation is a
   deterministic function of exactly those inputs.
-* :class:`ObjectiveCache` — memoizes any plan-level objective (by
-  default :func:`~repro.runtime.schedule.async_makespan_ms`) under that
+* :class:`ObjectiveCache` — memoizes the plan objective
+  (:func:`~repro.runtime.executor.async_makespan_ms`) under that
   fingerprint, in a bounded LRU.  Cached probes return the *identical*
   float the simulation produced, so every accept/reject comparison in
   the descent is unchanged and cached vs uncached planners emit
@@ -50,7 +50,6 @@ import math
 from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Generic,
     NamedTuple,
     Optional,
@@ -60,8 +59,7 @@ from typing import (
 )
 
 from .. import obs
-from ..runtime.executor import ProbeAnchor
-from ..runtime.schedule import async_makespan_ms
+from ..runtime.executor import ProbeAnchor, async_makespan_ms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .plan import PipelinePlan
@@ -163,9 +161,9 @@ class LowerBound(NamedTuple):
 
 
 class ObjectiveCache:
-    """Memoizes a plan objective under :func:`plan_fingerprint`.
+    """Memoizes the plan objective under :func:`plan_fingerprint`.
 
-    Drop-in callable for :func:`~repro.runtime.schedule.async_makespan_ms`
+    Drop-in callable for :func:`~repro.runtime.executor.async_makespan_ms`
     anywhere the planner probes a configuration::
 
         objective = ObjectiveCache()
@@ -179,11 +177,11 @@ class ObjectiveCache:
     planner/profiler pair: profiles are keyed by model name, so a cache
     must never outlive the profiler whose costs it memoized.
 
-    A miss is cheaper than a full execution: the default objective runs
-    the engine with causality tracking off and builds its chains from
-    the profiles' memoized slice tasks, whose workloads carry their
+    A miss is cheaper than a full execution: the probe runs the engine
+    with causality tracking off and builds its chains from the
+    profiles' memoized slice tasks, whose workloads carry their
     contention inputs precomputed (see
-    :func:`~repro.runtime.schedule.async_makespan_ms`).
+    :func:`~repro.runtime.executor.async_makespan_ms`).
 
     **Cutoffs.**  ``stop_at_ms`` is the value a probe must beat: the
     probe returns ``inf`` once its run provably reaches it, and the
@@ -198,17 +196,10 @@ class ObjectiveCache:
     resumed value is the same float a fresh simulation produces.
 
     Args:
-        objective: The underlying plan-level objective; it takes the
-            plan, the contention flag and ``stop_at_ms``.
         maxsize: LRU bound on memoized fingerprints.
     """
 
-    def __init__(
-        self,
-        objective: Callable[..., float] = async_makespan_ms,
-        maxsize: int = DEFAULT_OBJECTIVE_CACHE_SIZE,
-    ) -> None:
-        self._objective = objective
+    def __init__(self, maxsize: int = DEFAULT_OBJECTIVE_CACHE_SIZE) -> None:
         self._cache: LRUCache[Fingerprint, Union[float, LowerBound]] = LRUCache(
             maxsize
         )
@@ -252,9 +243,7 @@ class ObjectiveCache:
             if self._anchor is not None:
                 value = self._anchor.probe_ms(plan, with_contention, stop_at_ms)
             if value is None:
-                value = self._objective(
-                    plan, with_contention, stop_at_ms=stop_at_ms
-                )
+                value = async_makespan_ms(plan, with_contention, stop_at_ms)
             if value == math.inf and stop_at_ms < math.inf:
                 sp.set(pruned=True)
                 self._cache.put(key, LowerBound(stop_at_ms))

@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
-from ..profiling.profiler import INFEASIBLE, ModelProfile
+from ..profiling.profiler import ModelProfile
 
 #: Cost callback signature: ``cost(stage_index, start_layer, end_layer)``
 #: for the inclusive layer slice [start, end] on stage ``stage_index``.

@@ -18,7 +18,7 @@ inside the DP instead of after it).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
@@ -29,7 +29,6 @@ from ..profiling.slowdown import (
     REFERENCE_BANDWIDTH_GBPS,
     SENSITIVITY_BASE,
     SENSITIVITY_GAIN,
-    SliceWorkload,
 )
 from .partition import PartitionResult, min_makespan_partition
 from .plan import PipelinePlan, StageAssignment

@@ -10,12 +10,12 @@ whenever ``i + k == i' + k'`` (the same execution *diagonal*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
-from ..profiling.profiler import INFEASIBLE, ModelProfile
+from ..profiling.profiler import ModelProfile
 
 
 @dataclass

@@ -18,7 +18,7 @@ baseline disables mitigation and tail optimization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -26,7 +26,7 @@ from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
 from ..models.zoo import all_models
 from ..profiling.profiler import ModelProfile, SocProfiler
-from ..runtime.schedule import async_makespan_ms
+from ..runtime.executor import async_makespan_ms
 from .contention import ContentionEstimator, ContentionScore
 from .mitigation import MitigationResult, mitigate_sequence
 from .objective import LRUCache, ObjectiveCache
@@ -46,28 +46,22 @@ class PlannerConfig:
         enable_mitigation: Run Algorithm 2 request re-ordering.
         enable_work_stealing: Run Algorithm 3 phase 1.
         enable_tail_optimization: Run Algorithm 3 phase 2.
-        threshold_percentile: H/L split percentile for the estimator.
         fast_dp: Use the monotonicity-accelerated DP (copy-free costs
             only); the exact DP is the default.
-        enable_objective_cache: Memoize the vertical phase's objective
-            probes (``async_makespan_ms``) under the plan fingerprint,
-            so re-probed configurations skip the re-simulation.  Pure
-            memoization of a deterministic function: the emitted plan
-            is byte-identical either way.
-        enable_plan_cache: Keep a bounded LRU of finished
-            :class:`PlanReport` objects keyed by the request mix, so
-            online re-planning of a recurring mix is a lookup.
-        plan_cache_size: LRU bound for the plan cache.
+        enable_caches: Memoize the vertical phase's objective probes
+            (``async_makespan_ms``) under the plan fingerprint, so
+            re-probed configurations skip the re-simulation, and keep
+            a bounded LRU of finished :class:`PlanReport` objects keyed
+            by the request mix, so online re-planning of a recurring
+            mix is a lookup.  Pure memoization of deterministic
+            functions: the emitted plan is byte-identical either way.
     """
 
     enable_mitigation: bool = True
     enable_work_stealing: bool = True
     enable_tail_optimization: bool = True
-    threshold_percentile: float = 60.0
     fast_dp: bool = False
-    enable_objective_cache: bool = True
-    enable_plan_cache: bool = True
-    plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
+    enable_caches: bool = True
 
     @classmethod
     def no_contention_or_tail(cls) -> "PlannerConfig":
@@ -78,7 +72,7 @@ class PlannerConfig:
     def uncached(cls) -> "PlannerConfig":
         """Everything enabled but every cache off — the planner always
         re-simulates and re-plans from scratch (benchmark baseline)."""
-        return cls(enable_objective_cache=False, enable_plan_cache=False)
+        return cls(enable_caches=False)
 
 
 @dataclass
@@ -140,21 +134,14 @@ class Hetero2PipePlanner:
         self.config = config or PlannerConfig()
         self.profiler = SocProfiler(soc)
         self.estimator = estimator or ContentionEstimator.fit_from_zoo(
-            soc,
-            all_models(),
-            threshold_percentile=self.config.threshold_percentile,
-            profiler=self.profiler,
+            soc, all_models(), profiler=self.profiler
         )
         self._partition_cache: Dict[Tuple[str, bool], PartitionResult] = {}
-        self.objective: PlanObjective = (
-            ObjectiveCache() if self.config.enable_objective_cache
-            else async_makespan_ms
-        )
-        self._plan_cache: Optional[LRUCache[PlanCacheKey, PlanReport]] = (
-            LRUCache(self.config.plan_cache_size)
-            if self.config.enable_plan_cache
-            else None
-        )
+        self.objective: PlanObjective = async_makespan_ms
+        self._plan_cache: Optional[LRUCache[PlanCacheKey, PlanReport]] = None
+        if self.config.enable_caches:
+            self.objective = ObjectiveCache()
+            self._plan_cache = LRUCache(DEFAULT_PLAN_CACHE_SIZE)
 
     def invalidate_caches(self) -> None:
         """Drop every memoized prediction this planner has accumulated.

@@ -26,12 +26,11 @@ options plus its current partition ("the search space is only K").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
-from ..runtime.schedule import async_makespan_ms, plan_bubbles_ms, plan_makespan_ms
+from ..runtime.executor import async_makespan_ms
 from .objective import ObjectiveCache
 from .plan import PipelinePlan, StageAssignment
 
@@ -55,6 +54,12 @@ _EPSILON_MS = 1e-9
 
 #: Cap on boundary moves per request alignment, as a safety bound.
 _MAX_MOVES_PER_REQUEST = 512
+
+#: Cap on accepted moves of one global boundary-move descent.
+_MAX_GLOBAL_MOVES = 128
+
+#: Cap on full sweeps of the per-request placement search.
+_MAX_PLACEMENT_SWEEPS = 4
 
 
 def move_boundary_layer(
@@ -245,9 +250,7 @@ def work_steal(plan: PipelinePlan) -> int:
 
 
 def refine_globally(
-    plan: PipelinePlan,
-    max_moves: int = 128,
-    objective: PlanObjective = async_makespan_ms,
+    plan: PipelinePlan, objective: PlanObjective = async_makespan_ms
 ) -> int:
     """Greedy boundary-move descent on the true P2 objective.
 
@@ -263,7 +266,7 @@ def refine_globally(
     moves = 0
     with obs.span("plan.refine_global", requests=plan.num_requests) as sp:
         current = objective(plan)
-        while moves < max_moves:
+        while moves < _MAX_GLOBAL_MOVES:
             if isinstance(objective, ObjectiveCache):
                 # This iteration's neighbours resume from the plan's run.
                 objective.anchor(plan)
@@ -311,9 +314,7 @@ def refine_globally(
 
 
 def refine_placements(
-    plan: PipelinePlan,
-    max_sweeps: int = 4,
-    objective: PlanObjective = async_makespan_ms,
+    plan: PipelinePlan, objective: PlanObjective = async_makespan_ms
 ) -> int:
     """Per-request placement local search on the async makespan.
 
@@ -331,7 +332,7 @@ def refine_placements(
     changes = 0
     with obs.span("plan.placements", requests=plan.num_requests) as sp:
         current = objective(plan)
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_PLACEMENT_SWEEPS):
             changed = False
             for i in range(plan.num_requests - 1, -1, -1):
                 original = plan.assignments[i]

@@ -13,7 +13,7 @@ that only hosts one short stage does not throttle as if saturated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..hardware.soc import SocSpec
 from ..hardware.thermal import sustained_frequency_scale

@@ -22,7 +22,7 @@ Checked constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from ..runtime.executor import ARENA_OVERHEAD_FACTOR
 from .plan import PipelinePlan

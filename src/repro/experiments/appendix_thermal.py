@@ -13,7 +13,7 @@ fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..core.planner import Hetero2PipePlanner
 from ..core.thermal_feedback import plan_with_thermal_feedback

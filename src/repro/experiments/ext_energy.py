@@ -17,7 +17,7 @@ from ..baselines.band import execute_band
 from ..baselines.mnn_serial import plan_mnn_serial
 from ..baselines.pipe_it import plan_pipe_it
 from ..core.planner import Hetero2PipePlanner
-from ..hardware.energy import EnergyBreakdown, estimate_energy
+from ..hardware.energy import estimate_energy
 from ..hardware.soc import SocSpec, get_soc
 from ..profiling.profiler import SocProfiler
 from ..runtime.executor import execute_plan

@@ -107,7 +107,7 @@ def render(points: Sequence[GapPoint]) -> str:
     return (
         format_table(headers, body)
         + f"\nmean gap overall: {stats['overall'] * 100:.0f}%"
-        + f"\nmean gap with NPU-incompatible models "
+        + "\nmean gap with NPU-incompatible models "
         + f"({stats['count_with_fallback']}): "
         + f"{stats['with_fallback'] * 100:.0f}%"
         + f"\nmean gap NPU-clean ({stats['count_clean']}): "

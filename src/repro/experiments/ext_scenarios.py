@@ -10,7 +10,7 @@ scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.bounds import makespan_lower_bounds
 from ..core.planner import Hetero2PipePlanner

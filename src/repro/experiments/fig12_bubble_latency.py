@@ -29,7 +29,7 @@ import numpy as np
 from ..analysis.stats import LinearFit, linear_fit
 from ..core.partition import partition_model
 from ..core.plan import PipelinePlan, StageAssignment
-from ..core.stealing import move_boundary_layer, single_processor_assignment
+from ..core.stealing import move_boundary_layer
 from ..hardware.soc import SocSpec, get_soc
 from ..models.zoo import get_model
 from ..profiling.profiler import SocProfiler

@@ -10,7 +10,7 @@ heavyweight stage times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..hardware.soc import SocSpec, get_soc
 from ..models.zoo import get_model

@@ -20,7 +20,7 @@ from ..hardware.soc import SocSpec, get_soc
 from ..profiling.profiler import SocProfiler
 from ..runtime.executor import execute_plan
 from ..workloads.generator import WorkloadSpec, sample_combinations
-from .common import format_table, geomean
+from .common import format_table
 
 
 @dataclass

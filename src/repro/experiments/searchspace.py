@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .common import format_table
 

@@ -18,7 +18,7 @@ roughly 60-120 pJ/byte end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from .processor import ProcessorKind
 

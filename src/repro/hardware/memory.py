@@ -10,9 +10,9 @@ consumes).  This module provides both models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Tuple
 
-from .processor import ProcessorKind, ProcessorSpec
+from .processor import ProcessorKind
 from .soc import SocSpec
 
 

@@ -14,8 +14,8 @@ GPU/NPU as indivisible accelerators.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from ..models.ir import NPU_SUPPORTED_OPS, Layer, OpType
 

@@ -11,7 +11,7 @@ paper arranges pipeline stages (NPU >> CPU Big >= GPU >> CPU Small).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from .processor import (
     ProcessorKind,

@@ -30,7 +30,7 @@ Four documented module-level refinements (see docs/STATIC_ANALYSIS.md):
   reproduce Fig. 2(a);
 * ``core.objective`` ranks *between* the substrate and the rest of
   ``core``: the memoization layer wraps the cost oracle
-  (``runtime.schedule``) and must never grow an edge onto the planner
+  (``runtime.executor``) and must never grow an edge onto the planner
   policies built on top of it.
 
 Scope: only **module-level** ``import``/``from`` statements are edges —
@@ -78,7 +78,7 @@ MODULE_OVERRIDES: Dict[str, int] = {
     f"{ROOT_PACKAGE}.runtime._legacy_executor": 36,
     f"{ROOT_PACKAGE}.runtime.queueing": 65,
     # The objective-memoization leaf sits directly above the simulation
-    # substrate it wraps (runtime.schedule, rank 36) and below the rest
+    # substrate it wraps (runtime.executor, rank 36) and below the rest
     # of ``core``: it may import the cost oracle, never the planner.
     f"{ROOT_PACKAGE}.core.objective": 38,
     # The self-profiler reads span trees only (obs-internal); pinning it

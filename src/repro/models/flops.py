@@ -8,8 +8,6 @@ mobile-inference setting where MNN runs FP16 on the CPU/GPU/NPU.
 
 from __future__ import annotations
 
-import math
-from typing import Tuple
 
 #: Bytes per tensor element (FP16 inference as in the paper's evaluation).
 BYTES_PER_ELEMENT = 2

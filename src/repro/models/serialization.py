@@ -10,7 +10,7 @@ assignments (so a planned schedule can be stored and re-loaded).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from .ir import Layer, ModelGraph, OpType
 

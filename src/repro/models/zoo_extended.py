@@ -19,7 +19,7 @@ can be planned end to end:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import flops as F
 from .ir import Layer, ModelGraph, OpType

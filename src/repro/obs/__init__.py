@@ -62,14 +62,7 @@ from .events import (
     TimelineDiagnostic,
     event_from_dict,
 )
-from .export import (
-    render_slo_jsonl,
-    render_telemetry_jsonl,
-    slo_telemetry_rows,
-    telemetry_rows,
-    write_slo_jsonl,
-    write_telemetry_jsonl,
-)
+from .export import slo_telemetry_rows, telemetry_rows, write_jsonl
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .prof import (
     PROFILE_SCHEMA,
@@ -160,8 +153,6 @@ __all__ = [
     "parse_class_specs",
     "resolve_request_specs",
     "slo_telemetry_rows",
-    "render_slo_jsonl",
-    "write_slo_jsonl",
     # causal latency attribution (the what-if counterfactuals live in
     # repro.obs.whatif, above runtime — import it explicitly)
     "CAUSE_KINDS",
@@ -186,8 +177,7 @@ __all__ = [
     "CusumDetector",
     "DriftMonitor",
     "telemetry_rows",
-    "render_telemetry_jsonl",
-    "write_telemetry_jsonl",
+    "write_jsonl",
     # self-profiling (software wall time; repro.profiling is the
     # *hardware latency* profiler — see docs/ARCHITECTURE.md)
     "PROFILE_SCHEMA",

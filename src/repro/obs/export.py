@@ -198,30 +198,6 @@ def telemetry_rows(
     return rows
 
 
-def render_telemetry_jsonl(
-    reports: Sequence[ResidualReport],
-    drift_events: Sequence[DriftDetected] = (),
-) -> str:
-    """The telemetry rows as JSONL text (one JSON object per line)."""
-    lines = [
-        json.dumps(row, sort_keys=True)
-        for row in telemetry_rows(reports, drift_events)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_telemetry_jsonl(
-    path: str,
-    reports: Sequence[ResidualReport],
-    drift_events: Sequence[DriftDetected] = (),
-) -> int:
-    """Write the telemetry JSONL to ``path``; returns the row count."""
-    text = render_telemetry_jsonl(reports, drift_events)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return 0 if not text else text.count("\n")
-
-
 def slo_telemetry_rows(
     windows: Sequence[WindowStats],
     slo_reports: Sequence[SloWindowReport] = (),
@@ -248,32 +224,6 @@ def slo_telemetry_rows(
         row["type"] = "slo_burn_alert"
         rows.append(row)
     return rows
-
-
-def render_slo_jsonl(
-    windows: Sequence[WindowStats],
-    slo_reports: Sequence[SloWindowReport] = (),
-    alerts: Sequence[SloBurnAlert] = (),
-) -> str:
-    """The SLO telemetry rows as JSONL text."""
-    lines = [
-        json.dumps(row, sort_keys=True)
-        for row in slo_telemetry_rows(windows, slo_reports, alerts)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_slo_jsonl(
-    path: str,
-    windows: Sequence[WindowStats],
-    slo_reports: Sequence[SloWindowReport] = (),
-    alerts: Sequence[SloBurnAlert] = (),
-) -> int:
-    """Write the SLO telemetry JSONL to ``path``; returns the row count."""
-    text = render_slo_jsonl(windows, slo_reports, alerts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return 0 if not text else text.count("\n")
 
 
 def timeline_counter_events(
@@ -393,30 +343,17 @@ def blame_telemetry_rows(
     return rows
 
 
-def render_blame_jsonl(
-    requests: Sequence[RequestBlame],
-    critical_path: Optional[CriticalPath] = None,
-    whatifs: Sequence[object] = (),
-) -> str:
-    """The blame telemetry rows as JSONL text."""
-    lines = [
-        json.dumps(row, sort_keys=True)
-        for row in blame_telemetry_rows(requests, critical_path, whatifs)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def write_jsonl(path: str, rows: Sequence[Dict[str, object]]) -> int:
+    """Write telemetry rows to ``path`` as JSONL; returns the row count.
 
-
-def write_blame_jsonl(
-    path: str,
-    requests: Sequence[RequestBlame],
-    critical_path: Optional[CriticalPath] = None,
-    whatifs: Sequence[object] = (),
-) -> int:
-    """Write the blame telemetry JSONL to ``path``; returns the row count."""
-    text = render_blame_jsonl(requests, critical_path, whatifs)
+    One JSON object per line, keys sorted.  The rows come from
+    :func:`telemetry_rows`, :func:`slo_telemetry_rows` or
+    :func:`blame_telemetry_rows`.
+    """
+    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return 0 if not text else text.count("\n")
+    return len(rows)
 
 
 def read_telemetry_jsonl(path: str) -> List[Dict[str, object]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from .events import ProvenanceEvent
 from .metrics import MetricsRegistry

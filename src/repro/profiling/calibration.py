@@ -14,12 +14,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
 from ..models.zoo import get_model
-from .profiler import ModelProfile, SocProfiler
+from .profiler import SocProfiler
 
 
 @dataclass(frozen=True)

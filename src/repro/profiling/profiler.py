@@ -15,14 +15,13 @@ scaling and temperature have reached a steady state").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
 from ..hardware.thermal import sustained_frequency_scale
-from ..models.ir import Layer, ModelGraph
+from ..models.ir import ModelGraph
 from .latency import copy_latency_ms, layer_compute_memory_ms, layer_latency_ms, layer_traffic_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -64,7 +63,6 @@ class ModelProfile:
         self.model = model
         self.soc = soc
         self.thermal_scales = dict(thermal_scales) if thermal_scales else None
-        n = model.num_layers
         self._latency: Dict[str, Tuple[float, ...]] = {}
         self._lat_prefix: Dict[str, Tuple[float, ...]] = {}
         self._compute_prefix: Dict[str, Tuple[float, ...]] = {}

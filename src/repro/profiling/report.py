@@ -10,15 +10,13 @@ actually comes from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
 from .latency import layer_compute_memory_ms, layer_traffic_bytes
-from .profiler import ModelProfile, SocProfiler
+from .profiler import SocProfiler
 
 
 @dataclass(frozen=True)
@@ -60,13 +58,13 @@ class ModelReport:
     def hottest_layers(self, count: int = 5) -> List[LayerReport]:
         """Layers ranked by latency, slowest first."""
         return sorted(
-            self.layers, key=lambda l: l.latency_ms, reverse=True
+            self.layers, key=lambda row: row.latency_ms, reverse=True
         )[:count]
 
     def highest_traffic_layers(self, count: int = 5) -> List[LayerReport]:
         """Layers ranked by DRAM traffic — the contention sources."""
         return sorted(
-            self.layers, key=lambda l: l.traffic_mb, reverse=True
+            self.layers, key=lambda row: row.traffic_mb, reverse=True
         )[:count]
 
 
@@ -120,15 +118,15 @@ def render_report(report: ModelReport, top: Optional[int] = None) -> str:
     headers = ["#", "layer", "op", "GFLOPs", "traffic_MB", "ms", "bound"]
     body = [
         [
-            l.index,
-            l.name,
-            l.op,
-            round(l.gflops, 3),
-            round(l.traffic_mb, 2),
-            l.latency_ms,
-            "memory" if l.memory_bound else "compute",
+            row.index,
+            row.name,
+            row.op,
+            round(row.gflops, 3),
+            round(row.traffic_mb, 2),
+            row.latency_ms,
+            "memory" if row.memory_bound else "compute",
         ]
-        for l in layers
+        for row in layers
     ]
     table = format_table(headers, body)
     return (

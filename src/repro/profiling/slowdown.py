@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import CouplingRow, SocSpec

@@ -14,6 +14,7 @@ from .executor import (
     ExecutionResult,
     TaskRecord,
     TracePoint,
+    async_makespan_ms,
     execute_plan,
     plan_to_chains,
     simulate_chains,
@@ -31,7 +32,6 @@ from .schedule import (
     DiagonalCell,
     DiagonalColumn,
     SynchronousSchedule,
-    async_makespan_ms,
     build_schedule,
     plan_bubbles_ms,
     plan_makespan_ms,

@@ -451,7 +451,7 @@ class DiscreteEventEngine:
 
     The engine is single-use: construct, optionally schedule
     cancellations/preemptions, then :meth:`run` (or drive it
-    incrementally with :meth:`step` / :meth:`run_until_ms`).  A
+    incrementally with :meth:`step`).  A
     probe-style engine can instead :meth:`run_bounded_ms` or
     :meth:`run_checkpointed`, and a checkpointed one can :meth:`fork`
     (see "Probes" in the module docstring).  The
@@ -614,7 +614,7 @@ class DiscreteEventEngine:
         self._any_offline = False
         # Probe-style runs: options checked, cancellations or
         # preemptions scheduled, and per slot the solo time of the
-        # unstarted tasks (the bound of run_bounded_ms).
+        # unstarted tasks (kept only by a bounded run).
         self._probe_checked = False
         self._scheduled = False
         self._pending_ms: Optional[List[float]] = None
@@ -686,18 +686,6 @@ class DiscreteEventEngine:
 
     # -------------------------------------------------------- public API
 
-    @property
-    def now_ms(self) -> float:
-        return self._now
-
-    @property
-    def done(self) -> bool:
-        return self._outstanding <= 0
-
-    def next_event_time_ms(self) -> Optional[float]:
-        """Earliest pending exogenous event time (heap peek)."""
-        return self._heap[0][0] if self._heap else None
-
     def schedule_cancellation(self, request: int, at_ms: float) -> None:
         """Cancel a request at ``at_ms`` (removes its remaining work).
 
@@ -720,6 +708,10 @@ class DiscreteEventEngine:
         self._scheduled = True
         self._probe_checked = False
         self._push(at_ms, PREEMPTION, request)
+
+    def _next_event_time_ms(self) -> Optional[float]:
+        """Earliest pending exogenous event time (heap peek)."""
+        return self._heap[0][0] if self._heap else None
 
     def _check_request(self, request: int) -> None:
         if not 0 <= request < self._n:
@@ -770,14 +762,11 @@ class DiscreteEventEngine:
             if self._record
             else obs.NULL_SPAN
         ) as _span:
-            while self._outstanding > 0:
-                self._step()
+            self._drive()
             _span.set(
                 makespan_ms=self._now,
                 memory_pressure=self._memory_pressure_events,
             )
-        self._finished_run = True
-        self._count_work()
         if self._record and obs.enabled():
             obs.add("tasks_executed", self._completed)
             obs.add("engine_events_processed", self._events_processed)
@@ -789,14 +778,6 @@ class DiscreteEventEngine:
                 if rec.solo_ms > 0:
                     obs.observe("slice_slowdown", rec.slowdown)
         return self.result()
-
-    def _count_work(self) -> None:
-        if obs.enabled():
-            # Simulation work of every run, probes included: the
-            # objective phase's deterministic layer breakdown.  A fork
-            # counts only the steps it ran itself.
-            obs.add("engine_steps", self._steps - self._steps_base)
-            obs.add("slowdown_evaluations", self._slowdown_evaluations)
 
     def run_bounded_ms(self, stop_at_ms: float = math.inf) -> float:
         """The run's makespan, or ``inf`` once it provably reaches ``stop_at_ms``.
@@ -813,35 +794,7 @@ class DiscreteEventEngine:
             RuntimeError: on an engine that already ran.
         """
         self._require_probe("a bounded run")
-        if stop_at_ms < math.inf:
-            pending_ms = self._pending_ms
-            if pending_ms is None:
-                pending_ms = [0.0 for _ in self._procs]
-                for chain, head in zip(self._chains, self._next_idx):
-                    for task in chain[head:]:
-                        slot = self._slot[task.proc.name]
-                        pending_ms[slot] += task.solo_ms
-                self._pending_ms = pending_ms
-            running = self._proc_running
-            while self._outstanding > 0:
-                work_ms = 0.0
-                for slot_ms, task in zip(pending_ms, running):
-                    if task is not None:
-                        slot_ms += task.remaining_ms
-                    if slot_ms > work_ms:
-                        work_ms = slot_ms
-                slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * self._outstanding
-                if self._now + work_ms - slack_ms >= stop_at_ms:
-                    self._finished_run = True
-                    self._count_work()
-                    return math.inf
-                self._step()
-        else:
-            while self._outstanding > 0:
-                self._step()
-        self._finished_run = True
-        self._count_work()
-        return self._now
+        return self._drive(stop_at_ms=stop_at_ms)
 
     def run_checkpointed(self) -> float:
         """Run to completion keeping a :class:`Checkpoint` before every step.
@@ -864,13 +817,67 @@ class DiscreteEventEngine:
             checkpoints = parent[:index]
             self._fork_of = None
         self._checkpoints = checkpoints
+        return self._drive(checkpoints=checkpoints)
+
+    def _drive(
+        self,
+        stop_at_ms: float = math.inf,
+        checkpoints: Optional[List[Checkpoint]] = None,
+    ) -> float:
+        """The run loop behind every public run method.
+
+        Steps until the work is done and returns the makespan.  With a
+        finite ``stop_at_ms`` it checks the probe bound before every
+        step and returns ``inf`` once the bound reaches it; with
+        ``checkpoints`` it appends a :class:`Checkpoint` before every
+        step and after the last.  A plain :meth:`run` computes neither.
+        """
+        bounded = stop_at_ms < math.inf
+        pending_ms: List[float] = []
+        if bounded:
+            pending_ms = self._pending_ms = self._unstarted_ms()
+        watched = bounded or checkpoints is not None
+        running = self._proc_running
+        makespan_ms = math.inf
         while self._outstanding > 0:
-            checkpoints.append(self._checkpoint())
+            if watched:
+                if checkpoints is not None:
+                    checkpoints.append(self._checkpoint())
+                if bounded:
+                    # The bound of "Probes", less its margin.
+                    work_ms = 0.0
+                    for slot_ms, task in zip(pending_ms, running):
+                        if task is not None:
+                            slot_ms += task.remaining_ms
+                        if slot_ms > work_ms:
+                            work_ms = slot_ms
+                    slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * self._outstanding
+                    if self._now + work_ms - slack_ms >= stop_at_ms:
+                        break
             self._step()
-        checkpoints.append(self._checkpoint())
+        else:
+            makespan_ms = self._now
+            if checkpoints is not None:
+                checkpoints.append(self._checkpoint())
         self._finished_run = True
-        self._count_work()
-        return self._now
+        if obs.enabled():
+            # Simulation work of every run, probes included: the
+            # objective phase's deterministic layer breakdown.  A fork
+            # counts only the steps it ran itself.
+            obs.add("engine_steps", self._steps - self._steps_base)
+            obs.add("slowdown_evaluations", self._slowdown_evaluations)
+        return makespan_ms
+
+    def _unstarted_ms(self) -> List[float]:
+        """Per slot, the solo time of the tasks that have not started.
+
+        A bounded run keeps it current as tasks start (``_start_task``).
+        """
+        pending_ms = [0.0 for _ in self._procs]
+        for chain, head in zip(self._chains, self._next_idx):
+            for task in chain[head:]:
+                pending_ms[self._slot[task.proc.name]] += task.solo_ms
+        return pending_ms
 
     @property
     def checkpoints(self) -> Sequence[Checkpoint]:
@@ -925,8 +932,6 @@ class DiscreteEventEngine:
                 f"fork index {index} out of range [1, {len(checkpoints)})"
             )
         ck = checkpoints[index]
-        slot_of = self._slot
-        pending_ms = [0.0 for _ in self._procs]
         chains: List[List[ChainTask]] = []
         total = 0
         for i, chain in enumerate(self._chains):
@@ -943,9 +948,6 @@ class DiscreteEventEngine:
                     )
                 unstarted = [task.fresh() for task in chain[head:position]]
                 unstarted.extend(tasks)
-            for task in unstarted:
-                slot = slot_of[task.proc.name]
-                pending_ms[slot] += task.solo_ms
             forked = chain[:head] + unstarted
             total += len(forked)
             chains.append(forked)
@@ -990,20 +992,10 @@ class DiscreteEventEngine:
         engine._slowdown_evaluations = 0
         engine._finished_run = False
         engine._heap = []
-        engine._pending_ms = pending_ms
+        engine._pending_ms = None
         engine._checkpoints = None
         engine._fork_of = (checkpoints, index)
         return engine
-
-    def run_until_ms(self, until_ms: float) -> None:
-        """Advance the simulation until ``now_ms`` reaches ``until_ms``.
-
-        Incremental per-event-window querying: steps run while work
-        remains and the clock is below ``until_ms``; the step that
-        crosses the boundary completes (events are atomic).
-        """
-        while self._outstanding > 0 and self._now < until_ms:
-            self._step()
 
     def step(self) -> bool:
         """Process one event window; False when the simulation is done."""
@@ -1386,7 +1378,7 @@ class DiscreteEventEngine:
         if self._trace_enabled:
             self._record_trace()
         if not running:
-            next_ms = self.next_event_time_ms()
+            next_ms = self._next_event_time_ms()
             if next_ms is None:
                 raise RuntimeError(
                     "simulation wedged: no running task and no pending event"

@@ -33,6 +33,12 @@ loop preserved in :mod:`repro.runtime._legacy_executor`):
 * Open-loop extras (arrival processes, relative deadlines with drop
   accounting, cancellation/preemption) ride on the engine's event heap
   and are no-ops for the closed-loop plan-evaluation path.
+
+The planner's objective probes run here too: :func:`async_makespan_ms`
+is a fresh probe and :class:`ProbeAnchor` resumes its neighbours' probes
+from one checkpointed run.  Both count themselves
+(``objective_evaluations``, ``objective_probes_pruned``,
+``objective_probes_resumed``) through one helper.
 """
 
 from __future__ import annotations
@@ -68,10 +74,10 @@ __all__ = [
     "ProbeAnchor",
     "TaskRecord",
     "TracePoint",
+    "async_makespan_ms",
     "execute_plan",
     "execute_plan_perturbed",
     "plan_to_chains",
-    "probe_makespan_ms",
     "replicate_chains",
     "scale_chain_tasks",
     "simulate_chains",
@@ -98,49 +104,16 @@ def simulate_chains(
 def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
     """Adapt a pipeline plan to the chain representation.
 
-    A stage's solo time, workload and working set depend only on its
-    profile, processor, successor processor and slice, so they come from
-    the profile's slice-task memo
-    (:attr:`~repro.profiling.profiler.ModelProfile.slice_tasks`): the
-    planner's objective adapts hundreds of near-identical plans, and a
-    re-probed stage costs one dict lookup.  Every call still builds fresh
-    :class:`ChainTask` objects — engine tasks are mutable.
+    Every call builds fresh :class:`ChainTask` objects (engine tasks are
+    mutable) from the profiles' slice-task memos (see
+    :func:`_chain_tasks`).
     """
     processors = plan.processors
     names = _handoff_names(processors)
-    hits = misses = 0
-    chains: List[List[ChainTask]] = []
-    for i, assignment in enumerate(plan.assignments):
-        memo = assignment.profile.slice_tasks
-        chain: List[ChainTask] = []
-        for k, slc in enumerate(assignment.slices):
-            if slc is None:
-                continue
-            start, end = slc
-            key = (names[k], names[k + 1], start, end)
-            entry = memo.get(key)
-            if entry is None:
-                misses += 1
-                entry = memo[key] = _slice_entry(
-                    assignment, k, processors, start, end
-                )
-            else:
-                hits += 1
-            chain.append(
-                ChainTask(
-                    request=i,
-                    proc=processors[k],
-                    solo_ms=entry[0],
-                    workload=entry[1],
-                    working_set=entry[2],
-                    stage=k,
-                )
-            )
-        chains.append(chain)
-    if obs.enabled():
-        obs.add("chain_task_memo_hits", hits)
-        obs.add("chain_task_memo_misses", misses)
-    return chains
+    return [
+        _chain_tasks(i, assignment, processors, names, _stages(assignment.slices))
+        for i, assignment in enumerate(plan.assignments)
+    ]
 
 
 def _handoff_names(processors: Sequence[ProcessorSpec]) -> List[Optional[str]]:
@@ -150,43 +123,62 @@ def _handoff_names(processors: Sequence[ProcessorSpec]) -> List[Optional[str]]:
     return names
 
 
-SliceEntry = Tuple[float, SliceWorkload, float]
-
-
-def _slice_entry(
-    assignment: "StageAssignment",
-    k: int,
-    processors: Sequence[ProcessorSpec],
-    start: int,
-    end: int,
-) -> SliceEntry:
-    """Stage ``k``'s solo time, workload and working set (a memo entry)."""
-    profile = assignment.profile
-    return (
-        assignment.stage_time_ms(k, processors),
-        SliceWorkload(profile=profile, proc=processors[k], start=start, end=end),
-        ARENA_OVERHEAD_FACTOR * profile.working_set_bytes(start, end),
-    )
-
-
 #: A request's chain positions: ``(stage, first layer, last layer)`` of
 #: each non-empty stage, in order.
-Stages = Tuple[Tuple[int, int, int], ...]
+Stages = List[Tuple[int, int, int]]
 
 
 def _stages(slices: Sequence[Optional[Tuple[int, int]]]) -> Stages:
-    return tuple(
-        (k, slc[0], slc[1]) for k, slc in enumerate(slices) if slc is not None
-    )
+    return [(k, slc[0], slc[1]) for k, slc in enumerate(slices) if slc is not None]
 
 
-def _probe_engine(
-    soc: SocSpec, chains: List[List[ChainTask]], with_contention: bool
-) -> DiscreteEventEngine:
-    """An engine configured the way objective probes run."""
+def _chain_tasks(
+    request: int,
+    assignment: "StageAssignment",
+    processors: Sequence[ProcessorSpec],
+    names: Sequence[Optional[str]],
+    stages: Stages,
+) -> List[ChainTask]:
+    """Fresh tasks of ``request`` at the given chain positions.
+
+    A stage's solo time, workload and working set depend only on its
+    profile, processor, successor processor and slice, so they come from
+    the profile's slice-task memo
+    (:attr:`~repro.profiling.profiler.ModelProfile.slice_tasks`): the
+    planner's objective adapts hundreds of near-identical plans, and a
+    re-probed stage costs one dict lookup.
+    """
+    profile = assignment.profile
+    memo = profile.slice_tasks
+    misses = 0
+    tasks: List[ChainTask] = []
+    for k, start, end in stages:
+        key = (names[k], names[k + 1], start, end)
+        entry = memo.get(key)
+        if entry is None:
+            misses += 1
+            entry = memo[key] = (
+                assignment.stage_time_ms(k, processors),
+                SliceWorkload(profile, processors[k], start, end),
+                ARENA_OVERHEAD_FACTOR * profile.working_set_bytes(start, end),
+            )
+        tasks.append(
+            ChainTask(request, processors[k], entry[0], entry[1], entry[2], k)
+        )
+    if obs.enabled():
+        obs.add("chain_task_memo_hits", len(tasks) - misses)
+        obs.add("chain_task_memo_misses", misses)
+    return tasks
+
+
+# ------------------------------------------------------ objective probes
+
+
+def _probe_engine(plan: "PipelinePlan", with_contention: bool) -> DiscreteEventEngine:
+    """A fresh engine over ``plan``, configured the way objective probes run."""
     return DiscreteEventEngine(
-        soc,
-        chains,
+        plan.soc,
+        plan_to_chains(plan),
         with_contention=with_contention,
         enforce_memory=False,
         record=False,
@@ -194,27 +186,51 @@ def _probe_engine(
     )
 
 
-def _bounded(engine: DiscreteEventEngine, stop_at_ms: float) -> float:
-    value = engine.run_bounded_ms(stop_at_ms)
-    if value == math.inf:
+def _counted(makespan_ms: float, resumed: bool = False) -> float:
+    """Count one objective simulation that returned ``makespan_ms``."""
+    obs.add("objective_evaluations")
+    if resumed:
+        obs.add("objective_probes_resumed")
+    if makespan_ms == math.inf:
         obs.add("objective_probes_pruned")
-    return value
+    return makespan_ms
 
 
-def probe_makespan_ms(
+def async_makespan_ms(
     plan: "PipelinePlan",
     with_contention: bool = True,
     stop_at_ms: float = math.inf,
 ) -> float:
-    """A plan's makespan as an objective probe needs it.
+    """Asynchronous (event-driven) makespan of a plan: one fresh probe.
 
-    One fresh engine with no memory gate, no causality and no result
-    (:meth:`~repro.runtime.engine.DiscreteEventEngine.run_bounded_ms`):
-    the makespan, or ``inf`` once the run provably reaches
-    ``stop_at_ms``.
+    The synchronized-column model (:mod:`repro.runtime.schedule`)
+    over-serializes: it forces every request to march one stage per
+    column even when its processor is free.  The planner's vertical
+    phase therefore optimizes this asynchronous makespan — the same
+    quantity the evaluation simulator reports — computed without the
+    memory-capacity gate so that search intermediates never trip
+    Constraint 6 (the final plan is always re-validated with
+    enforcement on).
+
+    Each call is a full silent re-simulation (``objective_evaluations``
+    counts them) that pays only for the makespan it returns: the engine
+    runs with causality tracking off (nothing reads the blame rows of a
+    probe) and builds no result
+    (:meth:`~repro.runtime.engine.DiscreteEventEngine.run_bounded_ms`),
+    and the chains come from the profiles' slice-task memos, so probes
+    of near-identical plans share workload objects and their cached
+    contention inputs.  This function is a deterministic pure function
+    of the plan configuration, which is what makes
+    :class:`repro.core.objective.ObjectiveCache` — the planner's
+    memoization layer in front of it — exact rather than approximate.
+
+    A caller that only keeps makespans below a threshold passes it as
+    ``stop_at_ms``: the run stops as soon as it provably reaches the
+    threshold and returns ``inf`` (``objective_probes_pruned`` counts
+    these), so every comparison against the threshold decides as the
+    full run would.
     """
-    engine = _probe_engine(plan.soc, plan_to_chains(plan), with_contention)
-    return _bounded(engine, stop_at_ms)
+    return _counted(_probe_engine(plan, with_contention).run_bounded_ms(stop_at_ms))
 
 
 def _first_reaching(
@@ -251,7 +267,7 @@ class ProbeAnchor:
 
     Args:
         plan: The plan to anchor on.
-        with_contention: As for :func:`probe_makespan_ms`.
+        with_contention: As for :func:`async_makespan_ms`.
         previous: An earlier anchor; when the plan is one of its
             neighbours the new anchor forks from it too.
     """
@@ -270,13 +286,12 @@ class ProbeAnchor:
         self._slices = [list(a.slices) for a in plan.assignments]
         self._stages = [_stages(a.slices) for a in plan.assignments]
         self._names = _handoff_names(plan.processors)
-        obs.add("objective_evaluations")
         engine = None
         if previous is not None:
             engine = previous._fork(plan, with_contention)
         if engine is None:
-            engine = _probe_engine(plan.soc, plan_to_chains(plan), with_contention)
-        self.makespan_ms = engine.run_checkpointed()
+            engine = _probe_engine(plan, with_contention)
+        self.makespan_ms = _counted(engine.run_checkpointed())
         self._engine = engine
 
     def probe_ms(
@@ -285,7 +300,7 @@ class ProbeAnchor:
         with_contention: bool = True,
         stop_at_ms: float = math.inf,
     ) -> Optional[float]:
-        """The plan's :func:`probe_makespan_ms`, resumed from this anchor.
+        """The plan's :func:`async_makespan_ms`, resumed from this anchor.
 
         Returns:
             The makespan (bit-identical to a fresh probe), ``inf`` when
@@ -296,9 +311,7 @@ class ProbeAnchor:
         engine = self._fork(plan, with_contention)
         if engine is None:
             return None
-        obs.add("objective_evaluations")
-        obs.add("objective_probes_resumed")
-        return _bounded(engine, stop_at_ms)
+        return _counted(engine.run_bounded_ms(stop_at_ms), resumed=True)
 
     def _fork(
         self, plan: "PipelinePlan", with_contention: bool
@@ -334,37 +347,15 @@ class ProbeAnchor:
         if index < 1:
             return None
         tails = {
-            i: (p, self._tail(i, plan.assignments[i], new[p:]))
+            i: (
+                p,
+                _chain_tasks(
+                    i, plan.assignments[i], self._processors, self._names, new[p:]
+                ),
+            )
             for i, p, new in changed
         }
         return self._engine.fork(index, tails)
-
-    def _tail(
-        self, request: int, assignment: "StageAssignment", stages: Stages
-    ) -> List[ChainTask]:
-        """Fresh tasks of ``request`` at the given chain positions."""
-        processors = self._processors
-        names = self._names
-        memo = assignment.profile.slice_tasks
-        hits = misses = 0
-        tail: List[ChainTask] = []
-        for k, start, end in stages:
-            key = (names[k], names[k + 1], start, end)
-            entry = memo.get(key)
-            if entry is None:
-                misses += 1
-                entry = memo[key] = _slice_entry(
-                    assignment, k, processors, start, end
-                )
-            else:
-                hits += 1
-            tail.append(
-                ChainTask(request, processors[k], entry[0], entry[1], entry[2], k)
-            )
-        if obs.enabled():
-            obs.add("chain_task_memo_hits", hits)
-            obs.add("chain_task_memo_misses", misses)
-        return tail
 
 
 def replicate_chains(

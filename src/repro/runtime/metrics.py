@@ -11,8 +11,8 @@ figures need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph

@@ -19,11 +19,9 @@ faithful optimization proxy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .. import obs
 from ..profiling.slowdown import SliceWorkload, slowdown_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -150,44 +148,6 @@ def plan_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> floa
 def plan_bubbles_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:
     """Shortcut: total bubble time (P2 objective, Eq. 5)."""
     return build_schedule(plan, with_contention).total_bubble_ms
-
-
-def async_makespan_ms(
-    plan: "PipelinePlan",
-    with_contention: bool = True,
-    stop_at_ms: float = math.inf,
-) -> float:
-    """Asynchronous (event-driven) makespan of a plan.
-
-    The synchronized-column model over-serializes: it forces every
-    request to march one stage per column even when its processor is
-    free.  The planner's vertical phase therefore optimizes this
-    asynchronous makespan — the same quantity the evaluation simulator
-    reports — computed without the memory-capacity gate so that search
-    intermediates never trip Constraint 6 (the final plan is always
-    re-validated with enforcement on).
-
-    Each call is a full silent re-simulation (``objective_evaluations``
-    counts them) that pays only for the makespan it returns: the engine
-    runs with causality tracking off (nothing reads the blame rows of a
-    probe) and builds no result, and ``plan_to_chains`` takes each stage's solo time,
-    workload and working set from the profile's slice-task memo, so
-    probes of near-identical plans share workload objects and their
-    cached contention inputs.  This function is a deterministic pure
-    function of the plan configuration, which is what makes
-    :class:`repro.core.objective.ObjectiveCache` — the planner's
-    memoization layer in front of it — exact rather than approximate.
-
-    A caller that only keeps makespans below a threshold passes it as
-    ``stop_at_ms``: the run stops as soon as it provably reaches the
-    threshold and returns ``inf`` (``objective_probes_pruned`` counts
-    these), so every comparison against the threshold decides as the
-    full run would.
-    """
-    from .executor import probe_makespan_ms  # local import: avoid cycle
-
-    obs.add("objective_evaluations")
-    return probe_makespan_ms(plan, with_contention, stop_at_ms)
 
 
 def tail_bubble_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:

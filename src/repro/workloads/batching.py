@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..hardware.processor import ProcessorKind, ProcessorSpec
-from ..profiling.profiler import INFEASIBLE, ModelProfile
+from ..profiling.profiler import ModelProfile
 
 #: Mobile accelerators overlap a little work across a batch (weight reuse
 #: amortization) but lack the on-chip memory for real batch parallelism;

@@ -11,7 +11,7 @@ so they run without registering the extended zoo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..models.ir import ModelGraph
 from ..models.zoo import get_model

@@ -16,7 +16,7 @@ from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
 from repro.profiling.profiler import SocProfiler
 from repro.runtime.executor import execute_plan
-from repro.runtime.schedule import async_makespan_ms
+from repro.runtime.executor import async_makespan_ms
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ class TestBand:
                     layers = model.layers[
                         task.workload.start : task.workload.end + 1
                     ]
-                    assert all(l.npu_supported() for l in layers)
+                    assert all(layer.npu_supported() for layer in layers)
 
     def test_band_spreads_over_processors(self, kirin, profiler):
         # With enough identical requests the NPU queue exceeds the CPU's

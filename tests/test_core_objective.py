@@ -29,7 +29,7 @@ from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
 from repro.profiling.profiler import SocProfiler
 from repro.runtime import executor
-from repro.runtime.schedule import async_makespan_ms
+from repro.runtime.executor import async_makespan_ms
 
 
 def canonical(plan: PipelinePlan):
@@ -258,9 +258,7 @@ class TestPlannerCacheCorrectness:
         soc = get_soc("kirin990")
         models = [get_model("resnet50"), get_model("resnet50")]
         with obs.use_recorder(obs.InMemoryRecorder()) as rec:
-            planner = Hetero2PipePlanner(
-                soc, PlannerConfig(enable_plan_cache=False)
-            )
+            planner = Hetero2PipePlanner(soc)
             planner.plan(models)
             counters = rec.metrics.snapshot()["counters"]
         # Second resnet50 in the mix reuses both profile and partition.

@@ -15,7 +15,7 @@ from repro.core.partition import (
 )
 from repro.hardware.soc import get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
-from repro.profiling.profiler import ModelProfile, SocProfiler
+from repro.profiling.profiler import ModelProfile
 
 
 def brute_force_makespan(n, k, cost):

@@ -17,7 +17,7 @@ from repro.core.stealing import (
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
 from repro.profiling.profiler import SocProfiler
-from repro.runtime.schedule import async_makespan_ms, plan_bubbles_ms
+from repro.runtime.executor import async_makespan_ms
 
 
 @pytest.fixture(scope="module")

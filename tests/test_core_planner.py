@@ -6,7 +6,7 @@ from repro.core.planner import Hetero2PipePlanner, PlannerConfig
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
 from repro.runtime.executor import execute_plan
-from repro.runtime.schedule import async_makespan_ms
+from repro.runtime.executor import async_makespan_ms
 
 
 @pytest.fixture(scope="module")

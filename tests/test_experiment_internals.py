@@ -109,7 +109,7 @@ class TestRenders:
     def test_ext_energy_render_sorted(self):
         rows = ext_energy.run(num_combinations=2)
         text = ext_energy.render(rows)
-        lines = [l for l in text.splitlines()[2:] if l.strip()]
+        lines = [line for line in text.splitlines()[2:] if line.strip()]
         assert len(lines) == 4
 
     def test_ext_scaling_renders(self, kirin):

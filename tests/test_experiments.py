@@ -22,7 +22,7 @@ class TestCommon:
         text = format_table(["a", "bb"], [[1, 2.5], ["x", "y"]])
         lines = text.splitlines()
         assert len(lines) == 4
-        assert len(set(len(l) for l in lines)) == 1
+        assert len(set(len(line) for line in lines)) == 1
 
     def test_geomean(self):
         assert geomean([2.0, 8.0]) == pytest.approx(4.0)
@@ -70,7 +70,6 @@ class TestFig2:
     def test_serial_queueing_accumulates(self):
         comparison = fig2_motivation.run_queueing()
         serial = comparison.serial.queueing_delay_ms
-        hetero = comparison.heterogeneous.queueing_delay_ms
         # The serial backlog grows; the tail request waits much longer
         # than the head.
         assert serial[-1] > serial[0] + 100.0

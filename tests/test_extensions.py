@@ -7,12 +7,7 @@ import pytest
 
 from repro.core.online import StreamingPlanner
 from repro.core.planner import Hetero2PipePlanner
-from repro.hardware.energy import (
-    DEFAULT_POWER,
-    EnergyBreakdown,
-    PowerSpec,
-    estimate_energy,
-)
+from repro.hardware.energy import DEFAULT_POWER, PowerSpec, estimate_energy
 from repro.hardware.processor import ProcessorKind
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
@@ -24,7 +19,6 @@ from repro.models.zoo_extended import (
     register_extended_models,
 )
 from repro.baselines.mnn_serial import plan_mnn_serial
-from repro.profiling.profiler import SocProfiler
 from repro.runtime.executor import execute_plan
 from repro.runtime.tracing import ascii_gantt, to_chrome_trace, write_chrome_trace
 from repro.workloads.batching import batched_model, coalesce_stream

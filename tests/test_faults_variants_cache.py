@@ -22,7 +22,6 @@ from repro.hardware.cache import (
     average_access_latency_ns,
     dram_traffic_bytes,
     gemm_amplification,
-    gemm_reuse_count,
     make_big_core_hierarchy,
     resident_fraction,
     reuse_hit_rate,

@@ -12,8 +12,6 @@ from repro.hardware.processor import (
     ProcessorKind,
     ProcessorSpec,
     make_cpu_big,
-    make_cpu_small,
-    make_gpu,
     make_npu,
 )
 from repro.hardware.soc import SOC_NAMES, all_socs, get_soc

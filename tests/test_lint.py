@@ -10,7 +10,6 @@ expects.
 import json
 from pathlib import Path
 
-import pytest
 
 import repro
 from repro.lint import (

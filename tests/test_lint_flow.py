@@ -28,11 +28,7 @@ from repro.lint import (
 )
 from repro.lint.baseline import BaselineResult, baseline_key
 from repro.lint.cli import main as lint_main, normalize_finding_paths
-from repro.lint.engine import (
-    UNUSED_SUPPRESSION_CODE,
-    apply_suppressions,
-    lint_source,
-)
+from repro.lint.engine import UNUSED_SUPPRESSION_CODE, lint_source
 from repro.lint.flow import (
     Unit,
     UnitAnalysis,

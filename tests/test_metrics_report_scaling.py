@@ -9,13 +9,7 @@ from repro.experiments.ext_scaling import (
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
 from repro.profiling.report import profile_report, render_report
-from repro.profiling.profiler import SocProfiler
-from repro.runtime.metrics import (
-    ComparisonMatrix,
-    Scheme,
-    compare_schemes,
-    standard_schemes,
-)
+from repro.runtime.metrics import compare_schemes, standard_schemes
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +80,13 @@ class TestProfileReport:
         # Observation 2: AlexNet's FC layers dominate traffic.
         report = profile_report(get_model("alexnet"), kirin)
         top_traffic = report.highest_traffic_layers(2)
-        assert all(l.op == "fully_connected" for l in top_traffic)
-        assert any(l.memory_bound for l in top_traffic)
+        assert all(row.op == "fully_connected" for row in top_traffic)
+        assert any(row.memory_bound for row in top_traffic)
 
     def test_hottest_layers_sorted(self, kirin):
         report = profile_report(get_model("vgg16"), kirin)
         hottest = report.hottest_layers(4)
-        times = [l.latency_ms for l in hottest]
+        times = [row.latency_ms for row in hottest]
         assert times == sorted(times, reverse=True)
 
     def test_npu_incompatible_model_rejected_on_npu(self, kirin):

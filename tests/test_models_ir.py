@@ -83,7 +83,7 @@ class TestModelGraph:
         model = make_model(5)
         assert len(model) == 5
         assert model.num_layers == 5
-        assert [l.name for l in model] == [f"l{i}" for i in range(5)]
+        assert [layer.name for layer in model] == [f"l{i}" for i in range(5)]
         assert model[2].name == "l2"
 
     def test_empty_model_rejected(self):

@@ -10,7 +10,6 @@ that changes the committed plan fingerprint.  Serialization round-trips
 residual counter track ride along.
 """
 
-import dataclasses
 import json
 from functools import partial
 
@@ -38,15 +37,10 @@ from repro.obs.export import (
     read_telemetry_jsonl,
     residual_counter_events,
     telemetry_rows,
-    write_telemetry_jsonl,
+    write_jsonl,
 )
 from repro.runtime.engine import DiscreteEventEngine
-from repro.runtime.executor import (
-    execute_plan,
-    execute_plan_perturbed,
-    plan_to_chains,
-    scale_chain_tasks,
-)
+from repro.runtime.executor import execute_plan, execute_plan_perturbed, plan_to_chains
 from repro.runtime.replay import (
     RUN_SCHEMA,
     load_run,
@@ -542,7 +536,7 @@ class TestSerialization:
     def test_jsonl_write_read_round_trip(self, tmp_path):
         _, residual = self._report(perturb=True)
         path = tmp_path / "telemetry.jsonl"
-        count = write_telemetry_jsonl(str(path), [residual])
+        count = write_jsonl(str(path), telemetry_rows([residual]))
         rows = read_telemetry_jsonl(str(path))
         assert len(rows) == count == len(residual.to_rows())
 

@@ -1,10 +1,14 @@
 """Tests for the unified bench harness (``repro.obs.bench``)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.hardware.soc import SOC_NAMES
 from repro.obs import bench
+
+BASELINE = Path(__file__).resolve().parents[1] / "BENCH_planner.json"
 
 
 class TestTimers:
@@ -317,6 +321,34 @@ class TestScenarios:
             "cold_plan", "warm_replan", "streaming_window",
             "drift_replan", "executor_sim",
         }
+
+
+
+def _committed_rows():
+    doc = bench.read_bench_json(str(BASELINE))
+    return {(row["scenario"], row["soc"]): row for row in doc["results"]}
+
+
+class TestCommittedCounters:
+    """Every bench cell's counters equal the committed baseline, exactly.
+
+    Counters come from one instrumented pass after the timed rounds, so
+    one round reproduces them; CI's bench job gates the timings.
+    """
+
+    def test_baseline_covers_the_matrix(self):
+        assert set(_committed_rows()) == {
+            (scenario, soc)
+            for scenario in bench.SCENARIO_NAMES
+            for soc in SOC_NAMES
+        }
+
+    @pytest.mark.parametrize("soc", SOC_NAMES)
+    @pytest.mark.parametrize("scenario", bench.SCENARIO_NAMES)
+    def test_counters_match_the_baseline(self, scenario, soc):
+        committed = _committed_rows()[(scenario, soc)]
+        row = bench.SCENARIOS[scenario](soc, 1).to_row()
+        assert row.get("counters", {}) == committed.get("counters", {})
 
 
 class TestCliVerbs:

@@ -26,7 +26,7 @@ from repro.obs.causality import (
     CAUSE_PROCESSOR_FREED,
     CAUSE_RESIDENCY_DRAIN,
 )
-from repro.obs.export import blame_telemetry_rows, write_blame_jsonl
+from repro.obs.export import blame_telemetry_rows, write_jsonl
 from repro.obs.timeline import TimelineAggregator
 from repro.obs.whatif import (
     WhatIf,
@@ -467,7 +467,7 @@ class TestExportAndArchive:
             "whatif_delta",
         }
         out = tmp_path / "blame.jsonl"
-        count = write_blame_jsonl(str(out), requests, path, reports)
+        count = write_jsonl(str(out), rows)
         lines = out.read_text().splitlines()
         assert len(lines) == count == len(rows)
         assert all(json.loads(line)["type"] in kinds for line in lines)

@@ -264,7 +264,7 @@ class TestAsciiGantt:
     def test_minimum_width_renders_clean_ruler(self, planned):
         _, _, _, result = planned
         text = ascii_gantt(result, width=10)
-        ruler = next(l for l in text.splitlines() if "0 ms" in l)
+        ruler = next(line for line in text.splitlines() if "0 ms" in line)
         assert "-" in ruler  # dashes clamp to >= 1 instead of vanishing
         assert "ms" in ruler
 
@@ -276,7 +276,7 @@ class TestAsciiGantt:
     def test_rows_match_requested_width(self, planned):
         _, _, _, result = planned
         lines = ascii_gantt(result, width=24).splitlines()
-        body = [l for l in lines if "|" in l]
+        body = [line for line in lines if "|" in line]
         assert body
         for line in body:
             start = line.index("|")

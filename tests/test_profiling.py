@@ -6,9 +6,9 @@ import math
 import pytest
 
 from repro.experiments.ext_sensitivity import scaled_soc
-from repro.hardware.processor import make_cpu_big, make_cpu_small, make_gpu, make_npu
+from repro.hardware.processor import make_cpu_big, make_gpu, make_npu
 from repro.hardware.soc import SOC_NAMES, get_soc
-from repro.models.ir import Layer, ModelGraph, OpType
+from repro.models.ir import Layer, OpType
 from repro.models.zoo import get_model
 from repro.profiling.latency import (
     MAX_AMPLIFICATION,
@@ -19,7 +19,7 @@ from repro.profiling.latency import (
     traffic_amplification,
 )
 from repro.profiling.pmu import ground_truth_intensity, measure_counters
-from repro.profiling.profiler import INFEASIBLE, ModelProfile, SocProfiler
+from repro.profiling.profiler import INFEASIBLE, SocProfiler
 from repro.profiling.slowdown import (
     MAX_SLOWDOWN,
     SliceWorkload,

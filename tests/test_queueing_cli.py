@@ -44,7 +44,7 @@ class TestQueueing:
         models = [get_model("googlenet")] * 3
         arrivals = arrival_times_ms(3, 50.0)
         report = serial_queueing(kirin, models, arrivals)
-        assert all(l > 0 for l in report.completion_latency_ms)
+        assert all(latency > 0 for latency in report.completion_latency_ms)
 
     def test_delays_nonnegative(self, kirin):
         models = [get_model("googlenet")] * 4

@@ -490,21 +490,20 @@ class TestCancellationAndPreemption:
 
 
 class TestIncrementalStepping:
-    def test_run_until_snapshots_partial_state(self, kirin):
-        # Request 1's arrival at t=5 clips the first step exactly at
-        # the run_until boundary, so the snapshot shows no completions.
+    def test_step_snapshots_partial_state(self, kirin):
+        # Request 1's arrival at t=5 clips the first step exactly there,
+        # so the snapshot after one step shows no completions.
         chains = [[_task(kirin, 0, 10.0)], [_task(kirin, 1, 10.0)]]
         engine = DiscreteEventEngine(
             kirin, chains, arrivals=[0.0, 5.0], record=False
         )
-        engine.run_until_ms(5.0)
-        assert not engine.done
-        assert engine.now_ms == pytest.approx(5.0)
+        assert engine.step()  # work remains
         partial = engine.result()
+        assert partial.makespan_ms == pytest.approx(5.0)
         assert partial.records == []
         while engine.step():
             pass
-        assert engine.done
+        assert not engine.step()  # done: nothing left to step
         assert engine.result().request_finish_ms == pytest.approx(
             [10.0, 20.0]
         )

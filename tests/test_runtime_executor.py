@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.planner import Hetero2PipePlanner
 from repro.core.partition import partition_model
 from repro.core.plan import PipelinePlan, StageAssignment
 from repro.baselines.mnn_serial import plan_mnn_serial
@@ -132,9 +131,7 @@ class TestContention:
 
 
 class TestMemory:
-    def test_capacity_violation_raises(self, profiler, kirin):
-        profile = profiler.profile(get_model("bert"))
-        n = profile.model.num_layers
+    def test_capacity_violation_raises(self, kirin):
         huge = ChainTask(
             request=0,
             proc=kirin.cpu_big,

@@ -7,8 +7,8 @@ from repro.core.plan import PipelinePlan, StageAssignment
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
 from repro.profiling.profiler import SocProfiler
+from repro.runtime.executor import async_makespan_ms
 from repro.runtime.schedule import (
-    async_makespan_ms,
     build_schedule,
     plan_bubbles_ms,
     plan_makespan_ms,

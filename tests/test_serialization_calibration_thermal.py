@@ -20,14 +20,10 @@ from repro.models.serialization import (
     save_model,
 )
 from repro.models.zoo import get_model
-from repro.profiling.calibration import (
-    CalibrationReport,
-    CalibrationTarget,
-    calibrate,
-)
+from repro.profiling.calibration import CalibrationTarget, calibrate
 from repro.profiling.profiler import SocProfiler
 from repro.runtime.executor import execute_plan
-from repro.runtime.schedule import async_makespan_ms
+from repro.runtime.executor import async_makespan_ms
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +42,7 @@ class TestModelSerialization:
         assert restored.total_weight_bytes == pytest.approx(
             model.total_weight_bytes
         )
-        assert [l.op for l in restored.layers] == [l.op for l in model.layers]
+        assert [layer.op for layer in restored.layers] == [layer.op for layer in model.layers]
         assert restored.npu_supported() == model.npu_supported()
 
     def test_file_round_trip(self, tmp_path):

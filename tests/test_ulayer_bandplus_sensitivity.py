@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.band import plan_band, plan_band_contention_aware
-from repro.baselines.mnn_serial import serial_latency_ms
 from repro.baselines.ulayer import (
     split_layer,
     ulayer_model_latency_ms,
@@ -62,8 +61,8 @@ class TestULayer:
 
     def test_merge_cost_scales_with_output(self, kirin):
         model = get_model("vgg16")
-        big_out = max(model.layers, key=lambda l: l.output_bytes)
-        small_out = min(model.layers, key=lambda l: l.output_bytes)
+        big_out = max(model.layers, key=lambda layer: layer.output_bytes)
+        small_out = min(model.layers, key=lambda layer: layer.output_bytes)
         big = split_layer(big_out, kirin.cpu_big, kirin.gpu, kirin)
         small = split_layer(small_out, kirin.cpu_big, kirin.gpu, kirin)
         assert big.merge_ms >= small.merge_ms

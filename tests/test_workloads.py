@@ -10,11 +10,7 @@ from repro.workloads.batching import (
     batch_size_to_match,
     latency_growth_rates,
 )
-from repro.workloads.generator import (
-    WorkloadSpec,
-    arrival_times_ms,
-    sample_combinations,
-)
+from repro.workloads.generator import arrival_times_ms, sample_combinations
 
 
 @pytest.fixture(scope="module")

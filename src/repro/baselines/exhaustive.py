@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.partition import partition_model
 from ..core.plan import PipelinePlan, StageAssignment
-from ..core.stealing import optimize_tail, refine_globally, single_processor_assignment
+from ..core.stealing import optimize_tail, placement_moves, refine_globally
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
 from ..profiling.profiler import SocProfiler
@@ -31,17 +31,13 @@ MAX_CANDIDATES = 200_000
 def candidate_assignments(
     profile, processors
 ) -> List[StageAssignment]:
-    """Per-request options: DP partition + feasible single stages."""
+    """Per-request options: DP partition + its placement neighbourhood."""
     dp = partition_model(profile, processors)
-    options = [StageAssignment(profile=profile, slices=list(dp.slices))]
-    base = options[0]
-    seen = {tuple(base.slices)}
-    for stage in range(len(processors)):
-        single = single_processor_assignment(base, stage, processors)
-        if single is not None and tuple(single.slices) not in seen:
-            seen.add(tuple(single.slices))
-            options.append(single)
-    return options
+    base = StageAssignment(profile=profile, slices=list(dp.slices))
+    return [base] + [
+        StageAssignment(profile=profile, slices=slices)
+        for slices, _ in placement_moves(base, processors)
+    ]
 
 
 def exhaustive_plan(

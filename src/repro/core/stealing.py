@@ -21,12 +21,16 @@ A final *tail optimization* exploits that inference (unlike training)
 may freely re-allocate the draining workload: the last request's
 placement is chosen by exhaustive search over the K single-processor
 options plus its current partition ("the search space is only K").
+
+Every phase is one best-improvement descent (:func:`_descend`) over
+:func:`boundary_moves` or :func:`placement_moves`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Protocol, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
@@ -61,6 +65,22 @@ _MAX_GLOBAL_MOVES = 128
 #: Cap on full sweeps of the per-request placement search.
 _MAX_PLACEMENT_SWEEPS = 4
 
+Slices = List[Optional[Tuple[int, int]]]
+
+#: A candidate move of one request: its slices after the move, and the
+#: ``(from_stage, to_stage, layer)`` of a boundary move (None otherwise).
+Move = Tuple[Slices, Optional[Tuple[int, int, int]]]
+
+
+class _Step(NamedTuple):
+    """A move a descent applied to ``assignments[index]``."""
+
+    index: int
+    slices_before: Slices
+    move: Move
+    before_ms: float
+    gain_ms: float
+
 
 def move_boundary_layer(
     assignment: StageAssignment,
@@ -79,11 +99,8 @@ def move_boundary_layer(
     Slices stay contiguous by construction: only boundary layers move,
     and an emptied or newly-occupied stage preserves the layer order.
     """
-    if abs(to_stage - from_stage) != 1:
-        return False
-    if not 0 <= from_stage < assignment.num_stages:
-        return False
-    if not 0 <= to_stage < assignment.num_stages:
+    n = assignment.num_stages
+    if abs(to_stage - from_stage) != 1 or not 0 <= min(from_stage, to_stage) < n - 1:
         return False
     src = assignment.slices[from_stage]
     if src is None:
@@ -110,6 +127,116 @@ def move_boundary_layer(
     assignment.slices[from_stage] = new_src
     assignment.slices[to_stage] = new_dst
     return True
+
+
+def boundary_moves(
+    assignment: StageAssignment, processors: Sequence[ProcessorSpec]
+) -> Iterator[Move]:
+    """Every feasible :func:`move_boundary_layer`, stage pair by stage
+    pair, the rightward move of each pair first."""
+    base = assignment.slices
+    trial = assignment.copy()
+    for s in range(assignment.num_stages - 1):
+        for frm, to in ((s, s + 1), (s + 1, s)):
+            trial.slices = list(base)
+            if move_boundary_layer(trial, frm, to, processors):
+                src = base[frm]
+                assert src is not None  # the move above succeeded
+                yield trial.slices, (frm, to, src[1] if to > frm else src[0])
+
+
+def placement_moves(
+    assignment: StageAssignment, processors: Sequence[ProcessorSpec]
+) -> Iterator[Move]:
+    """The request whole on each feasible stage, in stage order, except
+    where it already is."""
+    for stage in range(len(processors)):
+        candidate = single_processor_assignment(assignment, stage, processors)
+        if candidate is not None and candidate.slices != assignment.slices:
+            yield candidate.slices, None
+
+
+def _descend(
+    assignments: Sequence[StageAssignment],
+    cost: Callable[[float], float],
+    groups: Sequence[Sequence[int]],
+    neighbours: Callable[[StageAssignment, Sequence[ProcessorSpec]], Iterator[Move]],
+    processors: Sequence[ProcessorSpec],
+    max_rounds: int,
+    on_round: Optional[Callable[[], None]] = None,
+) -> Tuple[List[_Step], float]:
+    """Best-improvement descent over ``neighbours`` of ``assignments``.
+
+    Each round visits ``groups`` in order.  For each group it probes
+    every move of every request in it, passing ``cost`` (the current
+    assignments' objective) the value the probe must beat, and applies
+    the move that lowers the objective most, by more than
+    :data:`_EPSILON_MS`.  It stops after a round that applies nothing,
+    or after ``max_rounds``; ``on_round`` runs before each round.
+
+    Returns:
+        The applied moves in order, and the final objective value.
+    """
+    steps: List[_Step] = []
+    current = cost(math.inf)
+    for _ in range(max_rounds):
+        if on_round is not None:
+            on_round()
+        applied = False
+        for group in groups:
+            best_gain = _EPSILON_MS
+            best: Optional[Tuple[int, Move]] = None
+            for i in group:
+                assignment = assignments[i]
+                saved = assignment.slices
+                for move in neighbours(assignment, processors):
+                    assignment.slices = move[0]
+                    gain = current - cost(current - best_gain)
+                    assignment.slices = saved
+                    if gain > best_gain:
+                        best_gain = gain
+                        best = (i, move)
+            if best is None:
+                continue
+            i, move = best
+            steps.append(_Step(i, assignments[i].slices, move, current, best_gain))
+            assignments[i].slices = list(move[0])
+            current -= best_gain
+            applied = True
+        if not applied:
+            break
+    return steps, current
+
+
+def _record_steals(
+    steps: Sequence[_Step], phase: str, requests: Sequence[Optional[int]]
+) -> None:
+    """Count boundary moves and emit their :class:`~repro.obs.LayerStolen`.
+
+    ``requests[step.index]`` is the execution position an event names;
+    None counts the move without an event.
+    """
+    for step in steps:
+        obs.add("steal_moves")
+        request = requests[step.index]
+        if request is not None and obs.enabled():
+            assert step.move[1] is not None  # a boundary move
+            frm, to, layer = step.move[1]
+            obs.emit(obs.LayerStolen(request, frm, to, layer, phase, step.gain_ms))
+
+
+def _record_placements(
+    steps: Sequence[_Step],
+    counter: str,
+    event: Callable[..., obs.ProvenanceEvent],
+) -> None:
+    """Count placement changes and emit one ``event`` for each."""
+    for step in steps:
+        obs.add(counter)
+        if obs.enabled():
+            slices = tuple(step.slices_before), tuple(step.move[0])
+            after_ms = step.before_ms - step.gain_ms
+            obs.emit(event(step.index, *slices, step.before_ms, after_ms))
 
 
 def _alignment_objective(
@@ -153,53 +280,13 @@ def align_to_targets(
     Returns:
         The number of boundary moves applied.
     """
-    moves = 0
-    current = _alignment_objective(assignment, targets, processors)
-    while moves < _MAX_MOVES_PER_REQUEST:
-        best_gain = _EPSILON_MS
-        best_move: Optional[Tuple[int, int]] = None
-        for s in range(assignment.num_stages - 1):
-            for frm, to in ((s, s + 1), (s + 1, s)):
-                trial = assignment.copy()
-                if not move_boundary_layer(trial, frm, to, processors):
-                    continue
-                value = _alignment_objective(trial, targets, processors)
-                gain = current - value
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = (frm, to)
-        if best_move is None:
-            break
-        frm, to = best_move
-        src = assignment.slices[frm]
-        assert src is not None  # the trial move above succeeded
-        layer = src[1] if to > frm else src[0]
-        move_boundary_layer(assignment, frm, to, processors)
-        current -= best_gain
-        moves += 1
-        obs.add("steal_moves")
-        if request is not None and obs.enabled():
-            obs.emit(
-                obs.LayerStolen(
-                    request=request,
-                    from_stage=frm,
-                    to_stage=to,
-                    layer=layer,
-                    phase="window-steal",
-                    gain_ms=best_gain,
-                )
-            )
-    return moves
-
-
-def _critical_index(
-    plan: PipelinePlan, window: Sequence[int]
-) -> int:
-    """Request (global index) with the largest total stage time."""
-    def total(i: int) -> float:
-        return plan.assignments[i].total_time_ms(plan.processors)
-
-    return max(window, key=total)
+    steps, _ = _descend(
+        [assignment],
+        lambda _stop_at_ms: _alignment_objective(assignment, targets, processors),
+        [[0]], boundary_moves, processors, _MAX_MOVES_PER_REQUEST,
+    )
+    _record_steals(steps, "window-steal", [request])
+    return len(steps)
 
 
 def steal_within_window(plan: PipelinePlan, window: Sequence[int]) -> int:
@@ -211,20 +298,19 @@ def steal_within_window(plan: PipelinePlan, window: Sequence[int]) -> int:
     """
     if not window:
         return 0
-    critical = _critical_index(plan, window)
+    critical = max(
+        window, key=lambda i: plan.assignments[i].total_time_ms(plan.processors)
+    )
     critical_times = plan.assignments[critical].stage_times_ms(plan.processors)
     depth = plan.depth
     moves = 0
     for i in window:
         if i == critical:
             continue
-        delta = i - critical
-        targets: List[Optional[float]] = []
-        for s in range(depth):
-            aligned = s + delta
-            targets.append(
-                critical_times[aligned] if 0 <= aligned < depth else None
-            )
+        targets: List[Optional[float]] = [
+            critical_times[a] if 0 <= a < depth else None
+            for a in range(i - critical, i - critical + depth)
+        ]
         moves += align_to_targets(
             plan.assignments[i], targets, plan.processors, request=i
         )
@@ -237,14 +323,11 @@ def work_steal(plan: PipelinePlan) -> int:
     Returns:
         Total boundary moves applied.
     """
-    depth = plan.depth
+    depth, n = plan.depth, plan.num_requests
     moves = 0
-    u = 0
-    with obs.span("plan.steal", requests=plan.num_requests, depth=depth) as sp:
-        while u < plan.num_requests:
-            window = list(range(u, min(u + depth, plan.num_requests)))
-            moves += steal_within_window(plan, window)
-            u += depth
+    with obs.span("plan.steal", requests=n, depth=depth) as sp:
+        for u in range(0, n, depth):
+            moves += steal_within_window(plan, list(range(u, min(u + depth, n))))
         sp.set(moves=moves)
     return moves
 
@@ -257,60 +340,30 @@ def refine_globally(
     Window-local stealing uses the critical path as a proxy; this pass
     then accepts any single boundary move (any request, either
     direction) that strictly reduces the contention-aware asynchronous
-    makespan, until a local optimum.  It can only improve the plan, so
-    Hetero2Pipe never regresses below the horizontal-only solution.
+    makespan, until a local optimum.  It never worsens the plan it is
+    given.  That plan is window stealing's output, which can be worse
+    than the horizontal-only plan, so the vertical phase as a whole can
+    end above the horizontal-only makespan.
+
+    Each round's probes resume from an anchor on the round's plan when
+    ``objective`` is an :class:`~repro.core.objective.ObjectiveCache`.
 
     Returns:
         Number of accepted moves.
     """
-    moves = 0
+    on_round: Optional[Callable[[], None]] = None
+    if isinstance(objective, ObjectiveCache):
+        on_round = partial(objective.anchor, plan)
     with obs.span("plan.refine_global", requests=plan.num_requests) as sp:
-        current = objective(plan)
-        while moves < _MAX_GLOBAL_MOVES:
-            if isinstance(objective, ObjectiveCache):
-                # This iteration's neighbours resume from the plan's run.
-                objective.anchor(plan)
-            best_gain = _EPSILON_MS
-            best: Optional[Tuple[int, int, int]] = None
-            for i, assignment in enumerate(plan.assignments):
-                for s in range(plan.depth - 1):
-                    for frm, to in ((s, s + 1), (s + 1, s)):
-                        saved = list(assignment.slices)
-                        if not move_boundary_layer(
-                            assignment, frm, to, plan.processors
-                        ):
-                            continue
-                        value = objective(
-                            plan, stop_at_ms=current - best_gain
-                        )
-                        assignment.slices = saved
-                        gain = current - value
-                        if gain > best_gain:
-                            best_gain = gain
-                            best = (i, frm, to)
-            if best is None:
-                break
-            i, frm, to = best
-            src = plan.assignments[i].slices[frm]
-            assert src is not None  # the trial move above succeeded
-            layer = src[1] if to > frm else src[0]
-            move_boundary_layer(plan.assignments[i], frm, to, plan.processors)
-            current -= best_gain
-            moves += 1
-            obs.add("steal_moves")
-            if obs.enabled():
-                obs.emit(
-                    obs.LayerStolen(
-                        request=i,
-                        from_stage=frm,
-                        to_stage=to,
-                        layer=layer,
-                        phase="global-refine",
-                        gain_ms=best_gain,
-                    )
-                )
-        sp.set(moves=moves, makespan_ms=current)
-    return moves
+        steps, current = _descend(
+            plan.assignments,
+            lambda stop_at_ms: objective(plan, stop_at_ms=stop_at_ms),
+            [range(plan.num_requests)],
+            boundary_moves, plan.processors, _MAX_GLOBAL_MOVES, on_round,
+        )
+        _record_steals(steps, "global-refine", range(plan.num_requests))
+        sp.set(moves=len(steps), makespan_ms=current)
+    return len(steps)
 
 
 def refine_placements(
@@ -329,47 +382,16 @@ def refine_placements(
     Returns:
         Number of placement changes applied.
     """
-    changes = 0
     with obs.span("plan.placements", requests=plan.num_requests) as sp:
-        current = objective(plan)
-        for _ in range(_MAX_PLACEMENT_SWEEPS):
-            changed = False
-            for i in range(plan.num_requests - 1, -1, -1):
-                original = plan.assignments[i]
-                best_assignment = original
-                best_cost = current
-                for stage in range(plan.depth):
-                    candidate = single_processor_assignment(
-                        original, stage, plan.processors
-                    )
-                    if candidate is None or candidate.slices == original.slices:
-                        continue
-                    plan.assignments[i] = candidate
-                    cost = objective(plan, stop_at_ms=best_cost - _EPSILON_MS)
-                    if cost < best_cost - _EPSILON_MS:
-                        best_cost = cost
-                        best_assignment = candidate
-                    plan.assignments[i] = original
-                if best_assignment is not original:
-                    plan.assignments[i] = best_assignment
-                    obs.add("placement_changes")
-                    if obs.enabled():
-                        obs.emit(
-                            obs.PlacementChanged(
-                                request=i,
-                                slices_before=tuple(original.slices),
-                                slices_after=tuple(best_assignment.slices),
-                                makespan_before_ms=current,
-                                makespan_after_ms=best_cost,
-                            )
-                        )
-                    current = best_cost
-                    changes += 1
-                    changed = True
-            if not changed:
-                break
-        sp.set(changes=changes, makespan_ms=current)
-    return changes
+        steps, current = _descend(
+            plan.assignments,
+            lambda stop_at_ms: objective(plan, stop_at_ms=stop_at_ms),
+            [[i] for i in range(plan.num_requests - 1, -1, -1)],
+            placement_moves, plan.processors, _MAX_PLACEMENT_SWEEPS,
+        )
+        _record_placements(steps, "placement_changes", obs.PlacementChanged)
+        sp.set(changes=len(steps), makespan_ms=current)
+    return len(steps)
 
 
 def single_processor_assignment(
@@ -381,7 +403,7 @@ def single_processor_assignment(
     n = assignment.profile.model.num_layers
     if not assignment.profile.feasible(processors[stage], 0, n - 1):
         return None
-    slices: List[Optional[Tuple[int, int]]] = [None] * len(processors)
+    slices: Slices = [None] * len(processors)
     slices[stage] = (0, n - 1)
     return StageAssignment(profile=assignment.profile, slices=slices)
 
@@ -393,43 +415,20 @@ def optimize_tail(
 
     Tries each of the K single-processor placements for the last request
     and keeps whichever (including the current partition) minimizes the
-    contention-aware synchronized makespan.
+    contention-aware makespan.
 
     Returns:
         True when the tail placement changed.
     """
     if plan.num_requests == 0:
         return False
-    last = plan.num_requests - 1
-    current = plan.assignments[last]
-    best_assignment = current
-    before_cost = objective(plan)
-    best_cost = before_cost
-    for stage in range(plan.depth):
-        candidate = single_processor_assignment(current, stage, plan.processors)
-        if candidate is None:
-            continue
-        plan.assignments[last] = candidate
-        cost = objective(plan, stop_at_ms=best_cost - _EPSILON_MS)
-        if cost < best_cost - _EPSILON_MS:
-            best_cost = cost
-            best_assignment = candidate
-        plan.assignments[last] = current
-    if best_assignment is not current:
-        plan.assignments[last] = best_assignment
-        obs.add("tail_replacements")
-        if obs.enabled():
-            obs.emit(
-                obs.TailReplaced(
-                    request=last,
-                    slices_before=tuple(current.slices),
-                    slices_after=tuple(best_assignment.slices),
-                    makespan_before_ms=before_cost,
-                    makespan_after_ms=best_cost,
-                )
-            )
-        return True
-    return False
+    steps, _ = _descend(
+        plan.assignments,
+        lambda stop_at_ms: objective(plan, stop_at_ms=stop_at_ms),
+        [[plan.num_requests - 1]], placement_moves, plan.processors, 1,
+    )
+    _record_placements(steps, "tail_replacements", obs.TailReplaced)
+    return bool(steps)
 
 
 def vertical_alignment(

@@ -43,16 +43,6 @@ class ThermalFeedbackResult:
     def final_scales(self) -> Dict[str, float]:
         return self.iterations[-1].scales
 
-    @property
-    def converged(self) -> bool:
-        if len(self.iterations) < 2:
-            return False
-        last, prev = self.iterations[-1], self.iterations[-2]
-        return all(
-            abs(last.scales[name] - prev.scales[name]) < 0.02
-            for name in last.scales
-        )
-
 
 def plan_with_thermal_feedback(
     soc: SocSpec,

@@ -65,11 +65,6 @@ def pipeline_count(
     return counts
 
 
-def total_pipelines(**kwargs) -> int:
-    """Total feasible pipelines (the paper's 449-scale count)."""
-    return sum(pipeline_count(**kwargs).values())
-
-
 def pipeline_count_eq12(
     big_cores: int = 4,
     small_cores: int = 4,

@@ -221,14 +221,6 @@ class ModelGraph:
         self._check_slice(start, end)
         return sum(layer.flops for layer in self.layers[start : end + 1])
 
-    def slice_memory_bytes(self, start: int, end: int) -> float:
-        self._check_slice(start, end)
-        return sum(layer.memory_bytes for layer in self.layers[start : end + 1])
-
-    def slice_weight_bytes(self, start: int, end: int) -> float:
-        self._check_slice(start, end)
-        return sum(layer.weight_bytes for layer in self.layers[start : end + 1])
-
     def boundary_bytes(self, end: int) -> float:
         """Bytes that must be copied when a slice ends at layer ``end``.
 

@@ -142,10 +142,8 @@ def build_vgg16() -> ModelGraph:
     stages = [(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)]
     dim = 224
     in_ch = 3
-    idx = 0
     for stage_no, (channels, count) in enumerate(stages, start=1):
         for rep in range(count):
-            idx += 1
             layer, dim = _conv_layer(
                 f"conv{stage_no}_{rep + 1}", in_ch, channels, 3, dim, 1, 1
             )

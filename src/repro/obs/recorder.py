@@ -156,11 +156,6 @@ class InMemoryRecorder(Recorder):
         for event in buffer:
             self.record_event(event)
 
-    # -- convenience -----------------------------------------------------
-
-    def events_of(self, kind: str) -> List[ProvenanceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def reset(self) -> None:
         self.spans.clear()
         self.events.clear()

@@ -72,9 +72,6 @@ class SynchronousSchedule:
     def total_bubble_ms(self) -> float:
         return sum(col.bubble_ms for col in self.columns)
 
-    def bubbles_per_column(self) -> List[float]:
-        return [col.bubble_ms for col in self.columns]
-
 
 def _diagonal_members(
     plan: "PipelinePlan", diagonal: int

@@ -1,5 +1,6 @@
 """One minimally-broken plan per ``core.validate`` violation code, plus a
-hypothesis property: planner-produced plans always validate clean."""
+hypothesis property: planner-produced plans always validate clean, replay
+from their provenance, and do not depend on the planner's caches."""
 
 import dataclasses
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.objective import plan_fingerprint
 from repro.core.planner import Hetero2PipePlanner, PlannerConfig
 from repro.core.plan import PipelinePlan, StageAssignment
 from repro.core.validate import validate_plan
@@ -124,18 +127,19 @@ class TestEveryViolationCode:
 _PLANNERS = {}
 
 
-def _planner(soc_name, config_key):
-    key = (soc_name, config_key)
+def _planner(soc_name, config_key, cached=True):
+    key = (soc_name, config_key, cached)
     if key not in _PLANNERS:
         config = (
             PlannerConfig()
             if config_key == "default"
             else PlannerConfig.no_contention_or_tail()
         )
+        config = dataclasses.replace(config, enable_caches=cached)
         soc = get_soc(soc_name)
         # Reuse one estimator per SoC across configs: fitting dominates.
         donor = next(
-            (p for (s, _), p in _PLANNERS.items() if s == soc_name), None
+            (p for (s, _, _), p in _PLANNERS.items() if s == soc_name), None
         )
         estimator = donor.estimator if donor is not None else None
         _PLANNERS[key] = Hetero2PipePlanner(soc, config, estimator=estimator)
@@ -153,5 +157,21 @@ class TestPlannerPlansAlwaysValidate:
     @settings(max_examples=25, deadline=None)
     def test_plan_validates_clean(self, soc_name, model_names, config_key):
         planner = _planner(soc_name, config_key)
-        report = planner.plan([get_model(n) for n in model_names])
-        assert validate_plan(report.plan) == []
+        planner.invalidate_caches()  # a plan-cache hit records no events
+        models = [get_model(n) for n in model_names]
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            report = planner.plan(models)
+        plan = report.plan
+        assert validate_plan(plan) == []
+
+        order, slices = obs.reconstruct_plan(rec.events)
+        assert order == plan.order
+        assert list(slices) == [tuple(a.slices) for a in plan.assignments]
+        for event in rec.events:
+            if isinstance(event, obs.LayerStolen) and event.phase == "global-refine":
+                assert event.gain_ms > 0
+            if isinstance(event, (obs.PlacementChanged, obs.TailReplaced)):
+                assert event.makespan_after_ms < event.makespan_before_ms
+
+        uncached = _planner(soc_name, config_key, cached=False).plan(models)
+        assert plan_fingerprint(uncached.plan) == plan_fingerprint(plan)

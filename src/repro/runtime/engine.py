@@ -66,8 +66,20 @@ three cheaper ways to answer it:
   ``1 + slowdown`` is >= 1 and a slot runs one slice at a time.  A
   departure fires at ``remaining_ms <= 10 * _EPS``, so the bound gives
   back ``10 * _EPS`` per outstanding task plus ``PRUNE_MARGIN_MS``,
-  which also absorbs the rounding of the caller's threshold.
-* :meth:`DiscreteEventEngine.run_checkpointed` runs to completion and
+  which also absorbs the rounding of the caller's threshold.  It pops
+  the closed loop's t=0 arrivals once and then steps its own loop,
+  which advances only what the makespan and the bound read: the ready
+  sets, ``next_idx`` and ``prev_done``, the running slices'
+  ``remaining_ms`` and ``start_ms``, ``now``, the completed and
+  outstanding counts, and a local per-slot unstarted solo time.  Each
+  step is :meth:`~DiscreteEventEngine._step`'s arithmetic in the same
+  order, with the same ``engine_steps`` and ``slowdown_evaluations``
+  counts, so it returns the same makespan bit for bit.  It keeps no
+  task records, arenas, busy, finish or first-start times and emits no
+  events, so :meth:`~DiscreteEventEngine.result` and
+  :meth:`~DiscreteEventEngine.step` raise ``RuntimeError`` after it.
+* :meth:`DiscreteEventEngine.run_checkpointed` runs to completion
+  through the full step, as :meth:`~DiscreteEventEngine.run` does, and
   keeps a :class:`Checkpoint` of the run state before every step.
 * :meth:`DiscreteEventEngine.fork` builds an engine in the state of one
   checkpoint, optionally with some requests' chains replaced from a
@@ -504,7 +516,8 @@ class DiscreteEventEngine:
         RuntimeError: from :meth:`run` / :meth:`step` if the simulation
             wedges — for valid fault-free inputs this cannot happen;
             with faults it signals that a task has no online processor
-            able to run it.
+            able to run it.  From :meth:`result` / :meth:`step` after
+            :meth:`run_bounded_ms`.
     """
 
     def __init__(
@@ -613,11 +626,11 @@ class DiscreteEventEngine:
         self._sweep_at_ms = min(self._offline_at)
         self._any_offline = False
         # Probe-style runs: options checked, cancellations or
-        # preemptions scheduled, and per slot the solo time of the
-        # unstarted tasks (kept only by a bounded run).
+        # preemptions scheduled, and whether a bounded run left the
+        # bookkeeping stale.
         self._probe_checked = False
         self._scheduled = False
-        self._pending_ms: Optional[List[float]] = None
+        self._ran_bounded = False
         self._checkpoints: Optional[List[Checkpoint]] = None
         # A fork's parent checkpoints and its index in them.
         self._fork_of: Optional[Tuple[List[Checkpoint], int]] = None
@@ -746,6 +759,13 @@ class DiscreteEventEngine:
             )
         self._probe_checked = True
 
+    def _require_bookkeeping(self, what: str) -> None:
+        if self._ran_bounded:
+            raise RuntimeError(
+                f"{what} after run_bounded_ms(): a bounded run steps only "
+                "the state its makespan reads"
+            )
+
     def run(self) -> ExecutionResult:
         """Run the simulation to completion and build the result."""
         if self._finished_run:
@@ -782,19 +802,120 @@ class DiscreteEventEngine:
     def run_bounded_ms(self, stop_at_ms: float = math.inf) -> float:
         """The run's makespan, or ``inf`` once it provably reaches ``stop_at_ms``.
 
-        Runs like :meth:`run` but builds no result.  Before every step
-        it checks the lower bound described under "Probes" in the
-        module docstring; when the bound minus its margin reaches
-        ``stop_at_ms`` the run stops and returns ``inf``, so a caller
-        that keeps only makespans below ``stop_at_ms`` decides exactly
-        as it would on the full run.  ``inf`` never stops.
+        Before every step it checks the lower bound described under
+        "Probes" in the module docstring; when the bound minus its
+        margin reaches ``stop_at_ms`` the run stops and returns ``inf``,
+        so a caller that keeps only makespans below ``stop_at_ms``
+        decides exactly as it would on the full run.  ``inf`` never
+        stops.  Its steps are :meth:`_step`'s arithmetic on only the
+        state the makespan and the bound read, so afterwards
+        :meth:`result` and :meth:`step` raise.
 
         Raises:
             ValueError: on an engine that is not probe-style.
             RuntimeError: on an engine that already ran.
         """
         self._require_probe("a bounded run")
-        return self._drive(stop_at_ms=stop_at_ms)
+        self._ran_bounded = True
+        if self._heap:
+            self._pop_due_events()  # the closed loop's t=0 arrivals
+        soc = self._soc
+        contention = self._with_contention
+        slot_of = self._slot
+        chains = self._chains
+        next_idx = self._next_idx
+        prev_done = self._prev_done
+        ready = self._ready
+        proc_running = self._proc_running
+        slots = range(len(proc_running))
+        # Per slot, the solo time of the tasks that have not started.
+        unstarted_ms = [0.0 for _ in slots]
+        for chain, head in zip(chains, next_idx):
+            for task in chain[head:]:
+                unstarted_ms[slot_of[task.proc.name]] += task.solo_ms
+        bounded = stop_at_ms < math.inf
+        now = self._now
+        outstanding = self._outstanding
+        completed = self._completed
+        steps = self._steps
+        evaluations = self._slowdown_evaluations
+        makespan_ms = math.inf
+        while outstanding > 0:
+            if bounded:
+                # The bound of "Probes", less its margin.
+                work_ms = 0.0
+                for slot_ms, task in zip(unstarted_ms, proc_running):
+                    if task is not None:
+                        slot_ms += task.remaining_ms
+                    if slot_ms > work_ms:
+                        work_ms = slot_ms
+                slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * outstanding
+                if now + work_ms - slack_ms >= stop_at_ms:
+                    break
+            steps += 1
+            # _try_start with no memory gate and no offline slot.  A
+            # probe run preempts nothing, so every ready head is unstarted.
+            for k in slots:
+                slot_ready = ready[k]
+                if proc_running[k] is None and slot_ready:
+                    request = min(slot_ready)
+                    slot_ready.remove(request)
+                    idx = next_idx[request]
+                    task = chains[request][idx]
+                    task.start_ms = now
+                    unstarted_ms[k] -= task.solo_ms
+                    proc_running[k] = task
+                    next_idx[request] = idx + 1
+                    prev_done[request] = False
+            running = [t for t in proc_running if t is not None]
+            if not running:
+                raise RuntimeError(
+                    "simulation wedged: no running task and no pending event"
+                )
+            # _step's rates and step to the earliest departure.
+            rates: List[float] = []
+            dt = math.inf
+            for task in running:
+                slowdown = 0.0
+                if contention and task.workload is not None:
+                    others = [
+                        t.workload
+                        for t in running
+                        if t is not task and t.workload is not None
+                    ]
+                    slowdown = slowdown_fraction(soc, task.workload, others)
+                    evaluations += 1
+                rate = 1.0 + slowdown
+                rates.append(rate)
+                task_dt = task.remaining_ms * rate
+                if task_dt < dt:  # min() and max() without the calls
+                    dt = task_dt
+            if dt < _EPS:
+                dt = _EPS
+            for task, rate in zip(running, rates):
+                task.remaining_ms -= dt / rate
+            now += dt
+            for k in slots:
+                task = proc_running[k]
+                if task is not None and task.remaining_ms <= _EPS * 10:
+                    proc_running[k] = None
+                    request = task.request
+                    prev_done[request] = True
+                    completed += 1
+                    outstanding -= 1
+                    chain = chains[request]
+                    idx = next_idx[request]
+                    if idx < len(chain):
+                        ready[slot_of[chain[idx].proc.name]].add(request)
+        else:
+            makespan_ms = now
+        self._now = now
+        self._outstanding = outstanding
+        self._completed = completed
+        self._steps = steps
+        self._slowdown_evaluations = evaluations
+        self._end_run()
+        return makespan_ms
 
     def run_checkpointed(self) -> float:
         """Run to completion keeping a :class:`Checkpoint` before every step.
@@ -817,48 +938,25 @@ class DiscreteEventEngine:
             checkpoints = parent[:index]
             self._fork_of = None
         self._checkpoints = checkpoints
-        return self._drive(checkpoints=checkpoints)
+        return self._drive(checkpoints)
 
-    def _drive(
-        self,
-        stop_at_ms: float = math.inf,
-        checkpoints: Optional[List[Checkpoint]] = None,
-    ) -> float:
-        """The run loop behind every public run method.
+    def _drive(self, checkpoints: Optional[List[Checkpoint]] = None) -> float:
+        """The run loop of :meth:`run` and :meth:`run_checkpointed`.
 
-        Steps until the work is done and returns the makespan.  With a
-        finite ``stop_at_ms`` it checks the probe bound before every
-        step and returns ``inf`` once the bound reaches it; with
+        Steps until the work is done and returns the makespan; with
         ``checkpoints`` it appends a :class:`Checkpoint` before every
-        step and after the last.  A plain :meth:`run` computes neither.
+        step and after the last.
         """
-        bounded = stop_at_ms < math.inf
-        pending_ms: List[float] = []
-        if bounded:
-            pending_ms = self._pending_ms = self._unstarted_ms()
-        watched = bounded or checkpoints is not None
-        running = self._proc_running
-        makespan_ms = math.inf
         while self._outstanding > 0:
-            if watched:
-                if checkpoints is not None:
-                    checkpoints.append(self._checkpoint())
-                if bounded:
-                    # The bound of "Probes", less its margin.
-                    work_ms = 0.0
-                    for slot_ms, task in zip(pending_ms, running):
-                        if task is not None:
-                            slot_ms += task.remaining_ms
-                        if slot_ms > work_ms:
-                            work_ms = slot_ms
-                    slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * self._outstanding
-                    if self._now + work_ms - slack_ms >= stop_at_ms:
-                        break
-            self._step()
-        else:
-            makespan_ms = self._now
             if checkpoints is not None:
                 checkpoints.append(self._checkpoint())
+            self._step()
+        if checkpoints is not None:
+            checkpoints.append(self._checkpoint())
+        self._end_run()
+        return self._now
+
+    def _end_run(self) -> None:
         self._finished_run = True
         if obs.enabled():
             # Simulation work of every run, probes included: the
@@ -866,18 +964,6 @@ class DiscreteEventEngine:
             # counts only the steps it ran itself.
             obs.add("engine_steps", self._steps - self._steps_base)
             obs.add("slowdown_evaluations", self._slowdown_evaluations)
-        return makespan_ms
-
-    def _unstarted_ms(self) -> List[float]:
-        """Per slot, the solo time of the tasks that have not started.
-
-        A bounded run keeps it current as tasks start (``_start_task``).
-        """
-        pending_ms = [0.0 for _ in self._procs]
-        for chain, head in zip(self._chains, self._next_idx):
-            for task in chain[head:]:
-                pending_ms[self._slot[task.proc.name]] += task.solo_ms
-        return pending_ms
 
     @property
     def checkpoints(self) -> Sequence[Checkpoint]:
@@ -992,13 +1078,13 @@ class DiscreteEventEngine:
         engine._slowdown_evaluations = 0
         engine._finished_run = False
         engine._heap = []
-        engine._pending_ms = None
         engine._checkpoints = None
         engine._fork_of = (checkpoints, index)
         return engine
 
     def step(self) -> bool:
         """Process one event window; False when the simulation is done."""
+        self._require_bookkeeping("step()")
         if self._outstanding <= 0:
             return False
         self._step()
@@ -1015,7 +1101,13 @@ class DiscreteEventEngine:
         return self._events
 
     def result(self) -> ExecutionResult:
-        """Snapshot the (possibly still running) simulation state."""
+        """Snapshot the (possibly still running) simulation state.
+
+        Raises:
+            RuntimeError: after :meth:`run_bounded_ms`, which leaves
+                the state a result reports stale.
+        """
+        self._require_bookkeeping("result()")
         tracker = self._tracker
         return ExecutionResult(
             records=list(self._records),
@@ -1245,9 +1337,6 @@ class DiscreteEventEngine:
             self._request_alloc[task.request] = (
                 self._request_alloc.get(task.request, 0.0) + task.working_set
             )
-            pending_ms = self._pending_ms
-            if pending_ms is not None:
-                pending_ms[slot] -= task.solo_ms
         self._proc_running[slot] = task
         if self._first_start[task.request] is None:
             self._first_start[task.request] = self._now

@@ -890,6 +890,8 @@ class TestProbes:
             assert len(anchor.checkpoints) == anchor._steps + 1
             for index in range(1, len(anchor.checkpoints)):
                 assert _outputs(anchor.fork(index, {}).run()) == expected
+                # The bounded loop resumes the same state bit for bit.
+                assert anchor.fork(index, {}).run_bounded_ms() == makespan
 
     def test_fork_with_replaced_tails_equals_a_fresh_run(self, zoo_plans):
         forks = 0
@@ -909,8 +911,25 @@ class TestProbes:
                     tail = [task.fresh() for task in chains[i][p:]]
                     forked = anchor.fork(index, {i: (p, tail)})
                     assert _outputs(forked.run()) == expected
+                    tail = [task.fresh() for task in chains[i][p:]]
+                    bounded = anchor.fork(index, {i: (p, tail)})
+                    assert bounded.run_bounded_ms() == expected[1]
                     forks += 1
         assert forks > 0
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0], ids=["pruned", "completed"])
+    def test_result_and_step_raise_after_a_bounded_run(
+        self, vit_resnet_plan, scale
+    ):
+        plan = vit_resnet_plan
+        full = _probe_engine(plan.soc, plan_to_chains(plan)).run()
+        engine = _probe_engine(plan.soc, plan_to_chains(plan))
+        value = engine.run_bounded_ms(scale * full.makespan_ms)
+        assert value == (math.inf if scale < 1 else full.makespan_ms)
+        with pytest.raises(RuntimeError, match="run_bounded_ms"):
+            engine.result()
+        with pytest.raises(RuntimeError, match="run_bounded_ms"):
+            engine.step()
 
     def test_fork_counts_only_its_own_work(self, vit_resnet_plan):
         plan = vit_resnet_plan

@@ -448,3 +448,24 @@ class TestEngineCounters:
         assert counters["slowdown_evaluations"] == len(calls) > 0
         assert counters["engine_steps"] == len(steps) >= len(result.records)
         assert "tasks_executed" not in counters
+
+        # A bounded run steps its own loop, not _step.  On a probe-style
+        # engine it counts what run() counts, and its slowdowns go
+        # through the module's global.
+        counts = []
+        for bounded in (False, True):
+            calls.clear()
+            steps.clear()
+            with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+                sim = engine.DiscreteEventEngine(
+                    kirin, plan_to_chains(plan), enforce_memory=False,
+                    record=False, track_causality=False,
+                )
+                if bounded:
+                    sim.run_bounded_ms(2 * result.makespan_ms)
+                else:
+                    sim.run()
+                counts.append(rec.metrics.snapshot()["counters"])
+            assert counts[-1]["slowdown_evaluations"] == len(calls) > 0
+            assert len(steps) == (0 if bounded else counts[-1]["engine_steps"])
+        assert counts[1] == counts[0]

@@ -84,8 +84,10 @@ from . import obs
 from .core.online import StreamingPlanner
 from .core.planner import Hetero2PipePlanner, PlannerConfig, PlanReport
 from .experiments import ALL_EXPERIMENTS
-from .hardware.soc import SOC_NAMES, get_soc
+from .hardware.soc import SOC_NAMES, SocSpec, get_soc
 from .models.zoo import MODEL_NAMES, get_model
+from .profiling.calibration import CalibrationTarget, calibrate
+from .profiling.profiler import SocProfiler
 from .runtime.arrivals import make_arrival_process
 from .runtime.executor import (
     ChainTask,
@@ -102,8 +104,8 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
     ``main`` calls this once before dispatch, so every handler sees
     resolved inputs: ``args.soc`` is a ``SocSpec``, ``args.models`` a
     non-empty list of models, and the arrival process, SLO classes and
-    burn windows, what-ifs and perturbation factors are parsed.  Only
-    flags the verb declares are touched.
+    burn windows, what-ifs, perturbation factors and calibration targets
+    are parsed.  Only flags the verb declares are touched.
 
     Raises:
         ValueError / KeyError: with a one-line message on malformed input.
@@ -190,6 +192,55 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
         scale_chain_tasks((), args.perturbation)  # validates the factors
     if getattr(args, "stream", False) is True and args.trace:
         raise ValueError("--trace requires a plan run (omit --stream)")
+    if hasattr(args, "targets"):
+        args.calibration_targets = _load_targets(args.targets, args.soc)
+
+
+def _load_targets(path: str, soc: SocSpec) -> List[CalibrationTarget]:
+    """The ``--targets`` file as calibration targets on ``soc``.
+
+    Raises:
+        ValueError / KeyError: on an unreadable or non-JSON file, a
+            file that is not a non-empty list of ``{model, processor,
+            latency_ms}`` objects, an unknown model or processor, or a
+            latency that is not finite and positive.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            entries = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read --targets {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"--targets {path!r} is not JSON: {exc}") from None
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(
+            f"--targets {path!r} must hold a non-empty JSON list of "
+            "{model, processor, latency_ms} objects"
+        )
+    profiler = SocProfiler(soc)
+    targets = []
+    for i, entry in enumerate(entries):
+        fields = ("model", "processor", "latency_ms")
+        if not isinstance(entry, dict) or any(f not in entry for f in fields):
+            raise ValueError(
+                f"--targets entry {i} must be an object with keys "
+                f"{', '.join(fields)}, got {entry!r}"
+            )
+        model = get_model(str(entry["model"]))
+        proc = soc.processor(str(entry["processor"]))
+        if math.isinf(profiler.profile(model).whole_model_ms(proc)):
+            raise ValueError(
+                f"--targets entry {i}: {model.name!r} cannot run on {proc.name!r}"
+            )
+        try:
+            latency_ms = float(entry["latency_ms"])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"--targets entry {i}: latency_ms must be a number, "
+                f"got {entry['latency_ms']!r}"
+            ) from None
+        targets.append(CalibrationTarget(model.name, proc.name, latency_ms))
+    return targets
 
 
 def _name_list(text: Optional[str]) -> Optional[List[str]]:
@@ -315,19 +366,8 @@ def _cmd_export_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from .profiling.calibration import CalibrationTarget, calibrate
-
     soc = args.soc
-    with open(args.targets, "r", encoding="utf-8") as handle:
-        entries = json.load(handle)
-    targets = [
-        CalibrationTarget(
-            model_name=e["model"],
-            processor_name=e["processor"],
-            latency_ms=float(e["latency_ms"]),
-        )
-        for e in entries
-    ]
+    targets = args.calibration_targets
     _, report = calibrate(soc, targets)
     print(f"calibrated {soc.name} against {len(targets)} measurements")
     for name, scale in sorted(report.scales.items()):

@@ -8,7 +8,7 @@ Three cooperating checkers, all reporting uniform :class:`Finding`\\ s:
   mutation, unit-suffix naming, and ``INFEASIBLE``-sentinel arithmetic;
 * a **dataflow layer** (:mod:`repro.lint.flow`: CFGs, the unit
   lattice, abstract interpretation) backing the H2P11x unit-dimension
-  rules and the H2P12x concurrency/determinism rules;
+  rules and the H2P12x determinism rules;
 * an **import-layering checker** (rule ``H2P201``) enforcing the
   DESIGN.md package architecture as a DAG;
 * a **plan-invariant linter** (:mod:`repro.lint.plan_invariants`) that

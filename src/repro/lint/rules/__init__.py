@@ -7,7 +7,6 @@ H2P12x families are dataflow rules built on :mod:`repro.lint.flow`.
 
 from __future__ import annotations
 
-from . import asyncsafe  # noqa: F401
 from . import determinism  # noqa: F401
 from . import floateq  # noqa: F401
 from . import frozen  # noqa: F401
@@ -19,7 +18,6 @@ from . import unitflow  # noqa: F401
 from . import units  # noqa: F401
 from . import wallclock  # noqa: F401
 
-from .asyncsafe import AsyncBlockingCallRule
 from .determinism import ModuleStateWriteRule, UnseededRandomnessRule
 from .floateq import FloatEqualityRule
 from .frozen import FrozenMutationRule
@@ -32,7 +30,6 @@ from .units import UnitSuffixRule
 from .wallclock import WallClockRule
 
 __all__ = [
-    "AsyncBlockingCallRule",
     "FloatEqualityRule",
     "FrozenMutationRule",
     "InfeasibleArithmeticRule",

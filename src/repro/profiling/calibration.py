@@ -31,8 +31,11 @@ class CalibrationTarget:
     latency_ms: float
 
     def __post_init__(self) -> None:
-        if self.latency_ms <= 0:
-            raise ValueError("measured latency must be positive")
+        if not (math.isfinite(self.latency_ms) and self.latency_ms > 0):
+            raise ValueError(
+                f"measured latency must be finite and positive, got "
+                f"{self.latency_ms}"
+            )
 
 
 @dataclass(frozen=True)

@@ -57,39 +57,41 @@ objective asks only "what is this plan's makespan, and does it beat the
 incumbent?", so probe-style engines (closed loop, contention only: no
 memory enforcement, arrivals, deadlines, faults, scheduled
 cancellations or preemptions, causality, trace or event log) offer
-three cheaper ways to answer it:
+three cheaper ways to answer it.  The two probe runs step one loop
+that advances only what the makespan and the bound read: the ready
+sets, ``next_idx`` and ``prev_done``, each running slice's remaining
+solo time, ``now``, the completed and outstanding counts, and a
+per-slot unstarted solo time, all in locals.  Each step is
+:meth:`~DiscreteEventEngine._step`'s arithmetic in the same order,
+with the same ``engine_steps`` and ``slowdown_evaluations`` counts, so
+it returns the same makespan bit for bit.  It writes to no task (not
+``remaining_ms``, not ``start_ms``), keeps no task records, arenas,
+busy, finish or first-start times and emits no events, so
+:meth:`~DiscreteEventEngine.run`, :meth:`~DiscreteEventEngine.step`
+and :meth:`~DiscreteEventEngine.result` raise ``RuntimeError`` after a
+probe run and on a fork.
 
 * :meth:`DiscreteEventEngine.run_bounded_ms` stops as soon as the run
   provably ends at or after ``stop_at_ms`` and returns ``inf``.  The
-  bound is ``now + max over slots of (remaining_ms of the running
-  slice + solo_ms of the slot's unstarted slices)``: every rate factor
-  ``1 + slowdown`` is >= 1 and a slot runs one slice at a time.  A
-  departure fires at ``remaining_ms <= 10 * _EPS``, so the bound gives
-  back ``10 * _EPS`` per outstanding task plus ``PRUNE_MARGIN_MS``,
-  which also absorbs the rounding of the caller's threshold.  It pops
-  the closed loop's t=0 arrivals once and then steps its own loop,
-  which advances only what the makespan and the bound read: the ready
-  sets, ``next_idx`` and ``prev_done``, the running slices'
-  ``remaining_ms`` and ``start_ms``, ``now``, the completed and
-  outstanding counts, and a local per-slot unstarted solo time.  Each
-  step is :meth:`~DiscreteEventEngine._step`'s arithmetic in the same
-  order, with the same ``engine_steps`` and ``slowdown_evaluations``
-  counts, so it returns the same makespan bit for bit.  It keeps no
-  task records, arenas, busy, finish or first-start times and emits no
-  events, so :meth:`~DiscreteEventEngine.result` and
-  :meth:`~DiscreteEventEngine.step` raise ``RuntimeError`` after it.
-* :meth:`DiscreteEventEngine.run_checkpointed` runs to completion
-  through the full step, as :meth:`~DiscreteEventEngine.run` does, and
-  keeps a :class:`Checkpoint` of the run state before every step.
-* :meth:`DiscreteEventEngine.fork` builds an engine in the state of one
-  checkpoint, optionally with some requests' chains replaced from a
-  position on, without re-running ``__init__``: it clones only the
-  running and unstarted tasks.  The fork is exact when nothing read
-  the replaced tasks before that checkpoint.  Ready sets hold request
-  ids and FIFO picks by id, so a chain position is first read when it
-  *starts* (same processor) or, when its processor changes or the
-  stage appears or vanishes, when it is *exposed* (its predecessor
-  departs).  :class:`Checkpoint` progress codes locate both steps.
+  bound is ``now + max over slots of (remaining solo time of the
+  running slice + solo_ms of the slot's unstarted slices)``: every rate
+  factor ``1 + slowdown`` is >= 1 and a slot runs one slice at a time.
+  A departure fires at a remaining time ``<= 10 * _EPS``, so the bound
+  gives back ``10 * _EPS`` per outstanding task plus
+  ``PRUNE_MARGIN_MS``, which also absorbs the rounding of the caller's
+  threshold.
+* :meth:`DiscreteEventEngine.run_checkpointed` runs to completion and
+  keeps a :class:`Checkpoint` of the loop's state before every step.
+* :meth:`DiscreteEventEngine.fork` builds an engine whose probe runs
+  start from one checkpoint, optionally with some requests' chains
+  replaced from a position on.  It shares every other chain and task
+  with its parent and re-runs no ``__init__``.  The fork is exact when
+  nothing read the replaced tasks before that checkpoint.  Ready sets
+  hold request ids and FIFO picks by id, so a chain position is first
+  read when it *starts* (same processor) or, when its processor
+  changes or the stage appears or vanishes, when it is *exposed* (its
+  predecessor departs).  :class:`Checkpoint` progress codes locate
+  both steps.
 
 All three raise ``ValueError`` on an engine built with any of the
 options listed above.
@@ -226,24 +228,13 @@ class ChainTask:
             raise ValueError("solo_ms must be >= 0")
         self.remaining_ms = self.solo_ms
 
-    def fresh(self) -> "ChainTask":
-        """An unstarted copy: the engine mutates the tasks it runs."""
-        return ChainTask(
-            self.request,
-            self.proc,
-            self.solo_ms,
-            self.workload,
-            self.working_set,
-            self.stage,
-        )
-
 
 class Checkpoint(NamedTuple):
-    """The run state of a probe-style engine after some number of steps.
+    """The probe loop's state after some number of steps.
 
-    ``running`` holds, per slot, the running task with its
-    ``remaining_ms`` and ``start_ms`` at that moment (the task object
-    itself runs on).  A request's *progress code*
+    ``running`` holds, per slot, the running task with its remaining
+    solo time, or None; the loop keeps that time itself and never
+    writes it into the task.  A request's *progress code*
     ``2 * next_idx + prev_done`` only grows: chain position ``p`` is
     exposed when the code reaches ``2p + 1`` and starts when it reaches
     ``2p + 2``.
@@ -252,16 +243,9 @@ class Checkpoint(NamedTuple):
     now_ms: float
     next_idx: List[int]
     prev_done: List[bool]
-    running: Tuple[Optional[Tuple["ChainTask", float, Optional[float]]], ...]
-    busy_ms: List[float]
-    finish_ms: List[float]
-    first_start_ms: List[Optional[float]]
+    running: Tuple[Optional[Tuple["ChainTask", float]], ...]
     completed: int
     ready: List[Set[int]]
-    records: int
-    used_bytes: float
-    request_alloc: Dict[int, float]
-    events_processed: int
 
     def progress(self, request: int) -> int:
         """The request's progress code at this checkpoint."""
@@ -516,8 +500,8 @@ class DiscreteEventEngine:
         RuntimeError: from :meth:`run` / :meth:`step` if the simulation
             wedges — for valid fault-free inputs this cannot happen;
             with faults it signals that a task has no online processor
-            able to run it.  From :meth:`result` / :meth:`step` after
-            :meth:`run_bounded_ms`.
+            able to run it.  From :meth:`run` / :meth:`step` /
+            :meth:`result` on a fork or after a probe run.
     """
 
     def __init__(
@@ -617,7 +601,6 @@ class DiscreteEventEngine:
         self._events: List[Event] = []
         self._events_processed = 0
         self._steps = 0
-        self._steps_base = 0  # a fork's steps taken before its checkpoint
         self._slowdown_evaluations = 0
         self._finished_run = False
         # A head can sit on an offline slot only from the next fault
@@ -626,11 +609,11 @@ class DiscreteEventEngine:
         self._sweep_at_ms = min(self._offline_at)
         self._any_offline = False
         # Probe-style runs: options checked, cancellations or
-        # preemptions scheduled, and whether a bounded run left the
-        # bookkeeping stale.
+        # preemptions scheduled, and whether this engine is a fork or
+        # ran a probe (then it has no bookkeeping to run or report).
         self._probe_checked = False
         self._scheduled = False
-        self._ran_bounded = False
+        self._probed = False
         self._checkpoints: Optional[List[Checkpoint]] = None
         # A fork's parent checkpoints and its index in them.
         self._fork_of: Optional[Tuple[List[Checkpoint], int]] = None
@@ -760,14 +743,15 @@ class DiscreteEventEngine:
         self._probe_checked = True
 
     def _require_bookkeeping(self, what: str) -> None:
-        if self._ran_bounded:
+        if self._probed:
             raise RuntimeError(
-                f"{what} after run_bounded_ms(): a bounded run steps only "
-                "the state its makespan reads"
+                f"{what} on a fork or after a probe run: probe runs step "
+                "only the state a makespan reads"
             )
 
     def run(self) -> ExecutionResult:
         """Run the simulation to completion and build the result."""
+        self._require_bookkeeping("run()")
         if self._finished_run:
             raise RuntimeError("engine instances are single-use")
         # The span covers exactly the event loop's wall time; the
@@ -782,7 +766,9 @@ class DiscreteEventEngine:
             if self._record
             else obs.NULL_SPAN
         ) as _span:
-            self._drive()
+            while self._outstanding > 0:
+                self._step()
+            self._end_run(self._steps, self._slowdown_evaluations)
             _span.set(
                 makespan_ms=self._now,
                 memory_pressure=self._memory_pressure_events,
@@ -807,115 +793,14 @@ class DiscreteEventEngine:
         margin reaches ``stop_at_ms`` the run stops and returns ``inf``,
         so a caller that keeps only makespans below ``stop_at_ms``
         decides exactly as it would on the full run.  ``inf`` never
-        stops.  Its steps are :meth:`_step`'s arithmetic on only the
-        state the makespan and the bound read, so afterwards
-        :meth:`result` and :meth:`step` raise.
+        stops.
 
         Raises:
             ValueError: on an engine that is not probe-style.
             RuntimeError: on an engine that already ran.
         """
         self._require_probe("a bounded run")
-        self._ran_bounded = True
-        if self._heap:
-            self._pop_due_events()  # the closed loop's t=0 arrivals
-        soc = self._soc
-        contention = self._with_contention
-        slot_of = self._slot
-        chains = self._chains
-        next_idx = self._next_idx
-        prev_done = self._prev_done
-        ready = self._ready
-        proc_running = self._proc_running
-        slots = range(len(proc_running))
-        # Per slot, the solo time of the tasks that have not started.
-        unstarted_ms = [0.0 for _ in slots]
-        for chain, head in zip(chains, next_idx):
-            for task in chain[head:]:
-                unstarted_ms[slot_of[task.proc.name]] += task.solo_ms
-        bounded = stop_at_ms < math.inf
-        now = self._now
-        outstanding = self._outstanding
-        completed = self._completed
-        steps = self._steps
-        evaluations = self._slowdown_evaluations
-        makespan_ms = math.inf
-        while outstanding > 0:
-            if bounded:
-                # The bound of "Probes", less its margin.
-                work_ms = 0.0
-                for slot_ms, task in zip(unstarted_ms, proc_running):
-                    if task is not None:
-                        slot_ms += task.remaining_ms
-                    if slot_ms > work_ms:
-                        work_ms = slot_ms
-                slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * outstanding
-                if now + work_ms - slack_ms >= stop_at_ms:
-                    break
-            steps += 1
-            # _try_start with no memory gate and no offline slot.  A
-            # probe run preempts nothing, so every ready head is unstarted.
-            for k in slots:
-                slot_ready = ready[k]
-                if proc_running[k] is None and slot_ready:
-                    request = min(slot_ready)
-                    slot_ready.remove(request)
-                    idx = next_idx[request]
-                    task = chains[request][idx]
-                    task.start_ms = now
-                    unstarted_ms[k] -= task.solo_ms
-                    proc_running[k] = task
-                    next_idx[request] = idx + 1
-                    prev_done[request] = False
-            running = [t for t in proc_running if t is not None]
-            if not running:
-                raise RuntimeError(
-                    "simulation wedged: no running task and no pending event"
-                )
-            # _step's rates and step to the earliest departure.
-            rates: List[float] = []
-            dt = math.inf
-            for task in running:
-                slowdown = 0.0
-                if contention and task.workload is not None:
-                    others = [
-                        t.workload
-                        for t in running
-                        if t is not task and t.workload is not None
-                    ]
-                    slowdown = slowdown_fraction(soc, task.workload, others)
-                    evaluations += 1
-                rate = 1.0 + slowdown
-                rates.append(rate)
-                task_dt = task.remaining_ms * rate
-                if task_dt < dt:  # min() and max() without the calls
-                    dt = task_dt
-            if dt < _EPS:
-                dt = _EPS
-            for task, rate in zip(running, rates):
-                task.remaining_ms -= dt / rate
-            now += dt
-            for k in slots:
-                task = proc_running[k]
-                if task is not None and task.remaining_ms <= _EPS * 10:
-                    proc_running[k] = None
-                    request = task.request
-                    prev_done[request] = True
-                    completed += 1
-                    outstanding -= 1
-                    chain = chains[request]
-                    idx = next_idx[request]
-                    if idx < len(chain):
-                        ready[slot_of[chain[idx].proc.name]].add(request)
-        else:
-            makespan_ms = now
-        self._now = now
-        self._outstanding = outstanding
-        self._completed = completed
-        self._steps = steps
-        self._slowdown_evaluations = evaluations
-        self._end_run()
-        return makespan_ms
+        return self._probe_loop(stop_at_ms, None)
 
     def run_checkpointed(self) -> float:
         """Run to completion keeping a :class:`Checkpoint` before every step.
@@ -936,74 +821,179 @@ class DiscreteEventEngine:
         if self._fork_of is not None:
             parent, index = self._fork_of
             checkpoints = parent[:index]
-            self._fork_of = None
         self._checkpoints = checkpoints
-        return self._drive(checkpoints)
+        return self._probe_loop(math.inf, checkpoints)
 
-    def _drive(self, checkpoints: Optional[List[Checkpoint]] = None) -> float:
-        """The run loop of :meth:`run` and :meth:`run_checkpointed`.
+    def _probe_loop(
+        self, stop_at_ms: float, checkpoints: Optional[List[Checkpoint]]
+    ) -> float:
+        """The loop of :meth:`run_bounded_ms` and :meth:`run_checkpointed`.
 
-        Steps until the work is done and returns the makespan; with
-        ``checkpoints`` it appends a :class:`Checkpoint` before every
-        step and after the last.
+        It starts from the fork's checkpoint or, on an engine that has
+        not forked, from the closed loop's popped t=0 arrivals, and
+        steps :meth:`_step`'s arithmetic on only the state a makespan
+        and the bound read, all of it in locals.  With ``checkpoints``
+        it appends a :class:`Checkpoint` before every step and after
+        the last.
         """
-        while self._outstanding > 0:
+        self._probed = True
+        if self._fork_of is None:
+            if self._heap:
+                self._pop_due_events()  # the closed loop's t=0 arrivals
+            steps = 0
+            start = Checkpoint(
+                self._now,
+                self._next_idx,
+                self._prev_done,
+                (None,) * len(self._procs),
+                0,
+                self._ready,
+            )
+        else:
+            parent, steps = self._fork_of
+            start = parent[steps]
+            self._fork_of = None  # hold no anchor's checkpoints alive
+        soc = self._soc
+        contention = self._with_contention
+        slot_of = self._slot
+        chains = self._chains
+        now = start.now_ms
+        next_idx = start.next_idx[:]
+        prev_done = start.prev_done[:]
+        ready = [set(slot_ready) for slot_ready in start.ready]
+        # Per slot: the running task and its remaining solo time (0.0
+        # on an idle slot), and the solo time of the unstarted tasks.
+        running = [None if entry is None else entry[0] for entry in start.running]
+        left_ms = [0.0 if entry is None else entry[1] for entry in start.running]
+        slots = range(len(running))
+        unstarted_ms = [0.0 for _ in slots]
+        for chain, head in zip(chains, next_idx):
+            for task in chain[head:]:
+                unstarted_ms[slot_of[task.proc.name]] += task.solo_ms
+        completed = start.completed
+        outstanding = self._total_tasks - completed
+        bounded = stop_at_ms < math.inf
+        base = steps
+        evaluations = 0
+        makespan_ms = math.inf
+        while True:
             if checkpoints is not None:
-                checkpoints.append(self._checkpoint())
-            self._step()
-        if checkpoints is not None:
-            checkpoints.append(self._checkpoint())
-        self._end_run()
-        return self._now
+                checkpoints.append(
+                    Checkpoint(
+                        now,
+                        next_idx[:],
+                        prev_done[:],
+                        tuple(
+                            None if task is None else (task, task_ms)
+                            for task, task_ms in zip(running, left_ms)
+                        ),
+                        completed,
+                        [set(slot_ready) for slot_ready in ready],
+                    )
+                )
+            if outstanding <= 0:
+                makespan_ms = now
+                break
+            if bounded:
+                # The bound of "Probes", less its margin.
+                work_ms = 0.0
+                for slot_ms, task_ms in zip(unstarted_ms, left_ms):
+                    slot_ms += task_ms
+                    if slot_ms > work_ms:
+                        work_ms = slot_ms
+                slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * outstanding
+                if now + work_ms - slack_ms >= stop_at_ms:
+                    break
+            steps += 1
+            # _try_start with no memory gate and no offline slot.  A
+            # probe run preempts nothing, so every ready head is unstarted.
+            for k in slots:
+                slot_ready = ready[k]
+                if running[k] is None and slot_ready:
+                    request = min(slot_ready)
+                    slot_ready.remove(request)
+                    idx = next_idx[request]
+                    task = chains[request][idx]
+                    running[k] = task
+                    left_ms[k] = task.remaining_ms
+                    unstarted_ms[k] -= task.solo_ms
+                    next_idx[request] = idx + 1
+                    prev_done[request] = False
+            tasks = [task for task in running if task is not None]
+            if not tasks:
+                raise RuntimeError(
+                    "simulation wedged: no running task and no pending event"
+                )
+            active = [k for k in slots if running[k] is not None]
+            # _step's rates and step to the earliest departure.
+            rates: List[float] = []
+            dt = math.inf
+            for k, task in zip(active, tasks):
+                slowdown = 0.0
+                if contention and task.workload is not None:
+                    others = [
+                        t.workload
+                        for t in tasks
+                        if t is not task and t.workload is not None
+                    ]
+                    slowdown = slowdown_fraction(soc, task.workload, others)
+                    evaluations += 1
+                rate = 1.0 + slowdown
+                rates.append(rate)
+                task_dt = left_ms[k] * rate
+                if task_dt < dt:  # min() and max() without the calls
+                    dt = task_dt
+            if dt < _EPS:
+                dt = _EPS
+            for k, rate in zip(active, rates):
+                left_ms[k] -= dt / rate
+            now += dt
+            for k, task in zip(active, tasks):
+                if left_ms[k] <= _EPS * 10:
+                    request = task.request
+                    running[k] = None
+                    left_ms[k] = 0.0
+                    prev_done[request] = True
+                    completed += 1
+                    outstanding -= 1
+                    chain = chains[request]
+                    idx = next_idx[request]
+                    if idx < len(chain):
+                        ready[slot_of[chain[idx].proc.name]].add(request)
+        self._steps = steps
+        self._end_run(steps - base, evaluations)
+        return makespan_ms
 
-    def _end_run(self) -> None:
+    def _end_run(self, steps: int, evaluations: int) -> None:
         self._finished_run = True
         if obs.enabled():
             # Simulation work of every run, probes included: the
             # objective phase's deterministic layer breakdown.  A fork
             # counts only the steps it ran itself.
-            obs.add("engine_steps", self._steps - self._steps_base)
-            obs.add("slowdown_evaluations", self._slowdown_evaluations)
+            obs.add("engine_steps", steps)
+            obs.add("slowdown_evaluations", evaluations)
 
     @property
     def checkpoints(self) -> Sequence[Checkpoint]:
         """The checkpoints of :meth:`run_checkpointed` (empty before it)."""
         return self._checkpoints or ()
 
-    def _checkpoint(self) -> Checkpoint:
-        return Checkpoint(
-            self._now,
-            self._next_idx[:],
-            self._prev_done[:],
-            tuple(
-                None if task is None else (task, task.remaining_ms, task.start_ms)
-                for task in self._proc_running
-            ),
-            self._busy[:],
-            self._finish[:],
-            self._first_start[:],
-            self._completed,
-            [set(ready) for ready in self._ready],
-            len(self._records),
-            self._used_bytes,
-            dict(self._request_alloc),
-            self._events_processed,
-        )
-
     def fork(
         self,
         index: int,
         tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
     ) -> "DiscreteEventEngine":
-        """A new, unrun engine in the state of ``checkpoints[index]``.
+        """A new engine whose probe runs start from ``checkpoints[index]``.
 
         ``tails`` maps a request to ``(position, tasks)``: its chain
-        from ``position`` on is replaced by ``tasks`` (fresh, unstarted
-        tasks of that request).  The fork simulates exactly what a new
-        engine over the replaced chains would, provided nothing read a
+        from ``position`` on is replaced by ``tasks`` (unstarted tasks
+        of that request).  The fork simulates exactly what a new engine
+        over the replaced chains would, provided nothing read a
         replaced position before the checkpoint — see "Probes" in the
-        module docstring for when that holds.  Unreplaced unstarted
-        tasks are cloned; running tasks are cloned with their progress.
+        module docstring for when that holds.  Every other chain and
+        task is shared with this engine: probe runs write to neither.
+        Only :meth:`run_bounded_ms` and :meth:`run_checkpointed` run a
+        fork.
 
         Raises:
             ValueError: when this engine has no checkpoints, ``index``
@@ -1017,67 +1007,24 @@ class DiscreteEventEngine:
             raise ValueError(
                 f"fork index {index} out of range [1, {len(checkpoints)})"
             )
-        ck = checkpoints[index]
-        chains: List[List[ChainTask]] = []
-        total = 0
-        for i, chain in enumerate(self._chains):
-            head = ck.next_idx[i]
-            tail = tails.get(i)
-            if tail is None:
-                unstarted = [task.fresh() for task in chain[head:]]
-            else:
-                position, tasks = tail
-                if position < head:
-                    raise ValueError(
-                        f"request {i}: position {position} started before "
-                        f"checkpoint {index}"
-                    )
-                unstarted = [task.fresh() for task in chain[head:position]]
-                unstarted.extend(tasks)
-            forked = chain[:head] + unstarted
-            total += len(forked)
-            chains.append(forked)
-        running: List[Optional[ChainTask]] = [None] * len(self._procs)
-        for k, entry in enumerate(ck.running):
-            if entry is not None:
-                task, remaining_ms, start_ms = entry
-                clone = task.fresh()
-                clone.remaining_ms = remaining_ms
-                clone.start_ms = start_ms
-                running[k] = clone
-                chains[task.request][ck.next_idx[task.request] - 1] = clone
-
+        next_idx = checkpoints[index].next_idx
+        chains = self._chains[:]
+        for i, (position, tasks) in tails.items():
+            if position < next_idx[i]:
+                raise ValueError(
+                    f"request {i}: position {position} started before "
+                    f"checkpoint {index}"
+                )
+            chains[i] = chains[i][:position] + list(tasks)
         engine = DiscreteEventEngine.__new__(DiscreteEventEngine)
-        # Configuration (SoC, slots, options) is shared and read-only;
-        # every piece of run state is replaced below.
+        # Configuration and tasks are shared and read-only.  No copied
+        # run state is read: a probe run starts from the checkpoint,
+        # and ``_probed`` (set by this engine's checkpointed run) makes
+        # run(), step() and result() raise.
         engine.__dict__.update(self.__dict__)
         engine._chains = chains
-        engine._now = ck.now_ms
-        engine._next_idx = ck.next_idx[:]
-        engine._prev_done = ck.prev_done[:]
-        engine._arrived = [True] * self._n  # all arrive in the first step
-        engine._proc_running = running
-        engine._request_alloc = dict(ck.request_alloc)
-        engine._used_bytes = ck.used_bytes
-        engine._records = self._records[: ck.records]
-        engine._trace_points = []
-        engine._busy = ck.busy_ms[:]
-        engine._finish = ck.finish_ms[:]
-        engine._first_start = ck.first_start_ms[:]
-        engine._total_tasks = total
-        engine._outstanding = total - ck.completed
-        engine._completed = ck.completed
-        engine._dropped = []
-        engine._cancelled = []
-        engine._removed = set()
-        engine._ready = [set(ready) for ready in ck.ready]
-        engine._events = []
-        engine._events_processed = ck.events_processed
-        engine._steps = index
-        engine._steps_base = index
-        engine._slowdown_evaluations = 0
+        engine._total_tasks = sum(len(chain) for chain in chains)
         engine._finished_run = False
-        engine._heap = []
         engine._checkpoints = None
         engine._fork_of = (checkpoints, index)
         return engine
@@ -1104,8 +1051,8 @@ class DiscreteEventEngine:
         """Snapshot the (possibly still running) simulation state.
 
         Raises:
-            RuntimeError: after :meth:`run_bounded_ms`, which leaves
-                the state a result reports stale.
+            RuntimeError: on a fork or after a probe run, which keep
+                none of the state a result reports.
         """
         self._require_bookkeeping("result()")
         tracker = self._tracker

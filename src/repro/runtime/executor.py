@@ -366,11 +366,13 @@ def replicate_chains(
 
     Open-loop streaming runs (the ``slo`` verb, the SLO tests) need far
     more requests than a plan has models; this builds fresh
-    :class:`ChainTask` instances (engine tasks are mutable — sharing
-    them across requests would corrupt ``remaining_ms``) with request
-    ids offset by ``round * len(chains)``, matching the arrival order
-    of a repeated model mix.  ``copies=1`` is a fresh clone, the way a
-    second run (a perturbed or counterfactual one) gets unspent tasks.
+    :class:`ChainTask` instances (a full engine run writes each task's
+    ``remaining_ms`` and ``start_ms`` — sharing them across requests
+    would corrupt both; only probe runs leave tasks untouched) with
+    request ids offset by ``round * len(chains)``, matching the arrival
+    order of a repeated model mix.  ``copies=1`` is a fresh clone, the
+    way a second full run (a perturbed or counterfactual one) gets
+    unspent tasks.
 
     Raises:
         ValueError: on a non-positive copy count.

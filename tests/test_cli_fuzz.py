@@ -5,7 +5,9 @@ argument lists whose values include ``nan``, ``inf``, ``-0``, ``1e400``
 and garbage tokens, and checks that ``_resolve_inputs`` either rejects
 them the way ``main`` turns into a one-line exit-2 error (argparse's
 ``SystemExit(2)``, or ``ValueError`` / ``KeyError``) or leaves only
-finite, in-range values behind.  Nothing is planned or simulated.
+finite, in-range values behind.  ``calibrate --targets`` files get the
+same treatment, as named bad files and as generated entries.  Nothing
+is planned or simulated.
 
 A shrunk failure becomes a named case of the usage-error tests in
 ``tests/test_queueing_cli.py`` (``TestCli``).
@@ -13,12 +15,14 @@ A shrunk failure becomes a named case of the usage-error tests in
 
 import contextlib
 import io
+import json
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import _resolve_inputs, build_parser
+from repro.cli import _resolve_inputs, build_parser, main
 
 SPECIAL_NUMBERS = (
     "nan", "NaN", "inf", "-inf", "Infinity", "-0", "0", "1e400", "-1e400",
@@ -133,3 +137,67 @@ def test_grammar_rejects_cleanly_or_resolves_in_range(argv):
         return
     assert_resolved_in_range(args)
 
+
+
+GOOD_TARGET = {"model": "resnet50", "processor": "gpu", "latency_ms": 20.0}
+
+BAD_TARGET_FILES = {
+    "missing": None,
+    "not_json": "{x",
+    "empty_object": "{}",
+    "empty_list": "[]",
+    "not_an_object": "[5]",
+    "missing_key": json.dumps([{"model": "resnet50", "processor": "gpu"}]),
+    "unknown_model": json.dumps([{**GOOD_TARGET, "model": "nosuch"}]),
+    "unknown_processor": json.dumps([{**GOOD_TARGET, "processor": "tpu"}]),
+    "infeasible": json.dumps([{**GOOD_TARGET, "model": "bert", "processor": "npu"}]),
+    "nan_latency": '[{"model": "resnet50", "processor": "gpu", "latency_ms": NaN}]',
+    "inf_latency": '[{"model": "resnet50", "processor": "gpu", "latency_ms": Infinity}]',
+    "zero_latency": json.dumps([{**GOOD_TARGET, "latency_ms": 0}]),
+    "text_latency": json.dumps([{**GOOD_TARGET, "latency_ms": "x"}]),
+    "null_latency": json.dumps([{**GOOD_TARGET, "latency_ms": None}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TARGET_FILES))
+def test_calibrate_rejects_bad_targets_file(case, tmp_path, capsys):
+    path = tmp_path / "targets.json"
+    text = BAD_TARGET_FILES[case]
+    if text is not None:
+        path.write_text(text)
+    assert main(["calibrate", "--targets", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("hetero2pipe calibrate: error: ")
+
+
+target_entries = st.fixed_dictionaries(
+    {
+        "model": st.sampled_from(["resnet50", "bert", "vit", "nosuch"]),
+        "processor": st.sampled_from(["gpu", "npu", "cpu_big", "tpu"]),
+        "latency_ms": st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(["x", None, "5"]),
+        ),
+    }
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(entries=st.lists(target_entries, max_size=3))
+def test_targets_reject_cleanly_or_resolve_in_range(entries, tmp_path):
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps(entries))
+    args = build_parser().parse_args(["calibrate", "--targets", str(path)])
+    try:
+        _resolve_inputs(args)
+    except (ValueError, KeyError):
+        return
+    assert len(args.calibration_targets) == len(entries) > 0
+    for target in args.calibration_targets:
+        _finite(target.latency_ms, strict=True)

@@ -784,6 +784,29 @@ def _task_key(task):
     return (task.proc.name, task.workload.start, task.workload.end)
 
 
+def _position(task):
+    """A task named by its place in the run, not by its identity."""
+    return (task.request, task.stage, task.proc.name)
+
+
+def _trajectory(checkpoints, key):
+    """Checkpoints as frozen plain values, running tasks named by ``key``."""
+    return [
+        (
+            ck.now_ms,
+            tuple(ck.next_idx),
+            tuple(ck.prev_done),
+            tuple(
+                None if entry is None else (key(entry[0]), entry[1])
+                for entry in ck.running
+            ),
+            ck.completed,
+            tuple(frozenset(ready) for ready in ck.ready),
+        )
+        for ck in checkpoints
+    ]
+
+
 def _neighbour_tails(plan):
     """Chains of every single boundary move of ``plan``, each with the
     request, first differing chain position and progress code at which
@@ -881,15 +904,45 @@ class TestProbes:
             assert half.run_bounded_ms(0.5 * full.makespan_ms) == math.inf
             assert half._steps < len(full.records)
 
-    def test_fork_at_every_checkpoint_replays_the_run(self, zoo_plans):
+    def test_checkpoints_are_the_full_steps_states(self, zoo_plans):
+        """The probe loop's state after every step is the full step's."""
         for plan in zoo_plans.values():
             anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+            anchor.run_checkpointed()
+            engine = _probe_engine(plan.soc, plan_to_chains(plan))
+            states = []
+            more = True
+            while more:
+                more = engine.step()
+                states.append(
+                    (
+                        engine._now,
+                        tuple(engine._next_idx),
+                        tuple(engine._prev_done),
+                        tuple(
+                            None
+                            if task is None
+                            else (_position(task), task.remaining_ms)
+                            for task in engine._proc_running
+                        ),
+                        engine._completed,
+                        tuple(frozenset(ready) for ready in engine._ready),
+                    )
+                )
+            assert _trajectory(anchor.checkpoints, _position)[1:] == states
+
+    def test_fork_at_every_checkpoint_replays_the_run(self, zoo_plans):
+        for plan in zoo_plans.values():
+            full = _probe_engine(plan.soc, plan_to_chains(plan)).run()
+            anchor = _probe_engine(plan.soc, plan_to_chains(plan))
             makespan = anchor.run_checkpointed()
-            expected = _outputs(anchor.result())
-            assert makespan == expected[1]
+            assert makespan == full.makespan_ms
             assert len(anchor.checkpoints) == anchor._steps + 1
+            expected = _trajectory(anchor.checkpoints, id)
             for index in range(1, len(anchor.checkpoints)):
-                assert _outputs(anchor.fork(index, {}).run()) == expected
+                forked = anchor.fork(index, {})
+                assert forked.run_checkpointed() == makespan
+                assert _trajectory(forked.checkpoints, id) == expected
                 # The bounded loop resumes the same state bit for bit.
                 assert anchor.fork(index, {}).run_bounded_ms() == makespan
 
@@ -905,15 +958,16 @@ class TestProbes:
                     for j, ck in enumerate(checkpoints)
                     if ck.progress(i) >= code
                 )
-                expected = _outputs(_probe_engine(plan.soc, chains).run())
+                fresh = _probe_engine(plan.soc, chains)
+                makespan = fresh.run_checkpointed()
+                expected = _trajectory(fresh.checkpoints, _position)
                 # Every checkpoint up to the divergence step serves.
                 for index in range(1, first):
-                    tail = [task.fresh() for task in chains[i][p:]]
-                    forked = anchor.fork(index, {i: (p, tail)})
-                    assert _outputs(forked.run()) == expected
-                    tail = [task.fresh() for task in chains[i][p:]]
-                    bounded = anchor.fork(index, {i: (p, tail)})
-                    assert bounded.run_bounded_ms() == expected[1]
+                    forked = anchor.fork(index, {i: (p, chains[i][p:])})
+                    assert forked.run_checkpointed() == makespan
+                    assert _trajectory(forked.checkpoints, _position) == expected
+                    bounded = anchor.fork(index, {i: (p, chains[i][p:])})
+                    assert bounded.run_bounded_ms() == makespan
                     forks += 1
         assert forks > 0
 
@@ -921,15 +975,21 @@ class TestProbes:
     def test_result_and_step_raise_after_a_bounded_run(
         self, vit_resnet_plan, scale
     ):
+        """run(), step() and result() need the full bookkeeping, which no
+        probe run keeps and no fork has."""
         plan = vit_resnet_plan
         full = _probe_engine(plan.soc, plan_to_chains(plan)).run()
         engine = _probe_engine(plan.soc, plan_to_chains(plan))
         value = engine.run_bounded_ms(scale * full.makespan_ms)
         assert value == (math.inf if scale < 1 else full.makespan_ms)
-        with pytest.raises(RuntimeError, match="run_bounded_ms"):
-            engine.result()
-        with pytest.raises(RuntimeError, match="run_bounded_ms"):
-            engine.step()
+        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+        anchor.run_checkpointed()
+        ran_fork = anchor.fork(1, {})
+        ran_fork.run_bounded_ms(scale * full.makespan_ms)
+        for probed in (engine, anchor, anchor.fork(1, {}), ran_fork):
+            for call in (probed.run, probed.step, probed.result):
+                with pytest.raises(RuntimeError, match="probe run"):
+                    call()
 
     def test_fork_counts_only_its_own_work(self, vit_resnet_plan):
         plan = vit_resnet_plan
@@ -944,18 +1004,22 @@ class TestProbes:
         assert forked == total - index
 
     def test_fork_shares_no_run_state(self, vit_resnet_plan):
+        """Forks share the anchor's chains and tasks, so no probe run may
+        write to a task: an anchor and bounded and checkpointed forks at
+        every checkpoint leave each task as built and the anchor's
+        checkpoints as they were."""
         plan = vit_resnet_plan
-        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+        chains = plan_to_chains(plan)
+        tasks = [task for chain in chains for task in chain]
+        built = [(task.remaining_ms, task.start_ms) for task in tasks]
+        anchor = _probe_engine(plan.soc, chains)
         anchor.run_checkpointed()
-        fork = anchor.fork(1, {})
-        shared = {"_arrival_ms", "_offline_at", "_slot", "_deadline_ms"}
-        for name, value in fork.__dict__.items():
-            if isinstance(value, (list, dict, set)) and name not in shared:
-                assert value is not anchor.__dict__[name], name
-        assert fork._fork_of is not None
-        assert not set(map(id, fork._chains[0])) & set(
-            map(id, anchor._chains[0][fork._next_idx[0]:])
-        )
+        frozen = _trajectory(anchor.checkpoints, id)
+        for index in range(1, len(anchor.checkpoints)):
+            anchor.fork(index, {}).run_bounded_ms()
+            anchor.fork(index, {}).run_checkpointed()
+        assert [(task.remaining_ms, task.start_ms) for task in tasks] == built
+        assert _trajectory(anchor.checkpoints, id) == frozen
 
     @pytest.mark.parametrize(
         "options",

@@ -172,16 +172,20 @@ def _descend(
     assignments' objective) the value the probe must beat, and applies
     the move that lowers the objective most, by more than
     :data:`_EPSILON_MS`.  It stops after a round that applies nothing,
-    or after ``max_rounds``; ``on_round`` runs before each round.
+    or after ``max_rounds``; ``on_round`` runs before each round, the
+    first time before the start value is probed, so an anchor it sets
+    answers that probe.
 
     Returns:
         The applied moves in order, and the final objective value.
     """
     steps: List[_Step] = []
-    current = cost(math.inf)
-    for _ in range(max_rounds):
+    current = math.inf
+    for rounds in range(max_rounds):
         if on_round is not None:
             on_round()
+        if not rounds:
+            current = cost(math.inf)
         applied = False
         for group in groups:
             best_gain = _EPSILON_MS

@@ -15,7 +15,7 @@ scaling and temperature have reached a steady state").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
@@ -36,6 +36,11 @@ SliceTaskKey = Tuple[str, Optional[str], int, int]
 
 #: Slice-task memo value: ``(solo_ms, workload, working_set bytes)``.
 SliceTask = Tuple[float, "SliceWorkload", float]
+
+#: Probe-tail memo key: ``(request, hand-off names, stages)``, the
+#: names those of the pipeline's processors followed by None and the
+#: stages a ``(stage, first layer, last layer)`` per chain position.
+TailKey = Tuple[int, Tuple[Optional[str], ...], Tuple[Tuple[int, int, int], ...]]
 
 
 class ModelProfile:
@@ -80,6 +85,10 @@ class ModelProfile:
         #: by :meth:`SocProfiler.clear_slice_tasks`.  Processors are
         #: identified by name, like every table of this profile.
         self.slice_tasks: Dict[SliceTaskKey, SliceTask] = {}
+        #: The same memo's probe tails: the executor tasks a resumed
+        #: objective probe shares, filled by
+        #: :class:`repro.runtime.executor.ProbeAnchor`.
+        self.probe_tails: Dict[TailKey, List[Any]] = {}
 
         for proc in soc.processors:
             if self.thermal_scales is not None and proc.name in self.thermal_scales:
@@ -281,8 +290,10 @@ class SocProfiler:
         """Drop every profile's slice-task memo.
 
         The memo is exact for the profile's lifetime, but it holds one
-        workload per probed slice; the planner drops it with its other
-        caches so it stays bounded by one plan's probes.
+        workload per probed slice and the tasks of every probed tail;
+        the planner drops it with its other caches so it stays bounded
+        by one plan's probes.
         """
         for profile in self._cache.values():
             profile.slice_tasks.clear()
+            profile.probe_tails.clear()

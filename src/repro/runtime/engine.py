@@ -57,11 +57,11 @@ objective asks only "what is this plan's makespan, and does it beat the
 incumbent?", so probe-style engines (closed loop, contention only: no
 memory enforcement, arrivals, deadlines, faults, scheduled
 cancellations or preemptions, causality, trace or event log) offer
-three cheaper ways to answer it.  The two probe runs step one loop
-that advances only what the makespan and the bound read: the ready
-sets, ``next_idx`` and ``prev_done``, each running slice's remaining
-solo time, ``now``, the completed and outstanding counts, and a
-per-slot unstarted solo time, all in locals.  Each step is
+cheaper ways to answer it.  Every probe run steps one loop that
+advances only what the makespan and the bound read: the ready sets,
+``next_idx`` and ``prev_done``, each running slice's remaining solo
+time, ``now``, the completed and outstanding counts, and each slot's
+started solo time, all in locals.  Each step is
 :meth:`~DiscreteEventEngine._step`'s arithmetic in the same order,
 with the same ``engine_steps`` and ``slowdown_evaluations`` counts, so
 it returns the same makespan bit for bit.  It writes to no task (not
@@ -76,7 +76,9 @@ probe run and on a fork.
   bound is ``now + max over slots of (remaining solo time of the
   running slice + solo_ms of the slot's unstarted slices)``: every rate
   factor ``1 + slowdown`` is >= 1 and a slot runs one slice at a time.
-  A departure fires at a remaining time ``<= 10 * _EPS``, so the bound
+  A slot's unstarted work is its total solo time over the chains less
+  the solo time started so far, so the bound walks no task.  A
+  departure fires at a remaining time ``<= 10 * _EPS``, so the bound
   gives back ``10 * _EPS`` per outstanding task plus
   ``PRUNE_MARGIN_MS``, which also absorbs the rounding of the caller's
   threshold.
@@ -84,16 +86,24 @@ probe run and on a fork.
   keeps a :class:`Checkpoint` of the loop's state before every step.
 * :meth:`DiscreteEventEngine.fork` builds an engine whose probe runs
   start from one checkpoint, optionally with some requests' chains
-  replaced from a position on.  It shares every other chain and task
-  with its parent and re-runs no ``__init__``.  The fork is exact when
-  nothing read the replaced tasks before that checkpoint.  Ready sets
-  hold request ids and FIFO picks by id, so a chain position is first
-  read when it *starts* (same processor) or, when its processor
-  changes or the stage appears or vanishes, when it is *exposed* (its
-  predecessor departs).  :class:`Checkpoint` progress codes locate
-  both steps.
+  replaced from a position on, and
+  :meth:`DiscreteEventEngine.resume_bounded_ms` runs such a fork
+  bounded without building it.  Both share every other chain and task
+  with the checkpointed engine and re-run no ``__init__``; the per-slot
+  totals move by the replaced tasks' solo times.  The resumed run is
+  exact when nothing read the replaced tasks before that checkpoint.
+  Ready sets hold request ids and FIFO picks by id, so a chain position
+  is first read when it *starts* (same processor) or, when its
+  processor changes or the stage appears or vanishes, when it is
+  *exposed* (its predecessor departs).  :class:`Checkpoint` progress
+  codes locate both steps.  Checkpoint 0 always serves: a first
+  position is exposed there but not yet read, and a request whose
+  exposed head moves to another processor is re-filed under that
+  processor's ready set, which is a new engine's initial state.  A
+  fork that runs checkpointed inherits its parent's checkpoints before
+  the fork point; they hold only started work, which the fork shares.
 
-All three raise ``ValueError`` on an engine built with any of the
+All of them raise ``ValueError`` on an engine built with any of the
 options listed above.
 
 **Equivalence guarantee.**  For the legacy feature set (closed-loop or
@@ -167,7 +177,10 @@ from .arrivals import ArrivalsLike, resolve_arrivals
 
 _EPS = 1e-9
 
-#: Slack a bounded run gives its lower bound on top of ``10 * _EPS`` per
+#: A running slice departs once its remaining time is at most this.
+_DEPARTURE_MS = _EPS * 10
+
+#: Slack a bounded run gives its lower bound on top of ``_DEPARTURE_MS`` per
 #: outstanding task: float rounding of the step arithmetic and of the
 #: caller's threshold (see "Probes" above).
 PRUNE_MARGIN_MS = 1e-6
@@ -234,7 +247,9 @@ class Checkpoint(NamedTuple):
 
     ``running`` holds, per slot, the running task with its remaining
     solo time, or None; the loop keeps that time itself and never
-    writes it into the task.  A request's *progress code*
+    writes it into the task.  ``started_ms`` is, per slot, the solo
+    time of every task started so far, so a slot's unstarted work is
+    its total solo time less this.  A request's *progress code*
     ``2 * next_idx + prev_done`` only grows: chain position ``p`` is
     exposed when the code reaches ``2p + 1`` and starts when it reaches
     ``2p + 2``.
@@ -246,6 +261,7 @@ class Checkpoint(NamedTuple):
     running: Tuple[Optional[Tuple["ChainTask", float]], ...]
     completed: int
     ready: List[Set[int]]
+    started_ms: List[float]
 
     def progress(self, request: int) -> int:
         """The request's progress code at this checkpoint."""
@@ -442,6 +458,15 @@ class ExecutionResult:
 # ------------------------------------------------------------ the engine
 
 
+def _count_work(steps: int, evaluations: int) -> None:
+    """Count the simulation work of one run, probes included: the
+    objective phase's deterministic layer breakdown.  A resumed run
+    counts only the steps it ran itself."""
+    if obs.enabled():
+        obs.add("engine_steps", steps)
+        obs.add("slowdown_evaluations", evaluations)
+
+
 class DiscreteEventEngine:
     """Event-heap simulation of per-request task chains on one SoC.
 
@@ -450,7 +475,7 @@ class DiscreteEventEngine:
     incrementally with :meth:`step`).  A
     probe-style engine can instead :meth:`run_bounded_ms` or
     :meth:`run_checkpointed`, and a checkpointed one can :meth:`fork`
-    (see "Probes" in the module docstring).  The
+    or :meth:`resume_bounded_ms` (see "Probes" in the module docstring).  The
     executor entry points (:func:`~repro.runtime.executor.simulate_chains`,
     :func:`~repro.runtime.executor.execute_plan`) forward their engine
     options here, so this is where every option is documented.
@@ -615,8 +640,12 @@ class DiscreteEventEngine:
         self._scheduled = False
         self._probed = False
         self._checkpoints: Optional[List[Checkpoint]] = None
-        # A fork's parent checkpoints and its index in them.
-        self._fork_of: Optional[Tuple[List[Checkpoint], int]] = None
+        # Per slot: the solo time of every task of the chains (filled
+        # when a probe run starts, or by fork).
+        self._slot_ms: List[float] = []
+        # A fork's inherited checkpoints (its parent's before the fork
+        # point) and the state its probe run starts from.
+        self._fork_of: Optional[Tuple[List[Checkpoint], Checkpoint]] = None
 
         self._tracker = CausalityTracker() if track_causality else None
 
@@ -768,7 +797,8 @@ class DiscreteEventEngine:
         ) as _span:
             while self._outstanding > 0:
                 self._step()
-            self._end_run(self._steps, self._slowdown_evaluations)
+            self._finished_run = True
+            _count_work(self._steps, self._slowdown_evaluations)
             _span.set(
                 makespan_ms=self._now,
                 memory_pressure=self._memory_pressure_events,
@@ -800,7 +830,7 @@ class DiscreteEventEngine:
             RuntimeError: on an engine that already ran.
         """
         self._require_probe("a bounded run")
-        return self._probe_loop(stop_at_ms, None)
+        return self._probe_run(stop_at_ms, None)
 
     def run_checkpointed(self) -> float:
         """Run to completion keeping a :class:`Checkpoint` before every step.
@@ -819,28 +849,43 @@ class DiscreteEventEngine:
         self._require_probe("checkpointing")
         checkpoints: List[Checkpoint] = []
         if self._fork_of is not None:
-            parent, index = self._fork_of
-            checkpoints = parent[:index]
+            checkpoints = self._fork_of[0]
         self._checkpoints = checkpoints
-        return self._probe_loop(math.inf, checkpoints)
+        return self._probe_run(math.inf, checkpoints)
 
-    def _probe_loop(
+    def resume_bounded_ms(
+        self,
+        index: int,
+        tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
+        stop_at_ms: float = math.inf,
+    ) -> float:
+        """``fork(index, tails).run_bounded_ms(stop_at_ms)``, with no fork built.
+
+        The run reads this engine's checkpoints, chains and tasks and
+        writes to none of them, so one checkpointed engine answers any
+        number of resumed probes.
+
+        Raises:
+            ValueError: as :meth:`fork`.
+        """
+        start, chains, slot_ms = self._resume(index, tails)
+        return self._probe_loop(start, index, chains, slot_ms, stop_at_ms, None)[0]
+
+    def _probe_run(
         self, stop_at_ms: float, checkpoints: Optional[List[Checkpoint]]
     ) -> float:
-        """The loop of :meth:`run_bounded_ms` and :meth:`run_checkpointed`.
-
-        It starts from the fork's checkpoint or, on an engine that has
-        not forked, from the closed loop's popped t=0 arrivals, and
-        steps :meth:`_step`'s arithmetic on only the state a makespan
-        and the bound read, all of it in locals.  With ``checkpoints``
-        it appends a :class:`Checkpoint` before every step and after
-        the last.
-        """
+        """This engine's probe run: from its fork's state, or from t=0."""
         self._probed = True
+        self._finished_run = True
         if self._fork_of is None:
             if self._heap:
                 self._pop_due_events()  # the closed loop's t=0 arrivals
-            steps = 0
+            slot_ms = [0.0 for _ in self._procs]
+            for chain in self._chains:
+                for task in chain:
+                    slot_ms[self._slot[task.proc.name]] += task.solo_ms
+            self._slot_ms = slot_ms
+            index = 0
             start = Checkpoint(
                 self._now,
                 self._next_idx,
@@ -848,30 +893,54 @@ class DiscreteEventEngine:
                 (None,) * len(self._procs),
                 0,
                 self._ready,
+                [0.0 for _ in self._procs],
             )
         else:
-            parent, steps = self._fork_of
-            start = parent[steps]
+            inherited, start = self._fork_of
+            index = len(inherited)
             self._fork_of = None  # hold no anchor's checkpoints alive
+        makespan_ms, self._steps = self._probe_loop(
+            start, index, self._chains, self._slot_ms, stop_at_ms, checkpoints
+        )
+        return makespan_ms
+
+    def _probe_loop(
+        self,
+        start: Checkpoint,
+        steps: int,
+        chains: Sequence[Sequence[ChainTask]],
+        slot_ms: Sequence[float],
+        stop_at_ms: float,
+        checkpoints: Optional[List[Checkpoint]],
+    ) -> Tuple[float, int]:
+        """The loop of every probe run.
+
+        It steps :meth:`_step`'s arithmetic over ``chains`` from
+        ``start``, the state after ``steps`` steps, on only the state a
+        makespan and the bound read, all of it in locals; ``slot_ms`` is
+        each slot's total solo time over ``chains``.  With
+        ``checkpoints`` it appends a :class:`Checkpoint` before every
+        step and after the last.
+
+        Returns:
+            The makespan (``inf`` when the bound stopped the run) and
+            the step count it ended at.
+        """
         soc = self._soc
         contention = self._with_contention
         slot_of = self._slot
-        chains = self._chains
         now = start.now_ms
         next_idx = start.next_idx[:]
         prev_done = start.prev_done[:]
         ready = [set(slot_ready) for slot_ready in start.ready]
         # Per slot: the running task and its remaining solo time (0.0
-        # on an idle slot), and the solo time of the unstarted tasks.
+        # on an idle slot), and the solo time of the started tasks.
         running = [None if entry is None else entry[0] for entry in start.running]
         left_ms = [0.0 if entry is None else entry[1] for entry in start.running]
+        started_ms = start.started_ms[:]
         slots = range(len(running))
-        unstarted_ms = [0.0 for _ in slots]
-        for chain, head in zip(chains, next_idx):
-            for task in chain[head:]:
-                unstarted_ms[slot_of[task.proc.name]] += task.solo_ms
         completed = start.completed
-        outstanding = self._total_tasks - completed
+        outstanding = sum(map(len, chains)) - completed
         bounded = stop_at_ms < math.inf
         base = steps
         evaluations = 0
@@ -889,6 +958,7 @@ class DiscreteEventEngine:
                         ),
                         completed,
                         [set(slot_ready) for slot_ready in ready],
+                        started_ms[:],
                     )
                 )
             if outstanding <= 0:
@@ -897,11 +967,11 @@ class DiscreteEventEngine:
             if bounded:
                 # The bound of "Probes", less its margin.
                 work_ms = 0.0
-                for slot_ms, task_ms in zip(unstarted_ms, left_ms):
-                    slot_ms += task_ms
-                    if slot_ms > work_ms:
-                        work_ms = slot_ms
-                slack_ms = PRUNE_MARGIN_MS + 10 * _EPS * outstanding
+                for total_ms, done_ms, task_ms in zip(slot_ms, started_ms, left_ms):
+                    task_ms += total_ms - done_ms
+                    if task_ms > work_ms:
+                        work_ms = task_ms
+                slack_ms = PRUNE_MARGIN_MS + _DEPARTURE_MS * outstanding
                 if now + work_ms - slack_ms >= stop_at_ms:
                     break
             steps += 1
@@ -916,7 +986,7 @@ class DiscreteEventEngine:
                     task = chains[request][idx]
                     running[k] = task
                     left_ms[k] = task.remaining_ms
-                    unstarted_ms[k] -= task.solo_ms
+                    started_ms[k] += task.solo_ms
                     next_idx[request] = idx + 1
                     prev_done[request] = False
             tasks = [task for task in running if task is not None]
@@ -949,7 +1019,7 @@ class DiscreteEventEngine:
                 left_ms[k] -= dt / rate
             now += dt
             for k, task in zip(active, tasks):
-                if left_ms[k] <= _EPS * 10:
+                if left_ms[k] <= _DEPARTURE_MS:
                     request = task.request
                     running[k] = None
                     left_ms[k] = 0.0
@@ -960,18 +1030,8 @@ class DiscreteEventEngine:
                     idx = next_idx[request]
                     if idx < len(chain):
                         ready[slot_of[chain[idx].proc.name]].add(request)
-        self._steps = steps
-        self._end_run(steps - base, evaluations)
-        return makespan_ms
-
-    def _end_run(self, steps: int, evaluations: int) -> None:
-        self._finished_run = True
-        if obs.enabled():
-            # Simulation work of every run, probes included: the
-            # objective phase's deterministic layer breakdown.  A fork
-            # counts only the steps it ran itself.
-            obs.add("engine_steps", steps)
-            obs.add("slowdown_evaluations", evaluations)
+        _count_work(steps - base, evaluations)
+        return makespan_ms, steps
 
     @property
     def checkpoints(self) -> Sequence[Checkpoint]:
@@ -987,35 +1047,23 @@ class DiscreteEventEngine:
 
         ``tails`` maps a request to ``(position, tasks)``: its chain
         from ``position`` on is replaced by ``tasks`` (unstarted tasks
-        of that request).  The fork simulates exactly what a new engine
+        of that request).  A request whose replaced position is its
+        exposed head is re-filed under the ready set of its new head's
+        processor; at checkpoint 0 that is exactly a new engine's
+        initial state.  The fork simulates exactly what a new engine
         over the replaced chains would, provided nothing read a
         replaced position before the checkpoint — see "Probes" in the
         module docstring for when that holds.  Every other chain and
         task is shared with this engine: probe runs write to neither.
         Only :meth:`run_bounded_ms` and :meth:`run_checkpointed` run a
-        fork.
+        fork; :meth:`resume_bounded_ms` runs one without building it.
 
         Raises:
             ValueError: when this engine has no checkpoints, ``index``
-                is not after the first step, or a tail starts at a
-                position that has already started.
+                is not one of them, or a tail starts at a position that
+                has already started.
         """
-        checkpoints = self._checkpoints
-        if not checkpoints:
-            raise ValueError("fork needs a run_checkpointed() engine")
-        if not 1 <= index < len(checkpoints):
-            raise ValueError(
-                f"fork index {index} out of range [1, {len(checkpoints)})"
-            )
-        next_idx = checkpoints[index].next_idx
-        chains = self._chains[:]
-        for i, (position, tasks) in tails.items():
-            if position < next_idx[i]:
-                raise ValueError(
-                    f"request {i}: position {position} started before "
-                    f"checkpoint {index}"
-                )
-            chains[i] = chains[i][:position] + list(tasks)
+        start, chains, slot_ms = self._resume(index, tails)
         engine = DiscreteEventEngine.__new__(DiscreteEventEngine)
         # Configuration and tasks are shared and read-only.  No copied
         # run state is read: a probe run starts from the checkpoint,
@@ -1023,11 +1071,66 @@ class DiscreteEventEngine:
         # run(), step() and result() raise.
         engine.__dict__.update(self.__dict__)
         engine._chains = chains
-        engine._total_tasks = sum(len(chain) for chain in chains)
+        engine._slot_ms = slot_ms
         engine._finished_run = False
         engine._checkpoints = None
-        engine._fork_of = (checkpoints, index)
+        engine._fork_of = (list(self.checkpoints[:index]), start)
         return engine
+
+    def _resume(
+        self,
+        index: int,
+        tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
+    ) -> Tuple[Checkpoint, List[List[ChainTask]], List[float]]:
+        """The start state, chains and per-slot solo totals of a run
+        resumed from ``checkpoints[index]`` with ``tails`` (see
+        :meth:`fork`).  Only the tailed requests' chains, the totals
+        and, when a head is re-filed, the ready sets are new."""
+        checkpoints = self._checkpoints
+        if not checkpoints:
+            raise ValueError("fork needs a run_checkpointed() engine")
+        if not 0 <= index < len(checkpoints):
+            raise ValueError(
+                f"fork index {index} out of range [0, {len(checkpoints)})"
+            )
+        start = checkpoints[index]
+        chains = self._chains
+        slot_ms = self._slot_ms
+        if not tails:
+            return start, chains, slot_ms
+        chains = chains[:]
+        slot_ms = slot_ms[:]
+        slot_of = self._slot
+        ready = start.ready
+        for i, (position, tasks) in tails.items():
+            head = start.next_idx[i]
+            if position < head:
+                raise ValueError(
+                    f"request {i}: position {position} started before "
+                    f"checkpoint {index}"
+                )
+            old = chains[i]
+            new = old[:position]
+            new.extend(tasks)
+            chains[i] = new
+            for task in old[position:]:
+                slot_ms[slot_of[task.proc.name]] -= task.solo_ms
+            for task in tasks:
+                slot_ms[slot_of[task.proc.name]] += task.solo_ms
+            if position == head and start.prev_done[i]:
+                # The head is exposed: file it where a new engine would.
+                old_slot = slot_of[old[head].proc.name] if head < len(old) else None
+                new_slot = slot_of[new[head].proc.name] if head < len(new) else None
+                if old_slot != new_slot:
+                    if ready is start.ready:
+                        ready = [set(slot_ready) for slot_ready in ready]
+                    if old_slot is not None:
+                        ready[old_slot].discard(i)
+                    if new_slot is not None:
+                        ready[new_slot].add(i)
+        if ready is not start.ready:
+            start = start._replace(ready=ready)
+        return start, chains, slot_ms
 
     def step(self) -> bool:
         """Process one event window; False when the simulation is done."""
@@ -1455,7 +1558,7 @@ class DiscreteEventEngine:
         self._now += dt
 
         for k, task in enumerate(proc_running):
-            if task is not None and task.remaining_ms <= _EPS * 10:
+            if task is not None and task.remaining_ms <= _DEPARTURE_MS:
                 proc_name = self._procs[k].name
                 proc_running[k] = None
                 self._prev_done[task.request] = True

@@ -116,11 +116,9 @@ def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
     ]
 
 
-def _handoff_names(processors: Sequence[ProcessorSpec]) -> List[Optional[str]]:
+def _handoff_names(processors: Sequence[ProcessorSpec]) -> Tuple[Optional[str], ...]:
     """Stage ``k``'s processor name is entry ``k``, its successor's ``k + 1``."""
-    names: List[Optional[str]] = [p.name for p in processors]
-    names.append(None)  # the last stage hands off to nobody
-    return names
+    return tuple(p.name for p in processors) + (None,)  # the last hands off to nobody
 
 
 #: A request's chain positions: ``(stage, first layer, last layer)`` of
@@ -168,6 +166,33 @@ def _chain_tasks(
     if obs.enabled():
         obs.add("chain_task_memo_hits", len(tasks) - misses)
         obs.add("chain_task_memo_misses", misses)
+    return tasks
+
+
+def _probe_tail(
+    request: int,
+    assignment: "StageAssignment",
+    processors: Sequence[ProcessorSpec],
+    names: Tuple[Optional[str], ...],
+    stages: Stages,
+) -> List[ChainTask]:
+    """Tasks of ``request`` at the given chain positions, shared by every
+    probe that resumes with them.
+
+    Probe runs write to no task, so one list per ``(request, names,
+    stages)`` in the profile's probe-tail memo
+    (:attr:`~repro.profiling.profiler.ModelProfile.probe_tails`) serves
+    them all; a memo hit counts its tasks as ``chain_task_memo_hits``.
+    """
+    memo = assignment.profile.probe_tails
+    key = (request, names, tuple(stages))
+    tasks = memo.get(key)
+    if tasks is None:
+        tasks = memo[key] = _chain_tasks(
+            request, assignment, processors, names, stages
+        )
+    elif obs.enabled():
+        obs.add("chain_task_memo_hits", len(tasks))
     return tasks
 
 
@@ -260,9 +285,11 @@ class ProbeAnchor:
     the anchor's run is also the probe's: up to the step in which ``p``
     starts if its processor is unchanged, else up to the step in which
     ``p`` is exposed (see "Probes" in :mod:`repro.runtime.engine`).  The
-    probe forks the anchor's engine at the earliest such step, with the
-    changed requests' tails taken from the slice-task memo, and runs
-    bounded from there: no ``plan_to_chains``, no engine construction,
+    probe resumes the anchor's run at the earliest such step, or at
+    checkpoint 0 when a first position moves to another processor, with
+    the changed requests' tails shared through the slice-task memo
+    (:func:`_probe_tail`), and runs bounded from there: no
+    ``plan_to_chains``, no engine, no task for a tail probed before,
     and none of the shared prefix's steps.
 
     Args:
@@ -288,7 +315,9 @@ class ProbeAnchor:
         self._names = _handoff_names(plan.processors)
         engine = None
         if previous is not None:
-            engine = previous._fork(plan, with_contention)
+            resume = previous._divergence(plan, with_contention)
+            if resume is not None:
+                engine = previous._engine.fork(*resume)
         if engine is None:
             engine = _probe_engine(plan, with_contention)
         self.makespan_ms = _counted(engine.run_checkpointed())
@@ -306,17 +335,20 @@ class ProbeAnchor:
             The makespan (bit-identical to a fresh probe), ``inf`` when
             the run provably reaches ``stop_at_ms``, or None when the
             plan cannot resume from this anchor (another SoC, order or
-            mix, or a change read in the run's first step).
+            mix).
         """
-        engine = self._fork(plan, with_contention)
-        if engine is None:
+        resume = self._divergence(plan, with_contention)
+        if resume is None:
             return None
-        return _counted(engine.run_bounded_ms(stop_at_ms), resumed=True)
+        return _counted(
+            self._engine.resume_bounded_ms(*resume, stop_at_ms), resumed=True
+        )
 
-    def _fork(
+    def _divergence(
         self, plan: "PipelinePlan", with_contention: bool
-    ) -> Optional[DiscreteEventEngine]:
-        """The anchor's engine forked where ``plan``'s run leaves it."""
+    ) -> Optional[Tuple[int, Dict[int, Tuple[int, List[ChainTask]]]]]:
+        """The checkpoint index and tails at which ``plan``'s run leaves
+        the anchor's, or None when it does not share the anchor's run."""
         if (
             plan.soc is not self._soc
             or plan.processors != self._processors
@@ -344,18 +376,17 @@ class ProbeAnchor:
                 code = 2 * p + 1  # read when it is exposed
             index = min(index, _first_reaching(checkpoints, i, code) - 1)
             changed.append((i, p, new))
-        if index < 1:
-            return None
         tails = {
             i: (
                 p,
-                _chain_tasks(
+                _probe_tail(
                     i, plan.assignments[i], self._processors, self._names, new[p:]
                 ),
             )
             for i, p, new in changed
         }
-        return self._engine.fork(index, tails)
+        # A first position exposed at checkpoint 0 is re-filed there.
+        return max(index, 0), tails
 
 
 def replicate_chains(

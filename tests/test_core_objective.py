@@ -316,8 +316,9 @@ class TestProbeCost:
         planner.plan(models)
         profiles = [planner.profiler.profile(m) for m in models]
         assert all(p.slice_tasks for p in profiles)
+        assert any(p.probe_tails for p in profiles)
         planner.invalidate_caches()
-        assert not any(p.slice_tasks for p in profiles)
+        assert not any(p.slice_tasks or p.probe_tails for p in profiles)
 
     @pytest.mark.parametrize("soc_name", SOC_NAMES)
     def test_warm_memo_plans_match_a_fresh_profiler(self, soc_name):
@@ -385,6 +386,19 @@ def apply_placement(plan, request, stage):
     return True
 
 
+def move_first_stage(plan, request, _stage, _rightward):
+    """Move the request's first stage onto another processor: its first
+    layer one stage left, or else its whole first stage rightward."""
+    assignment = plan.assignments[request % plan.num_requests]
+    first = next(k for k, slc in enumerate(assignment.slices) if slc is not None)
+    if first > 0:
+        return move_boundary_layer(assignment, first, first - 1, plan.processors)
+    while assignment.slices[0] is not None:
+        if not move_boundary_layer(assignment, 0, 1, plan.processors):
+            return False
+    return True
+
+
 def neighbours(plan):
     """Every single boundary move and placement of ``plan``."""
     for i in range(plan.num_requests):
@@ -400,6 +414,17 @@ def neighbours(plan):
 
 
 moves = st.tuples(st.integers(0, 5), st.integers(0, 3), st.booleans())
+
+#: A neighbour of a plan: a boundary move, a whole placement, or a move
+#: of a first stage onto another processor.
+neighbour_moves = st.one_of(
+    st.tuples(st.just(apply_move), moves),
+    st.tuples(
+        st.just(apply_placement),
+        st.tuples(st.integers(0, 5), st.integers(0, 4)),
+    ),
+    st.tuples(st.just(move_first_stage), moves),
+)
 
 
 class TestIncrementalProbes:
@@ -460,9 +485,50 @@ class TestIncrementalProbes:
                 assert cache(trial, stop_at_ms=0.9 * fresh) == value
                 assert cache(trial, stop_at_ms=math.inf) == fresh
             counters = rec.metrics.snapshot()["counters"]
-        assert counters["objective_probes_resumed"] > 0
+        # Every neighbour resumes, first positions moved to another
+        # processor included.
+        assert counters["objective_probes_resumed"] == cache.misses
         assert counters["objective_probes_pruned"] > 0
         assert counters["objective_evaluations"] == cache.misses + 1  # + anchor
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        soc_name=st.sampled_from(SOC_NAMES),
+        names=st.lists(st.sampled_from(MODEL_NAMES), min_size=2, max_size=5),
+        anchor_moves=st.lists(moves, max_size=4),
+        step=neighbour_moves,
+        probes=st.lists(
+            st.tuples(neighbour_moves, st.floats(0.8, 1.2)), min_size=1, max_size=4
+        ),
+    )
+    def test_chained_anchor_probes_are_fresh_values_or_proven_losses(
+        self, profilers, soc_name, names, anchor_moves, step, probes
+    ):
+        """Anchor A, then a neighbour B of A, which forks from A and so
+        inherits A's checkpoints before its fork point; B's neighbours
+        resume from those as well as from B's own."""
+        plan = shared_plan(profilers, soc_name, names)
+        for move in anchor_moves:
+            apply_move(plan, *move)
+        cache = ObjectiveCache()
+        cache.anchor(plan)
+        chained = plan.copy()
+        apply, args = step
+        apply(chained, *args)
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            cache.anchor(chained)
+            for (apply, args), scale in probes:
+                neighbour = chained.copy()
+                apply(neighbour, *args)
+                fresh = fresh_makespan(neighbour)
+                cutoff = fresh * scale
+                value = cache(neighbour, stop_at_ms=cutoff)
+                if value == math.inf:
+                    assert fresh >= cutoff
+                else:
+                    assert value == fresh  # bit for bit
+            counters = rec.metrics.snapshot()["counters"]
+        assert counters.get("objective_probes_resumed", 0) == cache.misses
 
     def test_pruned_entry_answers_only_lower_cutoffs(self, kirin):
         plan = build_plan(kirin, ["resnet50", "vit", "bert"])

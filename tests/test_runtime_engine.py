@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.planner import Hetero2PipePlanner
-from repro.core.stealing import move_boundary_layer
+from repro.core.stealing import move_boundary_layer, single_processor_assignment
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
@@ -802,39 +802,50 @@ def _trajectory(checkpoints, key):
             ),
             ck.completed,
             tuple(frozenset(ready) for ready in ck.ready),
+            tuple(ck.started_ms),
         )
         for ck in checkpoints
     ]
 
 
+def _neighbours(plan, i):
+    """Every single boundary move and whole placement of request ``i``."""
+    assignment = plan.assignments[i]
+    for s in range(plan.depth - 1):
+        for frm, to in ((s, s + 1), (s + 1, s)):
+            trial = plan.copy()
+            if move_boundary_layer(trial.assignments[i], frm, to, trial.processors):
+                yield trial
+    for stage in range(plan.depth):
+        placed = single_processor_assignment(assignment, stage, plan.processors)
+        if placed is not None and placed.slices != assignment.slices:
+            trial = plan.copy()
+            trial.assignments[i] = placed
+            yield trial
+
+
 def _neighbour_tails(plan):
-    """Chains of every single boundary move of ``plan``, each with the
-    request, first differing chain position and progress code at which
-    the engine first reads that position."""
+    """Chains of every single boundary move and placement of ``plan``,
+    each with the request, first differing chain position and progress
+    code at which the engine first reads that position."""
     base = plan_to_chains(plan)
-    for i, assignment in enumerate(plan.assignments):
-        for s in range(plan.depth - 1):
-            for frm, to in ((s, s + 1), (s + 1, s)):
-                trial = plan.copy()
-                if not move_boundary_layer(
-                    trial.assignments[i], frm, to, trial.processors
-                ):
-                    continue
-                chains = plan_to_chains(trial)
-                old, new = base[i], chains[i]
-                p = 0
-                while (
-                    p < len(old)
-                    and p < len(new)
-                    and _task_key(old[p]) == _task_key(new[p])
-                ):
-                    p += 1
-                same_proc = (
-                    p < len(old)
-                    and p < len(new)
-                    and old[p].proc.name == new[p].proc.name
-                )
-                yield i, p, 2 * p + 2 if same_proc else 2 * p + 1, chains
+    for i in range(plan.num_requests):
+        for trial in _neighbours(plan, i):
+            chains = plan_to_chains(trial)
+            old, new = base[i], chains[i]
+            p = 0
+            while (
+                p < len(old)
+                and p < len(new)
+                and _task_key(old[p]) == _task_key(new[p])
+            ):
+                p += 1
+            same_proc = (
+                p < len(old)
+                and p < len(new)
+                and old[p].proc.name == new[p].proc.name
+            )
+            yield i, p, 2 * p + 2 if same_proc else 2 * p + 1, chains
 
 
 class TestProbes:
@@ -910,10 +921,18 @@ class TestProbes:
             anchor = _probe_engine(plan.soc, plan_to_chains(plan))
             anchor.run_checkpointed()
             engine = _probe_engine(plan.soc, plan_to_chains(plan))
+            unstarted = [task for chain in engine._chains for task in chain]
+            started = [0.0] * len(engine._procs)
             states = []
             more = True
             while more:
                 more = engine.step()
+                # A slot starts at most one task a step: its started
+                # solo time grows in start order, as the loop's does.
+                for task in unstarted:
+                    if task.start_ms is not None:
+                        started[engine._slot[task.proc.name]] += task.solo_ms
+                unstarted = [task for task in unstarted if task.start_ms is None]
                 states.append(
                     (
                         engine._now,
@@ -927,6 +946,7 @@ class TestProbes:
                         ),
                         engine._completed,
                         tuple(frozenset(ready) for ready in engine._ready),
+                        tuple(started),
                     )
                 )
             assert _trajectory(anchor.checkpoints, _position)[1:] == states
@@ -939,15 +959,16 @@ class TestProbes:
             assert makespan == full.makespan_ms
             assert len(anchor.checkpoints) == anchor._steps + 1
             expected = _trajectory(anchor.checkpoints, id)
-            for index in range(1, len(anchor.checkpoints)):
+            for index in range(len(anchor.checkpoints)):
                 forked = anchor.fork(index, {})
                 assert forked.run_checkpointed() == makespan
                 assert _trajectory(forked.checkpoints, id) == expected
                 # The bounded loop resumes the same state bit for bit.
                 assert anchor.fork(index, {}).run_bounded_ms() == makespan
+                assert anchor.resume_bounded_ms(index, {}) == makespan
 
     def test_fork_with_replaced_tails_equals_a_fresh_run(self, zoo_plans):
-        forks = 0
+        forks = refiled = 0
         for plan in zoo_plans.values():
             anchor = _probe_engine(plan.soc, plan_to_chains(plan))
             anchor.run_checkpointed()
@@ -961,15 +982,20 @@ class TestProbes:
                 fresh = _probe_engine(plan.soc, chains)
                 makespan = fresh.run_checkpointed()
                 expected = _trajectory(fresh.checkpoints, _position)
-                # Every checkpoint up to the divergence step serves.
-                for index in range(1, first):
-                    forked = anchor.fork(index, {i: (p, chains[i][p:])})
+                # Every checkpoint up to the divergence step serves, and
+                # checkpoint 0 always does: a first position moved to
+                # another processor is re-filed there (first == 0).
+                for index in range(max(first, 1)):
+                    tails = {i: (p, chains[i][p:])}
+                    forked = anchor.fork(index, tails)
                     assert forked.run_checkpointed() == makespan
                     assert _trajectory(forked.checkpoints, _position) == expected
-                    bounded = anchor.fork(index, {i: (p, chains[i][p:])})
-                    assert bounded.run_bounded_ms() == makespan
+                    assert anchor.fork(index, tails).run_bounded_ms() == makespan
+                    assert anchor.resume_bounded_ms(index, tails) == makespan
                     forks += 1
+                    refiled += first == 0
         assert forks > 0
+        assert refiled > 0
 
     @pytest.mark.parametrize("scale", [0.5, 2.0], ids=["pruned", "completed"])
     def test_result_and_step_raise_after_a_bounded_run(
@@ -1000,14 +1026,18 @@ class TestProbes:
             index = len(anchor.checkpoints) // 2
             anchor.fork(index, {}).run_bounded_ms()
             forked = rec.metrics.counter("engine_steps").value - total
+            anchor.resume_bounded_ms(index, {})
+            resumed = rec.metrics.counter("engine_steps").value - total - forked
         assert total == len(anchor.checkpoints) - 1
-        assert forked == total - index
+        assert forked == resumed == total - index
 
     def test_fork_shares_no_run_state(self, vit_resnet_plan):
-        """Forks share the anchor's chains and tasks, so no probe run may
-        write to a task: an anchor and bounded and checkpointed forks at
-        every checkpoint leave each task as built and the anchor's
-        checkpoints as they were."""
+        """Forks and resumed runs share the anchor's chains and tasks, so
+        no probe run may write to a task: an anchor and bounded,
+        checkpointed and resumed runs from every checkpoint, with and
+        without a re-filed first position, leave each task as built and
+        the anchor's checkpoints, ready sets and started times as they
+        were."""
         plan = vit_resnet_plan
         chains = plan_to_chains(plan)
         tasks = [task for chain in chains for task in chain]
@@ -1015,9 +1045,21 @@ class TestProbes:
         anchor = _probe_engine(plan.soc, chains)
         anchor.run_checkpointed()
         frozen = _trajectory(anchor.checkpoints, id)
-        for index in range(1, len(anchor.checkpoints)):
+        head = chains[1][0].proc.name
+        moved = [
+            chain
+            for chain in (plan_to_chains(trial)[1] for trial in _neighbours(plan, 1))
+            if chain[0].proc.name != head
+        ]
+        assert moved  # a neighbour with request 1's first stage moved
+        tails = {1: (0, moved[0])}
+        for index in range(len(anchor.checkpoints)):
             anchor.fork(index, {}).run_bounded_ms()
             anchor.fork(index, {}).run_checkpointed()
+            anchor.resume_bounded_ms(index, {})
+            if not anchor.checkpoints[index].next_idx[1]:
+                anchor.fork(index, tails).run_checkpointed()
+                anchor.resume_bounded_ms(index, tails)
         assert [(task.remaining_ms, task.start_ms) for task in tasks] == built
         assert _trajectory(anchor.checkpoints, id) == frozen
 
@@ -1053,6 +1095,8 @@ class TestProbes:
             engine().run_bounded_ms(1.0)
         with pytest.raises(ValueError, match="run_checkpointed"):
             engine().fork(1, {})
+        with pytest.raises(ValueError, match="run_checkpointed"):
+            engine().resume_bounded_ms(0, {})
 
     @pytest.mark.parametrize("schedule", ["cancellation", "preemption"])
     def test_probe_runs_reject_scheduled_events(self, vit_resnet_plan, schedule):
@@ -1066,11 +1110,15 @@ class TestProbes:
         anchor = _probe_engine(plan.soc, plan_to_chains(plan))
         anchor.run_checkpointed()
         last = len(anchor.checkpoints) - 1
-        for index in (0, last + 1):
-            with pytest.raises(ValueError, match="out of range"):
+        for index in (-1, last + 1):
+            with pytest.raises(ValueError, match=r"out of range \[0, "):
                 anchor.fork(index, {})
+            with pytest.raises(ValueError, match="out of range"):
+                anchor.resume_bounded_ms(index, {})
         with pytest.raises(ValueError, match="started before"):
             anchor.fork(last, {0: (0, [])})
+        with pytest.raises(ValueError, match="started before"):
+            anchor.resume_bounded_ms(last, {0: (0, [])})
 
 
 class TestOfflineSweep:

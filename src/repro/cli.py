@@ -77,6 +77,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -97,6 +98,10 @@ from .runtime.executor import (
 )
 from .workloads.generator import arrival_times_ms
 
+#: The flags (and ``export-model``'s positional ``path``) that name a file
+#: a verb writes; ``--baseline`` is one too under ``--update-baseline``.
+_OUTPUT_PATHS = ("out", "jsonl", "trace", "speedscope", "collapsed", "path")
+
 
 def _resolve_inputs(args: argparse.Namespace) -> None:
     """Validate the raw flags and turn them into objects, in place.
@@ -105,7 +110,8 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
     resolved inputs: ``args.soc`` is a ``SocSpec``, ``args.models`` a
     non-empty list of models, and the arrival process, SLO classes and
     burn windows, what-ifs, perturbation factors and calibration targets
-    are parsed.  Only flags the verb declares are touched.
+    are parsed, and every output path is checked to be writable.  Only
+    flags the verb declares are touched.
 
     Raises:
         ValueError / KeyError: with a one-line message on malformed input.
@@ -115,6 +121,12 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
     for name, value in vars(args).items():
         if value == [] and name != "paths":
             raise ValueError(f"--{name.replace('_', '-')} needs a value")
+    for name in _OUTPUT_PATHS:
+        path = getattr(args, name, None)
+        if path is not None:
+            _check_output_path("PATH" if name == "path" else f"--{name}", path)
+    if getattr(args, "update_baseline", False) and args.baseline is not None:
+        _check_output_path("--baseline", args.baseline)
     if hasattr(args, "experiment") and args.experiment not in ALL_EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {args.experiment!r}; "
@@ -194,6 +206,24 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
         raise ValueError("--trace requires a plan run (omit --stream)")
     if hasattr(args, "targets"):
         args.calibration_targets = _load_targets(args.targets, args.soc)
+
+
+def _check_output_path(label: str, path: str) -> None:
+    """Reject an output path the verb could not write, before any work.
+
+    Raises:
+        ValueError: on an empty path, a directory, or a parent that is
+            not an existing, writable directory.
+    """
+    if not path:
+        raise ValueError(f"{label} needs a path")
+    if os.path.isdir(path):
+        raise ValueError(f"{label} {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{label} {path!r}: directory {parent!r} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"{label} {path!r}: directory {parent!r} is not writable")
 
 
 def _load_targets(path: str, soc: SocSpec) -> List[CalibrationTarget]:

@@ -153,7 +153,7 @@ def plan_fingerprint(
 class LowerBound(NamedTuple):
     """A pruned probe's cache entry: its run provably reached ``cutoff_ms``.
 
-    See :meth:`~repro.runtime.engine.DiscreteEventEngine.run_bounded_ms`;
+    See :meth:`~repro.runtime.engine.ProbeRun.bounded_ms`;
     the entry answers any later probe whose own cutoff is no higher.
     """
 
@@ -177,8 +177,9 @@ class ObjectiveCache:
     planner/profiler pair: profiles are keyed by model name, so a cache
     must never outlive the profiler whose costs it memoized.
 
-    A miss is cheaper than a full execution: the probe runs the engine
-    with causality tracking off and builds its chains from the
+    A miss is cheaper than a full execution: the probe is a
+    :class:`~repro.runtime.engine.ProbeRun`, which builds no engine and
+    steps only what a makespan reads, over chains built from the
     profiles' memoized slice tasks, whose workloads carry their
     contention inputs precomputed (see
     :func:`~repro.runtime.executor.async_makespan_ms`).
@@ -256,7 +257,7 @@ class ObjectiveCache:
         """Checkpoint one simulation of ``plan`` for its neighbours' probes.
 
         A no-op when ``plan`` is the current anchor.  A new anchor that
-        neighbours the old one forks from it.  The anchor run counts as
+        neighbours the old one resumes from it.  The anchor run counts as
         an ``objective_evaluations`` simulation but not as a probe.
         """
         key = plan_fingerprint(plan, with_contention)

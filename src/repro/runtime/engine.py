@@ -52,59 +52,10 @@ an O(requests) re-routing sweep only on the steps where a chain head
 can sit on an offline slot: after a fault edge, or after a start or a
 preemption leaves a head on a slot that is already offline.
 
-**Probes: bounded runs, checkpoints and forks.**  The planner's
-objective asks only "what is this plan's makespan, and does it beat the
-incumbent?", so probe-style engines (closed loop, contention only: no
-memory enforcement, arrivals, deadlines, faults, scheduled
-cancellations or preemptions, causality, trace or event log) offer
-cheaper ways to answer it.  Every probe run steps one loop that
-advances only what the makespan and the bound read: the ready sets,
-``next_idx`` and ``prev_done``, each running slice's remaining solo
-time, ``now``, the completed and outstanding counts, and each slot's
-started solo time, all in locals.  Each step is
-:meth:`~DiscreteEventEngine._step`'s arithmetic in the same order,
-with the same ``engine_steps`` and ``slowdown_evaluations`` counts, so
-it returns the same makespan bit for bit.  It writes to no task (not
-``remaining_ms``, not ``start_ms``), keeps no task records, arenas,
-busy, finish or first-start times and emits no events, so
-:meth:`~DiscreteEventEngine.run`, :meth:`~DiscreteEventEngine.step`
-and :meth:`~DiscreteEventEngine.result` raise ``RuntimeError`` after a
-probe run and on a fork.
-
-* :meth:`DiscreteEventEngine.run_bounded_ms` stops as soon as the run
-  provably ends at or after ``stop_at_ms`` and returns ``inf``.  The
-  bound is ``now + max over slots of (remaining solo time of the
-  running slice + solo_ms of the slot's unstarted slices)``: every rate
-  factor ``1 + slowdown`` is >= 1 and a slot runs one slice at a time.
-  A slot's unstarted work is its total solo time over the chains less
-  the solo time started so far, so the bound walks no task.  A
-  departure fires at a remaining time ``<= 10 * _EPS``, so the bound
-  gives back ``10 * _EPS`` per outstanding task plus
-  ``PRUNE_MARGIN_MS``, which also absorbs the rounding of the caller's
-  threshold.
-* :meth:`DiscreteEventEngine.run_checkpointed` runs to completion and
-  keeps a :class:`Checkpoint` of the loop's state before every step.
-* :meth:`DiscreteEventEngine.fork` builds an engine whose probe runs
-  start from one checkpoint, optionally with some requests' chains
-  replaced from a position on, and
-  :meth:`DiscreteEventEngine.resume_bounded_ms` runs such a fork
-  bounded without building it.  Both share every other chain and task
-  with the checkpointed engine and re-run no ``__init__``; the per-slot
-  totals move by the replaced tasks' solo times.  The resumed run is
-  exact when nothing read the replaced tasks before that checkpoint.
-  Ready sets hold request ids and FIFO picks by id, so a chain position
-  is first read when it *starts* (same processor) or, when its
-  processor changes or the stage appears or vanishes, when it is
-  *exposed* (its predecessor departs).  :class:`Checkpoint` progress
-  codes locate both steps.  Checkpoint 0 always serves: a first
-  position is exposed there but not yet read, and a request whose
-  exposed head moves to another processor is re-filed under that
-  processor's ready set, which is a new engine's initial state.  A
-  fork that runs checkpointed inherits its parent's checkpoints before
-  the fork point; they hold only started work, which the fork shares.
-
-All of them raise ``ValueError`` on an engine built with any of the
-options listed above.
+**Probes.**  The planner's objective simulates thousands of candidate
+plans and reads only their makespans.  Those runs are
+:class:`ProbeRun` objects, not engines: a probe run steps the engine's
+arithmetic over only the state a makespan reads (see its docstring).
 
 **Equivalence guarantee.**  For the legacy feature set (closed-loop or
 listed arrivals, contention, memory enforcement, fault injection — no
@@ -182,7 +133,7 @@ _DEPARTURE_MS = _EPS * 10
 
 #: Slack a bounded run gives its lower bound on top of ``_DEPARTURE_MS`` per
 #: outstanding task: float rounding of the step arithmetic and of the
-#: caller's threshold (see "Probes" above).
+#: caller's threshold (see :class:`ProbeRun`).
 PRUNE_MARGIN_MS = 1e-6
 
 #: MNN-style runtime arenas (weight buffers, pre-allocated tensor pools,
@@ -243,7 +194,7 @@ class ChainTask:
 
 
 class Checkpoint(NamedTuple):
-    """The probe loop's state after some number of steps.
+    """A :class:`ProbeRun`'s state after some number of steps.
 
     ``running`` holds, per slot, the running task with its remaining
     solo time, or None; the loop keeps that time itself and never
@@ -467,15 +418,46 @@ def _count_work(steps: int, evaluations: int) -> None:
         obs.add("slowdown_evaluations", evaluations)
 
 
+def _check_chains(
+    soc: SocSpec,
+    chains: Sequence[Sequence[ChainTask]],
+    slot: Mapping[str, int],
+    capacity: float = math.inf,
+) -> None:
+    """Reject chains an engine or probe run cannot simulate.
+
+    Raises:
+        ValueError: on a task whose ``request`` differs from its
+            chain's position or whose processor is not in ``slot``.
+        MemoryError: on a slice whose working set alone exceeds
+            ``capacity``.
+    """
+    for i, chain in enumerate(chains):
+        for task in chain:
+            if task.request != i:
+                raise ValueError(
+                    f"chain {i} holds a task of request {task.request}: "
+                    "task ids must equal their chain's position"
+                )
+            if task.proc.name not in slot:
+                raise ValueError(
+                    f"task processor {task.proc.name!r} not on "
+                    f"SoC {soc.name!r}"
+                )
+            if task.working_set > capacity:
+                raise MemoryError(
+                    f"slice of request {task.request} needs "
+                    f"{task.working_set / 1e6:.0f} MB alone; capacity "
+                    f"is {capacity / 1e6:.0f} MB"
+                )
+
+
 class DiscreteEventEngine:
     """Event-heap simulation of per-request task chains on one SoC.
 
     The engine is single-use: construct, optionally schedule
     cancellations/preemptions, then :meth:`run` (or drive it
-    incrementally with :meth:`step`).  A
-    probe-style engine can instead :meth:`run_bounded_ms` or
-    :meth:`run_checkpointed`, and a checkpointed one can :meth:`fork`
-    or :meth:`resume_bounded_ms` (see "Probes" in the module docstring).  The
+    incrementally with :meth:`step`).  The
     executor entry points (:func:`~repro.runtime.executor.simulate_chains`,
     :func:`~repro.runtime.executor.execute_plan`) forward their engine
     options here, so this is where every option is documented.
@@ -502,13 +484,13 @@ class DiscreteEventEngine:
             ``"deadline"``), releasing its pending work.  ``inf`` means
             no deadline.
         record: Feed the observability recorder (span + execution
-            metrics).  The planner's objective re-simulates candidate
-            plans hundreds of times per plan; those probes pass False so
-            ``tasks_executed`` and the ``execute`` span describe only
-            real executions.
+            metrics).  Simulations that are not executions (the
+            streaming planner's accuracy prediction, what-if
+            counterfactuals) pass False so ``tasks_executed`` and the
+            ``execute`` span describe only real executions.
         keep_events: Keep the processed-event log on the result
-            (off by default — objective probes run thousands of
-            simulations and must not accumulate event objects).
+            (off by default: most runs never read it and must not
+            accumulate event objects).
         track_causality: Record per-task
             :class:`~repro.obs.causality.TaskCausality` rows and the
             co-run inflation matrix, the blame layer's input (on by
@@ -525,8 +507,7 @@ class DiscreteEventEngine:
         RuntimeError: from :meth:`run` / :meth:`step` if the simulation
             wedges — for valid fault-free inputs this cannot happen;
             with faults it signals that a task has no online processor
-            able to run it.  From :meth:`run` / :meth:`step` /
-            :meth:`result` on a fork or after a probe run.
+            able to run it.
     """
 
     def __init__(
@@ -576,27 +557,11 @@ class DiscreteEventEngine:
                 )
             self._offline_at[self._slot[proc_name]] = t_ms
         self._deadline_ms = self._resolve_deadlines(deadline_ms)
-        self._closed_loop = arrivals is None
 
         capacity = soc.memory_capacity_bytes
-        for i, chain in enumerate(self._chains):
-            for task in chain:
-                if task.request != i:
-                    raise ValueError(
-                        f"chain {i} holds a task of request {task.request}: "
-                        "task ids must equal their chain's position"
-                    )
-                if task.proc.name not in self._slot:
-                    raise ValueError(
-                        f"task processor {task.proc.name!r} not on "
-                        f"SoC {soc.name!r}"
-                    )
-                if enforce_memory and task.working_set > capacity:
-                    raise MemoryError(
-                        f"slice of request {task.request} needs "
-                        f"{task.working_set / 1e6:.0f} MB alone; capacity "
-                        f"is {capacity / 1e6:.0f} MB"
-                    )
+        _check_chains(
+            soc, self._chains, self._slot, capacity if enforce_memory else math.inf
+        )
         self._capacity = capacity
         self._governor = MemoryGovernor(soc)
 
@@ -633,19 +598,6 @@ class DiscreteEventEngine:
         # -inf): the re-routing sweep runs from this time.
         self._sweep_at_ms = min(self._offline_at)
         self._any_offline = False
-        # Probe-style runs: options checked, cancellations or
-        # preemptions scheduled, and whether this engine is a fork or
-        # ran a probe (then it has no bookkeeping to run or report).
-        self._probe_checked = False
-        self._scheduled = False
-        self._probed = False
-        self._checkpoints: Optional[List[Checkpoint]] = None
-        # Per slot: the solo time of every task of the chains (filled
-        # when a probe run starts, or by fork).
-        self._slot_ms: List[float] = []
-        # A fork's inherited checkpoints (its parent's before the fork
-        # point) and the state its probe run starts from.
-        self._fork_of: Optional[Tuple[List[Checkpoint], Checkpoint]] = None
 
         self._tracker = CausalityTracker() if track_causality else None
 
@@ -718,8 +670,6 @@ class DiscreteEventEngine:
         its arrival: the request is withdrawn with zero latency.
         """
         self._check_request(request)
-        self._scheduled = True
-        self._probe_checked = False
         self._push(at_ms, CANCELLATION, (request, "user"))
 
     def schedule_preemption(self, request: int, at_ms: float) -> None:
@@ -730,8 +680,6 @@ class DiscreteEventEngine:
         no-op when the request has nothing running at that time.
         """
         self._check_request(request)
-        self._scheduled = True
-        self._probe_checked = False
         self._push(at_ms, PREEMPTION, request)
 
     def _next_event_time_ms(self) -> Optional[float]:
@@ -744,43 +692,8 @@ class DiscreteEventEngine:
                 f"request {request} out of range [0, {self._n})"
             )
 
-    def _require_probe(self, what: str) -> None:
-        """Raise unless this engine may bound, checkpoint or fork."""
-        if self._finished_run:
-            raise RuntimeError("engine instances are single-use")
-        if self._probe_checked:
-            return
-        breakers = [
-            name
-            for name, used in (
-                ("memory enforcement", self._enforce_memory),
-                ("arrivals", not self._closed_loop),
-                ("deadlines", any(d is not None for d in self._deadline_ms)),
-                ("faults", any(t < math.inf for t in self._offline_at)),
-                ("causality", self._tracker is not None),
-                ("trace", self._trace_enabled),
-                ("keep_events", self._keep_events),
-                ("scheduled cancellations or preemptions", self._scheduled),
-            )
-            if used
-        ]
-        if breakers:
-            raise ValueError(
-                f"{what} needs a probe-style engine; this one has "
-                f"{', '.join(breakers)}"
-            )
-        self._probe_checked = True
-
-    def _require_bookkeeping(self, what: str) -> None:
-        if self._probed:
-            raise RuntimeError(
-                f"{what} on a fork or after a probe run: probe runs step "
-                "only the state a makespan reads"
-            )
-
     def run(self) -> ExecutionResult:
         """Run the simulation to completion and build the result."""
-        self._require_bookkeeping("run()")
         if self._finished_run:
             raise RuntimeError("engine instances are single-use")
         # The span covers exactly the event loop's wall time; the
@@ -815,326 +728,8 @@ class DiscreteEventEngine:
                     obs.observe("slice_slowdown", rec.slowdown)
         return self.result()
 
-    def run_bounded_ms(self, stop_at_ms: float = math.inf) -> float:
-        """The run's makespan, or ``inf`` once it provably reaches ``stop_at_ms``.
-
-        Before every step it checks the lower bound described under
-        "Probes" in the module docstring; when the bound minus its
-        margin reaches ``stop_at_ms`` the run stops and returns ``inf``,
-        so a caller that keeps only makespans below ``stop_at_ms``
-        decides exactly as it would on the full run.  ``inf`` never
-        stops.
-
-        Raises:
-            ValueError: on an engine that is not probe-style.
-            RuntimeError: on an engine that already ran.
-        """
-        self._require_probe("a bounded run")
-        return self._probe_run(stop_at_ms, None)
-
-    def run_checkpointed(self) -> float:
-        """Run to completion keeping a :class:`Checkpoint` before every step.
-
-        ``checkpoints[j]`` is the state after ``j`` steps; the last one
-        is the finished run.  A fork that runs checkpointed inherits
-        its parent's checkpoints before the fork point.
-
-        Returns:
-            The makespan.
-
-        Raises:
-            ValueError: on an engine that is not probe-style.
-            RuntimeError: on an engine that already ran.
-        """
-        self._require_probe("checkpointing")
-        checkpoints: List[Checkpoint] = []
-        if self._fork_of is not None:
-            checkpoints = self._fork_of[0]
-        self._checkpoints = checkpoints
-        return self._probe_run(math.inf, checkpoints)
-
-    def resume_bounded_ms(
-        self,
-        index: int,
-        tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
-        stop_at_ms: float = math.inf,
-    ) -> float:
-        """``fork(index, tails).run_bounded_ms(stop_at_ms)``, with no fork built.
-
-        The run reads this engine's checkpoints, chains and tasks and
-        writes to none of them, so one checkpointed engine answers any
-        number of resumed probes.
-
-        Raises:
-            ValueError: as :meth:`fork`.
-        """
-        start, chains, slot_ms = self._resume(index, tails)
-        return self._probe_loop(start, index, chains, slot_ms, stop_at_ms, None)[0]
-
-    def _probe_run(
-        self, stop_at_ms: float, checkpoints: Optional[List[Checkpoint]]
-    ) -> float:
-        """This engine's probe run: from its fork's state, or from t=0."""
-        self._probed = True
-        self._finished_run = True
-        if self._fork_of is None:
-            if self._heap:
-                self._pop_due_events()  # the closed loop's t=0 arrivals
-            slot_ms = [0.0 for _ in self._procs]
-            for chain in self._chains:
-                for task in chain:
-                    slot_ms[self._slot[task.proc.name]] += task.solo_ms
-            self._slot_ms = slot_ms
-            index = 0
-            start = Checkpoint(
-                self._now,
-                self._next_idx,
-                self._prev_done,
-                (None,) * len(self._procs),
-                0,
-                self._ready,
-                [0.0 for _ in self._procs],
-            )
-        else:
-            inherited, start = self._fork_of
-            index = len(inherited)
-            self._fork_of = None  # hold no anchor's checkpoints alive
-        makespan_ms, self._steps = self._probe_loop(
-            start, index, self._chains, self._slot_ms, stop_at_ms, checkpoints
-        )
-        return makespan_ms
-
-    def _probe_loop(
-        self,
-        start: Checkpoint,
-        steps: int,
-        chains: Sequence[Sequence[ChainTask]],
-        slot_ms: Sequence[float],
-        stop_at_ms: float,
-        checkpoints: Optional[List[Checkpoint]],
-    ) -> Tuple[float, int]:
-        """The loop of every probe run.
-
-        It steps :meth:`_step`'s arithmetic over ``chains`` from
-        ``start``, the state after ``steps`` steps, on only the state a
-        makespan and the bound read, all of it in locals; ``slot_ms`` is
-        each slot's total solo time over ``chains``.  With
-        ``checkpoints`` it appends a :class:`Checkpoint` before every
-        step and after the last.
-
-        Returns:
-            The makespan (``inf`` when the bound stopped the run) and
-            the step count it ended at.
-        """
-        soc = self._soc
-        contention = self._with_contention
-        slot_of = self._slot
-        now = start.now_ms
-        next_idx = start.next_idx[:]
-        prev_done = start.prev_done[:]
-        ready = [set(slot_ready) for slot_ready in start.ready]
-        # Per slot: the running task and its remaining solo time (0.0
-        # on an idle slot), and the solo time of the started tasks.
-        running = [None if entry is None else entry[0] for entry in start.running]
-        left_ms = [0.0 if entry is None else entry[1] for entry in start.running]
-        started_ms = start.started_ms[:]
-        slots = range(len(running))
-        completed = start.completed
-        outstanding = sum(map(len, chains)) - completed
-        bounded = stop_at_ms < math.inf
-        base = steps
-        evaluations = 0
-        makespan_ms = math.inf
-        while True:
-            if checkpoints is not None:
-                checkpoints.append(
-                    Checkpoint(
-                        now,
-                        next_idx[:],
-                        prev_done[:],
-                        tuple(
-                            None if task is None else (task, task_ms)
-                            for task, task_ms in zip(running, left_ms)
-                        ),
-                        completed,
-                        [set(slot_ready) for slot_ready in ready],
-                        started_ms[:],
-                    )
-                )
-            if outstanding <= 0:
-                makespan_ms = now
-                break
-            if bounded:
-                # The bound of "Probes", less its margin.
-                work_ms = 0.0
-                for total_ms, done_ms, task_ms in zip(slot_ms, started_ms, left_ms):
-                    task_ms += total_ms - done_ms
-                    if task_ms > work_ms:
-                        work_ms = task_ms
-                slack_ms = PRUNE_MARGIN_MS + _DEPARTURE_MS * outstanding
-                if now + work_ms - slack_ms >= stop_at_ms:
-                    break
-            steps += 1
-            # _try_start with no memory gate and no offline slot.  A
-            # probe run preempts nothing, so every ready head is unstarted.
-            for k in slots:
-                slot_ready = ready[k]
-                if running[k] is None and slot_ready:
-                    request = min(slot_ready)
-                    slot_ready.remove(request)
-                    idx = next_idx[request]
-                    task = chains[request][idx]
-                    running[k] = task
-                    left_ms[k] = task.remaining_ms
-                    started_ms[k] += task.solo_ms
-                    next_idx[request] = idx + 1
-                    prev_done[request] = False
-            tasks = [task for task in running if task is not None]
-            if not tasks:
-                raise RuntimeError(
-                    "simulation wedged: no running task and no pending event"
-                )
-            active = [k for k in slots if running[k] is not None]
-            # _step's rates and step to the earliest departure.
-            rates: List[float] = []
-            dt = math.inf
-            for k, task in zip(active, tasks):
-                slowdown = 0.0
-                if contention and task.workload is not None:
-                    others = [
-                        t.workload
-                        for t in tasks
-                        if t is not task and t.workload is not None
-                    ]
-                    slowdown = slowdown_fraction(soc, task.workload, others)
-                    evaluations += 1
-                rate = 1.0 + slowdown
-                rates.append(rate)
-                task_dt = left_ms[k] * rate
-                if task_dt < dt:  # min() and max() without the calls
-                    dt = task_dt
-            if dt < _EPS:
-                dt = _EPS
-            for k, rate in zip(active, rates):
-                left_ms[k] -= dt / rate
-            now += dt
-            for k, task in zip(active, tasks):
-                if left_ms[k] <= _DEPARTURE_MS:
-                    request = task.request
-                    running[k] = None
-                    left_ms[k] = 0.0
-                    prev_done[request] = True
-                    completed += 1
-                    outstanding -= 1
-                    chain = chains[request]
-                    idx = next_idx[request]
-                    if idx < len(chain):
-                        ready[slot_of[chain[idx].proc.name]].add(request)
-        _count_work(steps - base, evaluations)
-        return makespan_ms, steps
-
-    @property
-    def checkpoints(self) -> Sequence[Checkpoint]:
-        """The checkpoints of :meth:`run_checkpointed` (empty before it)."""
-        return self._checkpoints or ()
-
-    def fork(
-        self,
-        index: int,
-        tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
-    ) -> "DiscreteEventEngine":
-        """A new engine whose probe runs start from ``checkpoints[index]``.
-
-        ``tails`` maps a request to ``(position, tasks)``: its chain
-        from ``position`` on is replaced by ``tasks`` (unstarted tasks
-        of that request).  A request whose replaced position is its
-        exposed head is re-filed under the ready set of its new head's
-        processor; at checkpoint 0 that is exactly a new engine's
-        initial state.  The fork simulates exactly what a new engine
-        over the replaced chains would, provided nothing read a
-        replaced position before the checkpoint — see "Probes" in the
-        module docstring for when that holds.  Every other chain and
-        task is shared with this engine: probe runs write to neither.
-        Only :meth:`run_bounded_ms` and :meth:`run_checkpointed` run a
-        fork; :meth:`resume_bounded_ms` runs one without building it.
-
-        Raises:
-            ValueError: when this engine has no checkpoints, ``index``
-                is not one of them, or a tail starts at a position that
-                has already started.
-        """
-        start, chains, slot_ms = self._resume(index, tails)
-        engine = DiscreteEventEngine.__new__(DiscreteEventEngine)
-        # Configuration and tasks are shared and read-only.  No copied
-        # run state is read: a probe run starts from the checkpoint,
-        # and ``_probed`` (set by this engine's checkpointed run) makes
-        # run(), step() and result() raise.
-        engine.__dict__.update(self.__dict__)
-        engine._chains = chains
-        engine._slot_ms = slot_ms
-        engine._finished_run = False
-        engine._checkpoints = None
-        engine._fork_of = (list(self.checkpoints[:index]), start)
-        return engine
-
-    def _resume(
-        self,
-        index: int,
-        tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
-    ) -> Tuple[Checkpoint, List[List[ChainTask]], List[float]]:
-        """The start state, chains and per-slot solo totals of a run
-        resumed from ``checkpoints[index]`` with ``tails`` (see
-        :meth:`fork`).  Only the tailed requests' chains, the totals
-        and, when a head is re-filed, the ready sets are new."""
-        checkpoints = self._checkpoints
-        if not checkpoints:
-            raise ValueError("fork needs a run_checkpointed() engine")
-        if not 0 <= index < len(checkpoints):
-            raise ValueError(
-                f"fork index {index} out of range [0, {len(checkpoints)})"
-            )
-        start = checkpoints[index]
-        chains = self._chains
-        slot_ms = self._slot_ms
-        if not tails:
-            return start, chains, slot_ms
-        chains = chains[:]
-        slot_ms = slot_ms[:]
-        slot_of = self._slot
-        ready = start.ready
-        for i, (position, tasks) in tails.items():
-            head = start.next_idx[i]
-            if position < head:
-                raise ValueError(
-                    f"request {i}: position {position} started before "
-                    f"checkpoint {index}"
-                )
-            old = chains[i]
-            new = old[:position]
-            new.extend(tasks)
-            chains[i] = new
-            for task in old[position:]:
-                slot_ms[slot_of[task.proc.name]] -= task.solo_ms
-            for task in tasks:
-                slot_ms[slot_of[task.proc.name]] += task.solo_ms
-            if position == head and start.prev_done[i]:
-                # The head is exposed: file it where a new engine would.
-                old_slot = slot_of[old[head].proc.name] if head < len(old) else None
-                new_slot = slot_of[new[head].proc.name] if head < len(new) else None
-                if old_slot != new_slot:
-                    if ready is start.ready:
-                        ready = [set(slot_ready) for slot_ready in ready]
-                    if old_slot is not None:
-                        ready[old_slot].discard(i)
-                    if new_slot is not None:
-                        ready[new_slot].add(i)
-        if ready is not start.ready:
-            start = start._replace(ready=ready)
-        return start, chains, slot_ms
-
     def step(self) -> bool:
         """Process one event window; False when the simulation is done."""
-        self._require_bookkeeping("step()")
         if self._outstanding <= 0:
             return False
         self._step()
@@ -1151,13 +746,7 @@ class DiscreteEventEngine:
         return self._events
 
     def result(self) -> ExecutionResult:
-        """Snapshot the (possibly still running) simulation state.
-
-        Raises:
-            RuntimeError: on a fork or after a probe run, which keep
-                none of the state a result reports.
-        """
-        self._require_bookkeeping("result()")
+        """Snapshot the (possibly still running) simulation state."""
         tracker = self._tracker
         return ExecutionResult(
             records=list(self._records),
@@ -1597,3 +1186,347 @@ class DiscreteEventEngine:
                 self._emit(DEPARTURE, request=task.request, processor=proc_name)
         if self._trace_enabled:
             self._record_trace()
+
+
+# ------------------------------------------------------------ probe runs
+
+
+class ProbeRun:
+    """A closed-loop, contention-only run that answers only its makespan.
+
+    The planner's objective asks only "what is this plan's makespan,
+    and does it beat the incumbent?", thousands of times per plan.  A
+    probe run answers that for the run :class:`DiscreteEventEngine`
+    makes of ``chains`` with every request arriving at t=0, no memory
+    enforcement, deadlines, faults, cancellations, preemptions,
+    causality, trace or event log.  Those options are not parameters
+    here, so no probe run can carry them.
+
+    Its loop advances only what the makespan and the bound read: the
+    ready sets, ``next_idx`` and ``prev_done``, each running slice's
+    remaining solo time, ``now``, the completed and outstanding counts,
+    and each slot's started solo time, all in locals.  Each step is
+    :meth:`DiscreteEventEngine._step`'s arithmetic in the same order,
+    with the same ``engine_steps`` and ``slowdown_evaluations`` counts,
+    so it returns the same makespan bit for bit.  It writes to no task
+    (not ``remaining_ms``, not ``start_ms``) and keeps no task records,
+    arenas, busy, finish or first-start times.  A run starts from a
+    :class:`Checkpoint`, copies it and never writes it, so any method
+    may be called any number of times.  Checkpoint 0 files each
+    request's first task under its processor's ready set at t=0, which
+    is the engine's state once the closed loop's arrivals have popped.
+
+    * :meth:`bounded_ms` stops as soon as the run provably ends at or
+      after ``stop_at_ms`` and returns ``inf``.  The bound is ``now +
+      max over slots of (remaining solo time of the running slice +
+      solo_ms of the slot's unstarted slices)``: every rate factor
+      ``1 + slowdown`` is >= 1 and a slot runs one slice at a time.  A
+      slot's unstarted work is its total solo time over the chains less
+      the solo time started so far, so the bound walks no task.  A
+      departure fires at a remaining time ``<= 10 * _EPS``, so the
+      bound gives back ``10 * _EPS`` per outstanding task plus
+      ``PRUNE_MARGIN_MS``, which also absorbs the rounding of the
+      caller's threshold.
+    * :meth:`checkpointed` runs to completion and keeps a
+      :class:`Checkpoint` of the loop's state before every step in
+      :attr:`checkpoints`.
+    * :meth:`resumed` is a run that starts from one of those
+      checkpoints, optionally with some requests' chains replaced from
+      a position on.  It shares every other chain and task with this
+      run; the per-slot totals move by the replaced tasks' solo times.
+      The resumed run is exact when nothing read the replaced tasks
+      before that checkpoint.  Ready sets hold request ids and FIFO
+      picks by id, so a chain position is first read when it *starts*
+      (same processor) or, when its processor changes or the stage
+      appears or vanishes, when it is *exposed* (its predecessor
+      departs).  :class:`Checkpoint` progress codes locate both steps.
+      Checkpoint 0 always serves: a first position is exposed there but
+      not yet read, and a request whose exposed head moves to another
+      processor is re-filed under that processor's ready set, which is
+      a new run's initial state.  A resumed run that runs checkpointed
+      inherits this run's checkpoints before its start; they hold only
+      started work, which the two runs share.
+
+    Args:
+        soc: The platform (contention coupling).
+        chains: One ordered task chain per request, as for the engine.
+        with_contention: Apply dynamic co-execution slowdown.
+
+    Raises:
+        ValueError: on a task whose ``request`` differs from its chain's
+            position or whose processor is not part of the SoC.
+    """
+
+    __slots__ = (
+        "_soc",
+        "_with_contention",
+        "_slot",
+        "_chains",
+        "_slot_ms",
+        "_start",
+        "_steps",
+        "_inherited",
+        "checkpoints",
+    )
+
+    def __init__(
+        self,
+        soc: SocSpec,
+        chains: Sequence[Sequence[ChainTask]],
+        with_contention: bool = True,
+    ) -> None:
+        procs = soc.processors
+        slot = {p.name: k for k, p in enumerate(procs)}
+        self._chains = [list(chain) for chain in chains]
+        _check_chains(soc, self._chains, slot)
+        slot_ms = [0.0 for _ in procs]
+        ready: List[Set[int]] = [set() for _ in procs]
+        for i, chain in enumerate(self._chains):
+            for task in chain:
+                slot_ms[slot[task.proc.name]] += task.solo_ms
+            if chain:
+                ready[slot[chain[0].proc.name]].add(i)
+        n = len(self._chains)
+        self._soc = soc
+        self._with_contention = with_contention
+        self._slot = slot
+        # Per slot: the solo time of every task of the chains.
+        self._slot_ms = slot_ms
+        self._start = Checkpoint(
+            0.0, [0] * n, [True] * n, (None,) * len(procs), 0, ready, [0.0] * len(procs)
+        )
+        # The run starts after ``_steps`` steps; a checkpointed run
+        # keeps ``_inherited[:_steps]`` as its first checkpoints.
+        self._steps = 0
+        self._inherited: Sequence[Checkpoint] = ()
+        #: The checkpoints of :meth:`checkpointed` (empty before it).
+        self.checkpoints: List[Checkpoint] = []
+
+    def bounded_ms(self, stop_at_ms: float = math.inf) -> float:
+        """The run's makespan, or ``inf`` once it provably reaches ``stop_at_ms``.
+
+        Before every step it checks the lower bound described above;
+        when the bound minus its margin reaches ``stop_at_ms`` the run
+        stops and returns ``inf``, so a caller that keeps only makespans
+        below ``stop_at_ms`` decides exactly as it would on the full
+        run.  ``inf`` never stops.
+        """
+        return self._loop(stop_at_ms, None)
+
+    def checkpointed(self) -> float:
+        """Run to completion keeping a :class:`Checkpoint` before every step.
+
+        ``checkpoints[j]`` is the state after ``j`` steps; the last one
+        is the finished run.  A resumed run's first checkpoints are the
+        ones it inherited.
+
+        Returns:
+            The makespan.
+        """
+        checkpoints = list(self._inherited[: self._steps])
+        makespan_ms = self._loop(math.inf, checkpoints)
+        self.checkpoints = checkpoints
+        self._inherited = checkpoints  # hold no parent's checkpoints alive
+        return makespan_ms
+
+    def resumed(
+        self,
+        index: int,
+        tails: Mapping[int, Tuple[int, Sequence[ChainTask]]],
+    ) -> "ProbeRun":
+        """The run from ``checkpoints[index]`` with some chains' tails replaced.
+
+        ``tails`` maps a request to ``(position, tasks)``: its chain
+        from ``position`` on is replaced by ``tasks`` (unstarted tasks
+        of that request).  A request whose replaced position is its
+        exposed head is re-filed under the ready set of its new head's
+        processor.  The new run simulates exactly what a fresh run over
+        the replaced chains would, provided nothing read a replaced
+        position before the checkpoint (see above for when that holds).
+        Only the tailed requests' chains, the per-slot totals and, when
+        a head is re-filed, the ready sets are new; everything else is
+        shared, and neither run writes to it.
+
+        Raises:
+            ValueError: when this run has no checkpoints, ``index`` is
+                not one of them, or a tail starts at a position that
+                has already started.
+        """
+        checkpoints = self.checkpoints
+        if not checkpoints:
+            raise ValueError("resumed() needs a checkpointed() run")
+        if not 0 <= index < len(checkpoints):
+            raise ValueError(
+                f"checkpoint index {index} out of range [0, {len(checkpoints)})"
+            )
+        start = checkpoints[index]
+        chains = self._chains
+        slot_ms = self._slot_ms
+        if tails:
+            chains = chains[:]
+            slot_ms = slot_ms[:]
+            slot_of = self._slot
+            ready = start.ready
+            for i, (position, tasks) in tails.items():
+                head = start.next_idx[i]
+                if position < head:
+                    raise ValueError(
+                        f"request {i}: position {position} started before "
+                        f"checkpoint {index}"
+                    )
+                old = chains[i]
+                new = old[:position]
+                new.extend(tasks)
+                chains[i] = new
+                for task in old[position:]:
+                    slot_ms[slot_of[task.proc.name]] -= task.solo_ms
+                for task in tasks:
+                    slot_ms[slot_of[task.proc.name]] += task.solo_ms
+                if position == head and start.prev_done[i]:
+                    # The head is exposed: file it where a new run would.
+                    old_slot = slot_of[old[head].proc.name] if head < len(old) else None
+                    new_slot = slot_of[new[head].proc.name] if head < len(new) else None
+                    if old_slot != new_slot:
+                        if ready is start.ready:
+                            ready = [set(slot_ready) for slot_ready in ready]
+                        if old_slot is not None:
+                            ready[old_slot].discard(i)
+                        if new_slot is not None:
+                            ready[new_slot].add(i)
+            if ready is not start.ready:
+                start = start._replace(ready=ready)
+        run = ProbeRun.__new__(ProbeRun)
+        run._soc = self._soc
+        run._with_contention = self._with_contention
+        run._slot = self._slot
+        run._chains = chains
+        run._slot_ms = slot_ms
+        run._start = start
+        run._steps = index
+        run._inherited = checkpoints
+        run.checkpoints = []
+        return run
+
+    def _loop(
+        self, stop_at_ms: float, checkpoints: Optional[List[Checkpoint]]
+    ) -> float:
+        """The loop of every probe run.
+
+        It steps :meth:`DiscreteEventEngine._step`'s arithmetic over the
+        run's chains from its start checkpoint, on only the state a
+        makespan and the bound read, all of it in locals.  With
+        ``checkpoints`` it appends a :class:`Checkpoint` before every
+        step and after the last.
+
+        Returns:
+            The makespan, or ``inf`` when the bound stopped the run.
+        """
+        soc = self._soc
+        contention = self._with_contention
+        slot_of = self._slot
+        chains = self._chains
+        slot_ms = self._slot_ms
+        start = self._start
+        now = start.now_ms
+        next_idx = start.next_idx[:]
+        prev_done = start.prev_done[:]
+        ready = [set(slot_ready) for slot_ready in start.ready]
+        # Per slot: the running task and its remaining solo time (0.0
+        # on an idle slot), and the solo time of the started tasks.
+        running = [None if entry is None else entry[0] for entry in start.running]
+        left_ms = [0.0 if entry is None else entry[1] for entry in start.running]
+        started_ms = start.started_ms[:]
+        slots = range(len(running))
+        completed = start.completed
+        outstanding = sum(map(len, chains)) - completed
+        bounded = stop_at_ms < math.inf
+        steps = 0
+        evaluations = 0
+        makespan_ms = math.inf
+        while True:
+            if checkpoints is not None:
+                checkpoints.append(
+                    Checkpoint(
+                        now,
+                        next_idx[:],
+                        prev_done[:],
+                        tuple(
+                            None if task is None else (task, task_ms)
+                            for task, task_ms in zip(running, left_ms)
+                        ),
+                        completed,
+                        [set(slot_ready) for slot_ready in ready],
+                        started_ms[:],
+                    )
+                )
+            if outstanding <= 0:
+                makespan_ms = now
+                break
+            if bounded:
+                # The bound of the class docstring, less its margin.
+                work_ms = 0.0
+                for total_ms, done_ms, task_ms in zip(slot_ms, started_ms, left_ms):
+                    task_ms += total_ms - done_ms
+                    if task_ms > work_ms:
+                        work_ms = task_ms
+                slack_ms = PRUNE_MARGIN_MS + _DEPARTURE_MS * outstanding
+                if now + work_ms - slack_ms >= stop_at_ms:
+                    break
+            steps += 1
+            # _try_start with no memory gate and no offline slot.  A
+            # probe run preempts nothing, so every ready head is unstarted.
+            for k in slots:
+                slot_ready = ready[k]
+                if running[k] is None and slot_ready:
+                    request = min(slot_ready)
+                    slot_ready.remove(request)
+                    idx = next_idx[request]
+                    task = chains[request][idx]
+                    running[k] = task
+                    left_ms[k] = task.remaining_ms
+                    started_ms[k] += task.solo_ms
+                    next_idx[request] = idx + 1
+                    prev_done[request] = False
+            tasks = [task for task in running if task is not None]
+            if not tasks:
+                raise RuntimeError(
+                    "simulation wedged: no running task and no pending event"
+                )
+            active = [k for k in slots if running[k] is not None]
+            # _step's rates and step to the earliest departure.
+            rates: List[float] = []
+            dt = math.inf
+            for k, task in zip(active, tasks):
+                slowdown = 0.0
+                if contention and task.workload is not None:
+                    others = [
+                        t.workload
+                        for t in tasks
+                        if t is not task and t.workload is not None
+                    ]
+                    slowdown = slowdown_fraction(soc, task.workload, others)
+                    evaluations += 1
+                rate = 1.0 + slowdown
+                rates.append(rate)
+                task_dt = left_ms[k] * rate
+                if task_dt < dt:  # min() and max() without the calls
+                    dt = task_dt
+            if dt < _EPS:
+                dt = _EPS
+            for k, rate in zip(active, rates):
+                left_ms[k] -= dt / rate
+            now += dt
+            for k, task in zip(active, tasks):
+                if left_ms[k] <= _DEPARTURE_MS:
+                    request = task.request
+                    running[k] = None
+                    left_ms[k] = 0.0
+                    prev_done[request] = True
+                    completed += 1
+                    outstanding -= 1
+                    chain = chains[request]
+                    idx = next_idx[request]
+                    if idx < len(chain):
+                        ready[slot_of[chain[idx].proc.name]].add(request)
+        _count_work(steps, evaluations)
+        return makespan_ms

@@ -57,6 +57,7 @@ from .engine import (  # noqa: F401  (re-exported: the historical home)
     DiscreteEventEngine,
     Event,
     ExecutionResult,
+    ProbeRun,
     TaskRecord,
     TracePoint,
 )
@@ -199,18 +200,6 @@ def _probe_tail(
 # ------------------------------------------------------ objective probes
 
 
-def _probe_engine(plan: "PipelinePlan", with_contention: bool) -> DiscreteEventEngine:
-    """A fresh engine over ``plan``, configured the way objective probes run."""
-    return DiscreteEventEngine(
-        plan.soc,
-        plan_to_chains(plan),
-        with_contention=with_contention,
-        enforce_memory=False,
-        record=False,
-        track_causality=False,
-    )
-
-
 def _counted(makespan_ms: float, resumed: bool = False) -> float:
     """Count one objective simulation that returned ``makespan_ms``."""
     obs.add("objective_evaluations")
@@ -238,13 +227,11 @@ def async_makespan_ms(
     enforcement on).
 
     Each call is a full silent re-simulation (``objective_evaluations``
-    counts them) that pays only for the makespan it returns: the engine
-    runs with causality tracking off (nothing reads the blame rows of a
-    probe) and builds no result
-    (:meth:`~repro.runtime.engine.DiscreteEventEngine.run_bounded_ms`),
-    and the chains come from the profiles' slice-task memos, so probes
-    of near-identical plans share workload objects and their cached
-    contention inputs.  This function is a deterministic pure function
+    counts them) that pays only for the makespan it returns: it is a
+    :class:`~repro.runtime.engine.ProbeRun`, which builds no engine, no
+    result and no blame rows, and the chains come from the profiles'
+    slice-task memos, so probes of near-identical plans share workload
+    objects and their cached contention inputs.  This function is a deterministic pure function
     of the plan configuration, which is what makes
     :class:`repro.core.objective.ObjectiveCache` — the planner's
     memoization layer in front of it — exact rather than approximate.
@@ -255,7 +242,8 @@ def async_makespan_ms(
     these), so every comparison against the threshold decides as the
     full run would.
     """
-    return _counted(_probe_engine(plan, with_contention).run_bounded_ms(stop_at_ms))
+    run = ProbeRun(plan.soc, plan_to_chains(plan), with_contention)
+    return _counted(run.bounded_ms(stop_at_ms))
 
 
 def _first_reaching(
@@ -284,19 +272,19 @@ class ProbeAnchor:
     such request the first differing chain position ``p`` says how far
     the anchor's run is also the probe's: up to the step in which ``p``
     starts if its processor is unchanged, else up to the step in which
-    ``p`` is exposed (see "Probes" in :mod:`repro.runtime.engine`).  The
+    ``p`` is exposed (see :class:`~repro.runtime.engine.ProbeRun`).  The
     probe resumes the anchor's run at the earliest such step, or at
     checkpoint 0 when a first position moves to another processor, with
     the changed requests' tails shared through the slice-task memo
     (:func:`_probe_tail`), and runs bounded from there: no
-    ``plan_to_chains``, no engine, no task for a tail probed before,
-    and none of the shared prefix's steps.
+    ``plan_to_chains``, no task for a tail probed before, and none of
+    the shared prefix's steps.
 
     Args:
         plan: The plan to anchor on.
         with_contention: As for :func:`async_makespan_ms`.
         previous: An earlier anchor; when the plan is one of its
-            neighbours the new anchor forks from it too.
+            neighbours the new anchor's run resumes from it too.
     """
 
     def __init__(
@@ -313,15 +301,15 @@ class ProbeAnchor:
         self._slices = [list(a.slices) for a in plan.assignments]
         self._stages = [_stages(a.slices) for a in plan.assignments]
         self._names = _handoff_names(plan.processors)
-        engine = None
+        run = None
         if previous is not None:
             resume = previous._divergence(plan, with_contention)
             if resume is not None:
-                engine = previous._engine.fork(*resume)
-        if engine is None:
-            engine = _probe_engine(plan, with_contention)
-        self.makespan_ms = _counted(engine.run_checkpointed())
-        self._engine = engine
+                run = previous._run.resumed(*resume)
+        if run is None:
+            run = ProbeRun(plan.soc, plan_to_chains(plan), with_contention)
+        self.makespan_ms = _counted(run.checkpointed())
+        self._run = run
 
     def probe_ms(
         self,
@@ -340,9 +328,8 @@ class ProbeAnchor:
         resume = self._divergence(plan, with_contention)
         if resume is None:
             return None
-        return _counted(
-            self._engine.resume_bounded_ms(*resume, stop_at_ms), resumed=True
-        )
+        run = self._run.resumed(*resume)
+        return _counted(run.bounded_ms(stop_at_ms), resumed=True)
 
     def _divergence(
         self, plan: "PipelinePlan", with_contention: bool
@@ -357,7 +344,7 @@ class ProbeAnchor:
             or len(plan.assignments) != len(self._profiles)
         ):
             return None
-        checkpoints = self._engine.checkpoints
+        checkpoints = self._run.checkpoints
         index = len(checkpoints) - 1
         changed: List[Tuple[int, int, Stages]] = []
         for i, assignment in enumerate(plan.assignments):

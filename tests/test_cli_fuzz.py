@@ -6,8 +6,12 @@ and garbage tokens, and checks that ``_resolve_inputs`` either rejects
 them the way ``main`` turns into a one-line exit-2 error (argparse's
 ``SystemExit(2)``, or ``ValueError`` / ``KeyError``) or leaves only
 finite, in-range values behind.  ``calibrate --targets`` files get the
-same treatment, as named bad files and as generated entries.  Nothing
-is planned or simulated.
+same treatment, as named bad files and as generated entries.  Every
+output path (``--out``, ``--jsonl``, ``--trace``, ``--speedscope``,
+``--collapsed``, ``export-model PATH``, ``--baseline`` under
+``--update-baseline``) that is empty, a directory, or in a missing or
+read-only directory fails the same way before any handler runs.
+Nothing is planned or simulated.
 
 A shrunk failure becomes a named case of the usage-error tests in
 ``tests/test_queueing_cli.py`` (``TestCli``).
@@ -201,3 +205,63 @@ def test_targets_reject_cleanly_or_resolve_in_range(entries, tmp_path):
     assert len(args.calibration_targets) == len(entries) > 0
     for target in args.calibration_targets:
         _finite(target.latency_ms, strict=True)
+
+
+#: Every verb and flag that names a file the verb writes; ``None`` is
+#: ``export-model``'s positional path.
+OUTPUT_FLAGS = [
+    ("plan", "--trace"),
+    ("trace", "--out"),
+    ("slo", "--jsonl"),
+    ("slo", "--trace"),
+    ("accuracy", "--jsonl"),
+    ("accuracy", "--trace"),
+    ("drift", "--jsonl"),
+    ("blame", "--jsonl"),
+    ("blame", "--trace"),
+    ("profile", "--speedscope"),
+    ("profile", "--collapsed"),
+    ("profile", "--trace"),
+    ("bench", "--out"),
+    ("bench", "--baseline"),
+    ("lint", "--baseline"),
+    ("export-model", None),
+]
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory", "empty", "read_only"])
+@pytest.mark.parametrize(
+    "verb,flag", OUTPUT_FLAGS, ids=lambda v: v if v else "PATH"
+)
+def test_unwritable_output_path_fails_before_work(
+    verb, flag, where, tmp_path, capsys, monkeypatch
+):
+    """One ``error:`` line and exit 2, and the verb's handler never runs."""
+    import repro.cli as cli
+
+    def no_work(args):
+        raise AssertionError(f"{verb} ran with an unwritable output path")
+
+    monkeypatch.setattr(cli, "_HANDLERS", {verb: no_work})
+    if where == "read_only":  # root may write anywhere, so fake the mode
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    path = {
+        "missing_dir": str(tmp_path / "missing" / "out.json"),
+        "directory": str(tmp_path),
+        "empty": "",
+        "read_only": str(tmp_path / "out.json"),
+    }[where]
+    if verb == "export-model":
+        argv = [verb, "resnet50", path]
+    elif verb in ("bench", "lint"):
+        argv = [verb, f"{flag}={path}"]
+        if flag == "--baseline":  # written only when updating
+            argv.append("--update-baseline")
+    else:
+        argv = [verb, "--models", "resnet50,vit", f"{flag}={path}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"hetero2pipe {verb}: error: ")
+    assert not (tmp_path / "missing").exists()

@@ -299,11 +299,11 @@ class TestProbeCost:
         monkeypatch.setattr(executor, "DiscreteEventEngine", Spy)
         plan = build_plan(get_soc("kirin990"), ["resnet50", "vit", "bert"])
         probe = async_makespan_ms(plan)
-        assert seen == [False]
+        assert seen == []  # a probe is a ProbeRun: it builds no engine
         # The default execution still tracks causality, and the blame
         # layer reads it; the simulated times do not depend on it.
         full = executor.execute_plan(plan, enforce_memory=False)
-        assert seen == [False, True]
+        assert seen == [True]
         assert full.makespan_ms == probe
         assert full.causality
         blames = blame_requests(full)

@@ -6,17 +6,28 @@ must have: per-processor mutual exclusion, chain precedence (Eq. 8),
 work conservation, arrival respect, and determinism.  Open-loop runs
 with deadlines, cancellations, preemptions and processor faults check
 the engine's per-processor ready sets against a brute-force
-recomputation after every step, and that replaying them with causality
-tracking off simulates exactly the same schedule.
+recomputation after every step, that replaying them with causality
+tracking off simulates exactly the same schedule, and that the
+timeline fold of their event logs keeps the engine's busy times,
+Little's law and non-negative queueing delays.  Probe runs, bounded and
+resumed, equal the engine's makespan on random chains, with and
+without zoo workloads (so with and without contention).
 """
+
+import functools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.soc import get_soc
+from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
-from repro.runtime.engine import DiscreteEventEngine
+from repro.obs.timeline import TimelineAggregator
+from repro.profiling.profiler import SocProfiler
+from repro.profiling.slowdown import SliceWorkload
+from repro.runtime.engine import DiscreteEventEngine, ProbeRun
 from repro.runtime.executor import ChainTask, replicate_chains, simulate_chains
 
 KIRIN = get_soc("kirin990")
@@ -24,29 +35,54 @@ PROCS = list(KIRIN.processors)
 
 
 @st.composite
-def chains_strategy(draw, max_working_set=1e8):
-    """Random request chains without workloads (pure timing tasks)."""
+def timing_tasks(draw, request, max_working_set=1e8):
+    """A task without a workload (pure timing) on a random processor."""
+    proc = PROCS[draw(st.integers(0, len(PROCS) - 1))]
+    solo = draw(st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False))
+    return ChainTask(
+        request=request,
+        proc=proc,
+        solo_ms=solo,
+        workload=None,
+        working_set=draw(st.floats(0, max_working_set)),
+    )
+
+
+@st.composite
+def chains_strategy(draw, max_working_set=1e8, tasks=timing_tasks):
+    """Random request chains, by default without workloads."""
     num_requests = draw(st.integers(1, 5))
     chains = []
     for request in range(num_requests):
         length = draw(st.integers(1, 4))
-        chain = []
-        for _ in range(length):
-            proc = PROCS[draw(st.integers(0, len(PROCS) - 1))]
-            solo = draw(
-                st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False)
-            )
-            chain.append(
-                ChainTask(
-                    request=request,
-                    proc=proc,
-                    solo_ms=solo,
-                    workload=None,
-                    working_set=draw(st.floats(0, max_working_set)),
-                )
-            )
-        chains.append(chain)
+        chains.append(
+            [draw(tasks(request, max_working_set)) for _ in range(length)]
+        )
     return chains
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_profiles():
+    profiler = SocProfiler(KIRIN)
+    return tuple(profiler.profile(get_model(name)) for name in MODEL_NAMES)
+
+
+@st.composite
+def zoo_tasks(draw, request, max_working_set=0.0):
+    """A random zoo slice on a random processor that can run it, with
+    its workload, so co-running tasks slow each other down."""
+    profile = draw(st.sampled_from(_zoo_profiles()))
+    last = profile.model.num_layers - 1
+    start = draw(st.integers(0, last))
+    end = draw(st.integers(start, last))
+    proc = draw(st.sampled_from([p for p in PROCS if profile.feasible(p, start, end)]))
+    return ChainTask(
+        request=request,
+        proc=proc,
+        solo_ms=profile.exec_ms(proc, start, end),
+        workload=SliceWorkload(profile, proc, start, end),
+        working_set=0.0,
+    )
 
 
 @st.composite
@@ -218,7 +254,8 @@ def _brute_force_ready(engine):
     return ready
 
 
-def _drive(run, track_causality=True):
+def _engine(run, **options):
+    """An engine over one generated open-loop run, events scheduled."""
     engine = DiscreteEventEngine(
         KIRIN,
         replicate_chains(run["chains"], 1),  # engine tasks are mutable
@@ -227,12 +264,17 @@ def _drive(run, track_causality=True):
         processor_offline_ms=run["offline"],
         enforce_memory=run["enforce_memory"],
         record=False,
-        track_causality=track_causality,
+        **options,
     )
     for request, at_ms in run["cancellations"]:
         engine.schedule_cancellation(request, at_ms)
     for request, at_ms in run["preemptions"]:
         engine.schedule_preemption(request, at_ms)
+    return engine
+
+
+def _drive(run, track_causality=True):
+    engine = _engine(run, track_causality=track_causality)
     while True:
         more = engine.step()
         # The engine's ready sets are slot-indexed (soc.processors order).
@@ -262,3 +304,93 @@ class TestReadySetInvariant:
         assert untracked.memory_pressure_events == result.memory_pressure_events
         assert untracked.causality == []
         assert untracked.corun_inflation_ms == {}
+
+
+class TestTimelineIdentities:
+    @given(open_loop_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_timeline_fold_keeps_the_engines_identities(self, run):
+        """The fold of a run's event log: busy time equal to the
+        engine's, Little's law, and no negative queueing delay."""
+        result = _engine(run, keep_events=True, track_causality=False).run()
+        fold = TimelineAggregator(
+            [p.name for p in PROCS], [len(c) for c in run["chains"]], 25.0
+        )
+        fold.observe_many(result.events)
+        fold.finish(result.makespan_ms)
+        for name, busy_ms in result.processor_busy_ms.items():
+            assert fold.busy_ms(name) == pytest.approx(busy_ms, abs=1e-9), name
+        assert fold.littles_law().ok
+        for delay_ms in result.queueing_delays_ms():
+            assert delay_ms is None or delay_ms >= 0.0
+
+
+@st.composite
+def probe_cases(draw, tasks):
+    """Chains, a cutoff scale and one request's replaced tail: the
+    request, the first replaced position and the new tasks from it."""
+    chains = draw(chains_strategy(tasks=tasks))
+    request = draw(st.integers(0, len(chains) - 1))
+    position = draw(st.integers(0, len(chains[request])))
+    tail = draw(st.lists(tasks(request), max_size=3))
+    return chains, draw(st.floats(0.0, 1.5)), request, position, tail
+
+
+def _first_read(old, new, position):
+    """The progress code at which a run first reads chain ``position``
+    once ``old`` is replaced by ``new`` from there: when it starts if
+    both tasks are on one processor, else when it is exposed."""
+    same_slot = (
+        position < len(old)
+        and position < len(new)
+        and old[position].proc.name == new[position].proc.name
+    )
+    return 2 * position + 2 if same_slot else 2 * position + 1
+
+
+class TestProbeDifferential:
+    """Probe runs answer exactly what a memory-free engine run would."""
+
+    def _check(self, case):
+        chains, scale, request, position, tail = case
+        makespan_ms = DiscreteEventEngine(
+            KIRIN,
+            replicate_chains(chains, 1),
+            enforce_memory=False,
+            record=False,
+            track_causality=False,
+        ).run().makespan_ms
+        run = ProbeRun(KIRIN, chains)
+        assert run.bounded_ms() == makespan_ms
+        cutoff_ms = scale * makespan_ms
+        value = run.bounded_ms(cutoff_ms)
+        assert value == makespan_ms or (
+            value == math.inf and makespan_ms >= cutoff_ms
+        )
+        replaced = [list(chain) for chain in chains]
+        replaced[request] = chains[request][:position] + tail
+        fresh_ms = ProbeRun(KIRIN, replaced).bounded_ms()
+        run.checkpointed()
+        code = _first_read(chains[request], replaced[request], position)
+        first = next(
+            (j for j, ck in enumerate(run.checkpoints) if ck.progress(request) >= code),
+            len(run.checkpoints),
+        )
+        # Checkpoint 0 always serves: a moved first position is re-filed.
+        for index in range(max(first, 1)):
+            resumed = run.resumed(index, {request: (position, tail)})
+            assert resumed.bounded_ms() == fresh_ms
+            value = resumed.bounded_ms(scale * fresh_ms)
+            assert value == fresh_ms or (
+                value == math.inf and fresh_ms >= scale * fresh_ms
+            )
+
+    @given(probe_cases(timing_tasks))
+    @settings(max_examples=150, deadline=None)
+    def test_timing_chains(self, case):
+        self._check(case)
+
+    @given(probe_cases(zoo_tasks))
+    @settings(max_examples=150, deadline=None)
+    def test_zoo_workload_chains(self, case):
+        self._check(case)

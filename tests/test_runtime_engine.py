@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.core.planner import Hetero2PipePlanner
 from repro.core.stealing import move_boundary_layer, single_processor_assignment
+from repro.hardware.processor import make_gpu
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
@@ -38,6 +39,7 @@ from repro.runtime.engine import (
     ChainTask,
     DiscreteEventEngine,
     ExecutionResult,
+    ProbeRun,
     TaskRecord,
 )
 from repro.runtime.executor import (
@@ -758,25 +760,10 @@ class TestStepCost:
         assert long <= 2.0 * short, (long / short, short, long)
 
 
-def _probe_engine(soc, chains, **options):
+def _memory_free_engine(soc, chains):
+    """The engine whose run a :class:`ProbeRun` of ``chains`` answers for."""
     return DiscreteEventEngine(
-        soc,
-        chains,
-        enforce_memory=False,
-        record=False,
-        track_causality=False,
-        **options,
-    )
-
-
-def _outputs(result):
-    """Every simulated output of a run, for exact comparison."""
-    return (
-        result.records,
-        result.makespan_ms,
-        result.request_finish_ms,
-        result.request_first_start_ms,
-        result.processor_busy_ms,
+        soc, chains, enforce_memory=False, record=False, track_causality=False
     )
 
 
@@ -849,8 +836,8 @@ def _neighbour_tails(plan):
 
 
 class TestProbes:
-    """Bounded runs, checkpoints and forks answer exactly what a full run
-    would."""
+    """Bounded, checkpointed and resumed probe runs answer exactly what a
+    full engine run would."""
 
     @pytest.mark.parametrize("soc_name", SOC_NAMES)
     def test_slowdown_lies_in_the_bound_premise_range(self, soc_name):
@@ -898,29 +885,29 @@ class TestProbes:
 
     def test_bounded_run_is_exact_or_a_proven_loss(self, zoo_plans):
         for plan in zoo_plans.values():
-            full = _probe_engine(plan.soc, plan_to_chains(plan)).run()
-            unbounded = _probe_engine(plan.soc, plan_to_chains(plan))
-            assert unbounded.run_bounded_ms() == full.makespan_ms
+            full = _memory_free_engine(plan.soc, plan_to_chains(plan)).run()
+            # One run answers every cutoff: it never writes its start.
+            run = ProbeRun(plan.soc, plan_to_chains(plan))
+            assert run.bounded_ms() == full.makespan_ms
             for scale in (0.5, 0.9, 0.99, 1.0, 1.01):
                 cutoff = full.makespan_ms * scale
-                value = _probe_engine(
-                    plan.soc, plan_to_chains(plan)
-                ).run_bounded_ms(cutoff)
+                value = run.bounded_ms(cutoff)
                 if value == math.inf:
                     assert full.makespan_ms >= cutoff
                 else:
                     assert value == full.makespan_ms
             # Half the makespan is reached well before the run ends.
-            half = _probe_engine(plan.soc, plan_to_chains(plan))
-            assert half.run_bounded_ms(0.5 * full.makespan_ms) == math.inf
-            assert half._steps < len(full.records)
+            with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+                assert run.bounded_ms(0.5 * full.makespan_ms) == math.inf
+                steps = rec.metrics.counter("engine_steps").value
+            assert steps < len(full.records)
 
     def test_checkpoints_are_the_full_steps_states(self, zoo_plans):
         """The probe loop's state after every step is the full step's."""
         for plan in zoo_plans.values():
-            anchor = _probe_engine(plan.soc, plan_to_chains(plan))
-            anchor.run_checkpointed()
-            engine = _probe_engine(plan.soc, plan_to_chains(plan))
+            anchor = ProbeRun(plan.soc, plan_to_chains(plan))
+            anchor.checkpointed()
+            engine = _memory_free_engine(plan.soc, plan_to_chains(plan))
             unstarted = [task for chain in engine._chains for task in chain]
             started = [0.0] * len(engine._procs)
             states = []
@@ -952,26 +939,28 @@ class TestProbes:
             assert _trajectory(anchor.checkpoints, _position)[1:] == states
 
     def test_fork_at_every_checkpoint_replays_the_run(self, zoo_plans):
+        """A run resumed from any checkpoint with no tails replays the
+        anchor's trajectory from there, checkpointed or bounded."""
         for plan in zoo_plans.values():
-            full = _probe_engine(plan.soc, plan_to_chains(plan)).run()
-            anchor = _probe_engine(plan.soc, plan_to_chains(plan))
-            makespan = anchor.run_checkpointed()
+            engine = _memory_free_engine(plan.soc, plan_to_chains(plan))
+            full = engine.run()
+            anchor = ProbeRun(plan.soc, plan_to_chains(plan))
+            makespan = anchor.checkpointed()
             assert makespan == full.makespan_ms
-            assert len(anchor.checkpoints) == anchor._steps + 1
+            assert len(anchor.checkpoints) == engine._steps + 1
             expected = _trajectory(anchor.checkpoints, id)
             for index in range(len(anchor.checkpoints)):
-                forked = anchor.fork(index, {})
-                assert forked.run_checkpointed() == makespan
-                assert _trajectory(forked.checkpoints, id) == expected
+                resumed = anchor.resumed(index, {})
+                assert resumed.checkpointed() == makespan
+                assert _trajectory(resumed.checkpoints, id) == expected
                 # The bounded loop resumes the same state bit for bit.
-                assert anchor.fork(index, {}).run_bounded_ms() == makespan
-                assert anchor.resume_bounded_ms(index, {}) == makespan
+                assert anchor.resumed(index, {}).bounded_ms() == makespan
 
     def test_fork_with_replaced_tails_equals_a_fresh_run(self, zoo_plans):
-        forks = refiled = 0
+        resumes = refiled = 0
         for plan in zoo_plans.values():
-            anchor = _probe_engine(plan.soc, plan_to_chains(plan))
-            anchor.run_checkpointed()
+            anchor = ProbeRun(plan.soc, plan_to_chains(plan))
+            anchor.checkpointed()
             checkpoints = anchor.checkpoints
             for i, p, code, chains in _neighbour_tails(plan):
                 first = next(
@@ -979,71 +968,47 @@ class TestProbes:
                     for j, ck in enumerate(checkpoints)
                     if ck.progress(i) >= code
                 )
-                fresh = _probe_engine(plan.soc, chains)
-                makespan = fresh.run_checkpointed()
+                fresh = ProbeRun(plan.soc, chains)
+                makespan = fresh.checkpointed()
                 expected = _trajectory(fresh.checkpoints, _position)
                 # Every checkpoint up to the divergence step serves, and
                 # checkpoint 0 always does: a first position moved to
                 # another processor is re-filed there (first == 0).
                 for index in range(max(first, 1)):
                     tails = {i: (p, chains[i][p:])}
-                    forked = anchor.fork(index, tails)
-                    assert forked.run_checkpointed() == makespan
-                    assert _trajectory(forked.checkpoints, _position) == expected
-                    assert anchor.fork(index, tails).run_bounded_ms() == makespan
-                    assert anchor.resume_bounded_ms(index, tails) == makespan
-                    forks += 1
+                    resumed = anchor.resumed(index, tails)
+                    assert resumed.checkpointed() == makespan
+                    assert _trajectory(resumed.checkpoints, _position) == expected
+                    assert anchor.resumed(index, tails).bounded_ms() == makespan
+                    resumes += 1
                     refiled += first == 0
-        assert forks > 0
+        assert resumes > 0
         assert refiled > 0
-
-    @pytest.mark.parametrize("scale", [0.5, 2.0], ids=["pruned", "completed"])
-    def test_result_and_step_raise_after_a_bounded_run(
-        self, vit_resnet_plan, scale
-    ):
-        """run(), step() and result() need the full bookkeeping, which no
-        probe run keeps and no fork has."""
-        plan = vit_resnet_plan
-        full = _probe_engine(plan.soc, plan_to_chains(plan)).run()
-        engine = _probe_engine(plan.soc, plan_to_chains(plan))
-        value = engine.run_bounded_ms(scale * full.makespan_ms)
-        assert value == (math.inf if scale < 1 else full.makespan_ms)
-        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
-        anchor.run_checkpointed()
-        ran_fork = anchor.fork(1, {})
-        ran_fork.run_bounded_ms(scale * full.makespan_ms)
-        for probed in (engine, anchor, anchor.fork(1, {}), ran_fork):
-            for call in (probed.run, probed.step, probed.result):
-                with pytest.raises(RuntimeError, match="probe run"):
-                    call()
 
     def test_fork_counts_only_its_own_work(self, vit_resnet_plan):
         plan = vit_resnet_plan
-        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
+        anchor = ProbeRun(plan.soc, plan_to_chains(plan))
         with obs.use_recorder(obs.InMemoryRecorder()) as rec:
-            anchor.run_checkpointed()
+            anchor.checkpointed()
             total = rec.metrics.counter("engine_steps").value
             index = len(anchor.checkpoints) // 2
-            anchor.fork(index, {}).run_bounded_ms()
-            forked = rec.metrics.counter("engine_steps").value - total
-            anchor.resume_bounded_ms(index, {})
-            resumed = rec.metrics.counter("engine_steps").value - total - forked
+            anchor.resumed(index, {}).bounded_ms()
+            resumed = rec.metrics.counter("engine_steps").value - total
         assert total == len(anchor.checkpoints) - 1
-        assert forked == resumed == total - index
+        assert resumed == total - index
 
     def test_fork_shares_no_run_state(self, vit_resnet_plan):
-        """Forks and resumed runs share the anchor's chains and tasks, so
-        no probe run may write to a task: an anchor and bounded,
-        checkpointed and resumed runs from every checkpoint, with and
-        without a re-filed first position, leave each task as built and
-        the anchor's checkpoints, ready sets and started times as they
-        were."""
+        """Resumed runs share the anchor's chains and tasks, so no probe
+        run may write to a task: an anchor and bounded and checkpointed
+        runs resumed from every checkpoint, with and without a re-filed
+        first position, leave each task as built and the anchor's
+        checkpoints, ready sets and started times as they were."""
         plan = vit_resnet_plan
         chains = plan_to_chains(plan)
         tasks = [task for chain in chains for task in chain]
         built = [(task.remaining_ms, task.start_ms) for task in tasks]
-        anchor = _probe_engine(plan.soc, chains)
-        anchor.run_checkpointed()
+        anchor = ProbeRun(plan.soc, chains)
+        anchor.checkpointed()
         frozen = _trajectory(anchor.checkpoints, id)
         head = chains[1][0].proc.name
         moved = [
@@ -1054,71 +1019,37 @@ class TestProbes:
         assert moved  # a neighbour with request 1's first stage moved
         tails = {1: (0, moved[0])}
         for index in range(len(anchor.checkpoints)):
-            anchor.fork(index, {}).run_bounded_ms()
-            anchor.fork(index, {}).run_checkpointed()
-            anchor.resume_bounded_ms(index, {})
+            anchor.resumed(index, {}).bounded_ms()
+            anchor.resumed(index, {}).checkpointed()
             if not anchor.checkpoints[index].next_idx[1]:
-                anchor.fork(index, tails).run_checkpointed()
-                anchor.resume_bounded_ms(index, tails)
+                anchor.resumed(index, tails).checkpointed()
+                anchor.resumed(index, tails).bounded_ms()
         assert [(task.remaining_ms, task.start_ms) for task in tasks] == built
         assert _trajectory(anchor.checkpoints, id) == frozen
 
-    @pytest.mark.parametrize(
-        "options",
-        [
-            {"enforce_memory": True},
-            {"arrivals": [0.0, 5.0]},
-            {"deadline_ms": 100.0},
-            {"processor_offline_ms": {"gpu": 5.0}},
-            {"track_causality": True},
-            {"trace": True},
-            {"keep_events": True},
-        ],
-        ids=lambda o: next(iter(o)),
-    )
-    def test_probe_runs_reject_other_options(self, vit_resnet_plan, options):
-        plan = vit_resnet_plan
-        base = {
-            "enforce_memory": False,
-            "record": False,
-            "track_causality": False,
-        }
-
-        def engine():
-            return DiscreteEventEngine(
-                plan.soc, plan_to_chains(plan), **{**base, **options}
-            )
-
-        with pytest.raises(ValueError, match="probe-style"):
-            engine().run_checkpointed()
-        with pytest.raises(ValueError, match="probe-style"):
-            engine().run_bounded_ms(1.0)
-        with pytest.raises(ValueError, match="run_checkpointed"):
-            engine().fork(1, {})
-        with pytest.raises(ValueError, match="run_checkpointed"):
-            engine().resume_bounded_ms(0, {})
-
-    @pytest.mark.parametrize("schedule", ["cancellation", "preemption"])
-    def test_probe_runs_reject_scheduled_events(self, vit_resnet_plan, schedule):
-        engine = _probe_engine(vit_resnet_plan.soc, plan_to_chains(vit_resnet_plan))
-        getattr(engine, f"schedule_{schedule}")(0, 5.0)
-        with pytest.raises(ValueError, match=schedule):
-            engine.run_checkpointed()
-
     def test_fork_rejects_bad_indices_and_started_tails(self, vit_resnet_plan):
         plan = vit_resnet_plan
-        anchor = _probe_engine(plan.soc, plan_to_chains(plan))
-        anchor.run_checkpointed()
+        anchor = ProbeRun(plan.soc, plan_to_chains(plan))
+        with pytest.raises(ValueError, match="checkpointed"):
+            anchor.resumed(0, {})
+        anchor.checkpointed()
         last = len(anchor.checkpoints) - 1
         for index in (-1, last + 1):
             with pytest.raises(ValueError, match=r"out of range \[0, "):
-                anchor.fork(index, {})
-            with pytest.raises(ValueError, match="out of range"):
-                anchor.resume_bounded_ms(index, {})
+                anchor.resumed(index, {})
         with pytest.raises(ValueError, match="started before"):
-            anchor.fork(last, {0: (0, [])})
-        with pytest.raises(ValueError, match="started before"):
-            anchor.resume_bounded_ms(last, {0: (0, [])})
+            anchor.resumed(last, {0: (0, [])})
+
+    def test_probe_runs_check_chains_like_the_engine(self, kirin):
+        swapped = [
+            [_task(kirin, 1, 5.0, proc_idx=2)],
+            [_task(kirin, 0, 3.0, proc_idx=1)],
+        ]
+        with pytest.raises(ValueError, match="chain 0 holds a task of request 1"):
+            ProbeRun(kirin, swapped)
+        foreign = make_gpu(name="foreign_gpu")
+        with pytest.raises(ValueError, match="not on SoC"):
+            ProbeRun(kirin, [[ChainTask(0, foreign, 1.0, None, 0.0)]])
 
 
 class TestOfflineSweep:

@@ -449,23 +449,24 @@ class TestEngineCounters:
         assert counters["engine_steps"] == len(steps) >= len(result.records)
         assert "tasks_executed" not in counters
 
-        # A bounded run steps its own loop, not _step.  On a probe-style
-        # engine it counts what run() counts, and its slowdowns go
-        # through the module's global.
+        # A probe run steps its own loop, not _step.  It counts what a
+        # memory-free run() counts, and its slowdowns go through the
+        # engine module's global.
         counts = []
-        for bounded in (False, True):
+        for probe in (False, True):
             calls.clear()
             steps.clear()
             with obs.use_recorder(obs.InMemoryRecorder()) as rec:
-                sim = engine.DiscreteEventEngine(
-                    kirin, plan_to_chains(plan), enforce_memory=False,
-                    record=False, track_causality=False,
-                )
-                if bounded:
-                    sim.run_bounded_ms(2 * result.makespan_ms)
+                if probe:
+                    engine.ProbeRun(kirin, plan_to_chains(plan)).bounded_ms(
+                        2 * result.makespan_ms
+                    )
                 else:
-                    sim.run()
+                    engine.DiscreteEventEngine(
+                        kirin, plan_to_chains(plan), enforce_memory=False,
+                        record=False, track_causality=False,
+                    ).run()
                 counts.append(rec.metrics.snapshot()["counters"])
             assert counts[-1]["slowdown_evaluations"] == len(calls) > 0
-            assert len(steps) == (0 if bounded else counts[-1]["engine_steps"])
+            assert len(steps) == (0 if probe else counts[-1]["engine_steps"])
         assert counts[1] == counts[0]

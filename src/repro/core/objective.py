@@ -34,8 +34,9 @@ reaches it stops early and returns ``inf``; the cache keeps that
 threshold as a proven lower bound.  :meth:`ObjectiveCache.anchor`
 checkpoints one simulation of the current plan so its neighbours'
 probes resume from it rather than replaying the shared prefix (see
-:class:`~repro.runtime.executor.ProbeAnchor`).  Neither changes a value
-or a decision.
+:class:`~repro.runtime.executor.ProbeAnchor`), and returns a probe that
+takes a neighbour as one request's new slices.  None of these changes
+a value or a decision.
 
 Cache-effectiveness counters flow through :mod:`repro.obs`
 (``objective_cache_hits`` / ``objective_cache_misses``; the planner
@@ -48,11 +49,14 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Generic,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
     Union,
@@ -69,6 +73,11 @@ V = TypeVar("V")
 
 #: A plan configuration identity: hashable, equality == same simulation.
 Fingerprint = Tuple[object, ...]
+
+#: A probe of one move: ``(request, slices, stop_at_ms)`` to the objective
+#: of a plan with ``assignments[request]`` at ``slices``, or ``inf`` once
+#: that provably reaches ``stop_at_ms`` (see :meth:`ObjectiveCache.anchor`).
+MoveProbe = Callable[[int, Sequence[Optional[Tuple[int, int]]], float], float]
 
 #: Default bound on memoized objective evaluations.  A twenty-request
 #: descent probes a few thousand distinct configurations; 16384 keeps
@@ -194,7 +203,11 @@ class ObjectiveCache:
     **Anchors.**  :meth:`anchor` runs one checkpointed simulation of a
     plan; until the next anchor, misses on plans that differ from it
     only in some requests' slices resume from its checkpoints.  The
-    resumed value is the same float a fresh simulation produces.
+    resumed value is the same float a fresh simulation produces.  It
+    also returns the anchor's :data:`MoveProbe`, which names a
+    neighbour by one request's new slices instead of by a plan: no plan
+    is mutated, fingerprinted whole or compared request by request, and
+    it shares every entry with :meth:`__call__`.
 
     Args:
         maxsize: LRU bound on memoized fingerprints.
@@ -224,7 +237,78 @@ class ObjectiveCache:
         with_contention: bool = True,
         stop_at_ms: float = math.inf,
     ) -> float:
+        anchor = self._anchor
+
+        def simulate() -> float:
+            value = None
+            if anchor is not None:
+                value = anchor.probe_ms(plan, with_contention, stop_at_ms)
+            if value is None:
+                value = async_makespan_ms(plan, with_contention, stop_at_ms)
+            return value
+
+        return self._probe(
+            plan_fingerprint(plan, with_contention),
+            plan.num_requests,
+            stop_at_ms,
+            simulate,
+        )
+
+    def anchor(self, plan: "PipelinePlan", with_contention: bool = True) -> MoveProbe:
+        """Checkpoint one simulation of ``plan``; return its neighbours' probe.
+
+        The returned :data:`MoveProbe` answers ``(request, slices,
+        stop_at_ms)`` as this cache answers ``plan`` with
+        ``plan.assignments[request]`` at ``slices`` — the same key, so
+        the same hits, misses and :class:`LowerBound` entries — without
+        touching ``plan``: the key is the anchor's fingerprint with one
+        entry replaced, and a miss resumes the anchor's run from where
+        that request's new slices leave it
+        (:meth:`~repro.runtime.executor.ProbeAnchor.move_ms`).  It
+        describes ``plan`` as anchored, so it serves until ``plan``
+        changes.
+
+        A no-op when ``plan`` is the current anchor, apart from returning
+        its probe.  A new anchor that neighbours the old one resumes from
+        it.  The anchor run counts as an ``objective_evaluations``
+        simulation but not as a probe.
+        """
         key = plan_fingerprint(plan, with_contention)
+        anchor = self._anchor
+        if anchor is None or key != self._anchor_key:
+            anchor = self._anchor = ProbeAnchor(
+                plan, with_contention, previous=anchor
+            )
+            self._anchor_key = key
+            self._cache.put(key, anchor.makespan_ms)
+        return partial(self._move, anchor, key)
+
+    def _move(
+        self,
+        anchor: ProbeAnchor,
+        key: Fingerprint,
+        request: int,
+        slices: Sequence[Optional[Tuple[int, int]]],
+        stop_at_ms: float = math.inf,
+    ) -> float:
+        # ``plan_fingerprint``'s fourth field holds one entry per request.
+        entries = list(key[3])  # type: ignore[call-overload]
+        entries[request] = (entries[request][0], tuple(slices))
+        return self._probe(
+            key[:3] + (tuple(entries),) + key[4:],
+            len(entries),
+            stop_at_ms,
+            partial(anchor.move_ms, request, slices, stop_at_ms),
+        )
+
+    def _probe(
+        self,
+        key: Fingerprint,
+        requests: int,
+        stop_at_ms: float,
+        simulate: Callable[[], float],
+    ) -> float:
+        """The cached answer under ``key``, or ``simulate()``'s, memoized."""
         cached = self._cache.get(key)
         if cached is not None and (
             not isinstance(cached, LowerBound) or stop_at_ms <= cached.cutoff_ms
@@ -239,12 +323,8 @@ class ObjectiveCache:
         # ``objective`` phase, separating simulation cost from the
         # stealing/tail search that issues the probes.  Cache hits stay
         # span-free — they are dictionary lookups, not simulations.
-        with obs.span("plan.objective", requests=plan.num_requests) as sp:
-            value = None
-            if self._anchor is not None:
-                value = self._anchor.probe_ms(plan, with_contention, stop_at_ms)
-            if value is None:
-                value = async_makespan_ms(plan, with_contention, stop_at_ms)
+        with obs.span("plan.objective", requests=requests) as sp:
+            value = simulate()
             if value == math.inf and stop_at_ms < math.inf:
                 sp.set(pruned=True)
                 self._cache.put(key, LowerBound(stop_at_ms))
@@ -252,20 +332,6 @@ class ObjectiveCache:
                 sp.set(makespan_ms=value)
                 self._cache.put(key, value)
         return value
-
-    def anchor(self, plan: "PipelinePlan", with_contention: bool = True) -> None:
-        """Checkpoint one simulation of ``plan`` for its neighbours' probes.
-
-        A no-op when ``plan`` is the current anchor.  A new anchor that
-        neighbours the old one resumes from it.  The anchor run counts as
-        an ``objective_evaluations`` simulation but not as a probe.
-        """
-        key = plan_fingerprint(plan, with_contention)
-        if key == self._anchor_key:
-            return
-        self._anchor = ProbeAnchor(plan, with_contention, previous=self._anchor)
-        self._anchor_key = key
-        self._cache.put(key, self._anchor.makespan_ms)
 
     def clear(self) -> None:
         self._cache.clear()

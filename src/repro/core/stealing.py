@@ -35,7 +35,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Protocol, Seq
 from .. import obs
 from ..hardware.processor import ProcessorSpec
 from ..runtime.executor import async_makespan_ms
-from .objective import ObjectiveCache
+from .objective import MoveProbe, ObjectiveCache
 from .plan import PipelinePlan, StageAssignment
 
 
@@ -99,50 +99,67 @@ def move_boundary_layer(
     Slices stay contiguous by construction: only boundary layers move,
     and an emptied or newly-occupied stage preserves the layer order.
     """
-    n = assignment.num_stages
+    moved = _moved_boundary_layer(assignment, from_stage, to_stage, processors)
+    if moved is None:
+        return False
+    assignment.slices[:] = moved
+    return True
+
+
+def _moved_boundary_layer(
+    assignment: StageAssignment,
+    from_stage: int,
+    to_stage: int,
+    processors: Sequence[ProcessorSpec],
+) -> Optional[Slices]:
+    """The slices :func:`move_boundary_layer` would leave, as a new list,
+    or None when it would reject the move."""
+    slices = assignment.slices
+    n = len(slices)
     if abs(to_stage - from_stage) != 1 or not 0 <= min(from_stage, to_stage) < n - 1:
-        return False
-    src = assignment.slices[from_stage]
+        return None
+    src = slices[from_stage]
     if src is None:
-        return False
+        return None
     start, end = src
     layer_idx = end if to_stage > from_stage else start
     if not assignment.profile.feasible(
         processors[to_stage], layer_idx, layer_idx
     ):
-        return False
+        return None
 
-    dst = assignment.slices[to_stage]
+    dst = slices[to_stage]
     if to_stage > from_stage:
         new_src = None if start > end - 1 else (start, end - 1)
         new_dst = (end, end) if dst is None else (end, dst[1])
         if dst is not None and dst[0] != end + 1:
-            return False
+            return None
     else:
         new_src = None if start + 1 > end else (start + 1, end)
         new_dst = (start, start) if dst is None else (dst[0], start)
         if dst is not None and dst[1] != start - 1:
-            return False
+            return None
 
-    assignment.slices[from_stage] = new_src
-    assignment.slices[to_stage] = new_dst
-    return True
+    moved = list(slices)
+    moved[from_stage] = new_src
+    moved[to_stage] = new_dst
+    return moved
 
 
 def boundary_moves(
     assignment: StageAssignment, processors: Sequence[ProcessorSpec]
 ) -> Iterator[Move]:
     """Every feasible :func:`move_boundary_layer`, stage pair by stage
-    pair, the rightward move of each pair first."""
+    pair, the rightward move of each pair first; ``assignment`` is left
+    as it is."""
     base = assignment.slices
-    trial = assignment.copy()
-    for s in range(assignment.num_stages - 1):
+    for s in range(len(base) - 1):
         for frm, to in ((s, s + 1), (s + 1, s)):
-            trial.slices = list(base)
-            if move_boundary_layer(trial, frm, to, processors):
+            moved = _moved_boundary_layer(assignment, frm, to, processors)
+            if moved is not None:
                 src = base[frm]
                 assert src is not None  # the move above succeeded
-                yield trial.slices, (frm, to, src[1] if to > frm else src[0])
+                yield moved, (frm, to, src[1] if to > frm else src[0])
 
 
 def placement_moves(
@@ -156,6 +173,24 @@ def placement_moves(
             yield candidate.slices, None
 
 
+def _applying(
+    assignments: Sequence[StageAssignment], cost: Callable[[float], float]
+) -> MoveProbe:
+    """A probe for objectives that read the whole plan: it applies the
+    move to ``assignments``, asks ``cost`` and restores the slices."""
+
+    def probe(index: int, slices: Slices, stop_at_ms: float) -> float:
+        assignment = assignments[index]
+        saved = assignment.slices
+        assignment.slices = slices
+        try:
+            return cost(stop_at_ms)
+        finally:
+            assignment.slices = saved
+
+    return probe
+
+
 def _descend(
     assignments: Sequence[StageAssignment],
     cost: Callable[[float], float],
@@ -163,27 +198,34 @@ def _descend(
     neighbours: Callable[[StageAssignment, Sequence[ProcessorSpec]], Iterator[Move]],
     processors: Sequence[ProcessorSpec],
     max_rounds: int,
-    on_round: Optional[Callable[[], None]] = None,
+    anchor: Optional[Callable[[], MoveProbe]] = None,
 ) -> Tuple[List[_Step], float]:
     """Best-improvement descent over ``neighbours`` of ``assignments``.
 
     Each round visits ``groups`` in order.  For each group it probes
-    every move of every request in it, passing ``cost`` (the current
-    assignments' objective) the value the probe must beat, and applies
-    the move that lowers the objective most, by more than
-    :data:`_EPSILON_MS`.  It stops after a round that applies nothing,
-    or after ``max_rounds``; ``on_round`` runs before each round, the
-    first time before the start value is probed, so an anchor it sets
-    answers that probe.
+    every move of every request in it, passing the probe the value it
+    must beat, and applies the move that lowers the objective most, by
+    more than :data:`_EPSILON_MS`.  It stops after a round that applies
+    nothing, or after ``max_rounds``.
+
+    A probe names its move, ``(request, slices, stop_at_ms)``, and the
+    descent never writes ``assignments`` around it.  ``cost`` is the
+    objective of ``assignments`` as they stand: it scores the start, and
+    by default each move too, through :func:`_applying`.  ``anchor``,
+    when given, runs before each round, the first time before the start
+    is scored, and returns the round's probe instead; such a probe
+    describes the round's start, so it takes a single group.
 
     Returns:
         The applied moves in order, and the final objective value.
     """
+    assert anchor is None or len(groups) == 1, "an anchor's probe serves one group"
+    probe = _applying(assignments, cost)
     steps: List[_Step] = []
     current = math.inf
     for rounds in range(max_rounds):
-        if on_round is not None:
-            on_round()
+        if anchor is not None:
+            probe = anchor()
         if not rounds:
             current = cost(math.inf)
         applied = False
@@ -191,12 +233,8 @@ def _descend(
             best_gain = _EPSILON_MS
             best: Optional[Tuple[int, Move]] = None
             for i in group:
-                assignment = assignments[i]
-                saved = assignment.slices
-                for move in neighbours(assignment, processors):
-                    assignment.slices = move[0]
-                    gain = current - cost(current - best_gain)
-                    assignment.slices = saved
+                for move in neighbours(assignments[i], processors):
+                    gain = current - probe(i, move[0], current - best_gain)
                     if gain > best_gain:
                         best_gain = gain
                         best = (i, move)
@@ -349,21 +387,23 @@ def refine_globally(
     than the horizontal-only plan, so the vertical phase as a whole can
     end above the horizontal-only makespan.
 
-    Each round's probes resume from an anchor on the round's plan when
-    ``objective`` is an :class:`~repro.core.objective.ObjectiveCache`.
+    When ``objective`` is an :class:`~repro.core.objective.ObjectiveCache`,
+    each round anchors it on the round's plan, and every probe of the
+    round is one move of that plan, which the anchor's probe answers
+    from the move alone (:meth:`~repro.core.objective.ObjectiveCache.anchor`).
 
     Returns:
         Number of accepted moves.
     """
-    on_round: Optional[Callable[[], None]] = None
+    anchor: Optional[Callable[[], MoveProbe]] = None
     if isinstance(objective, ObjectiveCache):
-        on_round = partial(objective.anchor, plan)
+        anchor = partial(objective.anchor, plan)
     with obs.span("plan.refine_global", requests=plan.num_requests) as sp:
         steps, current = _descend(
             plan.assignments,
             lambda stop_at_ms: objective(plan, stop_at_ms=stop_at_ms),
             [range(plan.num_requests)],
-            boundary_moves, plan.processors, _MAX_GLOBAL_MOVES, on_round,
+            boundary_moves, plan.processors, _MAX_GLOBAL_MOVES, anchor,
         )
         _record_steals(steps, "global-refine", range(plan.num_requests))
         sp.set(moves=len(steps), makespan_ms=current)

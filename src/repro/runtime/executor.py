@@ -65,7 +65,8 @@ from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from ..core.plan import PipelinePlan, StageAssignment
+    from ..core.plan import PipelinePlan
+    from ..profiling.profiler import ModelProfile
 
 __all__ = [
     "ARENA_OVERHEAD_FACTOR",
@@ -112,7 +113,9 @@ def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
     processors = plan.processors
     names = _handoff_names(processors)
     return [
-        _chain_tasks(i, assignment, processors, names, _stages(assignment.slices))
+        _chain_tasks(
+            i, assignment.profile, processors, names, _stages(assignment.slices)
+        )
         for i, assignment in enumerate(plan.assignments)
     ]
 
@@ -133,7 +136,7 @@ def _stages(slices: Sequence[Optional[Tuple[int, int]]]) -> Stages:
 
 def _chain_tasks(
     request: int,
-    assignment: "StageAssignment",
+    profile: "ModelProfile",
     processors: Sequence[ProcessorSpec],
     names: Sequence[Optional[str]],
     stages: Stages,
@@ -145,9 +148,10 @@ def _chain_tasks(
     the profile's slice-task memo
     (:attr:`~repro.profiling.profiler.ModelProfile.slice_tasks`): the
     planner's objective adapts hundreds of near-identical plans, and a
-    re-probed stage costs one dict lookup.
+    re-probed stage costs one dict lookup.  A stage is priced from its
+    own ``(k, start, end)``, never from an assignment's slices, so the
+    memo holds each key's own cost whatever plan asked for it.
     """
-    profile = assignment.profile
     memo = profile.slice_tasks
     misses = 0
     tasks: List[ChainTask] = []
@@ -156,8 +160,9 @@ def _chain_tasks(
         entry = memo.get(key)
         if entry is None:
             misses += 1
+            next_proc = processors[k + 1] if k + 1 < len(processors) else None
             entry = memo[key] = (
-                assignment.stage_time_ms(k, processors),
+                profile.slice_cost_ms(processors[k], start, end, next_proc),
                 SliceWorkload(profile, processors[k], start, end),
                 ARENA_OVERHEAD_FACTOR * profile.working_set_bytes(start, end),
             )
@@ -172,7 +177,7 @@ def _chain_tasks(
 
 def _probe_tail(
     request: int,
-    assignment: "StageAssignment",
+    profile: "ModelProfile",
     processors: Sequence[ProcessorSpec],
     names: Tuple[Optional[str], ...],
     stages: Stages,
@@ -185,13 +190,11 @@ def _probe_tail(
     (:attr:`~repro.profiling.profiler.ModelProfile.probe_tails`) serves
     them all; a memo hit counts its tasks as ``chain_task_memo_hits``.
     """
-    memo = assignment.profile.probe_tails
+    memo = profile.probe_tails
     key = (request, names, tuple(stages))
     tasks = memo.get(key)
     if tasks is None:
-        tasks = memo[key] = _chain_tasks(
-            request, assignment, processors, names, stages
-        )
+        tasks = memo[key] = _chain_tasks(request, profile, processors, names, stages)
     elif obs.enabled():
         obs.add("chain_task_memo_hits", len(tasks))
     return tasks
@@ -264,6 +267,11 @@ def _first_reaching(
     return lo
 
 
+#: Where a probe's run leaves an anchor's: the checkpoint index it
+#: resumes from, and each changed request's ``(position, tasks)`` tail.
+Resume = Tuple[int, Dict[int, Tuple[int, List[ChainTask]]]]
+
+
 class ProbeAnchor:
     """One checkpointed probe run of a plan that neighbouring probes resume.
 
@@ -279,6 +287,12 @@ class ProbeAnchor:
     (:func:`_probe_tail`), and runs bounded from there: no
     ``plan_to_chains``, no task for a tail probed before, and none of
     the shared prefix's steps.
+
+    A probe names its plan one of two ways.  :meth:`probe_ms` takes a
+    whole plan and finds the requests whose slices changed;
+    :meth:`move_ms` takes one request's new slices, so no plan is built
+    or compared.  Both locate a request's divergence through
+    :meth:`_leaves_at`, so they resume the same run.
 
     Args:
         plan: The plan to anchor on.
@@ -328,52 +342,68 @@ class ProbeAnchor:
         resume = self._divergence(plan, with_contention)
         if resume is None:
             return None
+        return self._resumed_ms(resume, stop_at_ms)
+
+    def move_ms(
+        self,
+        request: int,
+        slices: Sequence[Optional[Tuple[int, int]]],
+        stop_at_ms: float = math.inf,
+    ) -> float:
+        """:meth:`probe_ms` of the anchor's plan with ``request`` moved to
+        ``slices`` (which differ from its anchored slices)."""
+        index, tail = self._leaves_at(request, slices)
+        return self._resumed_ms((index, {request: tail}), stop_at_ms)
+
+    def _resumed_ms(self, resume: Resume, stop_at_ms: float) -> float:
         run = self._run.resumed(*resume)
         return _counted(run.bounded_ms(stop_at_ms), resumed=True)
 
     def _divergence(
         self, plan: "PipelinePlan", with_contention: bool
-    ) -> Optional[Tuple[int, Dict[int, Tuple[int, List[ChainTask]]]]]:
-        """The checkpoint index and tails at which ``plan``'s run leaves
-        the anchor's, or None when it does not share the anchor's run."""
+    ) -> Optional[Resume]:
+        """Where ``plan``'s run leaves the anchor's, or None when it does
+        not share the anchor's run."""
         if (
             plan.soc is not self._soc
             or plan.processors != self._processors
             or plan.order != self._order
             or with_contention != self._with_contention
             or len(plan.assignments) != len(self._profiles)
+            or any(
+                a.profile is not profile
+                for a, profile in zip(plan.assignments, self._profiles)
+            )
         ):
             return None
-        checkpoints = self._run.checkpoints
-        index = len(checkpoints) - 1
-        changed: List[Tuple[int, int, Stages]] = []
+        index = len(self._run.checkpoints) - 1
+        tails: Dict[int, Tuple[int, List[ChainTask]]] = {}
         for i, assignment in enumerate(plan.assignments):
-            if assignment.profile is not self._profiles[i]:
-                return None
-            if assignment.slices == self._slices[i]:
-                continue
-            old = self._stages[i]
-            new = _stages(assignment.slices)
-            p = 0
-            while p < len(old) and p < len(new) and old[p] == new[p]:
-                p += 1
-            if p < len(old) and p < len(new) and old[p][0] == new[p][0]:
-                code = 2 * p + 2  # same processor: read when it starts
-            else:
-                code = 2 * p + 1  # read when it is exposed
-            index = min(index, _first_reaching(checkpoints, i, code) - 1)
-            changed.append((i, p, new))
-        tails = {
-            i: (
-                p,
-                _probe_tail(
-                    i, plan.assignments[i], self._processors, self._names, new[p:]
-                ),
-            )
-            for i, p, new in changed
-        }
+            if assignment.slices != self._slices[i]:
+                leaves_at, tails[i] = self._leaves_at(i, assignment.slices)
+                index = min(index, leaves_at)
+        return index, tails
+
+    def _leaves_at(
+        self, request: int, slices: Sequence[Optional[Tuple[int, int]]]
+    ) -> Tuple[int, Tuple[int, List[ChainTask]]]:
+        """The last checkpoint the anchor's run shares with a run whose
+        ``request`` has ``slices``, and the request's tail from there."""
+        old = self._stages[request]
+        new = _stages(slices)
+        p = 0
+        while p < len(old) and p < len(new) and old[p] == new[p]:
+            p += 1
+        if p < len(old) and p < len(new) and old[p][0] == new[p][0]:
+            code = 2 * p + 2  # same processor: read when it starts
+        else:
+            code = 2 * p + 1  # read when it is exposed
+        tail = _probe_tail(
+            request, self._profiles[request], self._processors, self._names, new[p:]
+        )
         # A first position exposed at checkpoint 0 is re-filed there.
-        return max(index, 0), tails
+        index = max(_first_reaching(self._run.checkpoints, request, code) - 1, 0)
+        return index, (p, tail)
 
 
 def replicate_chains(

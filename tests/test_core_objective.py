@@ -10,7 +10,7 @@ import inspect
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -23,7 +23,12 @@ from repro.core.objective import (
 from repro.core.plan import PipelinePlan, StageAssignment
 from repro.core.planner import Hetero2PipePlanner, PlannerConfig
 from repro.core.partition import partition_model
-from repro.core.stealing import move_boundary_layer, single_processor_assignment
+from repro.core.stealing import (
+    boundary_moves,
+    move_boundary_layer,
+    placement_moves,
+    single_processor_assignment,
+)
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
@@ -529,6 +534,54 @@ class TestIncrementalProbes:
                     assert value == fresh  # bit for bit
             counters = rec.metrics.snapshot()["counters"]
         assert counters.get("objective_probes_resumed", 0) == cache.misses
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        soc_name=st.sampled_from(SOC_NAMES),
+        names=st.lists(st.sampled_from(MODEL_NAMES), min_size=2, max_size=5),
+        anchor_moves=st.lists(moves, max_size=6),
+        request=st.integers(0, 4),
+        kind=st.sampled_from([boundary_moves, placement_moves]),
+        pick=st.integers(0, 7),
+        cutoff_scale=st.floats(0.8, 1.2),
+    )
+    def test_move_probe_is_the_moved_plans_probe(
+        self, profilers, soc_name, names, anchor_moves, request, kind, pick,
+        cutoff_scale,
+    ):
+        """An anchor's move probe keys, values and leaves the plan as a
+        probe of the moved plan would, without building that plan."""
+        plan = shared_plan(profilers, soc_name, names)
+        for move in anchor_moves:
+            apply_move(plan, *move)
+        request %= plan.num_requests
+        candidates = [
+            slices for slices, _ in kind(plan.assignments[request], plan.processors)
+        ]
+        assume(candidates)
+        slices = candidates[pick % len(candidates)]
+        moved = plan.copy()
+        moved.assignments[request].slices = list(slices)
+        fresh = async_makespan_ms(moved)
+        cutoff = fresh * cutoff_scale
+        assignments = list(plan.assignments)
+        before = [(a.slices, list(a.slices)) for a in assignments]
+        cache = ObjectiveCache()
+        probe = cache.anchor(plan)
+        value = probe(request, slices, cutoff)
+        # Not a slice list of the plan was replaced, or written to.
+        assert all(a is b for a, b in zip(plan.assignments, assignments))
+        for a, (held, copied) in zip(assignments, before):
+            assert a.slices is held and a.slices == copied
+        # The probe's entry is the moved plan's: anchor plus probe, and a
+        # whole-plan probe of the moved plan is answered from it.
+        assert len(cache) == 2 and plan_fingerprint(moved) in cache._cache
+        assert cache(moved, stop_at_ms=cutoff) == value
+        assert (cache.hits, cache.misses) == (1, 1)
+        if value == math.inf:
+            assert fresh >= cutoff
+        else:
+            assert value == fresh  # bit for bit
 
     def test_pruned_entry_answers_only_lower_cutoffs(self, kirin):
         plan = build_plan(kirin, ["resnet50", "vit", "bert"])

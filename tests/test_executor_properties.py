@@ -9,11 +9,15 @@ the engine's per-processor ready sets against a brute-force
 recomputation after every step, that replaying them with causality
 tracking off simulates exactly the same schedule, and that the
 timeline fold of their event logs keeps the engine's busy times,
-Little's law and non-negative queueing delays.  Probe runs, bounded and
-resumed, equal the engine's makespan on random chains, with and
-without zoo workloads (so with and without contention).
+Little's law and non-negative queueing delays, and that their critical
+paths tile [0, makespan].  Doubling every solo time doubles the
+makespan exactly, and reversing the processor tuple keeps it.  Probe
+runs, bounded and resumed, equal the engine's makespan on random
+chains, with and without zoo workloads (so with and without
+contention).
 """
 
+import dataclasses
 import functools
 import math
 
@@ -23,12 +27,17 @@ from hypothesis import strategies as st
 
 from repro.hardware.soc import get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
-from repro.obs.blame import blame_requests
+from repro.obs.blame import blame_requests, extract_critical_path
 from repro.obs.timeline import TimelineAggregator
 from repro.profiling.profiler import SocProfiler
 from repro.profiling.slowdown import SliceWorkload
 from repro.runtime.engine import DiscreteEventEngine, ProbeRun
-from repro.runtime.executor import ChainTask, replicate_chains, simulate_chains
+from repro.runtime.executor import (
+    ChainTask,
+    replicate_chains,
+    scale_chain_tasks,
+    simulate_chains,
+)
 
 KIRIN = get_soc("kirin990")
 PROCS = list(KIRIN.processors)
@@ -323,6 +332,60 @@ class TestTimelineIdentities:
         assert fold.littles_law().ok
         for delay_ms in result.queueing_delays_ms():
             assert delay_ms is None or delay_ms >= 0.0
+
+
+class TestCriticalPathTiling:
+    @given(open_loop_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_critical_path_tiles_the_makespan(self, run):
+        """Gaps and durations of the path tile [0, makespan]: each
+        segment starts where the previous ended, the last ends at the
+        makespan, within 1e-9."""
+        result = _engine(run).run()
+        path = extract_critical_path(result)
+        assert path.makespan_ms == result.makespan_ms
+        assert abs(path.residue_ms) <= 1e-9
+        cursor = 0.0
+        for seg in path.segments:
+            start = seg.start_ms if seg.start_ms is not None else seg.finish_ms
+            assert abs(start - (cursor + seg.gap_ms)) <= 1e-9
+            cursor = seg.finish_ms
+        assert abs(cursor - result.makespan_ms) <= 1e-9
+
+
+class TestMetamorphicRelations:
+    """Every instant of a run doubles with its solo times, and doubling
+    is exact in binary floating point, so the makespan doubles bit for
+    bit, with and without contention.  The order of the SoC's processor
+    tuple indexes the engine's slots but decides nothing, so reversing
+    it keeps the makespan bit for bit."""
+
+    def _check_doubling(self, chains):
+        doubled = replicate_chains(chains, 1)
+        scale_chain_tasks(doubled, {p.name: 2.0 for p in PROCS})
+        base_ms = simulate_chains(KIRIN, replicate_chains(chains, 1)).makespan_ms
+        assert simulate_chains(KIRIN, doubled).makespan_ms == 2.0 * base_ms
+
+    @given(chains_strategy())
+    @settings(max_examples=150, deadline=None)
+    def test_doubling_every_solo_time_doubles_the_makespan(self, chains):
+        self._check_doubling(chains)
+
+    @given(chains_strategy(tasks=zoo_tasks))
+    @settings(max_examples=100, deadline=None)
+    def test_doubling_doubles_the_makespan_under_contention(self, chains):
+        self._check_doubling(chains)
+
+    @given(chains_strategy(tasks=zoo_tasks))
+    @settings(max_examples=100, deadline=None)
+    def test_reversing_the_processor_tuple_keeps_the_makespan(self, chains):
+        reversed_soc = dataclasses.replace(
+            KIRIN, processors=tuple(reversed(KIRIN.processors))
+        )
+        assert (
+            simulate_chains(reversed_soc, replicate_chains(chains, 1)).makespan_ms
+            == simulate_chains(KIRIN, replicate_chains(chains, 1)).makespan_ms
+        )
 
 
 @st.composite

@@ -350,6 +350,21 @@ class TestCommittedCounters:
         row = bench.SCENARIOS[scenario](soc, 1).to_row()
         assert row.get("counters", {}) == committed.get("counters", {})
 
+    def test_every_planning_miss_resumes_from_an_anchor(self):
+        """In every cell that plans, each objective-cache miss is a probe
+        resumed from an anchor's run: none re-simulates from scratch."""
+        planning = {
+            cell: row["counters"]
+            for cell, row in _committed_rows().items()
+            if row.get("counters", {}).get("objective_cache_misses")
+        }
+        assert {scenario for scenario, _ in planning} == {"cold_plan", "drift_replan"}
+        for cell, counters in planning.items():
+            assert (
+                counters["objective_probes_resumed"]
+                == counters["objective_cache_misses"]
+            ), cell
+
 
 class TestCliVerbs:
     def test_bench_json_verb(self, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.partition import partition_model
 from repro.core.plan import PipelinePlan, StageAssignment
+from repro.core.planner import Hetero2PipePlanner
 from repro.baselines.mnn_serial import plan_mnn_serial
 from repro import obs
 from repro.hardware.soc import SOC_NAMES, get_soc
@@ -17,6 +18,7 @@ from repro.profiling.slowdown import (
     SENSITIVITY_GAIN,
     SliceWorkload,
 )
+from repro.runtime import executor
 from repro.runtime.engine import DiscreteEventEngine
 from repro.runtime.executor import (
     ARENA_OVERHEAD_FACTOR,
@@ -26,6 +28,7 @@ from repro.runtime.executor import (
     scale_chain_tasks,
     simulate_chains,
 )
+from repro.workloads.generator import sample_combinations
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +312,13 @@ class TestMetricsAndTrace:
             simulate_chains(kirin, [chain])
 
 
+def assert_memo_prices_its_keys(profile, soc):
+    procs = {p.name: p for p in soc.processors}
+    for (name, next_name, start, end), entry in profile.slice_tasks.items():
+        next_proc = None if next_name is None else procs[next_name]
+        assert entry[0] == profile.slice_cost_ms(procs[name], start, end, next_proc)
+
+
 def _task_state(chains):
     return [(t.solo_ms, t.remaining_ms) for chain in chains for t in chain]
 
@@ -380,6 +390,47 @@ class TestSliceTaskMemo:
                 assert task.workload == SliceWorkload(
                     assignment.profile, proc, start, end
                 )
+
+    def test_stages_other_than_an_assignments_are_priced_by_their_own(self, kirin):
+        """A probe tail's stages need not be any assignment's slices: each
+        task and memo entry costs its own slice, not a plan's."""
+        profiler = SocProfiler(kirin)
+        plan = make_plan(profiler, kirin, ["bert", "vit"])
+        assignment = plan.assignments[1]
+        n = assignment.profile.model.num_layers
+        stages = [(0, 0, n // 2), (1, n // 2 + 1, n - 1)]
+        assert stages != executor._stages(assignment.slices)
+        names = executor._handoff_names(plan.processors)
+        tasks = executor._chain_tasks(
+            1, assignment.profile, plan.processors, names, stages
+        )
+        assert len(tasks) == len(stages)
+        for task, (k, start, end) in zip(tasks, stages):
+            assert task.solo_ms == assignment.profile.slice_cost_ms(
+                plan.processors[k], start, end, plan.processors[k + 1]
+            )
+        assert_memo_prices_its_keys(assignment.profile, kirin)
+
+    def test_planned_memos_price_every_key_by_its_own_slice(self):
+        """Every entry the planner's probes leave in the memo, over the
+        end-to-end benchmark's cold-mix catalogue on every SoC, holds
+        its own key's solo time."""
+        mixes = [
+            spec.models()
+            for spec in sample_combinations(
+                count=12, min_size=3, max_size=6, seed=2025
+            )
+        ]
+        for soc_name in SOC_NAMES:
+            soc = get_soc(soc_name)
+            planner = Hetero2PipePlanner(soc)
+            for models in mixes:
+                planner.invalidate_caches()
+                planner.plan(models)
+                for model in models:
+                    profile = planner.profiler.profile(model)
+                    assert profile.slice_tasks
+                    assert_memo_prices_its_keys(profile, soc)
 
     def test_memo_counters_once_per_call(self, kirin):
         plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit"])

@@ -51,10 +51,10 @@ Subcommands:
   and wait-state-colored slices).
 * ``lint [paths] [--format text|json|sarif] [--plans] [--baseline
   FILE [--update-baseline]]`` — run the static-analysis subsystem
-  (AST rules, dataflow unit/concurrency rules, import layering, plan
-  invariants); ``--json`` emits ``hetero2pipe.lint.v1``, ``--format
-  sarif`` SARIF 2.1.0, and ``--baseline`` applies the committed
-  ratchet (``.lint-baseline.json``); see ``docs/STATIC_ANALYSIS.md``.
+  (AST rules, determinism rules, import layering, plan invariants);
+  ``--json`` emits ``hetero2pipe.lint.v1``, ``--format sarif`` SARIF
+  2.1.0, and ``--baseline`` applies the committed ratchet
+  (``.lint-baseline.json``); see ``docs/STATIC_ANALYSIS.md``.
 * ``profile --soc X --models a,b`` — plan (or ``--stream``) with the
   phase-attributed self-profiler on and print where the planner's own
   wall time went; ``--cprofile``/``--allocations`` deepen the capture,

@@ -1,14 +1,12 @@
 """``repro.lint`` — the project's static-analysis subsystem.
 
-Three cooperating checkers, all reporting uniform :class:`Finding`\\ s:
+Cooperating checkers, all reporting uniform :class:`Finding`\\ s:
 
 * an **AST rule engine** (:mod:`repro.lint.engine`) running the custom
   rules in :mod:`repro.lint.rules` — wall-clock bans in simulator
   paths, float-equality bans in scheduling math, frozen-dataclass
-  mutation, unit-suffix naming, and ``INFEASIBLE``-sentinel arithmetic;
-* a **dataflow layer** (:mod:`repro.lint.flow`: CFGs, the unit
-  lattice, abstract interpretation) backing the H2P11x unit-dimension
-  rules and the H2P12x determinism rules;
+  mutation, unit-suffix naming, ``INFEASIBLE``-sentinel arithmetic,
+  and the H2P12x determinism rules;
 * an **import-layering checker** (rule ``H2P201``) enforcing the
   DESIGN.md package architecture as a DAG;
 * a **plan-invariant linter** (:mod:`repro.lint.plan_invariants`) that

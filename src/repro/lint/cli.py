@@ -218,8 +218,8 @@ def run_lint_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Hetero2Pipe static analysis: AST rules, dataflow "
-        "unit/concurrency rules, import layering, plan invariants.",
+        description="Hetero2Pipe static analysis: AST rules, determinism "
+        "rules, import layering, plan invariants.",
     )
     add_lint_arguments(parser)
     return run_lint_command(parser.parse_args(argv))

@@ -1,8 +1,8 @@
 """Rule catalogue: importing this package registers every rule.
 
 One module per rule family; each module's docstring carries the paper
-rationale that ``docs/STATIC_ANALYSIS.md`` summarizes. The H2P11x/
-H2P12x families are dataflow rules built on :mod:`repro.lint.flow`.
+rationale that ``docs/STATIC_ANALYSIS.md`` summarizes. Every rule is a
+single-pass AST check of one module.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from . import infeasible  # noqa: F401
 from . import layering  # noqa: F401
 from . import printer  # noqa: F401
 from . import spanctx  # noqa: F401
-from . import unitflow  # noqa: F401
 from . import units  # noqa: F401
 from . import wallclock  # noqa: F401
 
@@ -25,7 +24,6 @@ from .infeasible import InfeasibleArithmeticRule
 from .layering import ImportLayeringRule
 from .printer import PrintInLibraryRule
 from .spanctx import SpanContextRule
-from .unitflow import ReturnUnitRule, UnitMismatchRule
 from .units import UnitSuffixRule
 from .wallclock import WallClockRule
 
@@ -36,9 +34,7 @@ __all__ = [
     "ImportLayeringRule",
     "ModuleStateWriteRule",
     "PrintInLibraryRule",
-    "ReturnUnitRule",
     "SpanContextRule",
-    "UnitMismatchRule",
     "UnitSuffixRule",
     "UnseededRandomnessRule",
     "WallClockRule",

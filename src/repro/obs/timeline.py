@@ -301,7 +301,9 @@ class TimelineAggregator:
         observed_l = self._n_integral_total / horizon_ms
         arrival_rate = self._arrivals_total / horizon_ms
         mean_sojourn_ms = sojourn_sum_ms / self._arrivals_total
-        expected_l = arrival_rate * mean_sojourn_ms
+        # λW with the arrival count cancelled: over a subnormal horizon
+        # λ alone overflows to inf and the product is inf or nan.
+        expected_l = sojourn_sum_ms / horizon_ms
         scale = max(abs(observed_l), abs(expected_l), 1e-12)
         gap_frac = abs(observed_l - expected_l) / scale
         ok = gap_frac <= tolerance_frac
@@ -400,9 +402,11 @@ class TimelineAggregator:
         return stats
 
     def _interarrival_cv(self) -> Optional[float]:
-        if self._gap_count < 2 or self._gap_sum_ms <= 0:
+        if self._gap_count < 2:
             return None
         mean = self._gap_sum_ms / self._gap_count
+        if mean <= 0:  # also when subnormal gaps underflow to zero
+            return None
         variance = max(
             0.0, self._gap_sumsq / self._gap_count - mean * mean
         )

@@ -149,9 +149,9 @@ class ModelProfile:
         """Solo execution time ``T^e`` of slice ``[start, end]`` on ``proc``.
 
         Includes one kernel-launch overhead per slice.  Returns
-        :data:`INFEASIBLE` if the slice contains an unsupported operator.
+        :data:`INFEASIBLE` if the slice contains an unsupported operator;
+        :meth:`feasible` checks the range.
         """
-        self._check(start, end)
         if not self.feasible(proc, start, end):
             return INFEASIBLE
         prefix = self._lat_prefix[proc.name]
@@ -159,7 +159,6 @@ class ModelProfile:
 
     def layer_ms(self, proc: ProcessorSpec, index: int) -> float:
         """Solo latency of a single layer (no launch overhead)."""
-        self._check(index, index)
         if not self.feasible(proc, index, index):
             return INFEASIBLE
         return self._latency[proc.name][index]

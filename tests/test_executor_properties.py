@@ -22,7 +22,7 @@ import functools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.soc import get_soc
@@ -315,9 +315,30 @@ class TestReadySetInvariant:
         assert untracked.corun_inflation_ms == {}
 
 
+def _npu_run(arrivals, cancellations=()):
+    """One 1 ms NPU task per arrival, nothing else moving a head."""
+    npu = KIRIN.processor("npu")
+    return {
+        "chains": [
+            [ChainTask(i, npu, solo_ms=1.0, workload=None, working_set=0.0)]
+            for i in range(len(arrivals))
+        ],
+        "arrivals": list(arrivals),
+        "deadline_ms": None,
+        "cancellations": list(cancellations),
+        "preemptions": [],
+        "offline": {},
+        "enforce_memory": False,
+    }
+
+
 class TestTimelineIdentities:
     @given(open_loop_runs())
     @settings(max_examples=150, deadline=None)
+    # Subnormal times: a horizon of 5e-324 ms (the arrival rate alone
+    # overflows), and gaps whose mean underflows to zero.
+    @example(_npu_run([0.0], cancellations=[(0, 5e-324)]))
+    @example(_npu_run([0.0, 0.0, 5e-324]))
     def test_timeline_fold_keeps_the_engines_identities(self, run):
         """The fold of a run's event log: busy time equal to the
         engine's, Little's law, and no negative queueing delay."""

@@ -189,6 +189,18 @@ class TestModelProfile:
         with pytest.raises(IndexError):
             profiles["vit"].exec_ms(kirin.cpu_big, 5, 2)
 
+    def test_out_of_range_slice_raises_from_exec_and_layer_ms(
+        self, kirin, profiles
+    ):
+        profile = profiles["vit"]
+        n = profile.model.num_layers
+        for start, end in ((-1, 0), (0, n), (n, n)):
+            with pytest.raises(IndexError, match="invalid slice"):
+                profile.exec_ms(kirin.npu, start, end)
+        for index in (-1, n):
+            with pytest.raises(IndexError, match="invalid slice"):
+                profile.layer_ms(kirin.npu, index)
+
     def test_memory_fraction_in_unit_interval(self, kirin, profiles):
         for profile in profiles.values():
             frac = profile.memory_fraction(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import CouplingRow, SocSpec
@@ -124,6 +124,11 @@ def slowdown_fraction(
     pair falls back to :meth:`SocSpec.coupling_factor`, which holds the
     same values.
 
+    :class:`~repro.runtime.engine.ProbeRun` inlines these float
+    operations in this order over :func:`coupling_matrix`, so a change
+    here is a change there (``TestProbeDifferential`` holds the two
+    runs bit-identical).
+
     Raises:
         ValueError: if a co-runner shares the victim's processor name.
     """
@@ -150,6 +155,48 @@ def slowdown_fraction(
         return 0.0
     exponent = pressure * victim._sensitivity
     return MAX_SLOWDOWN * (1.0 - math.exp(-exponent))
+
+
+def coupling_matrix(soc: SocSpec) -> List[List[float]]:
+    """The couplings :func:`slowdown_fraction` reads between the SoC's
+    own processors, by slot.
+
+    Entry ``[v][c]`` is the coupling a co-runner on
+    ``soc.processors[c]`` exerts on a victim on ``soc.processors[v]``.
+    It is :func:`slowdown_fraction`'s value for a pair of workloads that
+    :func:`check_on_soc` accepts on those two processors.
+    """
+    rows = soc.coupling_rows
+    return [[rows[v.name][c.name][1] for c in soc.processors] for v in soc.processors]
+
+
+def check_on_soc(
+    soc: SocSpec, proc: ProcessorSpec, workload: Optional[SliceWorkload]
+) -> None:
+    """Reject a slice whose coupling is not its slot's in :func:`coupling_matrix`.
+
+    A slice on ``proc`` takes the slot of ``proc``'s name, while
+    :func:`slowdown_fraction` reads the coupling of its workload's
+    processor, and the SoC's row only for a processor with that name
+    and kind.
+
+    Raises:
+        ValueError: unless ``proc``, and the workload's processor, are
+            the SoC's processor of ``proc``'s name by name and kind.
+    """
+    own = soc.coupling_rows.get(proc.name, _NO_ROW).get(proc.name)
+    if (
+        own is None
+        or proc.kind is not own[0]
+        or (
+            workload is not None
+            and (workload.proc.name != proc.name or workload.proc.kind is not own[0])
+        )
+    ):
+        raise ValueError(
+            f"slice on {proc.name!r} does not run on SoC {soc.name!r}'s "
+            "processor of that name and kind"
+        )
 
 
 def co_execution_ms(

@@ -122,7 +122,13 @@ from ..obs.causality import (
 from ..hardware.memory import MemoryDemand, MemoryGovernor
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
-from ..profiling.slowdown import SliceWorkload, slowdown_fraction
+from ..profiling.slowdown import (
+    MAX_SLOWDOWN,
+    SliceWorkload,
+    check_on_soc,
+    coupling_matrix,
+    slowdown_fraction,
+)
 from ..util import percentile
 from .arrivals import ArrivalsLike, resolve_arrivals
 
@@ -423,8 +429,13 @@ def _check_chains(
     chains: Sequence[Sequence[ChainTask]],
     slot: Mapping[str, int],
     capacity: float = math.inf,
+    probe: bool = False,
 ) -> None:
     """Reject chains an engine or probe run cannot simulate.
+
+    A probe run (``probe``) also rejects what :func:`check_on_soc` does:
+    a slice its coupling matrix would price otherwise than
+    :func:`slowdown_fraction`.
 
     Raises:
         ValueError: on a task whose ``request`` differs from its
@@ -444,6 +455,8 @@ def _check_chains(
                     f"task processor {task.proc.name!r} not on "
                     f"SoC {soc.name!r}"
                 )
+            if probe:
+                check_on_soc(soc, task.proc, task.workload)
             if task.working_set > capacity:
                 raise MemoryError(
                     f"slice of request {task.request} needs "
@@ -1208,8 +1221,11 @@ class ProbeRun:
     and each slot's started solo time, all in locals.  Each step is
     :meth:`DiscreteEventEngine._step`'s arithmetic in the same order,
     with the same ``engine_steps`` and ``slowdown_evaluations`` counts,
-    so it returns the same makespan bit for bit.  It writes to no task
-    (not ``remaining_ms``, not ``start_ms``) and keeps no task records,
+    so it returns the same makespan bit for bit.  The step makes no
+    call: :func:`slowdown_fraction` is inlined, its float operations in
+    its order, over the SoC's :func:`coupling_matrix`, built once per
+    run (resumed runs share it).  It writes to no task (not
+    ``remaining_ms``, not ``start_ms``) and keeps no task records,
     arenas, busy, finish or first-start times.  A run starts from a
     :class:`Checkpoint`, copies it and never writes it, so any method
     may be called any number of times.  Checkpoint 0 files each
@@ -1254,13 +1270,16 @@ class ProbeRun:
 
     Raises:
         ValueError: on a task whose ``request`` differs from its chain's
-            position or whose processor is not part of the SoC.
+            position or whose processor is not part of the SoC, or that
+            :func:`check_on_soc` rejects (the one case where the matrix
+            and :func:`slowdown_fraction` could read different
+            couplings).
     """
 
     __slots__ = (
-        "_soc",
         "_with_contention",
         "_slot",
+        "_coupling",
         "_chains",
         "_slot_ms",
         "_start",
@@ -1278,7 +1297,7 @@ class ProbeRun:
         procs = soc.processors
         slot = {p.name: k for k, p in enumerate(procs)}
         self._chains = [list(chain) for chain in chains]
-        _check_chains(soc, self._chains, slot)
+        _check_chains(soc, self._chains, slot, probe=True)
         slot_ms = [0.0 for _ in procs]
         ready: List[Set[int]] = [set() for _ in procs]
         for i, chain in enumerate(self._chains):
@@ -1287,9 +1306,9 @@ class ProbeRun:
             if chain:
                 ready[slot[chain[0].proc.name]].add(i)
         n = len(self._chains)
-        self._soc = soc
         self._with_contention = with_contention
         self._slot = slot
+        self._coupling = coupling_matrix(soc)
         # Per slot: the solo time of every task of the chains.
         self._slot_ms = slot_ms
         self._start = Checkpoint(
@@ -1349,8 +1368,10 @@ class ProbeRun:
 
         Raises:
             ValueError: when this run has no checkpoints, ``index`` is
-                not one of them, or a tail starts at a position that
-                has already started.
+                not one of them, or a tail starts at a position that has
+                already started.  Tail tasks are not checked again: their
+                builder, :func:`~repro.runtime.executor._probe_tail`,
+                checks each once, as the constructor checks its chains.
         """
         checkpoints = self.checkpoints
         if not checkpoints:
@@ -1396,9 +1417,9 @@ class ProbeRun:
             if ready is not start.ready:
                 start = start._replace(ready=ready)
         run = ProbeRun.__new__(ProbeRun)
-        run._soc = self._soc
         run._with_contention = self._with_contention
         run._slot = self._slot
+        run._coupling = self._coupling
         run._chains = chains
         run._slot_ms = slot_ms
         run._start = start
@@ -1421,8 +1442,9 @@ class ProbeRun:
         Returns:
             The makespan, or ``inf`` when the bound stopped the run.
         """
-        soc = self._soc
         contention = self._with_contention
+        coupling = self._coupling
+        exp = math.exp
         slot_of = self._slot
         chains = self._chains
         slot_ms = self._slot_ms
@@ -1487,36 +1509,39 @@ class ProbeRun:
                     started_ms[k] += task.solo_ms
                     next_idx[request] = idx + 1
                     prev_done[request] = False
-            tasks = [task for task in running if task is not None]
-            if not tasks:
+            busy = [(k, task) for k, task in enumerate(running) if task is not None]
+            if not busy:
                 raise RuntimeError(
                     "simulation wedged: no running task and no pending event"
                 )
-            active = [k for k in slots if running[k] is not None]
-            # _step's rates and step to the earliest departure.
+            # _step's rates and step to the earliest departure, with
+            # slowdown_fraction inlined: the same float operations in
+            # the same order, the coupling read from the slot matrix.
             rates: List[float] = []
             dt = math.inf
-            for k, task in zip(active, tasks):
-                slowdown = 0.0
-                if contention and task.workload is not None:
-                    others = [
-                        t.workload
-                        for t in tasks
-                        if t is not task and t.workload is not None
-                    ]
-                    slowdown = slowdown_fraction(soc, task.workload, others)
+            for k, task in busy:
+                rate = 1.0
+                workload = task.workload
+                if contention and workload is not None:
+                    row = coupling[k]
+                    pressure = 0.0
+                    for c, co in busy:
+                        if c != k and co.workload is not None:
+                            pressure += row[c] * co.workload._intensity
+                    if pressure > 0.0:
+                        exponent = pressure * workload._sensitivity
+                        rate = 1.0 + MAX_SLOWDOWN * (1.0 - exp(-exponent))
                     evaluations += 1
-                rate = 1.0 + slowdown
                 rates.append(rate)
                 task_dt = left_ms[k] * rate
                 if task_dt < dt:  # min() and max() without the calls
                     dt = task_dt
             if dt < _EPS:
                 dt = _EPS
-            for k, rate in zip(active, rates):
+            for (k, _), rate in zip(busy, rates):
                 left_ms[k] -= dt / rate
             now += dt
-            for k, task in zip(active, tasks):
+            for k, task in busy:
                 if left_ms[k] <= _DEPARTURE_MS:
                     request = task.request
                     running[k] = None

@@ -47,7 +47,7 @@ import math
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..profiling.slowdown import SliceWorkload
+from ..profiling.slowdown import SliceWorkload, check_on_soc
 from .arrivals import ArrivalsLike
 from .engine import (  # noqa: F401  (re-exported: the historical home)
     _EPS,
@@ -176,6 +176,7 @@ def _chain_tasks(
 
 
 def _probe_tail(
+    soc: SocSpec,
     request: int,
     profile: "ModelProfile",
     processors: Sequence[ProcessorSpec],
@@ -189,12 +190,18 @@ def _probe_tail(
     stages)`` in the profile's probe-tail memo
     (:attr:`~repro.profiling.profiler.ModelProfile.probe_tails`) serves
     them all; a memo hit counts its tasks as ``chain_task_memo_hits``.
+    A new list is checked once, as a probe run checks its chains
+    (:func:`~repro.profiling.slowdown.check_on_soc`), so resumed runs
+    need not check it again.
     """
     memo = profile.probe_tails
     key = (request, names, tuple(stages))
     tasks = memo.get(key)
     if tasks is None:
-        tasks = memo[key] = _chain_tasks(request, profile, processors, names, stages)
+        tasks = _chain_tasks(request, profile, processors, names, stages)
+        for task in tasks:
+            check_on_soc(soc, task.proc, task.workload)
+        memo[key] = tasks
     elif obs.enabled():
         obs.add("chain_task_memo_hits", len(tasks))
     return tasks
@@ -399,7 +406,12 @@ class ProbeAnchor:
         else:
             code = 2 * p + 1  # read when it is exposed
         tail = _probe_tail(
-            request, self._profiles[request], self._processors, self._names, new[p:]
+            self._soc,
+            request,
+            self._profiles[request],
+            self._processors,
+            self._names,
+            new[p:],
         )
         # A first position exposed at checkpoint 0 is re-filed there.
         index = max(_first_reaching(self._run.checkpoints, request, code) - 1, 0)

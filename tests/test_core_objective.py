@@ -34,7 +34,7 @@ from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests
 from repro.profiling.profiler import SocProfiler
 from repro.runtime import executor
-from repro.runtime.executor import async_makespan_ms
+from repro.runtime.executor import _first_reaching, async_makespan_ms
 
 
 def canonical(plan: PipelinePlan):
@@ -45,6 +45,18 @@ def canonical(plan: PipelinePlan):
         plan.order,
         tuple((a.model_name, tuple(a.slices)) for a in plan.assignments),
     )
+
+
+def assert_first_reaching(anchor):
+    """For every request and every progress code of its chain, the
+    binary search names the first checkpoint of the anchor's run that a
+    brute-force scan finds reaching it."""
+    checkpoints = anchor._run.checkpoints
+    for request, stages in enumerate(anchor._stages):
+        for code in range(2 * len(stages) + 2):
+            assert _first_reaching(checkpoints, request, code) == next(
+                j for j, ck in enumerate(checkpoints) if ck.progress(request) >= code
+            )
 
 
 def build_plan(soc, names):
@@ -474,6 +486,7 @@ class TestIncrementalProbes:
             assert fresh >= cutoff
         else:
             assert value == fresh  # bit for bit
+        assert_first_reaching(cache._anchor)
 
     @pytest.mark.parametrize("soc_name", SOC_NAMES)
     def test_neighbourhood_resumes_and_prunes_exactly(self, profilers, soc_name):
@@ -534,6 +547,8 @@ class TestIncrementalProbes:
                     assert value == fresh  # bit for bit
             counters = rec.metrics.snapshot()["counters"]
         assert counters.get("objective_probes_resumed", 0) == cache.misses
+        # The chained anchor's run, its inherited checkpoints included.
+        assert_first_reaching(cache._anchor)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -582,6 +597,7 @@ class TestIncrementalProbes:
             assert fresh >= cutoff
         else:
             assert value == fresh  # bit for bit
+        assert_first_reaching(cache._anchor)
 
     def test_pruned_entry_answers_only_lower_cutoffs(self, kirin):
         plan = build_plan(kirin, ["resnet50", "vit", "bert"])

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.soc import get_soc
+from repro.hardware.processor import ProcessorKind
+from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests, extract_critical_path
 from repro.obs.timeline import TimelineAggregator
@@ -34,6 +35,9 @@ from repro.profiling.slowdown import SliceWorkload
 from repro.runtime.engine import DiscreteEventEngine, ProbeRun
 from repro.runtime.executor import (
     ChainTask,
+    _first_reaching,
+    _handoff_names,
+    _probe_tail,
     replicate_chains,
     scale_chain_tasks,
     simulate_chains,
@@ -41,12 +45,25 @@ from repro.runtime.executor import (
 
 KIRIN = get_soc("kirin990")
 PROCS = list(KIRIN.processors)
+#: Every SoC, and Kirin 990 recalibrated the way a drift replan does it
+#: (a slower GPU): the SoCs whose coupling matrices probe runs read.
+PROBE_SOCS = {name: get_soc(name) for name in SOC_NAMES}
+PROBE_SOCS["kirin990_recalibrated"] = dataclasses.replace(
+    KIRIN,
+    processors=tuple(
+        dataclasses.replace(p, peak_gflops=p.peak_gflops / 1.3)
+        if p.name == "gpu"
+        else p
+        for p in KIRIN.processors
+    ),
+)
 
 
 @st.composite
-def timing_tasks(draw, request, max_working_set=1e8):
+def timing_tasks(draw, request, max_working_set=1e8, soc_name="kirin990"):
     """A task without a workload (pure timing) on a random processor."""
-    proc = PROCS[draw(st.integers(0, len(PROCS) - 1))]
+    procs = PROBE_SOCS[soc_name].processors
+    proc = procs[draw(st.integers(0, len(procs) - 1))]
     solo = draw(st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False))
     return ChainTask(
         request=request,
@@ -71,20 +88,21 @@ def chains_strategy(draw, max_working_set=1e8, tasks=timing_tasks):
 
 
 @functools.lru_cache(maxsize=None)
-def _zoo_profiles():
-    profiler = SocProfiler(KIRIN)
+def _zoo_profiles(soc_name="kirin990"):
+    profiler = SocProfiler(PROBE_SOCS[soc_name])
     return tuple(profiler.profile(get_model(name)) for name in MODEL_NAMES)
 
 
 @st.composite
-def zoo_tasks(draw, request, max_working_set=0.0):
+def zoo_tasks(draw, request, max_working_set=0.0, soc_name="kirin990"):
     """A random zoo slice on a random processor that can run it, with
     its workload, so co-running tasks slow each other down."""
-    profile = draw(st.sampled_from(_zoo_profiles()))
+    profile = draw(st.sampled_from(_zoo_profiles(soc_name)))
     last = profile.model.num_layers - 1
     start = draw(st.integers(0, last))
     end = draw(st.integers(start, last))
-    proc = draw(st.sampled_from([p for p in PROCS if profile.feasible(p, start, end)]))
+    procs = PROBE_SOCS[soc_name].processors
+    proc = draw(st.sampled_from([p for p in procs if profile.feasible(p, start, end)]))
     return ChainTask(
         request=request,
         proc=proc,
@@ -432,19 +450,32 @@ def _first_read(old, new, position):
     return 2 * position + 2 if same_slot else 2 * position + 1
 
 
-class TestProbeDifferential:
-    """Probe runs answer exactly what a memory-free engine run would."""
+def _assert_first_reaching(checkpoints, chains):
+    """For every request and every progress code of its chain, the
+    binary search names the first checkpoint a brute-force scan finds
+    reaching it."""
+    for request, chain in enumerate(chains):
+        for code in range(2 * len(chain) + 2):
+            assert _first_reaching(checkpoints, request, code) == next(
+                j for j, ck in enumerate(checkpoints) if ck.progress(request) >= code
+            )
 
-    def _check(self, case):
+
+class TestProbeDifferential:
+    """Probe runs answer exactly what a memory-free engine run would, on
+    every SoC's coupling matrix and on a recalibrated copy, and a move's
+    resume point is a brute-force scan's."""
+
+    def _check(self, soc, case):
         chains, scale, request, position, tail = case
         makespan_ms = DiscreteEventEngine(
-            KIRIN,
+            soc,
             replicate_chains(chains, 1),
             enforce_memory=False,
             record=False,
             track_causality=False,
         ).run().makespan_ms
-        run = ProbeRun(KIRIN, chains)
+        run = ProbeRun(soc, chains)
         assert run.bounded_ms() == makespan_ms
         cutoff_ms = scale * makespan_ms
         value = run.bounded_ms(cutoff_ms)
@@ -453,8 +484,9 @@ class TestProbeDifferential:
         )
         replaced = [list(chain) for chain in chains]
         replaced[request] = chains[request][:position] + tail
-        fresh_ms = ProbeRun(KIRIN, replaced).bounded_ms()
+        fresh_ms = ProbeRun(soc, replaced).bounded_ms()
         run.checkpointed()
+        _assert_first_reaching(run.checkpoints, chains)
         code = _first_read(chains[request], replaced[request], position)
         first = next(
             (j for j, ck in enumerate(run.checkpoints) if ck.progress(request) >= code),
@@ -468,13 +500,50 @@ class TestProbeDifferential:
             assert value == fresh_ms or (
                 value == math.inf and fresh_ms >= scale * fresh_ms
             )
+        # A resumed run's checkpoints, its inherited ones included.
+        resumed = run.resumed(max(first, 1) - 1, {request: (position, tail)})
+        assert resumed.checkpointed() == fresh_ms
+        _assert_first_reaching(resumed.checkpoints, replaced)
 
-    @given(probe_cases(timing_tasks))
-    @settings(max_examples=150, deadline=None)
-    def test_timing_chains(self, case):
-        self._check(case)
+    def _check_every_soc(self, data, tasks):
+        """One case per SoC of :data:`PROBE_SOCS`, each drawn on its
+        own processors."""
+        for soc_name, soc in PROBE_SOCS.items():
+            case = data.draw(
+                probe_cases(functools.partial(tasks, soc_name=soc_name)),
+                label=soc_name,
+            )
+            self._check(soc, case)
 
-    @given(probe_cases(zoo_tasks))
+    @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_zoo_workload_chains(self, case):
-        self._check(case)
+    def test_timing_chains(self, data):
+        self._check_every_soc(data, timing_tasks)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_zoo_workload_chains(self, data):
+        self._check_every_soc(data, zoo_tasks)
+
+    def test_rejects_a_processor_of_another_kind(self):
+        """A processor named like its slot but of another kind, on the
+        task or its workload, would read another coupling than
+        slowdown_fraction does: a fresh run rejects it, and so does the
+        builder of a resumed run's tails, before it memoizes the tail."""
+        profile = _zoo_profiles()[0]
+        gpu = KIRIN.processor("gpu")
+        impostor = dataclasses.replace(gpu, kind=ProcessorKind.CPU_BIG)
+        last = profile.model.num_layers - 1
+        for task in (
+            ChainTask(0, impostor, 1.0, None, 0.0),
+            ChainTask(0, gpu, 1.0, SliceWorkload(profile, impostor, 0, last), 0.0),
+        ):
+            with pytest.raises(ValueError, match="does not run on"):
+                ProbeRun(KIRIN, [[task]])
+        fresh = SocProfiler(KIRIN).profile(profile.model)
+        processors = tuple(impostor if p is gpu else p for p in KIRIN.processors)
+        names = _handoff_names(processors)
+        stage = (processors.index(impostor), 0, last)
+        with pytest.raises(ValueError, match="does not run on"):
+            _probe_tail(KIRIN, 0, fresh, processors, names, [stage])
+        assert not fresh.probe_tails

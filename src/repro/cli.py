@@ -49,12 +49,10 @@ Subcommands:
   ``hetero2pipe.blame.v1``, ``--jsonl`` writes the blame telemetry
   rows, ``--trace`` a Chrome trace with the critical path highlighted
   and wait-state-colored slices).
-* ``lint [paths] [--format text|json|sarif] [--plans] [--baseline
-  FILE [--update-baseline]]`` — run the static-analysis subsystem
-  (AST rules, determinism rules, import layering, plan invariants);
-  ``--json`` emits ``hetero2pipe.lint.v1``, ``--format sarif`` SARIF
-  2.1.0, and ``--baseline`` applies the committed ratchet
-  (``.lint-baseline.json``); see ``docs/STATIC_ANALYSIS.md``.
+* ``lint [paths] [--format text|json|sarif]`` — run the
+  static-analysis subsystem (AST rules, determinism rules, import
+  layering); ``--json`` emits ``hetero2pipe.lint.v1`` and
+  ``--format sarif`` SARIF 2.1.0; see ``docs/STATIC_ANALYSIS.md``.
 * ``profile --soc X --models a,b`` — plan (or ``--stream``) with the
   phase-attributed self-profiler on and print where the planner's own
   wall time went; ``--cprofile``/``--allocations`` deepen the capture,
@@ -65,8 +63,8 @@ Subcommands:
   harness: named planner/streaming/executor scenarios swept across
   SoCs; ``--json``/``--out`` emit ``hetero2pipe.bench.v1``,
   ``--baseline BENCH_planner.json`` gates against the committed
-  trajectory and ``--update-baseline`` re-anchors it (the lint-ratchet
-  UX; see docs/PERFORMANCE.md).
+  trajectory and ``--update-baseline`` re-anchors it by overwriting the
+  baseline with this run's rows (see docs/PERFORMANCE.md).
 
 The ``--json`` schemas are documented in docs/OBSERVABILITY.md and kept
 stable for CI/dashboard consumers.
@@ -1505,7 +1503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="write the current results to the baseline path instead of "
-        "gating (the lint-ratchet UX)",
+        "gating (re-anchors the committed trajectory)",
     )
     bench_parser.add_argument(
         "--tolerance",
@@ -1545,7 +1543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="static analysis: AST rules, import layering, plan invariants",
+        help="static analysis: AST rules, import layering",
     )
     from .lint.cli import add_lint_arguments
 

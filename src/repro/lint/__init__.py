@@ -1,6 +1,6 @@
 """``repro.lint`` — the project's static-analysis subsystem.
 
-Cooperating checkers, all reporting uniform :class:`Finding`\\ s:
+Two cooperating checkers, both reporting uniform :class:`Finding`\\ s:
 
 * an **AST rule engine** (:mod:`repro.lint.engine`) running the custom
   rules in :mod:`repro.lint.rules` — wall-clock bans in simulator
@@ -8,34 +8,23 @@ Cooperating checkers, all reporting uniform :class:`Finding`\\ s:
   mutation, unit-suffix naming, ``INFEASIBLE``-sentinel arithmetic,
   and the H2P12x determinism rules;
 * an **import-layering checker** (rule ``H2P201``) enforcing the
-  DESIGN.md package architecture as a DAG;
-* a **plan-invariant linter** (:mod:`repro.lint.plan_invariants`) that
-  lifts :func:`repro.core.validate.validate_plan` into a batch sweep
-  over every zoo model x SoC x planner-config combination;
-* a **baseline ratchet** (:mod:`repro.lint.baseline`): committed
-  findings are tolerated, new ones fail, stale entries demand
-  regeneration.
+  DESIGN.md package architecture as a DAG.
 
-Run it as ``hetero2pipe lint`` or ``python -m repro.lint``; see
-``docs/STATIC_ANALYSIS.md`` for the rule catalogue and the
-``# lint: disable=CODE`` suppression syntax.
+The reporters (:mod:`repro.lint.reporters`) render findings as text,
+the ``hetero2pipe.lint.v1`` JSON document or SARIF 2.1.0.  Run it as
+``hetero2pipe lint`` or ``python -m repro.lint``; see
+``docs/STATIC_ANALYSIS.md`` for the rule catalogue.  The plan
+invariants of ``core/validate.py`` are pinned by the tier-1 tests, not
+here.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    BASELINE_SCHEMA,
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .engine import (
     Finding,
     LintRule,
     RULE_REGISTRY,
     all_rules,
-    collect_pragmas,
     get_rule,
     lint_file,
     lint_paths,
@@ -47,21 +36,15 @@ from .reporters import render_json, render_sarif, render_text
 from . import rules as _rules  # noqa: F401  (import-for-side-effect)
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "BaselineResult",
     "Finding",
     "LintRule",
     "RULE_REGISTRY",
     "all_rules",
-    "apply_baseline",
-    "collect_pragmas",
     "get_rule",
     "lint_file",
     "lint_paths",
-    "load_baseline",
     "register_rule",
     "render_json",
     "render_sarif",
     "render_text",
-    "write_baseline",
 ]

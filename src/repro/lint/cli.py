@@ -1,8 +1,8 @@
 """Lint driver shared by ``hetero2pipe lint`` and ``python -m repro.lint``.
 
-Exit codes: 0 clean (or every finding baselined), 1 findings (new
-findings under a baseline, or a stale baseline needing regeneration),
-2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error.  A run that would check
+nothing (no rule selected, or no Python file to lint) is a usage error,
+never a clean pass.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .engine import Finding, all_rules, get_rule, lint_paths
+from .engine import Finding, all_rules, get_rule, iter_python_files, lint_paths
 from .reporters import exit_code, render_json, render_sarif, render_text
 
 
@@ -28,11 +27,10 @@ def normalize_finding_paths(
 ) -> List[Finding]:
     """Relativize absolute finding paths against ``base`` (default cwd).
 
-    Keeps reports, baselines and SARIF artifacts portable between
-    machines: the default lint paths are absolute (they come from the
-    installed package location), but CI and baseline diffs need
-    ``src/repro/...``. Paths outside ``base`` and virtual paths
-    (``plan://...``) pass through untouched.
+    Keeps reports and SARIF artifacts portable between machines: the
+    default lint paths are absolute (they come from the installed
+    package location), but CI annotations need ``src/repro/...``.
+    Relative paths and paths outside ``base`` pass through untouched.
     """
     root = (base or Path.cwd()).resolve()
     normalized: List[Finding] = []
@@ -90,29 +88,16 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--plans",
-        action="store_true",
-        help="also sweep plan invariants over zoo x SoC x config "
-        "(slower; runs the planner)",
-    )
-    parser.add_argument(
         "--src-root",
         metavar="DIR",
         help="source root for module-name resolution (default: the "
         "installed src/ directory)",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="ratchet mode: tolerate findings recorded in FILE, fail on "
-        "new ones and on stale entries (see docs/STATIC_ANALYSIS.md)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate --baseline FILE from the current findings and "
-        "exit 0",
-    )
+
+
+def _usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
 
 
 def run_lint_command(args: argparse.Namespace) -> int:
@@ -125,93 +110,40 @@ def run_lint_command(args: argparse.Namespace) -> int:
 
     output_format = args.format or ("json" if args.json else "text")
     if args.format and args.json and args.format != "json":
-        print("--json conflicts with --format " + args.format, file=sys.stderr)
-        return 2
-    if args.update_baseline and not args.baseline:
-        print("--update-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
+        return _usage_error("--json conflicts with --format " + args.format)
 
     rules = None
-    if args.rules:
+    if args.rules is not None:
         try:
             rules = [get_rule(c.strip()) for c in args.rules.split(",") if c.strip()]
         except KeyError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+            return _usage_error(error.args[0])
+        if not rules:
+            return _usage_error(f"--rules {args.rules!r} names no rule code")
 
     src_root = Path(args.src_root) if args.src_root else default_src_root()
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-        missing = [p for p in paths if not p.exists()]
-        if missing:
-            print(f"no such path(s): {missing}", file=sys.stderr)
-            return 2
-    else:
-        paths = [src_root / "repro"]
+    if not src_root.is_dir():
+        return _usage_error(f"--src-root {src_root}: no such directory")
+    paths = [Path(p) for p in args.paths] or [src_root / "repro"]
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        return _usage_error(f"no such path(s): {', '.join(missing)}")
+    if next(iter_python_files(paths), None) is None:
+        return _usage_error(
+            f"no Python file to lint under {', '.join(map(str, paths))}"
+        )
 
-    findings = lint_paths(paths, src_root=src_root, rules=rules)
-
-    checked = 0
-    if args.plans:
-        from .plan_invariants import sweep_plan_invariants
-
-        plan_findings, checked = sweep_plan_invariants()
-        findings = findings + plan_findings
-
-    findings = normalize_finding_paths(findings)
+    findings = normalize_finding_paths(
+        lint_paths(paths, src_root=src_root, rules=rules)
+    )
     findings.sort(key=Finding.sort_key)
 
-    if args.update_baseline:
-        entries = write_baseline(Path(args.baseline), findings)
-        print(
-            f"baseline: wrote {entries} entrie(s) covering "
-            f"{len(findings)} finding(s) to {args.baseline}"
-        )
-        return 0
-
-    baseline_summary = None
-    status: Optional[int] = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"no such baseline file: {args.baseline}", file=sys.stderr)
-            return 2
-        try:
-            tolerated = load_baseline(baseline_path)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        result = apply_baseline(findings, tolerated)
-        baseline_summary = result.summary()
-        findings = result.new
-        status = 0 if result.ok else 1
-
     if output_format == "json":
-        print(render_json(findings, baseline=baseline_summary))
+        print(render_json(findings))
     elif output_format == "sarif":
         print(render_sarif(findings))
     else:
         print(render_text(findings))
-        if args.plans:
-            print(f"plan invariants: {checked} plan(s) validated")
-        if baseline_summary is not None:
-            print(
-                f"baseline: {baseline_summary['matched']} tolerated, "
-                f"{baseline_summary['new']} new, "
-                f"{len(baseline_summary['stale'])} stale"  # type: ignore[arg-type]
-            )
-            for entry in baseline_summary["stale"]:  # type: ignore[union-attr]
-                print(
-                    f"  stale: {entry['path']}: {entry['code']} "
-                    f"{entry['message']} (x{entry['count']})"
-                )
-            if baseline_summary["stale"]:
-                print(
-                    "  the baseline shrank without being regenerated; "
-                    "run with --update-baseline to re-record it"
-                )
-    if status is not None:
-        return status
     return exit_code(findings)
 
 
@@ -219,7 +151,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Hetero2Pipe static analysis: AST rules, determinism "
-        "rules, import layering, plan invariants.",
+        "rules, import layering.",
     )
     add_lint_arguments(parser)
     return run_lint_command(parser.parse_args(argv))

@@ -1,26 +1,9 @@
-"""AST rule engine: rule registry, file walking, suppression, findings.
+"""AST rule engine: rule registry, file walking, findings.
 
 A rule is a subclass of :class:`LintRule` registered via
 :func:`register_rule`.  The engine parses each ``.py`` file once, hands
-the tree to every enabled rule, and filters the produced findings
-through per-line ``# lint: disable=CODE`` pragmas, so a deliberate
-exception is visible at the offending line forever.
-
-Suppression syntax (checked against the finding's line range, so a
-pragma on the continuation line of a wrapped expression works)::
-
-    t0 = time.time()  # lint: disable=H2P101
-    x = a + b         # lint: disable=H2P102,H2P105
-    y = c * d         # lint: disable=all
-
-Pragmas are recognized only in real comment tokens (``tokenize``), so
-docstrings and string literals showing the syntax never suppress
-anything.  A pragma that matches no finding is itself reported
-(``H2P109`` — stale suppressions must not accumulate silently), as is
-malformed pragma text; neither runs when a ``--rules`` subset is
-active, since a pragma for an unselected rule would look unused.
-``H2P109`` findings cannot be pragma-suppressed — the fix is deleting
-the stale pragma.
+the tree to every enabled rule and reports every finding it gets back;
+there is no per-line suppression, so a finding is fixed, not hidden.
 
 Design notes:
 
@@ -30,37 +13,15 @@ Design notes:
   root, which lets tests lint synthetic package layouts under a tmp
   directory (the layering rule needs real-looking module names);
 * findings are sorted by ``(path, line, col, code)`` before reporting,
-  so CI output and baseline diffs are stable across filesystem walk
-  order.
+  so CI output is stable across filesystem walk order.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
-
-#: ``disable=CODE[,CODE...]`` / ``disable=all`` in a comment token.
-_PRAGMA = re.compile(r"#\s*lint:\s*disable\s*=\s*([A-Za-z0-9_,\s]*)")
-
-#: Any comment that *mentions* the pragma marker, well-formed or not.
-_PRAGMA_MARKER = re.compile(r"#\s*lint\s*:")
-
-#: A valid suppression token: ``all`` or a rule-code shape — starts
-#: with a letter, ends with a digit (``H2P101``). Prose words in a
-#: pragma ("because", "reasons") are reported malformed instead of
-#: silently pretending to suppress.
-_CODE_TOKEN = re.compile(r"^(?:all|[A-Za-z][A-Za-z0-9_]*[0-9])$")
-
-#: Code of the engine-level unused/malformed-suppression findings.
-UNUSED_SUPPRESSION_CODE = "H2P109"
-
-#: Deterministic report order — the contract baselines diff against.
-FINDING_SORT_KEY = "path, line, col, code"
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 
 @dataclass(frozen=True)
@@ -68,9 +29,8 @@ class Finding:
     """One rule violation at a source location.
 
     ``end_line`` is the last physical line of the offending construct
-    (0 means "same as line"); suppression pragmas anywhere in
-    ``[line, end_line]`` match, so wrapped expressions can carry the
-    pragma on the line that actually overflows.
+    (0 means "same as line"); the JSON and SARIF reports carry it, so a
+    wrapped expression is reported over every line it spans.
     """
 
     code: str
@@ -110,12 +70,10 @@ class LintContext:
         module: Dotted module name relative to the source root
             (``repro.runtime.metrics``); empty when the file lies
             outside the root.
-        source_lines: Raw source, for pragma checks and diagnostics.
     """
 
     path: str
     module: str
-    source_lines: Sequence[str] = field(default_factory=tuple)
 
     @property
     def package_parts(self) -> Sequence[str]:
@@ -124,8 +82,8 @@ class LintContext:
 
 
 #: Compound statements whose ``end_lineno`` spans their whole body; a
-#: finding anchored at one must not let a pragma deep inside the body
-#: suppress it, so their range collapses to the header line.
+#: finding anchored at one is about its header, so its reported range
+#: collapses to the header line.
 _BLOCK_NODES = (
     ast.FunctionDef,
     ast.AsyncFunctionDef,
@@ -200,158 +158,6 @@ def get_rule(code: str) -> LintRule:
         ) from None
 
 
-# ------------------------------------------------------------- suppression
-
-
-@dataclass(frozen=True)
-class Pragma:
-    """One parsed ``# lint: disable=...`` comment."""
-
-    line: int
-    codes: Tuple[str, ...]
-    malformed: Tuple[str, ...] = ()  # invalid tokens (or the whole text)
-
-
-def collect_pragmas(source: str) -> List[Pragma]:
-    """Parse suppression pragmas from *comment tokens only*.
-
-    Tokenizing (rather than regexing raw lines) means pragma examples
-    inside docstrings/strings are inert, and a pragma on the physical
-    continuation line of a wrapped statement is attributed to that
-    line. Codes may be separated by commas and/or spaces; tokens that
-    are neither ``all`` nor letters-then-digits are reported malformed.
-    On tokenize failure (the file will fail ``ast.parse`` too) no
-    pragmas are returned.
-    """
-    pragmas: List[Pragma] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return []
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        comment = token.string
-        if not _PRAGMA_MARKER.search(comment):
-            continue
-        line = token.start[0]
-        match = _PRAGMA.search(comment)
-        if match is None:
-            pragmas.append(
-                Pragma(line=line, codes=(), malformed=(comment.strip(),))
-            )
-            continue
-        raw_tokens = [t for t in re.split(r"[,\s]+", match.group(1)) if t]
-        codes = tuple(t for t in raw_tokens if _CODE_TOKEN.match(t))
-        malformed = tuple(t for t in raw_tokens if not _CODE_TOKEN.match(t))
-        if not raw_tokens:
-            malformed = (comment.strip(),)
-        pragmas.append(Pragma(line=line, codes=codes, malformed=malformed))
-    return pragmas
-
-
-def _suppresses(pragma: Pragma, finding: Finding) -> bool:
-    if not (finding.line <= pragma.line <= finding.last_line):
-        return False
-    return "all" in pragma.codes or finding.code in pragma.codes
-
-
-def apply_suppressions(
-    findings: Iterable[Finding],
-    source_lines: Sequence[str],
-    pragmas: Optional[Sequence[Pragma]] = None,
-) -> List[Finding]:
-    """Drop findings covered by a matching disable pragma."""
-    if pragmas is None:
-        pragmas = collect_pragmas("\n".join(source_lines) + "\n")
-    kept: List[Finding] = []
-    for f in findings:
-        if f.code == UNUSED_SUPPRESSION_CODE:
-            kept.append(f)  # never self-suppressible
-            continue
-        if any(_suppresses(p, f) for p in pragmas):
-            continue
-        kept.append(f)
-    return kept
-
-
-def unused_suppression_findings(
-    findings: Sequence[Finding],
-    pragmas: Sequence[Pragma],
-    path: str,
-) -> List[Finding]:
-    """H2P109 findings for pragmas that match nothing (or parse badly).
-
-    ``findings`` must be the *pre-suppression* list: a pragma is used
-    iff some finding it would suppress exists.
-    """
-    produced: List[Finding] = []
-    for pragma in pragmas:
-        unused: List[str] = []
-        for code in pragma.codes:
-            if code == "all":
-                hit = any(
-                    f.line <= pragma.line <= f.last_line for f in findings
-                )
-            else:
-                hit = any(
-                    f.code == code and f.line <= pragma.line <= f.last_line
-                    for f in findings
-                )
-            if not hit:
-                unused.append(code)
-        if unused:
-            produced.append(
-                Finding(
-                    code=UNUSED_SUPPRESSION_CODE,
-                    message=(
-                        "unused suppression "
-                        f"({', '.join(sorted(unused))}): no matching finding "
-                        "on this line — delete the stale pragma"
-                    ),
-                    path=path,
-                    line=pragma.line,
-                )
-            )
-        if pragma.malformed:
-            produced.append(
-                Finding(
-                    code=UNUSED_SUPPRESSION_CODE,
-                    message=(
-                        "malformed lint pragma "
-                        f"({', '.join(pragma.malformed)}): expected "
-                        "'# lint: disable=CODE[,CODE...]' or "
-                        "'# lint: disable=all'"
-                    ),
-                    path=path,
-                    line=pragma.line,
-                )
-            )
-    return produced
-
-
-@register_rule
-class UnusedSuppressionRule(LintRule):
-    """Catalogue entry for the engine-level H2P109 check.
-
-    The check itself runs in :func:`lint_source` (it needs the other
-    rules' pre-suppression findings, which a per-rule ``check`` never
-    sees); this registration makes the code visible to
-    ``--list-rules``, the SARIF rule table and the docs.
-    """
-
-    code = UNUSED_SUPPRESSION_CODE
-    name = "no-unused-suppressions"
-    rationale = (
-        "a '# lint: disable' pragma that matches no finding is a stale "
-        "exception nobody is using; it hides the next real finding on "
-        "that line (engine-level check; active on full-rule-set runs)"
-    )
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[Finding]:
-        return iter(())  # driven by the engine, not the AST walk
-
-
 # ------------------------------------------------------------------ driving
 
 
@@ -378,7 +184,6 @@ def lint_source(
     rules: Optional[Sequence[LintRule]] = None,
 ) -> List[Finding]:
     """Lint one in-memory source string (the test-friendly core)."""
-    full_rule_set = rules is None
     active = list(rules) if rules is not None else all_rules()
     try:
         tree = ast.parse(source, filename=path)
@@ -392,22 +197,12 @@ def lint_source(
                 col=error.offset or 0,
             )
         ]
-    lines = source.splitlines()
-    ctx = LintContext(path=path, module=module, source_lines=lines)
+    ctx = LintContext(path=path, module=module)
     findings: List[Finding] = []
     for rule in active:
         findings.extend(rule.check(tree, ctx))
-    pragmas = collect_pragmas(source)
-    if full_rule_set:
-        # Unused-pragma detection needs every rule's findings; with a
-        # --rules subset, a pragma for an unselected rule would look
-        # unused, so the check only runs on full-rule-set passes.
-        findings.extend(
-            unused_suppression_findings(findings, pragmas, path)
-        )
-    kept = apply_suppressions(findings, lines, pragmas)
-    kept.sort(key=Finding.sort_key)
-    return kept
+    findings.sort(key=Finding.sort_key)
+    return findings
 
 
 def lint_file(
@@ -449,8 +244,8 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths``.
 
     Findings come back sorted by ``(path, line, col, code)`` regardless
-    of filesystem walk order — the stability contract CI output and
-    baseline diffs rely on.
+    of filesystem walk order — the stability contract CI output relies
+    on.
     """
     findings: List[Finding] = []
     for path in iter_python_files(paths):

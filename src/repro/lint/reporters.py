@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .engine import RULE_REGISTRY, Finding
 
@@ -26,7 +26,6 @@ JSON_SCHEMA = "hetero2pipe.lint.v1"
 #: Engine-level codes without a registry entry, for the SARIF rule table.
 _SYNTHETIC_RULES: Dict[str, str] = {
     "H2P000": "file fails to parse (syntax error)",
-    "H2P300": "planner crash or unmapped validator code",
 }
 
 
@@ -41,16 +40,8 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    baseline: Optional[Dict[str, object]] = None,
-) -> str:
-    """Stable ``hetero2pipe.lint.v1`` document.
-
-    ``findings`` lists what the caller should act on (post-baseline
-    when a ratchet is active); ``baseline`` carries the ratchet summary
-    block produced by :mod:`repro.lint.baseline` when one was applied.
-    """
+def render_json(findings: Sequence[Finding]) -> str:
+    """Stable ``hetero2pipe.lint.v1`` document."""
     counts: Dict[str, int] = dict(
         sorted(Counter(f.code for f in findings).items())
     )
@@ -60,8 +51,6 @@ def render_json(
         "counts": counts,
         "total": len(findings),
     }
-    if baseline is not None:
-        document["baseline"] = baseline
     return json.dumps(document, indent=2, sort_keys=True)
 
 
@@ -74,9 +63,7 @@ def _rule_table(codes: Sequence[str]) -> List[Dict[str, object]]:
             description = rule.rationale or rule.name
             name = rule.name
         else:
-            description = _SYNTHETIC_RULES.get(
-                code, "engine- or sweep-level finding"
-            )
+            description = _SYNTHETIC_RULES.get(code, "engine-level finding")
             name = code
         table.append(
             {
@@ -91,8 +78,7 @@ def _rule_table(codes: Sequence[str]) -> List[Dict[str, object]]:
 def render_sarif(findings: Sequence[Finding]) -> str:
     """SARIF 2.1.0 document (GitHub code-scanning compatible).
 
-    SARIF columns are 1-based where the engine's are 0-based; virtual
-    paths (``plan://...``) pass through as opaque URIs.
+    SARIF columns are 1-based where the engine's are 0-based.
     """
     codes = [f.code for f in findings]
     rules = _rule_table(codes)

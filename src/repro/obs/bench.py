@@ -8,7 +8,7 @@ the registered SoCs, the stable ``hetero2pipe.bench.v1`` JSON document
 :mod:`repro.obs.prof`, cache-effectiveness counters, an environment
 block), and the baseline comparison that turns a committed
 ``BENCH_planner.json`` into a regression gate with per-row tolerance
-bands — the same ratchet UX as ``hetero2pipe lint --baseline``.
+bands; ``hetero2pipe bench --update-baseline`` re-anchors it.
 
 Scenarios (see :data:`SCENARIOS`):
 
@@ -54,7 +54,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -719,9 +718,3 @@ def render_bench_table(doc: Dict[str, object]) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.bench`` — thin wrapper over the CLI verb."""
-    from ..cli import main as cli_main
-
-    return cli_main(["bench", *(argv if argv is not None else sys.argv[1:])])

@@ -3,9 +3,9 @@
 Given an :class:`~repro.runtime.executor.ExecutionResult`, reconstructs
 the per-processor timeline: busy intervals, the idle gaps between them
 (the concrete bubbles of Definition 3, with start/end timestamps) and
-a sampled concurrency profile.  The examples and experiments use this
-to explain *where* a schedule lost its time; the exact critical path is
-:func:`repro.obs.blame.extract_critical_path`.
+a sampled concurrency profile: *where* a schedule lost its time.  It
+is a library helper (the experiments and examples do not call it); the
+exact critical path is :func:`repro.obs.blame.extract_critical_path`.
 
 :func:`save_run` / :func:`load_run` round-trip a full run to JSON
 (``hetero2pipe.run.v2``) — execution records, trace samples, causality

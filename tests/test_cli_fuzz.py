@@ -224,7 +224,6 @@ OUTPUT_FLAGS = [
     ("profile", "--trace"),
     ("bench", "--out"),
     ("bench", "--baseline"),
-    ("lint", "--baseline"),
     ("export-model", None),
 ]
 
@@ -253,7 +252,7 @@ def test_unwritable_output_path_fails_before_work(
     }[where]
     if verb == "export-model":
         argv = [verb, "resnet50", path]
-    elif verb in ("bench", "lint"):
+    elif verb == "bench":
         argv = [verb, f"{flag}={path}"]
         if flag == "--baseline":  # written only when updating
             argv.append("--update-baseline")

@@ -3,8 +3,8 @@
 Deliberately-seeded violations (written as fixture trees under
 ``tmp_path`` mimicking the ``repro`` package layout) must produce the
 expected rule codes in both text and JSON output; the real tree must
-lint clean; suppression pragmas and exit codes must behave as CI
-expects.
+lint clean; exit codes must behave as CI expects, and a run that
+checks nothing must fail as a usage error.
 """
 
 import json
@@ -22,13 +22,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import lint_source, module_name_for
-from repro.lint.plan_invariants import (
-    PLAN_CODE_MAP,
-    findings_from_violations,
-    sweep_plan_invariants,
-)
 from repro.lint.rules.layering import LAYERS, MODULE_OVERRIDES, rank_of
-from repro.core.validate import Violation
 
 
 def _lint_snippet(source, module="repro.core.sample"):
@@ -361,22 +355,6 @@ class TestLayeringRule:
 
 
 class TestSuppressionAndReporting:
-    def test_line_pragma_suppresses(self):
-        codes, _ = _lint_snippet(
-            "import time\n"
-            "def f() -> float:\n"
-            "    return time.time()  # lint: disable=H2P101\n",
-            module="repro.runtime.sample",
-        )
-        assert "H2P101" not in codes
-
-    def test_disable_all_pragma(self):
-        codes, _ = _lint_snippet(
-            "def f(x: float) -> bool:\n"
-            "    return x == 0.0  # lint: disable=all\n"
-        )
-        assert codes == set()
-
     def test_wrong_code_does_not_suppress(self):
         codes, _ = _lint_snippet(
             "def f(x: float) -> bool:\n"
@@ -419,8 +397,7 @@ class TestSuppressionAndReporting:
 
     def test_registry_has_all_documented_rules(self):
         # Equality, not a subset: a rule deleted with its doc section
-        # left behind (or registered without one) fails here. The
-        # H2P3xx plan-invariant codes are validator codes, not rules.
+        # left behind (or registered without one) fails here.
         doc = (
             Path(__file__).resolve().parents[1] / "docs" / "STATIC_ANALYSIS.md"
         ).read_text()
@@ -471,10 +448,36 @@ class TestLintCli:
     def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
         status = lint_main([str(tmp_path), "--rules", "NOPE"])
         assert status == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("unknown rule 'NOPE'; known: ")
 
     def test_missing_path_is_usage_error(self, tmp_path):
         status = lint_main([str(tmp_path / "absent")])
         assert status == 2
+
+    # A run that checks nothing must not print "clean" and exit 0.
+
+    def _assert_usage_error(self, argv, capsys):
+        assert lint_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_empty_rule_list_is_usage_error(self, tmp_path, capsys):
+        root = self._fixture_tree(tmp_path)
+        for rules in (",", "", " , "):
+            self._assert_usage_error(
+                [str(root), "--src-root", str(root), "--rules", rules], capsys
+            )
+
+    def test_directory_without_python_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no code here\n")
+        self._assert_usage_error([str(tmp_path)], capsys)
+
+    def test_missing_src_root_is_usage_error(self, tmp_path, capsys):
+        self._assert_usage_error(["--src-root", str(tmp_path / "absent")], capsys)
+        # A source root without the repro package lints no file either.
+        self._assert_usage_error(["--src-root", str(tmp_path)], capsys)
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -491,39 +494,5 @@ class TestLintCli:
 
         assert h2p_main(["lint", "--list-rules"]) == 0
         assert "H2P101" in capsys.readouterr().out
-
-
-# -------------------------------------------------------- plan invariants
-
-
-class TestPlanInvariants:
-    def test_violation_mapping(self):
-        findings = findings_from_violations(
-            [Violation(code="memory-capacity", message="diag 3 over budget")],
-            origin="plan://kirin990/default/bert",
-        )
-        assert len(findings) == 1
-        assert findings[0].code == "H2P307"
-        assert findings[0].path == "plan://kirin990/default/bert"
-        assert "memory-capacity" in findings[0].message
-
-    def test_every_validate_code_is_mapped(self):
-        assert set(PLAN_CODE_MAP) == {
-            "unknown-processor",
-            "bad-order",
-            "gap-or-overlap",
-            "bad-slice",
-            "incomplete-cover",
-            "unsupported-operator",
-            "memory-capacity",
-        }
-        assert len(set(PLAN_CODE_MAP.values())) == len(PLAN_CODE_MAP)
-
-    def test_narrow_sweep_is_clean(self):
-        findings, checked = sweep_plan_invariants(
-            soc_names=["kirin990"],
-            model_names=["alexnet", "squeezenet"],
-            config_names=["no_ct"],
-        )
-        assert findings == []
-        assert checked == 3  # two singles + the combined workload
+        assert h2p_main(["lint", "--rules", ","]) == 2
+        assert "clean" not in capsys.readouterr().out

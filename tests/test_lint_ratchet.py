@@ -1,31 +1,18 @@
-"""Tests for the lint engine's reporting and ratchet machinery.
+"""Tests for the lint engine's determinism rules and reporting.
 
-Covers the H2P12x determinism rules, the H2P109 unused-pragma check
-with its edge cases, the deterministic finding order, the SARIF 2.1.0
-reporter shape, and the baseline ratchet (tolerate / new / stale /
-regenerate).
+Covers the H2P12x determinism rules, the line range a finding reports,
+the deterministic finding order, the SARIF 2.1.0 reporter shape and
+the driver's output-format and path handling.
 
 Every rule family gets at least one deliberately-seeded true positive
 AND a conforming-code negative.
 """
 
 import json
-from pathlib import Path
 
-import pytest
-
-from repro.lint import (
-    BASELINE_SCHEMA,
-    Finding,
-    apply_baseline,
-    collect_pragmas,
-    load_baseline,
-    render_sarif,
-    write_baseline,
-)
-from repro.lint.baseline import BaselineResult, baseline_key
+from repro.lint import Finding, render_sarif
 from repro.lint.cli import main as lint_main, normalize_finding_paths
-from repro.lint.engine import UNUSED_SUPPRESSION_CODE, lint_source
+from repro.lint.engine import lint_source
 from repro.lint.reporters import (
     JSON_SCHEMA,
     SARIF_SCHEMA_URI,
@@ -122,126 +109,33 @@ class TestDeterminismRules:
         assert "H2P122" not in codes
 
 
-# --------------------------------------------------- pragma edge cases
+# ------------------------------------------------------- finding range
 
 
-class TestPragmaEdgeCases:
-    BAD_RANDOM = (
-        "import random\n"
-        "def pick(xs):\n"
-        "    return random.choice(xs)  {pragma}\n"
-    )
-
-    def test_disable_all_suppresses_everything(self):
+class TestFindingRange:
+    def test_wrapped_expression_spans_its_lines(self):
         findings = lint_source(
-            self.BAD_RANDOM.format(pragma="# lint: disable=all"),
-            path="<fixture>",
-            module="repro.workloads.sample",
-        )
-        assert not any(f.code == "H2P121" for f in findings)
-        # The pragma matched a real finding: no H2P109 either.
-        assert not any(
-            f.code == UNUSED_SUPPRESSION_CODE for f in findings
-        )
-
-    def test_comma_separated_codes(self):
-        findings = lint_source(
-            self.BAD_RANDOM.format(pragma="# lint: disable=H2P121,H2P122"),
-            path="<fixture>",
-            module="repro.workloads.sample",
-        )
-        assert not any(f.code == "H2P121" for f in findings)
-        # H2P122 matched nothing on that line -> unused-code finding.
-        unused = [f for f in findings if f.code == UNUSED_SUPPRESSION_CODE]
-        assert len(unused) == 1
-        assert "H2P122" in unused[0].message
-
-    def test_space_separated_codes(self):
-        pragmas = collect_pragmas("x = 1  # lint: disable=H2P101 H2P121\n")
-        assert len(pragmas) == 1
-        assert pragmas[0].codes == ("H2P101", "H2P121")
-        assert pragmas[0].malformed == ()
-
-    def test_malformed_pragma_reported(self):
-        findings = lint_source(
-            "x = 1  # lint: disable=not-a-code!\n",
-            path="<fixture>",
-            module="repro.core.sample",
-        )
-        malformed = [
-            f for f in findings if f.code == UNUSED_SUPPRESSION_CODE
-        ]
-        assert len(malformed) == 1
-        assert "malformed" in malformed[0].message
-
-    def test_empty_disable_list_is_malformed(self):
-        findings = lint_source(
-            "x = 1  # lint: disable=\n",
-            path="<fixture>",
-            module="repro.core.sample",
-        )
-        assert any(
-            f.code == UNUSED_SUPPRESSION_CODE and "malformed" in f.message
-            for f in findings
-        )
-
-    def test_pragma_in_docstring_is_inert(self):
-        findings = lint_source(
-            '"""Docs mention # lint: disable=H2P101 as an example."""\n'
-            "x = 1\n",
-            path="<fixture>",
-            module="repro.core.sample",
-        )
-        assert not any(
-            f.code == UNUSED_SUPPRESSION_CODE for f in findings
-        )
-
-    def test_pragma_on_continuation_line(self):
-        # The finding spans the whole wrapped statement; a pragma on
-        # the continuation line must still suppress it.
-        source = (
             "def idle(makespan_ms):\n"
             "    return (makespan_ms\n"
-            "            == 0.0)  # lint: disable=H2P102\n"
-        )
-        findings = lint_source(
-            source, path="<fixture>", module="repro.core.sample"
-        )
-        assert not any(f.code == "H2P102" for f in findings)
-        assert not any(
-            f.code == UNUSED_SUPPRESSION_CODE for f in findings
-        )
-
-    def test_unused_pragma_flags_h2p109(self):
-        findings = lint_source(
-            "x = 1  # lint: disable=H2P101\n",
+            "            == 0.0)\n",
             path="<fixture>",
             module="repro.core.sample",
         )
-        unused = [f for f in findings if f.code == UNUSED_SUPPRESSION_CODE]
-        assert len(unused) == 1
-        assert "H2P101" in unused[0].message
+        (finding,) = [f for f in findings if f.code == "H2P102"]
+        assert (finding.line, finding.end_line) == (2, 3)
+        assert finding.to_dict()["end_line"] == 3
 
-    def test_h2p109_not_self_suppressible(self):
+    def test_block_finding_collapses_to_its_header(self):
+        # H2P104 anchors at the def; its range must not span the body.
         findings = lint_source(
-            "x = 1  # lint: disable=H2P109\n",
+            "def makespan() -> float:\n"
+            "    total = 0.0\n"
+            "    return total\n",
             path="<fixture>",
             module="repro.core.sample",
         )
-        assert any(
-            f.code == UNUSED_SUPPRESSION_CODE for f in findings
-        )
-
-    def test_unused_check_skipped_under_rule_subset(self):
-        from repro.lint.engine import get_rule
-
-        findings = lint_source(
-            "x = 1  # lint: disable=H2P121\n",
-            path="<fixture>",
-            module="repro.core.sample",
-            rules=[get_rule("H2P121")],
-        )
-        assert findings == []
+        (finding,) = [f for f in findings if f.code == "H2P104"]
+        assert finding.line == finding.end_line == 1
 
 
 # --------------------------------------------------- deterministic sort
@@ -342,103 +236,7 @@ class TestSarifReporter:
     def test_json_schema_marker(self):
         doc = json.loads(render_json([]))
         assert doc["schema"] == JSON_SCHEMA == "hetero2pipe.lint.v1"
-        doc = json.loads(
-            render_json([], baseline={"matched": 1, "new": 0, "stale": []})
-        )
-        assert doc["baseline"]["matched"] == 1
-
-
-# ---------------------------------------------------------- baseline
-
-
-class TestBaselineRatchet:
-    def _finding(self, path="src/x.py", code="H2P102", message="m", line=1):
-        return Finding(code=code, message=message, path=path, line=line)
-
-    def test_roundtrip_and_schema(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        write_baseline(baseline, [self._finding(), self._finding(line=9)])
-        doc = json.loads(baseline.read_text())
-        assert doc["schema"] == BASELINE_SCHEMA
-        # Same (path, code, message) twice -> one entry with count 2.
-        assert len(doc["entries"]) == 1
-        assert doc["entries"][0]["count"] == 2
-        tolerated = load_baseline(baseline)
-        assert tolerated[baseline_key(self._finding())] == 2
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        baseline.write_text(json.dumps({"schema": "nope", "entries": []}))
-        with pytest.raises(ValueError):
-            load_baseline(baseline)
-
-    def test_nonpositive_count_rejected(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": BASELINE_SCHEMA,
-                    "entries": [
-                        {"path": "x", "code": "c", "message": "m", "count": 0}
-                    ],
-                }
-            )
-        )
-        with pytest.raises(ValueError):
-            load_baseline(baseline)
-
-    def test_matched_findings_tolerated(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        write_baseline(baseline, [self._finding()])
-        result = apply_baseline([self._finding()], load_baseline(baseline))
-        assert result.ok
-        assert len(result.matched) == 1
-        assert result.new == [] and result.stale == []
-
-    def test_new_finding_fails(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        write_baseline(baseline, [self._finding()])
-        extra = self._finding(code="H2P121")
-        result = apply_baseline(
-            [self._finding(), extra], load_baseline(baseline)
-        )
-        assert not result.ok
-        assert result.new == [extra]
-
-    def test_count_overflow_is_new(self, tmp_path):
-        # Two instances baselined, three present: the third is new.
-        baseline = tmp_path / "b.json"
-        write_baseline(baseline, [self._finding(), self._finding(line=2)])
-        result = apply_baseline(
-            [self._finding(line=i) for i in (1, 2, 3)],
-            load_baseline(baseline),
-        )
-        assert len(result.matched) == 2
-        assert len(result.new) == 1
-
-    def test_stale_entry_fails_shrunk_baseline(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        write_baseline(baseline, [self._finding()])
-        result = apply_baseline([], load_baseline(baseline))
-        assert not result.ok
-        assert result.stale[0]["code"] == "H2P102"
-
-    def test_line_moves_do_not_break_ratchet(self, tmp_path):
-        # Keyed on (path, code, message), not line: edits above the
-        # finding must not invalidate the baseline.
-        baseline = tmp_path / "b.json"
-        write_baseline(baseline, [self._finding(line=10)])
-        result = apply_baseline(
-            [self._finding(line=50)], load_baseline(baseline)
-        )
-        assert result.ok
-
-    def test_summary_block(self):
-        result = BaselineResult(
-            new=[self._finding()], matched=[], stale=[]
-        )
-        summary = result.summary()
-        assert summary == {"matched": 0, "new": 1, "stale": []}
+        assert sorted(doc) == ["counts", "findings", "schema", "total"]
 
 
 # ------------------------------------------------------------ CLI
@@ -453,63 +251,6 @@ class TestCliRatchet:
             "import time\n\ndef now():\n    return time.time()\n"
         )
         return root
-
-    def test_update_then_pass_then_fail_on_new(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        root = self._seed_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        args = [str(root), "--src-root", str(root)]
-
-        # 1. Findings exist -> exit 1.
-        assert lint_main(args) == 1
-        # 2. Record them -> exit 0.
-        assert (
-            lint_main(args + ["--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        # 3. Ratchet passes while nothing changed.
-        assert lint_main(args + ["--baseline", str(baseline)]) == 0
-        # 4. A new violation fails the ratchet.
-        (root / "repro" / "runtime" / "fresh.py").write_text(
-            "import time\n\ndef later():\n    return time.time()\n"
-        )
-        assert lint_main(args + ["--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "1 new" in out
-
-    def test_shrunk_baseline_reports_stale(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        root = self._seed_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        args = [str(root), "--src-root", str(root)]
-        assert (
-            lint_main(args + ["--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        # Fix the finding without regenerating: stale entry, exit 1.
-        (root / "repro" / "runtime" / "clocked.py").write_text(
-            "def now():\n    return 0.0\n"
-        )
-        assert lint_main(args + ["--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "stale" in out
-        assert "--update-baseline" in out
-
-    def test_missing_baseline_is_usage_error(self, tmp_path):
-        root = self._seed_tree(tmp_path)
-        assert (
-            lint_main(
-                [str(root), "--src-root", str(root), "--baseline", "/no/file"]
-            )
-            == 2
-        )
-
-    def test_update_baseline_requires_baseline_flag(self, tmp_path):
-        root = self._seed_tree(tmp_path)
-        assert (
-            lint_main([str(root), "--src-root", str(root), "--update-baseline"])
-            == 2
-        )
 
     def test_format_sarif_emits_valid_document(self, tmp_path, capsys):
         root = self._seed_tree(tmp_path)
@@ -537,16 +278,13 @@ class TestCliRatchet:
             path=str(tmp_path / "src" / "x.py"),
             line=1,
         )
-        outside = Finding(code="H2P101", message="m", path="plan://p", line=1)
-        normalized = normalize_finding_paths([inside, outside], base=tmp_path)
-        assert normalized[0].path == "src/x.py"
-        assert normalized[1].path == "plan://p"
-
-    def test_repo_baseline_file_is_current(self):
-        # The committed baseline must load and carry the v1 schema —
-        # the CI ratchet depends on both.
-        repo_baseline = (
-            Path(__file__).resolve().parents[1] / ".lint-baseline.json"
+        outside = Finding(code="H2P101", message="m", path="/elsewhere/y.py", line=1)
+        relative = Finding(code="H2P101", message="m", path="lib/z.py", line=1)
+        normalized = normalize_finding_paths(
+            [inside, outside, relative], base=tmp_path
         )
-        assert repo_baseline.exists()
-        load_baseline(repo_baseline)  # raises on schema drift
+        assert [f.path for f in normalized] == [
+            "src/x.py",
+            "/elsewhere/y.py",
+            "lib/z.py",
+        ]

@@ -1,6 +1,8 @@
-"""One minimally-broken plan per ``core.validate`` violation code, plus a
-hypothesis property: planner-produced plans always validate clean, replay
-from their provenance, and do not depend on the planner's caches."""
+"""One minimally-broken plan per ``core.validate`` violation code; a sweep
+that plans every zoo model alone and all ten together on every SoC under
+every planner configuration and validates each plan; and a hypothesis
+property: planner-produced plans always validate clean, replay from their
+provenance, and do not depend on the planner's caches."""
 
 import dataclasses
 
@@ -127,15 +129,22 @@ class TestEveryViolationCode:
 _PLANNERS = {}
 
 
+#: The planner configurations the zoo sweep plans under.
+CONFIGS = {
+    "default": PlannerConfig(),
+    "no_ct": PlannerConfig.no_contention_or_tail(),
+    "fast_dp": PlannerConfig(fast_dp=True),
+}
+
+#: Each zoo model alone, then all ten in one pipeline, which exercises
+#: the Constraint 6 co-residency diagonals across a full model mix.
+ZOO_WORKLOADS = [(name,) for name in MODEL_NAMES] + [tuple(MODEL_NAMES)]
+
+
 def _planner(soc_name, config_key, cached=True):
     key = (soc_name, config_key, cached)
     if key not in _PLANNERS:
-        config = (
-            PlannerConfig()
-            if config_key == "default"
-            else PlannerConfig.no_contention_or_tail()
-        )
-        config = dataclasses.replace(config, enable_caches=cached)
+        config = dataclasses.replace(CONFIGS[config_key], enable_caches=cached)
         soc = get_soc(soc_name)
         # Reuse one estimator per SoC across configs: fitting dominates.
         donor = next(
@@ -144,6 +153,19 @@ def _planner(soc_name, config_key, cached=True):
         estimator = donor.estimator if donor is not None else None
         _PLANNERS[key] = Hetero2PipePlanner(soc, config, estimator=estimator)
     return _PLANNERS[key]
+
+
+class TestZooSweepValidates:
+    """3 SoCs x 3 configurations x 11 workloads: 99 cold plans."""
+
+    @pytest.mark.parametrize("config_key", list(CONFIGS))
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    def test_zoo_plans_validate(self, soc_name, config_key):
+        planner = _planner(soc_name, config_key)
+        for names in ZOO_WORKLOADS:
+            planner.invalidate_caches()
+            plan = planner.plan([get_model(n) for n in names]).plan
+            assert validate_plan(plan) == [], f"{soc_name}/{config_key}/{names}"
 
 
 class TestPlannerPlansAlwaysValidate:

@@ -1,13 +1,11 @@
 """Regression and statistics utilities."""
 
 from .regression import RidgeModel, fit_ridge
-from .stats import LinearFit, geometric_mean, linear_fit, summarize
+from .stats import LinearFit, linear_fit
 
 __all__ = [
     "RidgeModel",
     "fit_ridge",
     "LinearFit",
-    "geometric_mean",
     "linear_fit",
-    "summarize",
 ]

@@ -146,19 +146,3 @@ def step_series(
     lines.append(f" t: {t_lo:.0f} .. {t_hi:.0f} ms")
     return "\n".join(lines)
 
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line sparkline for quick trend display.
-
-    Raises:
-        ValueError: for empty input.
-    """
-    if not values:
-        raise ValueError("sparkline needs values")
-    glyphs = " .:-=+*#%@"
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    return "".join(
-        glyphs[min(len(glyphs) - 1, int((v - lo) / span * (len(glyphs) - 1)))]
-        for v in values
-    )

@@ -46,30 +46,3 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     )
     return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, the right average for speedup ratios.
-
-    Raises:
-        ValueError: on empty input or non-positive entries.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("geometric mean of empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))
-
-
-def summarize(values: Sequence[float]) -> dict:
-    """Mean / median / min / max / std summary for report tables."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize empty sequence")
-    return {
-        "mean": float(arr.mean()),
-        "median": float(np.median(arr)),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "std": float(arr.std()),
-    }

@@ -5,13 +5,7 @@ from .band import (
     BandMapping,
     execute_band,
     plan_band,
-    plan_band_contention_aware,
     segment_by_npu_support,
-)
-from .ulayer import (
-    ulayer_model_latency_ms,
-    ulayer_sequence_latency_ms,
-    ulayer_speedup_over_cpu,
 )
 from .exhaustive import exhaustive_plan
 from .mnn_serial import plan_mnn_serial, serial_latency_ms
@@ -23,10 +17,6 @@ __all__ = [
     "BandMapping",
     "execute_band",
     "plan_band",
-    "plan_band_contention_aware",
-    "ulayer_model_latency_ms",
-    "ulayer_sequence_latency_ms",
-    "ulayer_speedup_over_cpu",
     "segment_by_npu_support",
     "exhaustive_plan",
     "plan_mnn_serial",

@@ -165,89 +165,3 @@ def execute_band(
     """
     mapping = plan_band(soc, models, profiler)
     return simulate_chains(soc, mapping.chains, arrivals, **options)
-
-
-def plan_band_contention_aware(
-    soc: SocSpec,
-    models: Sequence[ModelGraph],
-    profiler: Optional[SocProfiler] = None,
-    pressure_gain: float = 0.5,
-) -> BandMapping:
-    """What-if ablation: Band's EFT with contention-inflated estimates.
-
-    Band's published design ignores co-execution slowdown; this variant
-    inflates each candidate processor's estimated time by the pressure
-    the *already-placed* load on other processors would exert on it,
-    using the same Observation-1 solo-intensity proxy Hetero2Pipe uses.
-    Comparing it against plain Band isolates how much of Hetero2Pipe's
-    edge comes from contention awareness vs pipeline planning.
-
-    Raises:
-        ValueError: for an empty request sequence.
-    """
-    if not models:
-        raise ValueError("request sequence must be non-empty")
-    profiler = profiler or SocProfiler(soc)
-    available: Dict[str, float] = {p.name: 0.0 for p in soc.processors}
-    # Aggregate solo intensity of the load already queued per processor.
-    queued_intensity: Dict[str, float] = {p.name: 0.0 for p in soc.processors}
-    chains: List[List[ChainTask]] = []
-    choices: List[List[str]] = []
-
-    for req, model in enumerate(models):
-        profile = profiler.profile(model)
-        segments = segment_by_npu_support(model)
-        chain: List[ChainTask] = []
-        picks: List[str] = []
-        prev_finish = 0.0
-        for seg in segments:
-            best_proc: Optional[ProcessorSpec] = None
-            best_finish = float("inf")
-            best_time = 0.0
-            for proc in soc.processors:
-                solo = profile.exec_ms(proc, seg.start, seg.end)
-                if solo == INFEASIBLE:
-                    continue
-                pressure = sum(
-                    soc.coupling_factor(proc.kind, other.kind)
-                    * queued_intensity[other.name]
-                    for other in soc.processors
-                    if other.name != proc.name
-                )
-                inflated = solo * (1.0 + pressure_gain * pressure)
-                start = max(available[proc.name], prev_finish)
-                finish = start + inflated
-                if finish < best_finish:
-                    best_finish = finish
-                    best_proc = proc
-                    best_time = solo
-            if best_proc is None:
-                raise ValueError(
-                    f"segment [{seg.start}, {seg.end}] of {model.name!r} "
-                    "is unplaceable on this SoC"
-                )
-            available[best_proc.name] = best_finish
-            rate = profile.traffic_rate_gbps(best_proc, seg.start, seg.end)
-            queued_intensity[best_proc.name] += rate / 10.0 / max(
-                1, len(models)
-            )
-            prev_finish = best_finish
-            picks.append(best_proc.name)
-            chain.append(
-                ChainTask(
-                    request=req,
-                    proc=best_proc,
-                    solo_ms=best_time,
-                    workload=SliceWorkload(
-                        profile=profile,
-                        proc=best_proc,
-                        start=seg.start,
-                        end=seg.end,
-                    ),
-                    working_set=ARENA_OVERHEAD_FACTOR
-                    * profile.working_set_bytes(seg.start, seg.end),
-                )
-            )
-        chains.append(chain)
-        choices.append(picks)
-    return BandMapping(chains=chains, choices=choices)

@@ -1,7 +1,7 @@
 """Hetero2Pipe core: the paper's pipeline-planning contribution."""
 
 from .assignment import InfeasibleAssignmentError, kuhn_munkres
-from .bounds import MakespanBounds, makespan_lower_bounds, optimality_report
+from .bounds import MakespanBounds, makespan_lower_bounds
 from .validate import Violation, is_valid, validate_plan
 from .contention import ContentionEstimator, ContentionScore
 from .mitigation import MitigationResult, Move, mitigate_sequence
@@ -44,7 +44,6 @@ __all__ = [
     "kuhn_munkres",
     "MakespanBounds",
     "makespan_lower_bounds",
-    "optimality_report",
     "Violation",
     "is_valid",
     "validate_plan",

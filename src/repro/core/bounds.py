@@ -25,7 +25,7 @@ bounds on anything the simulator can produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..hardware.soc import SocSpec
 from ..models.ir import ModelGraph
@@ -94,19 +94,3 @@ def makespan_lower_bounds(
         work_bound_ms=work_bound, chain_bound_ms=chain_bound
     )
 
-
-def optimality_report(
-    soc: SocSpec,
-    models: Sequence[ModelGraph],
-    achieved_ms: float,
-    profiler: Optional[SocProfiler] = None,
-) -> Dict[str, float]:
-    """Bundle the bounds and the achieved gap for reporting."""
-    bounds = makespan_lower_bounds(soc, models, profiler)
-    return {
-        "work_bound_ms": bounds.work_bound_ms,
-        "chain_bound_ms": bounds.chain_bound_ms,
-        "lower_bound_ms": bounds.lower_bound_ms,
-        "achieved_ms": achieved_ms,
-        "gap": bounds.gap(achieved_ms),
-    }

@@ -26,7 +26,7 @@ from .energy import (
     PowerSpec,
     estimate_energy,
 )
-from .memory import MemoryDemand, MemoryFootprintTracker, MemoryGovernor
+from .memory import MemoryDemand, MemoryGovernor
 from .thermal import ThermalState, steady_state, sustained_frequency_scale
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "PowerSpec",
     "estimate_energy",
     "MemoryDemand",
-    "MemoryFootprintTracker",
     "MemoryGovernor",
     "ThermalState",
     "steady_state",

@@ -1,10 +1,11 @@
-"""Shared memory-subsystem model: DVFS governor and footprint accounting.
+"""Shared memory-subsystem model: the DVFS governor.
 
 Fig. 9 of the paper traces two signals while pipelines execute on the
 Kirin 990: the memory-controller frequency (which the vendor governor
 raises to its maximum as soon as CPU/GPU co-execution demands bandwidth)
 and the available system memory (which pipeline concurrency steadily
-consumes).  This module provides both models.
+consumes).  This module models the first; the engine tracks the
+resident bytes of running slices (Constraint 6) in its own step state.
 """
 
 from __future__ import annotations
@@ -76,62 +77,6 @@ class MemoryGovernor:
             if self.bandwidth_at(freq) >= shared_demand:
                 return freq
         return self._max_freq
-
-
-class MemoryFootprintTracker:
-    """Tracks resident bytes of concurrently executing model slices.
-
-    Enforces Constraint (6): the sum of working sets of co-resident
-    slices must stay below the physical capacity, otherwise the device
-    would page-fault and thrash (MASA's observation, cited by the paper).
-    """
-
-    def __init__(self, capacity_bytes: float):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity_bytes
-        self._resident: dict = {}
-
-    @property
-    def capacity_bytes(self) -> float:
-        return self._capacity
-
-    @property
-    def used_bytes(self) -> float:
-        return sum(self._resident.values())
-
-    @property
-    def available_bytes(self) -> float:
-        return self._capacity - self.used_bytes
-
-    def fits(self, extra_bytes: float) -> bool:
-        """Whether an allocation would stay within capacity."""
-        return self.used_bytes + extra_bytes <= self._capacity
-
-    def allocate(self, key, nbytes: float) -> None:
-        """Register a resident working set.
-
-        Raises:
-            MemoryError: if the allocation would exceed capacity — the
-                simulated analogue of swapping-induced collapse.
-            ValueError: if the key is already resident.
-        """
-        if key in self._resident:
-            raise ValueError(f"allocation key {key!r} already resident")
-        if not self.fits(nbytes):
-            raise MemoryError(
-                f"allocating {nbytes / 1e6:.0f} MB for {key!r} exceeds capacity "
-                f"({self.used_bytes / 1e6:.0f}/{self._capacity / 1e6:.0f} MB used)"
-            )
-        self._resident[key] = nbytes
-
-    def release(self, key) -> None:
-        """Release a working set.
-
-        Raises:
-            KeyError: if the key is not resident.
-        """
-        del self._resident[key]
 
 
 def working_set_bytes(weight_bytes: float, peak_activation_bytes: float) -> float:

@@ -162,15 +162,22 @@ def get_rule(code: str) -> LintRule:
 
 
 def module_name_for(path: Path, src_root: Path) -> str:
-    """Dotted module name of ``path`` under ``src_root`` ('' if outside).
+    """Dotted module name of ``path`` under ``src_root``.
 
     ``src_root/repro/runtime/metrics.py`` -> ``repro.runtime.metrics``;
-    package ``__init__.py`` files map to the package itself.
+    package ``__init__.py`` files map to the package itself.  A file
+    outside ``src_root`` is named from its nearest ``repro`` ancestor
+    directory, so the package-scoped rules still see it; ``''`` if it
+    has none.
     """
+    resolved = path.resolve()
     try:
-        rel = path.resolve().relative_to(src_root.resolve())
+        rel = resolved.relative_to(src_root.resolve())
     except ValueError:
-        return ""
+        anchor = next((p for p in resolved.parents if p.name == "repro"), None)
+        if anchor is None:
+            return ""
+        rel = resolved.relative_to(anchor.parent)
     parts = list(rel.with_suffix("").parts)
     if parts and parts[-1] == "__init__":
         parts.pop()

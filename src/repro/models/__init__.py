@@ -5,7 +5,6 @@ from .ir import (
     ModelGraph,
     NPU_SUPPORTED_OPS,
     OpType,
-    validate_partition,
 )
 from .serialization import (
     load_model,
@@ -13,10 +12,6 @@ from .serialization import (
     model_from_json,
     model_to_dict,
     model_to_json,
-    plan_from_dict,
-    plan_from_json,
-    plan_to_dict,
-    plan_to_json,
     save_model,
 )
 from .zoo import (
@@ -34,16 +29,11 @@ __all__ = [
     "ModelGraph",
     "NPU_SUPPORTED_OPS",
     "OpType",
-    "validate_partition",
     "load_model",
     "model_from_dict",
     "model_from_json",
     "model_to_dict",
     "model_to_json",
-    "plan_from_dict",
-    "plan_from_json",
-    "plan_to_dict",
-    "plan_to_json",
     "save_model",
     "LARGE_MODELS",
     "LIGHTWEIGHT_MODELS",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 
 class OpType(enum.Enum):
@@ -241,36 +241,3 @@ class ModelGraph:
                 f"with {len(self.layers)} layers"
             )
 
-
-def linearize(models: Iterable[ModelGraph]) -> Tuple[Layer, ...]:
-    """Concatenate the layer sequences of several models (utility)."""
-    out = []
-    for model in models:
-        out.extend(model.layers)
-    return tuple(out)
-
-
-def validate_partition(model: ModelGraph, cut_points: Sequence[int]) -> None:
-    """Validate a K-way partition expressed as sorted interior cut points.
-
-    A partition ``[c1, ..., c_{K-1}]`` splits the model into slices
-    ``[0, c1-1], [c1, c2-1], ..., [c_{K-1}, n-1]`` (Definition 1).
-
-    Raises:
-        ValueError: if cut points are out of range, unsorted or duplicated.
-    """
-    n = model.num_layers
-    prev = 0
-    for cut in cut_points:
-        if not 0 < cut < n:
-            raise ValueError(
-                f"cut point {cut} out of range (0, {n}) for model {model.name!r}"
-            )
-        if cut <= prev and prev != 0:
-            raise ValueError(f"cut points must be strictly increasing: {cut_points}")
-        if prev == 0 and cut == 0:
-            raise ValueError("cut point cannot be zero")
-        prev = cut
-    cuts = list(cut_points)
-    if cuts != sorted(set(cuts)):
-        raise ValueError(f"cut points must be strictly increasing: {cut_points}")

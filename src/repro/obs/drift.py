@@ -15,9 +15,9 @@ describing reality.  Two classic detectors run side by side per key
 :class:`DriftMonitor` multiplexes both over the residual stream, keyed
 by processor and by model, emits typed
 :class:`~repro.obs.events.DriftDetected` provenance events through the
-recorder, and invokes registered *replan triggers* — the hook
-``StreamingPlanner`` uses to invalidate planner caches and re-profile
-before the next contention window.
+recorder, and returns each window's detections — on which
+``StreamingPlanner`` invalidates planner caches and re-profiles before
+the next contention window.
 
 Detectors are tuned for *relative* residuals (fractions, not ms): on a
 clean run the planner's predictions are exact (the objective and the
@@ -29,7 +29,7 @@ co-runner outside the plan, device aging) rather than model noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .events import DriftDetected
 from .recorder import add, emit
@@ -124,10 +124,6 @@ class CusumDetector:
         self.samples = 0
 
 
-#: A replan/re-profile trigger: called once per fired detection.
-DriftCallback = Callable[[DriftDetected], None]
-
-
 @dataclass
 class _KeyedDetectors:
     ewma: EwmaDetector
@@ -141,9 +137,9 @@ class DriftMonitor:
     ``("processor", "gpu")``, ``("model", "resnet50")`` — and fed every
     slice residual touching that key.  When either detector fires the
     monitor emits a :class:`~repro.obs.events.DriftDetected` provenance
-    event, invokes every registered trigger, and resets that key's
-    detectors (built-in cooldown: the same key cannot re-fire until it
-    has re-accumulated ``min_samples`` fresh residuals).
+    event and resets that key's detectors (built-in cooldown: the same
+    key cannot re-fire until it has re-accumulated ``min_samples`` fresh
+    residuals).
 
     Args:
         ewma_alpha: EWMA smoothing weight.
@@ -164,12 +160,7 @@ class DriftMonitor:
         self._ewma_args = (ewma_alpha, ewma_threshold, min_samples)
         self._cusum_args = (cusum_slack, cusum_threshold, min_samples)
         self._detectors: Dict[Tuple[str, str], _KeyedDetectors] = {}
-        self._callbacks: List[DriftCallback] = []
         self.events: List[DriftDetected] = []
-
-    def on_drift(self, callback: DriftCallback) -> None:
-        """Register a replan/re-profile trigger."""
-        self._callbacks.append(callback)
 
     def keys(self) -> List[Tuple[str, str]]:
         """Every (scope, key) pair that has consumed residuals."""
@@ -249,20 +240,9 @@ class DriftMonitor:
         self.events.append(event)
         emit(event)
         add("drift_detections")
-        for callback in self._callbacks:
-            callback(event)
         return event
 
     def reset(self) -> None:
         """Drop all detector state (fired events are kept)."""
         self._detectors.clear()
 
-
-def residual_stream(
-    reports: Sequence[ResidualReport],
-) -> List[SliceResidual]:
-    """Flatten reports into one chronological residual stream."""
-    out: List[SliceResidual] = []
-    for report in reports:
-        out.extend(report.slices)
-    return out

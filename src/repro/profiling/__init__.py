@@ -17,13 +17,11 @@ from .latency import (
     traffic_amplification,
 )
 from .pmu import PerfCounters, ground_truth_intensity, measure_counters
-from .report import LayerReport, ModelReport, profile_report, render_report
 from .profiler import INFEASIBLE, ModelProfile, SocProfiler
 from .slowdown import (
     MAX_SLOWDOWN,
     REFERENCE_BANDWIDTH_GBPS,
     SliceWorkload,
-    co_execution_ms,
     intra_cluster_slowdown,
     pairwise_slowdown_table,
     slowdown_fraction,
@@ -39,10 +37,6 @@ __all__ = [
     "layer_traffic_bytes",
     "traffic_amplification",
     "PerfCounters",
-    "LayerReport",
-    "ModelReport",
-    "profile_report",
-    "render_report",
     "ground_truth_intensity",
     "measure_counters",
     "INFEASIBLE",
@@ -51,7 +45,6 @@ __all__ = [
     "MAX_SLOWDOWN",
     "REFERENCE_BANDWIDTH_GBPS",
     "SliceWorkload",
-    "co_execution_ms",
     "intra_cluster_slowdown",
     "pairwise_slowdown_table",
     "slowdown_fraction",

@@ -199,16 +199,6 @@ def check_on_soc(
         )
 
 
-def co_execution_ms(
-    soc: SocSpec, victim: SliceWorkload, co_runners: Iterable[SliceWorkload]
-) -> float:
-    """Wall-clock time of the victim slice under co-execution (Eq. 2)."""
-    solo = victim.solo_ms()
-    if math.isinf(solo):
-        return solo
-    return solo * (1.0 + slowdown_fraction(soc, victim, list(co_runners)))
-
-
 def pairwise_slowdown_table(
     soc: SocSpec,
     workload_a: SliceWorkload,

@@ -20,13 +20,6 @@ from .executor import (
     simulate_chains,
 )
 from .metrics import ComparisonMatrix, Scheme, compare_schemes, standard_schemes
-from .replay import (
-    IdleGap,
-    Timeline,
-    build_timeline,
-    concurrency_profile,
-    utilization_summary,
-)
 from .tracing import ascii_gantt, to_chrome_trace, write_chrome_trace
 from .schedule import (
     DiagonalCell,
@@ -35,7 +28,6 @@ from .schedule import (
     build_schedule,
     plan_bubbles_ms,
     plan_makespan_ms,
-    tail_bubble_ms,
 )
 
 __all__ = [
@@ -56,11 +48,6 @@ __all__ = [
     "plan_to_chains",
     "simulate_chains",
     "ComparisonMatrix",
-    "IdleGap",
-    "Timeline",
-    "build_timeline",
-    "concurrency_profile",
-    "utilization_summary",
     "Scheme",
     "compare_schemes",
     "standard_schemes",
@@ -74,5 +61,4 @@ __all__ = [
     "build_schedule",
     "plan_bubbles_ms",
     "plan_makespan_ms",
-    "tail_bubble_ms",
 ]

@@ -398,19 +398,6 @@ class ExecutionResult:
             return 0.0
         return self.processor_busy_ms.get(processor, 0.0) / span
 
-    def total_bubble_ms(self) -> float:
-        """Idle time of processors between their first and last task."""
-        total = 0.0
-        by_proc: Dict[str, List[TaskRecord]] = {}
-        for rec in self.records:
-            by_proc.setdefault(rec.processor, []).append(rec)
-        for recs in by_proc.values():
-            recs = sorted(recs, key=lambda r: r.start_ms)
-            span = recs[-1].finish_ms - recs[0].start_ms
-            busy = sum(r.duration_ms for r in recs)
-            total += max(0.0, span - busy)
-        return total
-
 
 # ------------------------------------------------------------ the engine
 

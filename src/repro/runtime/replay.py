@@ -1,11 +1,4 @@
-"""Post-hoc timeline analysis and serialization of executed schedules.
-
-Given an :class:`~repro.runtime.executor.ExecutionResult`, reconstructs
-the per-processor timeline: busy intervals, the idle gaps between them
-(the concrete bubbles of Definition 3, with start/end timestamps) and
-a sampled concurrency profile: *where* a schedule lost its time.  It
-is a library helper (the experiments and examples do not call it); the
-exact critical path is :func:`repro.obs.blame.extract_critical_path`.
+"""The run archive: serialization of executed schedules.
 
 :func:`save_run` / :func:`load_run` round-trip a full run to JSON
 (``hetero2pipe.run.v2``) — execution records, trace samples, causality
@@ -19,9 +12,8 @@ load.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Sequence, TYPE_CHECKING
 
 from ..obs import (
     DriftDetected,
@@ -34,93 +26,7 @@ from ..obs import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import ExecutionResult, TaskRecord
-
-
-@dataclass(frozen=True)
-class IdleGap:
-    """One bubble: a processor idle between two of its tasks."""
-
-    processor: str
-    start_ms: float
-    end_ms: float
-    before_request: int  # request whose task follows the gap
-
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """Reconstructed execution timeline."""
-
-    makespan_ms: float
-    gaps: Tuple[IdleGap, ...]
-    busy_ms: Dict[str, float]
-
-    @property
-    def total_gap_ms(self) -> float:
-        return sum(g.duration_ms for g in self.gaps)
-
-    def gaps_on(self, processor: str) -> List[IdleGap]:
-        return [g for g in self.gaps if g.processor == processor]
-
-    def largest_gaps(self, count: int = 5) -> List[IdleGap]:
-        return sorted(self.gaps, key=lambda g: g.duration_ms, reverse=True)[
-            :count
-        ]
-
-
-def build_timeline(result: "ExecutionResult") -> Timeline:
-    """Reconstruct per-processor idle gaps from the task records."""
-    by_proc: Dict[str, List["TaskRecord"]] = {}
-    for record in result.records:
-        by_proc.setdefault(record.processor, []).append(record)
-
-    gaps: List[IdleGap] = []
-    for processor, records in by_proc.items():
-        records = sorted(records, key=lambda r: r.start_ms)
-        for earlier, later in zip(records, records[1:]):
-            if later.start_ms > earlier.finish_ms + 1e-9:
-                gaps.append(
-                    IdleGap(
-                        processor=processor,
-                        start_ms=earlier.finish_ms,
-                        end_ms=later.start_ms,
-                        before_request=later.request,
-                    )
-                )
-    return Timeline(
-        makespan_ms=result.makespan_ms,
-        gaps=tuple(sorted(gaps, key=lambda g: g.start_ms)),
-        busy_ms=dict(result.processor_busy_ms),
-    )
-
-
-def concurrency_profile(
-    result: "ExecutionResult", samples: int = 50
-) -> List[Tuple[float, int]]:
-    """(time, number of simultaneously running slices) samples.
-
-    Raises:
-        ValueError: for non-positive sample counts.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not result.records or result.makespan_ms <= 0:
-        return [(0.0, 0)]
-    # One sorted start/finish sweep instead of rescanning every record
-    # per sample: active(t) = |starts <= t| - |finishes <= t| under the
-    # half-open ``start_ms <= t < finish_ms`` convention.
-    starts = sorted(r.start_ms for r in result.records)
-    finishes = sorted(r.finish_ms for r in result.records)
-    points: List[Tuple[float, int]] = []
-    for i in range(samples):
-        t = result.makespan_ms * i / max(1, samples - 1)
-        active = bisect_right(starts, t) - bisect_right(finishes, t)
-        points.append((t, active))
-    return points
+    from .executor import ExecutionResult
 
 
 #: Schema identifier stamped into every serialized run document.
@@ -166,51 +72,9 @@ def run_to_dict(
         "request_finish_ms": list(result.request_finish_ms),
         "processor_busy_ms": dict(result.processor_busy_ms),
         "memory_pressure_events": result.memory_pressure_events,
-        "records": [
-            {
-                "request": r.request,
-                "stage": r.stage,
-                "processor": r.processor,
-                "start_ms": r.start_ms,
-                "finish_ms": r.finish_ms,
-                "solo_ms": r.solo_ms,
-                "traffic_bytes": r.traffic_bytes,
-            }
-            for r in result.records
-        ],
-        "trace": [
-            {
-                "time_ms": p.time_ms,
-                "bandwidth_demand_gbps": p.bandwidth_demand_gbps,
-                "memory_freq_mhz": p.memory_freq_mhz,
-                "used_bytes": p.used_bytes,
-                "active_processors": list(p.active_processors),
-            }
-            for p in result.trace
-        ],
-        "causality": [
-            {
-                "request": c.request,
-                "stage": c.stage,
-                "index": c.index,
-                "processor": c.processor,
-                "cause": c.cause,
-                "enabled_by": list(c.enabled_by)
-                if c.enabled_by is not None
-                else None,
-                "ready_ms": c.ready_ms,
-                "start_ms": c.start_ms,
-                "finish_ms": c.finish_ms,
-                "solo_ms": c.solo_ms,
-                "executed_solo_ms": c.executed_solo_ms,
-                "processor_busy_wait_ms": c.processor_busy_wait_ms,
-                "residency_wait_ms": c.residency_wait_ms,
-                "scheduler_wait_ms": c.scheduler_wait_ms,
-                "preempted_ms": c.preempted_ms,
-                "truncated": c.truncated,
-            }
-            for c in result.causality
-        ],
+        "records": [r._asdict() for r in result.records],
+        "trace": [asdict(p) for p in result.trace],
+        "causality": [asdict(c) for c in result.causality],
         "corun_inflation_ms": [
             {"processor": a, "co_runner": b, "inflation_ms": v}
             for (a, b), v in sorted(result.corun_inflation_ms.items())
@@ -363,12 +227,3 @@ def load_run(path: str) -> RunArchive:
     with open(path, "r", encoding="utf-8") as handle:
         return run_from_dict(json.load(handle))
 
-
-def utilization_summary(result: "ExecutionResult") -> Dict[str, float]:
-    """Busy fraction per processor over the makespan."""
-    if result.makespan_ms <= 0:
-        return {name: 0.0 for name in result.processor_busy_ms}
-    return {
-        name: busy / result.makespan_ms
-        for name, busy in result.processor_busy_ms.items()
-    }

@@ -146,14 +146,3 @@ def plan_bubbles_ms(plan: "PipelinePlan", with_contention: bool = True) -> float
     """Shortcut: total bubble time (P2 objective, Eq. 5)."""
     return build_schedule(plan, with_contention).total_bubble_ms
 
-
-def tail_bubble_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:
-    """Bubbles of the draining tail (final K-1 columns).
-
-    These are the bubbles the paper's tail optimization targets —
-    inference pipelines, unlike training, may freely re-allocate the
-    draining workload.
-    """
-    schedule = build_schedule(plan, with_contention)
-    tail = schedule.columns[max(0, len(schedule.columns) - (plan.depth - 1)) :]
-    return sum(col.bubble_ms for col in tail)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.regression import RidgeModel, fit_ridge
-from repro.analysis.stats import geometric_mean, linear_fit, summarize
+from repro.analysis.stats import linear_fit
 
 
 class TestRidge:
@@ -149,26 +149,3 @@ class TestLinearFit:
         with pytest.raises(ValueError):
             linear_fit([1, 2, 3], [1, 2])
 
-
-class TestStats:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_geometric_mean_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["mean"] == pytest.approx(2.0)
-        assert stats["median"] == pytest.approx(2.0)
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-
-    def test_summarize_empty(self):
-        with pytest.raises(ValueError):
-            summarize([])

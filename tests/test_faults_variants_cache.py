@@ -7,7 +7,6 @@ from repro.analysis.charts import (
     bar_chart,
     grouped_bar_chart,
     scatter_plot,
-    sparkline,
     step_series,
 )
 from repro.core.partition_coupled import (
@@ -304,9 +303,3 @@ class TestCharts:
         assert "#" in text
         with pytest.raises(ValueError):
             step_series([])
-
-    def test_sparkline(self):
-        line = sparkline([0, 1, 2, 3])
-        assert len(line) == 4
-        with pytest.raises(ValueError):
-            sparkline([])

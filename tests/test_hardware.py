@@ -4,7 +4,6 @@ import pytest
 
 from repro.hardware.memory import (
     MemoryDemand,
-    MemoryFootprintTracker,
     MemoryGovernor,
     working_set_bytes,
 )
@@ -161,36 +160,7 @@ class TestMemoryGovernor:
         assert gov.bandwidth_at(soc.memory_freq_mhz[0]) < soc.bus_bandwidth_gbps
 
 
-class TestFootprintTracker:
-    def test_allocate_and_release(self):
-        tracker = MemoryFootprintTracker(100.0)
-        tracker.allocate("a", 60.0)
-        assert tracker.used_bytes == 60.0
-        assert tracker.available_bytes == 40.0
-        tracker.release("a")
-        assert tracker.used_bytes == 0.0
-
-    def test_over_capacity_raises(self):
-        tracker = MemoryFootprintTracker(100.0)
-        tracker.allocate("a", 80.0)
-        with pytest.raises(MemoryError):
-            tracker.allocate("b", 30.0)
-
-    def test_duplicate_key_rejected(self):
-        tracker = MemoryFootprintTracker(100.0)
-        tracker.allocate("a", 10.0)
-        with pytest.raises(ValueError):
-            tracker.allocate("a", 10.0)
-
-    def test_release_unknown_key(self):
-        tracker = MemoryFootprintTracker(100.0)
-        with pytest.raises(KeyError):
-            tracker.release("ghost")
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            MemoryFootprintTracker(0.0)
-
+class TestWorkingSet:
     def test_working_set_helper(self):
         assert working_set_bytes(10.0, 5.0) == 15.0
 

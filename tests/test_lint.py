@@ -394,6 +394,11 @@ class TestSuppressionAndReporting:
         outside = tmp_path / "elsewhere.py"
         outside.write_text("")
         assert module_name_for(outside, root) == ""
+        # Outside the root, the nearest ``repro`` ancestor names it.
+        stray = tmp_path / "other" / "repro" / "core" / "x.py"
+        stray.parent.mkdir(parents=True)
+        stray.write_text("")
+        assert module_name_for(stray, root) == "repro.core.x"
 
     def test_registry_has_all_documented_rules(self):
         # Equality, not a subset: a rule deleted with its doc section
@@ -427,6 +432,15 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert status == 1
         assert "H2P101" in out and "H2P201" in out and "H2P104" in out
+
+    def test_tree_outside_src_root_is_linted(self, tmp_path, capsys):
+        # No --src-root: the default root does not hold the fixture, so
+        # its modules are named from their ``repro`` ancestor.
+        root = self._fixture_tree(tmp_path)
+        status = lint_main([str(root)])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "H2P101" in out and "H2P201" in out
 
     def test_json_output_parses(self, tmp_path, capsys):
         root = self._fixture_tree(tmp_path)

@@ -1,4 +1,4 @@
-"""Tests for the comparison framework, profile reports and scaling study."""
+"""Tests for the comparison framework and scaling study."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.experiments.ext_scaling import (
 )
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
-from repro.profiling.report import profile_report, render_report
 from repro.runtime.metrics import compare_schemes, standard_schemes
 
 
@@ -62,46 +61,6 @@ class TestComparisonFramework:
             compare_schemes([scheme], [])
         with pytest.raises(ValueError):
             compare_schemes([scheme, scheme], [[get_model("vit")]])
-
-
-class TestProfileReport:
-    def test_report_covers_all_layers(self, kirin):
-        model = get_model("resnet50")
-        report = profile_report(model, kirin)
-        assert len(report.layers) == model.num_layers
-        assert report.total_latency_ms > 0
-
-    def test_memory_bound_fraction_bounds(self, kirin):
-        for name in ("alexnet", "vgg16", "mobilenetv2"):
-            report = profile_report(get_model(name), kirin)
-            assert 0.0 <= report.memory_bound_fraction <= 1.0
-
-    def test_alexnet_fc_layers_memory_bound(self, kirin):
-        # Observation 2: AlexNet's FC layers dominate traffic.
-        report = profile_report(get_model("alexnet"), kirin)
-        top_traffic = report.highest_traffic_layers(2)
-        assert all(row.op == "fully_connected" for row in top_traffic)
-        assert any(row.memory_bound for row in top_traffic)
-
-    def test_hottest_layers_sorted(self, kirin):
-        report = profile_report(get_model("vgg16"), kirin)
-        hottest = report.hottest_layers(4)
-        times = [row.latency_ms for row in hottest]
-        assert times == sorted(times, reverse=True)
-
-    def test_npu_incompatible_model_rejected_on_npu(self, kirin):
-        with pytest.raises(ValueError):
-            profile_report(get_model("bert"), kirin, processor_name="npu")
-
-    def test_unknown_processor(self, kirin):
-        with pytest.raises(KeyError):
-            profile_report(get_model("vit"), kirin, processor_name="dsp")
-
-    def test_render_contains_summary(self, kirin):
-        report = profile_report(get_model("squeezenet"), kirin)
-        text = render_report(report, top=3)
-        assert "memory-bound" in text
-        assert "squeezenet" in text
 
 
 class TestScalingStudy:

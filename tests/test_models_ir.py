@@ -9,8 +9,6 @@ from repro.models.ir import (
     ModelGraph,
     NPU_SUPPORTED_OPS,
     OpType,
-    linearize,
-    validate_partition,
 )
 
 
@@ -135,28 +133,3 @@ class TestModelGraph:
         model = ModelGraph(name="m", layers=layers)
         assert not model.npu_supported()
         assert model.unsupported_layers() == (1,)
-
-    def test_linearize_concatenates(self):
-        a, b = make_model(2, name="a"), make_model(3, name="b")
-        assert len(linearize([a, b])) == 5
-
-
-class TestValidatePartition:
-    def test_valid_cuts(self):
-        validate_partition(make_model(6), [2, 4])
-
-    def test_out_of_range_cut(self):
-        with pytest.raises(ValueError):
-            validate_partition(make_model(4), [4])
-
-    def test_zero_cut_rejected(self):
-        with pytest.raises(ValueError):
-            validate_partition(make_model(4), [0])
-
-    def test_unsorted_cuts_rejected(self):
-        with pytest.raises(ValueError):
-            validate_partition(make_model(6), [4, 2])
-
-    def test_duplicate_cuts_rejected(self):
-        with pytest.raises(ValueError):
-            validate_partition(make_model(6), [2, 2])

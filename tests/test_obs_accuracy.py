@@ -32,7 +32,6 @@ from repro.obs import (
     join_execution,
     report_from_dict,
 )
-from repro.obs.drift import residual_stream
 from repro.obs.export import (
     read_telemetry_jsonl,
     residual_counter_events,
@@ -310,13 +309,16 @@ class TestDriftMonitor:
         pair = mon.detectors_for("processor", "gpu")
         assert pair.ewma.samples == 1
 
-    def test_callbacks_invoked_per_event(self):
+    def test_one_event_per_fired_key(self):
+        # The residual feeds its processor's and its model's detectors.
         mon = DriftMonitor(min_samples=1, ewma_threshold=0.1)
-        seen = []
-        mon.on_drift(seen.append)
-        mon.observe_residual(_residual(rel=0.9))
-        assert len(seen) == 2
-        assert all(isinstance(e, DriftDetected) for e in seen)
+        fired = mon.observe_residual(_residual(rel=0.9))
+        assert [(e.scope, e.key) for e in fired] == [
+            ("processor", "gpu"),
+            ("model", "resnet50"),
+        ]
+        assert all(isinstance(e, DriftDetected) for e in fired)
+        assert mon.events == fired
 
     def test_observe_report_feeds_window_index(self):
         slices = tuple(_residual(rel=0.4, request=i) for i in range(3))
@@ -338,24 +340,6 @@ class TestDriftMonitor:
         mon.reset()
         assert mon.keys() == []
         assert mon.events  # history preserved
-
-    def test_residual_stream_flattens_in_order(self):
-        r1 = ResidualReport(
-            slices=(_residual(request=0),),
-            requests=(),
-            predicted_makespan_ms=1.0,
-            actual_makespan_ms=1.0,
-            window=0,
-        )
-        r2 = ResidualReport(
-            slices=(_residual(request=1),),
-            requests=(),
-            predicted_makespan_ms=1.0,
-            actual_makespan_ms=1.0,
-            window=1,
-        )
-        flat = residual_stream([r1, r2])
-        assert [s.request for s in flat] == [0, 1]
 
 
 # ------------------------------------------------------- streaming replan

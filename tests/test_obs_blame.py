@@ -1,7 +1,6 @@
 """Tests for the causal-attribution layer: wait-state accounting,
 exact critical paths, what-if counterfactuals, the ``blame`` CLI verb
-(``hetero2pipe.blame.v1``), the v2 run archive and the event-sweep
-``concurrency_profile`` rewrite."""
+(``hetero2pipe.blame.v1``) and the v2 run archive."""
 
 import json
 
@@ -46,7 +45,6 @@ from repro.runtime.executor import (
 from repro.runtime.replay import (
     RUN_SCHEMA,
     RUN_SCHEMA_V1,
-    concurrency_profile,
     load_run,
     run_from_dict,
     run_to_dict,
@@ -529,34 +527,6 @@ class TestExportAndArchive:
         plain = json.loads(to_chrome_trace(result))["traceEvents"]
         assert not any(e.get("cat") == "blame" for e in plain)
         assert not any("cname" in e for e in plain)
-
-
-class TestConcurrencyProfileSweep:
-    def test_matches_bruteforce_reference(self, kirin, small_plan):
-        chains = replicate_chains(plan_to_chains(small_plan), 2)
-        result = simulate_chains(
-            kirin,
-            chains,
-            arrivals=PoissonArrivals(interval_ms=6.0, seed=4),
-            record=False,
-        )
-        for samples in (1, 7, 50):
-            profile = concurrency_profile(result, samples=samples)
-            assert len(profile) == samples
-            for t, active in profile:
-                reference = sum(
-                    1
-                    for r in result.records
-                    if r.start_ms <= t < r.finish_ms
-                )
-                assert active == reference, (t, active, reference)
-
-    def test_rejects_bad_sample_count(self, kirin, small_plan):
-        result = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
-        )
-        with pytest.raises(ValueError):
-            concurrency_profile(result, samples=0)
 
 
 class TestBlameCli:

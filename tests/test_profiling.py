@@ -23,7 +23,6 @@ from repro.profiling.profiler import INFEASIBLE, SocProfiler
 from repro.profiling.slowdown import (
     MAX_SLOWDOWN,
     SliceWorkload,
-    co_execution_ms,
     intra_cluster_slowdown,
     pairwise_slowdown_table,
     slowdown_fraction,
@@ -303,11 +302,6 @@ class TestSlowdown:
             self._workload(profiles, "resnet50", kirin.npu),
         ]
         assert slowdown_fraction(kirin, victim, others) < 0.9
-
-    def test_co_execution_time_inflates(self, kirin, profiles):
-        victim = self._workload(profiles, "bert", kirin.cpu_big)
-        co = [self._workload(profiles, "squeezenet", kirin.gpu)]
-        assert co_execution_ms(kirin, victim, co) > victim.solo_ms()
 
     def test_intra_cluster_reaches_high_slowdown(self, kirin, profiles):
         # Fig. 10: up to ~70 % within one cluster.

@@ -12,7 +12,6 @@ from repro.runtime.schedule import (
     build_schedule,
     plan_bubbles_ms,
     plan_makespan_ms,
-    tail_bubble_ms,
 )
 
 
@@ -89,10 +88,6 @@ class TestSchedule:
             active = [c for c in col.cells if c.co_ms > 0]
             assert len(active) <= 1
             assert col.bubble_ms == 0.0
-
-    def test_tail_bubble_subset_of_total(self, profiler, kirin):
-        plan = make_plan(profiler, kirin, ["bert", "yolov4", "vit"])
-        assert tail_bubble_ms(plan) <= plan_bubbles_ms(plan) + 1e-9
 
     def test_async_never_exceeds_sync(self, profiler, kirin):
         # Relaxing the lockstep can only shorten the schedule when

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import (
-    MakespanBounds,
-    makespan_lower_bounds,
-    optimality_report,
-)
+from repro.core.bounds import MakespanBounds, makespan_lower_bounds
 from repro.core.planner import Hetero2PipePlanner
 from repro.experiments.ext_scenarios import run as scenarios_run
 from repro.hardware.soc import get_soc
@@ -93,13 +89,6 @@ class TestBounds:
     def test_empty_workload_rejected(self, kirin):
         with pytest.raises(ValueError):
             makespan_lower_bounds(kirin, [])
-
-    def test_report_keys(self, kirin):
-        report = optimality_report(kirin, [get_model("vit")], 100.0)
-        assert set(report) == {
-            "work_bound_ms", "chain_bound_ms", "lower_bound_ms",
-            "achieved_ms", "gap",
-        }
 
 
 class TestScenarioExperiment:

@@ -1,11 +1,9 @@
 """Tests for serialization, calibration and thermal-feedback planning."""
 
 import dataclasses
-import json
 
 import pytest
 
-from repro.core.planner import Hetero2PipePlanner
 from repro.core.thermal_feedback import plan_with_thermal_feedback
 from repro.hardware.soc import get_soc
 from repro.models.serialization import (
@@ -14,16 +12,11 @@ from repro.models.serialization import (
     model_from_json,
     model_to_dict,
     model_to_json,
-    plan_from_json,
-    plan_to_dict,
-    plan_to_json,
     save_model,
 )
 from repro.models.zoo import get_model
 from repro.profiling.calibration import CalibrationTarget, calibrate
 from repro.profiling.profiler import SocProfiler
-from repro.runtime.executor import execute_plan
-from repro.runtime.executor import async_makespan_ms
 
 
 @pytest.fixture(scope="module")
@@ -62,41 +55,6 @@ class TestModelSerialization:
         data["version"] = 99
         with pytest.raises(ValueError):
             model_from_dict(data)
-
-
-class TestPlanSerialization:
-    def test_round_trip_preserves_schedule(self, kirin):
-        models = [get_model(n) for n in ("yolov4", "bert", "squeezenet")]
-        planner = Hetero2PipePlanner(kirin)
-        report = planner.plan(models)
-        text = plan_to_json(report.plan)
-
-        restored = plan_from_json(text, kirin, SocProfiler(kirin))
-        restored.validate()
-        assert restored.order == report.plan.order
-        assert async_makespan_ms(restored) == pytest.approx(
-            async_makespan_ms(report.plan)
-        )
-        a = execute_plan(report.plan)
-        b = execute_plan(restored)
-        assert a.makespan_ms == pytest.approx(b.makespan_ms)
-
-    def test_soc_mismatch_rejected(self, kirin):
-        models = [get_model("vit")]
-        report = Hetero2PipePlanner(kirin).plan(models)
-        other = get_soc("snapdragon870")
-        with pytest.raises(ValueError):
-            plan_from_json(
-                plan_to_json(report.plan), other, SocProfiler(other)
-            )
-
-    def test_wrong_kind_rejected(self, kirin):
-        models = [get_model("vit")]
-        report = Hetero2PipePlanner(kirin).plan(models)
-        data = plan_to_dict(report.plan)
-        data["kind"] = "model"
-        with pytest.raises(ValueError):
-            plan_from_json(json.dumps(data), kirin, SocProfiler(kirin))
 
 
 class TestCalibration:

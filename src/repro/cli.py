@@ -100,6 +100,11 @@ from .workloads.generator import arrival_times_ms
 #: a verb writes; ``--baseline`` is one too under ``--update-baseline``.
 _OUTPUT_PATHS = ("out", "jsonl", "trace", "speedscope", "collapsed", "path")
 
+#: The most telemetry windows ``slo`` closes over one run: the timeline
+#: and SLO folds do work per window, empty or not, so a ``--window-ms``
+#: far below the run's makespan would otherwise spin.
+MAX_SLO_WINDOWS = 100_000
+
 
 def _resolve_inputs(args: argparse.Namespace) -> None:
     """Validate the raw flags and turn them into objects, in place.
@@ -565,6 +570,15 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             keep_events=True,
             record=False,
         )
+        windows_needed = result.makespan_ms / args.window_ms
+        if windows_needed > MAX_SLO_WINDOWS:
+            print(
+                f"hetero2pipe slo: error: --window-ms {args.window_ms:g} "
+                f"would close {windows_needed:.3g} windows over the "
+                f"{result.makespan_ms:.1f} ms run (at most {MAX_SLO_WINDOWS})",
+                file=sys.stderr,
+            )
+            return 2
         timeline = TimelineAggregator(
             [p.name for p in soc.processors], stages, args.window_ms
         )

@@ -283,11 +283,8 @@ class StreamingPlanner:
                 # run is (the objective scores plans without the memory
                 # gate, so it is not this number).  On an unperturbed run
                 # the residuals are therefore identically zero and any
-                # deviation is real environment drift.  The join reads
-                # only task records, so causality tracking is off.
-                predicted = execute_plan(
-                    report.plan, record=False, track_causality=False
-                )
+                # deviation is real environment drift.
+                predicted = execute_plan(report.plan, record=False)
                 # TaskRecord.request is the execution position, so the
                 # name list is permuted by the committed order.
                 residual = obs.join_execution(

@@ -110,10 +110,13 @@ class Hetero2PipePlanner:
     the profiler's per-model profile cache (shared with the estimator's
     zoo fit), a per-``(model, fast_dp)`` horizontal-partition cache, and
     an :class:`~repro.core.objective.ObjectiveCache` that deduplicates
-    the vertical phase's re-simulations.  A bounded LRU of whole
-    :class:`PlanReport` objects sits in front of :meth:`plan` for
-    recurring request mixes.  All caches are scoped to this instance —
-    building a planner for a new/modified :class:`SocSpec` starts cold.
+    the vertical phase's re-simulations within one :meth:`plan` call
+    (it is cleared once the plan is built: its fingerprints name whole
+    plans, and a recurring mix is answered by the plan cache).  A
+    bounded LRU of whole :class:`PlanReport` objects sits in front of
+    :meth:`plan` for recurring request mixes.  All caches are scoped to
+    this instance — building a planner for a new/modified
+    :class:`SocSpec` starts cold.
 
     Args:
         soc: Target platform.
@@ -147,17 +150,16 @@ class Hetero2PipePlanner:
         """Drop every memoized prediction this planner has accumulated.
 
         The replan/re-profile trigger: after a ``DriftDetected`` event
-        the cached partitions, objective probes and finished plans all
-        embed predictions the drift just falsified, so the streaming
-        layer clears them before planning the next window.  Profiles on
-        the shared profiler are *measurements*, not predictions, and are
-        kept; their slice-task memos are dropped, which bounds the memos
-        to one plan's probes.
+        the cached partitions and finished plans embed predictions the
+        drift just falsified, so the streaming layer clears them before
+        planning the next window (the objective cache holds nothing
+        between plans: :meth:`plan` clears it).  Profiles on the shared
+        profiler are *measurements*, not predictions, and are kept;
+        their slice-task memos are dropped, which bounds the memos to
+        one plan's probes.
         """
         self._partition_cache.clear()
         self.profiler.clear_slice_tasks()
-        if isinstance(self.objective, ObjectiveCache):
-            self.objective.clear()
         if self._plan_cache is not None:
             self._plan_cache.clear()
         obs.add("planner_cache_invalidations")
@@ -295,6 +297,11 @@ class Hetero2PipePlanner:
                 if best is None or cost < best[0]:
                     best = (cost, plan, moves, tail_changed, index)
 
+            # A fingerprint names a whole plan of this mix, and a
+            # recurring mix is answered by the plan cache, so the
+            # objective cache lives for one plan.
+            if isinstance(self.objective, ObjectiveCache):
+                self.objective.clear()
             assert best is not None
             cost, plan, moves, tail_changed, winner = best
             mitigated = winner > 0

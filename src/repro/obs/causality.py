@@ -2,8 +2,9 @@
 
 The discrete-event engine (:mod:`repro.runtime.engine`) owns one
 :class:`CausalityTracker` when it runs with ``track_causality=True``
-(the default) and calls it at the simulation's edges: a slice becoming
-ready, a slice starting, each advancing step, a slice finishing or
+(the engine's default; the executor adapters default to off, so each
+blame reader opts in) and calls it at the simulation's edges: a slice
+becoming ready, a slice starting, each advancing step, a slice finishing or
 being truncated by a cancellation, a processor being vacated and an
 arena being released.  From those calls the tracker records, per task,
 a :class:`TaskCausality` row: the instant the slice became ready (its

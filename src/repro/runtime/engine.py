@@ -91,7 +91,10 @@ paging regime of a real device).
 ready, start, step, finish, vacate and release edges to one
 :class:`~repro.obs.causality.CausalityTracker`, which owns the exact
 blame bookkeeping (see that module); the tracker never feeds back into
-the step arithmetic.
+the step arithmetic.  The engine defaults to on; the executor adapters
+(:func:`~repro.runtime.executor.simulate_chains`, ``execute_plan``,
+``execute_plan_perturbed``) default to off, so only a run whose blame
+is read pays for it.
 """
 
 from __future__ import annotations
@@ -494,8 +497,9 @@ class DiscreteEventEngine:
         track_causality: Record per-task
             :class:`~repro.obs.causality.TaskCausality` rows and the
             co-run inflation matrix, the blame layer's input (on by
-            default).  Pass False when nothing reads them; every
-            simulated time is identical either way.
+            default here, off by default in the executor adapters).
+            Pass False when nothing reads them; every simulated time is
+            identical either way.
 
     Raises:
         ValueError: on arrival-length mismatch, a task whose ``request``

@@ -90,6 +90,7 @@ def simulate_chains(
     soc: SocSpec,
     chains: Sequence[Sequence[ChainTask]],
     arrivals: ArrivalsLike = None,
+    track_causality: bool = False,
     **options: Any,
 ) -> ExecutionResult:
     """Simulate per-request task chains on one SoC.
@@ -97,10 +98,18 @@ def simulate_chains(
     A thin adapter over :class:`~repro.runtime.engine.DiscreteEventEngine`
     — one engine instance per call, run to completion.  ``options`` are
     the engine's keyword options (``with_contention``, ``deadline_ms``,
-    ``track_causality``, ...); their semantics, the return type and the
-    raised exceptions are the engine's, documented there.
+    ...); their semantics, the return type and the raised exceptions are
+    the engine's, documented there.
+
+    Unlike the engine, the adapter tracks no causality unless asked: a
+    caller that blames the run (:func:`repro.obs.blame_requests`, a
+    blame trace, an archive's blame section) passes
+    ``track_causality=True``.  Every simulated time is identical either
+    way.
     """
-    return DiscreteEventEngine(soc, chains, arrivals, **options).run()
+    return DiscreteEventEngine(
+        soc, chains, arrivals, track_causality=track_causality, **options
+    ).run()
 
 
 def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:

@@ -26,11 +26,11 @@ into the same document:
   :func:`repro.obs.prof.phase_track_events`), so where the planner's
   time went is readable without leaving Perfetto.
 
-With ``blame=True`` (and a result carrying causality rows) the trace
-additionally renders the *blame view*: the exact critical path's slices
-are highlighted (``cname: terrible`` + a ``critical_path`` arg) and
-each slice's wait interval is drawn on a per-processor ``<proc> waits``
-thread, colored by wait state — processor-busy waits as
+With ``blame=True`` (on a result run with ``track_causality=True``)
+the trace additionally renders the *blame view*: the exact critical
+path's slices are highlighted (``cname: terrible`` + a ``critical_path``
+arg) and each slice's wait interval is drawn on a per-processor
+``<proc> waits`` thread, colored by wait state — processor-busy waits as
 ``thread_state_runnable``, memory-residency waits as
 ``thread_state_iowait``, the scheduler residual as ``grey`` and
 preemption time as ``yellow`` (the legend documented in
@@ -347,22 +347,29 @@ def to_chrome_trace(
         slo_reports: Closed :class:`~repro.obs.SloWindowReport` rows
             from an :class:`~repro.obs.SloEvaluator`; when given, one
             fast/slow burn-rate counter track per SLO class is drawn.
-        blame: Render the blame view (requires a result carrying
-            causality rows): critical-path slices are highlighted and
-            per-processor ``<proc> waits`` threads draw each slice's
-            wait interval colored by wait state (see module docstring
-            for the legend).
+        blame: Render the blame view (requires a result run with
+            ``track_causality=True``): critical-path slices are
+            highlighted and per-processor ``<proc> waits`` threads draw
+            each slice's wait interval colored by wait state (see module
+            docstring for the legend).
 
     Returns:
         A JSON document in the Chrome tracing "traceEvents" format with
         one track (tid) per processor; durations are microseconds.
 
     Raises:
-        ValueError: if ``request_names`` has the wrong length.
+        ValueError: if ``request_names`` has the wrong length, or on
+            ``blame=True`` when the result has records but no causality
+            data.
     """
     if request_names is not None and len(request_names) != result.num_requests:
         raise ValueError(
             f"expected {result.num_requests} names, got {len(request_names)}"
+        )
+    if blame and result.records and not result.causality:
+        raise ValueError(
+            "blame view needs causality data: run the engine with "
+            "track_causality=True"
         )
 
     def name_of(request: int) -> str:
@@ -383,7 +390,7 @@ def to_chrome_trace(
         for proc, tid in tids.items()
     )
     path_keys: set = set()
-    if blame and getattr(result, "causality", None):
+    if blame:
         # Late import: obs.blame is a data-only leaf, but keeping it out
         # of module scope mirrors replay.py and keeps import time flat.
         from ..obs.blame import extract_critical_path
@@ -412,7 +419,7 @@ def to_chrome_trace(
             event["cname"] = CRITICAL_PATH_COLOR
             event["args"]["critical_path"] = True  # type: ignore[index]
         events.append(event)
-    if blame and getattr(result, "causality", None):
+    if blame:
         wait_events = _blame_wait_events(result, tids, name_of)
         waiting_tids = {e["tid"] for e in wait_events}
         events.extend(

@@ -228,6 +228,12 @@ class TestPlannerCacheCorrectness:
         warm = cached.plan(models)
         assert canonical(warm.plan) == canonical(without.plan)
 
+    def test_objective_cache_lives_for_one_plan(self):
+        planner = Hetero2PipePlanner(get_soc("kirin990"))
+        planner.plan([get_model(n) for n in ("resnet50", "vit", "bert")])
+        assert planner.objective.misses > 0
+        assert len(planner.objective) == 0
+
     def test_cached_report_is_isolated_from_caller_mutation(self):
         soc = get_soc("kirin990")
         models = [get_model(n) for n in ("resnet50", "vit")]
@@ -299,7 +305,7 @@ class TestPlannerCacheCorrectness:
 
 
 class TestProbeCost:
-    """Objective probes pay only for the makespan they return."""
+    """Objective probes and plain runs pay only for what they read."""
 
     def test_probe_runs_without_causality(self, monkeypatch):
         seen = []
@@ -317,10 +323,28 @@ class TestProbeCost:
         plan = build_plan(get_soc("kirin990"), ["resnet50", "vit", "bert"])
         probe = async_makespan_ms(plan)
         assert seen == []  # a probe is a ProbeRun: it builds no engine
-        # The default execution still tracks causality, and the blame
-        # layer reads it; the simulated times do not depend on it.
-        full = executor.execute_plan(plan, enforce_memory=False)
-        assert seen == [True]
+        # The three adapters build their engine with causality off, so
+        # a blame reader that forgot to opt in fails loudly.
+        runs = [
+            executor.simulate_chains(
+                plan.soc, executor.plan_to_chains(plan), enforce_memory=False
+            ),
+            executor.execute_plan(plan, enforce_memory=False),
+            executor.execute_plan_perturbed(
+                plan, {"gpu": 1.0}, enforce_memory=False
+            ),
+        ]
+        assert seen == [False, False, False]
+        for run in runs:
+            assert run.makespan_ms == probe
+            assert run.causality == [] and run.corun_inflation_ms == {}
+            with pytest.raises(ValueError, match="causality"):
+                blame_requests(run)
+        # A reader opts in; the simulated times do not depend on it.
+        full = executor.execute_plan(
+            plan, enforce_memory=False, track_causality=True
+        )
+        assert seen[-1] is True
         assert full.makespan_ms == probe
         assert full.causality
         blames = blame_requests(full)
@@ -341,13 +365,31 @@ class TestProbeCost:
     def test_warm_memo_plans_match_a_fresh_profiler(self, soc_name):
         """Zoo x SoC grid: a planner whose memos hold another plan's
         probes emits the plan, and simulates the makespans, of a planner
-        built from a fresh profiler."""
+        built from a fresh profiler, and its search does the same
+        objective work (the objective cache lives for one plan)."""
         soc = get_soc(soc_name)
         models = [get_model(n) for n in MODEL_NAMES]
         warm = Hetero2PipePlanner(soc)
         warm.plan(models[::-1])
-        report = warm.plan(models)
-        fresh = Hetero2PipePlanner(soc).plan(models)
+        cold = Hetero2PipePlanner(soc)
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            report = warm.plan(models)
+            warm_counters = rec.metrics.snapshot()["counters"]
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            fresh = cold.plan(models)
+            fresh_counters = rec.metrics.snapshot()["counters"]
+        search = (
+            "objective_cache_hits",
+            "objective_cache_misses",
+            "objective_evaluations",
+            "objective_probes_pruned",
+            "objective_probes_resumed",
+            "engine_steps",
+            "slowdown_evaluations",
+        )
+        assert {k: warm_counters[k] for k in search} == {
+            k: fresh_counters[k] for k in search
+        }
         assert plan_fingerprint(report.plan) == plan_fingerprint(fresh.plan)
         assert async_makespan_ms(report.plan) == async_makespan_ms(fresh.plan)
         assert (
@@ -379,9 +421,7 @@ def shared_plan(profilers, soc_name, names):
 
 
 def fresh_makespan(plan):
-    return executor.execute_plan(
-        plan, enforce_memory=False, track_causality=False
-    ).makespan_ms
+    return executor.execute_plan(plan, enforce_memory=False).makespan_ms
 
 
 def apply_move(plan, request, stage, rightward):

@@ -89,7 +89,9 @@ def soc_runs(soc_plans):
     """Per SoC: the closed-loop run and the queued, dropping open run."""
     runs = {}
     for name, plan in soc_plans.items():
-        closed = simulate_chains(plan.soc, plan_to_chains(plan), record=False)
+        closed = simulate_chains(
+            plan.soc, plan_to_chains(plan), record=False, track_causality=True
+        )
         queued = simulate_chains(
             plan.soc,
             replicate_chains(plan_to_chains(plan), REPEAT),
@@ -99,6 +101,7 @@ def soc_runs(soc_plans):
             ),
             deadline_ms=closed.makespan_ms * DEADLINE_FACTOR,
             record=False,
+            track_causality=True,
         )
         runs[name] = (closed, queued)
     return runs
@@ -150,7 +153,9 @@ class TestWaitAccountingIdentity:
 
     def test_queued_request_blames_processor(self, kirin):
         chains = [[_task(kirin, 0, 10.0)], [_task(kirin, 1, 5.0)]]
-        result = simulate_chains(kirin, chains, record=False)
+        result = simulate_chains(
+            kirin, chains, record=False, track_causality=True
+        )
         requests, _ = _assert_identities(result)
         assert requests[1].processor_busy_wait_ms == pytest.approx(10.0)
         assert requests[1].latency_ms == pytest.approx(15.0)
@@ -164,7 +169,9 @@ class TestWaitAccountingIdentity:
             [_task(kirin, 0, 10.0, proc_idx=0, working_set=0.7 * cap)],
             [_task(kirin, 1, 10.0, proc_idx=1, working_set=0.6 * cap)],
         ]
-        result = simulate_chains(kirin, chains, record=False)
+        result = simulate_chains(
+            kirin, chains, record=False, track_causality=True
+        )
         requests, _ = _assert_identities(result)
         assert requests[1].residency_wait_ms == pytest.approx(10.0)
         [row] = [c for c in result.causality if c.request == 1]
@@ -181,7 +188,9 @@ class TestWaitAccountingIdentity:
                 _task(kirin, 0, 10.0, proc_idx=1, working_set=0.4 * cap),
             ]
         ]
-        result = simulate_chains(kirin, chains, record=False)
+        result = simulate_chains(
+            kirin, chains, record=False, track_causality=True
+        )
         assert result.memory_pressure_events == 1
         requests, _ = _assert_identities(result)
         second = [c for c in result.causality if c.index == 1]
@@ -232,11 +241,16 @@ class TestWaitAccountingIdentity:
         assert result.causality == []
         with pytest.raises(ValueError, match="causality"):
             blame_requests(result)
+        # The blame trace view is a reader too: no silent plain trace.
+        with pytest.raises(ValueError, match="causality"):
+            to_chrome_trace(result, blame=True)
+        assert json.loads(to_chrome_trace(result))["traceEvents"]
 
     def test_causality_does_not_perturb_simulation(self, kirin, small_plan):
         with_rows = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
+            kirin, plan_to_chains(small_plan), record=False, track_causality=True
         )
+        assert with_rows.causality
         without = simulate_chains(
             kirin,
             plan_to_chains(small_plan),
@@ -254,8 +268,9 @@ class TestWaitAccountingIdentity:
 
     def test_cause_kinds_are_closed(self, kirin, small_plan):
         result = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
+            kirin, plan_to_chains(small_plan), record=False, track_causality=True
         )
+        assert result.causality
         assert {c.cause for c in result.causality} <= set(CAUSE_KINDS)
         roots = [c for c in result.causality if c.index == 0]
         assert all(
@@ -294,9 +309,11 @@ class TestCriticalPathAndSlack:
             chains,
             arrivals=PoissonArrivals(interval_ms=5.0, seed=1),
             record=False,
+            track_causality=True,
         )
         path = extract_critical_path(result)
         slack = compute_slack(result)
+        assert path.segments
         for seg in path.segments:
             assert slack[(seg.request, seg.index)] == pytest.approx(
                 0.0, abs=1e-6
@@ -308,9 +325,10 @@ class TestCriticalPathAndSlack:
 class TestAggregateAndTimelineAgreement:
     def test_aggregate_blame_tables(self, kirin, small_plan):
         result = simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
+            kirin, plan_to_chains(small_plan), record=False, track_causality=True
         )
         agg = aggregate_blame(result, request_models=["a", "b", "c"])
+        assert agg["by_processor"]
         assert set(agg) == {
             "by_processor",
             "by_model",
@@ -396,7 +414,11 @@ class TestWhatIf:
                 PoissonArrivals(interval_ms=12.0, seed=ARRIVAL_SEED),
             )
             original = simulate_chains(
-                plan.soc, chains, arrivals=arrivals, record=False
+                plan.soc,
+                chains,
+                arrivals=arrivals,
+                record=False,
+                track_causality=True,
             )
             # chains are now mutated (consumed); clones must still match.
             replayed, request_map = run_counterfactual(
@@ -445,7 +467,7 @@ class TestWhatIf:
 class TestExportAndArchive:
     def _run(self, kirin, small_plan):
         return simulate_chains(
-            kirin, plan_to_chains(small_plan), record=False
+            kirin, plan_to_chains(small_plan), record=False, track_causality=True
         )
 
     def test_blame_jsonl_rows(self, kirin, small_plan, tmp_path):

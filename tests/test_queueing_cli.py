@@ -1,6 +1,7 @@
 """Tests for the queueing analysis and the command-line interface."""
 
 import json
+import signal
 
 import pytest
 
@@ -214,6 +215,30 @@ class TestCli:
         assert err.count("\n") == 1  # one line
         assert "Traceback" not in err
         assert "running" not in out  # rejected before any work ran
+
+    def test_slo_window_too_narrow_for_the_run_is_a_usage_error(self, capsys):
+        # A finite, positive --window-ms passes the input checks; at 1e-9
+        # ms the ~67 ms run would close ~7e10 empty windows, which used
+        # to spin in the timeline fold.  The alarm turns a wedge into a
+        # failure.
+        def wedged(signum, frame):
+            raise TimeoutError("slo did not return within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, wedged)
+        signal.alarm(30)
+        try:
+            code = main(
+                ["slo", "--models", "resnet50", "--window-ms", "1e-9", "--repeat", "1"]
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("hetero2pipe slo: error: --window-ms ")
+        assert err.count("\n") == 1  # one line
+        assert "Traceback" not in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "verb,flag", [("stats", "--repeat=--"), ("accuracy", "--perturb=--")]

@@ -17,6 +17,9 @@ telemetry* path: one event-engine execution of the planned pipeline
 plain, versus the same execution with ``keep_events=True`` and every
 event folded through a :class:`~repro.obs.timeline.TimelineAggregator`
 (windowed utilization/queue-depth/latency-sketch telemetry live).
+Every timed round of the latter runs the same chain set, so each must
+simulate the first round's makespan, or the guard fails: it would be
+timing another run.
 
 Timers come from :mod:`repro.obs.bench` (the unified harness), and
 ``--json PATH`` writes the two measurements as
@@ -88,6 +91,8 @@ def measure_timeline():
     def run_plain():
         execute_plan(report.plan, record=False)
 
+    makespans_ms = []
+
     def run_with_timeline():
         engine = DiscreteEventEngine(
             soc, chains, keep_events=True, record=False
@@ -101,7 +106,9 @@ def measure_timeline():
             cursor = len(log)
         for event in engine.event_log[cursor:]:
             timeline.observe(event)
-        timeline.finish(engine.result().makespan_ms)
+        makespan_ms = engine.result().makespan_ms
+        timeline.finish(makespan_ms)
+        makespans_ms.append(makespan_ms)
 
     # The telemetry run simulates 4x the requests of the plain run;
     # normalize per request so the ratio compares per-request cost.
@@ -110,7 +117,7 @@ def measure_timeline():
         run_with_timeline()
     plain_s = bench.best_of_s(TIMED_ROUNDS, run_plain)
     timeline_s = bench.best_of_s(TIMED_ROUNDS, run_with_timeline) / 4.0
-    return plain_s, timeline_s
+    return plain_s, timeline_s, makespans_ms
 
 
 def main():
@@ -122,7 +129,7 @@ def main():
         print(f"usage: {sys.argv[0]} [--json PATH]", file=sys.stderr)
         return 2
     disabled_s, enabled_s = measure()
-    plain_s, timeline_s = measure_timeline()
+    plain_s, timeline_s, makespans_ms = measure_timeline()
     if json_path:
         rows = [
             bench.bench_row(scenario, SOC, [value_s * 1e3])
@@ -156,6 +163,10 @@ def main():
           f"(+{MAX_OVERHEAD:.0%} and {ABS_SLACK_S * 1e3:.0f} ms slack)")
     if timeline_s > tl_limit_s:
         print("FAIL: streaming telemetry exceeds the overhead budget")
+        failed = True
+    if any(ms != makespans_ms[0] for ms in makespans_ms):
+        print(f"FAIL: timed runs of one chain set simulated makespans "
+              f"{sorted(set(makespans_ms))} ms, not one")
         failed = True
     if failed:
         return 1

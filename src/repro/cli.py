@@ -73,6 +73,7 @@ stable for CI/dashboard consumers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -92,6 +93,7 @@ from .runtime.executor import (
     ChainTask,
     plan_to_chains,
     replicate_chains,
+    scale_chain_tasks,
     simulate_chains,
 )
 from .workloads.generator import arrival_times_ms
@@ -197,8 +199,6 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
                     f"{requests} request(s)"
                 )
     if hasattr(args, "perturb"):
-        from .runtime.executor import scale_chain_tasks
-
         args.perturbation = (
             {} if args.perturb is None else {args.perturb_processor: args.perturb}
         )
@@ -293,8 +293,8 @@ def _plan(
     One planner plans the mix ``plans`` times (later plans exercise its
     caches) and the last plan's chains are tiled ``copies`` times into
     back-to-back request rounds.  Returns the plan report, the chains
-    (fresh, ready for :func:`simulate_chains`) and the request names in
-    execution order.
+    (immutable, so any number of runs may share them) and the request
+    names in execution order.
     """
     planner = Hetero2PipePlanner(args.soc, config)
     report = planner.plan(args.models)
@@ -841,15 +841,12 @@ def _fingerprint_digest(fingerprint: object) -> str:
 
 
 def _cmd_accuracy(args: argparse.Namespace) -> int:
-    from .runtime.executor import scale_chain_tasks
-
     soc, models, factors = args.soc, args.models, args.perturbation
     with obs.use_recorder(obs.InMemoryRecorder()):
         _, chains, names = _plan(args)
         # The planner never sees the perturbation: only the executed
-        # copy of the chains is scaled.
-        perturbed = replicate_chains(chains, 1)
-        scale_chain_tasks(perturbed, factors)
+        # chains are scaled.
+        perturbed = scale_chain_tasks(chains, factors)
         predicted = simulate_chains(soc, chains, record=False)
         actual = simulate_chains(soc, perturbed)
         residual = obs.join_execution(predicted, actual, model_names=names)
@@ -1098,19 +1095,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     progress = None
     if not args.json:
         progress = lambda msg: print(f"  running {msg} ...")  # noqa: E731
-    doc = bench.run_bench(
+    run_matrix = functools.partial(
+        bench.run_bench,
         scenarios=args.scenarios,
         socs=args.socs,
         rounds=args.rounds,
         progress=progress,
     )
+    doc = run_matrix()
 
     exit_code = 0
     comparison_text: Optional[str] = None
     if args.update_baseline:
         target = args.baseline or bench.DEFAULT_BASELINE_PATH
+        runs = [doc] + [run_matrix() for _ in range(bench.BASELINE_RUNS - 1)]
+        try:
+            doc = bench.median_baseline(runs)
+        except ValueError as exc:
+            print(f"hetero2pipe bench: baseline not written: {exc}", file=sys.stderr)
+            return 1
         bench.write_bench_json(target, doc)
-        comparison_text = f"baseline updated: {target}"
+        comparison_text = f"baseline updated: {target} (median of {len(runs)} runs)"
     elif args.baseline:
         try:
             baseline = bench.read_bench_json(args.baseline)

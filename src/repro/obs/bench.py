@@ -56,7 +56,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from . import prof
 from .recorder import InMemoryRecorder, use_recorder
@@ -534,6 +534,34 @@ def run_bench(
             result = SCENARIOS[scenario](soc_name, rounds)
             result.reference_ms = min(before_ms, reference_loop_ms())
             rows.append(result.to_row())
+    return bench_doc(rows)
+
+
+#: Matrix runs whose per-cell median ``--update-baseline`` commits.
+BASELINE_RUNS = 3
+
+
+def median_baseline(docs: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """The baseline of several runs of one matrix: each cell's row whose
+    ``min_ms / reference_ms`` is the median (the lower middle of an even
+    count), so one noisy run cannot loosen the cell's gate.
+
+    Raises:
+        ValueError: when a cell's counters differ between runs, or a
+            cell is missing from some run.
+    """
+    cells: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
+    for doc in docs:
+        for row in cast(List[Dict[str, Any]], doc["results"]):
+            cells.setdefault((row["scenario"], row["soc"]), []).append(row)
+    rows = []
+    for (scenario, soc), runs in sorted(cells.items()):
+        if len(runs) != len(docs):
+            raise ValueError(f"{scenario} on {soc}: in {len(runs)} of {len(docs)} runs")
+        if any(run.get("counters") != runs[0].get("counters") for run in runs):
+            raise ValueError(f"{scenario} on {soc}: counters differ between runs")
+        runs.sort(key=lambda row: row["min_ms"] / row.get("reference_ms", 1.0))
+        rows.append(runs[(len(runs) - 1) // 2])
     return bench_doc(rows)
 
 

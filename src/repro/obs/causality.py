@@ -23,8 +23,8 @@ the engine's step arithmetic is the same with tracking on or off.
 
 Like the rest of ``repro.obs`` this module is a data-only leaf: tasks
 are duck-typed (anything with ``request``/``stage``/``proc.name``/
-``solo_ms``/``remaining_ms``/``workload``), so nothing here imports
-``runtime``.
+``solo_ms``/``workload``) and a run's progress is what the engine hands
+over, so nothing here imports ``runtime``.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ class _HeadState:
     """Mutable accrual for a request's ready-but-unfinished slice."""
 
     __slots__ = (
-        "task",
         "index",
         "ready_ms",
         "start_ms",
@@ -149,8 +148,7 @@ class _HeadState:
         "last_block",
     )
 
-    def __init__(self, task: "ChainTask", index: int, ready_ms: float) -> None:
-        self.task = task
+    def __init__(self, index: int, ready_ms: float) -> None:
         self.index = index
         self.ready_ms = ready_ms
         self.start_ms: Optional[float] = None
@@ -186,9 +184,9 @@ class CausalityTracker:
         # The slice of the most recent arena-releasing event.
         self._last_release: Optional[TaskKey] = None
 
-    def ready(self, task: "ChainTask", index: int, ready_ms: float) -> None:
-        """Open accrual for ``task``, chain position ``index``, at ``ready_ms``."""
-        self._open[task.request] = _HeadState(task, index, ready_ms)
+    def ready(self, request: int, index: int, ready_ms: float) -> None:
+        """Open accrual for chain position ``index`` of ``request`` at ``ready_ms``."""
+        self._open[request] = _HeadState(index, ready_ms)
 
     def start(
         self, request: int, processor: str, now_ms: float, forced: bool
@@ -220,7 +218,7 @@ class CausalityTracker:
         self,
         dt: float,
         blocked: Iterable[Tuple[int, str]],
-        running: Sequence["ChainTask"],
+        running: Sequence[Tuple[int, "ChainTask"]],
         rates: Sequence[float],
     ) -> None:
         """Integrate one step of wall time ``dt``.
@@ -231,8 +229,9 @@ class CausalityTracker:
         needs no accrual — :meth:`finish` computes it as
         ``wait − busy − residency``.
 
-        ``running`` are the slices on a processor and ``rates`` their
-        slowdown factors ``1 + s``, position by position.  A slice at
+        ``running`` are the ``(slot, slice)`` pairs on a processor and
+        ``rates`` their slowdown factors ``1 + s``, position by
+        position.  A slice at
         rate ``1 + s`` makes ``dt / (1 + s)`` of solo progress, so
         ``dt − dt / rate`` is pure inflation; it is split equally among
         the workload-bearing co-runners (Eq. 1's slowdown is not
@@ -249,12 +248,10 @@ class CausalityTracker:
             else:
                 state.residency_wait_ms += dt
                 state.last_block = blocker
-        for task, rate in zip(running, rates):
+        for (k, task), rate in zip(running, rates):
             if rate <= 1.0:
                 continue
-            others = [
-                t for t in running if t is not task and t.workload is not None
-            ]
+            others = [t for c, t in running if c != k and t.workload is not None]
             if not others:
                 continue
             share = (dt - dt / rate) / len(others)
@@ -266,27 +263,29 @@ class CausalityTracker:
                 )
 
     def finish(
-        self, request: int, now_ms: float, truncated: bool = False
+        self, task: "ChainTask", now_ms: float, left_ms: Optional[float] = None
     ) -> Optional[TaskKey]:
-        """Freeze the request's open slice into a row at ``now_ms``.
+        """Freeze the open slice of ``task.request``, ``task``, into a row
+        at ``now_ms``.
 
-        A ``truncated`` slice (its request was cancelled) counts only
-        the solo progress it made, or only its wait if it never
-        started.
+        With ``left_ms`` the slice is truncated (its request was
+        cancelled) with that much solo time left: it counts only the
+        solo progress it made, or only its wait if it never started.
 
         Returns:
             The finished slice's ``(request, index)``, or None when the
             request had no open slice.
         """
+        request = task.request
         state = self._open.pop(request, None)
         if state is None:
             return None
-        task = state.task
+        truncated = left_ms is not None
         if state.start_ms is not None:
             wait = state.start_ms - state.ready_ms
             executed = task.solo_ms
-            if truncated:
-                executed = task.solo_ms - max(task.remaining_ms, 0.0)
+            if left_ms is not None:
+                executed = task.solo_ms - max(left_ms, 0.0)
         else:
             wait = now_ms - state.ready_ms
             executed = 0.0

@@ -5,13 +5,11 @@ went; this module answers the follow-up — *what single change would buy
 the most back?* — by re-running the discrete-event engine under a named
 intervention and reporting the makespan / latency-percentile deltas:
 
-* ``baseline`` — the empty intervention.  Because the engine is
-  deterministic and interventions operate on **fresh clones** of the
-  chain set (engine tasks are mutable), the baseline counterfactual
-  reproduces the reference run *float-exactly* —
-  :func:`results_identical` checks bit-equality of every task record,
-  finish time and causality row, and ``tests/test_obs_blame.py``
-  enforces the identity across the three SoCs.
+* ``baseline`` — the empty intervention.  The engine is deterministic
+  and writes to no task, so the baseline counterfactual of the chain
+  set a run executed reproduces that run *float-exactly*: the two
+  results compare equal field for field, as
+  ``tests/test_executor_properties.py`` checks on random chains.
 * ``scale:<proc>:<factor>`` — scale a processor's throughput (every
   slice bound to it runs ``factor``× faster; memory traffic and the
   contention workload are unchanged — the intervention models a faster
@@ -35,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.soc import SocSpec
 from ..runtime.engine import ChainTask, ExecutionResult
-from ..runtime.executor import replicate_chains, simulate_chains
+from ..runtime.executor import simulate_chains
 
 #: Intervention kinds (``WhatIf.kind``).
 BASELINE = "baseline"
@@ -127,9 +125,9 @@ def run_counterfactual(
 ) -> Tuple[ExecutionResult, Dict[int, int]]:
     """Re-simulate the chain set under one intervention.
 
-    ``chains`` may be an already-executed (mutated) chain set: the
-    counterfactual always runs on fresh clones, so the ``baseline``
-    intervention reproduces the original run float-exactly.
+    A run writes to no task, so ``chains`` may be the very chain set
+    the executed run used: the ``baseline`` intervention reproduces
+    that run float-exactly.
 
     Returns:
         ``(result, request_map)`` where ``request_map`` maps original
@@ -140,14 +138,13 @@ def run_counterfactual(
         ValueError: on an unknown processor / out-of-range request in
             the intervention, and the engine's own input errors.
     """
-    cloned = replicate_chains(chains, 1)  # engine runs mutate tasks
     times = list(arrivals) if arrivals is not None else None
     deadlines = (
         list(deadline_ms)
         if isinstance(deadline_ms, (list, tuple))
         else deadline_ms
     )
-    request_map = {i: i for i in range(len(cloned))}
+    request_map = {i: i for i in range(len(chains))}
     if intervention.kind == SCALE_PROCESSOR:
         names = {p.name for p in soc.processors}
         if intervention.processor not in names:
@@ -160,35 +157,38 @@ def run_counterfactual(
                 f"scale intervention needs a factor > 0, got "
                 f"{intervention.factor}"
             )
-        for chain in cloned:
-            for task in chain:
-                if task.proc.name == intervention.processor:
-                    task.solo_ms = task.solo_ms / intervention.factor
-                    task.remaining_ms = task.solo_ms
+        chains = [
+            [
+                task._replace(solo_ms=task.solo_ms / intervention.factor)
+                if task.proc.name == intervention.processor
+                else task
+                for task in chain
+            ]
+            for chain in chains
+        ]
     elif intervention.kind == NO_CONTENTION:
         with_contention = False
     elif intervention.kind == UNLIMITED_MEMORY:
         enforce_memory = False
     elif intervention.kind == DROP_REQUEST:
         victim = intervention.request
-        if victim is None or not 0 <= victim < len(cloned):
+        if victim is None or not 0 <= victim < len(chains):
             raise ValueError(
-                f"drop request {victim} out of range [0, {len(cloned)})"
+                f"drop request {victim} out of range [0, {len(chains)})"
             )
-        survivors = [i for i in range(len(cloned)) if i != victim]
+        survivors = [i for i in range(len(chains)) if i != victim]
         request_map = {old: new for new, old in enumerate(survivors)}
-        kept = [cloned[i] for i in survivors]
-        for new, old in enumerate(survivors):
-            for task in kept[new]:
-                task.request = new
-        cloned = kept
+        chains = [
+            [task._replace(request=new) for task in chains[old]]
+            for new, old in enumerate(survivors)
+        ]
         if times is not None:
             times = [times[i] for i in survivors]
         if isinstance(deadlines, list):
             deadlines = [deadlines[i] for i in survivors]
     result = simulate_chains(
         soc,
-        cloned,
+        chains,
         arrivals=times,
         with_contention=with_contention,
         enforce_memory=enforce_memory,
@@ -312,27 +312,3 @@ def run_whatifs(
             compare_runs(baseline, variant, intervention, request_map)
         )
     return baseline, reports
-
-
-def results_identical(a: ExecutionResult, b: ExecutionResult) -> bool:
-    """Float-exact equality of two runs (the baseline-identity check).
-
-    Compares every task record, finish/arrival time, busy accounting,
-    pressure count and causality row with ``==`` — no tolerance.  The
-    dataclass comparisons are exact float comparisons by design: the
-    engine is deterministic, so the empty intervention must reproduce
-    the reference run bit-for-bit, and any drift is a cloning bug.
-    """
-    return (
-        a.records == b.records
-        and a.makespan_ms == b.makespan_ms
-        and a.request_arrival_ms == b.request_arrival_ms
-        and a.request_finish_ms == b.request_finish_ms
-        and a.processor_busy_ms == b.processor_busy_ms
-        and a.memory_pressure_events == b.memory_pressure_events
-        and a.request_first_start_ms == b.request_first_start_ms
-        and a.dropped_requests == b.dropped_requests
-        and a.cancelled_requests == b.cancelled_requests
-        and a.causality == b.causality
-        and a.corun_inflation_ms == b.corun_inflation_ms
-    )

@@ -17,6 +17,7 @@ nothing outside tests and benchmarks should touch this module.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
 
 from ..hardware.memory import MemoryDemand, MemoryGovernor
@@ -41,14 +42,19 @@ def legacy_simulate_chains(
     processor_offline_ms: Optional[Dict[str, float]] = None,
 ) -> ExecutionResult:
     """The historical ``simulate_chains`` loop (reference only)."""
-    n = len(chains)
+    # This loop writes its progress into its tasks: mutable copies.
+    copies = [
+        [SimpleNamespace(**t._asdict(), remaining_ms=t.solo_ms, start_ms=None) for t in c]
+        for c in chains
+    ]
+    n = len(copies)
     if arrivals is None:
         arrivals = [0.0] * n
     if len(arrivals) != n:
         raise ValueError(f"expected {n} arrival times, got {len(arrivals)}")
     proc_names = {p.name for p in soc.processors}
     capacity = soc.memory_capacity_bytes
-    for chain in chains:
+    for chain in copies:
         for task in chain:
             if task.proc.name not in proc_names:
                 raise ValueError(
@@ -64,7 +70,7 @@ def legacy_simulate_chains(
     governor = MemoryGovernor(soc)
     next_idx = [0] * n
     prev_done = [True] * n
-    proc_running: Dict[str, Optional[ChainTask]] = {
+    proc_running: Dict[str, Optional[SimpleNamespace]] = {
         p.name: None for p in soc.processors
     }
     request_alloc: Dict[int, float] = {}
@@ -75,7 +81,7 @@ def legacy_simulate_chains(
     trace_points: List[TracePoint] = []
     busy: Dict[str, float] = {p.name: 0.0 for p in soc.processors}
     finish: List[float] = [0.0] * n
-    total_tasks = sum(len(c) for c in chains)
+    total_tasks = sum(len(c) for c in copies)
     completed = 0
     offline = dict(processor_offline_ms or {})
 
@@ -91,9 +97,9 @@ def legacy_simulate_chains(
             )
         for i in range(n):
             idx = next_idx[i]
-            if idx >= len(chains[i]):
+            if idx >= len(copies[i]):
                 continue
-            task = chains[i][idx]
+            task = copies[i][idx]
             if not is_offline(task.proc.name):
                 backlog[task.proc.name] = (
                     backlog.get(task.proc.name, 0.0) + task.remaining_ms
@@ -130,15 +136,15 @@ def legacy_simulate_chains(
                     end=task.workload.end,
                 )
 
-    def ready_task_for(proc_name: str) -> Optional[ChainTask]:
+    def ready_task_for(proc_name: str) -> Optional[SimpleNamespace]:
         if is_offline(proc_name):
             return None
-        best: Optional[ChainTask] = None
+        best: Optional[SimpleNamespace] = None
         for i in range(n):
             idx = next_idx[i]
-            if idx >= len(chains[i]) or not prev_done[i]:
+            if idx >= len(copies[i]) or not prev_done[i]:
                 continue
-            task = chains[i][idx]
+            task = copies[i][idx]
             if task.proc.name != proc_name:
                 continue
             if arrivals[i] > now + _EPS:
@@ -147,7 +153,7 @@ def legacy_simulate_chains(
                 best = task
         return best
 
-    def start_task(task: ChainTask, proc_name: str) -> None:
+    def start_task(task: SimpleNamespace, proc_name: str) -> None:
         nonlocal used_bytes
         task.start_ms = now
         proc_running[proc_name] = task
@@ -267,7 +273,7 @@ def legacy_simulate_chains(
                 prev_done[task.request] = True
                 finish[task.request] = now
                 completed += 1
-                if next_idx[task.request] >= len(chains[task.request]):
+                if next_idx[task.request] >= len(copies[task.request]):
                     used_bytes -= request_alloc.pop(task.request, 0.0)
                 traffic = 0.0
                 if task.workload is not None:

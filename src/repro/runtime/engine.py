@@ -35,12 +35,21 @@ with a direct minimum over the running set each step — fewer
 operations than the heap churn, and floating-point-identical to the
 legacy executor's step arithmetic (the golden-equivalence guarantee
 below).  The heap holds the *unbounded* exogenous event population:
-arrivals, fault edges, deadlines, cancellations, preemptions.
+arrivals, fault edges, deadlines, cancellations, preemptions (a closed
+loop's arrivals, all at t=0, take effect at construction instead).
 
-**Ready sets.**  Step state is slot-indexed: slot ``k`` is the
-processor at position ``k`` of ``soc.processors``, and the running
-task, busy time, offline time and ready set of a processor are entries
-``k`` of per-slot lists.  A slot's ready set holds the ids of requests
+**Run state.**  A run writes to no task: :class:`ChainTask` is
+immutable, and the engine keeps a run's progress itself, indexed as a
+:class:`ProbeRun` indexes its own.  Slot ``k`` is the processor at
+position ``k`` of ``soc.processors``; the running task, its remaining
+solo time, busy time, offline time and ready set of a processor are
+entries ``k`` of per-slot lists.  Per request, the engine keeps its
+chain head's first-start time (None until the head starts) and the
+remaining solo time of a head preempted off its processor.  One chain
+set therefore serves any number of runs, and an offline re-route
+replaces the head in the engine's own copy of the chains.
+
+**Ready sets.**  A slot's ready set holds the ids of requests
 whose chain head is ready for that processor (arrived, not removed,
 predecessor done, a slice left); each handler that changes one of
 those facts or re-routes a head updates it.  Picking a processor's
@@ -55,7 +64,8 @@ preemption leaves a head on a slot that is already offline.
 **Probes.**  The planner's objective simulates thousands of candidate
 plans and reads only their makespans.  Those runs are
 :class:`ProbeRun` objects, not engines: a probe run steps the engine's
-arithmetic over only the state a makespan reads (see its docstring).
+arithmetic over only the state a makespan reads (see its docstring),
+on the same immutable tasks.
 
 **Equivalence guarantee.**  For the legacy feature set (closed-loop or
 listed arrivals, contention, memory enforcement, fault injection — no
@@ -101,7 +111,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
     Iterator,
@@ -183,9 +193,14 @@ class Event:
 # ------------------------------------------------------- task structures
 
 
-@dataclass
-class ChainTask:
-    """One schedulable unit: a slice bound to a specific processor."""
+class ChainTask(NamedTuple):
+    """One schedulable unit: a slice bound to a specific processor.
+
+    Immutable (see "Run state" above): ``_replace`` builds a changed
+    copy.  A named tuple rather than a frozen dataclass because every
+    executed window builds one per stage and tuples are about three
+    times cheaper to build; every run checks ``solo_ms >= 0`` instead.
+    """
 
     request: int
     proc: ProcessorSpec
@@ -193,21 +208,13 @@ class ChainTask:
     workload: Optional[SliceWorkload]
     working_set: float
     stage: int = 0
-    remaining_ms: float = 0.0
-    start_ms: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.solo_ms < 0:
-            raise ValueError("solo_ms must be >= 0")
-        self.remaining_ms = self.solo_ms
 
 
 class Checkpoint(NamedTuple):
     """A :class:`ProbeRun`'s state after some number of steps.
 
     ``running`` holds, per slot, the running task with its remaining
-    solo time, or None; the loop keeps that time itself and never
-    writes it into the task.  ``started_ms`` is, per slot, the solo
+    solo time, or None.  ``started_ms`` is, per slot, the solo
     time of every task started so far, so a slot's unstarted work is
     its total solo time less this.  A request's *progress code*
     ``2 * next_idx + prev_done`` only grows: chain position ``p`` is
@@ -429,7 +436,8 @@ def _check_chains(
 
     Raises:
         ValueError: on a task whose ``request`` differs from its
-            chain's position or whose processor is not in ``slot``.
+            chain's position, whose processor is not in ``slot`` or
+            whose ``solo_ms`` is negative or NaN.
         MemoryError: on a slice whose working set alone exceeds
             ``capacity``.
     """
@@ -439,6 +447,10 @@ def _check_chains(
                 raise ValueError(
                     f"chain {i} holds a task of request {task.request}: "
                     "task ids must equal their chain's position"
+                )
+            if not task.solo_ms >= 0:
+                raise ValueError(
+                    f"solo_ms must be >= 0, got {task.solo_ms} in chain {i}"
                 )
             if task.proc.name not in slot:
                 raise ValueError(
@@ -504,7 +516,8 @@ class DiscreteEventEngine:
     Raises:
         ValueError: on arrival-length mismatch, a task whose ``request``
             differs from its chain's position, a task whose processor
-            is not part of the SoC, a negative or NaN deadline, a
+            is not part of the SoC, a negative or NaN solo time or
+            deadline, a
             non-finite arrival time, or a fault injected into a
             processor not on the SoC or at a NaN time.
         MemoryError: if a single slice alone exceeds the capacity.
@@ -569,12 +582,18 @@ class DiscreteEventEngine:
         self._capacity = capacity
         self._governor = MemoryGovernor(soc)
 
-        # --- mutable simulation state
+        # --- mutable simulation state (see "Run state" above)
         self._now = 0.0
         self._next_idx = [0] * n
         self._prev_done = [True] * n
         self._arrived = [False] * n
         self._proc_running: List[Optional[ChainTask]] = [None] * len(self._procs)
+        # Per slot: the running slice's remaining solo time (0.0 idle).
+        self._left_ms = [0.0] * len(self._procs)
+        # Per request: its head's first start (None until it starts),
+        # and the remaining solo time of a head preempted off its slot.
+        self._head_start: List[Optional[float]] = [None] * n
+        self._paused_ms = [0.0] * n
         # A task holds an arena exactly when it has started.
         self._request_alloc: Dict[int, float] = {}
         self._used_bytes = 0.0
@@ -609,7 +628,12 @@ class DiscreteEventEngine:
         self._heap: List[Tuple[float, int, str, object]] = []
         self._seq = 0
         for i, arrival in enumerate(self._arrival_ms):
-            self._push(arrival, ARRIVAL, i)
+            if arrivals is None:
+                # The closed loop: every request has arrived at t=0,
+                # before any other event (its arrivals would pop first).
+                self._arrive(i)
+            else:
+                self._push(arrival, ARRIVAL, i)
         for proc_name, t_ms in offline.items():
             self._push(t_ms, RATE_CHANGE, proc_name)
         for i, deadline in enumerate(self._deadline_ms):
@@ -655,15 +679,7 @@ class DiscreteEventEngine:
     ) -> None:
         self._events_processed += 1
         if self._keep_events:
-            self._events.append(
-                Event(
-                    time_ms=self._now,
-                    kind=kind,
-                    request=request,
-                    processor=processor,
-                    detail=detail,
-                )
-            )
+            self._events.append(Event(self._now, kind, request, processor, detail))
 
     # -------------------------------------------------------- public API
 
@@ -686,10 +702,6 @@ class DiscreteEventEngine:
         self._check_request(request)
         self._push(at_ms, PREEMPTION, request)
 
-    def _next_event_time_ms(self) -> Optional[float]:
-        """Earliest pending exogenous event time (heap peek)."""
-        return self._heap[0][0] if self._heap else None
-
     def _check_request(self, request: int) -> None:
         if not 0 <= request < self._n:
             raise ValueError(
@@ -700,6 +712,7 @@ class DiscreteEventEngine:
         """Run the simulation to completion and build the result."""
         if self._finished_run:
             raise RuntimeError("engine instances are single-use")
+        recording = obs.enabled()
         # The span covers exactly the event loop's wall time; the
         # context manager closes it on the RuntimeError raise paths too.
         with (
@@ -709,18 +722,20 @@ class DiscreteEventEngine:
                 tasks=self._total_tasks,
                 contention=self._with_contention,
             )
-            if self._record
+            if self._record and recording
             else obs.NULL_SPAN
         ) as _span:
+            step = self._step
             while self._outstanding > 0:
-                self._step()
+                step()
             self._finished_run = True
-            _count_work(self._steps, self._slowdown_evaluations)
-            _span.set(
-                makespan_ms=self._now,
-                memory_pressure=self._memory_pressure_events,
-            )
-        if self._record and obs.enabled():
+            if recording:
+                _count_work(self._steps, self._slowdown_evaluations)
+                _span.set(
+                    makespan_ms=self._now,
+                    memory_pressure=self._memory_pressure_events,
+                )
+        if self._record and recording:
             obs.add("tasks_executed", self._completed)
             obs.add("engine_events_processed", self._events_processed)
             obs.add("memory_pressure_events", self._memory_pressure_events)
@@ -758,9 +773,7 @@ class DiscreteEventEngine:
             request_arrival_ms=list(self._arrival_ms),
             request_finish_ms=list(self._finish),
             trace=list(self._trace_points),
-            processor_busy_ms={
-                p.name: busy for p, busy in zip(self._procs, self._busy)
-            },
+            processor_busy_ms=dict(zip(self._slot, self._busy)),
             memory_pressure_events=self._memory_pressure_events,
             request_first_start_ms=list(self._first_start),
             dropped_requests=tuple(self._dropped),
@@ -786,27 +799,32 @@ class DiscreteEventEngine:
             if time_ms > self._now:
                 self._now = time_ms
             if kind == ARRIVAL:
-                request = int(payload)  # type: ignore[arg-type]
-                self._arrived[request] = True
-                # The first slice becomes ready at the arrival timestamp
-                # (not the possibly epsilon-later pop).  Cancellations
-                # wait for the arrival, so nothing is removed yet.
-                chain = self._chains[request]
-                if self._tracker is not None and chain:
-                    self._tracker.ready(chain[0], 0, self._arrival_ms[request])
-                self._expose_head(request)
-                self._emit(ARRIVAL, request=request)
+                self._arrive(int(payload))  # type: ignore[arg-type]
             elif kind == RATE_CHANGE:
-                self._emit(
-                    RATE_CHANGE,
-                    processor=str(payload),
-                    detail="offline",
-                )
+                self._emit(RATE_CHANGE, None, str(payload), "offline")
             elif kind == CANCELLATION:
                 request, reason = payload  # type: ignore[misc]
                 self._fire_cancellation(int(request), str(reason))
             elif kind == PREEMPTION:
                 self._fire_preemption(int(payload))  # type: ignore[arg-type]
+
+    def _arrive(self, request: int) -> None:
+        # The first slice becomes ready at the arrival timestamp (not
+        # the possibly epsilon-later pop).  Cancellations wait for the
+        # arrival, so nothing is removed yet.
+        self._arrived[request] = True
+        chain = self._chains[request]
+        if chain:
+            self._ready[self._slot[chain[0].proc.name]].add(request)
+            if self._tracker is not None:
+                self._tracker.ready(request, 0, self._arrival_ms[request])
+        self._emit(ARRIVAL, request)
+
+    def _running_slot(self, request: int) -> Optional[int]:
+        for k, task in enumerate(self._proc_running):
+            if task is not None and task.request == request:
+                return k
+        return None
 
     def _fire_cancellation(self, request: int, reason: str) -> None:
         if request in self._removed:
@@ -822,18 +840,17 @@ class DiscreteEventEngine:
             return  # already finished: nothing to cancel
         if reason == "deadline" and self._first_start[request] is not None:
             return  # started in time: the deadline drop does not fire
-        running_slot: Optional[int] = None
-        for k, task in enumerate(self._proc_running):
-            if task is not None and task.request == request:
-                running_slot = k
-                break
-        running_proc = (
-            None if running_slot is None else self._procs[running_slot].name
-        )
+        running_slot = self._running_slot(request)
+        running_proc = None if running_slot is None else self._procs[running_slot].name
         # The open slice's wait/run components sum to [arrival, cancel].
+        # It is the running slice, else the (maybe preempted) head.
         ended = None
         if self._tracker is not None:
-            ended = self._tracker.finish(request, self._now, truncated=True)
+            if running_slot is None:
+                left_ms, position = self._paused_ms[request], self._next_idx[request]
+            else:
+                left_ms, position = self._left_ms[running_slot], self._next_idx[request] - 1
+            ended = self._tracker.finish(chain[position], self._now, left_ms)
         pending = len(chain) - self._next_idx[request]
         if pending:
             head = chain[self._next_idx[request]]
@@ -841,6 +858,7 @@ class DiscreteEventEngine:
         drained = pending + (1 if running_slot is not None else 0)
         if running_slot is not None:
             self._proc_running[running_slot] = None
+            self._left_ms[running_slot] = 0.0
             if self._tracker is not None:
                 self._tracker.freed(self._procs[running_slot].name, ended)
         self._next_idx[request] = len(chain)
@@ -856,32 +874,29 @@ class DiscreteEventEngine:
             self._dropped.append(request)
         else:
             self._cancelled.append(request)
-        self._emit(
-            CANCELLATION,
-            request=request,
-            processor=running_proc,
-            detail=reason,
-        )
+        self._emit(CANCELLATION, request, running_proc, reason)
 
     def _fire_preemption(self, request: int) -> None:
-        for k, task in enumerate(self._proc_running):
-            if task is None or task.request != request:
-                continue
-            self._proc_running[k] = None
-            proc_name = self._procs[k].name
-            # Roll the chain head back; progress lives in remaining_ms
-            # and the arena stays allocated (the slice will resume).
-            self._next_idx[request] -= 1
-            self._prev_done[request] = True
-            if self._any_offline and self._is_offline(k):
-                self._sweep_at_ms = -math.inf  # the resumed head must move
-            self._expose_head(request)
-            if self._tracker is not None:
-                # The vacating slice has no finish yet, so a start it
-                # enables cannot reference a completed record.
-                self._tracker.freed(proc_name, None)
-            self._emit(PREEMPTION, request=request, processor=proc_name)
+        k = self._running_slot(request)
+        if k is None:
             return
+        self._proc_running[k] = None
+        proc_name = self._procs[k].name
+        # Roll the chain head back, keeping its progress, and file it
+        # under its slot again; the arena stays allocated (the slice
+        # will resume).
+        self._paused_ms[request] = self._left_ms[k]
+        self._left_ms[k] = 0.0
+        self._next_idx[request] -= 1
+        self._prev_done[request] = True
+        self._ready[k].add(request)
+        if self._any_offline and self._is_offline(k):
+            self._sweep_at_ms = -math.inf  # the resumed head must move
+        if self._tracker is not None:
+            # The vacating slice has no finish yet, so a start it
+            # enables cannot reference a completed record.
+            self._tracker.freed(proc_name, None)
+        self._emit(PREEMPTION, request, proc_name)
 
     # --------------------------------------------------- scheduling core
 
@@ -894,20 +909,22 @@ class DiscreteEventEngine:
         Reassignment is earliest-finish-time greedy across the online
         units, seeded with each unit's current backlog, so a burst of
         displaced work spreads over the remaining silicon instead of
-        piling onto the single fastest survivor.
+        piling onto the single fastest survivor.  A re-routed head is
+        replaced in the engine's own chains.
         """
-        backlog = [
-            running.remaining_ms if running is not None else 0.0
-            for running in self._proc_running
-        ]
+        backlog = self._left_ms[:]
         for i in range(self._n):
             idx = self._next_idx[i]
-            if idx >= len(self._chains[i]):
+            chain = self._chains[i]
+            if idx >= len(chain):
                 continue
-            task = self._chains[i][idx]
+            task = chain[idx]
+            # A head whose predecessor runs has not started; the
+            # request's open slice is that predecessor.
+            started = self._prev_done[i] and self._head_start[i] is not None
             slot = self._slot[task.proc.name]
             if not self._is_offline(slot):
-                backlog[slot] += task.remaining_ms
+                backlog[slot] += self._paused_ms[i] if started else task.solo_ms
                 continue
             candidates = []
             for k, proc in enumerate(self._procs):
@@ -933,87 +950,41 @@ class DiscreteEventEngine:
             if i in self._ready[slot]:
                 self._ready[slot].remove(i)
                 self._ready[k].add(i)
-            task.proc = proc
-            task.solo_ms = solo
-            task.remaining_ms = solo
-            if task.workload is not None:
-                task.workload = SliceWorkload(
-                    profile=task.workload.profile,
-                    proc=proc,
-                    start=task.workload.start,
-                    end=task.workload.end,
-                )
-
-    def _expose_head(self, request: int) -> None:
-        """File the request's chain head under its processor if ready."""
-        idx = self._next_idx[request]
-        chain = self._chains[request]
-        if (
-            idx < len(chain)
-            and self._prev_done[request]
-            and self._arrived[request]
-            and request not in self._removed
-        ):
-            self._ready[self._slot[chain[idx].proc.name]].add(request)
-
-    def _ready_task_for(self, slot: int) -> Optional[ChainTask]:
-        """The slot's next task: its ready head of the lowest request.
-
-        FIFO by request id over the slot's ready set; None when the set
-        is empty or the processor is offline.
-        """
-        ready = self._ready[slot]
-        if not ready or self._is_offline(slot):
-            return None
-        request = min(ready)
-        return self._chains[request][self._next_idx[request]]
+            workload = None if task.workload is None else replace(task.workload, proc=proc)
+            chain[idx] = task._replace(proc=proc, solo_ms=solo, workload=workload)
+            if started:
+                self._paused_ms[i] = solo
 
     def _start_task(self, task: ChainTask, slot: int, forced: bool = False) -> None:
+        request = task.request
         proc_name = self._procs[slot].name
-        if task.start_ms is None:
+        if self._head_start[request] is None:
             # A first start allocates the slice's arena; a resumed slice
-            # keeps both its start and its arena.
-            task.start_ms = self._now
+            # keeps its start, its arena and its remaining time.
+            self._head_start[request] = self._now
+            self._left_ms[slot] = task.solo_ms
             if self._tracker is not None:
-                self._tracker.start(task.request, proc_name, self._now, forced)
+                self._tracker.start(request, proc_name, self._now, forced)
             self._used_bytes += task.working_set
-            self._request_alloc[task.request] = (
-                self._request_alloc.get(task.request, 0.0) + task.working_set
+            self._request_alloc[request] = (
+                self._request_alloc.get(request, 0.0) + task.working_set
             )
+        else:
+            self._left_ms[slot] = self._paused_ms[request]
         self._proc_running[slot] = task
-        if self._first_start[task.request] is None:
-            self._first_start[task.request] = self._now
-        self._ready[slot].remove(task.request)
-        self._next_idx[task.request] += 1
-        self._prev_done[task.request] = False
+        if self._first_start[request] is None:
+            self._first_start[request] = self._now
+        self._ready[slot].remove(request)
+        self._next_idx[request] += 1
+        self._prev_done[request] = False
         if self._any_offline:
-            chain = self._chains[task.request]
-            head = self._next_idx[task.request]
+            chain = self._chains[request]
+            head = self._next_idx[request]
             if head < len(chain) and self._is_offline(
                 self._slot[chain[head].proc.name]
             ):
                 self._sweep_at_ms = -math.inf  # the new head must move
-        self._emit(TASK_READY, request=task.request, processor=proc_name)
-
-    def _try_start(self) -> bool:
-        """Start whatever fits; True if any ready task is memory-blocked."""
-        blocked = False
-        for k, running in enumerate(self._proc_running):
-            if running is not None:
-                continue
-            task = self._ready_task_for(k)
-            if task is None:
-                continue
-            if self._memory_blocked(task):
-                blocked = True
-                continue  # waits for residency to drain
-            self._start_task(task, k)
-        return blocked
-
-    def _memory_blocked(self, task: ChainTask) -> bool:
-        """Whether admitting ``task`` now would exceed the capacity."""
-        admit = task.working_set if task.start_ms is None else 0.0
-        return self._enforce_memory and self._used_bytes + admit > self._capacity
+        self._emit(TASK_READY, request, proc_name)
 
     def _blocked_heads(self) -> Iterator[Tuple[int, str]]:
         """Each waiting ready head's request and what blocks it right now.
@@ -1028,32 +999,15 @@ class DiscreteEventEngine:
         for ready, running in zip(self._ready, self._proc_running):
             occupied = running is not None
             for i in ready:
-                head = self._chains[i][self._next_idx[i]]
-                if head.start_ms is not None:
+                if self._head_start[i] is not None:
                     yield i, BLOCK_PREEMPTED
                 elif occupied:
                     yield i, BLOCK_PROCESSOR
-                elif self._memory_blocked(head):
+                elif self._enforce_memory and (
+                    self._used_bytes + self._chains[i][self._next_idx[i]].working_set
+                    > self._capacity
+                ):
                     yield i, BLOCK_MEMORY
-
-    def _force_start_blocked(self) -> bool:
-        """Overcommit one memory-blocked task to break a residency wedge.
-
-        With hold-until-request-completion residency, tight capacities
-        can deadlock (every in-flight request waits for memory another
-        holds).  A real device pages in this regime; we model that as a
-        forced start and count it as a memory-pressure event.
-        """
-        for k, running in enumerate(self._proc_running):
-            if running is not None:
-                continue
-            task = self._ready_task_for(k)
-            if task is None:
-                continue
-            self._start_task(task, k, forced=True)
-            self._memory_pressure_events += 1
-            return True
-        return False
 
     def _record_trace(self) -> None:
         """Sample the memory subsystem (callers check ``trace`` is on)."""
@@ -1101,93 +1055,137 @@ class DiscreteEventEngine:
                 default=math.inf,
             )
             self._reassign_offline_heads()
-        memory_blocked = self._try_start()
+        # Each idle online slot starts its ready head of the lowest
+        # request (FIFO by id) unless admitting it would exceed the
+        # capacity; then the head waits for residency to drain.  The
+        # running set is the (slot, task) pairs, in slot order.
         proc_running = self._proc_running
-        running = [t for t in proc_running if t is not None]
-        if not running and memory_blocked:
-            if self._force_start_blocked():
-                running = [t for t in proc_running if t is not None]
+        ready = self._ready
+        chains = self._chains
+        next_idx = self._next_idx
+        head_start = self._head_start
+        any_offline = self._any_offline
+        enforce_memory = self._enforce_memory
+        blocked_slot = -1
+        running = []
+        for k, task in enumerate(proc_running):
+            if task is None:
+                if not ready[k] or (any_offline and self._is_offline(k)):
+                    continue
+                request = min(ready[k])
+                task = chains[request][next_idx[request]]
+                if enforce_memory:
+                    admit = task.working_set if head_start[request] is None else 0.0
+                    if self._used_bytes + admit > self._capacity:
+                        if blocked_slot < 0:
+                            blocked_slot = k
+                        continue
+                self._start_task(task, k)
+            running.append((k, task))
+        if not running and blocked_slot >= 0:
+            # Every ready head waits for memory another request holds
+            # (hold-until-completion residency can deadlock).  A real
+            # device pages in this regime: force the first one to start
+            # and count a memory-pressure event.
+            request = min(ready[blocked_slot])
+            task = chains[request][next_idx[request]]
+            self._start_task(task, blocked_slot, forced=True)
+            self._memory_pressure_events += 1
+            running = [(blocked_slot, task)]
         if self._trace_enabled:
             self._record_trace()
         if not running:
-            next_ms = self._next_event_time_ms()
-            if next_ms is None:
+            if not heap:
                 raise RuntimeError(
                     "simulation wedged: no running task and no pending event"
                 )
-            self._now = next_ms
+            self._now = heap[0][0]
             return
 
         # Rate factors 1 + slowdown, aligned with ``running``, and the
         # step to the earliest departure at those rates.
+        now = self._now
+        left = self._left_ms
+        contention = self._with_contention
         rates: List[float] = []
         dt = math.inf
-        for task in running:
-            slowdown = 0.0
-            if self._with_contention and task.workload is not None:
+        evaluations = 0
+        for k, task in running:
+            rate = 1.0
+            workload = task.workload
+            if contention and workload is not None:
                 others = [
-                    t.workload
-                    for t in running
-                    if t is not task and t.workload is not None
+                    co.workload
+                    for c, co in running
+                    if c != k and co.workload is not None
                 ]
-                slowdown = slowdown_fraction(self._soc, task.workload, others)
-                self._slowdown_evaluations += 1
-            rate = 1.0 + slowdown
+                rate = 1.0 + slowdown_fraction(self._soc, workload, others)
+                evaluations += 1
             rates.append(rate)
-            dt = min(dt, task.remaining_ms * rate)
-        if heap and heap[0][0] > self._now + _EPS:
-            dt = min(dt, heap[0][0] - self._now)
-        dt = max(dt, _EPS)
+            task_dt = left[k] * rate
+            if task_dt < dt:  # min() and max() without the calls
+                dt = task_dt
+        self._slowdown_evaluations += evaluations
+        if heap and heap[0][0] > now + _EPS:
+            dt = min(dt, heap[0][0] - now)
+        if dt < _EPS:
+            dt = _EPS
 
-        if self._tracker is not None:
-            self._tracker.advance(dt, self._blocked_heads(), running, rates)
+        tracker = self._tracker
+        if tracker is not None:
+            tracker.advance(dt, self._blocked_heads(), running, rates)
 
-        for task, rate in zip(running, rates):
-            task.remaining_ms -= dt / rate
         busy = self._busy
-        for k, task in enumerate(proc_running):
-            if task is not None:
-                busy[k] += dt
-        self._now += dt
+        for (k, _), rate in zip(running, rates):
+            left[k] -= dt / rate
+            busy[k] += dt
+        now += dt
+        self._now = now
 
-        for k, task in enumerate(proc_running):
-            if task is not None and task.remaining_ms <= _DEPARTURE_MS:
-                proc_name = self._procs[k].name
-                proc_running[k] = None
-                self._prev_done[task.request] = True
-                self._expose_head(task.request)
-                self._finish[task.request] = self._now
-                self._completed += 1
-                self._outstanding -= 1
-                chain = self._chains[task.request]
-                successor = self._next_idx[task.request]
-                finished = None
-                if self._tracker is not None:
-                    finished = self._tracker.finish(task.request, self._now)
-                    self._tracker.freed(proc_name, finished)
-                    if successor < len(chain):
-                        # The successor head becomes ready at this exact
-                        # departure instant (the tiling invariant).
-                        self._tracker.ready(chain[successor], successor, self._now)
-                if successor >= len(chain):
-                    # Last stage done: release the request's arenas.
-                    released = self._request_alloc.pop(task.request, 0.0)
-                    self._used_bytes -= released
-                    if self._tracker is not None and released > 0.0:
-                        self._tracker.released(finished)
-                workload = task.workload
-                self._records.append(
-                    TaskRecord(
-                        task.request,
-                        task.stage,
-                        proc_name,
-                        task.start_ms or 0.0,
-                        self._now,
-                        task.solo_ms,
-                        workload.traffic_bytes() if workload is not None else 0.0,
-                    )
+        for k, task in running:
+            if left[k] > _DEPARTURE_MS:
+                continue
+            request = task.request
+            proc_name = self._procs[k].name
+            proc_running[k] = None
+            left[k] = 0.0
+            self._prev_done[request] = True
+            self._finish[request] = now
+            self._completed += 1
+            self._outstanding -= 1
+            chain = chains[request]
+            successor = next_idx[request]
+            if successor < len(chain):
+                # Its request is arrived and not removed: it was running.
+                ready[self._slot[chain[successor].proc.name]].add(request)
+            finished = None
+            if tracker is not None:
+                finished = tracker.finish(task, now)
+                tracker.freed(proc_name, finished)
+                if successor < len(chain):
+                    # The successor head becomes ready at this exact
+                    # departure instant (the tiling invariant).
+                    tracker.ready(request, successor, now)
+            if successor >= len(chain):
+                # Last stage done: release the request's arenas.
+                released = self._request_alloc.pop(request, 0.0)
+                self._used_bytes -= released
+                if tracker is not None and released > 0.0:
+                    tracker.released(finished)
+            workload = task.workload
+            self._records.append(
+                TaskRecord(
+                    request,
+                    task.stage,
+                    proc_name,
+                    head_start[request],
+                    now,
+                    task.solo_ms,
+                    workload.traffic_bytes() if workload is not None else 0.0,
                 )
-                self._emit(DEPARTURE, request=task.request, processor=proc_name)
+            )
+            head_start[request] = None
+            self._emit(DEPARTURE, request, proc_name)
         if self._trace_enabled:
             self._record_trace()
 
@@ -1215,9 +1213,8 @@ class ProbeRun:
     so it returns the same makespan bit for bit.  The step makes no
     call: :func:`slowdown_fraction` is inlined, its float operations in
     its order, over the SoC's :func:`coupling_matrix`, built once per
-    run (resumed runs share it).  It writes to no task (not
-    ``remaining_ms``, not ``start_ms``) and keeps no task records,
-    arenas, busy, finish or first-start times.  A run starts from a
+    run (resumed runs share it).  It keeps no task records, arenas,
+    busy, finish or first-start times.  A run starts from a
     :class:`Checkpoint`, copies it and never writes it, so any method
     may be called any number of times.  Checkpoint 0 files each
     request's first task under its processor's ready set at t=0, which
@@ -1261,7 +1258,8 @@ class ProbeRun:
 
     Raises:
         ValueError: on a task whose ``request`` differs from its chain's
-            position or whose processor is not part of the SoC, or that
+            position, whose processor is not part of the SoC or whose
+            solo time is negative or NaN, or that
             :func:`check_on_soc` rejects (the one case where the matrix
             and :func:`slowdown_fraction` could read different
             couplings).
@@ -1486,8 +1484,9 @@ class ProbeRun:
                 if now + work_ms - slack_ms >= stop_at_ms:
                     break
             steps += 1
-            # _try_start with no memory gate and no offline slot.  A
-            # probe run preempts nothing, so every ready head is unstarted.
+            # _step's start pass with no memory gate and no offline
+            # slot.  A probe run preempts nothing, so every ready head
+            # is unstarted.
             for k in slots:
                 slot_ready = ready[k]
                 if running[k] is None and slot_ready:
@@ -1496,11 +1495,14 @@ class ProbeRun:
                     idx = next_idx[request]
                     task = chains[request][idx]
                     running[k] = task
-                    left_ms[k] = task.remaining_ms
+                    left_ms[k] = task.solo_ms
                     started_ms[k] += task.solo_ms
                     next_idx[request] = idx + 1
                     prev_done[request] = False
-            busy = [(k, task) for k, task in enumerate(running) if task is not None]
+            # Each busy slot with its running slice's workload.
+            busy = [
+                (k, task.workload) for k, task in enumerate(running) if task is not None
+            ]
             if not busy:
                 raise RuntimeError(
                     "simulation wedged: no running task and no pending event"
@@ -1510,15 +1512,14 @@ class ProbeRun:
             # the same order, the coupling read from the slot matrix.
             rates: List[float] = []
             dt = math.inf
-            for k, task in busy:
+            for k, workload in busy:
                 rate = 1.0
-                workload = task.workload
                 if contention and workload is not None:
                     row = coupling[k]
                     pressure = 0.0
                     for c, co in busy:
-                        if c != k and co.workload is not None:
-                            pressure += row[c] * co.workload._intensity
+                        if c != k and co is not None:
+                            pressure += row[c] * co._intensity
                     if pressure > 0.0:
                         exponent = pressure * workload._sensitivity
                         rate = 1.0 + MAX_SLOWDOWN * (1.0 - exp(-exponent))
@@ -1532,9 +1533,9 @@ class ProbeRun:
             for (k, _), rate in zip(busy, rates):
                 left_ms[k] -= dt / rate
             now += dt
-            for k, task in busy:
+            for k, _ in busy:
                 if left_ms[k] <= _DEPARTURE_MS:
-                    request = task.request
+                    request = running[k].request  # type: ignore[union-attr]
                     running[k] = None
                     left_ms[k] = 0.0
                     prev_done[request] = True

@@ -115,9 +115,9 @@ def simulate_chains(
 def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
     """Adapt a pipeline plan to the chain representation.
 
-    Every call builds fresh :class:`ChainTask` objects (engine tasks are
-    mutable) from the profiles' slice-task memos (see
-    :func:`_chain_tasks`).
+    Every call builds new :class:`ChainTask` tuples from the profiles'
+    slice-task memos (see :func:`_chain_tasks`).  Tasks are immutable,
+    so the chains serve any number of runs.
     """
     processors = plan.processors
     names = _handoff_names(processors)
@@ -150,7 +150,7 @@ def _chain_tasks(
     names: Sequence[Optional[str]],
     stages: Stages,
 ) -> List[ChainTask]:
-    """Fresh tasks of ``request`` at the given chain positions.
+    """Tasks of ``request`` at the given chain positions.
 
     A stage's solo time, workload and working set depend only on its
     profile, processor, successor processor and slice, so they come from
@@ -195,7 +195,7 @@ def _probe_tail(
     """Tasks of ``request`` at the given chain positions, shared by every
     probe that resumes with them.
 
-    Probe runs write to no task, so one list per ``(request, names,
+    No run writes to a task, so one list per ``(request, names,
     stages)`` in the profile's probe-tail memo
     (:attr:`~repro.profiling.profiler.ModelProfile.probe_tails`) serves
     them all; a memo hit counts its tasks as ``chain_task_memo_hits``.
@@ -434,14 +434,10 @@ def replicate_chains(
     """Tile a chain set into ``copies`` back-to-back request rounds.
 
     Open-loop streaming runs (the ``slo`` verb, the SLO tests) need far
-    more requests than a plan has models; this builds fresh
-    :class:`ChainTask` instances (a full engine run writes each task's
-    ``remaining_ms`` and ``start_ms`` — sharing them across requests
-    would corrupt both; only probe runs leave tasks untouched) with
-    request ids offset by ``round * len(chains)``, matching the arrival
-    order of a repeated model mix.  ``copies=1`` is a fresh clone, the
-    way a second full run (a perturbed or counterfactual one) gets
-    unspent tasks.
+    more requests than a plan has models; this offsets request ids by
+    ``round * len(chains)``, matching the arrival order of a repeated
+    model mix.  Tasks are immutable, so a task whose id is already right
+    (the first round's, usually) is shared rather than rebuilt.
 
     Raises:
         ValueError: on a non-positive copy count.
@@ -452,16 +448,10 @@ def replicate_chains(
     for round_index in range(copies):
         offset = round_index * len(chains)
         for i, chain in enumerate(chains):
+            request = offset + i
             replicated.append(
                 [
-                    ChainTask(
-                        request=offset + i,
-                        proc=task.proc,
-                        solo_ms=task.solo_ms,
-                        workload=task.workload,
-                        working_set=task.working_set,
-                        stage=task.stage,
-                    )
+                    task if task.request == request else ChainTask(request, *task[1:])
                     for task in chain
                 ]
             )
@@ -471,19 +461,15 @@ def replicate_chains(
 def scale_chain_tasks(
     chains: Sequence[Sequence[ChainTask]],
     factors: Dict[str, float],
-) -> int:
-    """Perturbation injection: scale task solo times per processor.
+) -> List[List[ChainTask]]:
+    """Perturbation injection: the chains with task solo times scaled per processor.
 
-    Multiplies ``solo_ms`` / ``remaining_ms`` of every not-yet-started
-    task bound to a processor in ``factors`` (e.g. ``{"gpu": 1.3}`` is
-    a +30% slowdown — thermal throttling, an unplanned co-runner).  The
-    planner never sees the perturbation, so the executed run diverges
-    from its prediction — the scenario the drift detectors exist for.
-
-    A task that has started (even one preempted since) keeps its times.
-
-    Returns:
-        The number of tasks scaled.
+    Every task bound to a processor in ``factors`` has its ``solo_ms``
+    multiplied by that factor (e.g. ``{"gpu": 1.3}`` is a +30% slowdown
+    — thermal throttling, an unplanned co-runner); the input chains are
+    left as they are.  The planner never sees the perturbation, so the
+    executed run diverges from its prediction — the scenario the drift
+    detectors exist for.
 
     Raises:
         ValueError: on a non-finite or non-positive factor.
@@ -493,16 +479,15 @@ def scale_chain_tasks(
             raise ValueError(
                 f"factor for {name!r} must be finite and > 0, got {factor}"
             )
-    scaled = 0
-    for chain in chains:
-        for task in chain:
-            factor = factors.get(task.proc.name)
-            if factor is None or task.start_ms is not None:
-                continue
-            task.solo_ms = task.solo_ms * factor
-            task.remaining_ms = task.remaining_ms * factor
-            scaled += 1
-    return scaled
+    return [
+        [
+            task
+            if task.proc.name not in factors
+            else task._replace(solo_ms=task.solo_ms * factors[task.proc.name])
+            for task in chain
+        ]
+        for chain in chains
+    ]
 
 
 def execute_plan_perturbed(
@@ -515,8 +500,7 @@ def execute_plan_perturbed(
 
     ``options`` are forwarded to the engine (see :func:`simulate_chains`).
     """
-    chains = plan_to_chains(plan)
-    scale_chain_tasks(chains, factors)
+    chains = scale_chain_tasks(plan_to_chains(plan), factors)
     return simulate_chains(plan.soc, chains, arrivals, **options)
 
 

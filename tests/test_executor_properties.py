@@ -4,8 +4,10 @@ Random task chains are generated with hypothesis and the executed
 schedule is checked for the properties any correct pipeline execution
 must have: per-processor mutual exclusion, chain precedence (Eq. 8),
 work conservation, arrival respect, and determinism.  Open-loop runs
-with deadlines, cancellations, preemptions and processor faults check
-the engine's per-processor ready sets against a brute-force
+with deadlines, cancellations, preemptions and processor faults run
+twice on one chain set and agree field for field, and a ``baseline``
+what-if reproduces an executed run bit for bit from its chains.  They
+check the engine's per-processor ready sets against a brute-force
 recomputation after every step, that replaying them with causality
 tracking off simulates exactly the same schedule, and that the
 timeline fold of their event logs keeps the engine's busy times,
@@ -30,6 +32,7 @@ from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests, extract_critical_path
 from repro.obs.timeline import TimelineAggregator
+from repro.obs.whatif import WhatIf, run_counterfactual
 from repro.profiling.profiler import SocProfiler
 from repro.profiling.slowdown import SliceWorkload
 from repro.runtime.engine import DiscreteEventEngine, ProbeRun
@@ -38,7 +41,6 @@ from repro.runtime.executor import (
     _first_reaching,
     _handoff_names,
     _probe_tail,
-    replicate_chains,
     scale_chain_tasks,
     simulate_chains,
 )
@@ -201,14 +203,7 @@ class TestExecutorInvariants:
     @given(chains_strategy())
     @settings(max_examples=40, deadline=None)
     def test_determinism(self, chains):
-        import copy
-
-        a = simulate_chains(KIRIN, copy.deepcopy(chains))
-        b = simulate_chains(KIRIN, copy.deepcopy(chains))
-        assert a.makespan_ms == b.makespan_ms
-        assert [(r.request, r.start_ms) for r in a.records] == [
-            (r.request, r.start_ms) for r in b.records
-        ]
+        assert simulate_chains(KIRIN, chains) == simulate_chains(KIRIN, chains)
 
     @given(chains_strategy())
     @settings(max_examples=40, deadline=None)
@@ -227,11 +222,13 @@ class TestExecutorInvariants:
 
 
 @st.composite
-def open_loop_runs(draw):
+def open_loop_runs(draw, tasks=timing_tasks):
     """Chains plus everything that moves a chain head: arrivals,
     deadlines, cancellations, preemptions, processor faults and a
     memory gate tight enough to block and force starts."""
-    chains = draw(chains_strategy(max_working_set=0.6 * KIRIN.memory_capacity_bytes))
+    chains = draw(
+        chains_strategy(max_working_set=0.6 * KIRIN.memory_capacity_bytes, tasks=tasks)
+    )
     n = len(chains)
     times = st.floats(0, 300, allow_nan=False)
     return {
@@ -285,7 +282,7 @@ def _engine(run, **options):
     """An engine over one generated open-loop run, events scheduled."""
     engine = DiscreteEventEngine(
         KIRIN,
-        replicate_chains(run["chains"], 1),  # engine tasks are mutable
+        run["chains"],
         arrivals=run["arrivals"],
         deadline_ms=run["deadline_ms"],
         processor_offline_ms=run["offline"],
@@ -331,6 +328,50 @@ class TestReadySetInvariant:
         assert untracked.memory_pressure_events == result.memory_pressure_events
         assert untracked.causality == []
         assert untracked.corun_inflation_ms == {}
+
+
+class TestRunsShareChains:
+    """A run writes to no task, so one chain set serves any number of
+    runs: two runs of it are equal field for field, on open-loop runs
+    with every feature that moves a chain head and on a perturbed copy
+    of their chains, and a ``baseline`` what-if of an executed run
+    reproduces it bit for bit from the same chains."""
+
+    @given(open_loop_runs(), st.floats(0.5, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_a_second_run_of_one_chain_set_equals_the_first(self, run, factor):
+        first = _engine(run, keep_events=True).run()
+        assert _engine(run, keep_events=True).run() == first
+        scaled = dict(run, chains=scale_chain_tasks(run["chains"], {"gpu": factor}))
+        perturbed = _engine(scaled, keep_events=True).run()
+        assert _engine(scaled, keep_events=True).run() == perturbed
+        assert _engine(run, keep_events=True).run() == first
+
+    @given(st.one_of(open_loop_runs(), open_loop_runs(tasks=zoo_tasks)))
+    @settings(max_examples=150, deadline=None)
+    def test_baseline_whatif_is_bit_exact(self, run):
+        """What-ifs take arrivals, deadlines and the memory gate (no
+        faults, cancellations or preemptions); zoo chains co-run."""
+        chains = run["chains"]
+        executed = simulate_chains(
+            KIRIN,
+            chains,
+            arrivals=run["arrivals"],
+            deadline_ms=run["deadline_ms"],
+            enforce_memory=run["enforce_memory"],
+            record=False,
+            track_causality=True,
+        )
+        replayed, request_map = run_counterfactual(
+            KIRIN,
+            chains,
+            WhatIf(kind="baseline"),
+            arrivals=run["arrivals"],
+            enforce_memory=run["enforce_memory"],
+            deadline_ms=run["deadline_ms"],
+        )
+        assert request_map == {i: i for i in range(len(chains))}
+        assert replayed == executed
 
 
 def _npu_run(arrivals, cancellations=()):
@@ -400,9 +441,8 @@ class TestMetamorphicRelations:
     it keeps the makespan bit for bit."""
 
     def _check_doubling(self, chains):
-        doubled = replicate_chains(chains, 1)
-        scale_chain_tasks(doubled, {p.name: 2.0 for p in PROCS})
-        base_ms = simulate_chains(KIRIN, replicate_chains(chains, 1)).makespan_ms
+        doubled = scale_chain_tasks(chains, {p.name: 2.0 for p in PROCS})
+        base_ms = simulate_chains(KIRIN, chains).makespan_ms
         assert simulate_chains(KIRIN, doubled).makespan_ms == 2.0 * base_ms
 
     @given(chains_strategy())
@@ -422,8 +462,8 @@ class TestMetamorphicRelations:
             KIRIN, processors=tuple(reversed(KIRIN.processors))
         )
         assert (
-            simulate_chains(reversed_soc, replicate_chains(chains, 1)).makespan_ms
-            == simulate_chains(KIRIN, replicate_chains(chains, 1)).makespan_ms
+            simulate_chains(reversed_soc, chains).makespan_ms
+            == simulate_chains(KIRIN, chains).makespan_ms
         )
 
 
@@ -470,7 +510,7 @@ class TestProbeDifferential:
         chains, scale, request, position, tail = case
         makespan_ms = DiscreteEventEngine(
             soc,
-            replicate_chains(chains, 1),
+            chains,
             enforce_memory=False,
             record=False,
             track_causality=False,

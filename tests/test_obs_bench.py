@@ -393,6 +393,53 @@ class TestCliVerbs:
         assert main(args + ["--tolerance", "1.5"]) == 0
         assert "ok (" in capsys.readouterr().out
 
+    def _stub_runs(self, monkeypatch, ratios, counters=None):
+        """Stub ``run_bench`` to return one cell per run, with the given
+        ``min_ms / reference_ms`` ratios and per-run counters."""
+        docs = [
+            bench.bench_doc(
+                [
+                    bench.bench_row(
+                        "executor_sim",
+                        "kirin990",
+                        [ratio * 2.0],
+                        counters=(counters or {}).get(i, {"engine_steps": 7}),
+                        reference_ms=2.0,
+                    )
+                ]
+            )
+            for i, ratio in enumerate(ratios)
+        ]
+        calls = iter(docs)
+        monkeypatch.setattr(bench, "run_bench", lambda **_: next(calls))
+        return ["bench", "--scenarios", "executor_sim", "--socs", "kirin990",
+                "--rounds", "1", "--json", "--update-baseline", "--baseline"]
+
+    def test_update_baseline_writes_each_cells_median_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        assert bench.BASELINE_RUNS == 3
+        target = tmp_path / "BENCH_median.json"
+        args = self._stub_runs(monkeypatch, [1.9, 1.0, 1.2])
+        assert main(args + [str(target)]) == 0
+        (row,) = bench.read_bench_json(str(target))["results"]
+        assert row["min_ms"] / row["reference_ms"] == 1.2
+
+    def test_update_baseline_refuses_runs_whose_counters_differ(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        target = tmp_path / "BENCH_median.json"
+        args = self._stub_runs(
+            monkeypatch, [1.0, 1.0, 1.0], counters={2: {"engine_steps": 8}}
+        )
+        assert main(args + [str(target)]) == 1
+        assert "counters differ" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_bench_missing_baseline_errors(self, tmp_path, capsys):
         from repro.cli import main
 

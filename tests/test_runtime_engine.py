@@ -908,28 +908,32 @@ class TestProbes:
             anchor = ProbeRun(plan.soc, plan_to_chains(plan))
             anchor.checkpointed()
             engine = _memory_free_engine(plan.soc, plan_to_chains(plan))
-            unstarted = [task for chain in engine._chains for task in chain]
-            started = [0.0] * len(engine._procs)
             states = []
             more = True
             while more:
                 more = engine.step()
-                # A slot starts at most one task a step: its started
-                # solo time grows in start order, as the loop's does.
-                for task in unstarted:
-                    if task.start_ms is not None:
-                        started[engine._slot[task.proc.name]] += task.solo_ms
-                unstarted = [task for task in unstarted if task.start_ms is None]
+                # A slot runs its tasks one at a time, so its started
+                # solo time is its departed tasks' and then its running
+                # task's, summed in start order as the loop sums it.
+                started = []
+                for proc, task in zip(engine._procs, engine._proc_running):
+                    started_ms = 0.0
+                    for rec in engine._records:
+                        if rec.processor == proc.name:
+                            started_ms += rec.solo_ms
+                    if task is not None:
+                        started_ms += task.solo_ms
+                    started.append(started_ms)
                 states.append(
                     (
                         engine._now,
                         tuple(engine._next_idx),
                         tuple(engine._prev_done),
                         tuple(
-                            None
-                            if task is None
-                            else (_position(task), task.remaining_ms)
-                            for task in engine._proc_running
+                            None if task is None else (_position(task), left_ms)
+                            for task, left_ms in zip(
+                                engine._proc_running, engine._left_ms
+                            )
                         ),
                         engine._completed,
                         tuple(frozenset(ready) for ready in engine._ready),
@@ -998,17 +1002,16 @@ class TestProbes:
         assert resumed == total - index
 
     def test_fork_shares_no_run_state(self, vit_resnet_plan):
-        """Resumed runs share the anchor's chains and tasks, so no probe
-        run may write to a task: an anchor and bounded and checkpointed
-        runs resumed from every checkpoint, with and without a re-filed
-        first position, leave each task as built and the anchor's
-        checkpoints, ready sets and started times as they were."""
+        """Resumed runs share the anchor's chains and tasks: after an
+        anchor and bounded and checkpointed runs resumed from every
+        checkpoint, with and without a re-filed first position, a fresh
+        run of the same chains has the anchor's makespan, and the
+        anchor's checkpoints, ready sets and started times are as they
+        were."""
         plan = vit_resnet_plan
         chains = plan_to_chains(plan)
-        tasks = [task for chain in chains for task in chain]
-        built = [(task.remaining_ms, task.start_ms) for task in tasks]
         anchor = ProbeRun(plan.soc, chains)
-        anchor.checkpointed()
+        makespan_ms = anchor.checkpointed()
         frozen = _trajectory(anchor.checkpoints, id)
         head = chains[1][0].proc.name
         moved = [
@@ -1024,7 +1027,7 @@ class TestProbes:
             if not anchor.checkpoints[index].next_idx[1]:
                 anchor.resumed(index, tails).checkpointed()
                 anchor.resumed(index, tails).bounded_ms()
-        assert [(task.remaining_ms, task.start_ms) for task in tasks] == built
+        assert ProbeRun(plan.soc, chains).bounded_ms() == makespan_ms
         assert _trajectory(anchor.checkpoints, id) == frozen
 
     def test_fork_rejects_bad_indices_and_started_tails(self, vit_resnet_plan):
@@ -1051,6 +1054,15 @@ class TestProbes:
         with pytest.raises(ValueError, match="not on SoC"):
             ProbeRun(kirin, [[ChainTask(0, foreign, 1.0, None, 0.0)]])
 
+    def test_runs_reject_a_negative_or_nan_solo_time(self, kirin):
+        """A task cannot check its own solo time (it is a named tuple),
+        so every engine and probe run checks it."""
+        for solo_ms in (-1.0, math.nan):
+            chains = [[ChainTask(0, kirin.processors[0], solo_ms, None, 0.0)]]
+            for run in (DiscreteEventEngine, ProbeRun):
+                with pytest.raises(ValueError, match="solo_ms must be >= 0"):
+                    run(kirin, chains)
+
 
 class TestOfflineSweep:
     """The re-routing sweep runs only when a head can be on an offline
@@ -1061,7 +1073,11 @@ class TestOfflineSweep:
             get_scenario("scene_understanding").models()
         ).plan
         chains = replicate_chains(plan_to_chains(plan), 400 // plan.num_requests)
-        procs = [[task.proc.name for task in chain] for chain in chains]
+        planned = {
+            (task.request, task.stage): task.proc.name
+            for chain in chains
+            for task in chain
+        }
         arrivals = PoissonArrivals(interval_ms=125.0, seed=5).times_ms(len(chains))
         offline = {"gpu": arrivals[len(chains) // 3], "cpu_big": arrivals[-40]}
         sweeps = []
@@ -1079,11 +1095,9 @@ class TestOfflineSweep:
             processor_offline_ms=offline,
             record=False,
         )
-        engine.run()
+        result = engine.run()
         rerouted = sum(
-            task.proc.name != name
-            for chain, names in zip(chains, procs)
-            for task, name in zip(chain, names)
+            rec.processor != planned[rec.request, rec.stage] for rec in result.records
         )
         assert len(chains) >= 400 and rerouted > 0
         assert len(sweeps) <= len(offline) + rerouted

@@ -19,7 +19,6 @@ from repro.profiling.slowdown import (
     SliceWorkload,
 )
 from repro.runtime import executor
-from repro.runtime.engine import DiscreteEventEngine
 from repro.runtime.executor import (
     ARENA_OVERHEAD_FACTOR,
     ChainTask,
@@ -319,13 +318,9 @@ def assert_memo_prices_its_keys(profile, soc):
         assert entry[0] == profile.slice_cost_ms(procs[name], start, end, next_proc)
 
 
-def _task_state(chains):
-    return [(t.solo_ms, t.remaining_ms) for chain in chains for t in chain]
-
-
 class TestSliceTaskMemo:
     """``plan_to_chains`` shares each stage's immutable parts through the
-    profile's slice-task memo and still hands out fresh mutable tasks."""
+    profile's slice-task memo and hands out new immutable tasks."""
 
     def test_calls_return_distinct_tasks_sharing_workloads(self, kirin):
         plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "resnet50"])
@@ -336,35 +331,31 @@ class TestSliceTaskMemo:
             assert a is not b
             assert a.workload is b.workload
 
-    def test_mutated_tasks_leave_the_next_call_unchanged(self, kirin):
-        plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "resnet50"])
-        reference = _task_state(plan_to_chains(plan))
-        scaled = plan_to_chains(plan)
-        factors = {p.name: 2.0 for p in kirin.processors}
-        assert scale_chain_tasks(scaled, factors) == len(reference)
-        assert _task_state(plan_to_chains(plan)) == reference
-        ran = plan_to_chains(plan)
-        simulate_chains(kirin, ran)
-        assert all(t.remaining_ms < t.solo_ms for chain in ran for t in chain)
-        assert _task_state(plan_to_chains(plan)) == reference
-
-    def test_scaling_skips_started_tasks(self, kirin):
+    def test_scaling_and_running_leave_the_chains_as_built(self, kirin):
         plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "resnet50"])
         chains = plan_to_chains(plan)
-        engine = DiscreteEventEngine(kirin, chains, record=False)
-        for _ in range(3):
-            engine.step()
-        tasks = [t for chain in chains for t in chain]
-        started = [t for t in tasks if t.start_ms is not None]
-        assert started and len(started) < len(tasks)
-        before = _task_state([started])
-        unstarted = _task_state([[t for t in tasks if t.start_ms is None]])
+        reference = plan_to_chains(plan)
         factors = {p.name: 2.0 for p in kirin.processors}
-        assert scale_chain_tasks(chains, factors) == len(unstarted)
-        assert _task_state([started]) == before
-        assert _task_state(
-            [[t for t in tasks if t.start_ms is None]]
-        ) == [(2.0 * solo, 2.0 * left) for solo, left in unstarted]
+        scaled = scale_chain_tasks(chains, factors)
+        assert chains == reference
+        assert [[t.solo_ms for t in chain] for chain in scaled] == [
+            [2.0 * t.solo_ms for t in chain] for chain in chains
+        ]
+        first = simulate_chains(kirin, chains)
+        assert chains == reference
+        assert simulate_chains(kirin, chains) == first
+
+    def test_scaling_scales_only_the_named_processors(self, kirin):
+        plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "resnet50"])
+        chains = plan_to_chains(plan)
+        scaled = scale_chain_tasks(chains, {"gpu": 2.0})
+        assert any(t.proc.name == "gpu" for chain in chains for t in chain)
+        for chain, new in zip(chains, scaled):
+            for task, scaled_task in zip(chain, new):
+                if task.proc.name == "gpu":
+                    assert scaled_task == task._replace(solo_ms=2.0 * task.solo_ms)
+                else:
+                    assert scaled_task is task
 
     def test_memoized_parts_equal_direct_construction(self, kirin):
         plan = make_plan(SocProfiler(kirin), kirin, ["bert", "vit", "yolov4"])
@@ -382,7 +373,6 @@ class TestSliceTaskMemo:
                 assert task.solo_ms == assignment.stage_time_ms(
                     k, plan.processors
                 )
-                assert task.remaining_ms == task.solo_ms
                 assert task.working_set == (
                     ARENA_OVERHEAD_FACTOR
                     * assignment.profile.working_set_bytes(start, end)

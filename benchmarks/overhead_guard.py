@@ -51,7 +51,7 @@ def measure():
     models = [get_model(name) for name in MODEL_MIX]
     # Caches off: with the plan/objective caches warm every round would
     # be a near-free lookup and the guard would time noise instead of
-    # instrumented planning work (benchmarks/cache_guard.py covers the
+    # instrumented planning work (the bench's warm_replan rows cover the
     # cached path).
     planner = Hetero2PipePlanner(soc, PlannerConfig.uncached())
 

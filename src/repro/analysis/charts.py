@@ -61,11 +61,8 @@ def scatter_plot(
     height: int = 18,
     x_label: str = "x",
     y_label: str = "y",
-    marker: str = "o",
-    overlay: Optional[Sequence[Tuple[float, float]]] = None,
-    overlay_marker: str = "+",
 ) -> str:
-    """ASCII scatter plot with optional second series (Fig. 7 / 12).
+    """ASCII scatter plot of one ``o`` series (Fig. 7 / 12).
 
     Raises:
         ValueError: for empty input or degenerate dimensions.
@@ -74,32 +71,23 @@ def scatter_plot(
         raise ValueError("scatter plot needs at least one point")
     if width < 10 or height < 5:
         raise ValueError("plot area too small")
-    all_points = list(points) + list(overlay or [])
-    xs = [p[0] for p in all_points]
-    ys = [p[1] for p in all_points]
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
     grid = [[" "] * width for _ in range(height)]
-
-    def place(series, glyph):
-        for x, y in series:
-            col = min(width - 1, int((x - x_lo) / x_span * (width - 1)))
-            row = min(height - 1, int((y - y_lo) / y_span * (height - 1)))
-            grid[height - 1 - row][col] = glyph
-
-    place(points, marker)
-    if overlay:
-        place(overlay, overlay_marker)
+    for x, y in points:
+        col = min(width - 1, int((x - x_lo) / x_span * (width - 1)))
+        row = min(height - 1, int((y - y_lo) / y_span * (height - 1)))
+        grid[height - 1 - row][col] = "o"
 
     lines = [f"{y_label} ({y_lo:.0f} .. {y_hi:.0f})"]
     lines.extend("|" + "".join(row) + "|" for row in grid)
     lines.append("+" + "-" * width + "+")
     lines.append(f" {x_label} ({x_lo:.0f} .. {x_hi:.0f})")
-    if overlay:
-        lines.append(f" {marker} = series 1, {overlay_marker} = series 2")
     return "\n".join(lines)
 
 

@@ -41,9 +41,10 @@ def fit_ridge(
     features: np.ndarray,
     targets: np.ndarray,
     alpha: float = 1.0,
-    fit_intercept: bool = True,
 ) -> RidgeModel:
     """Fit ridge regression via the closed-form normal equations.
+
+    The data are centred first, so the intercept is not regularized.
 
     Args:
         features: (n_samples, n_features) design matrix X.
@@ -53,7 +54,6 @@ def fit_ridge(
             matrix (collinear features, fewer samples than features)
             the fit falls back to the minimum-norm ``lstsq`` solution
             instead of raising.
-        fit_intercept: Centre the data so the bias is not regularized.
 
     Returns:
         The fitted :class:`RidgeModel`.
@@ -74,15 +74,10 @@ def fit_ridge(
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
 
-    if fit_intercept:
-        x_mean = x.mean(axis=0)
-        y_mean = float(y.mean())
-        xc = x - x_mean
-        yc = y - y_mean
-    else:
-        x_mean = np.zeros(x.shape[1])
-        y_mean = 0.0
-        xc, yc = x, y
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x - x_mean
+    yc = y - y_mean
 
     gram = xc.T @ xc + alpha * np.eye(x.shape[1])
     try:
@@ -93,5 +88,5 @@ def fit_ridge(
         # minimum-norm least-squares solution.  Any alpha > 0 makes the
         # Gram matrix positive definite, so solve() cannot get here.
         weights, _, _, _ = np.linalg.lstsq(gram, xc.T @ yc, rcond=None)
-    intercept = y_mean - float(x_mean @ weights) if fit_intercept else 0.0
+    intercept = y_mean - float(x_mean @ weights)
     return RidgeModel(weights=weights, intercept=intercept, alpha=alpha)

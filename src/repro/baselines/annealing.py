@@ -25,18 +25,21 @@ from ..profiling.profiler import SocProfiler
 from ..runtime.executor import async_makespan_ms
 
 
+#: Starting temperature, relative to the initial plan's cost.
+INITIAL_TEMPERATURE = 0.30
+
+#: Geometric cooling factor applied after every step.
+COOLING = 0.97
+
+
 @dataclass(frozen=True)
 class AnnealingConfig:
-    """Cooling schedule and move mix."""
+    """Walk length and random seed of the :data:`COOLING` schedule."""
 
-    initial_temperature: float = 0.30  # relative to the initial cost
-    cooling: float = 0.97
     steps: int = 600
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 < self.cooling < 1:
-            raise ValueError("cooling must be in (0, 1)")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -78,7 +81,7 @@ def anneal_plan(
     cost = async_makespan_ms(plan)
     best_plan = plan.copy()
     best_cost = cost
-    temperature = config.initial_temperature * max(cost, 1e-6)
+    temperature = INITIAL_TEMPERATURE * max(cost, 1e-6)
 
     for _ in range(config.steps):
         trial = plan.copy()
@@ -114,6 +117,6 @@ def anneal_plan(
             plan, cost = trial, trial_cost
             if cost < best_cost:
                 best_plan, best_cost = plan.copy(), cost
-        temperature *= config.cooling
+        temperature *= COOLING
 
     return best_plan, best_cost

@@ -18,7 +18,7 @@ contention-aware simulator as every other scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
@@ -155,13 +155,8 @@ def execute_band(
     soc: SocSpec,
     models: Sequence[ModelGraph],
     profiler: Optional[SocProfiler] = None,
-    arrivals: Optional[Sequence[float]] = None,
-    **options: Any,
 ) -> ExecutionResult:
-    """Plan with Band's greedy policy and run on the shared simulator.
-
-    ``options`` are forwarded to the engine (see
-    :func:`~repro.runtime.executor.simulate_chains`).
-    """
+    """Plan with Band's greedy policy and run it as one closed-loop batch
+    on the shared simulator."""
     mapping = plan_band(soc, models, profiler)
-    return simulate_chains(soc, mapping.chains, arrivals, **options)
+    return simulate_chains(soc, mapping.chains)

@@ -44,7 +44,6 @@ def exhaustive_plan(
     soc: SocSpec,
     models: Sequence[ModelGraph],
     profiler: Optional[SocProfiler] = None,
-    refine: bool = True,
 ) -> Tuple[PipelinePlan, float]:
     """Search the coarse grid exhaustively and polish the winner.
 
@@ -86,8 +85,6 @@ def exhaustive_plan(
             best_plan = plan
 
     assert best_plan is not None
-    if refine:
-        refine_globally(best_plan)
-        optimize_tail(best_plan)
-        best_cost = async_makespan_ms(best_plan)
-    return best_plan, best_cost
+    refine_globally(best_plan)
+    optimize_tail(best_plan)
+    return best_plan, async_makespan_ms(best_plan)

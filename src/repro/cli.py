@@ -88,7 +88,7 @@ from .hardware.soc import SOC_NAMES, SocSpec, get_soc
 from .models.zoo import MODEL_NAMES, get_model
 from .profiling.calibration import CalibrationTarget, calibrate
 from .profiling.profiler import SocProfiler
-from .runtime.arrivals import make_arrival_process
+from .runtime.arrivals import make_arrival_process, resolve_arrivals
 from .runtime.executor import (
     ChainTask,
     plan_to_chains,
@@ -106,6 +106,11 @@ _OUTPUT_PATHS = ("out", "jsonl", "trace", "speedscope", "collapsed", "path")
 #: and SLO folds do work per window, empty or not, so a ``--window-ms``
 #: far below the run's makespan would otherwise spin.
 MAX_SLO_WINDOWS = 100_000
+
+#: The widest slowdown or speedup a what-if or perturbation factor may
+#: model.  Beyond it a simulated clock can pass the float range, which
+#: no run can represent.
+MAX_FACTOR = 1e6
 
 
 def _resolve_inputs(args: argparse.Namespace) -> None:
@@ -168,6 +173,16 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
         args.arrival_process = make_arrival_process(
             args.arrivals, interval_ms=args.interval_ms, seed=args.arrival_seed
         )
+        # stats plans the mix --repeat times; slo and blame tile it
+        # --repeat times into the request stream.
+        copies = 1 if args.command == "stats" else args.repeat
+        times = resolve_arrivals(len(args.models) * copies, args.arrival_process)
+        for i, t in enumerate(times):
+            if not math.isfinite(t):
+                raise ValueError(
+                    f"--interval-ms {args.interval_ms:g} puts request {i} "
+                    f"at {t} ms: arrival times must be finite"
+                )
     if hasattr(args, "classes"):
         from .obs.slo import (
             check_burn_config,
@@ -193,6 +208,8 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
         for whatif in args.whatifs:
             if whatif.processor is not None:
                 args.soc.processor(whatif.processor)
+            if whatif.factor is not None:
+                _check_factor(f"what-if {whatif.label}", whatif.factor)
             if whatif.request is not None and whatif.request >= requests:
                 raise ValueError(
                     f"what-if {whatif.label} out of range: "
@@ -202,13 +219,23 @@ def _resolve_inputs(args: argparse.Namespace) -> None:
         args.perturbation = (
             {} if args.perturb is None else {args.perturb_processor: args.perturb}
         )
-        for name in args.perturbation:
+        for name, factor in args.perturbation.items():
             args.soc.processor(name)
+            _check_factor("--perturb", factor)
         scale_chain_tasks((), args.perturbation)  # validates the factors
     if getattr(args, "stream", False) is True and args.trace:
         raise ValueError("--trace requires a plan run (omit --stream)")
     if hasattr(args, "targets"):
         args.calibration_targets = _load_targets(args.targets, args.soc)
+
+
+def _check_factor(label: str, factor: float) -> None:
+    """Reject a scale factor outside ``[1 / MAX_FACTOR, MAX_FACTOR]``."""
+    if not 1.0 / MAX_FACTOR <= factor <= MAX_FACTOR:
+        raise ValueError(
+            f"{label}: factor must be within [{1.0 / MAX_FACTOR:g}, "
+            f"{MAX_FACTOR:g}], got {factor:g}"
+        )
 
 
 def _check_output_path(label: str, path: str) -> None:

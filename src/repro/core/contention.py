@@ -27,8 +27,12 @@ from ..models.ir import ModelGraph
 from ..profiling.pmu import PerfCounters, ground_truth_intensity, measure_counters
 from ..profiling.profiler import ModelProfile, SocProfiler
 
-#: Default percentile above which a request is High contention.
-DEFAULT_THRESHOLD_PERCENTILE = 60.0
+#: Percentile of the training predictions above which a request is High
+#: contention (the paper's "percentage threshold").
+THRESHOLD_PERCENTILE = 60.0
+
+#: Ridge penalty of the Eq. 1 fit.
+RIDGE_ALPHA = 1.0
 
 
 @dataclass(frozen=True)
@@ -51,15 +55,9 @@ class ContentionEstimator:
     """
 
     def __init__(
-        self,
-        model: RidgeModel,
-        threshold_percentile: float = DEFAULT_THRESHOLD_PERCENTILE,
-        training_intensities: Sequence[float] = (),
+        self, model: RidgeModel, training_intensities: Sequence[float]
     ) -> None:
-        if not 0.0 < threshold_percentile < 100.0:
-            raise ValueError("threshold percentile must be in (0, 100)")
         self._model = model
-        self._percentile = threshold_percentile
         self._training = tuple(training_intensities)
 
     @property
@@ -70,21 +68,19 @@ class ContentionEstimator:
     def threshold(self) -> float:
         """Intensity above which a request is labelled High contention.
 
-        Computed as the configured percentile of the training-set
-        predictions, so 'High' means 'high relative to the workload
-        population' — the paper's "percentage threshold".
+        Computed as the :data:`THRESHOLD_PERCENTILE` percentile of the
+        training-set predictions, so 'High' means 'high relative to the
+        workload population' — the paper's "percentage threshold".
         """
         if not self._training:
             raise ValueError("estimator fitted without training intensities")
-        return float(np.percentile(self._training, self._percentile))
+        return float(np.percentile(self._training, THRESHOLD_PERCENTILE))
 
     @classmethod
     def fit(
         cls,
         counters: Sequence[PerfCounters],
         intensities: Sequence[float],
-        alpha: float = 1.0,
-        threshold_percentile: float = DEFAULT_THRESHOLD_PERCENTILE,
     ) -> "ContentionEstimator":
         """Fit from explicit (features, target) pairs.
 
@@ -97,21 +93,15 @@ class ContentionEstimator:
             raise ValueError("need at least two training samples")
         x = np.array([c.as_features() for c in counters], dtype=float)
         y = np.asarray(intensities, dtype=float)
-        ridge = fit_ridge(x, y, alpha=alpha)
+        ridge = fit_ridge(x, y, alpha=RIDGE_ALPHA)
         predictions = ridge.predict(x)
-        return cls(
-            ridge,
-            threshold_percentile=threshold_percentile,
-            training_intensities=list(np.atleast_1d(predictions)),
-        )
+        return cls(ridge, list(np.atleast_1d(predictions)))
 
     @classmethod
     def fit_from_zoo(
         cls,
         soc: SocSpec,
         models: Sequence[ModelGraph],
-        alpha: float = 1.0,
-        threshold_percentile: float = DEFAULT_THRESHOLD_PERCENTILE,
         profiler: Optional[SocProfiler] = None,
     ) -> "ContentionEstimator":
         """Fit from solo profiles of a model zoo on one SoC.
@@ -142,12 +132,7 @@ class ContentionEstimator:
             profile = profiler.profile(model)
             counters.append(measure_counters(profile, cpu))
             targets.append(ground_truth_intensity(profile, cpu))
-        return cls.fit(
-            counters,
-            targets,
-            alpha=alpha,
-            threshold_percentile=threshold_percentile,
-        )
+        return cls.fit(counters, targets)
 
     def predict(self, counters: PerfCounters) -> float:
         """Estimated contention intensity from PMU features alone."""

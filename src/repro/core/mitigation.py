@@ -98,15 +98,12 @@ def _creates_new_source_conflict(
     return bool(after - adjusted_before)
 
 
-def mitigate_sequence(
-    labels: Sequence[bool], k: int, max_rounds: int | None = None
-) -> MitigationResult:
+def mitigate_sequence(labels: Sequence[bool], k: int) -> MitigationResult:
     """Run Algorithm 2 on a High/Low label sequence.
 
     Args:
         labels: True for High-contention requests, in input order.
         k: Pipeline depth (contention-window size).
-        max_rounds: Safety bound on LAP rounds; defaults to ``len(labels)``.
 
     Returns:
         The :class:`MitigationResult`; ``mitigated`` is False when not
@@ -130,9 +127,8 @@ def mitigate_sequence(
 
         order: List[int] = list(range(n))
         moves: List[Move] = []
-        rounds = max_rounds if max_rounds is not None else n
-
-        for _ in range(rounds):
+        # Safety bound: one LAP round per request.
+        for _ in range(n):
             current = _labels_of(order, labels)
             pairs = conflicting_high_pairs(current, k)
             if not pairs:

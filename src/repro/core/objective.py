@@ -79,11 +79,11 @@ Fingerprint = Tuple[object, ...]
 #: that provably reaches ``stop_at_ms`` (see :meth:`ObjectiveCache.anchor`).
 MoveProbe = Callable[[int, Sequence[Optional[Tuple[int, int]]], float], float]
 
-#: Default bound on memoized objective evaluations.  A twenty-request
-#: descent probes a few thousand distinct configurations; 16384 keeps
-#: every probe of even large plans resident while bounding memory to a
-#: few MB of small tuples and floats.
-DEFAULT_OBJECTIVE_CACHE_SIZE = 16384
+#: Bound on memoized objective evaluations.  A twenty-request descent
+#: probes a few thousand distinct configurations; 16384 keeps every
+#: probe of even large plans resident while bounding memory to a few MB
+#: of small tuples and floats.
+OBJECTIVE_CACHE_SIZE = 16384
 
 
 class LRUCache(Generic[K, V]):
@@ -95,7 +95,7 @@ class LRUCache(Generic[K, V]):
     them at their own call sites.
     """
 
-    def __init__(self, maxsize: int = 1024) -> None:
+    def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"LRU maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
@@ -135,15 +135,15 @@ class LRUCache(Generic[K, V]):
         self._data.clear()
 
 
-def plan_fingerprint(
-    plan: "PipelinePlan", with_contention: bool = True
-) -> Fingerprint:
+def plan_fingerprint(plan: "PipelinePlan") -> Fingerprint:
     """Exact configuration identity of a plan for objective memoization.
 
     Captures everything the deterministic simulator reads: the SoC, the
     pipeline's processor order, the committed request order and each
-    request's ``(model name, per-stage slices)`` assignment, plus the
-    contention toggle.  Model *names* stand in for profiles — the same
+    request's ``(model name, per-stage slices)`` assignment.  The last
+    field is the contention toggle the objective always runs with
+    (True); the ``drift`` verb's plan digests hash the whole tuple.
+    Model *names* stand in for profiles — the same
     convention :class:`~repro.profiling.profiler.SocProfiler` keys its
     cache on — so a fingerprint is only meaningful within one
     planner/profiler scope (see docs/PERFORMANCE.md, invalidation).
@@ -155,7 +155,7 @@ def plan_fingerprint(
         tuple(
             (a.model_name, tuple(a.slices)) for a in plan.assignments
         ),
-        with_contention,
+        True,
     )
 
 
@@ -209,13 +209,12 @@ class ObjectiveCache:
     is mutated, fingerprinted whole or compared request by request, and
     it shares every entry with :meth:`__call__`.
 
-    Args:
-        maxsize: LRU bound on memoized fingerprints.
+    At most :data:`OBJECTIVE_CACHE_SIZE` fingerprints stay memoized.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_OBJECTIVE_CACHE_SIZE) -> None:
+    def __init__(self) -> None:
         self._cache: LRUCache[Fingerprint, Union[float, LowerBound]] = LRUCache(
-            maxsize
+            OBJECTIVE_CACHE_SIZE
         )
         #: Probes answered from the cache (no simulation ran).
         self.hits = 0
@@ -232,29 +231,26 @@ class ObjectiveCache:
         return len(self._cache)
 
     def __call__(
-        self,
-        plan: "PipelinePlan",
-        with_contention: bool = True,
-        stop_at_ms: float = math.inf,
+        self, plan: "PipelinePlan", *, stop_at_ms: float = math.inf
     ) -> float:
         anchor = self._anchor
 
         def simulate() -> float:
             value = None
             if anchor is not None:
-                value = anchor.probe_ms(plan, with_contention, stop_at_ms)
+                value = anchor.probe_ms(plan, stop_at_ms)
             if value is None:
-                value = async_makespan_ms(plan, with_contention, stop_at_ms)
+                value = async_makespan_ms(plan, stop_at_ms)
             return value
 
         return self._probe(
-            plan_fingerprint(plan, with_contention),
+            plan_fingerprint(plan),
             plan.num_requests,
             stop_at_ms,
             simulate,
         )
 
-    def anchor(self, plan: "PipelinePlan", with_contention: bool = True) -> MoveProbe:
+    def anchor(self, plan: "PipelinePlan") -> MoveProbe:
         """Checkpoint one simulation of ``plan``; return its neighbours' probe.
 
         The returned :data:`MoveProbe` answers ``(request, slices,
@@ -273,12 +269,10 @@ class ObjectiveCache:
         it.  The anchor run counts as an ``objective_evaluations``
         simulation but not as a probe.
         """
-        key = plan_fingerprint(plan, with_contention)
+        key = plan_fingerprint(plan)
         anchor = self._anchor
         if anchor is None or key != self._anchor_key:
-            anchor = self._anchor = ProbeAnchor(
-                plan, with_contention, previous=anchor
-            )
+            anchor = self._anchor = ProbeAnchor(plan, previous=anchor)
             self._anchor_key = key
             self._cache.put(key, anchor.makespan_ms)
         return partial(self._move, anchor, key)

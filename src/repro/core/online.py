@@ -88,9 +88,10 @@ class StreamingResult:
 
     @property
     def throughput_per_s(self) -> float:
-        if self.makespan_ms <= 0:
+        seconds = self.makespan_ms / 1e3
+        if seconds <= 0:
             return 0.0
-        return self.num_requests / (self.makespan_ms / 1e3)
+        return self.num_requests / seconds
 
     def request_latency_ms(self, request: int) -> float:
         return (
@@ -117,11 +118,13 @@ class StreamingPlanner:
             requests before planning each window (Appendix D).
         max_batch: Batch-size cap for coalescing.
         track_accuracy: Join each window's predicted execution against
-            the actual one and keep the residual reports (see module
-            docstring).  Implied by passing ``drift_monitor``.
-        drift_monitor: Drift detectors fed with every window's residuals;
-            a default :class:`~repro.obs.DriftMonitor` is created when
-            ``track_accuracy`` is set without one.
+            the actual one, keep the residual reports (see module
+            docstring) and feed them to a :class:`~repro.obs.DriftMonitor`.
+            On a fired detector the planner invalidates its caches,
+            rescales drifting processors' throughput from the observed
+            residuals, and rebuilds the planner (reusing the fitted
+            contention estimator) so the next window replans against
+            the corrected spec.
         execute: The *actual* execution of a committed plan — a callable
             ``plan -> ExecutionResult`` (default
             :func:`~repro.runtime.executor.execute_plan`).  Tests and
@@ -129,11 +132,6 @@ class StreamingPlanner:
             (:func:`~repro.runtime.executor.execute_plan_perturbed`);
             the planner's *prediction* always remains its own clean
             simulation, so the injected divergence shows up as residual.
-        recalibrate_on_drift: On a fired detector, invalidate the planner
-            caches, rescale drifting processors' throughput from the
-            observed residuals, and rebuild the planner (reusing the
-            fitted contention estimator) so the next window replans
-            against the corrected spec.
     """
 
     def __init__(
@@ -144,9 +142,7 @@ class StreamingPlanner:
         coalesce_batches: bool = False,
         max_batch: int = 8,
         track_accuracy: bool = False,
-        drift_monitor: Optional["obs.DriftMonitor"] = None,
         execute: Optional[Callable[..., ExecutionResult]] = None,
-        recalibrate_on_drift: bool = True,
     ) -> None:
         if window_size < 1:
             raise ValueError("window size must be >= 1")
@@ -157,12 +153,9 @@ class StreamingPlanner:
         self.coalesce_batches = coalesce_batches
         self.max_batch = max_batch
         self.planner = Hetero2PipePlanner(soc, config)
-        self.track_accuracy = track_accuracy or drift_monitor is not None
-        self.drift_monitor = drift_monitor or (
-            obs.DriftMonitor() if self.track_accuracy else None
-        )
+        self.track_accuracy = track_accuracy
+        self.drift_monitor = obs.DriftMonitor() if track_accuracy else None
         self.execute = execute or execute_plan
-        self.recalibrate_on_drift = recalibrate_on_drift
         self.replans = 0
         #: Cumulative per-processor throughput scale applied by replans.
         self.recalibration_scales: Dict[str, float] = {
@@ -299,7 +292,7 @@ class StreamingPlanner:
                 if self.drift_monitor is not None:
                     fired = self.drift_monitor.observe_report(residual)
                     drift_events.extend(fired)
-                    if fired and self.recalibrate_on_drift:
+                    if fired:
                         self._handle_drift(residual)
             windows.append(
                 WindowOutcome(

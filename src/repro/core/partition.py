@@ -23,7 +23,7 @@ with boundary conditions for k = 1.  Two solvers are provided:
   copied tensor, so stage cost is not monotone in the slice end, and
   ``S*(., k-1)`` loses monotonicity with it.  The fast solver is
   therefore only used with copy-free costs; :func:`partition_model`
-  defaults to the exact DP (n <= ~50 layers makes O(n^2 K) negligible).
+  always runs the exact DP (n <= ~50 layers makes O(n^2 K) negligible).
 
 Stages may be *empty*: the NPU's limited operator set means a model such
 as BERT, whose first layer the NPU cannot run, contributes a zero-length
@@ -218,7 +218,6 @@ def make_slice_cost(
 def partition_model(
     profile: ModelProfile,
     processors: Sequence[ProcessorSpec],
-    fast: bool = False,
 ) -> PartitionResult:
     """Partition one model across an ordered processor pipeline.
 
@@ -226,10 +225,6 @@ def partition_model(
         profile: Solo profile of the model on the target SoC.
         processors: Pipeline stages in execution order (the paper orders
             them by descending processing power).
-        fast: Use the monotonicity-accelerated solver.  Only exact when
-            the cost is monotone, which boundary copies break; the
-            default exact DP is recommended (and cheap at mobile model
-            sizes).
 
     Returns:
         The optimal :class:`PartitionResult`.
@@ -255,10 +250,11 @@ def partition_model(
         model=profile.model.name,
         layers=profile.model.num_layers,
         stages=len(processors),
-        fast=fast,
+        fast=False,  # kept for trace readers: the solver is always exact
     ) as span:
-        solver = min_makespan_partition_fast if fast else min_makespan_partition
-        makespan, slices = solver(profile.model.num_layers, len(processors), cost)
+        makespan, slices = min_makespan_partition(
+            profile.model.num_layers, len(processors), cost
+        )
         # Stage times are reporting, not DP work: price them through the
         # raw cost so ``dp_cells_evaluated`` counts only solver-issued
         # slice evaluations.

@@ -118,9 +118,8 @@ def plan_coupled(
     soc: SocSpec,
     models: Sequence[ModelGraph],
     profiler: Optional[SocProfiler] = None,
-    run_vertical: bool = True,
 ) -> PipelinePlan:
-    """Single-step plan: contention-coupled DP (+ optional vertical).
+    """Single-step plan: contention-coupled DP, then vertical alignment.
 
     Raises:
         ValueError: for an empty request sequence.
@@ -140,7 +139,6 @@ def plan_coupled(
     plan = PipelinePlan(
         soc=soc, processors=processors, assignments=assignments
     )
-    if run_vertical:
-        vertical_alignment(plan)
+    vertical_alignment(plan)
     plan.validate()
     return plan

@@ -46,8 +46,6 @@ class PlannerConfig:
         enable_mitigation: Run Algorithm 2 request re-ordering.
         enable_work_stealing: Run Algorithm 3 phase 1.
         enable_tail_optimization: Run Algorithm 3 phase 2.
-        fast_dp: Use the monotonicity-accelerated DP (copy-free costs
-            only); the exact DP is the default.
         enable_caches: Memoize the vertical phase's objective probes
             (``async_makespan_ms``) under the plan fingerprint, so
             re-probed configurations skip the re-simulation, and keep
@@ -60,7 +58,6 @@ class PlannerConfig:
     enable_mitigation: bool = True
     enable_work_stealing: bool = True
     enable_tail_optimization: bool = True
-    fast_dp: bool = False
     enable_caches: bool = True
 
     @classmethod
@@ -108,7 +105,7 @@ class Hetero2PipePlanner:
 
     The planner owns three memoization layers (see docs/PERFORMANCE.md):
     the profiler's per-model profile cache (shared with the estimator's
-    zoo fit), a per-``(model, fast_dp)`` horizontal-partition cache, and
+    zoo fit), a per-model horizontal-partition cache, and
     an :class:`~repro.core.objective.ObjectiveCache` that deduplicates
     the vertical phase's re-simulations within one :meth:`plan` call
     (it is cleared once the plan is built: its fingerprints name whole
@@ -139,7 +136,7 @@ class Hetero2PipePlanner:
         self.estimator = estimator or ContentionEstimator.fit_from_zoo(
             soc, all_models(), profiler=self.profiler
         )
-        self._partition_cache: Dict[Tuple[str, bool], PartitionResult] = {}
+        self._partition_cache: Dict[str, PartitionResult] = {}
         self.objective: PlanObjective = async_makespan_ms
         self._plan_cache: Optional[LRUCache[PlanCacheKey, PlanReport]] = None
         if self.config.enable_caches:
@@ -165,22 +162,20 @@ class Hetero2PipePlanner:
         obs.add("planner_cache_invalidations")
 
     def _partition(self, profile: ModelProfile) -> PartitionResult:
-        """Horizontal DP for one request, memoized per (model, fast_dp).
+        """Horizontal DP for one request, memoized per model.
 
         Sound because profiles come from this planner's profiler (one
         immutable profile per model name) and ``partition_model`` is a
-        deterministic function of (profile, processors, fast); results
-        are frozen and safely shared across plans.
+        deterministic function of (profile, processors); results are
+        frozen and safely shared across plans.
         """
-        key = (profile.model.name, self.config.fast_dp)
+        key = profile.model.name
         cached = self._partition_cache.get(key)
         if cached is not None:
             obs.add("partition_cache_hits")
             return cached
         obs.add("partition_cache_misses")
-        result = partition_model(
-            profile, self.soc.processors, fast=self.config.fast_dp
-        )
+        result = partition_model(profile, self.soc.processors)
         self._partition_cache[key] = result
         return result
 

@@ -20,7 +20,7 @@ from ..hardware.thermal import sustained_frequency_scale
 from ..models.ir import ModelGraph
 from ..profiling.profiler import SocProfiler
 from ..runtime.executor import ExecutionResult, execute_plan
-from .planner import Hetero2PipePlanner, PlannerConfig, PlanReport
+from .planner import Hetero2PipePlanner, PlanReport
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class ThermalFeedbackResult:
 def plan_with_thermal_feedback(
     soc: SocSpec,
     models: Sequence[ModelGraph],
-    config: Optional[PlannerConfig] = None,
     max_iterations: int = 3,
 ) -> ThermalFeedbackResult:
     """Iterate plan -> simulate -> utilization -> thermal scales.
@@ -55,7 +54,6 @@ def plan_with_thermal_feedback(
     Args:
         soc: Target platform.
         models: The request sequence.
-        config: Planner switches.
         max_iterations: Fixpoint iteration cap.
 
     Returns:
@@ -80,7 +78,7 @@ def plan_with_thermal_feedback(
 
     for _ in range(max_iterations):
         profiler = SocProfiler(soc, thermal_scales=scales)
-        planner = Hetero2PipePlanner(soc, config)
+        planner = Hetero2PipePlanner(soc)
         planner.profiler = profiler  # plan against the scaled profiles
         report = planner.plan(list(models))
         result = execute_plan(report.plan)

@@ -13,12 +13,12 @@ fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.planner import Hetero2PipePlanner
 from ..core.thermal_feedback import plan_with_thermal_feedback
 from ..hardware.processor import ProcessorKind
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..hardware.thermal import steady_state
 from ..models.zoo import get_model
 from ..runtime.executor import execute_plan
@@ -35,13 +35,11 @@ class ThermalRow:
     frequency_scale: float
 
 
-def run_sweep(
-    utilizations: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-) -> List[ThermalRow]:
+def run_sweep() -> List[ThermalRow]:
     """Steady-state temperature/scale over a utilization sweep."""
     rows: List[ThermalRow] = []
     for kind in ProcessorKind:
-        for utilization in utilizations:
+        for utilization in (0.25, 0.5, 0.75, 1.0):
             state = steady_state(kind, utilization)
             rows.append(
                 ThermalRow(
@@ -70,13 +68,11 @@ class FeedbackComparison:
         return 1.0 - self.feedback_ms / self.worst_case_ms
 
 
-def run_feedback(
-    soc: Optional[SocSpec] = None,
-    model_names: Sequence[str] = ("yolov4", "bert", "squeezenet", "vit"),
-) -> FeedbackComparison:
-    """Compare worst-case thermal profiling with the feedback loop."""
-    soc = soc or get_soc("kirin990")
-    models = [get_model(n) for n in model_names]
+def run_feedback() -> FeedbackComparison:
+    """Compare worst-case thermal profiling with the feedback loop on
+    Kirin 990, over a yolov4 / bert / squeezenet / vit mix."""
+    soc = get_soc("kirin990")
+    models = [get_model(n) for n in ("yolov4", "bert", "squeezenet", "vit")]
     worst = execute_plan(Hetero2PipePlanner(soc).plan(models).plan).makespan_ms
     feedback = plan_with_thermal_feedback(soc, models, max_iterations=3)
     return FeedbackComparison(

@@ -11,14 +11,14 @@ accelerators are cheaper per operation *and* the high-idle-power window
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..baselines.band import execute_band
 from ..baselines.mnn_serial import plan_mnn_serial
 from ..baselines.pipe_it import plan_pipe_it
 from ..core.planner import Hetero2PipePlanner
 from ..hardware.energy import estimate_energy
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..profiling.profiler import SocProfiler
 from ..runtime.executor import execute_plan
 from ..workloads.generator import sample_combinations
@@ -35,20 +35,17 @@ class EnergyRow:
     mean_energy_per_inference_mj: float
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    num_combinations: int = 20,
-    seed: int = 2025,
-) -> List[EnergyRow]:
-    """Latency + energy of every scheme over random combinations."""
-    soc = soc or get_soc("kirin990")
+def run(num_combinations: int = 20) -> List[EnergyRow]:
+    """Latency + energy of every scheme over random combinations
+    (seed 2025) on Kirin 990."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     planner = Hetero2PipePlanner(soc)
     totals: Dict[str, List] = {
         name: [0.0, 0.0, 0.0]  # latency, energy, energy/inference
         for name in ("mnn", "pipe_it", "band", "h2p")
     }
-    specs = sample_combinations(count=num_combinations, seed=seed)
+    specs = sample_combinations(count=num_combinations, seed=2025)
     for spec in specs:
         models = spec.models()
         results = {
@@ -85,8 +82,8 @@ def render(rows: Sequence[EnergyRow]) -> str:
     return format_table(headers, body)
 
 
-def main(num_combinations: int = 10) -> str:
-    return render(run(num_combinations=num_combinations))
+def main() -> str:
+    return render(run(num_combinations=10))
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ it — the regime where the gap actually reflects planning quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.bounds import makespan_lower_bounds
 from ..core.planner import Hetero2PipePlanner
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..profiling.profiler import SocProfiler
 from ..runtime.executor import execute_plan
 from ..workloads.generator import sample_combinations
@@ -46,17 +46,14 @@ class GapPoint:
         return self.achieved_ms / self.bound_ms - 1.0
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    num_combinations: int = 30,
-    seed: int = 21,
-) -> List[GapPoint]:
-    """Measure the gap distribution over random workloads."""
-    soc = soc or get_soc("kirin990")
+def run(num_combinations: int = 30) -> List[GapPoint]:
+    """Measure the gap distribution over random workloads (seed 21) on
+    Kirin 990."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     planner = Hetero2PipePlanner(soc)
     points: List[GapPoint] = []
-    for spec in sample_combinations(count=num_combinations, seed=seed):
+    for spec in sample_combinations(count=num_combinations, seed=21):
         models = spec.models()
         achieved = execute_plan(planner.plan(models).plan).makespan_ms
         bounds = makespan_lower_bounds(soc, models, profiler)
@@ -115,8 +112,8 @@ def render(points: Sequence[GapPoint]) -> str:
     )
 
 
-def main(num_combinations: int = 15) -> str:
-    return render(run(num_combinations=num_combinations))
+def main() -> str:
+    return render(run(num_combinations=15))
 
 
 if __name__ == "__main__":

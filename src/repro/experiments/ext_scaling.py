@@ -13,11 +13,11 @@ Two sweeps the paper does not report but a practitioner wants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.planner import Hetero2PipePlanner
 from ..baselines.mnn_serial import plan_mnn_serial
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..models.variants import build_bert_variant, build_resnet
 from ..models.zoo import get_model
 from ..profiling.profiler import SocProfiler
@@ -37,15 +37,12 @@ class CountPoint:
     latency_ms: float
 
 
-def run_request_scaling(
-    soc: Optional[SocSpec] = None,
-    counts: Sequence[int] = (2, 4, 8, 16),
-) -> List[CountPoint]:
-    """Sweep the stream length over a fixed request mix."""
-    soc = soc or get_soc("kirin990")
-    planner = Hetero2PipePlanner(soc)
+def run_request_scaling() -> List[CountPoint]:
+    """Sweep the stream length (2 to 16) over a fixed request mix on
+    Kirin 990."""
+    planner = Hetero2PipePlanner(get_soc("kirin990"))
     points: List[CountPoint] = []
-    for count in counts:
+    for count in (2, 4, 8, 16):
         models = [get_model(MIX[i % len(MIX)]) for i in range(count)]
         result = execute_plan(planner.plan(models).plan)
         points.append(
@@ -71,9 +68,9 @@ class SizePoint:
         return self.serial_ms / self.h2p_ms
 
 
-def run_size_scaling(soc: Optional[SocSpec] = None) -> List[SizePoint]:
-    """Sweep the workload from small to large model variants."""
-    soc = soc or get_soc("kirin990")
+def run_size_scaling() -> List[SizePoint]:
+    """Sweep the workload from small to large model variants on Kirin 990."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     planner = Hetero2PipePlanner(soc)
     tiers: List[Tuple[str, List]] = [

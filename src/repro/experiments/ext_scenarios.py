@@ -10,16 +10,16 @@ scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.bounds import makespan_lower_bounds
 from ..core.planner import Hetero2PipePlanner
 from ..baselines.band import execute_band
 from ..baselines.mnn_serial import plan_mnn_serial
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..profiling.profiler import SocProfiler
 from ..runtime.executor import execute_plan
-from ..workloads.scenarios import Scenario, all_scenarios
+from ..workloads.scenarios import all_scenarios
 from .common import format_table
 
 
@@ -43,16 +43,13 @@ class ScenarioRow:
         return self.h2p_ms / self.lower_bound_ms - 1.0
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    scenarios: Optional[Sequence[Scenario]] = None,
-) -> List[ScenarioRow]:
-    """Evaluate every scenario on one SoC."""
-    soc = soc or get_soc("kirin990")
+def run() -> List[ScenarioRow]:
+    """Evaluate every scenario on Kirin 990."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     planner = Hetero2PipePlanner(soc)
     rows: List[ScenarioRow] = []
-    for scenario in scenarios or all_scenarios():
+    for scenario in all_scenarios():
         models = scenario.models()
         mnn = execute_plan(plan_mnn_serial(soc, models, profiler)).makespan_ms
         band = execute_band(soc, models, profiler).makespan_ms

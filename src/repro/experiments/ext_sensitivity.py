@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..baselines.band import execute_band
 from ..baselines.mnn_serial import plan_mnn_serial
@@ -48,14 +48,13 @@ def scaled_soc(soc: SocSpec, coupling_scale: float) -> SocSpec:
 
 
 def run(
-    base_soc: Optional[SocSpec] = None,
     coupling_scales: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
     num_combinations: int = 8,
-    seed: int = 4,
 ) -> List[SensitivityPoint]:
-    """Sweep the contention strength and re-measure the ordering."""
-    base_soc = base_soc or get_soc("kirin990")
-    specs = sample_combinations(count=num_combinations, seed=seed)
+    """Sweep Kirin 990's contention strength and re-measure the ordering
+    over workloads sampled with seed 4."""
+    base_soc = get_soc("kirin990")
+    specs = sample_combinations(count=num_combinations, seed=4)
     points: List[SensitivityPoint] = []
     for scale in coupling_scales:
         soc = scaled_soc(base_soc, scale)
@@ -90,8 +89,8 @@ def render(points: Sequence[SensitivityPoint]) -> str:
     return format_table(headers, body)
 
 
-def main(num_combinations: int = 6) -> str:
-    return render(run(num_combinations=num_combinations))
+def main() -> str:
+    return render(run(num_combinations=6))
 
 
 if __name__ == "__main__":

@@ -15,16 +15,16 @@ the slowdown relative to running alone on the same reduced core set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..models.zoo import get_model
 from ..profiling.profiler import SocProfiler
 from ..profiling.slowdown import SliceWorkload, intra_cluster_slowdown
 from .common import format_table
 
 #: Fig. 10 configurations: (label, cluster attribute, core split).
-DEFAULT_CONFIGS: Tuple[Tuple[str, str, Tuple[int, int]], ...] = (
+CONFIGS: Tuple[Tuple[str, str, Tuple[int, int]], ...] = (
     ("BB-BB", "cpu_big", (2, 2)),
     ("BBB-B", "cpu_big", (3, 1)),
     ("SS-SS", "cpu_small", (2, 2)),
@@ -32,7 +32,7 @@ DEFAULT_CONFIGS: Tuple[Tuple[str, str, Tuple[int, int]], ...] = (
 )
 
 #: The co-running pair of Fig. 10.
-DEFAULT_PAIR = ("yolov4", "vgg16")
+PAIR = ("yolov4", "vgg16")
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,14 @@ class IntraClusterRow:
     partner_slowdown_pct: float
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    pair: Tuple[str, str] = DEFAULT_PAIR,
-) -> List[IntraClusterRow]:
-    """Measure intra-cluster contention for each split configuration."""
-    soc = soc or get_soc("kirin990")
+def run() -> List[IntraClusterRow]:
+    """Measure intra-cluster contention on Kirin 990 for each split
+    configuration."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
-    victim_model, partner_model = (get_model(n) for n in pair)
+    victim_model, partner_model = (get_model(n) for n in PAIR)
     rows: List[IntraClusterRow] = []
-    for label, cluster_name, (victim_cores, partner_cores) in DEFAULT_CONFIGS:
+    for label, cluster_name, (victim_cores, partner_cores) in CONFIGS:
         proc = getattr(soc, cluster_name)
         victim_profile = profiler.profile(victim_model)
         partner_profile = profiler.profile(partner_model)

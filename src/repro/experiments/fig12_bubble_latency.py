@@ -22,7 +22,7 @@ async relation; the synchronous one reproduces Property 1's linearity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -105,20 +105,17 @@ def _sample_plans(
     return plans
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    num_plans: int = 60,
-    seed: int = 11,
-) -> List[BubbleLatencyResult]:
-    """Regenerate both Fig. 12 scatters."""
-    soc = soc or get_soc("kirin990")
+def run(num_plans: int = 60) -> List[BubbleLatencyResult]:
+    """Regenerate both Fig. 12 scatters on Kirin 990 (plans sampled with
+    seed 11)."""
+    soc = get_soc("kirin990")
     results: List[BubbleLatencyResult] = []
     for label, names, procs in (
         ("five_network", CONFIG_A, CONFIG_A_PROCS),
         ("three_network", CONFIG_B, CONFIG_B_PROCS),
     ):
         points: List[BubblePoint] = []
-        for plan in _sample_plans(soc, names, procs, num_plans, seed):
+        for plan in _sample_plans(soc, names, procs, num_plans, seed=11):
             result = execute_plan(plan, enforce_memory=False)
             points.append(
                 BubblePoint(

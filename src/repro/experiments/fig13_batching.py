@@ -10,16 +10,17 @@ heavyweight stage times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..models.zoo import get_model
 from ..profiling.profiler import SocProfiler
 from ..workloads.batching import batch_latency_model, latency_growth_rates
 from .common import format_table
 
-DEFAULT_MODELS = ("mobilenetv2", "squeezenet")
-DEFAULT_BATCHES = (1, 2, 4, 8, 16, 32)
+#: The lightweight models batched, and the batch sizes measured.
+MODELS = ("mobilenetv2", "squeezenet")
+BATCHES = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -33,23 +34,20 @@ class BatchingRow:
     growth_rates: Tuple[float, ...]
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    model_names: Sequence[str] = DEFAULT_MODELS,
-    batch_sizes: Sequence[int] = DEFAULT_BATCHES,
-) -> List[BatchingRow]:
-    """Fit the batching model for each lightweight model and processor."""
-    soc = soc or get_soc("kirin990")
+def run() -> List[BatchingRow]:
+    """Fit the batching model for each lightweight model and processor
+    of Kirin 990."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     rows: List[BatchingRow] = []
-    for name in model_names:
+    for name in MODELS:
         profile = profiler.profile(get_model(name))
         for proc in soc.processors:
             try:
                 affine = batch_latency_model(profile, proc)
             except ValueError:
                 continue  # model unsupported on this unit
-            rates = latency_growth_rates(profile, proc, batch_sizes)
+            rates = latency_growth_rates(profile, proc, BATCHES)
             rows.append(
                 BatchingRow(
                     model=name,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..hardware.soc import SocSpec, get_soc
 from ..models.zoo import MODEL_NAMES, get_model
@@ -32,15 +32,12 @@ class LatencyRow:
     latency_ms: Dict[str, Optional[float]]
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    model_names: Sequence[str] = MODEL_NAMES,
-) -> List[LatencyRow]:
-    """Measure every model on every processor of one SoC."""
+def run(soc: Optional[SocSpec] = None) -> List[LatencyRow]:
+    """Measure every zoo model on every processor of one SoC."""
     soc = soc or get_soc("kirin990")
     profiler = SocProfiler(soc)
     rows: List[LatencyRow] = []
-    for name in model_names:
+    for name in MODEL_NAMES:
         profile = profiler.profile(get_model(name))
         latencies: Dict[str, Optional[float]] = {}
         for proc in soc.processors:

@@ -11,10 +11,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..core.contention import ContentionEstimator
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..models.zoo import MODEL_NAMES, all_models, get_model
 from ..profiling.pmu import measure_counters
 from ..profiling.profiler import SocProfiler
@@ -22,8 +22,8 @@ from ..runtime.queueing import QueueingReport, heterogeneous_queueing, serial_qu
 from ..workloads.generator import arrival_times_ms
 from .common import format_table
 
-#: The default request stream of Fig. 2a: a mixed loop of four models.
-DEFAULT_STREAM = (
+#: The request stream of Fig. 2a: a mixed loop of four models.
+STREAM = (
     "resnet50", "googlenet", "mobilenetv2", "inceptionv4",
     "resnet50", "squeezenet", "googlenet", "resnet50",
     "mobilenetv2", "inceptionv4", "squeezenet", "resnet50",
@@ -38,15 +38,11 @@ class QueueingComparison:
     heterogeneous: QueueingReport
 
 
-def run_queueing(
-    soc: Optional[SocSpec] = None,
-    stream: Sequence[str] = DEFAULT_STREAM,
-    interval_ms: float = 60.0,
-) -> QueueingComparison:
-    """Run the Fig. 2a experiment on one SoC."""
-    soc = soc or get_soc("kirin990")
-    models = [get_model(name) for name in stream]
-    arrivals = arrival_times_ms(len(models), interval_ms)
+def run_queueing() -> QueueingComparison:
+    """Run the Fig. 2a experiment on Kirin 990, one request every 60 ms."""
+    soc = get_soc("kirin990")
+    models = [get_model(name) for name in STREAM]
+    arrivals = arrival_times_ms(len(models), 60.0)
     return QueueingComparison(
         serial=serial_queueing(soc, models, arrivals),
         heterogeneous=heterogeneous_queueing(soc, models, arrivals),
@@ -64,9 +60,10 @@ class DemandRow:
     intensity: float
 
 
-def run_demands(soc: Optional[SocSpec] = None) -> List[DemandRow]:
-    """Rank all models by estimated contention intensity (Fig. 2b)."""
-    soc = soc or get_soc("kirin990")
+def run_demands() -> List[DemandRow]:
+    """Rank all models by estimated contention intensity on Kirin 990
+    (Fig. 2b)."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     estimator = ContentionEstimator.fit_from_zoo(soc, all_models())
     rows: List[DemandRow] = []

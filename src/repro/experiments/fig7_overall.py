@@ -50,16 +50,14 @@ class SocSummary:
 def run(
     soc_names: Sequence[str] = SOC_NAMES,
     num_combinations: int = 100,
-    seed: int = 2025,
 ) -> List[SocSummary]:
-    """Run the full Fig. 7 sweep.
+    """Run the full Fig. 7 sweep over workloads sampled with seed 2025.
 
     Args:
         soc_names: Platforms to evaluate (default: all three).
         num_combinations: Random combinations per platform (paper: 100).
-        seed: Workload sampling seed.
     """
-    specs = sample_combinations(count=num_combinations, seed=seed)
+    specs = sample_combinations(count=num_combinations, seed=2025)
     workloads = [spec.models() for spec in specs]
     return [
         SocSummary(
@@ -117,8 +115,8 @@ def render_charts(summaries: List[SocSummary]) -> str:
     return text
 
 
-def main(num_combinations: int = 30) -> str:
-    summaries = run(num_combinations=num_combinations)
+def main() -> str:
+    summaries = run(num_combinations=30)
     return render(summaries) + "\n\n" + render_charts(summaries)
 
 

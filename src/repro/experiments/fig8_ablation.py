@@ -11,12 +11,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..baselines.annealing import AnnealingConfig, anneal_plan
 from ..baselines.exhaustive import exhaustive_plan
 from ..core.planner import Hetero2PipePlanner, PlannerConfig
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..profiling.profiler import SocProfiler
 from ..runtime.executor import execute_plan
 from ..workloads.generator import WorkloadSpec, sample_combinations
@@ -31,23 +31,18 @@ class AblationPoint:
     latency_ms: Dict[str, float]
 
 
-def run_strategies(
-    soc: Optional[SocSpec] = None,
-    num_combinations: int = 100,
-    max_models: int = 5,
-    seed: int = 7,
-) -> List[AblationPoint]:
-    """Fig. 8(a): H2P vs exhaustive vs annealing vs No-C/T.
+def run_strategies(num_combinations: int = 100) -> List[AblationPoint]:
+    """Fig. 8(a) on Kirin 990: H2P vs exhaustive vs annealing vs No-C/T.
 
-    Workloads are capped at ``max_models`` requests so the exhaustive
-    grid stays tractable, mirroring the paper's small-instance study.
+    Workloads (seed 7) are capped at 5 requests so the exhaustive grid
+    stays tractable, mirroring the paper's small-instance study.
     """
-    soc = soc or get_soc("kirin990")
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     planner = Hetero2PipePlanner(soc)
     planner_no_ct = Hetero2PipePlanner(soc, PlannerConfig.no_contention_or_tail())
     specs = sample_combinations(
-        count=num_combinations, min_size=3, max_size=max_models, seed=seed
+        count=num_combinations, min_size=3, max_size=5, seed=7
     )
     points: List[AblationPoint] = []
     for spec in specs:
@@ -94,13 +89,10 @@ class ComponentAblation:
     no_both_ms: float
 
 
-def run_components(
-    soc: Optional[SocSpec] = None,
-    num_combinations: int = 100,
-    seed: int = 7,
-) -> ComponentAblation:
-    """Fig. 8(b): remove mitigation and tail optimization one by one."""
-    soc = soc or get_soc("kirin990")
+def run_components(num_combinations: int = 100) -> ComponentAblation:
+    """Fig. 8(b) on Kirin 990: remove mitigation and tail optimization
+    one by one, over workloads sampled with seed 7."""
+    soc = get_soc("kirin990")
     planners = {
         "full": Hetero2PipePlanner(soc),
         "no_contention": Hetero2PipePlanner(
@@ -111,7 +103,7 @@ def run_components(
         ),
         "no_both": Hetero2PipePlanner(soc, PlannerConfig.no_contention_or_tail()),
     }
-    specs = sample_combinations(count=num_combinations, seed=seed)
+    specs = sample_combinations(count=num_combinations, seed=7)
     sums = {key: 0.0 for key in planners}
     for spec in specs:
         models = spec.models()
@@ -154,9 +146,9 @@ def render_components(ablation: ComponentAblation) -> str:
     return format_table(headers, body)
 
 
-def main(num_combinations: int = 20) -> str:
-    points = run_strategies(num_combinations=num_combinations)
-    components = run_components(num_combinations=num_combinations)
+def main() -> str:
+    points = run_strategies(num_combinations=20)
+    components = run_components(num_combinations=20)
     return (
         "Fig. 8(a) vertical strategies (ms, sorted by H2P):\n"
         + render_strategies(points)

@@ -17,10 +17,10 @@ Observed shape to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.planner import Hetero2PipePlanner
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..models.zoo import LARGE_MODELS, LIGHTWEIGHT_MODELS, MEDIUM_MODELS, get_model
 from ..runtime.executor import TracePoint, execute_plan
 from .common import format_table
@@ -53,7 +53,7 @@ class MemoryTrace:
 
 
 #: The pipeline configurations traced in Fig. 9.
-DEFAULT_CONFIGS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+CONFIGS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("npu_only_lightweight", ("mobilenetv2",)),
     ("two_stage_medium", MEDIUM_MODELS),
     ("three_stage_large", LARGE_MODELS),
@@ -61,15 +61,12 @@ DEFAULT_CONFIGS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    configs: Sequence[Tuple[str, Sequence[str]]] = DEFAULT_CONFIGS,
-) -> List[MemoryTrace]:
-    """Trace each pipeline configuration."""
-    soc = soc or get_soc("kirin990")
+def run() -> List[MemoryTrace]:
+    """Trace each pipeline configuration on Kirin 990."""
+    soc = get_soc("kirin990")
     planner = Hetero2PipePlanner(soc)
     traces: List[MemoryTrace] = []
-    for label, names in configs:
+    for label, names in CONFIGS:
         models = [get_model(n) for n in names]
         report = planner.plan(models)
         result = execute_plan(report.plan, trace=True)

@@ -24,6 +24,14 @@ from typing import Dict
 
 from .common import format_table
 
+#: Cores of the SoC's Big and LITTLE CPU clusters.
+BIG_CORES = 4
+SMALL_CORES = 4
+
+#: The pipeline depths P the appendix counts.
+MIN_STAGES = 2
+MAX_STAGES = 10
+
 
 def compositions(cores: int, stages: int) -> int:
     """Ways to split ``cores`` identical-order cores into ``stages``
@@ -35,14 +43,7 @@ def compositions(cores: int, stages: int) -> int:
     return comb(cores - 1, stages - 1)
 
 
-def pipeline_count(
-    big_cores: int = 4,
-    small_cores: int = 4,
-    has_gpu: bool = True,
-    has_npu: bool = True,
-    min_stages: int = 2,
-    max_stages: int = 10,
-) -> Dict[int, int]:
+def pipeline_count() -> Dict[int, int]:
     """Feasible pipeline configurations per total stage count P.
 
     A configuration chooses how many sub-cluster stages each CPU cluster
@@ -50,26 +51,20 @@ def pipeline_count(
     composition of its cores) and whether the GPU / NPU participate.
     """
     counts: Dict[int, int] = {}
-    gpu_options = (0, 1) if has_gpu else (0,)
-    npu_options = (0, 1) if has_npu else (0,)
-    for p_big in range(0, big_cores + 1):
-        ways_big = compositions(big_cores, p_big) if p_big else 1
-        for p_small in range(0, small_cores + 1):
-            ways_small = compositions(small_cores, p_small) if p_small else 1
-            for gpu in gpu_options:
-                for npu in npu_options:
+    for p_big in range(0, BIG_CORES + 1):
+        ways_big = compositions(BIG_CORES, p_big) if p_big else 1
+        for p_small in range(0, SMALL_CORES + 1):
+            ways_small = compositions(SMALL_CORES, p_small) if p_small else 1
+            for gpu in (0, 1):
+                for npu in (0, 1):
                     total = p_big + p_small + gpu + npu
-                    if not min_stages <= total <= max_stages:
+                    if not MIN_STAGES <= total <= MAX_STAGES:
                         continue
                     counts[total] = counts.get(total, 0) + ways_big * ways_small
     return counts
 
 
-def pipeline_count_eq12(
-    big_cores: int = 4,
-    small_cores: int = 4,
-    max_stages: int = 10,
-) -> int:
+def pipeline_count_eq12() -> int:
     """Eq. 12 evaluated literally, for comparison with the enumeration.
 
     The printed equation reserves two stages for the GPU and NPU
@@ -80,27 +75,21 @@ def pipeline_count_eq12(
     we keep it for the record.
     """
     total = 0
-    for stages in range(2, max_stages + 1):
+    for stages in range(2, MAX_STAGES + 1):
         cpu_stages = stages - 2
         s_p = 1
-        for p_b in range(1, min(big_cores, cpu_stages - 1) + 1):
+        for p_b in range(1, min(BIG_CORES, cpu_stages - 1) + 1):
             p_s = cpu_stages - p_b
-            if not 1 <= p_s <= small_cores:
+            if not 1 <= p_s <= SMALL_CORES:
                 continue
-            d_b = comb(big_cores - 1, p_b - 1)
-            d_s = comb(small_cores - 1, p_s - 1)
+            d_b = comb(BIG_CORES - 1, p_b - 1)
+            d_s = comb(SMALL_CORES - 1, p_s - 1)
             s_p += 4 * d_b * d_s + 3 * d_b + 3 * d_s
         total += s_p
     return total
 
 
-def split_point_count(
-    num_layers: int,
-    big_cores: int = 4,
-    small_cores: int = 4,
-    min_stages: int = 2,
-    max_stages: int = 10,
-) -> int:
+def split_point_count(num_layers: int) -> int:
     """Distinct (pipeline, layer-cut) combinations for one model (Eq. 14).
 
     Each P-stage pipeline combines with ``C(n - 1, P - 1)`` layer cut
@@ -111,14 +100,8 @@ def split_point_count(
     """
     if num_layers < 2:
         raise ValueError("need at least two layers to split")
-    per_stage = pipeline_count(
-        big_cores=big_cores,
-        small_cores=small_cores,
-        min_stages=min_stages,
-        max_stages=max_stages,
-    )
     total = 0
-    for stages, pipelines in per_stage.items():
+    for stages, pipelines in pipeline_count().items():
         if stages - 1 <= num_layers - 1:
             total += comb(num_layers - 1, stages - 1) * pipelines
     return total
@@ -134,13 +117,13 @@ class SearchSpaceSummary:
     mobilenet_splits: int
 
 
-def run(mobilenet_layers: int = 28) -> SearchSpaceSummary:
+def run() -> SearchSpaceSummary:
     by_depth = pipeline_count()
     return SearchSpaceSummary(
         pipelines_total=sum(by_depth.values()),
         pipelines_eq12=pipeline_count_eq12(),
         pipelines_by_depth=by_depth,
-        mobilenet_splits=split_point_count(mobilenet_layers),
+        mobilenet_splits=split_point_count(28),  # MobileNetV2's layers
     )
 
 

@@ -9,16 +9,16 @@ the 70x-larger ViT does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
-from ..hardware.soc import SocSpec, get_soc
+from ..hardware.soc import get_soc
 from ..models.zoo import get_model
 from ..profiling.profiler import SocProfiler
 from ..profiling.slowdown import SliceWorkload, pairwise_slowdown_table
 from .common import format_table
 
 #: The pairings of Table II: (model_on_cpu, model_on_gpu).
-DEFAULT_PAIRS = (
+PAIRS = (
     ("squeezenet", "bert"),
     ("vit", "bert"),
 )
@@ -38,15 +38,12 @@ class SlowdownRow:
         return (self.co_ms / self.solo_ms - 1.0) * 100.0
 
 
-def run(
-    soc: Optional[SocSpec] = None,
-    pairs: Tuple[Tuple[str, str], ...] = DEFAULT_PAIRS,
-) -> List[SlowdownRow]:
-    """Compute Table II on one SoC."""
-    soc = soc or get_soc("kirin990")
+def run() -> List[SlowdownRow]:
+    """Compute Table II on Kirin 990."""
+    soc = get_soc("kirin990")
     profiler = SocProfiler(soc)
     rows: List[SlowdownRow] = []
-    for cpu_model, gpu_model in pairs:
+    for cpu_model, gpu_model in PAIRS:
         cpu_profile = profiler.profile(get_model(cpu_model))
         gpu_profile = profiler.profile(get_model(gpu_model))
         cpu_work = SliceWorkload(

@@ -20,8 +20,8 @@ from .soc import (
     make_snapdragon870,
 )
 from .energy import (
-    DEFAULT_POWER,
     DRAM_PJ_PER_BYTE,
+    POWER,
     EnergyBreakdown,
     PowerSpec,
     estimate_energy,
@@ -45,8 +45,8 @@ __all__ = [
     "make_kirin990",
     "make_snapdragon778g",
     "make_snapdragon870",
-    "DEFAULT_POWER",
     "DRAM_PJ_PER_BYTE",
+    "POWER",
     "EnergyBreakdown",
     "PowerSpec",
     "estimate_energy",

@@ -38,8 +38,8 @@ class PowerSpec:
             raise ValueError("power values must be non-negative")
 
 
-#: Default per-kind power draw (Watts).
-DEFAULT_POWER: Dict[ProcessorKind, PowerSpec] = {
+#: Per-kind power draw (Watts).
+POWER: Dict[ProcessorKind, PowerSpec] = {
     ProcessorKind.CPU_BIG: PowerSpec(idle_w=0.15, active_w=2.80),
     ProcessorKind.CPU_SMALL: PowerSpec(idle_w=0.05, active_w=0.45),
     ProcessorKind.GPU: PowerSpec(idle_w=0.10, active_w=2.20),
@@ -77,24 +77,18 @@ class EnergyBreakdown:
         return self.total_mj / num_requests
 
 
-def estimate_energy(
-    result: "ExecutionResult",
-    soc,
-    power: Dict[ProcessorKind, PowerSpec] = DEFAULT_POWER,
-    dram_pj_per_byte: float = DRAM_PJ_PER_BYTE,
-) -> EnergyBreakdown:
+def estimate_energy(result: "ExecutionResult", soc) -> EnergyBreakdown:
     """Energy of a simulated execution.
 
     Active energy integrates each processor's busy time; idle energy
     covers the remainder of the makespan (the unit is powered while the
     pipeline runs); DRAM energy charges every byte of effective traffic
-    the executed slices moved.
+    the executed slices moved.  Power draw is :data:`POWER`'s and DRAM
+    access energy :data:`DRAM_PJ_PER_BYTE`.
 
     Args:
         result: An :class:`~repro.runtime.executor.ExecutionResult`.
         soc: The :class:`~repro.hardware.soc.SocSpec` it ran on.
-        power: Per-kind power table (override for what-if studies).
-        dram_pj_per_byte: Memory access energy.
 
     Returns:
         The :class:`EnergyBreakdown` in millijoules.
@@ -102,7 +96,7 @@ def estimate_energy(
     active: Dict[str, float] = {}
     idle: Dict[str, float] = {}
     for proc in soc.processors:
-        spec = power[proc.kind]
+        spec = POWER[proc.kind]
         busy_ms = result.processor_busy_ms.get(proc.name, 0.0)
         idle_ms = max(0.0, result.makespan_ms - busy_ms)
         # W * ms == mJ.
@@ -111,5 +105,5 @@ def estimate_energy(
 
     traffic_bytes = sum(record.traffic_bytes for record in result.records)
     # pJ/byte * bytes = pJ; 1e-9 converts to mJ.
-    dram_mj = traffic_bytes * dram_pj_per_byte * 1e-9
+    dram_mj = traffic_bytes * DRAM_PJ_PER_BYTE * 1e-9
     return EnergyBreakdown(active_mj=active, idle_mj=idle, dram_mj=dram_mj)

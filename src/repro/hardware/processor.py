@@ -133,49 +133,36 @@ class ProcessorSpec:
 
 
 def make_cpu_big(
-    name: str = "cpu_big",
-    peak_gflops: float = 300.0,
-    mem_bandwidth_gbps: float = 14.0,
-    l2_cache_bytes: float = 1.0e6,
+    peak_gflops: float = 300.0, l2_cache_bytes: float = 1.0e6
 ) -> ProcessorSpec:
     """A performance-cluster CPU: strong NEON conv, weak huge-MatMul."""
     return ProcessorSpec(
-        name=name,
+        name="cpu_big",
         kind=ProcessorKind.CPU_BIG,
         peak_gflops=peak_gflops,
         efficiency={"conv": 0.50, "matmul": 0.25, "depthwise": 0.30, "light": 0.25},
-        mem_bandwidth_gbps=mem_bandwidth_gbps,
+        mem_bandwidth_gbps=14.0,
         l2_cache_bytes=l2_cache_bytes,
         launch_overhead_ms=0.05,
         copy_bandwidth_gbps=10.0,
     )
 
 
-def make_cpu_small(
-    name: str = "cpu_small",
-    peak_gflops: float = 55.0,
-    mem_bandwidth_gbps: float = 6.0,
-    l2_cache_bytes: float = 0.25e6,
-) -> ProcessorSpec:
+def make_cpu_small(peak_gflops: float = 55.0) -> ProcessorSpec:
     """An efficiency-cluster CPU: ~5x slower than the Big cluster."""
     return ProcessorSpec(
-        name=name,
+        name="cpu_small",
         kind=ProcessorKind.CPU_SMALL,
         peak_gflops=peak_gflops,
         efficiency={"conv": 0.45, "matmul": 0.15, "depthwise": 0.30, "light": 0.25},
-        mem_bandwidth_gbps=mem_bandwidth_gbps,
-        l2_cache_bytes=l2_cache_bytes,
+        mem_bandwidth_gbps=6.0,
+        l2_cache_bytes=0.25e6,
         launch_overhead_ms=0.05,
         copy_bandwidth_gbps=6.0,
     )
 
 
-def make_gpu(
-    name: str = "gpu",
-    peak_gflops: float = 600.0,
-    mem_bandwidth_gbps: float = 16.0,
-    l2_cache_bytes: float = 2.0e6,
-) -> ProcessorSpec:
+def make_gpu(peak_gflops: float = 600.0) -> ProcessorSpec:
     """An embedded OpenCL GPU: on par with the Big CPU cluster overall.
 
     Peak throughput is higher than the CPU's but OpenCL efficiency on
@@ -183,31 +170,26 @@ def make_gpu(
     is why Fig. 1 shows Big CPU ~ GPU.
     """
     return ProcessorSpec(
-        name=name,
+        name="gpu",
         kind=ProcessorKind.GPU,
         peak_gflops=peak_gflops,
         efficiency={"conv": 0.20, "matmul": 0.12, "depthwise": 0.05, "light": 0.12},
-        mem_bandwidth_gbps=mem_bandwidth_gbps,
-        l2_cache_bytes=l2_cache_bytes,
+        mem_bandwidth_gbps=16.0,
+        l2_cache_bytes=2.0e6,
         launch_overhead_ms=0.40,
         copy_bandwidth_gbps=8.0,
     )
 
 
-def make_npu(
-    name: str = "npu",
-    peak_gflops: float = 1300.0,
-    mem_bandwidth_gbps: float = 30.0,
-    l2_cache_bytes: float = 8.0e6,
-) -> ProcessorSpec:
+def make_npu(peak_gflops: float = 1300.0) -> ProcessorSpec:
     """A dedicated NPU: far faster, limited op set, own memory path."""
     return ProcessorSpec(
-        name=name,
+        name="npu",
         kind=ProcessorKind.NPU,
         peak_gflops=peak_gflops,
         efficiency={"conv": 0.60, "matmul": 0.55, "depthwise": 0.35, "light": 0.30},
-        mem_bandwidth_gbps=mem_bandwidth_gbps,
-        l2_cache_bytes=l2_cache_bytes,
+        mem_bandwidth_gbps=30.0,
+        l2_cache_bytes=8.0e6,
         launch_overhead_ms=0.80,
         copy_bandwidth_gbps=6.0,
         supports_all_ops=False,

@@ -22,17 +22,15 @@ def default_src_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
-def normalize_finding_paths(
-    findings: Sequence[Finding], base: Optional[Path] = None
-) -> List[Finding]:
-    """Relativize absolute finding paths against ``base`` (default cwd).
+def normalize_finding_paths(findings: Sequence[Finding]) -> List[Finding]:
+    """Relativize absolute finding paths against the working directory.
 
     Keeps reports and SARIF artifacts portable between machines: the
     default lint paths are absolute (they come from the installed
     package location), but CI annotations need ``src/repro/...``.
-    Relative paths and paths outside ``base`` pass through untouched.
+    Relative paths and paths outside it pass through untouched.
     """
-    root = (base or Path.cwd()).resolve()
+    root = Path.cwd().resolve()
     normalized: List[Finding] = []
     for finding in findings:
         path = Path(finding.path)

@@ -51,9 +51,9 @@ def depthwise_conv_flops(channels: int, kernel: int, out_h: int, out_w: int) -> 
     return 2.0 * channels * kernel * kernel * out_h * out_w
 
 
-def linear_flops(in_features: int, out_features: int, tokens: int = 1) -> float:
-    """FLOPs of a dense / fully-connected layer applied to ``tokens`` rows."""
-    return 2.0 * in_features * out_features * tokens
+def linear_flops(in_features: int, out_features: int) -> float:
+    """FLOPs of a dense / fully-connected layer applied to one row."""
+    return 2.0 * in_features * out_features
 
 
 def linear_weight_bytes(in_features: int, out_features: int) -> float:

@@ -617,15 +617,16 @@ def _transformer_encoder_block(
     )
 
 
-def build_bert(seq_len: int = 128) -> ModelGraph:
-    """BERT-base: embedding gather + 12 fused encoder blocks + pooler.
+def build_bert() -> ModelGraph:
+    """BERT-base over 128 tokens: embedding gather + 12 fused encoder
+    blocks + pooler.
 
     Both the embedding gather and the masked attention in every encoder
     block are outside the simulated NPU's operator set, so no part of
     BERT can run on the NPU — reproducing the NPU error the paper
     reports for BERT in Fig. 1.
     """
-    hidden, heads, intermediate, vocab = 768, 12, 3072, 30522
+    seq_len, hidden, heads, intermediate, vocab = 128, 768, 12, 3072, 30522
     layers: List[Layer] = [
         Layer(
             name="embedding",
@@ -654,14 +655,15 @@ def build_bert(seq_len: int = 128) -> ModelGraph:
     )
 
 
-def build_vit(seq_len: int = 197) -> ModelGraph:
+def build_vit() -> ModelGraph:
     """ViT-B/16: conv patch embedding + 12 fused encoder blocks + head.
 
     Unlike BERT, the patch embedding is an ordinary (supported) strided
     convolution and the attention is unmasked, so ViT runs fully on the
-    NPU — matching Fig. 1 where only YOLOv4 and BERT error out.
+    NPU — matching Fig. 1 where only YOLOv4 and BERT error out.  A
+    224x224 image is 196 patches plus the class token: 197 tokens.
     """
-    hidden, heads, intermediate = 768, 12, 3072
+    seq_len, hidden, heads, intermediate = 197, 768, 12, 3072
     patch_embed, _ = _conv_layer("patch_embed", 3, hidden, 16, 224, 16, 0)
     layers: List[Layer] = [patch_embed]
     for i in range(12):

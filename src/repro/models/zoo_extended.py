@@ -116,14 +116,15 @@ def build_agegendernet() -> ModelGraph:
     )
 
 
-def build_gpt2(seq_len: int = 64) -> ModelGraph:
-    """GPT-2 small decoder: embedding + 12 causal blocks + LM head.
+def build_gpt2() -> ModelGraph:
+    """GPT-2 small decoder over 64 tokens: embedding + 12 causal blocks
+    + LM head.
 
     Causal (masked) attention keeps every decoder block off the NPU,
     like BERT's encoder — the captioning tail of the paper's app runs
     on CPU/GPU.
     """
-    hidden, heads, intermediate, vocab = 768, 12, 3072, 50257
+    seq_len, hidden, heads, intermediate, vocab = 64, 768, 12, 3072, 50257
     layers: List[Layer] = [
         Layer(
             name="embedding",

@@ -131,11 +131,10 @@ def best_of_s(rounds: int, fn: Callable[[], object]) -> float:
 def collect_samples_ms(
     fn: Callable[[], object],
     rounds: int,
-    warmup: int = 0,
     setup: Optional[Callable[[], object]] = None,
     repeat: int = 1,
 ) -> List[float]:
-    """Per-round wall times (ms) with optional warmup and untimed setup.
+    """Per-round wall times (ms) with an optional untimed setup.
 
     A round times ``repeat`` back-to-back calls and records their mean,
     so a sub-millisecond call is measured over a span long enough for
@@ -150,10 +149,6 @@ def collect_samples_ms(
         for _ in range(repeat):
             fn()
 
-    for _ in range(warmup):
-        if setup is not None:
-            setup()
-        fn()
     samples: List[float] = []
     for _ in range(rounds):
         if setup is not None:
@@ -221,14 +216,14 @@ def bench_row(
     phases: Optional[Dict[str, float]] = None,
     counters: Optional[Dict[str, float]] = None,
     attributed_frac: Optional[float] = None,
-    tolerance_frac: float = DEFAULT_TOLERANCE_FRAC,
-    abs_slack_ms: float = DEFAULT_ABS_SLACK_MS,
     reference_ms: Optional[float] = None,
 ) -> Dict[str, object]:
     """One ``hetero2pipe.bench.v1`` result row.
 
     ``reference_ms`` is the :func:`reference_loop` time taken next to
-    the samples; the baseline gate divides ``min_ms`` by it.
+    the samples; the baseline gate divides ``min_ms`` by it.  The row's
+    band is :data:`DEFAULT_TOLERANCE_FRAC` plus
+    :data:`DEFAULT_ABS_SLACK_MS`.
     """
     if not samples_ms:
         raise ValueError(f"scenario {scenario!r}: need at least one sample")
@@ -240,8 +235,8 @@ def bench_row(
         "mean_ms": sum(samples_ms) / len(samples_ms),
         "p50_ms": percentile_ms(samples_ms, 50.0),
         "max_ms": max(samples_ms),
-        "tolerance_frac": tolerance_frac,
-        "abs_slack_ms": abs_slack_ms,
+        "tolerance_frac": DEFAULT_TOLERANCE_FRAC,
+        "abs_slack_ms": DEFAULT_ABS_SLACK_MS,
     }
     if reference_ms is not None:
         row["reference_ms"] = reference_ms

@@ -35,6 +35,17 @@ from .events import DriftDetected
 from .recorder import add, emit
 from .accuracy import ResidualReport, SliceResidual
 
+#: EWMA smoothing weight of the newest sample.
+EWMA_ALPHA = 0.3
+#: EWMA fire threshold (relative error).
+EWMA_THRESHOLD = 0.15
+#: CUSUM per-sample slack ``k``.
+CUSUM_SLACK = 0.05
+#: CUSUM decision interval ``h``.
+CUSUM_THRESHOLD = 0.5
+#: Residuals a key consumes before either of its detectors may fire.
+MIN_SAMPLES = 3
+
 
 @dataclass
 class EwmaDetector:
@@ -46,9 +57,9 @@ class EwmaDetector:
         min_samples: Samples required before the detector may fire.
     """
 
-    alpha: float = 0.3
-    threshold: float = 0.15
-    min_samples: int = 3
+    alpha: float
+    threshold: float
+    min_samples: int
     value: float = 0.0
     samples: int = 0
 
@@ -90,9 +101,9 @@ class CusumDetector:
         min_samples: Samples required before the detector may fire.
     """
 
-    slack: float = 0.05
-    threshold: float = 0.5
-    min_samples: int = 3
+    slack: float
+    threshold: float
+    min_samples: int
     positive: float = 0.0
     negative: float = 0.0
     samples: int = 0
@@ -133,32 +144,16 @@ class _KeyedDetectors:
 class DriftMonitor:
     """Per-processor / per-model drift detection over residual streams.
 
-    One EWMA + CUSUM pair is lazily created per ``(scope, key)`` —
-    ``("processor", "gpu")``, ``("model", "resnet50")`` — and fed every
-    slice residual touching that key.  When either detector fires the
-    monitor emits a :class:`~repro.obs.events.DriftDetected` provenance
-    event and resets that key's detectors (built-in cooldown: the same
-    key cannot re-fire until it has re-accumulated ``min_samples`` fresh
-    residuals).
-
-    Args:
-        ewma_alpha: EWMA smoothing weight.
-        ewma_threshold: EWMA fire threshold (relative error).
-        cusum_slack: CUSUM per-sample slack ``k``.
-        cusum_threshold: CUSUM decision interval ``h``.
-        min_samples: Minimum residuals per key before firing.
+    One EWMA + CUSUM pair, with the module's detector settings, is
+    lazily created per ``(scope, key)`` — ``("processor", "gpu")``,
+    ``("model", "resnet50")`` — and fed every slice residual touching
+    that key.  When either detector fires the monitor emits a
+    :class:`~repro.obs.events.DriftDetected` provenance event and resets
+    that key's detectors (built-in cooldown: the same key cannot re-fire
+    until it has re-accumulated :data:`MIN_SAMPLES` fresh residuals).
     """
 
-    def __init__(
-        self,
-        ewma_alpha: float = 0.3,
-        ewma_threshold: float = 0.15,
-        cusum_slack: float = 0.05,
-        cusum_threshold: float = 0.5,
-        min_samples: int = 3,
-    ) -> None:
-        self._ewma_args = (ewma_alpha, ewma_threshold, min_samples)
-        self._cusum_args = (cusum_slack, cusum_threshold, min_samples)
+    def __init__(self) -> None:
         self._detectors: Dict[Tuple[str, str], _KeyedDetectors] = {}
         self.events: List[DriftDetected] = []
 
@@ -170,19 +165,9 @@ class DriftMonitor:
         """The (lazily created) detector pair of one key."""
         pair = self._detectors.get((scope, key))
         if pair is None:
-            alpha, ewma_threshold, min_samples = self._ewma_args
-            slack, cusum_threshold, _ = self._cusum_args
             pair = _KeyedDetectors(
-                ewma=EwmaDetector(
-                    alpha=alpha,
-                    threshold=ewma_threshold,
-                    min_samples=min_samples,
-                ),
-                cusum=CusumDetector(
-                    slack=slack,
-                    threshold=cusum_threshold,
-                    min_samples=min_samples,
-                ),
+                ewma=EwmaDetector(EWMA_ALPHA, EWMA_THRESHOLD, MIN_SAMPLES),
+                cusum=CusumDetector(CUSUM_SLACK, CUSUM_THRESHOLD, MIN_SAMPLES),
             )
             self._detectors[(scope, key)] = pair
         return pair

@@ -75,7 +75,6 @@ def thread_metadata(pid: int, tid: int, name: str) -> TraceEvent:
 def span_trace_events(
     roots: Sequence[Span],
     pid: int = PLANNER_PID,
-    tid: int = 0,
 ) -> List[TraceEvent]:
     """Flatten span trees into ``X`` events (µs, earliest root at 0)."""
     if not roots:
@@ -91,7 +90,7 @@ def span_trace_events(
                     "cat": "planner",
                     "ph": "X",
                     "pid": pid,
-                    "tid": tid,
+                    "tid": 0,
                     "ts": (span.start_s - t0) * 1e6,
                     "dur": max(0.0, (end_s - span.start_s) * 1e6),
                     "args": {k: _jsonable(v) for k, v in span.attrs.items()},
@@ -131,7 +130,6 @@ def flow_pair(
     flow_id: int,
     start: Dict[str, float],
     finish: Dict[str, float],
-    cat: str = "provenance",
     args: Optional[Dict[str, object]] = None,
 ) -> List[TraceEvent]:
     """A flow arrow: ``s`` at ``start`` and ``f`` at ``finish``.
@@ -140,7 +138,7 @@ def flow_pair(
     ts of each endpoint must fall inside an ``X`` slice on that track
     for viewers to bind the arrow.
     """
-    base = {"name": name, "cat": cat, "id": flow_id, "args": args or {}}
+    base = {"name": name, "cat": "provenance", "id": flow_id, "args": args or {}}
     s: TraceEvent = dict(base)
     s.update({"ph": "s", **start})
     f: TraceEvent = dict(base)
@@ -151,7 +149,6 @@ def flow_pair(
 def residual_counter_events(
     reports: Sequence[ResidualReport],
     pid: int = EXECUTION_PID,
-    tid: int = 0,
 ) -> List[TraceEvent]:
     """``C`` counter samples tracking the prediction residual over time.
 
@@ -169,7 +166,7 @@ def residual_counter_events(
                     "cat": "accuracy",
                     "ph": "C",
                     "pid": pid,
-                    "tid": tid,
+                    "tid": 0,
                     "ts": s.finish_ms * 1e3,
                     "args": {"residual_ms": s.residual_ms},
                 }
@@ -229,7 +226,6 @@ def slo_telemetry_rows(
 def timeline_counter_events(
     windows: Sequence[WindowStats],
     pid: int = EXECUTION_PID,
-    tid: int = 0,
 ) -> List[TraceEvent]:
     """``C`` counter tracks from closed timeline windows.
 
@@ -247,7 +243,7 @@ def timeline_counter_events(
                 "cat": "timeline",
                 "ph": "C",
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "ts": ts_us,
                 "args": {
                     proc: frac
@@ -263,7 +259,7 @@ def timeline_counter_events(
                 "cat": "timeline",
                 "ph": "C",
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "ts": ts_us,
                 "args": {
                     "mean": window.mean_queue_depth,
@@ -277,7 +273,7 @@ def timeline_counter_events(
                 "cat": "timeline",
                 "ph": "C",
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "ts": ts_us,
                 "args": {"value": window.throughput_per_s},
             }
@@ -288,7 +284,6 @@ def timeline_counter_events(
 def burn_rate_counter_events(
     slo_reports: Sequence[SloWindowReport],
     pid: int = EXECUTION_PID,
-    tid: int = 0,
 ) -> List[TraceEvent]:
     """``C`` burn-rate tracks, one per SLO class, per window boundary."""
     events: List[TraceEvent] = []
@@ -299,7 +294,7 @@ def burn_rate_counter_events(
                 "cat": "slo",
                 "ph": "C",
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "ts": report.end_ms * 1e3,
                 "args": {
                     "fast": report.fast_burn,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Default histogram buckets (upper bounds); the last bucket is +inf.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -61,9 +61,7 @@ class Histogram:
 
     __slots__ = ("name", "buckets", "counts", "count", "total", "low", "high")
 
-    def __init__(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
+    def __init__(self, name: str, buckets: Sequence[float]) -> None:
         bounds = tuple(sorted(buckets))
         if not bounds:
             raise ValueError(f"histogram {name!r}: need at least one bucket")
@@ -128,14 +126,10 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge(name)
         return g
 
-    def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(
-                name, buckets if buckets is not None else DEFAULT_BUCKETS
-            )
+            h = self._histograms[name] = Histogram(name, DEFAULT_BUCKETS)
         return h
 
     # -- flush -----------------------------------------------------------

@@ -42,7 +42,7 @@ import cProfile
 import pstats
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .recorder import InMemoryRecorder
 from .spans import Span
@@ -69,10 +69,8 @@ DEFAULT_PHASES: Dict[str, str] = {
 #: Phase assigned to spans with no mapping (root ``plan`` glue, etc.).
 OTHER_PHASE = "other"
 
-PhaseOf = Callable[[str], str]
 
-
-def default_phase_of(span_name: str) -> str:
+def phase_of(span_name: str) -> str:
     """Coarse phase of a span name under :data:`DEFAULT_PHASES`."""
     return DEFAULT_PHASES.get(span_name, OTHER_PHASE)
 
@@ -132,8 +130,8 @@ class PhaseProfile:
     """The folded profile of one recorded run."""
 
     total_ms: float
-    phases: Dict[str, PhaseStat] = field(default_factory=dict)
-    spans: Dict[str, SpanStat] = field(default_factory=dict)
+    phases: Dict[str, PhaseStat] = field(default_factory=dict, init=False)
+    spans: Dict[str, SpanStat] = field(default_factory=dict, init=False)
 
     @property
     def attributed_ms(self) -> float:
@@ -182,24 +180,18 @@ def _alloc_net_bytes(span: Span) -> int:
     return int(value) if isinstance(value, (int, float)) else 0
 
 
-def profile_spans(
-    roots: Sequence[Span],
-    phase_of: Optional[PhaseOf] = None,
-) -> PhaseProfile:
+def profile_spans(roots: Sequence[Span]) -> PhaseProfile:
     """Fold span trees into the per-phase / per-span profile.
 
     Args:
         roots: Root spans (e.g. ``recorder.spans``); the whole trees are
-            walked.
-        phase_of: Span-name -> phase mapping; defaults to
-            :func:`default_phase_of`.
+            walked.  Each span's phase is :func:`phase_of` its name.
     """
-    classify = phase_of or default_phase_of
     total_ms = sum(root.duration_ms for root in roots)
     profile = PhaseProfile(total_ms=total_ms)
 
     def visit(span: Span, ancestor_phases: Tuple[str, ...]) -> None:
-        phase = classify(span.name)
+        phase = phase_of(span.name)
         exclusive = _span_exclusive_ms(span)
         inclusive = span.duration_ms
         alloc = _alloc_net_bytes(span)
@@ -234,17 +226,17 @@ def profile_spans(
     return profile
 
 
-def render_phase_table(profile: PhaseProfile, width: int = 72) -> str:
+def render_phase_table(profile: PhaseProfile) -> str:
     """The terminal phase table ``hetero2pipe profile`` prints.
 
     One row per phase (descending exclusive time) with an inline bar,
-    then the attribution summary line.
+    then the attribution summary line; 72 columns wide.
     """
     lines = [
         f"{'phase':<12s} {'calls':>7s} {'excl ms':>10s} {'incl ms':>10s} "
         f"{'excl %':>7s}"
     ]
-    bar_width = max(8, width - 52)
+    bar_width = 20  # 72 columns less the 52 of the numeric columns
     for stat in profile.phases_by_exclusive():
         frac = (
             stat.exclusive_ms / profile.total_ms if profile.total_ms else 0.0
@@ -264,18 +256,15 @@ def render_phase_table(profile: PhaseProfile, width: int = 72) -> str:
 # ---------------------------------------------------------------- exports
 
 
-def collapsed_stacks(
-    roots: Sequence[Span],
-    phase_of: Optional[PhaseOf] = None,
-) -> str:
+def collapsed_stacks(roots: Sequence[Span]) -> str:
     """Spans as collapsed stacks (``flamegraph.pl`` input format).
 
     One line per distinct span path — ``plan;plan.candidate;plan.steal
     1234`` — whose value is the path's summed *exclusive* time in
     integer microseconds, so the flame graph's widths add up exactly to
-    the recorded total.  Zero-weight lines are dropped.
+    the recorded total.  Zero-weight lines are dropped.  Stacks are by
+    span name; phases are a separate view (:func:`profile_spans`).
     """
-    del phase_of  # stacks are by span name; phases are a separate view
     weights: Dict[Tuple[str, ...], int] = {}
 
     def visit(span: Span, path: Tuple[str, ...]) -> None:
@@ -299,16 +288,14 @@ def collapsed_stacks(
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 
-def speedscope_document(
-    roots: Sequence[Span],
-    name: str = "hetero2pipe profile",
-) -> Dict[str, object]:
+def speedscope_document(roots: Sequence[Span]) -> Dict[str, object]:
     """Spans as a speedscope ``evented`` profile (JSON-ready dict).
 
     Frames are keyed by span name; open/close events follow the span
     tree's nesting in microseconds relative to the earliest root, so the
     document drags straight into https://www.speedscope.app.
     """
+    name = "hetero2pipe profile"
     frame_index: Dict[str, int] = {}
     frames: List[Dict[str, object]] = []
     events: List[Dict[str, object]] = []
@@ -363,17 +350,16 @@ def phase_track_events(
     profile: PhaseProfile,
     pid: int,
     tid: int = 1,
-    ts0_us: float = 0.0,
 ) -> List[Dict[str, object]]:
     """The profile as a Chrome-trace phase track (``X`` slices).
 
-    Phases are laid out back-to-back (descending exclusive time) so the
-    track reads as a one-row flame summary of where the planner's wall
-    time went; merged under the planner pid by
+    Phases are laid out back-to-back from ts 0 (descending exclusive
+    time) so the track reads as a one-row flame summary of where the
+    planner's wall time went; merged under the planner pid by
     :func:`repro.runtime.tracing.to_chrome_trace`.
     """
     events: List[Dict[str, object]] = []
-    cursor_us = ts0_us
+    cursor_us = 0.0
     for stat in profile.phases_by_exclusive():
         dur_us = stat.exclusive_ms * 1e3
         if dur_us <= 0.0:

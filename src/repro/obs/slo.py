@@ -234,10 +234,19 @@ class SloEvaluator:
 
     def observe(self, event: "Event") -> List[SloWindowReport]:
         """Fold one event; returns per-class reports for any windows
-        the stream just crossed (may fire alerts as a side effect)."""
+        the stream just crossed (may fire alerts as a side effect).
+
+        Raises:
+            RuntimeError: when called after :meth:`finish`.
+            ValueError: on an event that moves time backwards.
+        """
         if self._finished:
             raise RuntimeError("evaluator already finished")
         t = event.time_ms
+        if t < self._now_ms - 1e-9:
+            raise ValueError(
+                f"event at {t} ms is before the fold clock {self._now_ms} ms"
+            )
         closed = self._advance(max(t, self._now_ms))
         self._apply(event)
         return closed
@@ -409,14 +418,13 @@ class SloEvaluator:
                 self._record(spec.name, good=False)
 
 
-def parse_class_specs(
-    text: str, default_objective: float = 0.95
-) -> Dict[str, SloSpec]:
+def parse_class_specs(text: str) -> Dict[str, SloSpec]:
     """Parse the CLI ``--classes`` grammar into specs.
 
     Grammar: comma-separated ``NAME=DEADLINE_MS[:OBJECTIVE]`` entries;
     ``*`` as NAME is the wildcard class applied to models without an
-    explicit entry.  Example: ``"resnet50=80:0.99,*=120:0.95"``.
+    explicit entry, and an entry without an objective takes 0.95.
+    Example: ``"resnet50=80:0.99,*=120:0.95"``.
 
     Raises:
         ValueError: on malformed entries or duplicate names.
@@ -440,11 +448,7 @@ def parse_class_specs(
         deadline_text, _, objective_text = rhs.partition(":")
         try:
             deadline_ms = float(deadline_text)
-            objective = (
-                float(objective_text)
-                if objective_text
-                else default_objective
-            )
+            objective = float(objective_text) if objective_text else 0.95
         except ValueError:
             raise ValueError(
                 f"bad --classes entry {entry!r}: expected "

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from .events import TimelineDiagnostic
 from .recorder import emit, enabled
-from .sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from .sketch import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps obs a leaf
     from ..runtime.engine import Event
@@ -167,8 +167,6 @@ class TimelineAggregator:
             to know which departure is a request's *last* to track
             completion (the event stream itself does not say).
         window_ms: Tumbling window width on the simulated clock.
-        relative_accuracy: Latency-sketch accuracy (see
-            :class:`~repro.obs.sketch.QuantileSketch`).
 
     Raises:
         ValueError: on a non-positive window or empty processor list.
@@ -179,7 +177,6 @@ class TimelineAggregator:
         processors: Sequence[str],
         stages_per_request: Sequence[int],
         window_ms: float,
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
     ) -> None:
         if not (math.isfinite(window_ms) and window_ms > 0):
             raise ValueError(f"window must be finite and > 0 ms, got {window_ms}")
@@ -188,7 +185,6 @@ class TimelineAggregator:
         self._processors = tuple(processors)
         self._stages = list(stages_per_request)
         self._window_ms = float(window_ms)
-        self._relative_accuracy = relative_accuracy
 
         # --- fold state
         self._now_ms = 0.0
@@ -210,7 +206,7 @@ class TimelineAggregator:
         self._completions_total = 0
         self._drops_total = 0
         self._cancellations_total = 0
-        self.latency_sketch = QuantileSketch(relative_accuracy)
+        self.latency_sketch = QuantileSketch()
 
         # --- per-window accumulators
         self._window_index = 0
@@ -222,7 +218,7 @@ class TimelineAggregator:
         self._window_completions = 0
         self._window_drops = 0
         self._window_cancellations = 0
-        self._window_sketch = QuantileSketch(relative_accuracy)
+        self._window_sketch = QuantileSketch()
         self._finished = False
 
     # ------------------------------------------------------- public API
@@ -281,16 +277,16 @@ class TimelineAggregator:
         self._finished = True
         return closed
 
-    def littles_law(
-        self, tolerance_frac: float = LITTLES_LAW_TOLERANCE_FRAC
-    ) -> LittlesLawCheck:
+    def littles_law(self) -> LittlesLawCheck:
         """Check ``L = λW`` over the folded horizon (see module docs).
 
         Still-in-system requests contribute their partial sojourn
         (horizon end minus arrival), which keeps the identity exact at
-        any stopping point.  A violation beyond ``tolerance_frac``
-        emits a :class:`~repro.obs.events.TimelineDiagnostic`.
+        any stopping point.  A violation beyond
+        :data:`LITTLES_LAW_TOLERANCE_FRAC` emits a
+        :class:`~repro.obs.events.TimelineDiagnostic`.
         """
+        tolerance_frac = LITTLES_LAW_TOLERANCE_FRAC
         horizon_ms = self._now_ms
         if horizon_ms <= 0 or self._arrivals_total == 0:
             return LittlesLawCheck(0.0, 0.0, 0.0, 0.0, 0.0, tolerance_frac, True)
@@ -398,7 +394,7 @@ class TimelineAggregator:
         self._window_completions = 0
         self._window_drops = 0
         self._window_cancellations = 0
-        self._window_sketch = QuantileSketch(self._relative_accuracy)
+        self._window_sketch = QuantileSketch()
         return stats
 
     def _interarrival_cv(self) -> Optional[float]:

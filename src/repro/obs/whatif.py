@@ -119,15 +119,14 @@ def run_counterfactual(
     chains: Sequence[Sequence[ChainTask]],
     intervention: WhatIf,
     arrivals: Optional[Sequence[float]] = None,
-    with_contention: bool = True,
-    enforce_memory: bool = True,
     deadline_ms: Optional[object] = None,
 ) -> Tuple[ExecutionResult, Dict[int, int]]:
     """Re-simulate the chain set under one intervention.
 
-    A run writes to no task, so ``chains`` may be the very chain set
-    the executed run used: the ``baseline`` intervention reproduces
-    that run float-exactly.
+    The run has contention and the memory gate on unless the
+    intervention turns one off.  A run writes to no task, so ``chains``
+    may be the very chain set the executed run used: the ``baseline``
+    intervention reproduces that run float-exactly.
 
     Returns:
         ``(result, request_map)`` where ``request_map`` maps original
@@ -145,6 +144,7 @@ def run_counterfactual(
         else deadline_ms
     )
     request_map = {i: i for i in range(len(chains))}
+    with_contention = enforce_memory = True
     if intervention.kind == SCALE_PROCESSOR:
         names = {p.name for p in soc.processors}
         if intervention.processor not in names:
@@ -283,30 +283,16 @@ def run_whatifs(
     chains: Sequence[Sequence[ChainTask]],
     interventions: Sequence[WhatIf],
     arrivals: Optional[Sequence[float]] = None,
-    with_contention: bool = True,
-    enforce_memory: bool = True,
     deadline_ms: Optional[object] = None,
 ) -> Tuple[ExecutionResult, List[WhatIfReport]]:
     """Run the baseline plus each intervention; return delta reports."""
     baseline, _ = run_counterfactual(
-        soc,
-        chains,
-        WhatIf(kind=BASELINE),
-        arrivals=arrivals,
-        with_contention=with_contention,
-        enforce_memory=enforce_memory,
-        deadline_ms=deadline_ms,
+        soc, chains, WhatIf(kind=BASELINE), arrivals=arrivals, deadline_ms=deadline_ms
     )
     reports = []
     for intervention in interventions:
         variant, request_map = run_counterfactual(
-            soc,
-            chains,
-            intervention,
-            arrivals=arrivals,
-            with_contention=with_contention,
-            enforce_memory=enforce_memory,
-            deadline_ms=deadline_ms,
+            soc, chains, intervention, arrivals=arrivals, deadline_ms=deadline_ms
         )
         reports.append(
             compare_runs(baseline, variant, intervention, request_map)

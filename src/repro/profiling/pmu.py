@@ -54,26 +54,18 @@ def _noise(tag: str) -> float:
     return 1.0 + _NOISE_SPAN * (2.0 * unit - 1.0)
 
 
-def measure_counters(
-    profile: ModelProfile,
-    proc: ProcessorSpec,
-    start: int = 0,
-    end: int | None = None,
-) -> PerfCounters:
-    """Synthesize PMU counters for a slice executing solo on ``proc``.
+def measure_counters(profile: ModelProfile, proc: ProcessorSpec) -> PerfCounters:
+    """Synthesize PMU counters for the whole model executing solo on ``proc``.
 
     Args:
         profile: Solo profile of the model on the target SoC.
         proc: Processor the counters are read on (the paper reads the CPU
             PMU; embedded GPUs lack rich counters).
-        start: First layer of the slice.
-        end: Last layer (inclusive); defaults to the whole model.
 
     Returns:
         A :class:`PerfCounters` with deterministic noise applied.
     """
-    if end is None:
-        end = profile.model.num_layers - 1
+    start, end = 0, profile.model.num_layers - 1
     mem_frac = profile.memory_fraction(proc, start, end)
     traffic = profile.traffic_bytes(proc, start, end)
     flops = profile.model.slice_flops(start, end)
@@ -91,21 +83,14 @@ def measure_counters(
     )
 
 
-def ground_truth_intensity(
-    profile: ModelProfile,
-    proc: ProcessorSpec,
-    start: int = 0,
-    end: int | None = None,
-    reference_bandwidth_gbps: float = 10.0,
-) -> float:
-    """Ground-truth contention intensity of a solo execution.
+def ground_truth_intensity(profile: ModelProfile, proc: ProcessorSpec) -> float:
+    """Ground-truth contention intensity of a whole-model solo execution.
 
     Defined as the execution's average bus-demand rate normalized by a
-    reference bandwidth.  This is the regression target Y in Eq. 1; the
-    deployed system estimates it from PMU features only (Observation 1
-    justifies using solo demand as the co-execution proxy).
+    10 GB/s reference bandwidth.  This is the regression target Y in
+    Eq. 1; the deployed system estimates it from PMU features only
+    (Observation 1 justifies using solo demand as the co-execution
+    proxy).
     """
-    if end is None:
-        end = profile.model.num_layers - 1
-    rate = profile.traffic_rate_gbps(proc, start, end)
-    return rate / reference_bandwidth_gbps
+    rate = profile.traffic_rate_gbps(proc, 0, profile.model.num_layers - 1)
+    return rate / 10.0

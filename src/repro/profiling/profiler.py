@@ -49,11 +49,10 @@ class ModelProfile:
     Args:
         model: The model to profile.
         soc: The target platform.
-        thermal_steady_state: When True (default), each processor's
-            throughput is scaled by its sustained-frequency factor at
-            full utilization.
         thermal_scales: Optional explicit per-processor-name frequency
-            scales overriding the steady-state defaults — used by the
+            scales.  A processor without one runs at its thermal steady
+            state: its throughput is scaled by its sustained-frequency
+            factor at full utilization.  Explicit scales are used by the
             thermal-feedback planner, which derives scales from each
             processor's *actual* utilization instead of assuming 100 %.
     """
@@ -62,7 +61,6 @@ class ModelProfile:
         self,
         model: ModelGraph,
         soc: SocSpec,
-        thermal_steady_state: bool = True,
         thermal_scales: Optional[Dict[str, float]] = None,
     ):
         self.model = model
@@ -93,10 +91,8 @@ class ModelProfile:
         for proc in soc.processors:
             if self.thermal_scales is not None and proc.name in self.thermal_scales:
                 scale = self.thermal_scales[proc.name]
-            elif thermal_steady_state:
-                scale = sustained_frequency_scale(proc.kind, 1.0)
             else:
-                scale = 1.0
+                scale = sustained_frequency_scale(proc.kind, 1.0)
             lat, comp, mem, traffic, unsupported = [], [], [], [], []
             for layer in model.layers:
                 if proc.supports(layer):
@@ -258,11 +254,9 @@ class SocProfiler:
     def __init__(
         self,
         soc: SocSpec,
-        thermal_steady_state: bool = True,
         thermal_scales: Optional[Dict[str, float]] = None,
     ):
         self.soc = soc
-        self._thermal = thermal_steady_state
         self._scales = dict(thermal_scales) if thermal_scales else None
         self._cache: Dict[str, ModelProfile] = {}
 
@@ -273,12 +267,7 @@ class SocProfiler:
             obs.add("profile_cache_hits")
             return cached
         obs.add("profile_cache_misses")
-        profile = ModelProfile(
-            model,
-            self.soc,
-            thermal_steady_state=self._thermal,
-            thermal_scales=self._scales,
-        )
+        profile = ModelProfile(model, self.soc, thermal_scales=self._scales)
         self._cache[model.name] = profile
         return profile
 

@@ -23,7 +23,7 @@ import math
 import random
 from typing import List, Optional, Sequence, Union
 
-_PROCESS_NAMES = ("closed", "periodic", "poisson", "trace")
+_PROCESS_NAMES = ("closed", "periodic", "poisson")
 
 
 class ArrivalProcess:
@@ -53,18 +53,15 @@ class DeterministicArrivals(ArrivalProcess):
 
     name = "periodic"
 
-    def __init__(self, interval_ms: float, start_ms: float = 0.0) -> None:
+    def __init__(self, interval_ms: float) -> None:
         if not (math.isfinite(interval_ms) and interval_ms > 0):
             raise ValueError(f"interval must be finite and > 0 ms, got {interval_ms}")
-        if not (math.isfinite(start_ms) and start_ms >= 0):
-            raise ValueError(f"start must be finite and >= 0 ms, got {start_ms}")
         self.interval_ms = interval_ms
-        self.start_ms = start_ms
 
     def times_ms(self, n: int) -> List[float]:
         if n < 0:
             raise ValueError(f"need n >= 0 requests, got {n}")
-        return [self.start_ms + i * self.interval_ms for i in range(n)]
+        return [i * self.interval_ms for i in range(n)]
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -101,15 +98,13 @@ class TraceArrivals(ArrivalProcess):
     """Trace-driven arrivals replayed from recorded timestamps.
 
     When the simulation needs more requests than the trace holds, the
-    trace loops with a period of ``last + cycle_gap_ms`` — replaying a
-    short device log against a long synthetic run is the common case.
+    trace loops with a period of its last timestamp — replaying a short
+    device log against a long synthetic run is the common case.
     """
 
     name = "trace"
 
-    def __init__(
-        self, trace_ms: Sequence[float], cycle_gap_ms: float = 0.0
-    ) -> None:
+    def __init__(self, trace_ms: Sequence[float]) -> None:
         if not trace_ms:
             raise ValueError("trace must hold at least one arrival time")
         ordered = list(trace_ms)
@@ -117,15 +112,12 @@ class TraceArrivals(ArrivalProcess):
             raise ValueError("trace arrival times must be >= 0 ms")
         if ordered != sorted(ordered):
             raise ValueError("trace arrival times must be non-decreasing")
-        if cycle_gap_ms < 0:
-            raise ValueError(f"cycle gap must be >= 0 ms, got {cycle_gap_ms}")
         self.trace_ms = ordered
-        self.cycle_gap_ms = cycle_gap_ms
 
     def times_ms(self, n: int) -> List[float]:
         if n < 0:
             raise ValueError(f"need n >= 0 requests, got {n}")
-        period_ms = self.trace_ms[-1] + self.cycle_gap_ms
+        period_ms = self.trace_ms[-1]
         times: List[float] = []
         for i in range(n):
             cycle, pos = divmod(i, len(self.trace_ms))
@@ -162,12 +154,11 @@ def make_arrival_process(
     name: str,
     interval_ms: float = 30.0,
     seed: int = 0,
-    trace_ms: Optional[Sequence[float]] = None,
 ) -> Optional[ArrivalProcess]:
     """CLI factory: build a process from its family name.
 
     Raises:
-        ValueError: on an unknown name, or ``trace`` without a trace.
+        ValueError: on an unknown name.
     """
     if name == "closed":
         return None
@@ -175,10 +166,6 @@ def make_arrival_process(
         return DeterministicArrivals(interval_ms)
     if name == "poisson":
         return PoissonArrivals(interval_ms, seed=seed)
-    if name == "trace":
-        if trace_ms is None:
-            raise ValueError("trace arrivals need recorded timestamps")
-        return TraceArrivals(trace_ms)
     raise ValueError(
         f"unknown arrival process {name!r}; options: {_PROCESS_NAMES}"
     )

@@ -324,10 +324,13 @@ class ExecutionResult:
 
     @property
     def throughput_per_s(self) -> float:
-        """Completed inferences per second (the paper's throughput)."""
-        if self.makespan_ms <= 0:
+        """Completed inferences per second (the paper's throughput); 0.0
+        when the makespan in seconds is not positive, which a run of a
+        few subnormal milliseconds underflows to."""
+        seconds = self.makespan_ms / 1e3
+        if seconds <= 0:
             return 0.0
-        return self.num_completed / (self.makespan_ms / 1e3)
+        return self.num_completed / seconds
 
     def first_start_ms(self, request: int) -> Optional[float]:
         """When the request's first slice started; None if it never ran."""
@@ -401,12 +404,11 @@ class ExecutionResult:
     def p99_latency_ms(self) -> float:
         return self.latency_percentile_ms(99.0)
 
-    def utilization(self, processor: str, span: Optional[float] = None) -> float:
+    def utilization(self, processor: str) -> float:
         """Busy fraction of one processor over the makespan."""
-        span = span if span is not None else self.makespan_ms
-        if span <= 0:
+        if self.makespan_ms <= 0:
             return 0.0
-        return self.processor_busy_ms.get(processor, 0.0) / span
+        return self.processor_busy_ms.get(processor, 0.0) / self.makespan_ms
 
 
 # ------------------------------------------------------------ the engine
@@ -1254,7 +1256,6 @@ class ProbeRun:
     Args:
         soc: The platform (contention coupling).
         chains: One ordered task chain per request, as for the engine.
-        with_contention: Apply dynamic co-execution slowdown.
 
     Raises:
         ValueError: on a task whose ``request`` differs from its chain's
@@ -1266,7 +1267,6 @@ class ProbeRun:
     """
 
     __slots__ = (
-        "_with_contention",
         "_slot",
         "_coupling",
         "_chains",
@@ -1281,7 +1281,6 @@ class ProbeRun:
         self,
         soc: SocSpec,
         chains: Sequence[Sequence[ChainTask]],
-        with_contention: bool = True,
     ) -> None:
         procs = soc.processors
         slot = {p.name: k for k, p in enumerate(procs)}
@@ -1295,7 +1294,6 @@ class ProbeRun:
             if chain:
                 ready[slot[chain[0].proc.name]].add(i)
         n = len(self._chains)
-        self._with_contention = with_contention
         self._slot = slot
         self._coupling = coupling_matrix(soc)
         # Per slot: the solo time of every task of the chains.
@@ -1406,7 +1404,6 @@ class ProbeRun:
             if ready is not start.ready:
                 start = start._replace(ready=ready)
         run = ProbeRun.__new__(ProbeRun)
-        run._with_contention = self._with_contention
         run._slot = self._slot
         run._coupling = self._coupling
         run._chains = chains
@@ -1431,7 +1428,6 @@ class ProbeRun:
         Returns:
             The makespan, or ``inf`` when the bound stopped the run.
         """
-        contention = self._with_contention
         coupling = self._coupling
         exp = math.exp
         slot_of = self._slot
@@ -1514,7 +1510,7 @@ class ProbeRun:
             dt = math.inf
             for k, workload in busy:
                 rate = 1.0
-                if contention and workload is not None:
+                if workload is not None:
                     row = coupling[k]
                     pressure = 0.0
                     for c, co in busy:

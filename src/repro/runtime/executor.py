@@ -229,11 +229,7 @@ def _counted(makespan_ms: float, resumed: bool = False) -> float:
     return makespan_ms
 
 
-def async_makespan_ms(
-    plan: "PipelinePlan",
-    with_contention: bool = True,
-    stop_at_ms: float = math.inf,
-) -> float:
+def async_makespan_ms(plan: "PipelinePlan", stop_at_ms: float = math.inf) -> float:
     """Asynchronous (event-driven) makespan of a plan: one fresh probe.
 
     The synchronized-column model (:mod:`repro.runtime.schedule`)
@@ -261,7 +257,7 @@ def async_makespan_ms(
     these), so every comparison against the threshold decides as the
     full run would.
     """
-    run = ProbeRun(plan.soc, plan_to_chains(plan), with_contention)
+    run = ProbeRun(plan.soc, plan_to_chains(plan))
     return _counted(run.bounded_ms(stop_at_ms))
 
 
@@ -312,7 +308,6 @@ class ProbeAnchor:
 
     Args:
         plan: The plan to anchor on.
-        with_contention: As for :func:`async_makespan_ms`.
         previous: An earlier anchor; when the plan is one of its
             neighbours the new anchor's run resumes from it too.
     """
@@ -320,32 +315,27 @@ class ProbeAnchor:
     def __init__(
         self,
         plan: "PipelinePlan",
-        with_contention: bool = True,
         previous: Optional["ProbeAnchor"] = None,
     ) -> None:
         self._soc = plan.soc
         self._processors = plan.processors
         self._order = plan.order
-        self._with_contention = with_contention
         self._profiles = [a.profile for a in plan.assignments]
         self._slices = [list(a.slices) for a in plan.assignments]
         self._stages = [_stages(a.slices) for a in plan.assignments]
         self._names = _handoff_names(plan.processors)
         run = None
         if previous is not None:
-            resume = previous._divergence(plan, with_contention)
+            resume = previous._divergence(plan)
             if resume is not None:
                 run = previous._run.resumed(*resume)
         if run is None:
-            run = ProbeRun(plan.soc, plan_to_chains(plan), with_contention)
+            run = ProbeRun(plan.soc, plan_to_chains(plan))
         self.makespan_ms = _counted(run.checkpointed())
         self._run = run
 
     def probe_ms(
-        self,
-        plan: "PipelinePlan",
-        with_contention: bool = True,
-        stop_at_ms: float = math.inf,
+        self, plan: "PipelinePlan", stop_at_ms: float = math.inf
     ) -> Optional[float]:
         """The plan's :func:`async_makespan_ms`, resumed from this anchor.
 
@@ -355,7 +345,7 @@ class ProbeAnchor:
             plan cannot resume from this anchor (another SoC, order or
             mix).
         """
-        resume = self._divergence(plan, with_contention)
+        resume = self._divergence(plan)
         if resume is None:
             return None
         return self._resumed_ms(resume, stop_at_ms)
@@ -375,16 +365,13 @@ class ProbeAnchor:
         run = self._run.resumed(*resume)
         return _counted(run.bounded_ms(stop_at_ms), resumed=True)
 
-    def _divergence(
-        self, plan: "PipelinePlan", with_contention: bool
-    ) -> Optional[Resume]:
+    def _divergence(self, plan: "PipelinePlan") -> Optional[Resume]:
         """Where ``plan``'s run leaves the anchor's, or None when it does
         not share the anchor's run."""
         if (
             plan.soc is not self._soc
             or plan.processors != self._processors
             or plan.order != self._order
-            or with_contention != self._with_contention
             or len(plan.assignments) != len(self._profiles)
             or any(
                 a.profile is not profile

@@ -61,10 +61,9 @@ def serial_queueing(
     soc: SocSpec,
     models: Sequence[ModelGraph],
     arrivals: Sequence[float],
-    profiler: Optional[SocProfiler] = None,
 ) -> QueueingReport:
     """Queueing behaviour of serial CPU-Big execution."""
-    plan = plan_mnn_serial(soc, models, profiler or SocProfiler(soc))
+    plan = plan_mnn_serial(soc, models, SocProfiler(soc))
     result = execute_plan(plan, arrivals=list(arrivals))
     return QueueingReport(
         label="serial_cpu_big",

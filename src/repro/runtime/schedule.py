@@ -8,9 +8,9 @@ faster member idles for the difference — the *pipeline bubble*
 
     |B_j| = sum_{cells in M_j} ( max_cell T  -  T_cell ).
 
-This module computes that timetable, optionally inflating each cell with
-the co-execution slowdown induced by the other members of its diagonal
-(the ``T^co`` term of Eq. 2), and exposes the totals the planner's
+This module computes that timetable, inflating each cell with the
+co-execution slowdown induced by the other members of its diagonal (the
+``T^co`` term of Eq. 2), and exposes the totals the planner's
 vertical phase minimizes.  The event-driven executor
 (:mod:`repro.runtime.executor`) refines this with true asynchronous
 start times; Property 1's linearity makes the synchronous totals a
@@ -85,15 +85,14 @@ def _diagonal_members(
     return members
 
 
-def build_schedule(
-    plan: "PipelinePlan", with_contention: bool = True
-) -> SynchronousSchedule:
+def build_schedule(plan: "PipelinePlan") -> SynchronousSchedule:
     """Compute the synchronized timetable of a plan.
+
+    Each cell is inflated by the slowdown induced by the co-running
+    members of its diagonal (Eq. 2's ``T^co``).
 
     Args:
         plan: The pipeline plan to evaluate.
-        with_contention: Inflate each cell by the slowdown induced by
-            the co-running members of its diagonal (Eq. 2's ``T^co``).
 
     Returns:
         The :class:`SynchronousSchedule` with per-column durations and
@@ -125,24 +124,21 @@ def build_schedule(
             if workloads[idx] is None or solo <= 0:
                 cells.append(DiagonalCell(i, k, 0.0, 0.0))
                 continue
-            co = solo
-            if with_contention:
-                others = [w for w in workloads if w is not None and w is not workloads[idx]]
-                co = solo * (
-                    1.0
-                    + slowdown_fraction(plan.soc, workloads[idx], others)
-                )
+            others = [w for w in workloads if w is not None and w is not workloads[idx]]
+            co = solo * (
+                1.0 + slowdown_fraction(plan.soc, workloads[idx], others)
+            )
             cells.append(DiagonalCell(i, k, solo, co))
         columns.append(DiagonalColumn(index=j, cells=tuple(cells)))
     return SynchronousSchedule(columns=tuple(columns))
 
 
-def plan_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:
+def plan_makespan_ms(plan: "PipelinePlan") -> float:
     """Shortcut: synchronized makespan of a plan."""
-    return build_schedule(plan, with_contention).makespan_ms
+    return build_schedule(plan).makespan_ms
 
 
-def plan_bubbles_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:
+def plan_bubbles_ms(plan: "PipelinePlan") -> float:
     """Shortcut: total bubble time (P2 objective, Eq. 5)."""
-    return build_schedule(plan, with_contention).total_bubble_ms
+    return build_schedule(plan).total_bubble_ms
 

@@ -13,23 +13,21 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-#: Default tolerances for :func:`approx_eq`.  Relative 1e-9 matches
+#: The tolerances of :func:`approx_eq`.  Relative 1e-9 matches
 #: ``math.isclose``; the absolute floor makes comparisons against 0.0
 #: meaningful for quantities that are sums of roofline ms/mJ terms.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def approx_eq(
-    a: float, b: float, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL
-) -> bool:
+def approx_eq(a: float, b: float) -> bool:
     """Tolerant float equality for scheduling math.
 
     Use this instead of ``==``/``!=`` on floats (lint rule H2P102):
     slice costs and makespans are accumulated roofline terms, so exact
     equality is machine- and order-dependent.
     """
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
 #: The two percentile definitions this repo publishes (see

@@ -97,9 +97,8 @@ def batch_size_to_match(
     profile: ModelProfile,
     proc: ProcessorSpec,
     target_ms: float,
-    max_batch: int = 64,
 ) -> int:
-    """Smallest batch whose latency reaches ``target_ms`` (capped).
+    """Smallest batch whose latency reaches ``target_ms``, capped at 64.
 
     This is how the planner closes the 20-40x light/heavy gap: batch the
     light model until its stage time approaches the heavy model's.
@@ -110,7 +109,7 @@ def batch_size_to_match(
     if model.marginal_ms <= 0:
         return 1
     needed = (target_ms - model.fixed_ms) / model.marginal_ms
-    return max(1, min(max_batch, math.ceil(needed)))
+    return max(1, min(64, math.ceil(needed)))
 
 
 def batched_model(model, batch_size: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -35,42 +35,36 @@ def sample_combinations(
     count: int = 100,
     min_size: int = 3,
     max_size: int = 8,
-    pool: Sequence[str] = MODEL_NAMES,
     seed: int = 2025,
-    with_replacement: bool = True,
 ) -> List[WorkloadSpec]:
-    """Sample random model combinations.
+    """Sample random model combinations from the zoo.
+
+    A sequence may repeat a model: real request streams repeat popular
+    models.
 
     Args:
         count: Number of combinations (the paper uses 100).
         min_size: Smallest request-sequence length.
         max_size: Largest request-sequence length.
-        pool: Candidate model names.
         seed: RNG seed.
-        with_replacement: Allow repeated models in one sequence (real
-            request streams repeat popular models).
 
     Returns:
         ``count`` :class:`WorkloadSpec` objects.
 
     Raises:
-        ValueError: on invalid sizes or an empty pool.
+        ValueError: on invalid sizes.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not pool:
-        raise ValueError("model pool must be non-empty")
     if not 1 <= min_size <= max_size:
         raise ValueError("need 1 <= min_size <= max_size")
-    if not with_replacement and max_size > len(pool):
-        raise ValueError("max_size exceeds pool for sampling w/o replacement")
 
     rng = np.random.default_rng(seed)
     specs: List[WorkloadSpec] = []
     for index in range(count):
         size = int(rng.integers(min_size, max_size + 1))
         names = rng.choice(
-            np.asarray(pool, dtype=object), size=size, replace=with_replacement
+            np.asarray(MODEL_NAMES, dtype=object), size=size, replace=True
         )
         specs.append(WorkloadSpec(index=index, model_names=tuple(names)))
     return specs

@@ -24,10 +24,13 @@ class TestRidge:
         x = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
         alpha = 2.5
-        model = fit_ridge(x, y, alpha=alpha, fit_intercept=False)
-        expected = np.linalg.solve(x.T @ x + alpha * np.eye(2), x.T @ y)
+        model = fit_ridge(x, y, alpha=alpha)
+        xc, yc = x - x.mean(axis=0), y - y.mean()
+        expected = np.linalg.solve(xc.T @ xc + alpha * np.eye(2), xc.T @ yc)
         assert np.allclose(model.weights, expected)
-        assert model.intercept == 0.0
+        assert model.intercept == pytest.approx(
+            y.mean() - x.mean(axis=0) @ expected
+        )
 
     def test_regularization_shrinks_weights(self):
         rng = np.random.default_rng(2)

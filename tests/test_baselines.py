@@ -198,8 +198,6 @@ class TestAnnealing:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AnnealingConfig(cooling=1.5)
-        with pytest.raises(ValueError):
             AnnealingConfig(steps=0)
 
     def test_empty_rejected(self, kirin):

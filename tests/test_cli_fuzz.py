@@ -11,7 +11,12 @@ output path (``--out``, ``--jsonl``, ``--trace``, ``--speedscope``,
 ``--collapsed``, ``export-model PATH``, ``--baseline`` under
 ``--update-baseline``) that is empty, a directory, or in a missing or
 read-only directory fails the same way before any handler runs.
-Nothing is planned or simulated.
+
+Every ``slo``, ``blame`` and ``stats`` argument list that
+``_resolve_inputs`` accepts on a one- or two-model mix, with values up
+to the float range's edges, also runs through ``main`` under an alarm:
+it must finish with exit 0, or exit 2 and one ``error:`` line, and do
+bounded work.
 
 A shrunk failure becomes a named case of the usage-error tests in
 ``tests/test_queueing_cli.py`` (``TestCli``).
@@ -21,9 +26,10 @@ import contextlib
 import io
 import json
 import math
+import signal
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import _resolve_inputs, build_parser, main
@@ -141,6 +147,129 @@ def test_grammar_rejects_cleanly_or_resolves_in_range(argv):
         return
     assert_resolved_in_range(args)
 
+
+
+#: Numbers an accepted flag may still take, out to the float range's
+#: edges: the inputs that make a run's work or its clock blow up.
+EXTREME_NUMBERS = (
+    "0", "-0", "5e-324", "1e-300", "1e-9", "0.5", "1", "30", "1e6", "1e100",
+    "1e300", "1e308", "1.7976931348623157e308",
+)
+extremes = st.one_of(
+    st.sampled_from(EXTREME_NUMBERS),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+)
+small_ints = st.integers(0, 5).map(str)
+
+RUN_ARRIVAL_FLAGS = {
+    "--arrivals": st.sampled_from(["closed", "periodic", "poisson"]),
+    "--interval-ms": extremes,
+    "--arrival-seed": small_ints,
+    "--deadline-ms": extremes,
+    "--repeat": st.integers(1, 3).map(str),
+}
+RUN_FLAGS = {
+    "stats": RUN_ARRIVAL_FLAGS,
+    "blame": {
+        **RUN_ARRIVAL_FLAGS,
+        "--whatif": _joined(
+            st.one_of(
+                st.sampled_from(["no-contention", "unlimited-memory"]),
+                extremes.map(lambda factor: f"scale:gpu:{factor}"),
+                small_ints.map(lambda request: f"drop:{request}"),
+            )
+        ),
+    },
+    "slo": {
+        **RUN_ARRIVAL_FLAGS,
+        "--classes": _joined(
+            st.builds(
+                lambda name, deadline, objective: f"{name}={deadline}:{objective}",
+                st.sampled_from(["*", "resnet50", "squeezenet"]),
+                extremes,
+                st.sampled_from(["0.5", "0.9", "0.999999", "1e-300"]),
+            )
+        ),
+        "--burn-windows": st.builds(
+            lambda a, b: f"{a},{b}", st.integers(1, 3), st.integers(1, 6)
+        ),
+        "--burn-threshold": extremes,
+        "--window-ms": extremes,
+    },
+}
+
+
+@st.composite
+def runnable_argvs(draw):
+    verb = draw(st.sampled_from(sorted(RUN_FLAGS)))
+    flags = RUN_FLAGS[verb]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    models = draw(
+        st.lists(
+            st.sampled_from(["resnet50", "squeezenet", "vit"]),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    argv = [verb, "--models", ",".join(models)]
+    argv += [f"{flag}={draw(flags[flag])}" for flag in chosen]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _accepted(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            _resolve_inputs(build_parser().parse_args(argv))
+        except (SystemExit, ValueError, KeyError):
+            return False
+    return True
+
+
+#: Seconds one accepted run may take; each runs in well under one.
+RUN_BUDGET_S = 30
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=runnable_argvs())
+@example(
+    argv=[
+        "slo", "--models", "resnet50", "--arrivals=periodic",
+        "--interval-ms=1e308", "--repeat=3",
+    ]
+)
+@example(
+    argv=[
+        "blame", "--models", "resnet50", "--arrivals=poisson",
+        "--interval-ms=1e308", "--repeat=3",
+    ]
+)
+@example(argv=["blame", "--models", "resnet50,vit", "--whatif=scale:gpu:5e-324"])
+@example(argv=["stats", "--models", "resnet50", "--deadline-ms=5e-324", "--json"])
+def test_accepted_argv_does_bounded_work(argv):
+    """An accepted input runs to exit 0, or exit 2 with one ``error:``
+    line, within the budget: never a traceback or a wedge."""
+    if not _accepted(argv):
+        return
+
+    def wedged(signum, frame):
+        raise TimeoutError(f"{argv} did not return within {RUN_BUDGET_S} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, wedged)
+    signal.alarm(RUN_BUDGET_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    if code == 0:
+        return
+    assert code == 2, (argv, err.getvalue())
+    (line,) = err.getvalue().splitlines()
+    assert line.startswith(f"hetero2pipe {argv[0]}: error: ")
 
 
 GOOD_TARGET = {"model": "resnet50", "processor": "gpu", "latency_ms": 20.0}

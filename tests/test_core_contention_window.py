@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.contention import ContentionEstimator
+from repro.core.contention import THRESHOLD_PERCENTILE, ContentionEstimator
 from repro.core.window import (
     conflicting_high_pairs,
     deficit,
@@ -68,18 +68,20 @@ class TestEstimator:
         with pytest.raises(ValueError):
             ContentionEstimator.fit(counters * 3, [0.5, 0.6])  # mismatch
 
-    def test_threshold_percentile_validated(self, kirin):
+    def test_threshold_percentile_validated(self):
         from repro.analysis.regression import fit_ridge
 
+        assert 0.0 < THRESHOLD_PERCENTILE < 100.0
         ridge = fit_ridge(np.eye(3), np.ones(3))
-        with pytest.raises(ValueError):
-            ContentionEstimator(ridge, threshold_percentile=0.0)
+        training = [float(i) for i in range(11)]
+        estimator = ContentionEstimator(ridge, training)
+        assert estimator.threshold == np.percentile(training, THRESHOLD_PERCENTILE)
 
     def test_threshold_requires_training_data(self):
         from repro.analysis.regression import fit_ridge
 
         ridge = fit_ridge(np.eye(3), np.ones(3))
-        estimator = ContentionEstimator(ridge)
+        estimator = ContentionEstimator(ridge, ())
         with pytest.raises(ValueError):
             _ = estimator.threshold
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.objective import (
+    OBJECTIVE_CACHE_SIZE,
     LowerBound,
     LRUCache,
     ObjectiveCache,
@@ -153,10 +154,6 @@ class TestPlanFingerprint:
         b.order = (1, 0)
         assert plan_fingerprint(a) != plan_fingerprint(b)
 
-    def test_contention_flag_changes_fingerprint(self, kirin):
-        a = build_plan(kirin, ["resnet50"])
-        assert plan_fingerprint(a, True) != plan_fingerprint(a, False)
-
 
 class TestObjectiveCache:
     @pytest.fixture(scope="class")
@@ -199,11 +196,14 @@ class TestObjectiveCache:
         assert counters["objective_cache_hits"] == 1
 
     def test_bounded(self, kirin):
+        objective = ObjectiveCache()
+        assert objective._cache.maxsize == OBJECTIVE_CACHE_SIZE
+        objective._cache.maxsize = 1  # the same LRU, shrunk to one entry
         plan = build_plan(kirin, ["squeezenet"])
-        objective = ObjectiveCache(maxsize=1)
-        objective(plan, True)
-        objective(plan, False)  # evicts the first key
-        objective(plan, True)
+        other = build_plan(kirin, ["resnet50"])
+        objective(plan)
+        objective(other)  # evicts the first key
+        objective(plan)
         assert objective.evictions >= 1
         assert objective.misses == 3
 

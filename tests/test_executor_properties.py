@@ -350,8 +350,9 @@ class TestRunsShareChains:
     @given(st.one_of(open_loop_runs(), open_loop_runs(tasks=zoo_tasks)))
     @settings(max_examples=150, deadline=None)
     def test_baseline_whatif_is_bit_exact(self, run):
-        """What-ifs take arrivals, deadlines and the memory gate (no
-        faults, cancellations or preemptions); zoo chains co-run."""
+        """What-ifs take arrivals and deadlines (no faults, cancellations
+        or preemptions), and a run without the memory gate replays as
+        the ``unlimited_memory`` intervention; zoo chains co-run."""
         chains = run["chains"]
         executed = simulate_chains(
             KIRIN,
@@ -365,9 +366,8 @@ class TestRunsShareChains:
         replayed, request_map = run_counterfactual(
             KIRIN,
             chains,
-            WhatIf(kind="baseline"),
+            WhatIf(kind="baseline" if run["enforce_memory"] else "unlimited_memory"),
             arrivals=run["arrivals"],
-            enforce_memory=run["enforce_memory"],
             deadline_ms=run["deadline_ms"],
         )
         assert request_map == {i: i for i in range(len(chains))}

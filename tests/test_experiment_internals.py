@@ -23,7 +23,7 @@ from repro.experiments import (
 from repro.hardware.soc import get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.profiling.profiler import SocProfiler
-from repro.workloads.generator import WorkloadSpec, sample_combinations
+from repro.workloads.generator import WorkloadSpec
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestFig7Internals:
     @pytest.fixture(scope="class")
     def summary(self, kirin):
         summaries = fig7_overall.run(
-            soc_names=("kirin990",), num_combinations=4, seed=55
+            soc_names=("kirin990",), num_combinations=4
         )
         return summaries[0]
 
@@ -76,7 +76,7 @@ class TestRenders:
         assert "alexnet" in chart and "#" in chart
 
     def test_fig2_renders(self):
-        comparison = fig2_motivation.run_queueing(interval_ms=80.0)
+        comparison = fig2_motivation.run_queueing()
         text = fig2_motivation.render_queueing(comparison)
         assert "serial_delay" in text
         rows = fig2_motivation.run_demands()
@@ -87,9 +87,7 @@ class TestRenders:
         assert "slowdown_%" in text
 
     def test_fig9_render_traces(self):
-        traces = fig9_memory.run(
-            configs=(("tiny", ("mobilenetv2",)),)
-        )
+        traces = fig9_memory.run()
         text = fig9_memory.render_traces(traces)
         assert "memory freq" in text
 
@@ -113,9 +111,9 @@ class TestRenders:
         assert len(lines) == 4
 
     def test_ext_scaling_renders(self, kirin):
-        counts = ext_scaling.run_request_scaling(kirin, counts=(2, 4))
+        counts = ext_scaling.run_request_scaling()
         assert "throughput" in ext_scaling.render_counts(counts)
-        sizes = ext_scaling.run_size_scaling(kirin)
+        sizes = ext_scaling.run_size_scaling()
         assert "speedup" in ext_scaling.render_sizes(sizes)
 
 
@@ -124,13 +122,6 @@ class TestWorkloadSpec:
         spec = WorkloadSpec(index=0, model_names=("vit", "bert"))
         assert len(spec) == 2
         assert [m.name for m in spec.models()] == ["vit", "bert"]
-
-    def test_sample_pool_restriction(self):
-        specs = sample_combinations(
-            count=10, pool=("vit", "bert"), seed=3
-        )
-        for spec in specs:
-            assert set(spec.model_names) <= {"vit", "bert"}
 
 
 class TestBoundaryMoveFuzz:

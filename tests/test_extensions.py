@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.online import StreamingPlanner
 from repro.core.planner import Hetero2PipePlanner
-from repro.hardware.energy import DEFAULT_POWER, PowerSpec, estimate_energy
+from repro.hardware.energy import POWER, PowerSpec, estimate_energy
 from repro.hardware.processor import ProcessorKind
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
@@ -54,7 +54,7 @@ class TestEnergy:
         energy = estimate_energy(h2p_result, kirin)
         for proc in kirin.processors:
             busy = h2p_result.processor_busy_ms[proc.name]
-            expected = DEFAULT_POWER[proc.kind].active_w * busy
+            expected = POWER[proc.kind].active_w * busy
             assert energy.active_mj[proc.name] == pytest.approx(expected)
 
     def test_h2p_saves_energy_vs_serial(self, kirin, h2p_result):
@@ -64,17 +64,16 @@ class TestEnergy:
         e_serial = estimate_energy(serial, kirin)
         assert e_h2p.total_mj < e_serial.total_mj
 
+    def test_custom_power_table(self, kirin, h2p_result, monkeypatch):
+        normal = estimate_energy(h2p_result, kirin)
+        monkeypatch.setitem(POWER, ProcessorKind.CPU_BIG, PowerSpec(0.0, 0.0))
+        cheaper = estimate_energy(h2p_result, kirin)
+        assert cheaper.total_mj < normal.total_mj
+
     def test_per_inference_validation(self, kirin, h2p_result):
         energy = estimate_energy(h2p_result, kirin)
         with pytest.raises(ValueError):
             energy.per_inference_mj(0)
-
-    def test_custom_power_table(self, kirin, h2p_result):
-        free_cpu = dict(DEFAULT_POWER)
-        free_cpu[ProcessorKind.CPU_BIG] = PowerSpec(0.0, 0.0)
-        cheaper = estimate_energy(h2p_result, kirin, power=free_cpu)
-        normal = estimate_energy(h2p_result, kirin)
-        assert cheaper.total_mj < normal.total_mj
 
 
 class TestBatchedModel:

@@ -285,13 +285,6 @@ class TestCharts:
         text = scatter_plot([(0, 0), (1, 1), (2, 4)], width=20, height=8)
         assert "o" in text
 
-    def test_scatter_with_overlay(self):
-        text = scatter_plot(
-            [(0, 0), (1, 1)], overlay=[(0.5, 0.5)], width=20, height=8
-        )
-        assert "+" in text
-        assert "series 2" in text
-
     def test_scatter_validation(self):
         with pytest.raises(ValueError):
             scatter_plot([])

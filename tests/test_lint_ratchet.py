@@ -271,7 +271,7 @@ class TestCliRatchet:
             == 2
         )
 
-    def test_normalize_finding_paths(self, tmp_path):
+    def test_normalize_finding_paths(self, tmp_path, monkeypatch):
         inside = Finding(
             code="H2P101",
             message="m",
@@ -280,9 +280,8 @@ class TestCliRatchet:
         )
         outside = Finding(code="H2P101", message="m", path="/elsewhere/y.py", line=1)
         relative = Finding(code="H2P101", message="m", path="lib/z.py", line=1)
-        normalized = normalize_finding_paths(
-            [inside, outside, relative], base=tmp_path
-        )
+        monkeypatch.chdir(tmp_path)
+        normalized = normalize_finding_paths([inside, outside, relative])
         assert [f.path for f in normalized] == [
             "src/x.py",
             "/elsewhere/y.py",

@@ -65,17 +65,17 @@ class TestComparisonFramework:
 
 class TestScalingStudy:
     def test_throughput_plateaus(self, kirin):
-        points = run_request_scaling(kirin, counts=(4, 8, 16))
+        points = run_request_scaling()[1:]  # 4, 8 and 16 requests
         # Longer streams amortize fill/drain: throughput non-decreasing
         # (within tolerance) after the first point.
         assert points[-1].throughput_per_s >= points[0].throughput_per_s * 0.95
 
     def test_latency_grows_with_count(self, kirin):
-        points = run_request_scaling(kirin, counts=(2, 8))
-        assert points[1].latency_ms > points[0].latency_ms
+        points = run_request_scaling()
+        assert points[2].latency_ms > points[0].latency_ms  # 8 vs 2 requests
 
     def test_size_scaling_tiers(self, kirin):
-        points = run_size_scaling(kirin)
+        points = run_size_scaling()
         assert [p.tier for p in points] == ["small", "base", "large"]
         for point in points:
             assert point.speedup > 1.0

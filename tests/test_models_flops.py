@@ -54,9 +54,6 @@ class TestLinearAndAttention:
     def test_linear_flops(self):
         assert F.linear_flops(100, 10) == 2000.0
 
-    def test_linear_flops_with_tokens(self):
-        assert F.linear_flops(100, 10, tokens=4) == 8000.0
-
     def test_linear_weight_bytes(self):
         assert F.linear_weight_bytes(10, 5) == (50 + 5) * 2.0
 

@@ -32,6 +32,13 @@ from repro.obs import (
     join_execution,
     report_from_dict,
 )
+from repro.obs.drift import (
+    CUSUM_SLACK,
+    CUSUM_THRESHOLD,
+    EWMA_ALPHA,
+    EWMA_THRESHOLD,
+    MIN_SAMPLES,
+)
 from repro.obs.export import (
     read_telemetry_jsonl,
     residual_counter_events,
@@ -185,14 +192,14 @@ class TestEwmaDetector:
         assert det.observe(0.3) is True
 
     def test_first_sample_seeds_value(self):
-        det = EwmaDetector(alpha=0.3)
+        det = EwmaDetector(alpha=0.3, threshold=0.15, min_samples=3)
         det.observe(0.4)
         assert det.value == pytest.approx(0.4)
         det.observe(0.0)
         assert det.value == pytest.approx(0.7 * 0.4)
 
     def test_silent_on_zero_stream(self):
-        det = EwmaDetector()
+        det = EwmaDetector(EWMA_ALPHA, EWMA_THRESHOLD, MIN_SAMPLES)
         assert not any(det.observe(0.0) for _ in range(100))
 
     def test_two_sided(self):
@@ -208,13 +215,13 @@ class TestEwmaDetector:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EwmaDetector(alpha=0.0)
+            EwmaDetector(alpha=0.0, threshold=0.15, min_samples=3)
         with pytest.raises(ValueError):
-            EwmaDetector(alpha=1.5)
+            EwmaDetector(alpha=1.5, threshold=0.15, min_samples=3)
         with pytest.raises(ValueError):
-            EwmaDetector(threshold=0.0)
+            EwmaDetector(alpha=0.3, threshold=0.0, min_samples=3)
         with pytest.raises(ValueError):
-            EwmaDetector(min_samples=0)
+            EwmaDetector(alpha=0.3, threshold=0.15, min_samples=0)
 
 
 class TestCusumDetector:
@@ -229,7 +236,7 @@ class TestCusumDetector:
         assert fired_at == 6
 
     def test_slack_absorbs_jitter(self):
-        det = CusumDetector(slack=0.05, threshold=0.5)
+        det = CusumDetector(CUSUM_SLACK, CUSUM_THRESHOLD, MIN_SAMPLES)
         assert not any(det.observe(0.04) for _ in range(200))
         assert det.statistic == 0.0
 
@@ -248,11 +255,11 @@ class TestCusumDetector:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CusumDetector(slack=-0.1)
+            CusumDetector(slack=-0.1, threshold=0.5, min_samples=3)
         with pytest.raises(ValueError):
-            CusumDetector(threshold=0.0)
+            CusumDetector(slack=0.05, threshold=0.0, min_samples=3)
         with pytest.raises(ValueError):
-            CusumDetector(min_samples=0)
+            CusumDetector(slack=0.05, threshold=0.5, min_samples=0)
 
 
 def _residual(processor="gpu", model="resnet50", rel=0.3, request=0):
@@ -278,9 +285,9 @@ class TestDriftMonitor:
         assert mon.keys() == [("model", "bert"), ("processor", "gpu")]
 
     def test_fires_per_key_with_event_fields(self):
-        mon = DriftMonitor(min_samples=3)
+        mon = DriftMonitor()
         fired = []
-        for _ in range(3):
+        for _ in range(MIN_SAMPLES):
             fired.extend(mon.observe_residual(_residual(rel=0.3), window=7))
         assert len(fired) == 2  # processor key + model key
         scopes = {(e.scope, e.key) for e in fired}
@@ -289,7 +296,7 @@ class TestDriftMonitor:
             assert event.kind == "drift_detected"
             assert event.detector in ("ewma", "cusum")
             assert abs(event.statistic) > event.threshold
-            assert event.samples >= 3
+            assert event.samples >= MIN_SAMPLES
             assert event.window == 7
         assert mon.events == fired
 
@@ -299,19 +306,21 @@ class TestDriftMonitor:
             assert mon.observe_residual(_residual(rel=0.0, request=i)) == []
 
     def test_cooldown_after_firing(self):
-        mon = DriftMonitor(min_samples=3)
+        mon = DriftMonitor()
         fired = []
-        for _ in range(4):
+        for _ in range(MIN_SAMPLES + 1):
             fired.extend(mon.observe_residual(_residual(rel=0.5)))
-        # Fires at sample 3, then both keys reset: sample 4 is sample 1
-        # of the next accumulation and cannot re-fire.
+        # Fires at sample MIN_SAMPLES (3), then both keys reset: sample
+        # 4 is sample 1 of the next accumulation and cannot re-fire.
         assert len(fired) == 2
         pair = mon.detectors_for("processor", "gpu")
         assert pair.ewma.samples == 1
 
     def test_one_event_per_fired_key(self):
         # The residual feeds its processor's and its model's detectors.
-        mon = DriftMonitor(min_samples=1, ewma_threshold=0.1)
+        mon = DriftMonitor()
+        for _ in range(MIN_SAMPLES - 1):
+            assert mon.observe_residual(_residual(rel=0.9)) == []
         fired = mon.observe_residual(_residual(rel=0.9))
         assert [(e.scope, e.key) for e in fired] == [
             ("processor", "gpu"),
@@ -329,13 +338,14 @@ class TestDriftMonitor:
             actual_makespan_ms=14.0,
             window=5,
         )
-        mon = DriftMonitor(min_samples=3)
+        mon = DriftMonitor()
         fired = mon.observe_report(report)
         assert fired and all(e.window == 5 for e in fired)
 
     def test_reset_drops_detectors_keeps_events(self):
-        mon = DriftMonitor(min_samples=1, ewma_threshold=0.1)
-        mon.observe_residual(_residual(rel=0.9))
+        mon = DriftMonitor()
+        for _ in range(MIN_SAMPLES):
+            mon.observe_residual(_residual(rel=0.9))
         assert mon.events
         mon.reset()
         assert mon.keys() == []
@@ -420,21 +430,6 @@ class TestStreamingDrift:
             keys = [(s.request, s.stage) for s in report.slices]
             assert len(keys) == len(set(keys))
 
-    def test_recalibration_can_be_disabled(self):
-        planner = StreamingPlanner(
-            get_soc("kirin990"),
-            window_size=4,
-            track_accuracy=True,
-            execute=partial(execute_plan_perturbed, factors=PERTURB),
-            recalibrate_on_drift=False,
-        )
-        result = planner.run(self._stream())
-        assert result.drift_events
-        assert result.replans == 0
-        assert all(
-            s == 1.0 for s in planner.recalibration_scales.values()
-        )
-
     def test_accuracy_off_by_default(self):
         planner = StreamingPlanner(get_soc("kirin990"), window_size=4)
         result = planner.run(self._stream())
@@ -442,13 +437,11 @@ class TestStreamingDrift:
         assert result.drift_events == []
         assert planner.drift_monitor is None
 
-    def test_passing_monitor_implies_tracking(self):
-        mon = DriftMonitor()
+    def test_tracking_accuracy_builds_a_monitor(self):
         planner = StreamingPlanner(
-            get_soc("kirin990"), window_size=4, drift_monitor=mon
+            get_soc("kirin990"), window_size=4, track_accuracy=True
         )
-        assert planner.track_accuracy is True
-        assert planner.drift_monitor is mon
+        assert isinstance(planner.drift_monitor, DriftMonitor)
 
     def test_invalidate_caches_clears_planner_memoization(self):
         soc = get_soc("kirin990")

@@ -29,20 +29,20 @@ class TestTimers:
             bench.best_of_s(0, lambda: None)
 
     def test_collect_samples_ms(self):
-        calls = {"timed": 0, "warm": 0, "setup": 0}
+        calls = {"timed": 0, "setup": 0}
 
         def fn():
             calls["timed"] += 1
 
         samples = bench.collect_samples_ms(
-            fn, rounds=3, warmup=2, setup=lambda: calls.__setitem__(
+            fn, rounds=3, setup=lambda: calls.__setitem__(
                 "setup", calls["setup"] + 1
             )
         )
         assert len(samples) == 3
-        # Warmup rounds also run setup; warmup calls are untimed.
-        assert calls["timed"] == 5
-        assert calls["setup"] == 5
+        # Every round runs its setup, untimed, before the timed call.
+        assert calls["timed"] == 3
+        assert calls["setup"] == 3
 
     def test_collect_samples_ms_repeat_reports_per_call_mean(self):
         calls = []

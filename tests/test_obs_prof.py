@@ -105,14 +105,13 @@ class TestProfileSpans:
         assert profile.attributed_frac == 0.0
         assert profile.phases == {}
 
-    def test_custom_phase_mapping(self, fake_clock, recorder):
+    def test_custom_phase_mapping(self, fake_clock, recorder, monkeypatch):
         _record_plan_like_tree(fake_clock)
-        profile = prof.profile_spans(
-            recorder.spans, phase_of=lambda name: "everything"
-        )
-        assert set(profile.phases) == {"everything"}
+        monkeypatch.setattr(prof, "DEFAULT_PHASES", {})
+        profile = prof.profile_spans(recorder.spans)
+        assert set(profile.phases) == {prof.OTHER_PHASE}
         # One phase, counted at the root only: inclusive == total.
-        assert profile.phases["everything"].inclusive_ms == pytest.approx(
+        assert profile.phases[prof.OTHER_PHASE].inclusive_ms == pytest.approx(
             100.0
         )
 
@@ -189,10 +188,10 @@ class TestExports:
     def test_phase_track_events(self, fake_clock, recorder):
         _record_plan_like_tree(fake_clock)
         profile = prof.profile_spans(recorder.spans)
-        events = prof.phase_track_events(profile, pid=1, tid=7, ts0_us=100.0)
+        events = prof.phase_track_events(profile, pid=1, tid=7)
         assert all(e["ph"] == "X" for e in events)
         assert all(e["pid"] == 1 and e["tid"] == 7 for e in events)
-        assert events[0]["ts"] == pytest.approx(100.0)
+        assert events[0]["ts"] == 0.0
         # Back-to-back slices, descending exclusive time.
         durs = [e["dur"] for e in events]
         assert durs == sorted(durs, reverse=True)

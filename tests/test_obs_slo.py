@@ -94,6 +94,15 @@ class TestEvaluatorValidation:
         with pytest.raises(ValueError):
             SloEvaluator([spec], [1], 10.0, burn_threshold=0.0)
 
+    def test_time_backwards_raises(self):
+        # The timeline fold's rule: an event more than 1e-9 ms before
+        # the clock is rejected (this pair used to count as a good
+        # request with a -22 ms latency).
+        evaluator = SloEvaluator([SloSpec("a", 10.0)], [1], 10.0)
+        evaluator.observe(ev(25.0, "arrival", request=0))
+        with pytest.raises(ValueError, match="before the fold clock"):
+            evaluator.observe(ev(3.0, "departure", request=0, processor="cpu"))
+
     def test_conflicting_specs_for_one_class_raise(self):
         with pytest.raises(ValueError):
             SloEvaluator(

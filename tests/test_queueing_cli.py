@@ -241,6 +241,30 @@ class TestCli:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "verb,arrivals",
+        [
+            ("slo", "periodic"),
+            ("slo", "poisson"),
+            ("blame", "periodic"),
+            ("blame", "poisson"),
+            ("stats", "poisson"),
+        ],
+    )
+    def test_arrivals_past_the_float_range_are_a_usage_error(
+        self, capsys, verb, arrivals
+    ):
+        # 1e308 ms is a finite, positive interval, but the third periodic
+        # request (and likely the first Poisson one) arrives at inf ms,
+        # which the engine used to reject with a traceback.
+        flags = ["--arrivals", arrivals, "--interval-ms", "1e308", "--repeat", "3"]
+        assert main([verb, "--models", "resnet50", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"hetero2pipe {verb}: error: --interval-ms 1e+308 ")
+        assert err.count("\n") == 1  # one line
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "verb,flag", [("stats", "--repeat=--"), ("accuracy", "--perturb=--")]
     )
     def test_dashdash_flag_value_is_a_usage_error(self, capsys, verb, flag):

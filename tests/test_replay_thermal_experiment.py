@@ -65,7 +65,7 @@ class TestAppendixThermal:
         assert kinds == {k.value for k in ProcessorKind}
 
     def test_cpu_big_crosses_throttle_threshold(self):
-        rows = run_sweep(utilizations=(1.0,))
+        rows = [r for r in run_sweep() if r.utilization == 1.0]
         cpu = [r for r in rows if r.kind == "cpu_big"][0]
         gpu = [r for r in rows if r.kind == "gpu"][0]
         # The paper: CPU above 60 C and throttling; GPU under ~50 C.
@@ -75,7 +75,7 @@ class TestAppendixThermal:
         assert gpu.frequency_scale == 1.0
 
     def test_feedback_recovers_latency(self, kirin):
-        comparison = run_feedback(kirin)
+        comparison = run_feedback()
         assert comparison.feedback_ms <= comparison.worst_case_ms * 1.02
         assert 0.0 <= comparison.recovered <= 1.0
         assert comparison.final_cpu_scale >= 0.76 - 1e-9

@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine, arrival processes and the
 legacy-executor equivalence guarantee."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -241,10 +242,6 @@ class TestArrivalProcesses:
             20.0,
             30.0,
         ]
-        assert DeterministicArrivals(10.0, start_ms=5.0).times_ms(2) == [
-            5.0,
-            15.0,
-        ]
 
     def test_poisson_seeded_and_monotone(self):
         a = PoissonArrivals(10.0, seed=3).times_ms(50)
@@ -258,8 +255,8 @@ class TestArrivalProcesses:
         assert 5.0 < mean_gap < 20.0  # crude sanity on the rate
 
     def test_trace_replay_loops(self):
-        proc = TraceArrivals([0.0, 3.0, 7.0], cycle_gap_ms=5.0)
-        assert proc.times_ms(5) == [0.0, 3.0, 7.0, 12.0, 15.0]
+        proc = TraceArrivals([0.0, 3.0, 7.0])
+        assert proc.times_ms(5) == [0.0, 3.0, 7.0, 7.0, 10.0]
 
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -1050,7 +1047,7 @@ class TestProbes:
         ]
         with pytest.raises(ValueError, match="chain 0 holds a task of request 1"):
             ProbeRun(kirin, swapped)
-        foreign = make_gpu(name="foreign_gpu")
+        foreign = dataclasses.replace(make_gpu(), name="foreign_gpu")
         with pytest.raises(ValueError, match="not on SoC"):
             ProbeRun(kirin, [[ChainTask(0, foreign, 1.0, None, 0.0)]])
 

@@ -1,5 +1,7 @@
 """Tests for the event-driven pipeline executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.partition import partition_model
@@ -305,7 +307,7 @@ class TestMetricsAndTrace:
     def test_unknown_processor_rejected(self, profiler, kirin):
         from repro.hardware.processor import make_gpu
 
-        foreign = make_gpu(name="foreign_gpu")
+        foreign = dataclasses.replace(make_gpu(), name="foreign_gpu")
         chain = [ChainTask(0, foreign, 1.0, None, 0.0)]
         with pytest.raises(ValueError):
             simulate_chains(kirin, [chain])

@@ -7,7 +7,7 @@ from repro.core.plan import PipelinePlan, StageAssignment
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
 from repro.profiling.profiler import SocProfiler
-from repro.runtime.executor import async_makespan_ms
+from repro.runtime.executor import plan_to_chains, simulate_chains
 from repro.runtime.schedule import (
     build_schedule,
     plan_bubbles_ms,
@@ -51,7 +51,7 @@ class TestSchedule:
 
     def test_column_duration_is_max_member(self, profiler, kirin):
         plan = make_plan(profiler, kirin, ["vit", "resnet50"])
-        schedule = build_schedule(plan, with_contention=False)
+        schedule = build_schedule(plan)
         for col in schedule.columns:
             active = [c.co_ms for c in col.cells if c.co_ms > 0]
             if active:
@@ -61,7 +61,7 @@ class TestSchedule:
 
     def test_bubble_definition_eq3(self, profiler, kirin):
         plan = make_plan(profiler, kirin, ["bert", "yolov4"])
-        schedule = build_schedule(plan, with_contention=False)
+        schedule = build_schedule(plan)
         for col in schedule.columns:
             active = [c.co_ms for c in col.cells if c.co_ms > 0]
             if len(active) >= 2:
@@ -77,8 +77,15 @@ class TestSchedule:
 
     def test_contention_inflates_schedule(self, profiler, kirin):
         plan = make_plan(profiler, kirin, ["bert", "yolov4", "vgg16"])
-        assert plan_makespan_ms(plan, True) >= plan_makespan_ms(plan, False)
-        assert plan_bubbles_ms(plan, True) >= 0.0
+        schedule = build_schedule(plan)
+        assert all(
+            c.co_ms >= c.solo_ms for col in schedule.columns for c in col.cells
+        )
+        solo_ms = sum(
+            max(c.solo_ms for c in col.cells) for col in schedule.columns
+        )
+        assert plan_makespan_ms(plan) >= solo_ms
+        assert plan_bubbles_ms(plan) >= 0.0
 
     def test_single_request_has_no_cross_bubbles(self, profiler, kirin):
         plan = make_plan(profiler, kirin, ["vit"])
@@ -91,8 +98,15 @@ class TestSchedule:
 
     def test_async_never_exceeds_sync(self, profiler, kirin):
         # Relaxing the lockstep can only shorten the schedule when
-        # contention is off (identical task durations, fewer barriers).
+        # contention is off (identical task durations, fewer barriers):
+        # the contention-free lockstep lasts its columns' slowest solo
+        # cells.
         plan = make_plan(profiler, kirin, ["bert", "yolov4", "vit", "resnet50"])
-        assert async_makespan_ms(plan, with_contention=False) <= (
-            plan_makespan_ms(plan, with_contention=False) + 1e-6
+        async_ms = simulate_chains(
+            kirin, plan_to_chains(plan), with_contention=False, enforce_memory=False
+        ).makespan_ms
+        sync_ms = sum(
+            max(c.solo_ms for c in col.cells)
+            for col in build_schedule(plan).columns
         )
+        assert async_ms <= sync_ms + 1e-6

@@ -93,9 +93,7 @@ class TestBounds:
 
 class TestScenarioExperiment:
     def test_h2p_dominates_serial_everywhere(self, kirin):
-        rows = scenarios_run(
-            kirin, scenarios=[get_scenario("smart_camera")]
-        )
+        rows = scenarios_run()
         for row in rows:
             assert row.h2p_ms < row.mnn_ms
             assert row.h2p_ms >= row.lower_bound_ms

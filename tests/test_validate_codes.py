@@ -133,7 +133,7 @@ _PLANNERS = {}
 CONFIGS = {
     "default": PlannerConfig(),
     "no_ct": PlannerConfig.no_contention_or_tail(),
-    "fast_dp": PlannerConfig(fast_dp=True),
+    "no_steal": PlannerConfig(enable_work_stealing=False),
 }
 
 #: Each zoo model alone, then all ten in one pipeline, which exercises

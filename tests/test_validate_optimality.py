@@ -118,13 +118,13 @@ class TestValidate:
 
 class TestOptimalityStudy:
     def test_gaps_nonnegative(self, kirin):
-        points = optimality_run(kirin, num_combinations=6, seed=5)
+        points = optimality_run(num_combinations=6)
         for point in points:
             assert point.gap >= -1e-9
             assert point.achieved_ms >= point.bound_ms - 1e-6
 
     def test_summary_partitions_points(self, kirin):
-        points = optimality_run(kirin, num_combinations=6, seed=5)
+        points = optimality_run(num_combinations=6)
         stats = summarize(points)
         assert stats["count_with_fallback"] + stats["count_clean"] == len(
             points

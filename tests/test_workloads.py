@@ -45,24 +45,11 @@ class TestGenerator:
         assert len(models) == len(spec)
         assert all(m.name in MODEL_NAMES for m in models)
 
-    def test_without_replacement_unique(self):
-        specs = sample_combinations(
-            count=20, min_size=5, max_size=10, seed=2, with_replacement=False
-        )
-        for spec in specs:
-            assert len(set(spec.model_names)) == len(spec.model_names)
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             sample_combinations(count=0)
         with pytest.raises(ValueError):
             sample_combinations(min_size=5, max_size=3)
-        with pytest.raises(ValueError):
-            sample_combinations(pool=[])
-        with pytest.raises(ValueError):
-            sample_combinations(
-                min_size=11, max_size=12, with_replacement=False
-            )
 
     def test_arrivals_spacing(self):
         times = arrival_times_ms(5, 100.0)
@@ -126,7 +113,7 @@ class TestBatching:
 
     def test_batch_size_capped(self, kirin, profiler):
         light = profiler.profile(get_model("mobilenetv2"))
-        batch = batch_size_to_match(light, kirin.npu, 1e9, max_batch=64)
+        batch = batch_size_to_match(light, kirin.npu, 1e9)
         assert batch == 64
 
     def test_batch_size_invalid_target(self, kirin, profiler):

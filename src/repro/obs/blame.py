@@ -35,8 +35,10 @@ deliberately not re-exported from ``repro.obs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     List,
     Mapping,
@@ -64,6 +66,16 @@ BLAME_COMPONENTS = (
     "preempted_ms",
     "solo_ms",
     "contention_ms",
+)
+
+#: A causality row's values of :data:`BLAME_COMPONENTS`, in that order.
+_components = attrgetter(
+    "processor_busy_wait_ms",
+    "residency_wait_ms",
+    "scheduler_wait_ms",
+    "preempted_ms",
+    "executed_solo_ms",
+    "inflation_ms",
 )
 
 
@@ -132,12 +144,10 @@ class RequestBlame:
         }
 
 
-def _request_status(result: "ExecutionResult", request: int) -> str:
-    if request in set(result.dropped_requests):
-        return STATUS_DROPPED
-    if request in set(result.cancelled_requests):
-        return STATUS_CANCELLED
-    return STATUS_COMPLETED
+def _model_name(request_models: Optional[Sequence[str]], request: int) -> str:
+    if request_models is not None and request < len(request_models):
+        return request_models[request]
+    return f"request{request}"
 
 
 def blame_requests(
@@ -145,6 +155,11 @@ def blame_requests(
     request_models: Optional[Sequence[str]] = None,
 ) -> List[RequestBlame]:
     """Fold causality rows into per-request latency decompositions.
+
+    A request's rows are finalized in chain order, so they are grouped
+    in one pass and sorted by chain position only when they are not
+    already in it; each component is the builtin ``sum`` over the
+    request's rows in that order.
 
     Args:
         result: An engine result executed with causality tracking on.
@@ -160,17 +175,22 @@ def blame_requests(
             "result has no causality data: run the engine with "
             "track_causality=True (v1 archives predate causality)"
         )
-    by_request: Dict[int, List[TaskCausality]] = {}
+    n = result.num_requests
+    by_request: List[List[TaskCausality]] = [[] for _ in range(n)]
+    unordered = set()
     for row in result.causality:
-        by_request.setdefault(row.request, []).append(row)
+        rows = by_request[row.request]
+        if rows and row.index < rows[-1].index:
+            unordered.add(row.request)
+        rows.append(row)
+    for request in unordered:
+        by_request[request].sort(key=lambda r: r.index)
+    dropped = set(result.dropped_requests)
+    cancelled = set(result.cancelled_requests)
+    arrival_ms = result.request_arrival_ms
+    finish_ms = result.request_finish_ms
     out: List[RequestBlame] = []
-    for request in range(result.num_requests):
-        rows = sorted(by_request.get(request, []), key=lambda r: r.index)
-        name = (
-            request_models[request]
-            if request_models is not None and request < len(request_models)
-            else f"request{request}"
-        )
+    for request, rows in enumerate(by_request):
         first_wait = 0.0
         if rows:
             first = rows[0]
@@ -179,25 +199,30 @@ def blame_requests(
                 + first.residency_wait_ms
                 + first.scheduler_wait_ms
             )
+        # One column per component, each in chain order.
+        busy, residency, scheduler, preempted, solo, contention = (
+            list(zip(*map(_components, rows))) or [()] * len(BLAME_COMPONENTS)
+        )
+        if request in dropped:
+            status = STATUS_DROPPED
+        elif request in cancelled:
+            status = STATUS_CANCELLED
+        else:
+            status = STATUS_COMPLETED
         out.append(
             RequestBlame(
                 request=request,
-                model=name,
-                status=_request_status(result, request),
-                arrival_ms=result.request_arrival_ms[request],
-                finish_ms=result.request_finish_ms[request],
-                latency_ms=(
-                    result.request_finish_ms[request]
-                    - result.request_arrival_ms[request]
-                ),
-                processor_busy_wait_ms=sum(
-                    r.processor_busy_wait_ms for r in rows
-                ),
-                residency_wait_ms=sum(r.residency_wait_ms for r in rows),
-                scheduler_wait_ms=sum(r.scheduler_wait_ms for r in rows),
-                preempted_ms=sum(r.preempted_ms for r in rows),
-                solo_ms=sum(r.executed_solo_ms for r in rows),
-                contention_ms=sum(r.inflation_ms for r in rows),
+                model=_model_name(request_models, request),
+                status=status,
+                arrival_ms=arrival_ms[request],
+                finish_ms=finish_ms[request],
+                latency_ms=finish_ms[request] - arrival_ms[request],
+                processor_busy_wait_ms=sum(busy),
+                residency_wait_ms=sum(residency),
+                scheduler_wait_ms=sum(scheduler),
+                preempted_ms=sum(preempted),
+                solo_ms=sum(solo),
+                contention_ms=sum(contention),
                 first_stage_wait_ms=first_wait,
                 slices=len(rows),
             )
@@ -394,33 +419,11 @@ def compute_slack(result: "ExecutionResult") -> Dict[Tuple[int, int], float]:
 # ---------------------------------------------------------- aggregates
 
 
-def _component_row() -> Dict[str, float]:
-    return {
-        "processor_busy_wait_ms": 0.0,
-        "residency_wait_ms": 0.0,
-        "scheduler_wait_ms": 0.0,
-        "preempted_ms": 0.0,
-        "solo_ms": 0.0,
-        "contention_ms": 0.0,
-    }
-
-
-def _accumulate(row: Dict[str, float], c: TaskCausality) -> None:
-    row["processor_busy_wait_ms"] += c.processor_busy_wait_ms
-    row["residency_wait_ms"] += c.residency_wait_ms
-    row["scheduler_wait_ms"] += c.scheduler_wait_ms
-    row["preempted_ms"] += c.preempted_ms
-    row["solo_ms"] += c.executed_solo_ms
-    row["contention_ms"] += c.inflation_ms
-
-
-def _ranked(table: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
-    def total(row: Dict[str, float]) -> float:
-        return sum(row.values())
-
-    return dict(
-        sorted(table.items(), key=lambda kv: total(kv[1]), reverse=True)
-    )
+def _ranked(table: Dict[str, List[float]]) -> Dict[str, Dict[str, float]]:
+    """The table's rows as component dicts, by total attributed time,
+    descending (ties keep their first-seen order)."""
+    ranked = sorted(table.items(), key=lambda kv: sum(kv[1]), reverse=True)
+    return {key: dict(zip(BLAME_COMPONENTS, values)) for key, values in ranked}
 
 
 def aggregate_blame(
@@ -439,20 +442,28 @@ def aggregate_blame(
       matrix: inflation suffered *by* the first processor *due to*
       co-running with the second.
     """
-    by_processor: Dict[str, Dict[str, float]] = {}
-    by_model: Dict[str, Dict[str, float]] = {}
-    by_stage: Dict[str, Dict[str, float]] = {}
+    # Each bucket's components accumulate row by row, in row order,
+    # from 0.0, in place in one list per bucket; stages are keyed by
+    # their index until the table is ranked.
+    by_processor: Dict[Any, List[float]] = {}
+    by_model: Dict[Any, List[float]] = {}
+    by_stage: Dict[Any, List[float]] = {}
     for c in result.causality:
-        _accumulate(by_processor.setdefault(c.processor, _component_row()), c)
-        name = (
-            request_models[c.request]
-            if request_models is not None and c.request < len(request_models)
-            else f"request{c.request}"
-        )
-        _accumulate(by_model.setdefault(name, _component_row()), c)
-        _accumulate(
-            by_stage.setdefault(f"stage{c.stage}", _component_row()), c
-        )
+        busy, residency, scheduler, preempted, solo, contention = _components(c)
+        for table, key in (
+            (by_processor, c.processor),
+            (by_model, _model_name(request_models, c.request)),
+            (by_stage, c.stage),
+        ):
+            acc = table.get(key)
+            if acc is None:
+                acc = table[key] = [0.0] * len(BLAME_COMPONENTS)
+            acc[0] += busy
+            acc[1] += residency
+            acc[2] += scheduler
+            acc[3] += preempted
+            acc[4] += solo
+            acc[5] += contention
     corun: Mapping[Tuple[str, str], float] = getattr(
         result, "corun_inflation_ms", {}
     )
@@ -469,6 +480,8 @@ def aggregate_blame(
     return {
         "by_processor": _ranked(by_processor),
         "by_model": _ranked(by_model),
-        "by_stage": _ranked(by_stage),
+        "by_stage": _ranked(
+            {f"stage{stage}": values for stage, values in by_stage.items()}
+        ),
         "corun_pairs": pairs,
     }

@@ -21,10 +21,20 @@ end-to-end latency with zero residue by construction — the invariant
 on all three SoCs.  The tracker only reads what the engine hands it, so
 the engine's step arithmetic is the same with tracking on or off.
 
+Each step's accrual is over slot indices, as the engine keeps its run
+state: slot ``k`` is the SoC's processor at position ``k``.  The
+tracker is built over live views of the engine's per-slot ready sets
+and running tasks and its per-request head-start times and chain
+positions, reads them in :meth:`CausalityTracker.advance` and never
+writes them, so a step builds no list of blocked heads.  Open slices
+are a per-request list, and the co-run inflation accrues in a slot x
+slot matrix whose pairs are named, in first-accrual order, only when
+the result reads them.
+
 Like the rest of ``repro.obs`` this module is a data-only leaf: tasks
 are duck-typed (anything with ``request``/``stage``/``proc.name``/
-``solo_ms``/``workload``) and a run's progress is what the engine hands
-over, so nothing here imports ``runtime``.
+``solo_ms``/``workload``/``working_set``) and a run's progress is what
+the engine hands over, so nothing here imports ``runtime``.
 """
 
 from __future__ import annotations
@@ -33,10 +43,10 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -62,11 +72,9 @@ CAUSE_KINDS = (
     CAUSE_UNSTARTED,
 )
 
-#: What keeps a ready head waiting during a step, as the engine reports
-#: it to :meth:`CausalityTracker.advance`: it started and was preempted
-#: off its processor, its processor is occupied, or memory admission
-#: would exceed the capacity.
-BLOCK_PREEMPTED = "preempted"
+#: What last kept a waiting unstarted head from starting
+#: (``_HeadState.last_block``): its processor was occupied, or memory
+#: admission would have exceeded the capacity.
 BLOCK_PROCESSOR = "processor"
 BLOCK_MEMORY = "memory"
 
@@ -165,46 +173,87 @@ class CausalityTracker:
 
     A request's chain runs strictly in order, so each request has at
     most one open slice — from :meth:`ready` to :meth:`finish` — and
-    the open accruals are keyed by request id.
+    the open accruals are a per-request list.
+
+    Args:
+        processors: The SoC's processor names; position ``k`` is slot
+            ``k``.
+        chains: The engine's chains, indexed by request (live: an
+            offline re-route replaces a head in place).
+        ready: Per slot, the requests whose chain head is ready for it.
+        running: Per slot, the running task or None.
+        head_start: Per request, its head's first start or None.
+        next_idx: Per request, the chain position of its next start.
+        capacity: The residency capacity a head's admission is checked
+            against; ``inf`` when memory is not enforced.
+
+    The five sequences are the engine's own run state, read at every
+    :meth:`advance` and never written.
 
     Attributes:
         rows: The finished rows, in finalization order.
-        corun_inflation_ms: Contention inflation per directional
-            ``(suffering processor, co-runner processor)`` pair.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        processors: Sequence[str],
+        chains: Sequence[Sequence["ChainTask"]],
+        ready: Sequence[Set[int]],
+        running: Sequence[Optional["ChainTask"]],
+        head_start: Sequence[Optional[float]],
+        next_idx: Sequence[int],
+        capacity: float,
+    ) -> None:
         self.rows: List[TaskCausality] = []
-        self.corun_inflation_ms: Dict[Tuple[str, str], float] = {}
-        self._open: Dict[int, _HeadState] = {}
-        # Per processor: the slice whose departure (or cancellation)
-        # most recently vacated it; None after a preemption (the
-        # vacating slice has no finish yet).
-        self._last_freed: Dict[str, Optional[TaskKey]] = {}
+        self._processors = tuple(processors)
+        self._chains = chains
+        self._ready = ready
+        self._running = running
+        self._head_start = head_start
+        self._next_idx = next_idx
+        self._capacity = capacity
+        self._open: List[Optional[_HeadState]] = [None] * len(chains)
+        # Per (suffering, co-runner) slot pair: the inflation so far,
+        # None until the pair first accrues; the accrued pairs in
+        # first-accrual order.
+        self._corun: List[List[Optional[float]]] = [
+            [None] * len(processors) for _ in processors
+        ]
+        self._pairs: List[Tuple[int, int]] = []
+        # Per slot: the slice whose departure (or cancellation) most
+        # recently vacated it; None after a preemption (the vacating
+        # slice has no finish yet) or before any.
+        self._last_freed: List[Optional[TaskKey]] = [None] * len(processors)
         # The slice of the most recent arena-releasing event.
         self._last_release: Optional[TaskKey] = None
+
+    def corun_inflation_ms(self) -> Dict[Tuple[str, str], float]:
+        """Contention inflation per directional ``(suffering processor,
+        co-runner processor)`` pair, in first-accrual order."""
+        names = self._processors
+        corun = self._corun
+        return {(names[a], names[c]): corun[a][c] for a, c in self._pairs}  # type: ignore[misc]
 
     def ready(self, request: int, index: int, ready_ms: float) -> None:
         """Open accrual for chain position ``index`` of ``request`` at ``ready_ms``."""
         self._open[request] = _HeadState(index, ready_ms)
 
-    def start(
-        self, request: int, processor: str, now_ms: float, forced: bool
-    ) -> None:
-        """Record the first start of the request's open slice.
+    def start(self, request: int, slot: int, now_ms: float, forced: bool) -> None:
+        """Record the first start of the request's open slice on ``slot``.
 
         The enabling cause is the resource that last blocked the slice
-        (the processor's last vacating slice, or the last arena
-        release), else its predecessor's finish, else its request's
-        arrival; a forced overcommit has no enabling slice.
+        (the slot's last vacating slice, or the last arena release),
+        else its predecessor's finish, else its request's arrival; a
+        forced overcommit has no enabling slice.
         """
         state = self._open[request]
+        assert state is not None
         state.start_ms = now_ms
         if forced:
             state.cause = CAUSE_FORCED
         elif state.last_block == BLOCK_PROCESSOR:
             state.cause = CAUSE_PROCESSOR_FREED
-            state.enabled_by = self._last_freed.get(processor)
+            state.enabled_by = self._last_freed[slot]
         elif state.last_block == BLOCK_MEMORY:
             state.cause = CAUSE_RESIDENCY_DRAIN
             state.enabled_by = self._last_release
@@ -217,17 +266,23 @@ class CausalityTracker:
     def advance(
         self,
         dt: float,
-        blocked: Iterable[Tuple[int, str]],
         running: Sequence[Tuple[int, "ChainTask"]],
         rates: Sequence[float],
+        used_bytes: float,
     ) -> None:
         """Integrate one step of wall time ``dt``.
 
-        ``blocked`` pairs each waiting ready head's request with its
-        ``BLOCK_*`` blocker; each head's buckets are its own, so the
-        order cannot change any sum.  The residual scheduler bucket
-        needs no accrual — :meth:`finish` computes it as
-        ``wait − busy − residency``.
+        Each waiting ready head accrues ``dt`` to what blocks it right
+        now, read from the engine's state: a head that already started
+        is off its processor by preemption; otherwise its slot being
+        occupied, then memory admission (``used_bytes`` plus its
+        working set above the capacity), blocks it.  A head blocked by
+        neither (it lost the FIFO pick to a blocked head) accrues
+        nothing.  Only the ready sets are visited, so the cost is the
+        number of waiting heads, not the number of requests; each
+        head's buckets are its own, so the order cannot change any sum.
+        The residual scheduler bucket needs no accrual — :meth:`finish`
+        computes it as ``wait − busy − residency``.
 
         ``running`` are the ``(slot, slice)`` pairs on a processor and
         ``rates`` their slowdown factors ``1 + s``, position by
@@ -236,31 +291,48 @@ class CausalityTracker:
         ``dt − dt / rate`` is pure inflation; it is split equally among
         the workload-bearing co-runners (Eq. 1's slowdown is not
         decomposable per co-runner, so the equal split is the
-        documented convention).
+        documented convention) and accrues per slot pair, co-runners in
+        slot order.
         """
-        for request, blocker in blocked:
-            state = self._open[request]
-            if blocker == BLOCK_PREEMPTED:
-                state.preempted_ms += dt
-            elif blocker == BLOCK_PROCESSOR:
-                state.busy_wait_ms += dt
-                state.last_block = blocker
-            else:
-                state.residency_wait_ms += dt
-                state.last_block = blocker
+        # Every ready head has an open slice.
+        open_: List[_HeadState] = self._open  # type: ignore[assignment]
+        head_start = self._head_start
+        for ready, task in zip(self._ready, self._running):
+            if not ready:
+                continue
+            for i in ready:
+                state = open_[i]
+                if head_start[i] is not None:
+                    state.preempted_ms += dt
+                elif task is not None:
+                    state.busy_wait_ms += dt
+                    state.last_block = BLOCK_PROCESSOR
+                elif (
+                    used_bytes + self._chains[i][self._next_idx[i]].working_set
+                    > self._capacity
+                ):
+                    state.residency_wait_ms += dt
+                    state.last_block = BLOCK_MEMORY
+        if len(running) < 2:
+            return  # no co-runner, so every rate is 1
+        loaded = [k for k, task in running if task.workload is not None]
+        corun = self._corun
         for (k, task), rate in zip(running, rates):
             if rate <= 1.0:
                 continue
-            others = [t for c, t in running if c != k and t.workload is not None]
+            others = len(loaded) - (task.workload is not None)
             if not others:
                 continue
-            share = (dt - dt / rate) / len(others)
-            a = task.proc.name
-            for other in others:
-                pair = (a, other.proc.name)
-                self.corun_inflation_ms[pair] = (
-                    self.corun_inflation_ms.get(pair, 0.0) + share
-                )
+            share = (dt - dt / rate) / others
+            row = corun[k]
+            for c in loaded:
+                if c == k:
+                    continue
+                value = row[c]
+                if value is None:
+                    self._pairs.append((k, c))
+                    value = 0.0
+                row[c] = value + share
 
     def finish(
         self, task: "ChainTask", now_ms: float, left_ms: Optional[float] = None
@@ -277,9 +349,10 @@ class CausalityTracker:
             request had no open slice.
         """
         request = task.request
-        state = self._open.pop(request, None)
+        state = self._open[request]
         if state is None:
             return None
+        self._open[request] = None
         truncated = left_ms is not None
         if state.start_ms is not None:
             wait = state.start_ms - state.ready_ms
@@ -290,31 +363,33 @@ class CausalityTracker:
             wait = now_ms - state.ready_ms
             executed = 0.0
         scheduler = wait - state.busy_wait_ms - state.residency_wait_ms
+        # Positional arguments: the frozen dataclass builds in about half
+        # the time it takes with keywords.
         self.rows.append(
             TaskCausality(
-                request=request,
-                stage=task.stage,
-                index=state.index,
-                processor=task.proc.name,
-                cause=state.cause or CAUSE_UNSTARTED,
-                enabled_by=state.enabled_by,
-                ready_ms=state.ready_ms,
-                start_ms=state.start_ms,
-                finish_ms=now_ms,
-                solo_ms=task.solo_ms,
-                executed_solo_ms=executed,
-                processor_busy_wait_ms=state.busy_wait_ms,
-                residency_wait_ms=state.residency_wait_ms,
-                scheduler_wait_ms=scheduler,
-                preempted_ms=state.preempted_ms,
-                truncated=truncated,
+                request,
+                task.stage,
+                state.index,
+                task.proc.name,
+                state.cause or CAUSE_UNSTARTED,
+                state.enabled_by,
+                state.ready_ms,
+                state.start_ms,
+                now_ms,
+                task.solo_ms,
+                executed,
+                state.busy_wait_ms,
+                state.residency_wait_ms,
+                scheduler,
+                state.preempted_ms,
+                truncated,
             )
         )
         return (request, state.index)
 
-    def freed(self, processor: str, by: Optional[TaskKey]) -> None:
-        """``processor`` was vacated by slice ``by`` (None: a preemption)."""
-        self._last_freed[processor] = by
+    def freed(self, slot: int, by: Optional[TaskKey]) -> None:
+        """Slot ``slot`` was vacated by slice ``by`` (None: a preemption)."""
+        self._last_freed[slot] = by
 
     def released(self, by: Optional[TaskKey]) -> None:
         """A request's arenas were released when slice ``by`` ended."""

@@ -103,8 +103,11 @@ class QuantileSketch:
             self._buckets[index] = self._buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
-        self.low = min(self.low, value)
-        self.high = max(self.high, value)
+        # min() and max() without the calls (equal values keep the old).
+        if value < self.low:
+            self.low = value
+        if value > self.high:
+            self.high = value
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:

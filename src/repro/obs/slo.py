@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .events import SloBurnAlert
 from .recorder import emit, enabled
+from .timeline import WindowClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps obs a leaf
     from ..runtime.engine import Event
@@ -149,10 +150,11 @@ class SloEvaluator:
     """Fold terminal request events into per-class burn-rate windows.
 
     Feed every engine event to :meth:`observe` (same stream the
-    timeline fold consumes); windows close lock-step with the timeline
-    at multiples of ``window_ms``.  Each close evaluates the fast/slow
-    trailing burn rates per class and may emit an
-    :class:`~repro.obs.events.SloBurnAlert`.
+    timeline fold consumes); windows close lock-step with the timeline,
+    on the same :class:`~repro.obs.timeline.WindowClock` type.  Only an
+    event that crosses the clock's boundary runs the closing loop.
+    Each close evaluates the fast/slow trailing burn rates per class
+    and may emit an :class:`~repro.obs.events.SloBurnAlert`.
 
     Args:
         request_specs: Per-request resolved SLO spec, indexed by
@@ -189,7 +191,7 @@ class SloEvaluator:
         check_burn_config(window_ms, fast_windows, slow_windows, burn_threshold)
         self._request_specs = tuple(request_specs)
         self._stages = list(stages_per_request)
-        self._window_ms = float(window_ms)
+        self._clock = WindowClock(window_ms)
         self.fast_windows = fast_windows
         self.slow_windows = slow_windows
         self.burn_threshold = burn_threshold
@@ -205,11 +207,11 @@ class SloEvaluator:
                     f"{state.spec} vs {spec}"
                 )
 
+        # Per request: its class's state.
+        self._request_states = [self._classes[spec.name] for spec in request_specs]
         self._arrival_ms: Dict[int, float] = {}
-        self._departures_seen: Dict[int, int] = {}
+        self._departures_seen = [0] * len(self._stages)
         self._now_ms = 0.0
-        self._window_index = 0
-        self._window_start_ms = 0.0
         self._finished = False
         self.window_reports: List[SloWindowReport] = []
 
@@ -217,7 +219,7 @@ class SloEvaluator:
 
     @property
     def window_ms(self) -> float:
-        return self._window_ms
+        return self._clock.window_ms
 
     @property
     def class_names(self) -> Tuple[str, ...]:
@@ -247,7 +249,12 @@ class SloEvaluator:
             raise ValueError(
                 f"event at {t} ms is before the fold clock {self._now_ms} ms"
             )
-        closed = self._advance(max(t, self._now_ms))
+        if t >= self._clock.end_ms:
+            closed = self._advance(t)
+        else:
+            closed = []
+            if t > self._now_ms:
+                self._now_ms = t
         self._apply(event)
         return closed
 
@@ -267,11 +274,9 @@ class SloEvaluator:
         closed = self._advance(end_ms)
         leftover = bool(self._arrival_ms)
         for request in sorted(self._arrival_ms):
-            spec = self._spec_for(request)
-            if spec is not None:
-                self._record(spec.name, good=False)
+            self._record(self._request_states[request], good=False)
         self._arrival_ms.clear()
-        if end_ms > self._window_start_ms + 1e-12 or leftover or not closed:
+        if leftover or self._clock.ends_partial(end_ms, bool(closed)):
             closed.extend(self._close_window(end_ms))
         self._finished = True
         return closed
@@ -296,13 +301,7 @@ class SloEvaluator:
 
     # ------------------------------------------------------ fold internals
 
-    def _spec_for(self, request: Optional[int]) -> Optional[SloSpec]:
-        if request is None or not 0 <= request < len(self._request_specs):
-            return None
-        return self._request_specs[request]
-
-    def _record(self, class_name: str, good: bool) -> None:
-        state = self._classes[class_name]
+    def _record(self, state: _ClassState, good: bool) -> None:
         if good:
             state.window_good += 1
             state.good_total += 1
@@ -320,9 +319,9 @@ class SloEvaluator:
 
     def _advance(self, t: float) -> List[SloWindowReport]:
         closed: List[SloWindowReport] = []
-        while t >= self._window_start_ms + self._window_ms:
-            boundary = self._window_start_ms + self._window_ms
-            closed.extend(self._close_window(boundary))
+        clock = self._clock
+        while t >= clock.end_ms:
+            closed.extend(self._close_window(clock.end_ms))
         self._now_ms = max(self._now_ms, t)
         return closed
 
@@ -339,6 +338,7 @@ class SloEvaluator:
 
     def _close_window(self, end_ms: float) -> List[SloWindowReport]:
         reports: List[SloWindowReport] = []
+        window = self._clock.index
         for name in self.class_names:
             state = self._classes[name]
             state.history.append((state.window_good, state.window_bad))
@@ -354,7 +354,7 @@ class SloEvaluator:
                 budget = self._budget_remaining(state)
                 alert = SloBurnAlert(
                     class_name=name,
-                    window=self._window_index,
+                    window=window,
                     time_ms=end_ms,
                     fast_burn=fast_burn,
                     slow_burn=slow_burn,
@@ -374,7 +374,7 @@ class SloEvaluator:
             reports.append(
                 SloWindowReport(
                     class_name=name,
-                    window=self._window_index,
+                    window=window,
                     end_ms=end_ms,
                     good=state.window_good,
                     bad=state.window_bad,
@@ -385,24 +385,24 @@ class SloEvaluator:
             )
             state.window_good = 0
             state.window_bad = 0
-        self._window_index += 1
-        self._window_start_ms = end_ms
+        self._clock.close(end_ms)
         self._now_ms = max(self._now_ms, end_ms)
         self.window_reports.extend(reports)
         return reports
 
     def _apply(self, event: "Event") -> None:
+        # Only arrivals and terminal events of a request with a spec
+        # move the fold.
         kind = event.kind
+        if kind == "task_ready":
+            return
         request = event.request
-        spec = self._spec_for(request)
+        if request is None or not 0 <= request < len(self._request_specs):
+            return
         if kind == "arrival":
-            if spec is not None:
-                assert request is not None
-                self._arrival_ms[request] = event.time_ms
+            self._arrival_ms[request] = event.time_ms
         elif kind == "departure":
-            if spec is None or request is None:
-                return
-            seen = self._departures_seen.get(request, 0) + 1
+            seen = self._departures_seen[request] + 1
             self._departures_seen[request] = seen
             if seen < self._stages[request]:
                 return
@@ -410,12 +410,13 @@ class SloEvaluator:
             if arrival is None:
                 return
             latency_ms = event.time_ms - arrival
-            self._record(spec.name, good=latency_ms <= spec.deadline_ms)
+            spec = self._request_specs[request]
+            self._record(
+                self._request_states[request], good=latency_ms <= spec.deadline_ms
+            )
         elif kind == "cancellation":
-            if spec is None or request is None:
-                return
             if self._arrival_ms.pop(request, None) is not None:
-                self._record(spec.name, good=False)
+                self._record(self._request_states[request], good=False)
 
 
 def parse_class_specs(text: str) -> Dict[str, SloSpec]:

@@ -21,7 +21,13 @@ Aggregation is windowed: tumbling windows of ``window_ms`` close as the
 stream crosses each boundary, emitting one typed :class:`WindowStats`
 row per window (the JSONL/trace/dashboard record; sliding multi-window
 views — e.g. SLO burn rates — are built one layer up by folding trailing
-``WindowStats`` rows, see :mod:`repro.obs.slo`).
+``WindowStats`` rows, see :mod:`repro.obs.slo`).  One
+:class:`WindowClock` type keeps the windows of this fold and of
+:class:`~repro.obs.slo.SloEvaluator`, so the two close the same windows
+at the same instants.  A window closes about once per few dozen events
+of an open-loop run, so an event tests its time against the clock's
+cached boundary and only one that crosses it runs the closing loop; the
+waiting count is kept as events change it, not recounted per event.
 
 As a self-check the aggregator verifies **Little's law**: the
 time-average occupancy ``L`` must equal arrival rate ``λ`` times mean
@@ -153,6 +159,42 @@ class LittlesLawCheck:
         }
 
 
+class WindowClock:
+    """The tumbling windows of a fold over the simulated clock.
+
+    Window ``index`` spans ``[start_ms, end_ms)``, where ``end_ms`` is
+    ``start_ms + window_ms``, computed once when the window opens: an
+    event at or past ``end_ms`` crosses the boundary and closes the
+    window, any earlier one does not.  Both the timeline and the SLO
+    fold keep one, so they close the same ``(index, end_ms)`` sequence.
+
+    Raises:
+        ValueError: on a non-finite or non-positive window.
+    """
+
+    __slots__ = ("window_ms", "index", "start_ms", "end_ms")
+
+    def __init__(self, window_ms: float) -> None:
+        if not (math.isfinite(window_ms) and window_ms > 0):
+            raise ValueError(f"window must be finite and > 0 ms, got {window_ms}")
+        self.window_ms = float(window_ms)
+        self.index = 0
+        self.start_ms = 0.0
+        self.end_ms = self.window_ms
+
+    def close(self, end_ms: float) -> None:
+        """Close the current window at ``end_ms`` and open the next there."""
+        self.index += 1
+        self.start_ms = end_ms
+        self.end_ms = end_ms + self.window_ms
+
+    def ends_partial(self, end_ms: float, closed_any: bool) -> bool:
+        """Whether a fold finishing at ``end_ms`` closes a last, partial
+        window: one that has a positive span, or the only one when the
+        finish closed no full window."""
+        return end_ms > self.start_ms + 1e-12 or not closed_any
+
+
 class TimelineAggregator:
     """Fold an engine event stream into windowed time-series rows.
 
@@ -178,20 +220,20 @@ class TimelineAggregator:
         stages_per_request: Sequence[int],
         window_ms: float,
     ) -> None:
-        if not (math.isfinite(window_ms) and window_ms > 0):
-            raise ValueError(f"window must be finite and > 0 ms, got {window_ms}")
+        self._clock = WindowClock(window_ms)
         if not processors:
             raise ValueError("need at least one processor name")
         self._processors = tuple(processors)
         self._stages = list(stages_per_request)
-        self._window_ms = float(window_ms)
 
         # --- fold state
         self._now_ms = 0.0
         self._running_procs: Set[str] = set()
         self._running_requests: Set[int] = set()
         self._in_system: Dict[int, float] = {}  # request -> arrival_ms
-        self._departures_seen: Dict[int, int] = {}
+        # In-system requests not running: the queue depth.
+        self._waiting = 0
+        self._departures_seen = [0] * len(self._stages)
         self._last_arrival_ms: Optional[float] = None
         self._gap_count = 0
         self._gap_sum_ms = 0.0
@@ -209,8 +251,6 @@ class TimelineAggregator:
         self.latency_sketch = QuantileSketch()
 
         # --- per-window accumulators
-        self._window_index = 0
-        self._window_start_ms = 0.0
         self._window_busy_ms: Dict[str, float] = {p: 0.0 for p in processors}
         self._window_depth_integral = 0.0
         self._window_n_integral = 0.0
@@ -229,7 +269,7 @@ class TimelineAggregator:
 
     @property
     def window_ms(self) -> float:
-        return self._window_ms
+        return self._clock.window_ms
 
     def busy_ms(self, processor: str) -> float:
         """Cumulative busy time folded for one processor."""
@@ -237,9 +277,7 @@ class TimelineAggregator:
 
     def queue_depth(self) -> int:
         """Instantaneous waiting-request count (arrived, not running)."""
-        return len(self._in_system) - len(
-            self._running_requests & set(self._in_system)
-        )
+        return self._waiting
 
     def observe(self, event: "Event") -> List[WindowStats]:
         """Fold one event; returns any windows the stream just closed.
@@ -255,7 +293,12 @@ class TimelineAggregator:
             raise ValueError(
                 f"event at {t} ms is before the fold clock {self._now_ms} ms"
             )
-        closed = self._advance(max(t, self._now_ms))
+        if t >= self._clock.end_ms:
+            closed = self._advance(t)
+        else:
+            closed = []
+            if t > self._now_ms:
+                self._integrate_to(t)
         self._apply(event)
         return closed
 
@@ -272,7 +315,7 @@ class TimelineAggregator:
             return []
         end_ms = self._now_ms if now_ms is None else max(now_ms, self._now_ms)
         closed = self._advance(end_ms)
-        if end_ms > self._window_start_ms + 1e-12 or not closed:
+        if self._clock.ends_partial(end_ms, bool(closed)):
             closed.append(self._close_window(end_ms))
         self._finished = True
         return closed
@@ -330,8 +373,9 @@ class TimelineAggregator:
     def _advance(self, t: float) -> List[WindowStats]:
         """Integrate state up to ``t``, closing any crossed windows."""
         closed: List[WindowStats] = []
-        while t >= self._window_start_ms + self._window_ms:
-            boundary = self._window_start_ms + self._window_ms
+        clock = self._clock
+        while t >= clock.end_ms:
+            boundary = clock.end_ms
             self._integrate_to(boundary)
             closed.append(self._close_window(boundary))
         self._integrate_to(t)
@@ -341,18 +385,18 @@ class TimelineAggregator:
         dt = t - self._now_ms
         if dt <= 0:
             return
-        waiting = self.queue_depth()
         in_system = len(self._in_system)
         for proc in self._running_procs:
             self._window_busy_ms[proc] += dt
             self._busy_total_ms[proc] += dt
-        self._window_depth_integral += waiting * dt
+        self._window_depth_integral += self._waiting * dt
         self._window_n_integral += in_system * dt
         self._n_integral_total += in_system * dt
         self._now_ms = t
 
     def _close_window(self, end_ms: float) -> WindowStats:
-        span_ms = end_ms - self._window_start_ms
+        clock = self._clock
+        span_ms = end_ms - clock.start_ms
         safe_span = max(span_ms, 1e-12)
         backlog_age_ms: Optional[float] = None
         if self._in_system:
@@ -364,8 +408,8 @@ class TimelineAggregator:
         else:
             p50 = p95 = p99 = None
         stats = WindowStats(
-            window=self._window_index,
-            start_ms=self._window_start_ms,
+            window=clock.index,
+            start_ms=clock.start_ms,
             end_ms=end_ms,
             arrivals=self._window_arrivals,
             completions=self._window_completions,
@@ -376,7 +420,7 @@ class TimelineAggregator:
                 for proc in self._processors
             },
             mean_queue_depth=self._window_depth_integral / safe_span,
-            queue_depth_end=self.queue_depth(),
+            queue_depth_end=self._waiting,
             mean_in_system=self._window_n_integral / safe_span,
             backlog_age_ms=backlog_age_ms,
             throughput_per_s=self._window_completions / (safe_span / 1e3),
@@ -385,8 +429,7 @@ class TimelineAggregator:
             p95_ms=p95,
             p99_ms=p99,
         )
-        self._window_index += 1
-        self._window_start_ms = end_ms
+        clock.close(end_ms)
         self._window_busy_ms = {p: 0.0 for p in self._processors}
         self._window_depth_integral = 0.0
         self._window_n_integral = 0.0
@@ -414,6 +457,8 @@ class TimelineAggregator:
         processor = event.processor
         if kind == "arrival":
             assert request is not None
+            if request not in self._in_system and request not in self._running_requests:
+                self._waiting += 1
             self._in_system[request] = event.time_ms
             self._window_arrivals += 1
             self._arrivals_total += 1
@@ -426,29 +471,30 @@ class TimelineAggregator:
         elif kind == "task_ready":
             assert request is not None and processor is not None
             self._running_procs.add(processor)
-            self._running_requests.add(request)
+            if request not in self._running_requests:
+                self._running_requests.add(request)
+                if request in self._in_system:
+                    self._waiting -= 1
         elif kind == "departure":
             assert request is not None
             if processor is not None:
                 self._running_procs.discard(processor)
-            self._running_requests.discard(request)
-            seen = self._departures_seen.get(request, 0) + 1
-            self._departures_seen[request] = seen
-            if (
-                0 <= request < len(self._stages)
-                and seen >= self._stages[request]
-            ):
-                self._complete(request, event.time_ms)
+            self._stop_running(request)
+            if 0 <= request < len(self._stages):
+                seen = self._departures_seen[request] + 1
+                self._departures_seen[request] = seen
+                if seen >= self._stages[request]:
+                    self._complete(request, event.time_ms)
         elif kind == "preemption":
             if processor is not None:
                 self._running_procs.discard(processor)
             if request is not None:
-                self._running_requests.discard(request)
+                self._stop_running(request)
         elif kind == "cancellation":
             assert request is not None
             if processor is not None:
                 self._running_procs.discard(processor)
-            self._running_requests.discard(request)
+            self._stop_running(request)
             self._exit(request, event.time_ms)
             if event.detail == "deadline":
                 self._window_drops += 1
@@ -459,6 +505,12 @@ class TimelineAggregator:
         # rate_change events carry no occupancy information: the
         # utilization denominator stays the full window span even while
         # a processor is offline (idle-by-fault reads as idle).
+
+    def _stop_running(self, request: int) -> None:
+        if request in self._running_requests:
+            self._running_requests.remove(request)
+            if request in self._in_system:
+                self._waiting += 1
 
     def _complete(self, request: int, time_ms: float) -> None:
         arrival = self._in_system.get(request)
@@ -475,5 +527,7 @@ class TimelineAggregator:
         arrival = self._in_system.pop(request, None)
         if arrival is None:
             return
+        if request not in self._running_requests:
+            self._waiting -= 1
         self._sojourn_sum_ms += time_ms - arrival
         self._exited += 1

@@ -4,7 +4,6 @@ from .arrivals import (
     ArrivalProcess,
     DeterministicArrivals,
     PoissonArrivals,
-    TraceArrivals,
     make_arrival_process,
     resolve_arrivals,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ArrivalProcess",
     "DeterministicArrivals",
     "PoissonArrivals",
-    "TraceArrivals",
     "make_arrival_process",
     "resolve_arrivals",
     "DiscreteEventEngine",

@@ -3,8 +3,7 @@
 The legacy executor only accepted a pre-materialized list of arrival
 times, which is fine for closed-loop plan evaluation but not for the
 serving workloads the ROADMAP targets: open-loop traffic is described
-by a *process* (periodic cameras, Poisson app launches, replayed device
-logs), and the same simulation must be reproducible bit-for-bit across
+by a *process* (periodic cameras, Poisson app launches), and the same simulation must be reproducible bit-for-bit across
 runs (lint rule H2P121: every RNG is explicitly seeded).
 
 An :class:`ArrivalProcess` materializes arrival timestamps for ``n``
@@ -91,37 +90,6 @@ class PoissonArrivals(ArrivalProcess):
         for _ in range(n):
             now_ms += rng.expovariate(1.0 / self.interval_ms)
             times.append(now_ms)
-        return times
-
-
-class TraceArrivals(ArrivalProcess):
-    """Trace-driven arrivals replayed from recorded timestamps.
-
-    When the simulation needs more requests than the trace holds, the
-    trace loops with a period of its last timestamp — replaying a short
-    device log against a long synthetic run is the common case.
-    """
-
-    name = "trace"
-
-    def __init__(self, trace_ms: Sequence[float]) -> None:
-        if not trace_ms:
-            raise ValueError("trace must hold at least one arrival time")
-        ordered = list(trace_ms)
-        if any(t < 0 for t in ordered):
-            raise ValueError("trace arrival times must be >= 0 ms")
-        if ordered != sorted(ordered):
-            raise ValueError("trace arrival times must be non-decreasing")
-        self.trace_ms = ordered
-
-    def times_ms(self, n: int) -> List[float]:
-        if n < 0:
-            raise ValueError(f"need n >= 0 requests, got {n}")
-        period_ms = self.trace_ms[-1]
-        times: List[float] = []
-        for i in range(n):
-            cycle, pos = divmod(i, len(self.trace_ms))
-            times.append(cycle * period_ms + self.trace_ms[pos])
         return times
 
 

@@ -8,7 +8,7 @@ O(n) rescans of the arrival list:
 
 * ``arrival`` — a request enters the system (timestamps come from an
   injectable :class:`~repro.runtime.arrivals.ArrivalProcess`: periodic,
-  Poisson, trace-driven, or a plain list).
+  Poisson, or a plain list).
 * ``task_ready`` — a chain's next slice is admitted onto its processor
   (emitted; readiness itself is derived state: predecessor finished,
   request arrived, processor free, memory admitted).
@@ -101,10 +101,19 @@ paging regime of a real device).
 ready, start, step, finish, vacate and release edges to one
 :class:`~repro.obs.causality.CausalityTracker`, which owns the exact
 blame bookkeeping (see that module); the tracker never feeds back into
-the step arithmetic.  The engine defaults to on; the executor adapters
-(:func:`~repro.runtime.executor.simulate_chains`, ``execute_plan``,
-``execute_plan_perturbed``) default to off, so only a run whose blame
-is read pays for it.
+the step arithmetic.  The tracker is built over the engine's own
+slot-indexed ready sets, running slots, head starts and chain
+positions and reads them itself each step, so a step hands it only
+``dt``, the running pairs, their rates and the used residency; vacated
+processors are slot indices.  The engine defaults to on; the executor
+adapters (:func:`~repro.runtime.executor.simulate_chains`,
+``execute_plan``, ``execute_plan_perturbed``) default to off, so only a
+run whose blame is read pays for it.
+
+**Clock range.**  A run whose clock overflows to ``inf`` (finite solo
+times that add up past the largest float) raises ``ValueError`` when it
+ends, or at its next offline sweep, where an infinite clock reads every
+slot as offline; a finite run pays no per-step check for it.
 """
 
 from __future__ import annotations
@@ -114,7 +123,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
-    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -125,13 +133,7 @@ from typing import (
 )
 
 from .. import obs
-from ..obs.causality import (
-    BLOCK_MEMORY,
-    BLOCK_PREEMPTED,
-    BLOCK_PROCESSOR,
-    CausalityTracker,
-    TaskCausality,
-)
+from ..obs.causality import CausalityTracker, TaskCausality
 from ..hardware.memory import MemoryDemand, MemoryGovernor
 from ..hardware.processor import ProcessorSpec
 from ..hardware.soc import SocSpec
@@ -179,9 +181,12 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Event:
-    """One processed simulation event (kept when ``keep_events=True``)."""
+class Event(NamedTuple):
+    """One processed simulation event (kept when ``keep_events=True``).
+
+    A named tuple, as :class:`TaskRecord` is: a run that keeps its log
+    builds one per event, and nothing reads it as a dataclass.
+    """
 
     time_ms: float
     kind: str
@@ -199,7 +204,8 @@ class ChainTask(NamedTuple):
     Immutable (see "Run state" above): ``_replace`` builds a changed
     copy.  A named tuple rather than a frozen dataclass because every
     executed window builds one per stage and tuples are about three
-    times cheaper to build; every run checks ``solo_ms >= 0`` instead.
+    times cheaper to build; every run checks that ``solo_ms`` is finite
+    and >= 0 instead.
     """
 
     request: int
@@ -423,6 +429,20 @@ def _count_work(steps: int, evaluations: int) -> None:
         obs.add("slowdown_evaluations", evaluations)
 
 
+def _check_clock(now_ms: float) -> None:
+    """Reject a run whose clock has left the float range.
+
+    Raises:
+        ValueError: when ``now_ms`` is ``inf``: the run's finite solo,
+            arrival and fault times add up past the largest float.
+    """
+    if now_ms == math.inf:
+        raise ValueError(
+            "the simulated clock overflowed to inf: the run's solo, "
+            "arrival and fault times add up past the float range"
+        )
+
+
 def _check_chains(
     soc: SocSpec,
     chains: Sequence[Sequence[ChainTask]],
@@ -439,7 +459,7 @@ def _check_chains(
     Raises:
         ValueError: on a task whose ``request`` differs from its
             chain's position, whose processor is not in ``slot`` or
-            whose ``solo_ms`` is negative or NaN.
+            whose ``solo_ms`` is negative, infinite or NaN.
         MemoryError: on a slice whose working set alone exceeds
             ``capacity``.
     """
@@ -450,9 +470,10 @@ def _check_chains(
                     f"chain {i} holds a task of request {task.request}: "
                     "task ids must equal their chain's position"
                 )
-            if not task.solo_ms >= 0:
+            if not 0 <= task.solo_ms < math.inf:
                 raise ValueError(
-                    f"solo_ms must be >= 0, got {task.solo_ms} in chain {i}"
+                    f"solo_ms must be >= 0 and finite, got {task.solo_ms} "
+                    f"in chain {i}"
                 )
             if task.proc.name not in slot:
                 raise ValueError(
@@ -518,11 +539,13 @@ class DiscreteEventEngine:
     Raises:
         ValueError: on arrival-length mismatch, a task whose ``request``
             differs from its chain's position, a task whose processor
-            is not part of the SoC, a negative or NaN solo time or
-            deadline, a
+            is not part of the SoC, a negative, infinite or NaN solo
+            time, a negative or NaN deadline, a
             non-finite arrival time, or a fault injected into a
             processor not on the SoC or at a NaN time.
         MemoryError: if a single slice alone exceeds the capacity.
+        ValueError: also from :meth:`run` / :meth:`step` when the
+            simulated clock overflows to ``inf``.
         RuntimeError: from :meth:`run` / :meth:`step` if the simulation
             wedges — for valid fault-free inputs this cannot happen;
             with faults it signals that a task has no online processor
@@ -624,7 +647,19 @@ class DiscreteEventEngine:
         self._sweep_at_ms = min(self._offline_at)
         self._any_offline = False
 
-        self._tracker = CausalityTracker() if track_causality else None
+        self._tracker = (
+            CausalityTracker(
+                [p.name for p in self._procs],
+                self._chains,
+                self._ready,
+                self._proc_running,
+                self._head_start,
+                self._next_idx,
+                capacity if enforce_memory else math.inf,
+            )
+            if track_causality
+            else None
+        )
 
         # --- the exogenous event heap: (time_ms, seq, kind, payload)
         self._heap: List[Tuple[float, int, str, object]] = []
@@ -731,6 +766,7 @@ class DiscreteEventEngine:
             while self._outstanding > 0:
                 step()
             self._finished_run = True
+            _check_clock(self._now)
             if recording:
                 _count_work(self._steps, self._slowdown_evaluations)
                 _span.set(
@@ -754,7 +790,10 @@ class DiscreteEventEngine:
         if self._outstanding <= 0:
             return False
         self._step()
-        return self._outstanding > 0
+        if self._outstanding > 0:
+            return True
+        _check_clock(self._now)
+        return False
 
     @property
     def event_log(self) -> List[Event]:
@@ -782,21 +821,28 @@ class DiscreteEventEngine:
             cancelled_requests=tuple(self._cancelled),
             events=list(self._events),
             causality=list(tracker.rows) if tracker else [],
-            corun_inflation_ms=dict(tracker.corun_inflation_ms) if tracker else {},
+            corun_inflation_ms=tracker.corun_inflation_ms() if tracker else {},
         )
 
     # ---------------------------------------------------- event handlers
 
     def _pop_due_events(self) -> None:
-        """Fire every pending event with ``time <= now + _EPS``.
+        """Fire every pending event with ``time <= now + _EPS`` while
+        work is outstanding.
 
         ``now`` advances to each popped event's timestamp (it can only
         move forward, by at most ``_EPS``), which is the fix for the
         legacy off-by-epsilon arrival scan: a slice never starts before
         its request's arrival timestamp, so queueing delays are
-        non-negative by construction.
+        non-negative by construction.  Once a cancellation drains the
+        last work the run has ended at that instant: a later event
+        within ``_EPS`` would move the makespan past every slice.
         """
-        while self._heap and self._heap[0][0] <= self._now + _EPS:
+        while (
+            self._outstanding > 0
+            and self._heap
+            and self._heap[0][0] <= self._now + _EPS
+        ):
             time_ms, _seq, kind, payload = heapq.heappop(self._heap)
             if time_ms > self._now:
                 self._now = time_ms
@@ -862,7 +908,7 @@ class DiscreteEventEngine:
             self._proc_running[running_slot] = None
             self._left_ms[running_slot] = 0.0
             if self._tracker is not None:
-                self._tracker.freed(self._procs[running_slot].name, ended)
+                self._tracker.freed(running_slot, ended)
         self._next_idx[request] = len(chain)
         self._prev_done[request] = True
         released = self._request_alloc.pop(request, 0.0)
@@ -897,7 +943,7 @@ class DiscreteEventEngine:
         if self._tracker is not None:
             # The vacating slice has no finish yet, so a start it
             # enables cannot reference a completed record.
-            self._tracker.freed(proc_name, None)
+            self._tracker.freed(k, None)
         self._emit(PREEMPTION, request, proc_name)
 
     # --------------------------------------------------- scheduling core
@@ -966,7 +1012,7 @@ class DiscreteEventEngine:
             self._head_start[request] = self._now
             self._left_ms[slot] = task.solo_ms
             if self._tracker is not None:
-                self._tracker.start(request, proc_name, self._now, forced)
+                self._tracker.start(request, slot, self._now, forced)
             self._used_bytes += task.working_set
             self._request_alloc[request] = (
                 self._request_alloc.get(request, 0.0) + task.working_set
@@ -987,29 +1033,6 @@ class DiscreteEventEngine:
             ):
                 self._sweep_at_ms = -math.inf  # the new head must move
         self._emit(TASK_READY, request, proc_name)
-
-    def _blocked_heads(self) -> Iterator[Tuple[int, str]]:
-        """Each waiting ready head's request and what blocks it right now.
-
-        It visits only the per-processor ready sets, so its cost is the
-        number of waiting heads, not the number of requests.  A head
-        that already started is off its processor by preemption;
-        otherwise its processor being occupied, then memory admission,
-        blocks it.  A head blocked by neither (it lost the FIFO pick to
-        a blocked head) is skipped.
-        """
-        for ready, running in zip(self._ready, self._proc_running):
-            occupied = running is not None
-            for i in ready:
-                if self._head_start[i] is not None:
-                    yield i, BLOCK_PREEMPTED
-                elif occupied:
-                    yield i, BLOCK_PROCESSOR
-                elif self._enforce_memory and (
-                    self._used_bytes + self._chains[i][self._next_idx[i]].working_set
-                    > self._capacity
-                ):
-                    yield i, BLOCK_MEMORY
 
     def _record_trace(self) -> None:
         """Sample the memory subsystem (callers check ``trace`` is on)."""
@@ -1050,7 +1073,9 @@ class DiscreteEventEngine:
         if self._outstanding <= 0:
             return  # a cancellation drained the remaining work
         if self._now >= self._sweep_at_ms - _EPS:
-            # A slot went offline, or a head landed on an offline one.
+            # A slot went offline, or a head landed on an offline one;
+            # or the clock reached inf, where every slot reads offline.
+            _check_clock(self._now)
             self._any_offline = True
             self._sweep_at_ms = min(
                 (t for t in self._offline_at if self._now < t - _EPS),
@@ -1135,7 +1160,7 @@ class DiscreteEventEngine:
 
         tracker = self._tracker
         if tracker is not None:
-            tracker.advance(dt, self._blocked_heads(), running, rates)
+            tracker.advance(dt, running, rates, self._used_bytes)
 
         busy = self._busy
         for (k, _), rate in zip(running, rates):
@@ -1163,7 +1188,7 @@ class DiscreteEventEngine:
             finished = None
             if tracker is not None:
                 finished = tracker.finish(task, now)
-                tracker.freed(proc_name, finished)
+                tracker.freed(k, finished)
                 if successor < len(chain):
                     # The successor head becomes ready at this exact
                     # departure instant (the tiling invariant).
@@ -1260,7 +1285,7 @@ class ProbeRun:
     Raises:
         ValueError: on a task whose ``request`` differs from its chain's
             position, whose processor is not part of the SoC or whose
-            solo time is negative or NaN, or that
+            solo time is negative, infinite or NaN, or that
             :func:`check_on_soc` rejects (the one case where the matrix
             and :func:`slowdown_fraction` could read different
             couplings).

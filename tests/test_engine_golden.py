@@ -13,8 +13,11 @@ a 1,000 ms first-start deadline:
 For each run it records per-request finish times, dropped and
 cancelled ids, every :class:`TaskCausality` row and the co-run
 inflation matrix.  The test replays the runs and compares every value
-within 1e-9 ms; a change to engine bookkeeping that is meant to leave
-the simulation alone must keep the divergence at exactly 0.0.
+for equality: a change to engine bookkeeping that is meant to leave
+the simulation alone must reproduce every float bit for bit.  The file
+stores the co-run pairs sorted; ``CORUN_ORDER`` pins the order the
+engine lists them in (first accrual), which decides ties when
+``aggregate_blame`` ranks the pairs.
 
 Regenerate only when a change is meant to move simulated numbers::
 
@@ -22,7 +25,6 @@ Regenerate only when a change is meant to move simulated numbers::
 """
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -40,7 +42,33 @@ COPIES = 40
 DEADLINE_MS = 1000.0
 ARRIVAL_SEED = 7
 OFFLINE_PROCESSOR = "gpu"
-TOL_MS = 1e-9
+
+_KIRIN_ORDER = [
+    "npu|gpu", "gpu|npu", "cpu_big|gpu", "gpu|cpu_big", "npu|cpu_big", "cpu_big|npu",
+    "cpu_big|cpu_small", "gpu|cpu_small", "cpu_small|cpu_big", "cpu_small|gpu",
+    "npu|cpu_small", "cpu_small|npu",
+]
+_BIG_SMALL = ["cpu_big|cpu_small", "cpu_small|cpu_big"]
+_GPU_SMALL = ["gpu|cpu_small", "cpu_small|gpu"]
+#: Per SoC and run, the co-run pairs in the order of
+#: ``ExecutionResult.corun_inflation_ms``.
+CORUN_ORDER = {
+    "kirin990": dict.fromkeys(
+        ("poisson_8", "poisson_14", "cancel_preempt", "offline"), _KIRIN_ORDER
+    ),
+    "snapdragon778g": {
+        "poisson_8": _BIG_SMALL + ["gpu|cpu_big", "gpu|cpu_small", "cpu_big|gpu", "cpu_small|gpu"],
+        "poisson_14": _GPU_SMALL + _BIG_SMALL + ["gpu|cpu_big", "cpu_big|gpu"],
+        "cancel_preempt": _BIG_SMALL + _GPU_SMALL + ["gpu|cpu_big", "cpu_big|gpu"],
+        "offline": _BIG_SMALL + ["gpu|cpu_big", "gpu|cpu_small", "cpu_big|gpu", "cpu_small|gpu"],
+    },
+    "snapdragon870": {
+        "poisson_8": _GPU_SMALL + _BIG_SMALL + ["gpu|cpu_big", "cpu_big|gpu"],
+        "poisson_14": _GPU_SMALL + ["gpu|cpu_big", "cpu_big|gpu"] + _BIG_SMALL,
+        "cancel_preempt": _GPU_SMALL + _BIG_SMALL + ["gpu|cpu_big", "cpu_big|gpu"],
+        "offline": _GPU_SMALL + _BIG_SMALL + ["gpu|cpu_big", "cpu_big|gpu"],
+    },
+}
 
 
 def _arrivals(rate_per_s, n):
@@ -110,40 +138,48 @@ def _snapshot(result):
 CASES = ("poisson_8", "poisson_14", "cancel_preempt", "offline")
 
 
-def build_snapshots():
-    snapshots = {}
+def build_runs():
+    runs = {}
     for soc_name in SOC_NAMES:
         soc = get_soc(soc_name)
         plan = Hetero2PipePlanner(soc).plan(
             get_scenario("scene_understanding").models()
         ).plan
         base = plan_to_chains(plan)
-        snapshots[soc_name] = {case: _snapshot(_run(soc, base, case)) for case in CASES}
-    return snapshots
+        runs[soc_name] = {case: _run(soc, base, case) for case in CASES}
+    return runs
 
 
-def _assert_close(actual, expected, where):
-    if isinstance(expected, float) or isinstance(actual, float):
-        assert isinstance(actual, (int, float)), where
-        assert math.isclose(actual, expected, rel_tol=0.0, abs_tol=TOL_MS), (
-            f"{where}: {actual!r} != {expected!r}"
-        )
-    elif isinstance(expected, list):
+def build_snapshots(runs):
+    return {
+        soc_name: {case: _snapshot(result) for case, result in results.items()}
+        for soc_name, results in runs.items()
+    }
+
+
+def _assert_equal(actual, expected, where):
+    """Equality at every leaf, reported with the leaf's path."""
+    if isinstance(expected, list):
         assert isinstance(actual, list) and len(actual) == len(expected), where
         for k, (a, e) in enumerate(zip(actual, expected)):
-            _assert_close(a, e, f"{where}[{k}]")
+            _assert_equal(a, e, f"{where}[{k}]")
     elif isinstance(expected, dict):
         assert isinstance(actual, dict) and sorted(actual) == sorted(expected), where
         for key in expected:
-            _assert_close(actual[key], expected[key], f"{where}.{key}")
+            _assert_equal(actual[key], expected[key], f"{where}.{key}")
     else:
         assert actual == expected, f"{where}: {actual!r} != {expected!r}"
 
 
 @pytest.fixture(scope="module")
-def snapshots():
+def runs():
+    return build_runs()
+
+
+@pytest.fixture(scope="module")
+def snapshots(runs):
     # Round-trip through JSON so both sides have the same value types.
-    return json.loads(json.dumps(build_snapshots()))
+    return json.loads(json.dumps(build_snapshots(runs)))
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +190,16 @@ def golden():
 @pytest.mark.parametrize("case", CASES)
 def test_engine_matches_golden(snapshots, golden, case):
     for soc_name in SOC_NAMES:
-        _assert_close(
+        _assert_equal(
             snapshots[soc_name][case], golden[soc_name][case], f"{soc_name}.{case}"
         )
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_corun_pairs_keep_their_first_accrual_order(runs, case):
+    for soc_name in SOC_NAMES:
+        pairs = [f"{a}|{b}" for a, b in runs[soc_name][case].corun_inflation_ms]
+        assert pairs == CORUN_ORDER[soc_name][case], soc_name
 
 
 def test_golden_runs_exercise_every_path(golden):
@@ -184,5 +227,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_engine_golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(build_snapshots(), separators=(",", ":")) + "\n")
+    GOLDEN.write_text(
+        json.dumps(build_snapshots(build_runs()), separators=(",", ":")) + "\n"
+    )
     print(f"wrote {GOLDEN}")

@@ -11,8 +11,9 @@ check the engine's per-processor ready sets against a brute-force
 recomputation after every step, that replaying them with causality
 tracking off simulates exactly the same schedule, and that the
 timeline fold of their event logs keeps the engine's busy times,
-Little's law and non-negative queueing delays, and that their critical
-paths tile [0, makespan].  Doubling every solo time doubles the
+Little's law and non-negative queueing delays, that the timeline and
+SLO folds close the same windows with the queue depth a count from the
+events says, and that their critical paths tile [0, makespan].  Doubling every solo time doubles the
 makespan exactly, and reversing the processor tuple keeps it.  Probe
 runs, bounded and resumed, equal the engine's makespan on random
 chains, with and without zoo workloads (so with and without
@@ -31,6 +32,7 @@ from repro.hardware.processor import ProcessorKind
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.obs.blame import blame_requests, extract_critical_path
+from repro.obs.slo import SloEvaluator, SloSpec
 from repro.obs.timeline import TimelineAggregator
 from repro.obs.whatif import WhatIf, run_counterfactual
 from repro.profiling.profiler import SocProfiler
@@ -413,6 +415,50 @@ class TestTimelineIdentities:
         for delay_ms in result.queueing_delays_ms():
             assert delay_ms is None or delay_ms >= 0.0
 
+    @given(open_loop_runs(), st.sampled_from([2.5, 25.0, 400.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_both_folds_close_the_same_windows(self, run, window_ms):
+        """Over one event log the timeline and SLO folds close the same
+        ``(window, end_ms)`` sequence, and every window's end queue
+        depth is the count of requests arrived, not yet departed from
+        their last stage or cancelled, and not running, taken from the
+        events before the one that closed it."""
+        result = _engine(run, keep_events=True, track_causality=False).run()
+        stages = [len(c) for c in run["chains"]]
+        timeline = TimelineAggregator([p.name for p in PROCS], stages, window_ms)
+        slo = SloEvaluator([SloSpec("all", 50.0)] * len(stages), stages, window_ms)
+        arrived, running, done = set(), set(), set()
+        departures = [0] * len(stages)
+        timeline_closes, slo_closes = [], []
+
+        def check(windows, depth):
+            for window in windows:
+                assert window.queue_depth_end == depth, window
+                timeline_closes.append((window.window, window.end_ms))
+
+        for event in result.events:
+            depth = len(arrived - done - running)
+            check(timeline.observe(event), depth)
+            slo_closes.extend((r.window, r.end_ms) for r in slo.observe(event))
+            request = event.request
+            if event.kind == "arrival":
+                arrived.add(request)
+            elif event.kind == "task_ready":
+                running.add(request)
+            elif event.kind in ("departure", "preemption", "cancellation"):
+                running.discard(request)
+            if event.kind == "departure":
+                departures[request] += 1
+                if departures[request] == stages[request]:
+                    done.add(request)
+            elif event.kind == "cancellation":
+                done.add(request)
+            assert timeline.queue_depth() == len(arrived - done - running)
+        check(timeline.finish(result.makespan_ms), len(arrived - done - running))
+        slo_closes.extend((r.window, r.end_ms) for r in slo.finish(result.makespan_ms))
+        assert timeline_closes == slo_closes
+        assert timeline_closes
+
 
 class TestCriticalPathTiling:
     @given(open_loop_runs())
@@ -431,6 +477,19 @@ class TestCriticalPathTiling:
             assert abs(start - (cursor + seg.gap_ms)) <= 1e-9
             cursor = seg.finish_ms
         assert abs(cursor - result.makespan_ms) <= 1e-9
+
+    def test_a_no_op_deadline_after_the_last_cancellation_tiles(self):
+        """Request 1's cancellation fires when it arrives at 1 ms and
+        drains the run; its deadline, due 1e-9 ms later, is then a no-op
+        within the engine's epsilon and must not end the run after every
+        slice on the path."""
+        run = dict(
+            _npu_run([0.0, 1.0], cancellations=[(1, 0.0)]), deadline_ms=[None, 1e-9]
+        )
+        result = _engine(run).run()
+        assert result.cancelled_requests == (1,)
+        assert result.makespan_ms == 1.0
+        assert abs(extract_critical_path(result).residue_ms) <= 1e-9
 
 
 class TestMetamorphicRelations:

@@ -21,7 +21,6 @@ from repro.runtime.arrivals import (
     ArrivalProcess,
     DeterministicArrivals,
     PoissonArrivals,
-    TraceArrivals,
     make_arrival_process,
     resolve_arrivals,
 )
@@ -253,16 +252,6 @@ class TestArrivalProcesses:
         assert all(t > 0 for t in a)
         mean_gap = a[-1] / len(a)
         assert 5.0 < mean_gap < 20.0  # crude sanity on the rate
-
-    def test_trace_replay_loops(self):
-        proc = TraceArrivals([0.0, 3.0, 7.0])
-        assert proc.times_ms(5) == [0.0, 3.0, 7.0, 7.0, 10.0]
-
-    def test_trace_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            TraceArrivals([])
-        with pytest.raises(ValueError, match="non-decreasing"):
-            TraceArrivals([3.0, 1.0])
 
     def test_resolve_arrivals(self):
         assert resolve_arrivals(3, None) == [0.0, 0.0, 0.0]
@@ -725,6 +714,41 @@ class TestFaultInputs:
         )
         assert never.records == healthy.records
         assert never.makespan_ms == healthy.makespan_ms
+
+
+class TestClockOverflow:
+    """Solo times that are each finite can still add up past the float
+    range; such a run is an input error, whatever else is injected."""
+
+    @staticmethod
+    def _gpu_chains(kirin, solo_ms, n):
+        gpu = kirin.processor("gpu")
+        return [[ChainTask(i, gpu, solo_ms, None, 0.0)] for i in range(n)]
+
+    def test_an_infinite_solo_time_is_rejected(self, kirin):
+        chains = self._gpu_chains(kirin, math.inf, 1)
+        for run in (DiscreteEventEngine, ProbeRun):
+            with pytest.raises(ValueError, match="solo_ms must be >= 0 and finite"):
+                run(kirin, chains)
+        with pytest.raises(ValueError, match="solo_ms"):
+            simulate_chains(kirin, chains)
+
+    def test_a_clock_that_reaches_inf_raises(self, kirin):
+        chains = self._gpu_chains(kirin, 1e308, 2)
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            simulate_chains(kirin, chains)
+        engine = DiscreteEventEngine(kirin, chains, record=False)
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            while engine.step():
+                pass
+
+    @pytest.mark.parametrize("offline", [None, {"npu": 1.0}])
+    def test_overflow_is_not_reported_as_a_fault(self, kirin, offline):
+        """At an infinite clock every slot reads offline, so the third
+        slice once failed as if no processor could run it."""
+        chains = self._gpu_chains(kirin, 1e308, 3)
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            simulate_chains(kirin, chains, processor_offline_ms=offline)
 
 
 class TestStepCost:

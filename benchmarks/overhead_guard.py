@@ -17,6 +17,9 @@ telemetry* path: one event-engine execution of the planned pipeline
 plain, versus the same execution with ``keep_events=True`` and every
 event folded through a :class:`~repro.obs.timeline.TimelineAggregator`
 (windowed utilization/queue-depth/latency-sketch telemetry live).
+Neither run tracks causality (``execute_plan``'s default, passed to the
+engine explicitly), so the two differ only by the event log and the
+fold.
 Every timed round of the latter runs the same chain set, so each must
 simulate the first round's makespan, or the guard fails: it would be
 timing another run.
@@ -95,7 +98,7 @@ def measure_timeline():
 
     def run_with_timeline():
         engine = DiscreteEventEngine(
-            soc, chains, keep_events=True, record=False
+            soc, chains, keep_events=True, record=False, track_causality=False
         )
         timeline = TimelineAggregator(processors, stages, window_ms=25.0)
         cursor = 0

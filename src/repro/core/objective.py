@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -233,22 +232,18 @@ class ObjectiveCache:
     def __call__(
         self, plan: "PipelinePlan", *, stop_at_ms: float = math.inf
     ) -> float:
-        anchor = self._anchor
-
-        def simulate() -> float:
-            value = None
-            if anchor is not None:
-                value = anchor.probe_ms(plan, stop_at_ms)
-            if value is None:
-                value = async_makespan_ms(plan, stop_at_ms)
-            return value
-
         return self._probe(
-            plan_fingerprint(plan),
-            plan.num_requests,
-            stop_at_ms,
-            simulate,
+            plan_fingerprint(plan), plan.num_requests, stop_at_ms, self._simulate, plan
         )
+
+    def _simulate(self, plan: "PipelinePlan", stop_at_ms: float) -> float:
+        """A miss of :meth:`__call__`: resumed from the anchor when it can be."""
+        value = None
+        if self._anchor is not None:
+            value = self._anchor.probe_ms(plan, stop_at_ms)
+        if value is None:
+            value = async_makespan_ms(plan, stop_at_ms)
+        return value
 
     def anchor(self, plan: "PipelinePlan") -> MoveProbe:
         """Checkpoint one simulation of ``plan``; return its neighbours' probe.
@@ -257,12 +252,13 @@ class ObjectiveCache:
         stop_at_ms)`` as this cache answers ``plan`` with
         ``plan.assignments[request]`` at ``slices`` — the same key, so
         the same hits, misses and :class:`LowerBound` entries — without
-        touching ``plan``: the key is the anchor's fingerprint with one
-        entry replaced, and a miss resumes the anchor's run from where
-        that request's new slices leave it
-        (:meth:`~repro.runtime.executor.ProbeAnchor.move_ms`).  It
-        describes ``plan`` as anchored, so it serves until ``plan``
-        changes.
+        touching ``plan``.  It holds the anchor fingerprint's parts, so
+        a key is the fingerprint with one request's entry replaced, and
+        it passes through :meth:`_probe` as every probe does.  A miss
+        resumes the anchor's run from where that request's new slices
+        leave it (:meth:`~repro.runtime.executor.ProbeAnchor.move_ms`),
+        building no resumed run.  It describes ``plan`` as anchored, so
+        it serves until ``plan`` changes.
 
         A no-op when ``plan`` is the current anchor, apart from returning
         its probe.  A new anchor that neighbours the old one resumes from
@@ -275,59 +271,95 @@ class ObjectiveCache:
             anchor = self._anchor = ProbeAnchor(plan, previous=anchor)
             self._anchor_key = key
             self._cache.put(key, anchor.makespan_ms)
-        return partial(self._move, anchor, key)
-
-    def _move(
-        self,
-        anchor: ProbeAnchor,
-        key: Fingerprint,
-        request: int,
-        slices: Sequence[Optional[Tuple[int, int]]],
-        stop_at_ms: float = math.inf,
-    ) -> float:
-        # ``plan_fingerprint``'s fourth field holds one entry per request.
-        entries = list(key[3])  # type: ignore[call-overload]
-        entries[request] = (entries[request][0], tuple(slices))
-        return self._probe(
-            key[:3] + (tuple(entries),) + key[4:],
-            len(entries),
-            stop_at_ms,
-            partial(anchor.move_ms, request, slices, stop_at_ms),
-        )
+        return _AnchoredProbe(self, anchor, key)
 
     def _probe(
         self,
         key: Fingerprint,
         requests: int,
         stop_at_ms: float,
-        simulate: Callable[[], float],
+        simulate: Callable[..., float],
+        *args: object,
     ) -> float:
-        """The cached answer under ``key``, or ``simulate()``'s, memoized."""
-        cached = self._cache.get(key)
+        """The cached answer under ``key``, or ``simulate(*args, stop_at_ms)``'s,
+        memoized.
+
+        Every probe passes through here.  With the recorder off it
+        counts hits and misses only on this cache and opens no span.
+        """
+        cache = self._cache
+        cached = cache.get(key)
         if cached is not None and (
             not isinstance(cached, LowerBound) or stop_at_ms <= cached.cutoff_ms
         ):
             self.hits += 1
-            obs.add("objective_cache_hits")
+            if obs.enabled():
+                obs.add("objective_cache_hits")
             return math.inf if isinstance(cached, LowerBound) else cached
         self.misses += 1
-        obs.add("objective_cache_misses")
-        # The span makes every real re-simulation attributable: the
-        # self-profiler (repro.obs.prof) folds these into the
-        # ``objective`` phase, separating simulation cost from the
-        # stealing/tail search that issues the probes.  Cache hits stay
-        # span-free — they are dictionary lookups, not simulations.
-        with obs.span("plan.objective", requests=requests) as sp:
-            value = simulate()
-            if value == math.inf and stop_at_ms < math.inf:
-                sp.set(pruned=True)
-                self._cache.put(key, LowerBound(stop_at_ms))
-            else:
-                sp.set(makespan_ms=value)
-                self._cache.put(key, value)
+        if obs.enabled():
+            obs.add("objective_cache_misses")
+            # The span makes every real re-simulation attributable: the
+            # self-profiler (repro.obs.prof) folds these into the
+            # ``objective`` phase, separating simulation cost from the
+            # stealing/tail search that issues the probes.  Cache hits
+            # stay span-free — they are dictionary lookups, not
+            # simulations.
+            with obs.span("plan.objective", requests=requests) as sp:
+                value = simulate(*args, stop_at_ms)
+                if value == math.inf and stop_at_ms < math.inf:
+                    sp.set(pruned=True)
+                else:
+                    sp.set(makespan_ms=value)
+        else:
+            value = simulate(*args, stop_at_ms)
+        if value == math.inf and stop_at_ms < math.inf:
+            cache.put(key, LowerBound(stop_at_ms))
+        else:
+            cache.put(key, value)
         return value
 
     def clear(self) -> None:
         self._cache.clear()
         self._anchor = None
         self._anchor_key = None
+
+
+class _AnchoredProbe:
+    """The :data:`MoveProbe` of :meth:`ObjectiveCache.anchor`.
+
+    It keeps the anchor fingerprint's parts: the fields before and
+    after the per-request entries, the entries and their model names,
+    so a move's key replaces one entry and builds one tuple.
+    """
+
+    __slots__ = ("_cache", "_anchor", "_head", "_entries", "_models", "_tail")
+
+    def __init__(
+        self, cache: ObjectiveCache, anchor: ProbeAnchor, key: Fingerprint
+    ) -> None:
+        self._cache = cache
+        self._anchor = anchor
+        # ``plan_fingerprint``'s fourth field holds one entry per request.
+        entries: Tuple[Tuple[str, object], ...] = key[3]  # type: ignore[assignment]
+        self._head = key[:3]
+        self._entries = entries
+        self._models = [model for model, _ in entries]
+        self._tail = key[4:]
+
+    def __call__(
+        self,
+        request: int,
+        slices: Sequence[Optional[Tuple[int, int]]],
+        stop_at_ms: float = math.inf,
+    ) -> float:
+        entries = list(self._entries)
+        entries[request] = (self._models[request], tuple(slices))
+        return self._cache._probe(
+            self._head + (tuple(entries),) + self._tail,
+            len(entries),
+            stop_at_ms,
+            self._anchor.move_ms,
+            request,
+            slices,
+        )

@@ -30,7 +30,17 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from .. import obs
 from ..hardware.processor import ProcessorSpec
@@ -208,6 +218,13 @@ def _descend(
     more than :data:`_EPSILON_MS`.  It stops after a round that applies
     nothing, or after ``max_rounds``.
 
+    A request's moves depend only on its slices, its profile and the
+    processors, so each ``(request, slices)`` neighbourhood is built
+    once per descent and re-probed from the memo in later rounds: a
+    round changes one request, and every other request's moves stay.
+    The applied slices are a copy of the move's, so no memoized move
+    is ever written.
+
     A probe names its move, ``(request, slices, stop_at_ms)``, and the
     descent never writes ``assignments`` around it.  ``cost`` is the
     objective of ``assignments`` as they stand: it scores the start, and
@@ -223,6 +240,7 @@ def _descend(
     probe = _applying(assignments, cost)
     steps: List[_Step] = []
     current = math.inf
+    moves_of: Dict[Tuple[int, Tuple[Optional[Tuple[int, int]], ...]], List[Move]] = {}
     for rounds in range(max_rounds):
         if anchor is not None:
             probe = anchor()
@@ -233,7 +251,12 @@ def _descend(
             best_gain = _EPSILON_MS
             best: Optional[Tuple[int, Move]] = None
             for i in group:
-                for move in neighbours(assignments[i], processors):
+                assignment = assignments[i]
+                key = (i, tuple(assignment.slices))
+                moves = moves_of.get(key)
+                if moves is None:
+                    moves = moves_of[key] = list(neighbours(assignment, processors))
+                for move in moves:
                     gain = current - probe(i, move[0], current - best_gain)
                     if gain > best_gain:
                         best_gain = gain

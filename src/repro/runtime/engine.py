@@ -220,9 +220,12 @@ class Checkpoint(NamedTuple):
     """A :class:`ProbeRun`'s state after some number of steps.
 
     ``running`` holds, per slot, the running task with its remaining
-    solo time, or None.  ``started_ms`` is, per slot, the solo
-    time of every task started so far, so a slot's unstarted work is
-    its total solo time less this.  A request's *progress code*
+    solo time, or None.  ``ready`` is, per slot, the bitmask of the
+    requests whose exposed head waits for that slot: bit ``i`` is
+    request ``i``, so the lowest set bit is the FIFO-by-id pick.
+    ``started_ms`` is, per slot, the solo time of every task started
+    so far, so a slot's unstarted work is its total solo time less
+    this.  A request's *progress code*
     ``2 * next_idx + prev_done`` only grows: chain position ``p`` is
     exposed when the code reaches ``2p + 1`` and starts when it reaches
     ``2p + 2``.
@@ -233,7 +236,7 @@ class Checkpoint(NamedTuple):
     prev_done: List[bool]
     running: Tuple[Optional[Tuple["ChainTask", float]], ...]
     completed: int
-    ready: List[Set[int]]
+    ready: List[int]
     started_ms: List[float]
 
     def progress(self, request: int) -> int:
@@ -1234,7 +1237,10 @@ class ProbeRun:
     Its loop advances only what the makespan and the bound read: the
     ready sets, ``next_idx`` and ``prev_done``, each running slice's
     remaining solo time, ``now``, the completed and outstanding counts,
-    and each slot's started solo time, all in locals.  Each step is
+    and each slot's started solo time, all in locals.  A slot's ready
+    set is an int bitmask over request ids (see :class:`Checkpoint`):
+    the FIFO-by-id pick is its lowest set bit, and a checkpoint copies
+    the list of masks with one slice.  Each step is
     :meth:`DiscreteEventEngine._step`'s arithmetic in the same order,
     with the same ``engine_steps`` and ``slowdown_evaluations`` counts,
     so it returns the same makespan bit for bit.  The step makes no
@@ -1277,6 +1283,10 @@ class ProbeRun:
       a new run's initial state.  A resumed run that runs checkpointed
       inherits this run's checkpoints before its start; they hold only
       started work, which the two runs share.
+    * :meth:`moved_ms` is the bounded run :meth:`resumed` would build
+      with one request's tail replaced, run without building it.  Both
+      replace a tail through one splice, :meth:`_splice`, which holds
+      the re-filing rule above.
 
     Args:
         soc: The platform (contention coupling).
@@ -1312,12 +1322,12 @@ class ProbeRun:
         self._chains = [list(chain) for chain in chains]
         _check_chains(soc, self._chains, slot, probe=True)
         slot_ms = [0.0 for _ in procs]
-        ready: List[Set[int]] = [set() for _ in procs]
+        ready = [0 for _ in procs]
         for i, chain in enumerate(self._chains):
             for task in chain:
                 slot_ms[slot[task.proc.name]] += task.solo_ms
             if chain:
-                ready[slot[chain[0].proc.name]].add(i)
+                ready[slot[chain[0].proc.name]] |= 1 << i
         n = len(self._chains)
         self._slot = slot
         self._coupling = coupling_matrix(soc)
@@ -1342,7 +1352,7 @@ class ProbeRun:
         below ``stop_at_ms`` decides exactly as it would on the full
         run.  ``inf`` never stops.
         """
-        return self._loop(stop_at_ms, None)
+        return self._loop(self._chains, self._slot_ms, self._start, stop_at_ms, None)
 
     def checkpointed(self) -> float:
         """Run to completion keeping a :class:`Checkpoint` before every step.
@@ -1355,7 +1365,9 @@ class ProbeRun:
             The makespan.
         """
         checkpoints = list(self._inherited[: self._steps])
-        makespan_ms = self._loop(math.inf, checkpoints)
+        makespan_ms = self._loop(
+            self._chains, self._slot_ms, self._start, math.inf, checkpoints
+        )
         self.checkpoints = checkpoints
         self._inherited = checkpoints  # hold no parent's checkpoints alive
         return makespan_ms
@@ -1385,49 +1397,14 @@ class ProbeRun:
                 builder, :func:`~repro.runtime.executor._probe_tail`,
                 checks each once, as the constructor checks its chains.
         """
-        checkpoints = self.checkpoints
-        if not checkpoints:
-            raise ValueError("resumed() needs a checkpointed() run")
-        if not 0 <= index < len(checkpoints):
-            raise ValueError(
-                f"checkpoint index {index} out of range [0, {len(checkpoints)})"
-            )
-        start = checkpoints[index]
+        start = self._checkpoint(index)
         chains = self._chains
         slot_ms = self._slot_ms
         if tails:
             chains = chains[:]
             slot_ms = slot_ms[:]
-            slot_of = self._slot
-            ready = start.ready
             for i, (position, tasks) in tails.items():
-                head = start.next_idx[i]
-                if position < head:
-                    raise ValueError(
-                        f"request {i}: position {position} started before "
-                        f"checkpoint {index}"
-                    )
-                old = chains[i]
-                new = old[:position]
-                new.extend(tasks)
-                chains[i] = new
-                for task in old[position:]:
-                    slot_ms[slot_of[task.proc.name]] -= task.solo_ms
-                for task in tasks:
-                    slot_ms[slot_of[task.proc.name]] += task.solo_ms
-                if position == head and start.prev_done[i]:
-                    # The head is exposed: file it where a new run would.
-                    old_slot = slot_of[old[head].proc.name] if head < len(old) else None
-                    new_slot = slot_of[new[head].proc.name] if head < len(new) else None
-                    if old_slot != new_slot:
-                        if ready is start.ready:
-                            ready = [set(slot_ready) for slot_ready in ready]
-                        if old_slot is not None:
-                            ready[old_slot].discard(i)
-                        if new_slot is not None:
-                            ready[new_slot].add(i)
-            if ready is not start.ready:
-                start = start._replace(ready=ready)
+                start = self._splice(index, start, chains, slot_ms, i, position, tasks)
         run = ProbeRun.__new__(ProbeRun)
         run._slot = self._slot
         run._coupling = self._coupling
@@ -1435,20 +1412,108 @@ class ProbeRun:
         run._slot_ms = slot_ms
         run._start = start
         run._steps = index
-        run._inherited = checkpoints
+        run._inherited = self.checkpoints
         run.checkpoints = []
         return run
 
-    def _loop(
-        self, stop_at_ms: float, checkpoints: Optional[List[Checkpoint]]
+    def moved_ms(
+        self,
+        index: int,
+        request: int,
+        position: int,
+        tasks: Sequence[ChainTask],
+        stop_at_ms: float = math.inf,
     ) -> float:
-        """The loop of every probe run.
+        """``resumed(index, {request: (position, tasks)}).bounded_ms(stop_at_ms)``.
 
-        It steps :meth:`DiscreteEventEngine._step`'s arithmetic over the
-        run's chains from its start checkpoint, on only the state a
-        makespan and the bound read, all of it in locals.  With
-        ``checkpoints`` it appends a :class:`Checkpoint` before every
-        step and after the last.
+        The same run and value, without building the resumed
+        :class:`ProbeRun` or its tails mapping: the planner's move
+        probes call this thousands of times per plan, and most stop at
+        the bound after a few steps.
+
+        Raises:
+            ValueError: as :meth:`resumed` does.
+        """
+        start = self._checkpoint(index)
+        chains = self._chains[:]
+        slot_ms = self._slot_ms[:]
+        start = self._splice(index, start, chains, slot_ms, request, position, tasks)
+        return self._loop(chains, slot_ms, start, stop_at_ms, None)
+
+    def _checkpoint(self, index: int) -> Checkpoint:
+        """``checkpoints[index]``, the start of a run resumed there."""
+        checkpoints = self.checkpoints
+        if not 0 <= index < len(checkpoints):
+            if not checkpoints:
+                raise ValueError("resumed() needs a checkpointed() run")
+            raise ValueError(
+                f"checkpoint index {index} out of range [0, {len(checkpoints)})"
+            )
+        return checkpoints[index]
+
+    def _splice(
+        self,
+        index: int,
+        start: Checkpoint,
+        chains: List[List[ChainTask]],
+        slot_ms: List[float],
+        request: int,
+        position: int,
+        tasks: Sequence[ChainTask],
+    ) -> Checkpoint:
+        """Replace ``request``'s chain from ``position`` on by ``tasks``.
+
+        ``chains`` and ``slot_ms`` are the caller's copies of this run's
+        and change in place; ``start`` is checkpoint ``index`` or a copy
+        of it.  Returns ``start``, or a copy with new ready masks when
+        the replaced position is the exposed head and its processor
+        changed: the request is then re-filed under its new head's slot,
+        where a new run would file it.
+        """
+        head = start.next_idx[request]
+        if position < head:
+            raise ValueError(
+                f"request {request}: position {position} started before "
+                f"checkpoint {index}"
+            )
+        slot_of = self._slot
+        old = chains[request]
+        new = old[:position]
+        new.extend(tasks)
+        chains[request] = new
+        for task in old[position:]:
+            slot_ms[slot_of[task.proc.name]] -= task.solo_ms
+        for task in tasks:
+            slot_ms[slot_of[task.proc.name]] += task.solo_ms
+        if position == head and start.prev_done[request]:
+            old_slot = slot_of[old[head].proc.name] if head < len(old) else None
+            new_slot = slot_of[new[head].proc.name] if head < len(new) else None
+            if old_slot != new_slot:
+                ready = start.ready[:]
+                bit = 1 << request
+                if old_slot is not None:
+                    ready[old_slot] &= ~bit
+                if new_slot is not None:
+                    ready[new_slot] |= bit
+                start = start._replace(ready=ready)
+        return start
+
+
+    def _loop(
+        self,
+        chains: Sequence[Sequence[ChainTask]],
+        slot_ms: Sequence[float],
+        start: Checkpoint,
+        stop_at_ms: float,
+        checkpoints: Optional[List[Checkpoint]],
+    ) -> float:
+        """The loop every probe simulation runs.
+
+        It steps :meth:`DiscreteEventEngine._step`'s arithmetic over
+        ``chains``, whose per-slot solo totals are ``slot_ms``, from
+        ``start``, on only the state a makespan and the bound read, all
+        of it in locals.  With ``checkpoints`` it appends a
+        :class:`Checkpoint` before every step and after the last.
 
         Returns:
             The makespan, or ``inf`` when the bound stopped the run.
@@ -1456,13 +1521,10 @@ class ProbeRun:
         coupling = self._coupling
         exp = math.exp
         slot_of = self._slot
-        chains = self._chains
-        slot_ms = self._slot_ms
-        start = self._start
         now = start.now_ms
         next_idx = start.next_idx[:]
         prev_done = start.prev_done[:]
-        ready = [set(slot_ready) for slot_ready in start.ready]
+        ready = start.ready[:]
         # Per slot: the running task and its remaining solo time (0.0
         # on an idle slot), and the solo time of the started tasks.
         running = [None if entry is None else entry[0] for entry in start.running]
@@ -1487,7 +1549,7 @@ class ProbeRun:
                             for task, task_ms in zip(running, left_ms)
                         ),
                         completed,
-                        [set(slot_ready) for slot_ready in ready],
+                        ready[:],
                         started_ms[:],
                     )
                 )
@@ -1506,24 +1568,26 @@ class ProbeRun:
                     break
             steps += 1
             # _step's start pass with no memory gate and no offline
-            # slot.  A probe run preempts nothing, so every ready head
-            # is unstarted.
+            # slot; it lists each busy slot with its running slice's
+            # workload.  A probe run preempts nothing, so every ready
+            # head is unstarted.  FIFO by id takes the lowest set bit.
+            busy = []
             for k in slots:
-                slot_ready = ready[k]
-                if running[k] is None and slot_ready:
-                    request = min(slot_ready)
-                    slot_ready.remove(request)
+                task = running[k]
+                if task is None:
+                    mask = ready[k]
+                    if not mask:
+                        continue
+                    low = mask & -mask
+                    ready[k] = mask ^ low
+                    request = low.bit_length() - 1
                     idx = next_idx[request]
-                    task = chains[request][idx]
-                    running[k] = task
+                    task = running[k] = chains[request][idx]
                     left_ms[k] = task.solo_ms
                     started_ms[k] += task.solo_ms
                     next_idx[request] = idx + 1
                     prev_done[request] = False
-            # Each busy slot with its running slice's workload.
-            busy = [
-                (k, task.workload) for k, task in enumerate(running) if task is not None
-            ]
+                busy.append((k, task.workload))
             if not busy:
                 raise RuntimeError(
                     "simulation wedged: no running task and no pending event"
@@ -1565,6 +1629,6 @@ class ProbeRun:
                     chain = chains[request]
                     idx = next_idx[request]
                     if idx < len(chain):
-                        ready[slot_of[chain[idx].proc.name]].add(request)
+                        ready[slot_of[chain[idx].proc.name]] |= 1 << request
         _count_work(steps, evaluations)
         return makespan_ms

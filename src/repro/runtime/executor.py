@@ -221,11 +221,12 @@ def _probe_tail(
 
 def _counted(makespan_ms: float, resumed: bool = False) -> float:
     """Count one objective simulation that returned ``makespan_ms``."""
-    obs.add("objective_evaluations")
-    if resumed:
-        obs.add("objective_probes_resumed")
-    if makespan_ms == math.inf:
-        obs.add("objective_probes_pruned")
+    if obs.enabled():
+        obs.add("objective_evaluations")
+        if resumed:
+            obs.add("objective_probes_resumed")
+        if makespan_ms == math.inf:
+            obs.add("objective_probes_pruned")
     return makespan_ms
 
 
@@ -267,12 +268,14 @@ def _first_reaching(
     """The first checkpoint at which ``request``'s progress reaches ``code``.
 
     Progress codes only grow, so this is a binary search (by hand:
-    ``bisect``'s ``key=`` needs Python 3.10).
+    ``bisect``'s ``key=`` needs Python 3.10), reading
+    :meth:`~repro.runtime.engine.Checkpoint.progress` inline.
     """
     lo, hi = 0, len(checkpoints)
     while lo < hi:
         mid = (lo + hi) // 2
-        if checkpoints[mid].progress(request) < code:
+        checkpoint = checkpoints[mid]
+        if 2 * checkpoint.next_idx[request] + checkpoint.prev_done[request] < code:
             lo = mid + 1
         else:
             hi = mid
@@ -303,8 +306,10 @@ class ProbeAnchor:
     A probe names its plan one of two ways.  :meth:`probe_ms` takes a
     whole plan and finds the requests whose slices changed;
     :meth:`move_ms` takes one request's new slices, so no plan is built
-    or compared.  Both locate a request's divergence through
-    :meth:`_leaves_at`, so they resume the same run.
+    or compared, and runs through
+    :meth:`~repro.runtime.engine.ProbeRun.moved_ms`, so no resumed run
+    or tails mapping is built either.  Both locate a request's
+    divergence through :meth:`_leaves_at`, so they resume the same run.
 
     Args:
         plan: The plan to anchor on.
@@ -348,7 +353,8 @@ class ProbeAnchor:
         resume = self._divergence(plan)
         if resume is None:
             return None
-        return self._resumed_ms(resume, stop_at_ms)
+        run = self._run.resumed(*resume)
+        return _counted(run.bounded_ms(stop_at_ms), resumed=True)
 
     def move_ms(
         self,
@@ -358,12 +364,9 @@ class ProbeAnchor:
     ) -> float:
         """:meth:`probe_ms` of the anchor's plan with ``request`` moved to
         ``slices`` (which differ from its anchored slices)."""
-        index, tail = self._leaves_at(request, slices)
-        return self._resumed_ms((index, {request: tail}), stop_at_ms)
-
-    def _resumed_ms(self, resume: Resume, stop_at_ms: float) -> float:
-        run = self._run.resumed(*resume)
-        return _counted(run.bounded_ms(stop_at_ms), resumed=True)
+        index, (position, tasks) = self._leaves_at(request, slices)
+        makespan_ms = self._run.moved_ms(index, request, position, tasks, stop_at_ms)
+        return _counted(makespan_ms, resumed=True)
 
     def _divergence(self, plan: "PipelinePlan") -> Optional[Resume]:
         """Where ``plan``'s run leaves the anchor's, or None when it does

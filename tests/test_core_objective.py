@@ -484,6 +484,14 @@ neighbour_moves = st.one_of(
 )
 
 
+#: Mixes whose plans exercise anchoring, resuming and pruning.
+PROBE_MIXES = [
+    ("yolov4", "bert", "squeezenet", "resnet50", "vit"),
+    ("alexnet", "mobilenetv2", "googlenet"),
+    ("vit", "vit", "bert", "resnet50"),
+]
+
+
 class TestIncrementalProbes:
     """Cutoffs and anchors change what a probe simulates, never its answer."""
 
@@ -683,14 +691,7 @@ class TestIncrementalProbes:
         assert cache._cache.get(plan_fingerprint(plan)) == LowerBound(1.0)
 
     @pytest.mark.parametrize("soc_name", SOC_NAMES)
-    @pytest.mark.parametrize(
-        "names",
-        [
-            ("yolov4", "bert", "squeezenet", "resnet50", "vit"),
-            ("alexnet", "mobilenetv2", "googlenet"),
-            ("vit", "vit", "bert", "resnet50"),
-        ],
-    )
+    @pytest.mark.parametrize("names", PROBE_MIXES)
     def test_cache_on_and_off_plan_identically(self, soc_name, names):
         """The cached planner anchors, resumes and prunes; the uncached
         one prunes but never resumes; both emit the same plan."""
@@ -712,3 +713,27 @@ class TestIncrementalProbes:
         assert counters["cached"]["objective_probes_resumed"] > 0
         assert "objective_probes_resumed" not in counters["uncached"]
         assert counters["uncached"]["objective_probes_pruned"] > 0
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    @pytest.mark.parametrize("names", PROBE_MIXES)
+    def test_recorder_on_and_off_plan_identically(self, soc_name, names):
+        """A probe opens spans and counts metrics only with the recorder
+        on; either way the planner emits the same plan from the same
+        cache hits and misses."""
+        soc = get_soc(soc_name)
+        models = [get_model(n) for n in names]
+        seen = []
+        for recorder in (obs.NullRecorder(), obs.InMemoryRecorder()):
+            planner = Hetero2PipePlanner(soc)
+            with obs.use_recorder(recorder):
+                report = planner.plan(models)
+            seen.append(
+                (
+                    plan_fingerprint(report.plan),
+                    report.stealing_moves,
+                    planner.objective.hits,
+                    planner.objective.misses,
+                )
+            )
+        assert seen[0] == seen[1]
+        assert seen[0][3] > 0

@@ -28,9 +28,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.planner import Hetero2PipePlanner
 from repro.hardware.processor import ProcessorKind
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
+from repro.obs.bench import MODEL_MIX
 from repro.obs.blame import blame_requests, extract_critical_path
 from repro.obs.slo import SloEvaluator, SloSpec
 from repro.obs.timeline import TimelineAggregator
@@ -43,6 +45,8 @@ from repro.runtime.executor import (
     _first_reaching,
     _handoff_names,
     _probe_tail,
+    plan_to_chains,
+    replicate_chains,
     scale_chain_tasks,
     simulate_chains,
 )
@@ -599,6 +603,9 @@ class TestProbeDifferential:
             assert value == fresh_ms or (
                 value == math.inf and fresh_ms >= scale * fresh_ms
             )
+            # The move probe's run is the resumed run.
+            assert run.moved_ms(index, request, position, tail) == fresh_ms
+            assert run.moved_ms(index, request, position, tail, scale * fresh_ms) == value
         # A resumed run's checkpoints, its inherited ones included.
         resumed = run.resumed(max(first, 1) - 1, {request: (position, tail)})
         assert resumed.checkpointed() == fresh_ms
@@ -623,6 +630,39 @@ class TestProbeDifferential:
     @settings(max_examples=150, deadline=None)
     def test_zoo_workload_chains(self, data):
         self._check_every_soc(data, zoo_tasks)
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    def test_more_requests_than_a_machine_word(self, soc_name):
+        """The five-model mix 14 times over is 70 requests, so a slot's
+        ready mask is wider than 64 bits: bounded, checkpointed and
+        resumed runs still give the memory-free engine's makespan, the
+        resumed one with the last request's chain replaced by one that
+        starts on another processor (its exposed head is re-filed)."""
+        soc = PROBE_SOCS[soc_name]
+        plan = Hetero2PipePlanner(soc).plan([get_model(m) for m in MODEL_MIX]).plan
+        chains = replicate_chains(plan_to_chains(plan), 14)
+        request = len(chains) - 1
+        assert request >= 64
+        first = chains[request][0].proc.name
+        other = next(chain for chain in chains if chain[0].proc.name != first)
+        tail = [task._replace(request=request) for task in other]
+        replaced = chains[:request] + [tail]
+
+        def engine_ms(chains):
+            return DiscreteEventEngine(
+                soc, chains, enforce_memory=False, record=False, track_causality=False
+            ).run().makespan_ms
+
+        makespan_ms = engine_ms(chains)
+        run = ProbeRun(soc, chains)
+        assert run.bounded_ms() == makespan_ms
+        assert run.checkpointed() == makespan_ms
+        assert max(run.checkpoints[0].ready).bit_length() > 64
+        moved_ms = engine_ms(replaced)
+        assert run.resumed(0, {request: (0, tail)}).bounded_ms() == moved_ms
+        assert run.resumed(0, {request: (0, tail)}).checkpointed() == moved_ms
+        assert run.moved_ms(0, request, 0, tail) == moved_ms
+        self._check(soc, (chains, 0.9, request, 0, tail))
 
     def test_rejects_a_processor_of_another_kind(self):
         """A processor named like its slot but of another kind, on the

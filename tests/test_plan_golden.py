@@ -22,6 +22,7 @@ import pytest
 
 from repro import obs
 from repro.baselines.exhaustive import exhaustive_plan
+from repro.core import stealing
 from repro.core.planner import Hetero2PipePlanner, PlannerConfig
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
@@ -120,6 +121,32 @@ def test_plans_match_golden(golden, soc_name):
             assert actual[key][field] == expected[key][field], (
                 f"{soc_name}/{key}: {field} differs"
             )
+
+
+def test_a_descent_builds_each_neighbourhood_once(golden, monkeypatch):
+    """Within one descent, a request's boundary moves are built once per
+    slices it takes: a round changes one request, and the others' moves
+    are re-probed from the descent's memo.  The plan is the golden one."""
+    descents = []
+    descend = stealing._descend
+    boundary_moves = stealing.boundary_moves
+
+    def counted_descend(*args, **kwargs):
+        descents.append([])
+        return descend(*args, **kwargs)
+
+    def counted_moves(assignment, processors):
+        descents[-1].append((id(assignment), tuple(assignment.slices)))
+        return boundary_moves(assignment, processors)
+
+    monkeypatch.setattr(stealing, "_descend", counted_descend)
+    monkeypatch.setattr(stealing, "boundary_moves", counted_moves)
+    record = _plan_record(Hetero2PipePlanner(get_soc("kirin990")), MODEL_MIX)
+    assert record == golden["kirin990"]["default/bench"]
+    built = [key for keys in descents for key in keys]
+    assert len(built) > len(MODEL_MIX)  # several rounds of several requests
+    for keys in descents:
+        assert len(keys) == len(set(keys))
 
 
 if __name__ == "__main__":

@@ -797,8 +797,14 @@ def _position(task):
     return (task.request, task.stage, task.proc.name)
 
 
+def _request_ids(mask):
+    """The request ids of a probe run's ready mask (bit ``i`` is request ``i``)."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _trajectory(checkpoints, key):
-    """Checkpoints as frozen plain values, running tasks named by ``key``."""
+    """Checkpoints as frozen plain values, running tasks named by ``key``
+    and ready masks read as request-id sets."""
     return [
         (
             ck.now_ms,
@@ -809,7 +815,7 @@ def _trajectory(checkpoints, key):
                 for entry in ck.running
             ),
             ck.completed,
-            tuple(frozenset(ready) for ready in ck.ready),
+            tuple(_request_ids(ready) for ready in ck.ready),
             tuple(ck.started_ms),
         )
         for ck in checkpoints
